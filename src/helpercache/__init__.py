@@ -8,8 +8,6 @@ from .d2d import (
     cluster_active,
     cvc_deterministic,
     expected_active_analytic,
-    rgg_build,
-    rgg_served_users,
     scaling_check,
     simulate_active_clusters,
     sweep_gamma1,
@@ -27,7 +25,6 @@ from .macro_sim import (
     MacroConfig,
     SimOutcome,
     WorkloadSpec,
-    count_satisfied,
     simulate_snapshot,
     sweep_capacity,
     sweep_helper_count,
@@ -96,7 +93,6 @@ __all__ = [
     "cache_random",
     "catalog_size",
     "cluster_active",
-    "count_satisfied",
     "cvc_deterministic",
     "evaluate_coded_delay",
     "evaluate_delay",
@@ -107,8 +103,6 @@ __all__ = [
     "most_popular_place",
     "place_helpers",
     "place_uniform",
-    "rgg_build",
-    "rgg_served_users",
     "sample_requests",
     "scaling_check",
     "simulate_active_clusters",

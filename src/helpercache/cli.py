@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 
 from . import __version__
 from .d2d import D2DScenario, scaling_check, sweep_gamma1, sweep_r
@@ -27,16 +26,20 @@ from .errors import (
     InsufficientDataError,
     InstanceTooLargeError,
     InvalidParameterError,
+    IterationLimitError,
+    UnboundedProblemError,
 )
-from .macro_sim import MacroConfig, sweep_capacity, sweep_helper_count
-from .placement_coded import coded_placement_rows, solve_grouped
-from .placement_uncoded import (
-    HelperSpecs,
-    brute_force_place,
-    greedy_place,
-    most_popular_place,
-    placement_to_json,
+from .macro_sim import (
+    MacroConfig,
+    _helper_positions,
+    _plan_graph,
+    experiment_popularity,
+    make_placement,
+    sweep_capacity,
+    sweep_helper_count,
 )
+from .placement_coded import coded_placement_rows
+from .placement_uncoded import HelperSpecs, brute_force_place, placement_to_json
 from .popularity import (
     fit_zipf,
     read_trace_csv,
@@ -45,14 +48,6 @@ from .popularity import (
     zipf_model,
 )
 from .rng import stream
-from .topology import (
-    DEFAULT_HELPER_MODEL,
-    DEFAULT_MACRO_MODEL,
-    CellLayout,
-    build_connectivity,
-    place_helpers,
-    place_uniform,
-)
 
 
 def _parse_int(value) -> int:
@@ -304,8 +299,6 @@ def resolve_params(args: argparse.Namespace) -> dict:
 def _format(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return str(value)
     return str(value)
 
 
@@ -361,19 +354,23 @@ class _Emitter:
 
 
 def _macro_config(p: dict) -> MacroConfig:
+    # `place` has no deadline or fitting-trace flags; those keep their defaults.
+    optional = {
+        "qos_s": "qos",
+        "trace_gamma": "trace_gamma",
+        "trace_samples": "trace_samples",
+    }
     return MacroConfig(
         n_users=p["n"],
         catalog_size=p["m"],
         capacity=p.get("capacity", 0),
         file_bits=p["file_bits"],
-        qos_s=p["qos"],
         cell_radius_m=p["cell_radius"],
         helper_radius_m=p["helper_radius"],
         helper_mode=p["helper_mode"],
         gamma=p["gamma"],
-        trace_gamma=p["trace_gamma"],
-        trace_samples=p["trace_samples"],
         coded_groups=p["coded_groups"],
+        **{field: p[key] for field, key in optional.items() if key in p},
     )
 
 
@@ -413,33 +410,20 @@ def _run_fit(p: dict, emitter: _Emitter) -> int:
 
 
 def _run_place(p: dict, emitter: _Emitter) -> int:
-    pop = zipf_model(p["gamma"], p["m"])
-    helpers = place_helpers(
-        p["helpers"],
-        p["helper_mode"],
-        p["cell_radius"],
-        rng=stream(p["seed"], "helpers", p["helpers"]),
-    )
-    users = place_uniform(p["n"], p["cell_radius"], stream(p["seed"], "plan-users"))
-    layout = CellLayout(cell_radius=p["cell_radius"], helpers=helpers, users=users)
-    helper_model = replace(DEFAULT_HELPER_MODEL, helper_radius_m=p["helper_radius"])
-    graph = build_connectivity(layout, helper_model, DEFAULT_MACRO_MODEL)
+    config = _macro_config(p)
+    pop = experiment_popularity(config, p["seed"])
+    helpers = _helper_positions(p["helpers"], config, p["seed"])
+    graph = _plan_graph(helpers, config, p["seed"])
     specs = HelperSpecs.uniform(p["helpers"], p["capacity"])
-    policy = p["policy"]
-    if policy == "coded":
-        placement, _ = solve_grouped(
-            graph, pop, specs, p["file_bits"], min(p["coded_groups"], pop.m)
-        )
+    if p["policy"] == "brute-force":
+        placement = brute_force_place(graph, pop, specs, p["file_bits"])
+    else:
+        placement = make_placement(p["policy"], graph, pop, specs, config)
+    if p["policy"] == "coded":
         rows = coded_placement_rows(placement)
         emitter.primary(_csv_text(["file_rank", "helper_id", "rho"], rows))
-        return emitter.finish()
-    if policy == "greedy":
-        placement = greedy_place(graph, pop, specs, p["file_bits"])
-    elif policy == "most-popular":
-        placement = most_popular_place(specs, pop)
     else:
-        placement = brute_force_place(graph, pop, specs, p["file_bits"])
-    emitter.primary(placement_to_json(placement) + "\n")
+        emitter.primary(placement_to_json(placement) + "\n")
     return emitter.finish()
 
 
@@ -559,6 +543,8 @@ def main(argv=None) -> int:
         InstanceTooLargeError,
         InfeasiblePlacementError,
         DegenerateInstanceError,
+        IterationLimitError,
+        UnboundedProblemError,
         OSError,
     ) as exc:
         print(str(exc), file=sys.stderr)

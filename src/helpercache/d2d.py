@@ -6,8 +6,7 @@ another same-cluster user's cache (a request found in the user's own cache is
 served locally and does not activate the cluster).  The module computes the
 expected number of active clusters analytically for the deterministic caching
 rule and by Monte Carlo for both caching rules, plus the collaboration-radius
-and caching-exponent sweeps, scaling tables, and a random-geometric-graph
-connectivity variant.
+and caching-exponent sweeps and scaling tables.
 
 The analytic expression is an independent derivation (expectation over the
 binomial cluster occupancy of one minus the all-miss product) and is validated
@@ -445,123 +444,3 @@ def scaling_check(
         )
     return rows
 
-
-@dataclass(frozen=True, eq=False)
-class RandomGeometricGraph:
-    """Nodes in the unit square, undirected edges at distance <= radius."""
-
-    positions: np.ndarray  # (n, 2)
-    radius: float
-    neighbor_lists: tuple[np.ndarray, ...]
-
-    @property
-    def n_nodes(self) -> int:
-        return self.positions.shape[0]
-
-    def degree(self) -> np.ndarray:
-        return np.array([ids.size for ids in self.neighbor_lists], dtype=np.int64)
-
-    @property
-    def n_edges(self) -> int:
-        return int(self.degree().sum()) // 2
-
-
-def rgg_from_positions(positions, radius: float) -> RandomGeometricGraph:
-    """Geometric graph on given positions; edges at distance exactly `radius`
-    are kept.  Neighbor search buckets the square into a grid of cells at
-    least `radius` wide, so only the 3x3 surrounding cells are scanned."""
-    pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    if pos.size == 0:
-        pos = pos.reshape(0, 2)
-    if pos.ndim != 2 or pos.shape[1] != 2:
-        raise InvalidParameterError("positions must be an (n, 2) array")
-    if not math.isfinite(radius) or radius <= 0:
-        raise InvalidParameterError("radius must be finite and > 0")
-    n = pos.shape[0]
-    side = max(1, int(math.floor(1.0 / radius)))
-    cx = np.minimum((pos[:, 0] * side).astype(np.int64), side - 1)
-    cy = np.minimum((pos[:, 1] * side).astype(np.int64), side - 1)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        buckets.setdefault((int(cx[i]), int(cy[i])), []).append(i)
-    bucket_arrays = {key: np.array(ids) for key, ids in buckets.items()}
-    neighbor_lists = []
-    for i in range(n):
-        cands = [
-            bucket_arrays[key]
-            for dx in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-            if (key := (int(cx[i]) + dx, int(cy[i]) + dy)) in bucket_arrays
-        ]
-        ids = np.concatenate(cands)
-        d = np.hypot(pos[ids, 0] - pos[i, 0], pos[ids, 1] - pos[i, 1])
-        keep = ids[(d <= radius) & (ids != i)]
-        neighbor_lists.append(np.sort(keep))
-    return RandomGeometricGraph(
-        positions=pos, radius=float(radius), neighbor_lists=tuple(neighbor_lists)
-    )
-
-
-def rgg_build(n: int, r: float, rng: np.random.Generator) -> RandomGeometricGraph:
-    """G(n, r): n uniform nodes in the unit square, edges at distance <= r."""
-    if n < 0:
-        raise InvalidParameterError("n must be >= 0")
-    return rgg_from_positions(rng.random((n, 2)), r)
-
-
-def rgg_served_users(graph: RandomGeometricGraph, caches, requests) -> int:
-    """Nodes whose request some neighbor caches (own-cache hits excluded)."""
-    n = graph.n_nodes
-    if len(caches) != n or len(requests) != n:
-        raise InvalidParameterError("caches and requests must have one entry per node")
-    count = 0
-    for i in range(n):
-        req = requests[i]
-        if req in caches[i]:
-            continue
-        if any(req in caches[v] for v in graph.neighbor_lists[i]):
-            count += 1
-    return count
-
-
-def rgg_scheduled_links(
-    graph: RandomGeometricGraph, caches, requests
-) -> list[tuple[int, int]]:
-    """Greedy interference-aware schedule: (receiver, transmitter) pairs.
-
-    Receivers are visited in node order and matched to their nearest neighbor
-    holding the requested file; a transmitter is admitted only if it is more
-    than `radius` away from every already-admitted transmitter, and no node
-    plays both roles.  One transmission per admitted pair.
-    """
-    n = graph.n_nodes
-    if len(caches) != n or len(requests) != n:
-        raise InvalidParameterError("caches and requests must have one entry per node")
-    links: list[tuple[int, int]] = []
-    tx_ids: list[int] = []
-    rx_ids: set[int] = set()
-    pos = graph.positions
-    for u in range(n):
-        if u in rx_ids or u in tx_ids:
-            continue
-        if requests[u] in caches[u]:
-            continue
-        holders = [
-            v
-            for v in graph.neighbor_lists[u]
-            if requests[u] in caches[v] and v not in rx_ids and v not in tx_ids
-        ]
-        best = None
-        for v in holders:
-            if any(
-                np.hypot(*(pos[v] - pos[t])) <= graph.radius for t in tx_ids
-            ):
-                continue
-            d = float(np.hypot(*(pos[v] - pos[u])))
-            if best is None or d < best[0]:
-                best = (d, int(v))
-        if best is not None:
-            links.append((u, best[1]))
-            tx_ids.append(best[1])
-            rx_ids.add(u)
-    return links

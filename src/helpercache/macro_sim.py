@@ -20,13 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError
-from .placement_coded import CodedPlacement, solve_grouped
-from .placement_uncoded import (
-    HelperSpecs,
-    UncodedPlacement,
-    greedy_place,
-    most_popular_place,
-)
+from .placement_coded import as_coded, solve_grouped
+from .placement_uncoded import HelperSpecs, greedy_place, most_popular_place
 from .popularity import (
     PopularityModel,
     fit_zipf,
@@ -41,11 +36,15 @@ from .topology import (
     CellLayout,
     ConnectivityGraph,
     build_connectivity,
+    fetch_fastest_first,
     place_helpers,
     place_uniform,
 )
 
 PLACEMENT_POLICIES = ("greedy", "most-popular", "coded")
+
+# A user is helper-served once the collected fraction is within this of 1.
+WHOLE_FILE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,6 @@ class SimOutcome:
     qos_s: float
 
 
-def count_satisfied(outcome: SimOutcome, threshold: float) -> int:
-    """Users whose download finishes within `threshold` seconds (inclusive)."""
-    return int((outcome.download_time <= threshold).sum())
-
-
 def simulate_snapshot(
     graph: ConnectivityGraph,
     placement,
@@ -95,44 +89,16 @@ def simulate_snapshot(
     n = graph.n_users
     if workload.n_users != n:
         raise InvalidParameterError("workload.n_users must match the graph")
+    rho = as_coded(placement, pop.m).rho
+    if rho.shape != (pop.m, graph.n_helpers):
+        raise InvalidParameterError("placement does not match the graph")
     requests = sample_requests(pop, rng, n)
-    times = np.zeros(n)
-    served = np.zeros(n, dtype=bool)
     B = workload.file_bits
-
-    if isinstance(placement, UncodedPlacement):
-        if placement.n_helpers != graph.n_helpers:
-            raise InvalidParameterError("placement does not match the graph")
-        holds = np.zeros((graph.n_helpers, pop.m + 1), dtype=bool)
-        for h, cache in enumerate(placement.caches):
-            if cache:
-                holds[h, list(cache)] = True
-        for u in range(n):
-            nbrs = graph.neighbors(u)
-            holders = nbrs[holds[nbrs, requests[u]]] if nbrs.size else nbrs
-            if holders.size:
-                served[u] = True
-                times[u] = B / graph.rates[u, holders].max()
-    elif isinstance(placement, CodedPlacement):
-        if placement.n_helpers != graph.n_helpers or placement.m != pop.m:
-            raise InvalidParameterError("placement does not match the graph")
-        for u in range(n):
-            nbrs = graph.neighbors(u)
-            if nbrs.size == 0:
-                continue
-            fractions = placement.rho[requests[u] - 1, nbrs]
-            if fractions.sum() < 1.0 - 1e-9:
-                continue
-            served[u] = True
-            order = np.argsort(-graph.rates[u, nbrs], kind="stable")
-            cum = np.clip(np.cumsum(fractions[order]), 0.0, 1.0)
-            take = np.diff(cum, prepend=0.0)
-            times[u] = B * float(take @ (1.0 / graph.rates[u, nbrs[order]]))
-    else:
-        raise InvalidParameterError(
-            "placement must be an UncodedPlacement or a CodedPlacement"
-        )
-
+    collected, helper = fetch_fastest_first(graph, rho[requests - 1])
+    # All or nothing: a user with less than the whole file in range gets all
+    # of it from the base station.
+    served = collected >= 1.0 - WHOLE_FILE_TOL
+    times = np.where(served, B * helper, 0.0)
     n_bs = int(n - served.sum())
     if n_bs:
         times[~served] = B * n_bs / graph.bs_rate[~served]
@@ -249,6 +215,7 @@ def _replicate(
 ) -> tuple[float, float]:
     helper_model, macro_model = experiment_models(config)
     workload = config.workload()
+    placement = as_coded(placement, pop.m)
     satisfied = np.empty(reps)
     for k in range(reps):
         users = place_uniform(

@@ -24,7 +24,7 @@ from .errors import (
 from .placement_uncoded import HelperSpecs, UncodedPlacement
 from .popularity import PopularityModel
 from .simplex import simplex_solve
-from .topology import ConnectivityGraph
+from .topology import ConnectivityGraph, fetch_fastest_first
 
 logger = logging.getLogger(__name__)
 
@@ -66,11 +66,18 @@ class CodedPlacement:
     @classmethod
     def from_uncoded(cls, placement: UncodedPlacement, m: int) -> "CodedPlacement":
         """0/1 fractions equivalent to a whole-file placement."""
-        rho = np.zeros((m, placement.n_helpers))
-        for h, cache in enumerate(placement.caches):
-            for f in cache:
-                rho[f - 1, h] = 1.0
-        return cls(rho=rho, capacities=placement.capacities)
+        return cls(rho=placement.fractions(m), capacities=placement.capacities)
+
+
+def as_coded(placement, m: int) -> CodedPlacement:
+    """Either placement kind as stored fractions (whole files become 0/1)."""
+    if isinstance(placement, CodedPlacement):
+        return placement
+    if isinstance(placement, UncodedPlacement):
+        return CodedPlacement.from_uncoded(placement, m)
+    raise InvalidParameterError(
+        "placement must be an UncodedPlacement or a CodedPlacement"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,21 +281,12 @@ def evaluate_coded_delay(
         raise InfeasiblePlacementError("placement shape does not match instance")
     if not math.isfinite(file_bits) or file_bits <= 0:
         raise InvalidParameterError("file_bits must be finite and > 0")
-    total = 0.0
-    for u in range(graph.n_users):
-        inv_bs = 1.0 / graph.bs_rate[u]
-        nbrs = graph.neighbors(u)
-        if nbrs.size == 0:
-            total += inv_bs
-            continue
-        order = nbrs[np.argsort(-graph.rates[u, nbrs], kind="stable")]
-        inv_rates = 1.0 / graph.rates[u, order]
-        cum = np.clip(np.cumsum(placement.rho[:, order], axis=1), 0.0, 1.0)
-        fracs = np.diff(cum, axis=1, prepend=0.0)
-        remainder = 1.0 - cum[:, -1]
-        per_file = fracs @ inv_rates + remainder * inv_bs
-        total += float(pop.pmf @ per_file)
-    return file_bits * total
+    rho = placement.rho
+    collected, helper = fetch_fastest_first(
+        graph, np.broadcast_to(rho, (graph.n_users,) + rho.shape)
+    )
+    per_file = helper + (1.0 - collected) * (1.0 / graph.bs_rate)[:, None]
+    return file_bits * float((per_file @ pop.pmf).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,25 +367,3 @@ def coded_placement_rows(placement: CodedPlacement):
             if value > 0.0:
                 rows.append((f + 1, h, value))
     return rows
-
-
-def dump_lp(instance: LPInstance) -> str:
-    """Plain-text (MPS-flavored) dump of the instance, for debugging."""
-    lines = ["NAME placement_lp", "ROWS", " N  OBJ"]
-    for i in range(instance.A.shape[0]):
-        lines.append(f" L  R{i}")
-    lines.append("COLUMNS")
-    for j in range(instance.c.size):
-        if instance.c[j]:
-            lines.append(f" X{j} OBJ {instance.c[j]:.12g}")
-        for i in np.flatnonzero(instance.A[:, j]):
-            lines.append(f" X{j} R{i} {instance.A[i, j]:.12g}")
-    lines.append("RHS")
-    for i, bi in enumerate(instance.b):
-        if bi:
-            lines.append(f" RHS R{i} {bi:.12g}")
-    lines.append("BOUNDS")
-    for j, ub in enumerate(instance.upper):
-        lines.append(f" UP BND X{j} {ub:.12g}")
-    lines.append("ENDATA")
-    return "\n".join(lines)

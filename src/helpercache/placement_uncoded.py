@@ -23,7 +23,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .popularity import PopularityModel
-from .topology import ConnectivityGraph
+from .topology import ConnectivityGraph, fetch_fastest_first
 
 BRUTE_FORCE_GUARD = 10**6
 
@@ -47,15 +47,6 @@ class HelperSpecs:
     @classmethod
     def uniform(cls, n_helpers: int, capacity: int) -> "HelperSpecs":
         return cls(capacities=(int(capacity),) * int(n_helpers))
-
-    @classmethod
-    def from_bytes(
-        cls, n_helpers: int, capacity_bytes: float, file_size_bytes: float
-    ) -> "HelperSpecs":
-        """Convert byte capacities to file counts (floor division)."""
-        if capacity_bytes < 0 or file_size_bytes <= 0:
-            raise InvalidParameterError("capacities and file size must be positive")
-        return cls.uniform(n_helpers, int(capacity_bytes // file_size_bytes))
 
 
 @dataclass(frozen=True)
@@ -84,45 +75,19 @@ class UncodedPlacement:
     def n_helpers(self) -> int:
         return len(self.caches)
 
-    def with_added(self, helper: int, rank: int) -> "UncodedPlacement":
-        """Copy with one more file at `helper` (validates capacity again)."""
-        new = list(self.caches)
-        new[helper] = new[helper] | {rank}
-        return UncodedPlacement(caches=tuple(new), capacities=self.capacities)
-
-
-def _check_instance(
-    placement: UncodedPlacement,
-    graph: ConnectivityGraph,
-    pop: PopularityModel,
-    file_bits: float,
-) -> None:
-    if placement.n_helpers != graph.n_helpers:
-        raise InfeasiblePlacementError(
-            f"placement has {placement.n_helpers} helpers, graph {graph.n_helpers}"
+    def fractions(self, m: int) -> np.ndarray:
+        """(m, n_helpers) stored fractions: 1.0 where a helper caches the rank."""
+        sizes = [len(cache) for cache in self.caches]
+        ranks = np.fromiter(
+            itertools.chain.from_iterable(self.caches), dtype=np.int64, count=sum(sizes)
         )
-    if not math.isfinite(file_bits) or file_bits <= 0:
-        raise InvalidParameterError("file_bits must be finite and > 0")
-    for h, cache in enumerate(placement.caches):
-        if any(f > pop.m for f in cache):
+        if ranks.size and ranks.max() > m:
             raise InfeasiblePlacementError(
-                f"helper {h} caches a rank beyond the catalog size {pop.m}"
+                f"a helper caches a rank beyond the catalog size {m}"
             )
-
-
-def best_inverse_rates(
-    placement: UncodedPlacement, graph: ConnectivityGraph, m: int
-) -> np.ndarray:
-    """(n_users, m) array of 1/best_rate for every user/file pair."""
-    with np.errstate(divide="ignore"):
-        inv_edges = np.where(graph.rates > 0, 1.0 / graph.rates, np.inf)
-    best = np.repeat((1.0 / graph.bs_rate)[:, None], m, axis=1)
-    for h, cache in enumerate(placement.caches):
-        if not cache:
-            continue
-        idx = np.fromiter(cache, dtype=np.int64) - 1
-        best[:, idx] = np.minimum(best[:, idx], inv_edges[:, h][:, None])
-    return best
+        rho = np.zeros((m, self.n_helpers))
+        rho[ranks - 1, np.repeat(np.arange(self.n_helpers), sizes)] = 1.0
+        return rho
 
 
 def evaluate_delay(
@@ -136,10 +101,20 @@ def evaluate_delay(
     Each user requests independently from `pop` and downloads at the best rate
     among the base station and the in-range helpers caching the file.
     """
-    _check_instance(placement, graph, pop, file_bits)
-    if graph.n_users == 0:
-        return 0.0
-    best = best_inverse_rates(placement, graph, pop.m)
+    if placement.n_helpers != graph.n_helpers:
+        raise InfeasiblePlacementError(
+            f"placement has {placement.n_helpers} helpers, graph {graph.n_helpers}"
+        )
+    if not math.isfinite(file_bits) or file_bits <= 0:
+        raise InvalidParameterError("file_bits must be finite and > 0")
+    rho = placement.fractions(pop.m)
+    collected, helper = fetch_fastest_first(
+        graph, np.broadcast_to(rho, (graph.n_users,) + rho.shape)
+    )
+    inv_bs = (1.0 / graph.bs_rate)[:, None]
+    # A whole file comes from the fastest holder or the base station, whichever
+    # is faster; a user with no holder in range gets it all from the station.
+    best = np.minimum(inv_bs, helper + (1.0 - collected) * inv_bs)
     return float(file_bits * (best @ pop.pmf).sum())
 
 
@@ -187,10 +162,8 @@ def greedy_steps(
     n, m = graph.n_users, pop.m
     if n == 0 or all(c == 0 for c in specs.capacities):
         return []
-    with np.errstate(divide="ignore"):
-        inv_edges = np.where(graph.rates > 0, 1.0 / graph.rates, np.inf)
     users_of = [graph.users_of(h) for h in range(graph.n_helpers)]
-    edge_inv = [inv_edges[users_of[h], h] for h in range(graph.n_helpers)]
+    edge_inv = [graph.inv_rates[users_of[h], h] for h in range(graph.n_helpers)]
     cur_inv = np.repeat((1.0 / graph.bs_rate)[:, None], m, axis=1)
 
     # With empty caches the gain of (f, h) factorizes as pmf[f] * base[h].
@@ -280,8 +253,6 @@ def brute_force_place(
         for cap in specs.capacities
     ]
 
-    with np.errstate(divide="ignore"):
-        inv_edges = np.where(graph.rates > 0, 1.0 / graph.rates, np.inf)
     inv_bs_mat = np.repeat((1.0 / graph.bs_rate)[:, None], m, axis=1)
     idx_lists = [
         [np.asarray(combo, dtype=np.int64) - 1 for combo in combos]
@@ -298,7 +269,7 @@ def brute_force_place(
                 best["delay"] = delay
                 best["choice"] = chosen
             return
-        col = inv_edges[:, h][:, None]
+        col = graph.inv_rates[:, h][:, None]
         for combo, idx in zip(per_helper[h], idx_lists[h]):
             if combo:
                 nxt = acc.copy()

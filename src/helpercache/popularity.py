@@ -79,15 +79,6 @@ def sample_request(model: PopularityModel, rng: np.random.Generator) -> int:
     return int(sample_requests(model, rng, 1)[0])
 
 
-def head_mass(model: PopularityModel, k: int) -> float:
-    """Total probability of the k most popular files (k=0 gives 0.0)."""
-    if not 0 <= k <= model.m:
-        raise InvalidParameterError(f"k must be in [0, {model.m}], got {k}")
-    if k == 0:
-        return 0.0
-    return float(model.cdf[k - 1])
-
-
 def catalog_size(n_users: int, scale: float = 1.0) -> int:
     """Catalog size that grows logarithmically with the user population.
 

@@ -1,10 +1,11 @@
-"""Cell geometry, link-rate model, and user/helper connectivity."""
+"""Cell geometry, link-rate model, user/helper connectivity, and the
+fastest-first fetch rule every delivery model shares."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -206,13 +207,45 @@ class ConnectivityGraph:
     def n_helpers(self) -> int:
         return self.rates.shape[1]
 
-    def neighbors(self, user: int) -> np.ndarray:
-        """Indices of helpers covering `user`."""
-        return np.flatnonzero(self.rates[user] > 0)
+    @cached_property
+    def inv_rates(self) -> np.ndarray:
+        """Seconds per bit on each link; inf where the user is out of range."""
+        with np.errstate(divide="ignore"):
+            return np.where(self.rates > 0, 1.0 / self.rates, np.inf)
 
     def users_of(self, helper: int) -> np.ndarray:
         """Indices of users inside helper `helper`'s coverage."""
         return np.flatnonzero(self.rates[:, helper] > 0)
+
+
+def fetch_fastest_first(
+    graph: ConnectivityGraph, fractions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Collect files from in-range helpers, fastest link first.
+
+    `fractions[u, ..., h]` is the share of a file wanted by user u that helper
+    h stores (one file per user, or one row per file).  Each user takes what
+    its helpers hold in decreasing rate order until the file is complete.
+    Returns `(collected, seconds_per_bit)`, both shaped `fractions.shape[:-1]`:
+    the fraction gathered from helpers, capped at 1, and the helper-side
+    download time per file bit.  What the base station serves is the caller's
+    rule.
+    """
+    # Each user's helpers by decreasing rate (ties by index), cut to the
+    # largest user degree; columns past a user's own links hold nothing.
+    degree = int((graph.rates > 0).sum(axis=1).max(initial=0))
+    order = np.argsort(-graph.rates, axis=1, kind="stable")[:, :degree]
+    inv = np.take_along_axis(graph.inv_rates, order, axis=1)
+    linked = np.isfinite(inv)
+    shape = (graph.n_users,) + (1,) * (np.ndim(fractions) - 2) + (degree,)
+    order, linked = order.reshape(shape), linked.reshape(shape)
+    inv = np.where(linked, inv.reshape(shape), 0.0)
+    picked = np.take_along_axis(fractions, order, axis=-1)
+    # A leading zero column keeps users without any link in the same shape.
+    cum = np.zeros(picked.shape[:-1] + (degree + 1,))
+    cum[..., 1:] = np.where(linked, picked, 0.0)
+    cum = np.clip(np.cumsum(cum, axis=-1), 0.0, 1.0)
+    return cum[..., -1], (np.diff(cum, axis=-1) * inv).sum(axis=-1)
 
 
 def build_connectivity(
@@ -240,26 +273,3 @@ def build_connectivity(
     d_bs = np.hypot(users[:, 0] - layout.bs_position[0], users[:, 1] - layout.bs_position[1])
     bs = np.asarray(link_rate(d_bs, macro_model), dtype=float).reshape(-1)
     return ConnectivityGraph(rates=rates, bs_rate=bs)
-
-
-def layout_to_json(layout: CellLayout) -> str:
-    """Serialize a layout with the base station translated to the origin."""
-    bx, by = layout.bs_position
-    doc = {
-        "cell_radius": layout.cell_radius,
-        "helpers": [[x - bx, y - by] for x, y in layout.helpers.tolist()],
-        "users": [[x - bx, y - by] for x, y in layout.users.tolist()],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def layout_from_json(text: str) -> CellLayout:
-    doc = json.loads(text)
-    try:
-        return CellLayout(
-            cell_radius=float(doc["cell_radius"]),
-            helpers=np.asarray(doc["helpers"], dtype=float).reshape(-1, 2),
-            users=np.asarray(doc["users"], dtype=float).reshape(-1, 2),
-        )
-    except KeyError as exc:
-        raise InvalidParameterError(f"layout JSON missing key {exc}") from exc

@@ -1,9 +1,14 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from helpercache.cli import main
+from helpercache import placement_coded
+from helpercache.cli import build_parser, main
+from helpercache.errors import IterationLimitError, UnboundedProblemError
 from helpercache.popularity import (
     catalog_size,
     fit_zipf,
@@ -110,6 +115,18 @@ class TestPlace:
         )
         assert code == 1
         assert "brute-force search space exceeds the guard of 1000000" in err
+
+    @pytest.mark.parametrize("error", [IterationLimitError, UnboundedProblemError])
+    def test_solver_failure_exits_one(self, capsys, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error("solver gave up")
+
+        monkeypatch.setattr(placement_coded, "simplex_solve", fail)
+        code, out, err = run_cli(
+            capsys, "place", "--policy", "coded", "--helpers", "2", "--m", "6",
+        )
+        assert code == 1 and out == ""
+        assert err == "solver gave up\n"
 
 
 MACRO_ARGS = [
@@ -338,3 +355,23 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "helpercache 0.1.0" in capsys.readouterr().out
+
+
+def readme_commands():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```[a-z]*\n(.*?)```", readme.read_text(), re.S)
+    return [
+        line
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("helpercache ")
+    ]
+
+
+def test_readme_examples_parse():
+    commands = readme_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command == shlex.split(line)[1]

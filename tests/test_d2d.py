@@ -13,10 +13,6 @@ from helpercache.d2d import (
     cvc_deterministic,
     expected_active_analytic,
     grid_side,
-    rgg_build,
-    rgg_from_positions,
-    rgg_scheduled_links,
-    rgg_served_users,
     scaling_check,
     simulate_active_clusters,
     sweep_gamma1,
@@ -414,111 +410,3 @@ class TestScalingCheck:
         with pytest.raises(InvalidParameterError):
             scaling_check(0.6, n_values=(100,), mode="exact")
 
-
-def five_node_fixture():
-    positions = [
-        (0.10, 0.10),
-        (0.15, 0.10),
-        (0.30, 0.10),
-        (0.90, 0.90),
-        (0.18, 0.14),
-    ]
-    graph = rgg_from_positions(positions, 0.1)
-    caches = [{1}, {2}, {1}, {3}, {2, 5}]
-    requests = [2, 2, 1, 3, 1]
-    return graph, caches, requests
-
-
-class TestGeometricGraph:
-    def test_edges_are_inclusive_at_the_radius(self):
-        graph = rgg_from_positions([(0.0, 0.0), (0.3, 0.0)], 0.3)
-        np.testing.assert_array_equal(graph.neighbor_lists[0], [1])
-        assert graph.n_edges == 1
-
-    def test_bucketing_finds_neighbors_across_cells(self):
-        graph = rgg_from_positions(
-            [(0.34, 0.5), (0.66, 0.5), (0.01, 0.01), (0.99, 0.99)], 0.35
-        )
-        np.testing.assert_array_equal(graph.neighbor_lists[0], [1])
-        assert graph.neighbor_lists[2].size == 0
-        assert graph.neighbor_lists[3].size == 0
-
-    def test_huge_radius_gives_a_complete_graph(self):
-        graph = rgg_build(6, 1.5, stream(7, "c"))
-        np.testing.assert_array_equal(graph.degree(), [5] * 6)
-
-    def test_mean_degree_tracks_the_boundary_corrected_area(self):
-        # a disc of radius r clipped to the unit square has expected overlap
-        # pi r^2 - (8/3) r^3 + r^4 / 2 with a uniform center
-        r = 0.1
-        area = math.pi * r**2 - (8.0 / 3.0) * r**3 + r**4 / 2.0
-        graph = rgg_build(500, r, stream(31, "rgg"))
-        deg = graph.degree()
-        expected = 499 * area
-        assert abs(deg.mean() - expected) / expected < 0.10
-        assert deg.mean() < 500 * math.pi * r**2
-        assert graph.n_edges == 3557
-
-    def test_build_is_deterministic_and_contained(self):
-        a = rgg_build(50, 0.2, stream(19, "b"))
-        b = rgg_build(50, 0.2, stream(19, "b"))
-        np.testing.assert_array_equal(a.positions, b.positions)
-        assert np.all((a.positions >= 0.0) & (a.positions < 1.0))
-
-    def test_empty_graph(self):
-        graph = rgg_build(0, 0.5, stream(1, "e"))
-        assert graph.n_nodes == 0 and graph.n_edges == 0
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            rgg_from_positions(np.zeros((2, 3)), 0.1)
-        with pytest.raises(InvalidParameterError):
-            rgg_from_positions([(0.1, 0.1)], 0.0)
-        with pytest.raises(InvalidParameterError):
-            rgg_from_positions([(0.1, 0.1)], math.inf)
-
-
-class TestGeometricService:
-    def test_fixture_counts_neighbor_hits_only(self):
-        graph, caches, requests = five_node_fixture()
-        # nodes 1, 2, 3 request something they already hold; node 0 gets
-        # file 2 from node 1, node 4 gets file 1 from node 0
-        assert rgg_served_users(graph, caches, requests) == 2
-
-    def test_fixture_schedules_one_interference_free_link(self):
-        graph, caches, requests = five_node_fixture()
-        assert rgg_scheduled_links(graph, caches, requests) == [(0, 1)]
-
-    def test_schedule_respects_all_constraints(self):
-        rng = stream(23, "sched")
-        graph = rgg_build(60, 0.15, rng)
-        caches = [set(rng.choice(6, size=2, replace=False) + 1) for _ in range(60)]
-        requests = (rng.integers(6, size=60) + 1).tolist()
-        links = rgg_scheduled_links(graph, caches, requests)
-        receivers = [u for u, _ in links]
-        transmitters = [v for _, v in links]
-        assert len(set(receivers)) == len(receivers)
-        assert not set(receivers) & set(transmitters)
-        for u, v in links:
-            assert v in graph.neighbor_lists[u]
-            assert requests[u] in caches[v]
-            assert requests[u] not in caches[u]
-        pos = graph.positions
-        for i, t in enumerate(transmitters):
-            for s in transmitters[i + 1 :]:
-                assert np.hypot(*(pos[t] - pos[s])) > graph.radius
-
-    def test_schedule_is_a_subset_of_served_users(self):
-        rng = stream(29, "sub")
-        graph = rgg_build(80, 0.12, rng)
-        caches = [set(rng.choice(5, size=1) + 1) for _ in range(80)]
-        requests = (rng.integers(5, size=80) + 1).tolist()
-        links = rgg_scheduled_links(graph, caches, requests)
-        assert len(links) <= rgg_served_users(graph, caches, requests)
-
-    def test_length_validation(self):
-        graph, caches, requests = five_node_fixture()
-        with pytest.raises(InvalidParameterError):
-            rgg_served_users(graph, caches[:-1], requests)
-        with pytest.raises(InvalidParameterError):
-            rgg_scheduled_links(graph, caches, requests[:-1])

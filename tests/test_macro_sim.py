@@ -8,7 +8,6 @@ from helpercache.errors import InvalidParameterError
 from helpercache.macro_sim import (
     MacroConfig,
     WorkloadSpec,
-    count_satisfied,
     experiment_models,
     experiment_popularity,
     make_placement,
@@ -45,6 +44,11 @@ def build_graph(helpers, users, helper_radius=150.0, cell=400.0):
     )
     helper_model = replace(DEFAULT_HELPER_MODEL, helper_radius_m=helper_radius)
     return build_connectivity(layout, helper_model, DEFAULT_MACRO_MODEL)
+
+
+def count_satisfied(outcome, threshold):
+    """Users whose download finishes within `threshold` seconds (inclusive)."""
+    return int((outcome.download_time <= threshold).sum())
 
 
 def one_file_pop():

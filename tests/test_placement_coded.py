@@ -14,7 +14,6 @@ from helpercache.placement_coded import (
     CodedPlacement,
     build_lp,
     coded_placement_rows,
-    dump_lp,
     evaluate_coded_delay,
     expand_grouped_rho,
     group_files,
@@ -265,13 +264,10 @@ def test_expand_checks_bucket_count():
         expand_grouped_rho(grouped, wrong)
 
 
-def test_placement_rows_and_dump(fixture):
+def test_placement_rows(fixture):
     graph, pop, specs = fixture
     instance = build_lp(graph, pop, specs, FILE_BITS)
     placement = solve_lp(instance)
     rows = coded_placement_rows(placement)
     assert all(r > 0 for _, _, r in rows)
     assert rows == sorted(rows, key=lambda t: (t[0], t[1]))
-    text = dump_lp(instance)
-    for marker in ("NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
-        assert marker in text

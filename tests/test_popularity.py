@@ -13,7 +13,6 @@ from helpercache.popularity import (
     RequestTrace,
     catalog_size,
     fit_zipf,
-    head_mass,
     read_trace_csv,
     sample_request,
     sample_requests,
@@ -108,22 +107,6 @@ def test_sampling_deterministic_per_seed():
     np.testing.assert_array_equal(a, b)
     r = sample_request(model, hrng.stream(5, "scalar"))
     assert isinstance(r, int) and 1 <= r <= 50
-
-
-def test_head_mass_endpoints():
-    model = zipf_model(1.0, 2)
-    assert head_mass(model, 0) == 0.0
-    assert head_mass(model, 2) == pytest.approx(1.0, abs=1e-15)
-    assert head_mass(model, 1) == pytest.approx(2 / 3, rel=1e-15)
-    with pytest.raises(InvalidParameterError):
-        head_mass(model, 3)
-
-
-def test_head_mass_monotone_and_concave():
-    model = zipf_model(0.8, 50)
-    masses = np.array([head_mass(model, k) for k in range(51)])
-    assert np.all(np.diff(masses) >= 0)
-    assert np.all(np.diff(masses, n=2) <= 1e-15)
 
 
 def test_catalog_size_values():

@@ -13,8 +13,6 @@ from helpercache.topology import (
     ConnectivityGraph,
     LinkRateModel,
     build_connectivity,
-    layout_from_json,
-    layout_to_json,
     link_rate,
     place_helpers,
     place_uniform,
@@ -177,7 +175,7 @@ def test_connectivity_conflict_fixture_adjacency():
         users=[[-80.0, 0.0], [-45.0, 20.0], [0.0, 0.0], [80.0, 0.0]],
     )
     graph = build_connectivity(layout)
-    adjacency = [set(graph.neighbors(u).tolist()) for u in range(4)]
+    adjacency = [set(np.flatnonzero(graph.rates[u] > 0).tolist()) for u in range(4)]
     assert adjacency == [{0}, {0}, {0, 1}, {1}]
     assert set(graph.users_of(0).tolist()) == {0, 1, 2}
     assert set(graph.users_of(1).tolist()) == {2, 3}
@@ -198,17 +196,3 @@ def test_graph_accessors_validate():
     assert graph.n_users == 2 and graph.n_helpers == 1
     with pytest.raises(InvalidParameterError):
         ConnectivityGraph(rates=np.zeros((2, 1)), bs_rate=np.array([1e6, 0.0]))
-
-
-def test_layout_json_roundtrip():
-    layout = CellLayout(
-        400.0,
-        helpers=place_helpers(4, "grid", 400.0),
-        users=place_uniform(10, 400.0, hrng.stream(2, "json")),
-    )
-    back = layout_from_json(layout_to_json(layout))
-    assert back.cell_radius == layout.cell_radius
-    np.testing.assert_allclose(back.helpers, layout.helpers)
-    np.testing.assert_allclose(back.users, layout.users)
-    with pytest.raises(InvalidParameterError):
-        layout_from_json("{}")
