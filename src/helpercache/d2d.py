@@ -15,12 +15,12 @@ against this module's own Monte Carlo, not against published values.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import InvalidParameterError
 from .popularity import PopularityModel, catalog_size, sample_requests, zipf_model
@@ -168,6 +168,24 @@ def cluster_active(caches, requests) -> bool:
     return False
 
 
+@functools.lru_cache(maxsize=8)
+def _log_factorials(n: int) -> np.ndarray:
+    """log(k!) for k = 0..n (read-only, shared between calls)."""
+    out = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    out.flags.writeable = False
+    return out
+
+
+def _binomial_pmf(n: int, p: float, ks: np.ndarray) -> np.ndarray:
+    """Binomial(n, p) probabilities of `ks`, computed in log space."""
+    if p == 1.0:
+        return (ks == n).astype(float)
+    logf = _log_factorials(n)
+    return np.exp(
+        logf[n] - logf[ks] - logf[n - ks] + ks * math.log(p) + (n - ks) * math.log1p(-p)
+    )
+
+
 def expected_active_analytic(
     scenario: D2DScenario, pop: PopularityModel
 ) -> ClusterStats:
@@ -188,15 +206,11 @@ def expected_active_analytic(
     if M == 0 or n < 2:
         return ClusterStats(expected_active=0.0, stderr=0.0, K=K)
     cdf0 = np.concatenate([[0.0], pop.cdf])
-    p_cell = 1.0 / K
-    k_lo = max(2, int(binom.ppf(1e-15, n, p_cell)))
-    k_hi = min(n, int(binom.ppf(1.0 - 1e-15, n, p_cell)) + 1)
-    ks = np.arange(k_lo, k_hi + 1)
-    pk = binom.pmf(ks, n, p_cell)
+    ks = np.arange(2, n + 1)
+    pk = _binomial_pmf(n, 1.0 / K, ks)
+    kept = pk >= 1e-18  # occupancies too unlikely to matter
     total = 0.0
-    for k, weight in zip(ks, pk):
-        if weight < 1e-18:
-            continue
+    for k, weight in zip(ks[kept].tolist(), pk[kept].tolist()):
         head = cdf0[min(k * M, m)]
         j = np.arange(1, k + 1)
         lo = np.minimum((j - 1) * M, m)

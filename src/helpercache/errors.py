@@ -18,7 +18,7 @@ class DegenerateInstanceError(ValueError):
 
 
 class InstanceTooLargeError(ValueError):
-    """Exhaustive search was requested on a search space above the guard limit."""
+    """An instance is above a size guard (brute-force search space, dense LP)."""
 
 
 class UnboundedProblemError(RuntimeError):
@@ -28,7 +28,7 @@ class UnboundedProblemError(RuntimeError):
 
 
 class IterationLimitError(RuntimeError):
-    """The simplex iteration limit was hit before reaching optimality."""
+    """The LP solver stopped before an optimum (iteration limit or other status)."""
 
 
 class ConfigError(ValueError):

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DegenerateInstanceError,
     InfeasiblePlacementError,
+    InstanceTooLargeError,
     InvalidParameterError,
 )
 from .placement_uncoded import HelperSpecs, UncodedPlacement
@@ -29,6 +30,7 @@ from .topology import ConnectivityGraph, fetch_fastest_first
 logger = logging.getLogger(__name__)
 
 RHO_TOL = 1e-9
+DENSE_LP_GUARD_BYTES = 10**9  # the solve holds a few copies of the dense A
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +131,9 @@ def build_lp(
     Edges whose helper rate is below the user's base-station rate would have
     negative savings weight; they are dropped with a warning.  `file_units`
     give each file's storage cost for the capacity rows (defaults to 1 per
-    file; bucketed catalogs pass their bucket sizes here).
+    file; bucketed catalogs pass their bucket sizes here).  Raises
+    InstanceTooLargeError when the dense constraint matrix would exceed
+    DENSE_LP_GUARD_BYTES.
     """
     if specs.n_helpers != graph.n_helpers:
         raise InfeasiblePlacementError("specs/graph helper counts differ")
@@ -172,6 +176,13 @@ def build_lp(
         edge_ids_of_user[u].append(e)
 
     nrows = n_edges * m + len(covered) * m + H
+    dense_bytes = nrows * ncols * 8
+    if dense_bytes > DENSE_LP_GUARD_BYTES:
+        raise InstanceTooLargeError(
+            f"dense LP of {nrows} x {ncols} needs {dense_bytes / 1e9:.2f} GB, "
+            f"above the guard of {DENSE_LP_GUARD_BYTES / 1e9:g} GB; "
+            "use fewer users or coded groups"
+        )
     A = np.zeros((nrows, ncols))
     b = np.zeros(nrows)
 
@@ -223,7 +234,11 @@ class LPReport:
 
 
 def solve_lp_detailed(instance: LPInstance) -> tuple[CodedPlacement, LPReport]:
-    """Solve the placement LP to optimality (dense simplex, Bland fallback)."""
+    """Solve the placement LP to optimality with `simplex_solve` (HiGHS).
+
+    Rows and the objective are equilibrated first: the savings weights are
+    about 1e-7 s/bit, below the solver's absolute tolerances.
+    """
     c = instance.c
     A = instance.A
     b = instance.b
@@ -247,7 +262,7 @@ def solve_lp_detailed(instance: LPInstance) -> tuple[CodedPlacement, LPReport]:
     x = result.x
     rho = x[: instance.n_rho].reshape(instance.m, instance.n_helpers).copy()
     rho = np.clip(rho, 0.0, 1.0)
-    # Undo any capacity drift from finite pivot tolerances.
+    # Undo any capacity drift from the solver's feasibility tolerance.
     used = instance.file_units @ rho
     for h, cap in enumerate(instance.capacities):
         if used[h] > cap:

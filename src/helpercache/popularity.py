@@ -134,7 +134,13 @@ def read_trace_csv(path) -> RequestTrace:
         for row in reader:
             if not row:
                 continue
-            pairs.append((int(row[0]), int(row[1])))
+            try:
+                pairs.append((int(row[0]), int(row[1])))
+            except (ValueError, IndexError):
+                raise InvalidParameterError(
+                    f"trace CSV line {reader.line_num}: expected integers "
+                    f"file_id,count, got {','.join(row)!r}"
+                ) from None
     return RequestTrace.from_pairs(pairs)
 
 

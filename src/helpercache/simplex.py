@@ -1,12 +1,12 @@
-"""Dense primal simplex for box-bounded maximization problems.
+"""Box-bounded LP maximization through the HiGHS dual simplex.
 
 Solves   max c.x   subject to   A x <= b,   0 <= x <= upper
-with b >= 0, which makes the all-slack basis feasible (no phase one).  Upper
-bounds are handled implicitly (nonbasic variables may sit at either bound), so
-boxes do not enlarge the tableau.  Pivoting is Dantzig's rule with a permanent
-switch to Bland's rule after a run of degenerate steps, which guarantees
-termination; among tied leaving rows Dantzig mode prefers the largest pivot
-magnitude, Bland mode the lowest variable index.
+with b >= 0 (so x = 0 is feasible) by `scipy.optimize.linprog` with
+`method="highs-ds"`: Huangfu & Hall, "Parallelizing the dual revised simplex
+method", Math. Prog. Comp. 2018.  Presolve is off, so the iteration limit
+counts simplex iterations on the problem as given.  HiGHS tolerances are
+absolute: callers whose coefficients are far from 1 should equilibrate first
+(see `placement_coded.solve_lp_detailed`).
 """
 
 from __future__ import annotations
@@ -21,10 +21,7 @@ from .errors import (
     UnboundedProblemError,
 )
 
-ENTER_TOL = 1e-9
-PIVOT_TOL = 1e-10
-RATIO_TIE_TOL = 1e-9
-REFRESH_EVERY = 512
+_UNBOUNDED = 3  # linprog status code
 
 
 @dataclass(frozen=True)
@@ -44,9 +41,14 @@ def simplex_solve(
     """Maximize c.x over {A x <= b, 0 <= x <= upper}.
 
     `upper` may contain np.inf; omitted means all-unbounded above.  Requires
-    b >= 0.  Raises UnboundedProblemError or IterationLimitError (the default
-    limit is 50x the variable count, slacks included).
+    b >= 0.  Raises UnboundedProblemError, or IterationLimitError on the
+    iteration limit (default 50x the variable count, slacks included) and on
+    any other non-optimal HiGHS status.
     """
+    # Imported here so that `import helpercache` does not pay for scipy.
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_array
+
     c = np.asarray(c, dtype=float).ravel()
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
@@ -64,109 +66,22 @@ def simplex_solve(
         upper = np.asarray(upper, dtype=float).ravel()
         if upper.size != nstruct or np.any(upper < 0):
             raise InvalidParameterError("upper bounds must be >= 0, one per variable")
-
-    total = nstruct + nrows
     if max_iterations is None:
-        max_iterations = 50 * max(total, 1)
+        max_iterations = 50 * max(nstruct + nrows, 1)
 
-    T = np.hstack([A, np.eye(nrows)])
-    cfull = np.concatenate([c, np.zeros(nrows)])
-    ubfull = np.concatenate([upper, np.full(nrows, np.inf)])
-    zrow = cfull.copy()
-    basis = np.arange(nstruct, total)
-    in_basis = np.zeros(total, dtype=bool)
-    in_basis[basis] = True
-    at_upper = np.zeros(total, dtype=bool)
-    xB = b.astype(float).copy()
-
-    bland = False
-    degenerate_run = 0
-    iterations = 0
-
-    def refresh():
-        # Re-derive reduced costs and basic values from the tableau to cap
-        # accumulated pivot round-off.  T[:, nstruct:] is the basis inverse.
-        nonlocal zrow, xB
-        zrow = cfull - cfull[basis] @ T
-        zrow[basis] = 0.0
-        up_idx = np.flatnonzero(at_upper & ~in_basis)
-        xB = T[:, nstruct:] @ b
-        if up_idx.size:
-            xB = xB - T[:, up_idx] @ ubfull[up_idx]
-
-    while True:
-        if iterations >= max_iterations:
-            raise IterationLimitError(
-                f"simplex hit the iteration limit of {max_iterations}"
-            )
-        if iterations and iterations % REFRESH_EVERY == 0:
-            refresh()
-
-        lower_cand = ~in_basis & ~at_upper & (zrow > ENTER_TOL)
-        upper_cand = ~in_basis & at_upper & (zrow < -ENTER_TOL)
-        eligible = np.flatnonzero(lower_cand | upper_cand)
-        if eligible.size == 0:
-            break
-        if bland:
-            j = int(eligible[0])
-        else:
-            j = int(eligible[np.argmax(np.abs(zrow[eligible]))])
-        delta = -1.0 if at_upper[j] else 1.0
-
-        col = T[:, j]
-        g = delta * col
-        limits = np.full(nrows, np.inf)
-        pos = g > PIVOT_TOL
-        limits[pos] = np.maximum(xB[pos], 0.0) / g[pos]
-        neg = g < -PIVOT_TOL
-        if np.any(neg):
-            ub_basic = ubfull[basis[neg]]
-            finite = np.isfinite(ub_basic)
-            idx = np.flatnonzero(neg)[finite]
-            limits[idx] = (ubfull[basis[idx]] - xB[idx]) / (-g[idx])
-        row_min = float(limits.min()) if nrows else np.inf
-        span = ubfull[j]
-        tstar = min(row_min, span)
-        if not np.isfinite(tstar):
-            raise UnboundedProblemError("objective is unbounded above")
-        iterations += 1
-        degenerate_run = degenerate_run + 1 if tstar <= 1e-11 else 0
-        if not bland and degenerate_run > nrows + 50:
-            bland = True
-
-        if span <= row_min + RATIO_TIE_TOL and np.isfinite(span):
-            # The entering variable traverses to its other bound: no pivot.
-            xB -= g * span
-            at_upper[j] = not at_upper[j]
-            continue
-
-        ties = np.flatnonzero(limits <= tstar + RATIO_TIE_TOL)
-        if bland:
-            r = int(ties[np.argmin(basis[ties])])
-        else:
-            r = int(ties[np.argmax(np.abs(col[ties]))])
-        piv = T[r, j]
-        leaving = int(basis[r])
-
-        xB -= g * tstar
-        enter_value = (ubfull[j] - tstar) if at_upper[j] else tstar
-        at_upper[leaving] = g[r] < 0
-        at_upper[j] = False
-        in_basis[leaving] = False
-        in_basis[j] = True
-        basis[r] = j
-
-        T[r] /= piv
-        factor = T[:, j].copy()
-        factor[r] = 0.0
-        T -= np.outer(factor, T[r])
-        zrow = zrow - zrow[j] * T[r]
-        zrow[j] = 0.0
-        xB[r] = enter_value
-
-    x = np.zeros(total)
-    nb_up = at_upper & ~in_basis
-    x[nb_up] = ubfull[nb_up]
-    x[basis] = np.maximum(xB, 0.0)
-    xs = x[:nstruct]
-    return SimplexResult(x=xs, objective=float(c @ xs), iterations=iterations)
+    res = linprog(
+        -c,
+        A_ub=csc_array(A),  # dense input would be copied twice more
+        b_ub=b,
+        bounds=np.column_stack((np.zeros(nstruct), upper)),
+        method="highs-ds",
+        options={"presolve": False, "maxiter": max_iterations},
+    )
+    if res.status == _UNBOUNDED:
+        raise UnboundedProblemError("objective is unbounded above")
+    if res.status != 0:
+        raise IterationLimitError(
+            f"LP solve stopped before an optimum (limit {max_iterations} "
+            f"iterations): {res.message}"
+        )
+    return SimplexResult(x=res.x, objective=float(c @ res.x), iterations=int(res.nit))

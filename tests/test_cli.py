@@ -1,11 +1,16 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import helpercache
 from helpercache import placement_coded
 from helpercache.cli import build_parser, main
 from helpercache.errors import IterationLimitError, UnboundedProblemError
@@ -62,6 +67,16 @@ class TestFit:
         manifest = json.loads((tmp_path / "fit.json.manifest.json").read_text())
         assert manifest["command"] == "fit"
         assert manifest["outputs"] == [str(out_path)]
+
+    @pytest.mark.parametrize(
+        "body", ["1,10\n2,abc\n", "1,10\n2\n"], ids=["non-integer", "one-column"]
+    )
+    def test_malformed_trace_row_exits_two(self, capsys, tmp_path, body):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("file_id,count\n" + body)
+        code, out, err = run_cli(capsys, "fit", "--trace", str(trace))
+        assert code == 2 and out == ""
+        assert err.startswith("error: trace CSV line 3: expected integers")
 
 
 class TestPlace:
@@ -127,6 +142,22 @@ class TestPlace:
         )
         assert code == 1 and out == ""
         assert err == "solver gave up\n"
+
+    def test_oversized_dense_lp_exits_one_before_allocating(self, capsys):
+        # 100 users and 64 coded groups would need a 6 GB constraint matrix.
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys,
+                "simulate-macro", "--policy", "coded", "--n", "100",
+                "--coded-groups", "64",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert "needs 6.06 GB, above the guard of 1 GB" in err
+        assert peak < 100e6
 
 
 MACRO_ARGS = [
@@ -375,3 +406,20 @@ def test_readme_examples_parse():
     for line in commands:
         args = parser.parse_args(shlex.split(line)[1:])
         assert args.command == shlex.split(line)[1]
+
+
+def test_import_loads_no_scipy():
+    # scipy costs about a second to import; only the coded LP solve needs it.
+    src = str(Path(helpercache.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    probe = (
+        "import sys, helpercache.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -1,0 +1,256 @@
+"""The shipped LP solver (HiGHS) against the dense tableau it replaced.
+
+`tableau_solve` below is the former in-package `simplex_solve`, kept
+unchanged as the reference: a dense primal simplex for
+max c.x over {A x <= b, 0 <= x <= upper} with b >= 0, which makes the
+all-slack basis feasible (no phase one).  Upper bounds are handled implicitly
+(nonbasic variables may sit at either bound).  Pivoting is Dantzig's rule
+with a permanent switch to Bland's rule after a run of degenerate steps;
+among tied leaving rows Dantzig mode prefers the largest pivot magnitude,
+Bland mode the lowest variable index.
+
+Both solvers run behind `solve_lp_detailed`, so both see the same
+equilibrated LP.  Where the LP has several optimal vertices the two may
+return different placements; only the optimum and feasibility are compared.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from helpercache import placement_coded
+from helpercache import rng as hrng
+from helpercache.errors import (
+    InvalidParameterError,
+    IterationLimitError,
+    UnboundedProblemError,
+)
+from helpercache.placement_coded import build_lp, solve_lp_detailed
+from helpercache.placement_uncoded import HelperSpecs
+from helpercache.popularity import zipf_model
+from helpercache.simplex import SimplexResult
+from helpercache.topology import (
+    DEFAULT_HELPER_MODEL,
+    DEFAULT_MACRO_MODEL,
+    CellLayout,
+    ConnectivityGraph,
+    build_connectivity,
+    place_helpers,
+    place_uniform,
+)
+
+FILE_BITS = 2.4e8
+OBJECTIVE_REL_TOL = 1e-9
+CAPACITY_TOL = 1e-9
+
+ENTER_TOL = 1e-9
+PIVOT_TOL = 1e-10
+RATIO_TIE_TOL = 1e-9
+REFRESH_EVERY = 512
+
+
+def tableau_solve(
+    c,
+    A,
+    b,
+    upper=None,
+    max_iterations: int | None = None,
+) -> SimplexResult:
+    """Maximize c.x over {A x <= b, 0 <= x <= upper}.
+
+    `upper` may contain np.inf; omitted means all-unbounded above.  Requires
+    b >= 0.  Raises UnboundedProblemError or IterationLimitError (the default
+    limit is 50x the variable count, slacks included).
+    """
+    c = np.asarray(c, dtype=float).ravel()
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.asarray(b, dtype=float).ravel()
+    nstruct = c.size
+    if A.size == 0:
+        A = A.reshape(0, nstruct)
+    nrows = A.shape[0]
+    if A.shape[1] != nstruct or b.size != nrows:
+        raise InvalidParameterError("inconsistent LP dimensions")
+    if np.any(b < 0):
+        raise InvalidParameterError("this solver requires b >= 0")
+    if upper is None:
+        upper = np.full(nstruct, np.inf)
+    else:
+        upper = np.asarray(upper, dtype=float).ravel()
+        if upper.size != nstruct or np.any(upper < 0):
+            raise InvalidParameterError("upper bounds must be >= 0, one per variable")
+
+    total = nstruct + nrows
+    if max_iterations is None:
+        max_iterations = 50 * max(total, 1)
+
+    T = np.hstack([A, np.eye(nrows)])
+    cfull = np.concatenate([c, np.zeros(nrows)])
+    ubfull = np.concatenate([upper, np.full(nrows, np.inf)])
+    zrow = cfull.copy()
+    basis = np.arange(nstruct, total)
+    in_basis = np.zeros(total, dtype=bool)
+    in_basis[basis] = True
+    at_upper = np.zeros(total, dtype=bool)
+    xB = b.astype(float).copy()
+
+    bland = False
+    degenerate_run = 0
+    iterations = 0
+
+    def refresh():
+        # Re-derive reduced costs and basic values from the tableau to cap
+        # accumulated pivot round-off.  T[:, nstruct:] is the basis inverse.
+        nonlocal zrow, xB
+        zrow = cfull - cfull[basis] @ T
+        zrow[basis] = 0.0
+        up_idx = np.flatnonzero(at_upper & ~in_basis)
+        xB = T[:, nstruct:] @ b
+        if up_idx.size:
+            xB = xB - T[:, up_idx] @ ubfull[up_idx]
+
+    while True:
+        if iterations >= max_iterations:
+            raise IterationLimitError(
+                f"simplex hit the iteration limit of {max_iterations}"
+            )
+        if iterations and iterations % REFRESH_EVERY == 0:
+            refresh()
+
+        lower_cand = ~in_basis & ~at_upper & (zrow > ENTER_TOL)
+        upper_cand = ~in_basis & at_upper & (zrow < -ENTER_TOL)
+        eligible = np.flatnonzero(lower_cand | upper_cand)
+        if eligible.size == 0:
+            break
+        if bland:
+            j = int(eligible[0])
+        else:
+            j = int(eligible[np.argmax(np.abs(zrow[eligible]))])
+        delta = -1.0 if at_upper[j] else 1.0
+
+        col = T[:, j]
+        g = delta * col
+        limits = np.full(nrows, np.inf)
+        pos = g > PIVOT_TOL
+        limits[pos] = np.maximum(xB[pos], 0.0) / g[pos]
+        neg = g < -PIVOT_TOL
+        if np.any(neg):
+            ub_basic = ubfull[basis[neg]]
+            finite = np.isfinite(ub_basic)
+            idx = np.flatnonzero(neg)[finite]
+            limits[idx] = (ubfull[basis[idx]] - xB[idx]) / (-g[idx])
+        row_min = float(limits.min()) if nrows else np.inf
+        span = ubfull[j]
+        tstar = min(row_min, span)
+        if not np.isfinite(tstar):
+            raise UnboundedProblemError("objective is unbounded above")
+        iterations += 1
+        degenerate_run = degenerate_run + 1 if tstar <= 1e-11 else 0
+        if not bland and degenerate_run > nrows + 50:
+            bland = True
+
+        if span <= row_min + RATIO_TIE_TOL and np.isfinite(span):
+            # The entering variable traverses to its other bound: no pivot.
+            xB -= g * span
+            at_upper[j] = not at_upper[j]
+            continue
+
+        ties = np.flatnonzero(limits <= tstar + RATIO_TIE_TOL)
+        if bland:
+            r = int(ties[np.argmin(basis[ties])])
+        else:
+            r = int(ties[np.argmax(np.abs(col[ties]))])
+        piv = T[r, j]
+        leaving = int(basis[r])
+
+        xB -= g * tstar
+        enter_value = (ubfull[j] - tstar) if at_upper[j] else tstar
+        at_upper[leaving] = g[r] < 0
+        at_upper[j] = False
+        in_basis[leaving] = False
+        in_basis[j] = True
+        basis[r] = j
+
+        T[r] /= piv
+        factor = T[:, j].copy()
+        factor[r] = 0.0
+        T -= np.outer(factor, T[r])
+        zrow = zrow - zrow[j] * T[r]
+        zrow[j] = 0.0
+        xB[r] = enter_value
+
+    x = np.zeros(total)
+    nb_up = at_upper & ~in_basis
+    x[nb_up] = ubfull[nb_up]
+    x[basis] = np.maximum(xB, 0.0)
+    xs = x[:nstruct]
+    return SimplexResult(x=xs, objective=float(c @ xs), iterations=iterations)
+
+
+def solve_both(instance, monkeypatch):
+    """(placement, report) from the shipped solver, then from the tableau."""
+    shipped = solve_lp_detailed(instance)
+    with monkeypatch.context() as patch:
+        patch.setattr(placement_coded, "simplex_solve", tableau_solve)
+        oracle = solve_lp_detailed(instance)
+    return shipped, oracle
+
+
+def assert_feasible(placement, instance):
+    rho = placement.rho
+    assert np.all((rho >= 0.0) & (rho <= 1.0))
+    used = instance.file_units @ rho
+    assert np.all(used <= np.array(instance.capacities) + CAPACITY_TOL)
+
+
+def random_instance(rng, bucketed: bool):
+    n_users = int(rng.integers(1, 9))
+    n_helpers = int(rng.integers(2, 7))
+    m = int(rng.choice([2, 3, 4]))
+    rates = np.where(
+        rng.random((n_users, n_helpers)) < 0.6,
+        rng.uniform(5e5, 3e7, (n_users, n_helpers)),
+        0.0,
+    )
+    graph = ConnectivityGraph(rates=rates, bs_rate=rng.uniform(1e6, 4e6, n_users))
+    pop = zipf_model(float(rng.uniform(0.0, 1.8)), m)
+    units = rng.integers(1, 6, m) if bucketed else None
+    specs = HelperSpecs(tuple(int(c) for c in rng.integers(0, m + 1, n_helpers)))
+    return build_lp(graph, pop, specs, FILE_BITS, file_units=units)
+
+
+@pytest.mark.parametrize("bucketed", [False, True], ids=["unit", "bucketed"])
+def test_shipped_solver_matches_tableau_on_random_placement_lps(
+    monkeypatch, bucketed
+):
+    rng = hrng.stream(4242, "lp-backends", int(bucketed))
+    for _ in range(60):
+        instance = random_instance(rng, bucketed)
+        (placement, report), (oracle_placement, oracle) = solve_both(
+            instance, monkeypatch
+        )
+        assert report.objective == pytest.approx(
+            oracle.objective, rel=OBJECTIVE_REL_TOL
+        )
+        assert_feasible(placement, instance)
+        assert_feasible(oracle_placement, instance)
+
+
+def test_shipped_solver_matches_tableau_on_tiny_costs(monkeypatch):
+    # 32 helpers and 32 users in a 400 m cell: savings weights are ~1e-7 s/bit,
+    # below the solver's absolute tolerances unless the LP is equilibrated.
+    helper_model = replace(DEFAULT_HELPER_MODEL, helper_radius_m=150.0)
+    layout = CellLayout(
+        cell_radius=400.0,
+        helpers=place_helpers(32, "grid", 400.0),
+        users=place_uniform(32, 400.0, hrng.stream(3, "c4-users")),
+    )
+    graph = build_connectivity(layout, helper_model, DEFAULT_MACRO_MODEL)
+    instance = build_lp(
+        graph, zipf_model(0.8, 4), HelperSpecs.uniform(32, 2), FILE_BITS
+    )
+    assert 0.0 < np.abs(instance.c).max() < 1e-6
+    (placement, report), (_, oracle) = solve_both(instance, monkeypatch)
+    assert report.objective == pytest.approx(oracle.objective, rel=OBJECTIVE_REL_TOL)
+    assert_feasible(placement, instance)
