@@ -35,7 +35,6 @@ from .placement_coded import (
     evaluate_coded_delay,
     group_files,
     solve_grouped,
-    solve_lp,
 )
 from .placement_uncoded import (
     HelperSpecs,
@@ -108,7 +107,6 @@ __all__ = [
     "simulate_active_clusters",
     "simulate_snapshot",
     "solve_grouped",
-    "solve_lp",
     "stream",
     "sweep_capacity",
     "sweep_gamma1",

@@ -268,10 +268,12 @@ def resolve_params(args: argparse.Namespace) -> dict:
     from_file: dict = {}
     if args.config is not None:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except OSError as exc:
             raise ConfigError("config", f"cannot read {args.config}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError("config", f"{args.config} is not UTF-8 text: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"{args.config} is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
@@ -533,10 +535,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidParameterError, InsufficientDataError) as exc:
+    except (ConfigError, InvalidParameterError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (

@@ -135,9 +135,6 @@ def _random_caches(
     if M == m:
         return np.tile(np.arange(1, m + 1, dtype=np.int64), (count, 1))
     model = zipf_model(gamma1, m)
-    if M == 1:
-        out[:, 0] = sample_requests(model, rng, count)
-        return out
     filled = np.zeros(count, dtype=np.int64)
     while True:
         rows = np.flatnonzero(filled < M)

@@ -191,7 +191,7 @@ def make_placement(
         return most_popular_place(specs, pop)
     if policy == "coded":
         groups = min(config.coded_groups, pop.m)
-        placement, _ = solve_grouped(graph, pop, specs, config.file_bits, groups)
+        placement, _ = solve_grouped(graph, pop, specs, groups)
         return placement
     raise InvalidParameterError(
         f"unknown policy {policy!r}; expected one of {PLACEMENT_POLICIES}"
@@ -304,8 +304,7 @@ def sweep_capacity(
     points = []
     for cap in capacities:
         specs = HelperSpecs.uniform(helper_count, cap)
-        cfg = replace(config, capacity=cap)
-        placement = make_placement(policy, plan, pop, specs, cfg)
-        mean, err = _replicate(helpers, placement, pop, cfg, reps, root_seed)
+        placement = make_placement(policy, plan, pop, specs, config)
+        mean, err = _replicate(helpers, placement, pop, config, reps, root_seed)
         points.append(SweepPoint(x=float(cap), mean_satisfied=mean, stderr=err))
     return points

@@ -6,6 +6,10 @@ as they sum to one, fetching any remainder from the base station.  Maximizing
 the expected delay savings over rho is an LP: auxiliary variables a[u, f, h]
 say which fraction user u actually pulls from helper h, weighted by the
 per-second savings of that link over the base station.
+
+This module is the one place that knows the LP: `build_lp` assembles it
+(size guard and row scaling included), `solve_lp_detailed` scales the
+objective and calls `simplex_solve`, which hands it to the HiGHS dual simplex.
 """
 
 from __future__ import annotations
@@ -21,16 +25,18 @@ from .errors import (
     InfeasiblePlacementError,
     InstanceTooLargeError,
     InvalidParameterError,
+    IterationLimitError,
+    UnboundedProblemError,
 )
 from .placement_uncoded import HelperSpecs, UncodedPlacement
 from .popularity import PopularityModel
-from .simplex import simplex_solve
 from .topology import ConnectivityGraph, fetch_fastest_first
 
 logger = logging.getLogger(__name__)
 
 RHO_TOL = 1e-9
 DENSE_LP_GUARD_BYTES = 10**9  # the solve holds a few copies of the dense A
+_UNBOUNDED = 3  # linprog status code
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,10 +92,11 @@ def as_coded(placement, m: int) -> CodedPlacement:
 class LPInstance:
     """max c.x over {A x <= b, 0 <= x <= upper}; x = (rho columns, a columns).
 
-    Column layout: rho[f, h] occupies column (f-1)*n_helpers + h; the a
-    variable of edge e (see `edges`) and file f occupies column
-    n_rho + e*m + (f-1).  Rows: a <= rho, then per-(covered user, file)
-    sum_h a <= 1, then per-helper capacity.
+    Column layout: rho[f, h] (0-based f) occupies column f*n_helpers + h; the
+    a variable of edge e (row e of `edges`) and file f occupies column
+    n_rho + e*m + f.  Rows: a <= rho per (edge, file), then per (covered
+    user, file) sum_h a <= 1, then per-helper capacity.  The capacity rows
+    come pre-scaled by 1/max(file_units), so every row of A peaks at 1.
     """
 
     c: np.ndarray
@@ -98,32 +105,19 @@ class LPInstance:
     upper: np.ndarray
     m: int
     n_helpers: int
-    edges: tuple[tuple[int, int, float], ...]  # (user, helper, weight)
+    edges: np.ndarray  # (n_edges, 2) int (user, helper) of the kept links
     capacities: tuple[int, ...]
     file_units: np.ndarray  # per-file storage cost in file units
-    inv_bs_sum: float  # sum over users of 1/bs_rate
-    file_bits: float
 
     @property
     def n_rho(self) -> int:
         return self.m * self.n_helpers
-
-    def col_rho(self, f: int, h: int) -> int:
-        return (f - 1) * self.n_helpers + h
-
-    def col_a(self, edge_index: int, f: int) -> int:
-        return self.n_rho + edge_index * self.m + (f - 1)
-
-    def delay_from_objective(self, objective: float) -> float:
-        """Expected total delay implied by an LP objective value (savings)."""
-        return self.file_bits * (self.inv_bs_sum - objective)
 
 
 def build_lp(
     graph: ConnectivityGraph,
     pop: PopularityModel,
     specs: HelperSpecs,
-    file_bits: float,
     file_units=None,
 ) -> LPInstance:
     """Assemble the placement LP for the given connectivity and popularity.
@@ -131,16 +125,16 @@ def build_lp(
     Edges whose helper rate is below the user's base-station rate would have
     negative savings weight; they are dropped with a warning.  `file_units`
     give each file's storage cost for the capacity rows (defaults to 1 per
-    file; bucketed catalogs pass their bucket sizes here).  Raises
-    InstanceTooLargeError when the dense constraint matrix would exceed
-    DENSE_LP_GUARD_BYTES.
+    file; bucketed catalogs pass their bucket sizes here).  Rows are written
+    already equilibrated: capacity rows and their bounds are divided by
+    max(file_units), the other rows have unit entries.  Raises
+    InstanceTooLargeError, before allocating, when the dense constraint
+    matrix would exceed DENSE_LP_GUARD_BYTES.
     """
     if specs.n_helpers != graph.n_helpers:
         raise InfeasiblePlacementError("specs/graph helper counts differ")
     if graph.n_users == 0:
         raise DegenerateInstanceError("LP needs at least one user")
-    if not math.isfinite(file_bits) or file_bits <= 0:
-        raise InvalidParameterError("file_bits must be finite and > 0")
     m, H = pop.m, graph.n_helpers
     if file_units is None:
         units = np.ones(m)
@@ -149,33 +143,22 @@ def build_lp(
         if units.shape != (m,) or np.any(units <= 0):
             raise InvalidParameterError("file_units must be positive, one per file")
 
-    edges: list[tuple[int, int, float]] = []
-    dropped = 0
-    for u in range(graph.n_users):
-        bs = graph.bs_rate[u]
-        for h in np.flatnonzero(graph.rates[u] > 0):
-            rate = graph.rates[u, h]
-            w = 1.0 / bs - 1.0 / rate
-            if w < 0:
-                dropped += 1
-                continue
-            edges.append((u, int(h), float(w)))
-    if dropped:
+    users, helpers = np.nonzero(graph.rates > 0)  # row-major (user, helper)
+    weight = 1.0 / graph.bs_rate[users] - 1.0 / graph.rates[users, helpers]
+    slow = weight < 0
+    if slow.any():
         logger.warning(
-            "dropped %d helper links slower than the base station", dropped
+            "dropped %d helper links slower than the base station",
+            np.count_nonzero(slow),
         )
+        users, helpers, weight = users[~slow], helpers[~slow], weight[~slow]
+    covered, user_slot = np.unique(users, return_inverse=True)
 
     n_rho = m * H
-    n_edges = len(edges)
-    n_a = n_edges * m
-    ncols = n_rho + n_a
-
-    covered = sorted({u for u, _, _ in edges})
-    edge_ids_of_user = {u: [] for u in covered}
-    for e, (u, _, _) in enumerate(edges):
-        edge_ids_of_user[u].append(e)
-
-    nrows = n_edges * m + len(covered) * m + H
+    n_link = users.size * m  # one a column and one a <= rho row per (edge, file)
+    n_demand = covered.size * m
+    ncols = n_rho + n_link
+    nrows = n_link + n_demand + H
     dense_bytes = nrows * ncols * 8
     if dense_bytes > DENSE_LP_GUARD_BYTES:
         raise InstanceTooLargeError(
@@ -186,79 +169,122 @@ def build_lp(
     A = np.zeros((nrows, ncols))
     b = np.zeros(nrows)
 
-    row = 0
-    for e, (_, h, _) in enumerate(edges):
-        for f in range(1, m + 1):
-            A[row, n_rho + e * m + (f - 1)] = 1.0
-            A[row, (f - 1) * H + h] = -1.0
-            row += 1
-    for u in covered:
-        for f in range(1, m + 1):
-            for e in edge_ids_of_user[u]:
-                A[row, n_rho + e * m + (f - 1)] = 1.0
-            b[row] = 1.0
-            row += 1
-    for h in range(H):
-        cols = (np.arange(m)) * H + h
-        A[row, cols] = units
-        b[row] = float(specs.capacities[h])
-        row += 1
-    assert row == nrows
+    files = np.arange(m)
+    link = np.arange(n_link)  # row e*m + f, and its a column n_rho + e*m + f
+    A[link, n_rho + link] = 1.0
+    A[link, (files * H + helpers[:, None]).ravel()] = -1.0
+    demand = n_link + (user_slot[:, None] * m + files).ravel()
+    A[demand, n_rho + link] = 1.0
+    b[n_link:n_link + n_demand] = 1.0
+    top = units.max()
+    capacity = n_link + n_demand + np.arange(H)
+    A[capacity[:, None], files * H + np.arange(H)[:, None]] = units / top
+    b[capacity] = np.asarray(specs.capacities, dtype=float) / top
 
     c = np.zeros(ncols)
-    for e, (u, _, w) in enumerate(edges):
-        c[n_rho + e * m : n_rho + (e + 1) * m] = pop.pmf * w
-
-    upper = np.ones(ncols)
-    inv_bs_sum = float((1.0 / graph.bs_rate).sum())
+    c[n_rho:] = (weight[:, None] * pop.pmf).ravel()
     return LPInstance(
         c=c,
         A=A,
         b=b,
-        upper=upper,
+        upper=np.ones(ncols),
         m=m,
         n_helpers=H,
-        edges=tuple(edges),
+        edges=np.column_stack((users, helpers)),
         capacities=specs.capacities,
         file_units=units,
-        inv_bs_sum=inv_bs_sum,
-        file_bits=float(file_bits),
     )
 
 
 @dataclass(frozen=True)
-class LPReport:
+class SimplexResult:
+    x: np.ndarray
     objective: float
-    delay_s: float
+    iterations: int
+
+
+def simplex_solve(
+    c,
+    A,
+    b,
+    upper=None,
+    max_iterations: int | None = None,
+) -> SimplexResult:
+    """Maximize c.x over {A x <= b, 0 <= x <= upper} with the HiGHS dual simplex.
+
+    Calls `scipy.optimize.linprog` with `method="highs-ds"`: Huangfu & Hall,
+    "Parallelizing the dual revised simplex method", Math. Prog. Comp. 2018.
+    Presolve is off, so the iteration limit counts simplex iterations on the
+    problem as given.  HiGHS tolerances are absolute: callers whose
+    coefficients are far from 1 should equilibrate first.
+
+    `upper` may contain np.inf; omitted means all-unbounded above.  Requires
+    b >= 0.  Raises UnboundedProblemError, or IterationLimitError on the
+    iteration limit (default 50x the variable count, slacks included) and on
+    any other non-optimal HiGHS status.
+    """
+    # Imported here so that `import helpercache` does not pay for scipy.
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_array
+
+    c = np.asarray(c, dtype=float).ravel()
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.asarray(b, dtype=float).ravel()
+    nstruct = c.size
+    if A.size == 0:
+        A = A.reshape(0, nstruct)
+    nrows = A.shape[0]
+    if A.shape[1] != nstruct or b.size != nrows:
+        raise InvalidParameterError("inconsistent LP dimensions")
+    if np.any(b < 0):
+        raise InvalidParameterError("this solver requires b >= 0")
+    if upper is None:
+        upper = np.full(nstruct, np.inf)
+    else:
+        upper = np.asarray(upper, dtype=float).ravel()
+        if upper.size != nstruct or np.any(upper < 0):
+            raise InvalidParameterError("upper bounds must be >= 0, one per variable")
+    if max_iterations is None:
+        max_iterations = 50 * max(nstruct + nrows, 1)
+
+    res = linprog(
+        -c,
+        A_ub=csc_array(A),  # dense input would be copied twice more
+        b_ub=b,
+        bounds=np.column_stack((np.zeros(nstruct), upper)),
+        method="highs-ds",
+        options={"presolve": False, "maxiter": max_iterations},
+    )
+    if res.status == _UNBOUNDED:
+        raise UnboundedProblemError("objective is unbounded above")
+    if res.status != 0:
+        raise IterationLimitError(
+            f"LP solve stopped before an optimum (limit {max_iterations} "
+            f"iterations): {res.message}"
+        )
+    return SimplexResult(x=res.x, objective=float(c @ res.x), iterations=int(res.nit))
+
+
+@dataclass(frozen=True)
+class LPReport:
+    objective: float  # expected savings, seconds per file bit
     iterations: int
 
 
 def solve_lp_detailed(instance: LPInstance) -> tuple[CodedPlacement, LPReport]:
     """Solve the placement LP to optimality with `simplex_solve` (HiGHS).
 
-    Rows and the objective are equilibrated first: the savings weights are
-    about 1e-7 s/bit, below the solver's absolute tolerances.
+    The rows come equilibrated from `build_lp`; the objective is scaled here,
+    because the savings weights are about 1e-7 s/bit, below the solver's
+    absolute tolerances.  The report's objective is in unscaled units.
     """
     c = instance.c
-    A = instance.A
-    b = instance.b
     if c.size == 0:
         rho = np.zeros((instance.m, instance.n_helpers))
         placement = CodedPlacement(rho=rho, capacities=instance.capacities)
-        return placement, LPReport(
-            objective=0.0,
-            delay_s=instance.delay_from_objective(0.0),
-            iterations=0,
-        )
-    # Equilibrate rows and the objective so pivot tolerances see O(1) numbers.
-    row_scale = np.maximum(np.abs(A).max(axis=1), 1e-300)
+        return placement, LPReport(objective=0.0, iterations=0)
     obj_scale = max(float(np.abs(c).max()), 1e-300)
-    result = simplex_solve(
-        c / obj_scale,
-        A / row_scale[:, None],
-        b / row_scale,
-        upper=instance.upper,
-    )
+    result = simplex_solve(c / obj_scale, instance.A, instance.b, upper=instance.upper)
     x = result.x
     rho = x[: instance.n_rho].reshape(instance.m, instance.n_helpers).copy()
     rho = np.clip(rho, 0.0, 1.0)
@@ -268,16 +294,9 @@ def solve_lp_detailed(instance: LPInstance) -> tuple[CodedPlacement, LPReport]:
         if used[h] > cap:
             rho[:, h] *= cap / used[h]
     placement = CodedPlacement(rho=rho, capacities=instance.capacities)
-    objective = float(instance.c @ x)
     return placement, LPReport(
-        objective=objective,
-        delay_s=instance.delay_from_objective(objective),
-        iterations=result.iterations,
+        objective=float(c @ x), iterations=result.iterations
     )
-
-
-def solve_lp(instance: LPInstance) -> CodedPlacement:
-    return solve_lp_detailed(instance)[0]
 
 
 def evaluate_coded_delay(
@@ -356,7 +375,6 @@ def solve_grouped(
     graph: ConnectivityGraph,
     pop: PopularityModel,
     specs: HelperSpecs,
-    file_bits: float,
     groups: int,
 ) -> tuple[CodedPlacement, LPReport]:
     """Bucket the catalog, solve the bucket LP, and expand to per-file rho.
@@ -366,9 +384,7 @@ def solve_grouped(
     """
     grouped = group_files(pop, groups)
     bucket_pop = grouped_popularity(grouped)
-    instance = build_lp(
-        graph, bucket_pop, specs, file_bits, file_units=grouped.sizes
-    )
+    instance = build_lp(graph, bucket_pop, specs, file_units=grouped.sizes)
     bucket_placement, report = solve_lp_detailed(instance)
     return expand_grouped_rho(grouped, bucket_placement), report
 

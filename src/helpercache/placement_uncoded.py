@@ -223,14 +223,13 @@ def brute_force_place(
     pop: PopularityModel,
     specs: HelperSpecs,
     file_bits: float,
-    guard: int = BRUTE_FORCE_GUARD,
 ) -> UncodedPlacement:
     """Exhaustively optimal placement for tiny instances.
 
     Guarded: the product over helpers of C(m, capacity) must not exceed
-    `guard`.  Candidate caches are enumerated per helper by (size ascending,
-    then lexicographic), and the first placement achieving the minimum delay is
-    returned, so full ties resolve to empty caches.
+    BRUTE_FORCE_GUARD.  Candidate caches are enumerated per helper by (size
+    ascending, then lexicographic), and the first placement achieving the
+    minimum delay is returned, so full ties resolve to empty caches.
     """
     if specs.n_helpers != graph.n_helpers:
         raise InfeasiblePlacementError("specs/graph helper counts differ")
@@ -238,9 +237,10 @@ def brute_force_place(
     space = 1
     for cap in specs.capacities:
         space *= math.comb(m, min(cap, m))
-        if space > guard:
+        if space > BRUTE_FORCE_GUARD:
             raise InstanceTooLargeError(
-                f"brute-force search space exceeds the guard of {guard}"
+                "brute-force search space exceeds the guard of "
+                f"{BRUTE_FORCE_GUARD}"
             )
 
     ranks = range(1, m + 1)

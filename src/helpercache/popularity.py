@@ -45,18 +45,18 @@ class PopularityModel:
         object.__setattr__(self, "cdf", cdf)
 
 
-def zipf_model(gamma: float, m: int, max_catalog: int = MAX_CATALOG) -> PopularityModel:
+def zipf_model(gamma: float, m: int) -> PopularityModel:
     """Build a Zipf(gamma) popularity model over ranks 1..m.
 
-    gamma=0 gives the uniform distribution.  m is capped at `max_catalog`.
+    gamma=0 gives the uniform distribution.  m is capped at MAX_CATALOG.
     """
     if not math.isfinite(gamma) or gamma < 0:
         raise InvalidParameterError("gamma must be finite and >= 0")
     if m < 1:
         raise InvalidParameterError("catalog size m must be >= 1")
-    if m > max_catalog:
+    if m > MAX_CATALOG:
         raise InvalidParameterError(
-            f"catalog size {m} exceeds the cap of {max_catalog}"
+            f"catalog size {m} exceeds the cap of {MAX_CATALOG}"
         )
     ranks = np.arange(1, m + 1, dtype=float)
     weights = np.power(ranks, -gamma)
@@ -124,23 +124,30 @@ def trace_from_samples(ranks: np.ndarray) -> RequestTrace:
 
 
 def read_trace_csv(path) -> RequestTrace:
-    """Read a `file_id,count` CSV (header required) into a RequestTrace."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["file_id", "count"]:
-            raise InvalidParameterError("trace CSV must start with header file_id,count")
-        pairs = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                pairs.append((int(row[0]), int(row[1])))
-            except (ValueError, IndexError):
+    """Read a `file_id,count` UTF-8 CSV (header required) into a RequestTrace."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None) or []
+            if [h.strip() for h in header[:2]] != ["file_id", "count"]:
                 raise InvalidParameterError(
-                    f"trace CSV line {reader.line_num}: expected integers "
-                    f"file_id,count, got {','.join(row)!r}"
-                ) from None
+                    "trace CSV must start with header file_id,count"
+                )
+            pairs = []
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    pairs.append((int(row[0]), int(row[1])))
+                except (ValueError, IndexError):
+                    raise InvalidParameterError(
+                        f"trace CSV line {reader.line_num}: expected integers "
+                        f"file_id,count, got {','.join(row)!r}"
+                    ) from None
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(
+            f"trace CSV {path} is not UTF-8 text: {exc}"
+        ) from None
     return RequestTrace.from_pairs(pairs)
 
 

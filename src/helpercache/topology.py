@@ -79,12 +79,11 @@ def link_rate(distance_m, model: LinkRateModel):
 
 @dataclass(frozen=True, eq=False)
 class CellLayout:
-    """Positions of one base station, the helpers, and the users in a disc cell."""
+    """Helper and user positions in a disc cell; the base station is at the origin."""
 
     cell_radius: float
     helpers: np.ndarray  # (n_helpers, 2)
     users: np.ndarray  # (n_users, 2)
-    bs_position: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if not math.isfinite(self.cell_radius) or self.cell_radius <= 0:
@@ -98,9 +97,7 @@ class CellLayout:
         for name, arr in (("helpers", helpers), ("users", users)):
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise InvalidParameterError(f"{name} must be an (k, 2) array")
-            radii = np.hypot(
-                arr[:, 0] - self.bs_position[0], arr[:, 1] - self.bs_position[1]
-            )
+            radii = np.hypot(arr[:, 0], arr[:, 1])
             if arr.size and radii.max() > self.cell_radius * (1 + 1e-9):
                 raise InvalidParameterError(f"{name} positions must lie within the cell")
         object.__setattr__(self, "helpers", helpers)
@@ -115,9 +112,7 @@ class CellLayout:
         return self.users.shape[0]
 
 
-def place_uniform(
-    count: int, cell_radius: float, rng: np.random.Generator, center=(0.0, 0.0)
-) -> np.ndarray:
+def place_uniform(count: int, cell_radius: float, rng: np.random.Generator) -> np.ndarray:
     """`count` i.i.d. uniform points on the disc, by rejection from the square."""
     if count < 0:
         raise InvalidParameterError("count must be >= 0")
@@ -132,7 +127,7 @@ def place_uniform(
         take = min(count - have, keep.shape[0])
         out[have : have + take] = keep[:take]
         have += take
-    return out + np.asarray(center, dtype=float)
+    return out
 
 
 def place_helpers(
@@ -256,7 +251,7 @@ def build_connectivity(
     """Connect every user to the helpers within `helper_model.helper_radius_m`.
 
     An edge at exactly the radius is kept.  Base-station rates use `macro_model`
-    and the distance to `layout.bs_position`.
+    and the distance to the base station at the origin.
     """
     users = layout.users
     helpers = layout.helpers
@@ -270,6 +265,6 @@ def build_connectivity(
     )
     in_range = dists <= helper_model.helper_radius_m
     rates = np.where(in_range, link_rate(dists, helper_model), 0.0) if helpers.size else dists
-    d_bs = np.hypot(users[:, 0] - layout.bs_position[0], users[:, 1] - layout.bs_position[1])
+    d_bs = np.hypot(users[:, 0], users[:, 1])
     bs = np.asarray(link_rate(d_bs, macro_model), dtype=float).reshape(-1)
     return ConnectivityGraph(rates=rates, bs_rate=bs)

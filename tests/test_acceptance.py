@@ -22,7 +22,7 @@ from helpercache.d2d import (
     sweep_r,
 )
 from helpercache.macro_sim import MacroConfig, sweep_helper_count
-from helpercache.placement_coded import build_lp, solve_lp_detailed
+from helpercache.placement_coded import build_lp, simplex_solve, solve_lp_detailed
 from helpercache.placement_uncoded import (
     HelperSpecs,
     baseline_delay,
@@ -34,7 +34,6 @@ from helpercache.placement_uncoded import (
 )
 from helpercache.popularity import RequestTrace, fit_zipf, sample_requests, zipf_model
 from helpercache.rng import stream
-from helpercache.simplex import simplex_solve
 from helpercache.topology import (
     DEFAULT_HELPER_MODEL,
     DEFAULT_MACRO_MODEL,
@@ -156,8 +155,9 @@ def test_fractional_placement_tracks_and_dominates_greedy(gate):
         greedy = greedy_place(graph, pop, specs, FILE_BITS)
         d_uncoded = evaluate_delay(greedy, graph, pop, FILE_BITS)
         s_uncoded = delay_savings(greedy, graph, pop, FILE_BITS)
-        _, report = solve_lp_detailed(build_lp(graph, pop, specs, FILE_BITS))
-        worst_gap = max(worst_gap, abs(d_uncoded - report.delay_s) / d_uncoded)
+        _, report = solve_lp_detailed(build_lp(graph, pop, specs))
+        d_coded = baseline_delay(graph, FILE_BITS) - FILE_BITS * report.objective
+        worst_gap = max(worst_gap, abs(d_uncoded - d_coded) / d_uncoded)
         s_coded = FILE_BITS * report.objective
         dominated = dominated and (
             s_coded >= s_uncoded - 1e-9 * baseline_delay(graph, FILE_BITS)

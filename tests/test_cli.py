@@ -78,6 +78,13 @@ class TestFit:
         assert code == 2 and out == ""
         assert err.startswith("error: trace CSV line 3: expected integers")
 
+    def test_non_utf8_trace_exits_two(self, capsys, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(b"file_id,count\n1,10\n\xff\xfe,3\n")
+        code, out, err = run_cli(capsys, "fit", "--trace", str(trace))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: trace CSV {trace} is not UTF-8 text")
+
 
 class TestPlace:
     def test_most_popular_caches_every_top_rank(self, capsys):
@@ -281,6 +288,13 @@ class TestConfigLayering:
         code, _, err = run_cli(capsys, "simulate-d2d", "--config", str(config))
         assert code == 2
         assert "JSON object" in err
+
+    def test_non_utf8_config_exits_two(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'{"reps": "\xff"}')
+        code, out, err = run_cli(capsys, "simulate-d2d", "--config", str(config))
+        assert code == 2 and out == ""
+        assert "is not UTF-8 text" in err
 
     def test_unwritable_output_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(

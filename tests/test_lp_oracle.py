@@ -26,10 +26,9 @@ from helpercache.errors import (
     IterationLimitError,
     UnboundedProblemError,
 )
-from helpercache.placement_coded import build_lp, solve_lp_detailed
+from helpercache.placement_coded import SimplexResult, build_lp, solve_lp_detailed
 from helpercache.placement_uncoded import HelperSpecs
 from helpercache.popularity import zipf_model
-from helpercache.simplex import SimplexResult
 from helpercache.topology import (
     DEFAULT_HELPER_MODEL,
     DEFAULT_MACRO_MODEL,
@@ -40,7 +39,6 @@ from helpercache.topology import (
     place_uniform,
 )
 
-FILE_BITS = 2.4e8
 OBJECTIVE_REL_TOL = 1e-9
 CAPACITY_TOL = 1e-9
 
@@ -217,7 +215,7 @@ def random_instance(rng, bucketed: bool):
     pop = zipf_model(float(rng.uniform(0.0, 1.8)), m)
     units = rng.integers(1, 6, m) if bucketed else None
     specs = HelperSpecs(tuple(int(c) for c in rng.integers(0, m + 1, n_helpers)))
-    return build_lp(graph, pop, specs, FILE_BITS, file_units=units)
+    return build_lp(graph, pop, specs, file_units=units)
 
 
 @pytest.mark.parametrize("bucketed", [False, True], ids=["unit", "bucketed"])
@@ -248,7 +246,7 @@ def test_shipped_solver_matches_tableau_on_tiny_costs(monkeypatch):
     )
     graph = build_connectivity(layout, helper_model, DEFAULT_MACRO_MODEL)
     instance = build_lp(
-        graph, zipf_model(0.8, 4), HelperSpecs.uniform(32, 2), FILE_BITS
+        graph, zipf_model(0.8, 4), HelperSpecs.uniform(32, 2)
     )
     assert 0.0 < np.abs(instance.c).max() < 1e-6
     (placement, report), (_, oracle) = solve_both(instance, monkeypatch)

@@ -19,7 +19,6 @@ from helpercache.placement_coded import (
     group_files,
     grouped_popularity,
     solve_grouped,
-    solve_lp,
     solve_lp_detailed,
 )
 from helpercache.placement_uncoded import (
@@ -55,7 +54,7 @@ def fixture():
 
 def test_instance_dimensions(fixture):
     graph, pop, specs = fixture
-    instance = build_lp(graph, pop, specs, FILE_BITS)
+    instance = build_lp(graph, pop, specs)
     assert len(instance.edges) == 5
     assert instance.n_rho == 8
     # rows: one per (edge, file), one per (covered user, file), one per helper
@@ -63,22 +62,22 @@ def test_instance_dimensions(fixture):
     assert instance.upper.shape == (28,)
     assert np.all(instance.upper == 1.0)
     assert instance.b[-2:] == pytest.approx([2.0, 2.0])
-    assert 0 <= instance.col_rho(4, 1) < instance.n_rho
-    assert instance.col_a(4, 4) == instance.A.shape[1] - 1
-    assert all(w >= 0 for _, _, w in instance.edges)
+    assert instance.edges.tolist() == [[0, 0], [1, 0], [2, 0], [2, 1], [3, 1]]
+    assert np.all(instance.c >= 0)
 
 
 def test_coded_dominates_uncoded_on_fixture(fixture):
     graph, pop, specs = fixture
-    placement, report = solve_lp_detailed(build_lp(graph, pop, specs, FILE_BITS))
+    placement, report = solve_lp_detailed(build_lp(graph, pop, specs))
     base = baseline_delay(graph, FILE_BITS)
     uncoded_savings = base - FIXTURE_OPTIMAL_UNCODED_DELAY
+    delay = base - FILE_BITS * report.objective
     assert FILE_BITS * report.objective >= uncoded_savings - 1e-9 * base
-    assert report.delay_s <= FIXTURE_OPTIMAL_UNCODED_DELAY + 1e-9 * base
+    assert delay <= FIXTURE_OPTIMAL_UNCODED_DELAY + 1e-9 * base
     assert report.iterations >= 1
     # the fastest-first evaluation reproduces the LP's own delay
     assert evaluate_coded_delay(placement, graph, pop, FILE_BITS) == pytest.approx(
-        report.delay_s, abs=1e-6
+        delay, abs=1e-6
     )
 
 
@@ -101,7 +100,7 @@ def test_lp_beats_greedy_on_random_instances():
         greedy_savings = delay_savings(
             greedy_place(graph, pop, specs, FILE_BITS), graph, pop, FILE_BITS
         )
-        _, report = solve_lp_detailed(build_lp(graph, pop, specs, FILE_BITS))
+        _, report = solve_lp_detailed(build_lp(graph, pop, specs))
         scale = baseline_delay(graph, FILE_BITS)
         assert FILE_BITS * report.objective >= greedy_savings - 1e-9 * scale
 
@@ -113,7 +112,7 @@ def test_single_user_solution_is_integral():
         graph = ConnectivityGraph(rates=rates, bs_rate=np.array([1e6]))
         pop = zipf_model(float(rng.uniform(0.2, 1.5)), 4)
         specs = HelperSpecs((2, 1))
-        placement = solve_lp(build_lp(graph, pop, specs, FILE_BITS))
+        placement, _ = solve_lp_detailed(build_lp(graph, pop, specs))
         dist_to_corner = np.minimum(placement.rho, 1.0 - placement.rho)
         assert float(dist_to_corner.max()) <= 1e-7
 
@@ -121,25 +120,26 @@ def test_single_user_solution_is_integral():
 def test_single_helper_caches_top_ranks():
     graph = ConnectivityGraph(rates=np.array([[2e7]]), bs_rate=np.array([1e6]))
     pop = zipf_model(0.9, 4)
-    placement = solve_lp(build_lp(graph, pop, HelperSpecs((2,)), FILE_BITS))
+    placement, _ = solve_lp_detailed(build_lp(graph, pop, HelperSpecs((2,))))
     np.testing.assert_allclose(placement.rho[:, 0], [1.0, 1.0, 0.0, 0.0], atol=1e-9)
 
 
 def test_no_helpers_reduces_to_baseline():
     graph = ConnectivityGraph(rates=np.zeros((3, 0)), bs_rate=np.array([1e6, 2e6, 5e5]))
     pop = zipf_model(0.8, 4)
-    instance = build_lp(graph, pop, HelperSpecs(()), FILE_BITS)
+    instance = build_lp(graph, pop, HelperSpecs(()))
     assert instance.A.shape == (0, 0)
     placement, report = solve_lp_detailed(instance)
     assert placement.rho.shape == (4, 0)
     assert report.objective == 0.0
-    assert report.delay_s == pytest.approx(baseline_delay(graph, FILE_BITS), rel=1e-12)
+    delay = baseline_delay(graph, FILE_BITS) - FILE_BITS * report.objective
+    assert delay == pytest.approx(baseline_delay(graph, FILE_BITS), rel=1e-12)
 
 
 def test_no_users_is_degenerate():
     graph = ConnectivityGraph(rates=np.zeros((0, 2)), bs_rate=np.zeros(0))
     with pytest.raises(DegenerateInstanceError):
-        build_lp(graph, zipf_model(1.0, 3), HelperSpecs.uniform(2, 1), FILE_BITS)
+        build_lp(graph, zipf_model(1.0, 3), HelperSpecs.uniform(2, 1))
 
 
 def test_slow_edges_dropped_with_warning(caplog):
@@ -147,9 +147,9 @@ def test_slow_edges_dropped_with_warning(caplog):
     graph = ConnectivityGraph(rates=rates, bs_rate=np.array([1e6]))
     pop = zipf_model(1.0, 2)
     with caplog.at_level(logging.WARNING, logger="helpercache.placement_coded"):
-        instance = build_lp(graph, pop, HelperSpecs.uniform(2, 1), FILE_BITS)
+        instance = build_lp(graph, pop, HelperSpecs.uniform(2, 1))
     assert "slower than the base station" in caplog.text
-    assert [(u, h) for u, h, _ in instance.edges] == [(0, 1)]
+    assert instance.edges.tolist() == [[0, 1]]
 
 
 def test_evaluate_zero_and_full_fractions(fixture):
@@ -234,14 +234,16 @@ def test_grouped_solution_close_to_ungrouped(fixture):
     graph, _, _ = fixture
     pop = zipf_model(0.8, 40)
     specs = HelperSpecs.uniform(2, 6)
-    _, full_report = solve_lp_detailed(build_lp(graph, pop, specs, FILE_BITS))
-    expanded, bucket_report = solve_grouped(graph, pop, specs, FILE_BITS, groups=8)
+    _, full_report = solve_lp_detailed(build_lp(graph, pop, specs))
+    expanded, bucket_report = solve_grouped(graph, pop, specs, groups=8)
     assert expanded.m == 40
     # bucketing restricts the LP, so it cannot win, and stays within 10%
     assert bucket_report.objective <= full_report.objective + 1e-9
     assert bucket_report.objective >= 0.9 * full_report.objective
+    base = baseline_delay(graph, FILE_BITS)
+    bucket_delay = base - FILE_BITS * bucket_report.objective
     assert evaluate_coded_delay(expanded, graph, pop, FILE_BITS) == pytest.approx(
-        bucket_report.delay_s, abs=1e-6
+        bucket_delay, abs=1e-6
     )
     used = expanded.rho.sum(axis=0)
     assert np.all(used <= np.array(specs.capacities) + 1e-9)
@@ -249,8 +251,8 @@ def test_grouped_solution_close_to_ungrouped(fixture):
 
 def test_identity_grouping_matches_plain_lp(fixture):
     graph, pop, specs = fixture
-    _, full_report = solve_lp_detailed(build_lp(graph, pop, specs, FILE_BITS))
-    _, identity_report = solve_grouped(graph, pop, specs, FILE_BITS, groups=pop.m)
+    _, full_report = solve_lp_detailed(build_lp(graph, pop, specs))
+    _, identity_report = solve_grouped(graph, pop, specs, groups=pop.m)
     assert identity_report.objective == pytest.approx(
         full_report.objective, abs=1e-9
     )
@@ -266,8 +268,8 @@ def test_expand_checks_bucket_count():
 
 def test_placement_rows(fixture):
     graph, pop, specs = fixture
-    instance = build_lp(graph, pop, specs, FILE_BITS)
-    placement = solve_lp(instance)
+    instance = build_lp(graph, pop, specs)
+    placement, _ = solve_lp_detailed(instance)
     rows = coded_placement_rows(placement)
     assert all(r > 0 for _, _, r in rows)
     assert rows == sorted(rows, key=lambda t: (t[0], t[1]))

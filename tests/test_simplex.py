@@ -9,7 +9,7 @@ from helpercache.errors import (
     IterationLimitError,
     UnboundedProblemError,
 )
-from helpercache.simplex import simplex_solve
+from helpercache.placement_coded import simplex_solve
 
 FEAS_TOL = 1e-8
 
