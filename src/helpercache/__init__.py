@@ -24,7 +24,6 @@ from .errors import (
 from .macro_sim import (
     MacroConfig,
     SimOutcome,
-    WorkloadSpec,
     simulate_snapshot,
     sweep_capacity,
     sweep_helper_count,
@@ -84,7 +83,6 @@ __all__ = [
     "RequestTrace",
     "SimOutcome",
     "UncodedPlacement",
-    "WorkloadSpec",
     "baseline_delay",
     "brute_force_place",
     "build_connectivity",

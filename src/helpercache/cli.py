@@ -30,16 +30,16 @@ from .errors import (
     UnboundedProblemError,
 )
 from .macro_sim import (
+    PLACEMENT_POLICIES,
     MacroConfig,
-    _helper_positions,
-    _plan_graph,
     experiment_popularity,
     make_placement,
+    plan_deployment,
     sweep_capacity,
     sweep_helper_count,
 )
 from .placement_coded import coded_placement_rows
-from .placement_uncoded import HelperSpecs, brute_force_place, placement_to_json
+from .placement_uncoded import HelperSpecs, placement_to_json
 from .popularity import (
     fit_zipf,
     read_trace_csv,
@@ -179,7 +179,7 @@ COMMANDS: dict[str, list[Param]] = {
         Param("m", _int_at_least(1), 4000, "synthetic catalog size"),
     ],
     "place": [
-        Param("policy", _choice("greedy", "most-popular", "brute-force", "coded"), "greedy", "placement policy"),
+        Param("policy", _choice(*PLACEMENT_POLICIES), "greedy", "placement policy"),
         Param("helpers", _int_at_least(0), 4, "number of helpers"),
         Param("capacity", _int_at_least(0), 3, "files per helper cache"),
         Param("m", _int_at_least(1), 100, "catalog size"),
@@ -414,13 +414,9 @@ def _run_fit(p: dict, emitter: _Emitter) -> int:
 def _run_place(p: dict, emitter: _Emitter) -> int:
     config = _macro_config(p)
     pop = experiment_popularity(config, p["seed"])
-    helpers = _helper_positions(p["helpers"], config, p["seed"])
-    graph = _plan_graph(helpers, config, p["seed"])
+    _, graph = plan_deployment(p["helpers"], config, p["seed"])
     specs = HelperSpecs.uniform(p["helpers"], p["capacity"])
-    if p["policy"] == "brute-force":
-        placement = brute_force_place(graph, pop, specs, p["file_bits"])
-    else:
-        placement = make_placement(p["policy"], graph, pop, specs, config)
+    placement = make_placement(p["policy"], graph, pop, specs, config)
     if p["policy"] == "coded":
         rows = coded_placement_rows(placement)
         emitter.primary(_csv_text(["file_rank", "helper_id", "rho"], rows))

@@ -31,6 +31,8 @@ logger = logging.getLogger(__name__)
 STRATEGIES = ("deterministic", "random-zipf")
 TILE_TOL = 1e-9
 _CHUNK_ELEMENTS = 1 << 21  # keeps Monte Carlo chunking (and streams) stable
+# Expected draws to fill one random cache row above which the input is refused.
+RANDOM_CACHE_MAX_DRAWS = 1e4
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,13 @@ def _random_caches(
 ) -> np.ndarray:
     """(count, M) matrix of distinct ranks per row, drawn Zipf(gamma1) with
     duplicate rejection.  Rows fill in lockstep rounds, one candidate per
-    incomplete row per round."""
+    incomplete row per round.
+
+    A row holding the j most popular ranks needs 1 / pmf[j:].sum() draws on
+    average for its next rank.  When the sum of that over j < M exceeds
+    RANDOM_CACHE_MAX_DRAWS the rounds could run for hours, so the input is
+    refused before any draw.
+    """
     if M > m:
         raise InvalidParameterError("random caches need M <= m")
     out = np.zeros((count, M), dtype=np.int64)
@@ -135,6 +143,15 @@ def _random_caches(
     if M == m:
         return np.tile(np.arange(1, m + 1, dtype=np.int64), (count, 1))
     model = zipf_model(gamma1, m)
+    # Tail sums from the pmf, not 1 - cdf, which cancels to 0 for steep gamma1.
+    tails = np.cumsum(model.pmf[::-1])[::-1][:M]
+    draws = float((1.0 / tails).sum())
+    if draws > RANDOM_CACHE_MAX_DRAWS:
+        raise InvalidParameterError(
+            f"random-zipf caches with gamma1={gamma1:g} and M={M} may need "
+            f"{draws:.3g} draws per device (limit {RANDOM_CACHE_MAX_DRAWS:g}); "
+            "lower gamma1 or M"
+        )
     filled = np.zeros(count, dtype=np.int64)
     while True:
         rows = np.flatnonzero(filled < M)
@@ -316,13 +333,13 @@ class D2DSweepRow:
     mode: str
 
 
-def _evaluate(
+def _sweep_row(
     scenario: D2DScenario,
     pop: PopularityModel,
     reps: int,
     root_seed: int,
     mode: str,
-) -> tuple[ClusterStats, str]:
+) -> D2DSweepRow:
     if mode not in ("auto", "analytic", "mc"):
         raise InvalidParameterError("mode must be 'auto', 'analytic', or 'mc'")
     if mode == "auto":
@@ -331,11 +348,22 @@ def _evaluate(
         )[1]
         mode = "analytic" if analytic else "mc"
     if mode == "analytic":
-        return expected_active_analytic(scenario, pop), "analytic"
-    # The stream key is the same for every sweep point on purpose: points see
-    # identical positions and requests, so curves differ only by the parameter.
-    rng = stream(root_seed, "d2d-mc")
-    return simulate_active_clusters(scenario, pop, rng, reps), "mc"
+        stats = expected_active_analytic(scenario, pop)
+    else:
+        # The stream key is the same for every sweep point on purpose: points
+        # see identical positions and requests, so curves differ only by the
+        # parameter.
+        rng = stream(root_seed, "d2d-mc")
+        stats = simulate_active_clusters(scenario, pop, rng, reps)
+    return D2DSweepRow(
+        r=scenario.r,
+        gamma=scenario.gamma,
+        gamma1=scenario.gamma1,
+        mean_active=stats.expected_active,
+        stderr=stats.stderr,
+        K=stats.K,
+        mode=mode,
+    )
 
 
 def sweep_r(
@@ -347,22 +375,10 @@ def sweep_r(
     mode: str = "auto",
 ) -> list[D2DSweepRow]:
     """Expected active clusters per collaboration distance r."""
-    rows = []
-    for r in r_values:
-        sc = replace(scenario, r=float(r))
-        stats, used = _evaluate(sc, pop, reps, root_seed, mode)
-        rows.append(
-            D2DSweepRow(
-                r=float(r),
-                gamma=scenario.gamma,
-                gamma1=scenario.gamma1,
-                mean_active=stats.expected_active,
-                stderr=stats.stderr,
-                K=stats.K,
-                mode=used,
-            )
-        )
-    return rows
+    return [
+        _sweep_row(replace(scenario, r=float(r)), pop, reps, root_seed, mode)
+        for r in r_values
+    ]
 
 
 def sweep_gamma1(
@@ -376,23 +392,13 @@ def sweep_gamma1(
     """Active-cluster curves over the caching exponent, one curve per r."""
     if scenario.strategy != "random-zipf":
         raise InvalidParameterError("gamma1 sweeps need the random-zipf strategy")
-    rows = []
-    for r in r_values:
-        for g1 in gamma1_values:
-            sc = replace(scenario, r=float(r), gamma1=float(g1))
-            stats, used = _evaluate(sc, pop, reps, root_seed, "mc")
-            rows.append(
-                D2DSweepRow(
-                    r=float(r),
-                    gamma=scenario.gamma,
-                    gamma1=float(g1),
-                    mean_active=stats.expected_active,
-                    stderr=stats.stderr,
-                    K=stats.K,
-                    mode=used,
-                )
-            )
-    return rows
+    return [
+        _sweep_row(
+            replace(scenario, r=float(r), gamma1=float(g1)), pop, reps, root_seed, "mc"
+        )
+        for r in r_values
+        for g1 in gamma1_values
+    ]
 
 
 @dataclass(frozen=True)

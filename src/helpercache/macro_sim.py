@@ -6,10 +6,16 @@ shares the base station, which under static link rates serves equal time
 slices, so each base-station download takes its solo time multiplied by the
 number of base-station users.
 
-Seed handling: a sweep derives every random draw from named substreams of the
-root seed (`plan-users`, `helpers`, and per-replication `eval-users` /
-`requests`), so replication k is the same no matter how many replications run,
-and every sweep point sees identical user positions and requests.
+This module is the one place that knows how a macro experiment is drawn,
+planned and measured: fit the popularity (`experiment_popularity`), draw a
+helper deployment and the planning users (`plan_deployment`), place files
+(`make_placement`), then count the users served within the deadline over
+fresh draws.  The `place` command and both sweeps go through these steps.
+
+Seed handling: every random draw comes from a named substream of the root
+seed (`helpers`, `plan-users`, and per-replication `eval-users` /
+`requests`), so replication k is the same no matter how many replications
+run, and every sweep point sees identical user positions and requests.
 """
 
 from __future__ import annotations
@@ -21,7 +27,12 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .placement_coded import as_coded, solve_grouped
-from .placement_uncoded import HelperSpecs, greedy_place, most_popular_place
+from .placement_uncoded import (
+    HelperSpecs,
+    brute_force_place,
+    greedy_place,
+    most_popular_place,
+)
 from .popularity import (
     PopularityModel,
     fit_zipf,
@@ -41,27 +52,10 @@ from .topology import (
     place_uniform,
 )
 
-PLACEMENT_POLICIES = ("greedy", "most-popular", "coded")
+PLACEMENT_POLICIES = ("greedy", "most-popular", "brute-force", "coded")
 
 # A user is helper-served once the collected fraction is within this of 1.
 WHOLE_FILE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """One simultaneous fixed-size request per user, with a delivery deadline."""
-
-    n_users: int
-    file_bits: float = 2.4e8
-    qos_s: float = 200.0
-
-    def __post_init__(self):
-        if self.n_users < 0:
-            raise InvalidParameterError("n_users must be >= 0")
-        for name in ("file_bits", "qos_s"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise InvalidParameterError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,45 +63,45 @@ class SimOutcome:
     download_time: np.ndarray  # seconds, one entry per user
     satisfied_count: int
     helper_served_fraction: float
-    qos_s: float
 
 
 def simulate_snapshot(
     graph: ConnectivityGraph,
     placement,
     pop: PopularityModel,
-    workload: WorkloadSpec,
+    file_bits: float,
+    qos_s: float,
     rng: np.random.Generator,
 ) -> SimOutcome:
-    """One request per user; helpers serve what they hold, the BS the rest.
+    """One request of `file_bits` per graph user; helpers serve what they
+    hold, the BS the rest; users done within `qos_s` seconds are satisfied.
 
     A user is helper-served when the requested file is whole at some in-range
     helper, or, for fractional placements, when the in-range fractions sum to
     at least 1 (collected fastest helper first).  Helper links carry no load
     penalty; the base station is shared equally among its users.
     """
+    for name, value in (("file_bits", file_bits), ("qos_s", qos_s)):
+        if not math.isfinite(value) or value <= 0:
+            raise InvalidParameterError(f"{name} must be finite and > 0")
     n = graph.n_users
-    if workload.n_users != n:
-        raise InvalidParameterError("workload.n_users must match the graph")
     rho = as_coded(placement, pop.m).rho
     if rho.shape != (pop.m, graph.n_helpers):
         raise InvalidParameterError("placement does not match the graph")
     requests = sample_requests(pop, rng, n)
-    B = workload.file_bits
     collected, helper = fetch_fastest_first(graph, rho[requests - 1])
     # All or nothing: a user with less than the whole file in range gets all
     # of it from the base station.
     served = collected >= 1.0 - WHOLE_FILE_TOL
-    times = np.where(served, B * helper, 0.0)
+    times = np.where(served, file_bits * helper, 0.0)
     n_bs = int(n - served.sum())
     if n_bs:
-        times[~served] = B * n_bs / graph.bs_rate[~served]
-    satisfied = int((times <= workload.qos_s).sum()) if n else 0
+        times[~served] = file_bits * n_bs / graph.bs_rate[~served]
+    satisfied = int((times <= qos_s).sum()) if n else 0
     return SimOutcome(
         download_time=times,
         satisfied_count=satisfied,
         helper_served_fraction=float(served.mean()) if n else 0.0,
-        qos_s=workload.qos_s,
     )
 
 
@@ -154,17 +148,6 @@ class MacroConfig:
         if not 1 <= self.coded_groups:
             raise InvalidParameterError("coded_groups must be >= 1")
 
-    def workload(self) -> WorkloadSpec:
-        return WorkloadSpec(
-            n_users=self.n_users, file_bits=self.file_bits, qos_s=self.qos_s
-        )
-
-
-def experiment_models(config: MacroConfig):
-    """Helper and base-station link models for the experiment cell."""
-    helper = replace(DEFAULT_HELPER_MODEL, helper_radius_m=config.helper_radius_m)
-    return helper, DEFAULT_MACRO_MODEL
-
 
 def experiment_popularity(config: MacroConfig, root_seed: int) -> PopularityModel:
     """The request model: `gamma` as given, else fitted from a synthetic trace."""
@@ -178,6 +161,30 @@ def experiment_popularity(config: MacroConfig, root_seed: int) -> PopularityMode
     return zipf_model(max(gamma_hat, 0.0), config.catalog_size)
 
 
+def _cell_graph(
+    helpers: np.ndarray, users: np.ndarray, config: MacroConfig
+) -> ConnectivityGraph:
+    layout = CellLayout(cell_radius=config.cell_radius_m, helpers=helpers, users=users)
+    helper_model = replace(DEFAULT_HELPER_MODEL, helper_radius_m=config.helper_radius_m)
+    return build_connectivity(layout, helper_model, DEFAULT_MACRO_MODEL)
+
+
+def plan_deployment(
+    count: int, config: MacroConfig, root_seed: int
+) -> tuple[np.ndarray, ConnectivityGraph]:
+    """`count` helper positions and the graph a placement is planned on.
+
+    Placement is chosen once, against a planning draw of user positions; the
+    replications then measure it on fresh user and request draws.
+    """
+    rng = stream(root_seed, "helpers", count) if config.helper_mode == "uniform" else None
+    helpers = place_helpers(count, config.helper_mode, config.cell_radius_m, rng=rng)
+    users = place_uniform(
+        config.n_users, config.cell_radius_m, stream(root_seed, "plan-users")
+    )
+    return helpers, _cell_graph(helpers, users, config)
+
+
 def make_placement(
     policy: str,
     graph: ConnectivityGraph,
@@ -189,6 +196,8 @@ def make_placement(
         return greedy_place(graph, pop, specs, config.file_bits)
     if policy == "most-popular":
         return most_popular_place(specs, pop)
+    if policy == "brute-force":
+        return brute_force_place(graph, pop, specs, config.file_bits)
     if policy == "coded":
         groups = min(config.coded_groups, pop.m)
         placement, _ = solve_grouped(graph, pop, specs, groups)
@@ -205,51 +214,40 @@ class SweepPoint:
     stderr: float
 
 
-def _replicate(
-    helpers: np.ndarray,
-    placement,
-    pop: PopularityModel,
-    config: MacroConfig,
-    reps: int,
-    root_seed: int,
-) -> tuple[float, float]:
-    helper_model, macro_model = experiment_models(config)
-    workload = config.workload()
-    placement = as_coded(placement, pop.m)
-    satisfied = np.empty(reps)
-    for k in range(reps):
-        users = place_uniform(
-            config.n_users, config.cell_radius_m, stream(root_seed, "eval-users", k)
+def _sweep(
+    points, config: MacroConfig, policy: str, reps: int, root_seed: int
+) -> list[SweepPoint]:
+    """Plan, place and replicate each `(x, helper_count, capacity)` point."""
+    if reps < 1:
+        raise InvalidParameterError("reps must be >= 1")
+    pop = experiment_popularity(config, root_seed)
+    plans = {}
+    out = []
+    for x, count, capacity in points:
+        if count not in plans:
+            plans[count] = plan_deployment(count, config, root_seed)
+        helpers, plan = plans[count]
+        specs = HelperSpecs.uniform(count, capacity)
+        placement = as_coded(make_placement(policy, plan, pop, specs, config), pop.m)
+        satisfied = np.empty(reps)
+        for k in range(reps):
+            users = place_uniform(
+                config.n_users, config.cell_radius_m, stream(root_seed, "eval-users", k)
+            )
+            outcome = simulate_snapshot(
+                _cell_graph(helpers, users, config),
+                placement,
+                pop,
+                config.file_bits,
+                config.qos_s,
+                stream(root_seed, "requests", k),
+            )
+            satisfied[k] = outcome.satisfied_count
+        err = float(satisfied.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+        out.append(
+            SweepPoint(x=float(x), mean_satisfied=float(satisfied.mean()), stderr=err)
         )
-        layout = CellLayout(
-            cell_radius=config.cell_radius_m, helpers=helpers, users=users
-        )
-        graph = build_connectivity(layout, helper_model, macro_model)
-        outcome = simulate_snapshot(
-            graph, placement, pop, workload, stream(root_seed, "requests", k)
-        )
-        satisfied[k] = outcome.satisfied_count
-    mean = float(satisfied.mean())
-    err = float(satisfied.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return mean, err
-
-
-def _plan_graph(
-    helpers: np.ndarray, config: MacroConfig, root_seed: int
-) -> ConnectivityGraph:
-    # Placement is chosen once, against a planning draw of user positions; the
-    # replications then measure it on fresh user and request draws.
-    users = place_uniform(
-        config.n_users, config.cell_radius_m, stream(root_seed, "plan-users")
-    )
-    helper_model, macro_model = experiment_models(config)
-    layout = CellLayout(cell_radius=config.cell_radius_m, helpers=helpers, users=users)
-    return build_connectivity(layout, helper_model, macro_model)
-
-
-def _helper_positions(count: int, config: MacroConfig, root_seed: int) -> np.ndarray:
-    rng = stream(root_seed, "helpers", count) if config.helper_mode == "uniform" else None
-    return place_helpers(count, config.helper_mode, config.cell_radius_m, rng=rng)
+    return out
 
 
 def sweep_helper_count(
@@ -264,22 +262,11 @@ def sweep_helper_count(
     Replications share user-position and request streams across points and
     policies, so curves are paired comparisons rather than independent noise.
     """
-    if reps < 1:
-        raise InvalidParameterError("reps must be >= 1")
     counts = [int(c) for c in counts]
     if any(c < 0 for c in counts):
         raise InvalidParameterError("helper counts must be >= 0")
-    pop = experiment_popularity(config, root_seed)
-    points = []
-    for count in counts:
-        helpers = _helper_positions(count, config, root_seed)
-        specs = HelperSpecs.uniform(count, config.capacity)
-        placement = make_placement(
-            policy, _plan_graph(helpers, config, root_seed), pop, specs, config
-        )
-        mean, err = _replicate(helpers, placement, pop, config, reps, root_seed)
-        points.append(SweepPoint(x=float(count), mean_satisfied=mean, stderr=err))
-    return points
+    points = [(c, c, config.capacity) for c in counts]
+    return _sweep(points, config, policy, reps, root_seed)
 
 
 def sweep_capacity(
@@ -291,20 +278,10 @@ def sweep_capacity(
     helper_count: int = 32,
 ) -> list[SweepPoint]:
     """Mean satisfied users per cache capacity at a fixed helper deployment."""
-    if reps < 1:
-        raise InvalidParameterError("reps must be >= 1")
     if helper_count < 0:
         raise InvalidParameterError("helper_count must be >= 0")
     capacities = [int(c) for c in capacities]
     if any(c < 0 for c in capacities):
         raise InvalidParameterError("capacities must be >= 0")
-    pop = experiment_popularity(config, root_seed)
-    helpers = _helper_positions(helper_count, config, root_seed)
-    plan = _plan_graph(helpers, config, root_seed)
-    points = []
-    for cap in capacities:
-        specs = HelperSpecs.uniform(helper_count, cap)
-        placement = make_placement(policy, plan, pop, specs, config)
-        mean, err = _replicate(helpers, placement, pop, config, reps, root_seed)
-        points.append(SweepPoint(x=float(cap), mean_satisfied=mean, stderr=err))
-    return points
+    points = [(cap, helper_count, cap) for cap in capacities]
+    return _sweep(points, config, policy, reps, root_seed)

@@ -74,11 +74,6 @@ def sample_requests(
     return np.searchsorted(model.cdf, u, side="right").astype(np.int64) + 1
 
 
-def sample_request(model: PopularityModel, rng: np.random.Generator) -> int:
-    """Draw one request rank in 1..m."""
-    return int(sample_requests(model, rng, 1)[0])
-
-
 def catalog_size(n_users: int, scale: float = 1.0) -> int:
     """Catalog size that grows logarithmically with the user population.
 

@@ -254,17 +254,10 @@ def build_connectivity(
     and the distance to the base station at the origin.
     """
     users = layout.users
-    helpers = layout.helpers
-    if users.shape[0] == 0:
-        return ConnectivityGraph(
-            rates=np.zeros((0, helpers.shape[0])), bs_rate=np.zeros((0,))
-        )
-    diff = users[:, None, :] - helpers[None, :, :]
-    dists = np.hypot(diff[..., 0], diff[..., 1]) if helpers.size else np.zeros(
-        (users.shape[0], 0)
-    )
+    diff = users[:, None, :] - layout.helpers[None, :, :]
+    dists = np.hypot(diff[..., 0], diff[..., 1])
     in_range = dists <= helper_model.helper_radius_m
-    rates = np.where(in_range, link_rate(dists, helper_model), 0.0) if helpers.size else dists
+    rates = np.where(in_range, link_rate(dists, helper_model), 0.0)
     d_bs = np.hypot(users[:, 0], users[:, 1])
     bs = np.asarray(link_rate(d_bs, macro_model), dtype=float).reshape(-1)
     return ConnectivityGraph(rates=rates, bs_rate=bs)

@@ -24,6 +24,14 @@ from helpercache.popularity import (
 from helpercache.rng import stream
 
 
+def child_env():
+    """The environment for a child interpreter that imports this package."""
+    src = str(Path(helpercache.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -364,6 +372,27 @@ class TestD2DCommands:
         assert code == 2
         assert "gamma1" in err
 
+    def test_steep_random_caches_exit_two_quickly(self):
+        # gamma1=20 leaves ranks past 2 so unlikely that filling a third cache
+        # slot takes about 3.5e9 draws; the sampler refuses before drawing.  A
+        # child process keeps a regression from hanging the suite.
+        probe = (
+            "import sys, time; from helpercache.cli import main; "
+            "t = time.perf_counter(); code = main(sys.argv[1:]); "
+            "print(code, time.perf_counter() - t)"
+        )
+        argv = (
+            "simulate-d2d", "--strategy", "random-zipf", "--gamma1", "20",
+            "--M", "3", "--m", "100", "--n", "10", "--reps", "1", "--mode", "mc",
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        code, seconds = done.stdout.split()
+        assert int(code) == 2 and float(seconds) < 1.0
+        assert "gamma1=20" in done.stderr and "M=3" in done.stderr
+
     def test_mc_runs_rerun_identically(self, capsys):
         argv = (
             "simulate-d2d", "--r", "1/3", "--n", "40", "--m", "15",
@@ -424,16 +453,12 @@ def test_readme_examples_parse():
 
 def test_import_loads_no_scipy():
     # scipy costs about a second to import; only the coded LP solve needs it.
-    src = str(Path(helpercache.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
     probe = (
         "import sys, helpercache.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
+        env=child_env(), capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.strip() == "[]"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpercache import rng as hrng
-from helpercache.macro_sim import WHOLE_FILE_TOL, WorkloadSpec, simulate_snapshot
+from helpercache.macro_sim import WHOLE_FILE_TOL, simulate_snapshot
 from helpercache.placement_coded import (
     CodedPlacement,
     as_coded,
@@ -139,8 +139,7 @@ def test_snapshot_matches_per_user_loops(kind):
     seen_served = seen_bs = 0
     for k, (rng, graph, pop) in enumerate(instances(f"snapshot-{kind}")):
         placement = make(rng, pop.m, graph.n_helpers)
-        workload = WorkloadSpec(n_users=graph.n_users, file_bits=B)
-        out = simulate_snapshot(graph, placement, pop, workload, hrng.stream(k, "req"))
+        out = simulate_snapshot(graph, placement, pop, B, 200.0, hrng.stream(k, "req"))
         requests = sample_requests(pop, hrng.stream(k, "req"), graph.n_users)
         served, times = oracle(graph, placement, pop, requests)
 

@@ -7,10 +7,9 @@ import pytest
 from helpercache.errors import InvalidParameterError
 from helpercache.macro_sim import (
     MacroConfig,
-    WorkloadSpec,
-    experiment_models,
     experiment_popularity,
     make_placement,
+    plan_deployment,
     simulate_snapshot,
     sweep_capacity,
     sweep_helper_count,
@@ -29,11 +28,13 @@ from helpercache.topology import (
     DEFAULT_MACRO_MODEL,
     CellLayout,
     build_connectivity,
+    link_rate,
     place_helpers,
     place_uniform,
 )
 
 B = 2.4e8
+QOS = 200.0
 
 
 def build_graph(helpers, users, helper_radius=150.0, cell=400.0):
@@ -64,7 +65,8 @@ class TestSnapshotBasics:
             graph,
             placement,
             one_file_pop(),
-            WorkloadSpec(n_users=1, file_bits=B, qos_s=200.0),
+            B,
+            QOS,
             stream(3, "reqs"),
         )
         assert out.download_time.shape == (1,)
@@ -81,7 +83,8 @@ class TestSnapshotBasics:
             graph,
             placement,
             one_file_pop(),
-            WorkloadSpec(n_users=3, file_bits=B),
+            B,
+            QOS,
             stream(3, "reqs"),
         )
         expected = 3.0 * B / graph.bs_rate
@@ -96,7 +99,8 @@ class TestSnapshotBasics:
             graph,
             placement,
             one_file_pop(),
-            WorkloadSpec(n_users=2, file_bits=B),
+            B,
+            QOS,
             stream(3, "reqs"),
         )
         assert out.helper_served_fraction == 0.5
@@ -118,7 +122,8 @@ class TestSnapshotBasics:
             graph,
             placement,
             one_file_pop(),
-            WorkloadSpec(n_users=1, file_bits=B),
+            B,
+            QOS,
             stream(3, "reqs"),
         )
         assert out.download_time[0] == pytest.approx(B / graph.rates[0, 1])
@@ -131,7 +136,7 @@ class TestSnapshotBasics:
         rng = stream(9, "reqs")
         # find a seed draw that asks for rank 1
         out = simulate_snapshot(
-            graph, placement, pop, WorkloadSpec(n_users=1, file_bits=B), rng
+            graph, placement, pop, B, QOS, rng
         )
         requested = 2 if out.helper_served_fraction == 1.0 else 1
         if requested == 1:
@@ -144,7 +149,8 @@ class TestSnapshotBasics:
             graph,
             placement,
             one_file_pop(),
-            WorkloadSpec(n_users=2, file_bits=B),
+            B,
+            QOS,
             stream(3, "reqs"),
         )
         assert count_satisfied(out, math.inf) == 2
@@ -156,21 +162,18 @@ class TestSnapshotBasics:
         users = place_uniform(12, 400.0, stream(21, "users"))
         graph = build_graph([[0.0, 0.0]], users)
         placement = UncodedPlacement(caches=(frozenset({1}),), capacities=(1,))
-        workload = WorkloadSpec(n_users=12, file_bits=B, qos_s=40.0)
         out = simulate_snapshot(
-            graph, placement, one_file_pop(), workload, stream(21, "reqs")
+            graph, placement, one_file_pop(), B, 40.0, stream(21, "reqs")
         )
         assert out.satisfied_count == count_satisfied(out, 40.0)
-        assert out.qos_s == 40.0
 
     def test_seeded_runs_reproduce(self):
         users = place_uniform(10, 400.0, stream(31, "users"))
         graph = build_graph([[0.0, 0.0], [150.0, 150.0]], users)
         pop = zipf_model(0.8, 50)
         placement = most_popular_place(HelperSpecs.uniform(2, 5), pop)
-        workload = WorkloadSpec(n_users=10, file_bits=B)
-        first = simulate_snapshot(graph, placement, pop, workload, stream(31, "reqs"))
-        again = simulate_snapshot(graph, placement, pop, workload, stream(31, "reqs"))
+        first = simulate_snapshot(graph, placement, pop, B, QOS, stream(31, "reqs"))
+        again = simulate_snapshot(graph, placement, pop, B, QOS, stream(31, "reqs"))
         np.testing.assert_array_equal(first.download_time, again.download_time)
         assert first.satisfied_count == again.satisfied_count
 
@@ -191,7 +194,8 @@ class TestSnapshotCoded:
             graph,
             placement,
             one_file_pop(),
-            WorkloadSpec(n_users=1, file_bits=B),
+            B,
+            QOS,
             stream(5, "reqs"),
         )
         assert out.helper_served_fraction == 1.0
@@ -205,7 +209,8 @@ class TestSnapshotCoded:
             graph,
             placement,
             one_file_pop(),
-            WorkloadSpec(n_users=1, file_bits=B),
+            B,
+            QOS,
             stream(5, "reqs"),
         )
         # 0.8 from the fast helper, only the missing 0.2 from the slow one
@@ -219,7 +224,8 @@ class TestSnapshotCoded:
             graph,
             placement,
             one_file_pop(),
-            WorkloadSpec(n_users=1, file_bits=B),
+            B,
+            QOS,
             stream(5, "reqs"),
         )
         assert out.helper_served_fraction == 0.0
@@ -231,9 +237,8 @@ class TestSnapshotCoded:
         uncoded = UncodedPlacement(
             caches=(frozenset(), frozenset({1})), capacities=(1, 1)
         )
-        workload = WorkloadSpec(n_users=1, file_bits=B)
-        a = simulate_snapshot(graph, coded, one_file_pop(), workload, stream(5, "r"))
-        b = simulate_snapshot(graph, uncoded, one_file_pop(), workload, stream(5, "r"))
+        a = simulate_snapshot(graph, coded, one_file_pop(), B, QOS, stream(5, "r"))
+        b = simulate_snapshot(graph, uncoded, one_file_pop(), B, QOS, stream(5, "r"))
         assert a.download_time[0] == pytest.approx(b.download_time[0])
 
 
@@ -248,7 +253,8 @@ class TestSnapshotValidation:
                 graph,
                 placement,
                 one_file_pop(),
-                WorkloadSpec(n_users=1),
+                B,
+                QOS,
                 stream(1, "r"),
             )
 
@@ -260,19 +266,8 @@ class TestSnapshotValidation:
                 graph,
                 placement,
                 one_file_pop(),
-                WorkloadSpec(n_users=1),
-                stream(1, "r"),
-            )
-
-    def test_workload_user_count_mismatch(self):
-        graph = build_graph(np.empty((0, 2)), [[10.0, 0.0]])
-        placement = UncodedPlacement(caches=(), capacities=())
-        with pytest.raises(InvalidParameterError):
-            simulate_snapshot(
-                graph,
-                placement,
-                one_file_pop(),
-                WorkloadSpec(n_users=2),
+                B,
+                QOS,
                 stream(1, "r"),
             )
 
@@ -283,28 +278,47 @@ class TestSnapshotValidation:
                 graph,
                 {"not": "a placement"},
                 one_file_pop(),
-                WorkloadSpec(n_users=1),
+                B,
+                QOS,
                 stream(1, "r"),
             )
 
-    def test_workload_rejects_bad_values(self):
-        with pytest.raises(InvalidParameterError):
-            WorkloadSpec(n_users=-1)
-        with pytest.raises(InvalidParameterError):
-            WorkloadSpec(n_users=1, file_bits=0.0)
-        with pytest.raises(InvalidParameterError):
-            WorkloadSpec(n_users=1, qos_s=math.inf)
+    def test_snapshot_rejects_bad_file_bits_and_qos(self):
+        graph = build_graph(np.empty((0, 2)), [[10.0, 0.0]])
+        placement = UncodedPlacement(caches=(), capacities=())
+        for file_bits, qos_s, name in [
+            (0.0, QOS, "file_bits"),
+            (-B, QOS, "file_bits"),
+            (math.nan, QOS, "file_bits"),
+            (B, 0.0, "qos_s"),
+            (B, math.inf, "qos_s"),
+        ]:
+            with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
+                simulate_snapshot(
+                    graph, placement, one_file_pop(), file_bits, qos_s, stream(1, "r")
+                )
 
 
 class TestMacroConfig:
     def test_defaults_are_consistent(self):
         config = MacroConfig()
-        assert config.workload() == WorkloadSpec(
-            n_users=24, file_bits=2.4e8, qos_s=200.0
+        assert (config.n_users, config.file_bits, config.qos_s) == (24, 2.4e8, 200.0)
+        # The planning graph links exactly the users within the configured
+        # helper radius, and the base station uses the default macro model.
+        helpers, graph = plan_deployment(16, config, root_seed=3)
+        users = place_uniform(
+            config.n_users, config.cell_radius_m, stream(3, "plan-users")
         )
-        helper_model, macro_model = experiment_models(config)
-        assert helper_model.helper_radius_m == config.helper_radius_m
-        assert macro_model == DEFAULT_MACRO_MODEL
+        np.testing.assert_array_equal(helpers, place_helpers(16, "grid", 400.0))
+        diff = users[:, None, :] - helpers[None, :, :]
+        dists = np.hypot(diff[..., 0], diff[..., 1])
+        linked = graph.rates > 0
+        np.testing.assert_array_equal(linked, dists <= config.helper_radius_m)
+        assert linked.any() and (dists[linked] > DEFAULT_HELPER_MODEL.helper_radius_m).any()
+        np.testing.assert_array_equal(
+            graph.bs_rate,
+            link_rate(np.hypot(users[:, 0], users[:, 1]), DEFAULT_MACRO_MODEL),
+        )
 
     def test_rejects_bad_fields(self):
         with pytest.raises(InvalidParameterError):
@@ -347,13 +361,12 @@ class TestLayoutGrowthMonotonicity:
         pop = zipf_model(0.8, 100)
         all_helpers = place_uniform(12, 400.0, stream(5, "helpers"))
         users = place_uniform(20, 400.0, stream(5, "users"))
-        workload = WorkloadSpec(n_users=20, file_bits=B)
         previous_times = None
         counts = []
         for c in [0, 4, 8, 12]:
             graph = build_graph(all_helpers[:c], users)
             placement = most_popular_place(HelperSpecs.uniform(c, cap), pop)
-            out = simulate_snapshot(graph, placement, pop, workload, stream(5, "reqs"))
+            out = simulate_snapshot(graph, placement, pop, B, QOS, stream(5, "reqs"))
             if previous_times is not None:
                 assert np.all(out.download_time <= previous_times + 1e-9)
             previous_times = out.download_time

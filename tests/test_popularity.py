@@ -14,7 +14,6 @@ from helpercache.popularity import (
     catalog_size,
     fit_zipf,
     read_trace_csv,
-    sample_request,
     sample_requests,
     trace_from_samples,
     zipf_model,
@@ -105,8 +104,6 @@ def test_sampling_deterministic_per_seed():
     a = sample_requests(model, hrng.stream(5, "dup"), 1000)
     b = sample_requests(model, hrng.stream(5, "dup"), 1000)
     np.testing.assert_array_equal(a, b)
-    r = sample_request(model, hrng.stream(5, "scalar"))
-    assert isinstance(r, int) and 1 <= r <= 50
 
 
 def test_catalog_size_values():

@@ -1,0 +1,42 @@
+"""Structure rules for the package source, checked on its syntax tree."""
+
+import ast
+from pathlib import Path
+
+import helpercache
+
+PACKAGE = Path(helpercache.__file__).resolve().parent
+
+
+def _private_sibling_imports(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        sibling = node.level == 1 or module.split(".")[0] == "helpercache"
+        for alias in node.names:
+            dunder = alias.name.startswith("__") and alias.name.endswith("__")
+            if sibling and alias.name.startswith("_") and not dunder:
+                where = "." * node.level + module
+                found.append(f"{path.name}:{node.lineno} imports {alias.name} from {where}")
+    return found
+
+
+def test_no_module_imports_a_private_name_from_a_sibling(tmp_path):
+    # A private name stays inside the module that owns the decision it
+    # encodes; a caller that needs it needs a public function instead.
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .macro_sim import MacroConfig, _plan_graph\n"
+        "from helpercache.macro_sim import _helper_positions\n"
+        "from . import _private_module, __version__\n"
+        "from os.path import _get_sep\n"
+    )
+    flagged = [hit.split()[2] for hit in _private_sibling_imports(probe)]
+    assert flagged == ["_plan_graph", "_helper_positions", "_private_module"]
+
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    found = [hit for path in modules for hit in _private_sibling_imports(path)]
+    assert found == []

@@ -165,6 +165,13 @@ def test_connectivity_colocated_and_boundary():
     # sixty metres plus epsilon from the second helper: no edge
     assert graph.rates[2, 1] == 0.0
     assert np.all(graph.bs_rate > 0)
+    # No users, no helpers, or neither: empty float arrays of the right shape.
+    none = np.empty((0, 2))
+    for helpers, users in ((none, none), (layout.helpers, none), (none, layout.users)):
+        empty = build_connectivity(CellLayout(400.0, helpers, users))
+        assert empty.rates.shape == (len(users), len(helpers))
+        assert empty.rates.dtype == float and not empty.rates.any()
+        np.testing.assert_array_equal(empty.bs_rate, graph.bs_rate[: len(users)])
 
 
 def test_connectivity_conflict_fixture_adjacency():
