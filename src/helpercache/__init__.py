@@ -31,16 +31,13 @@ from .macro_sim import (
 from .placement_coded import (
     CodedPlacement,
     build_lp,
-    evaluate_coded_delay,
     group_files,
     solve_grouped,
 )
 from .placement_uncoded import (
     HelperSpecs,
     UncodedPlacement,
-    baseline_delay,
     brute_force_place,
-    evaluate_delay,
     greedy_place,
     most_popular_place,
 )
@@ -83,7 +80,6 @@ __all__ = [
     "RequestTrace",
     "SimOutcome",
     "UncodedPlacement",
-    "baseline_delay",
     "brute_force_place",
     "build_connectivity",
     "build_lp",
@@ -91,8 +87,6 @@ __all__ = [
     "catalog_size",
     "cluster_active",
     "cvc_deterministic",
-    "evaluate_coded_delay",
-    "evaluate_delay",
     "expected_active_analytic",
     "fit_zipf",
     "greedy_place",

@@ -33,6 +33,10 @@ TILE_TOL = 1e-9
 _CHUNK_ELEMENTS = 1 << 21  # keeps Monte Carlo chunking (and streams) stable
 # Expected draws to fill one random cache row above which the input is refused.
 RANDOM_CACHE_MAX_DRAWS = 1e4
+# Expected draws to fill every random cache of one Monte Carlo run above which
+# the input is refused; at about 0.2 us a draw (2-core Xeon) that is under two
+# minutes of filling.
+RANDOM_RUN_MAX_DRAWS = 5e8
 
 
 @dataclass(frozen=True)
@@ -123,6 +127,21 @@ def cvc_deterministic(k: int, M: int, m: int) -> tuple[frozenset[int], ...]:
     return tuple(caches)
 
 
+def _fill_draws(M: int, gamma1: float, m: int) -> float:
+    """Bound on the expected Zipf(gamma1) draws that fill one random cache.
+
+    A row holding the j most popular ranks needs 1 / pmf[j:].sum() draws on
+    average for its next rank, more than any other row holding j ranks; the
+    bound sums that over j < M.  A full catalog (M == m) is copied, not drawn.
+    """
+    if M == 0 or M >= m:
+        return 0.0
+    pmf = zipf_model(gamma1, m).pmf
+    # Tail sums from the pmf, not 1 - cdf, which cancels to 0 for steep gamma1.
+    tails = np.cumsum(pmf[::-1])[::-1][:M]
+    return float((1.0 / tails).sum())
+
+
 def _random_caches(
     count: int, M: int, gamma1: float, m: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -130,10 +149,8 @@ def _random_caches(
     duplicate rejection.  Rows fill in lockstep rounds, one candidate per
     incomplete row per round.
 
-    A row holding the j most popular ranks needs 1 / pmf[j:].sum() draws on
-    average for its next rank.  When the sum of that over j < M exceeds
-    RANDOM_CACHE_MAX_DRAWS the rounds could run for hours, so the input is
-    refused before any draw.
+    When `_fill_draws` exceeds RANDOM_CACHE_MAX_DRAWS the rounds could run
+    for hours, so the input is refused before any draw.
     """
     if M > m:
         raise InvalidParameterError("random caches need M <= m")
@@ -143,9 +160,7 @@ def _random_caches(
     if M == m:
         return np.tile(np.arange(1, m + 1, dtype=np.int64), (count, 1))
     model = zipf_model(gamma1, m)
-    # Tail sums from the pmf, not 1 - cdf, which cancels to 0 for steep gamma1.
-    tails = np.cumsum(model.pmf[::-1])[::-1][:M]
-    draws = float((1.0 / tails).sum())
+    draws = _fill_draws(M, gamma1, m)
     if draws > RANDOM_CACHE_MAX_DRAWS:
         raise InvalidParameterError(
             f"random-zipf caches with gamma1={gamma1:g} and M={M} may need "
@@ -296,6 +311,8 @@ def simulate_active_clusters(
     Draw order per replication batch: user positions, then caches (random
     strategy only), then one request per user.  Batching is sized by a fixed
     element budget so results per replication do not depend on `reps`.
+    Random caches whose fill may need more than RANDOM_RUN_MAX_DRAWS expected
+    draws over the whole run are refused before the first draw.
     """
     if reps < 1:
         raise InvalidParameterError("reps must be >= 1")
@@ -309,6 +326,16 @@ def simulate_active_clusters(
             side,
             side,
         )
+    if scenario.strategy == "random-zipf":
+        per_device = _fill_draws(scenario.M, scenario.gamma1, scenario.m)
+        draws = per_device * scenario.n * reps
+        if draws > RANDOM_RUN_MAX_DRAWS:
+            raise InvalidParameterError(
+                f"random-zipf caches with gamma1={scenario.gamma1:g} and "
+                f"M={scenario.M} may need {per_device:.3g} draws per device, "
+                f"{draws:.3g} for {scenario.n} devices over reps={reps} (limit "
+                f"{RANDOM_RUN_MAX_DRAWS:g}); lower gamma1, M or reps"
+            )
     per_rep = scenario.n * max(scenario.M, 1)
     chunk = max(1, _CHUNK_ELEMENTS // per_rep)
     counts = np.empty(reps)

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .placement_uncoded import HelperSpecs, UncodedPlacement
 from .popularity import PopularityModel
-from .topology import ConnectivityGraph, fetch_fastest_first
+from .topology import ConnectivityGraph
 
 logger = logging.getLogger(__name__)
 
@@ -297,30 +297,6 @@ def solve_lp_detailed(instance: LPInstance) -> tuple[CodedPlacement, LPReport]:
     return placement, LPReport(
         objective=float(c @ x), iterations=result.iterations
     )
-
-
-def evaluate_coded_delay(
-    placement: CodedPlacement,
-    graph: ConnectivityGraph,
-    pop: PopularityModel,
-    file_bits: float,
-) -> float:
-    """Expected total delay under fastest-first fractional fetching.
-
-    Each user fills the unit demand from its in-range helpers in decreasing
-    rate order, capped by the stored fractions, and fetches the remainder from
-    the base station.
-    """
-    if placement.n_helpers != graph.n_helpers or placement.m != pop.m:
-        raise InfeasiblePlacementError("placement shape does not match instance")
-    if not math.isfinite(file_bits) or file_bits <= 0:
-        raise InvalidParameterError("file_bits must be finite and > 0")
-    rho = placement.rho
-    collected, helper = fetch_fastest_first(
-        graph, np.broadcast_to(rho, (graph.n_users,) + rho.shape)
-    )
-    per_file = helper + (1.0 - collected) * (1.0 / graph.bs_rate)[:, None]
-    return file_bits * float((per_file @ pop.pmf).sum())
 
 
 @dataclass(frozen=True, eq=False)

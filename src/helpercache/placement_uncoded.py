@@ -1,11 +1,17 @@
-"""Whole-file cache placement: delay evaluation, lazy greedy, and oracles.
+"""Whole-file cache placement: the greedy, most-popular and brute-force policies.
 
 A placement stores, for each helper, the set of file ranks cached in full.  A
 user's download rate for a file is the best rate among the base station and the
 in-range helpers that cache it, so the expected-delay objective is a weighted
 coverage function of the chosen (file, helper) pairs: monotone and submodular,
-which is what makes the lazy greedy both correct and a 1/2-approximation under
-the per-helper capacity constraint.
+which makes the greedy a 1/2-approximation under the per-helper capacity
+constraint.
+
+The gain of caching rank f at helper h is `fl(file_bits * pmf[f-1])` times a
+coverage weight that depends only on the set of helpers already caching f.
+`greedy_steps` therefore searches over classes of ranks with equal helper
+sets, one heap entry per class, instead of over every (rank, helper) pair; its
+trajectory, ties included, is that of the pairwise lazy greedy.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +30,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .popularity import PopularityModel
-from .topology import ConnectivityGraph, fetch_fastest_first
+from .topology import ConnectivityGraph
 
 BRUTE_FORCE_GUARD = 10**6
 
@@ -90,50 +97,6 @@ class UncodedPlacement:
         return rho
 
 
-def evaluate_delay(
-    placement: UncodedPlacement,
-    graph: ConnectivityGraph,
-    pop: PopularityModel,
-    file_bits: float,
-) -> float:
-    """Expected total download delay (seconds) summed over users.
-
-    Each user requests independently from `pop` and downloads at the best rate
-    among the base station and the in-range helpers caching the file.
-    """
-    if placement.n_helpers != graph.n_helpers:
-        raise InfeasiblePlacementError(
-            f"placement has {placement.n_helpers} helpers, graph {graph.n_helpers}"
-        )
-    if not math.isfinite(file_bits) or file_bits <= 0:
-        raise InvalidParameterError("file_bits must be finite and > 0")
-    rho = placement.fractions(pop.m)
-    collected, helper = fetch_fastest_first(
-        graph, np.broadcast_to(rho, (graph.n_users,) + rho.shape)
-    )
-    inv_bs = (1.0 / graph.bs_rate)[:, None]
-    # A whole file comes from the fastest holder or the base station, whichever
-    # is faster; a user with no holder in range gets it all from the station.
-    best = np.minimum(inv_bs, helper + (1.0 - collected) * inv_bs)
-    return float(file_bits * (best @ pop.pmf).sum())
-
-
-def baseline_delay(graph: ConnectivityGraph, file_bits: float) -> float:
-    """Delay with no helper caches at all (every request served by the BS)."""
-    return float(file_bits * (1.0 / graph.bs_rate).sum())
-
-
-def delay_savings(
-    placement: UncodedPlacement,
-    graph: ConnectivityGraph,
-    pop: PopularityModel,
-    file_bits: float,
-) -> float:
-    return baseline_delay(graph, file_bits) - evaluate_delay(
-        placement, graph, pop, file_bits
-    )
-
-
 def most_popular_place(specs: HelperSpecs, pop: PopularityModel) -> UncodedPlacement:
     """Every helper independently caches the min(capacity, m) most popular files."""
     caches = tuple(
@@ -142,64 +105,149 @@ def most_popular_place(specs: HelperSpecs, pop: PopularityModel) -> UncodedPlace
     return UncodedPlacement(caches=caches, capacities=specs.capacities)
 
 
+class _Class:
+    """The ranks cached at exactly the helper set `held` (a bit mask).
+
+    `cur` is every user's best seconds per bit over the base station and the
+    helpers in `held`.  `s[h]` is the coverage weight of adding helper h, so
+    caching member f at h gains `weights[f - 1] * s[h]`.  `cand` marks the
+    helpers a member can go to: not in `held`, with users and with capacity.
+    `best` caches a helper whose `s` wins clearly, or is negative (see
+    `_clear_winner`), and `stamp` names the class's one live entry in the
+    greedy's heap.
+    """
+
+    __slots__ = ("held", "cur", "cand", "s", "s_list", "ranks", "best", "stamp")
+
+    def __init__(self, held, cur, cand, users_of, edge_inv):
+        self.held, self.cur, self.cand = held, cur, cand
+        self.s = np.zeros(cand.size)
+        for h in np.flatnonzero(cand):
+            # The gathered array and the numpy sum the gain of one (rank,
+            # helper) pair has always used, so every float is bit-equal.
+            self.s[h] = np.maximum(0.0, cur[users_of[h]] - edge_inv[h]).sum()
+        self.s_list = self.s.tolist()
+        self.ranks: list[int] = []
+        self.best = -1
+        self.stamp = -1
+
+
+# Relative margin by which a class's best `s` must beat every other open
+# candidate's before the class caches that helper (see `_clear_winner`).
+_CLEAR_WIN = 1e-12
+
+
+def _clear_winner(s: np.ndarray, ok: np.ndarray) -> int:
+    """The first argmax of `s` over `ok` if every other candidate's `s` either
+    equals it or trails it by more than `_CLEAR_WIN`; -1 if one trails it by
+    less; -2 if nothing is `ok`.
+
+    A clear winner keeps the first argmax of the rounded gains `fl(w * s)` for
+    every weight w whose gain is a normal float, and keeps it while helpers
+    drop out of `ok`, so a class may cache it until it fills.
+    """
+    s = np.where(ok, s, -1.0)
+    top = s.max()
+    if top < 0.0:
+        return -2
+    h = int(s.argmax())
+    s[s == top] = -1.0
+    return h if top > (1.0 + _CLEAR_WIN) * s.max() else -1
+
+
 def greedy_steps(
     graph: ConnectivityGraph,
     pop: PopularityModel,
     specs: HelperSpecs,
     file_bits: float,
 ) -> list[tuple[int, int, float]]:
-    """Run the lazy greedy and return its trajectory as (helper, rank, gain).
+    """Run the greedy and return its trajectory as (helper, rank, gain).
 
-    Gains are exact marginal delay reductions at the moment of selection; the
-    sequence is non-increasing.  Ties break toward lower file rank, then lower
-    helper index.  Selection stops at the capacities or at the first
-    non-positive marginal gain, whichever comes first.
+    Each step caches the (rank, helper) pair of largest exact marginal delay
+    reduction; the gains are non-increasing.  Ties break toward lower file
+    rank, then lower helper index.  Selection stops at the capacities or at
+    the first non-positive marginal gain, whichever comes first.
+
+    The search runs over classes of ranks instead of over pairs.  The gain of
+    (f, h) is `fl(file_bits * pmf[f-1]) * s_h(S)`, where S is the set of
+    helpers already caching f, so ranks with equal S form a class.  pmf does
+    not increase with rank, so a class's lowest rank has the largest gain at
+    every helper and wins its ties; the best pair overall is therefore some
+    class's lowest rank at that class's best open helper, the first argmax of
+    the rounded gains.  The heap holds one exact entry per class.  An entry
+    is dropped when its stamp is stale, and recomputed when it is popped and
+    names a helper that has since filled.
     """
     if specs.n_helpers != graph.n_helpers:
         raise InfeasiblePlacementError("specs/graph helper counts differ")
     if not math.isfinite(file_bits) or file_bits <= 0:
         raise InvalidParameterError("file_bits must be finite and > 0")
-    n, m = graph.n_users, pop.m
-    if n == 0 or all(c == 0 for c in specs.capacities):
+    if graph.n_users == 0 or all(c == 0 for c in specs.capacities):
         return []
     users_of = [graph.users_of(h) for h in range(graph.n_helpers)]
     edge_inv = [graph.inv_rates[users_of[h], h] for h in range(graph.n_helpers)]
-    cur_inv = np.repeat((1.0 / graph.bs_rate)[:, None], m, axis=1)
-
-    # With empty caches the gain of (f, h) factorizes as pmf[f] * base[h].
-    base = np.array(
-        [
-            float(np.maximum(0.0, 1.0 / graph.bs_rate[users_of[h]] - edge_inv[h]).sum())
-            for h in range(graph.n_helpers)
-        ]
-    )
-    heap = [
-        (-file_bits * pop.pmf[f - 1] * base[h], f, h)
-        for h in range(graph.n_helpers)
-        if specs.capacities[h] > 0 and users_of[h].size > 0
-        for f in range(1, m + 1)
-    ]
-    heapq.heapify(heap)
-
+    weights = (file_bits * pop.pmf).tolist()
     room = list(specs.capacities)
+    is_open = np.array(room) > 0
+    stamps = itertools.count()
+    heap: list[tuple[float, int, int, int, _Class]] = []
+
+    def push(c: _Class) -> None:
+        """Queue class `c`'s exact entry: its lowest rank at its best helper."""
+        c.stamp = next(stamps)
+        f = c.ranks[0]
+        w = weights[f - 1]
+        h = c.best
+        if h < 0 or not room[h]:
+            h = c.best = _clear_winner(c.s, c.cand & is_open)
+            if h == -2:
+                return  # no member of this class can be cached anywhere
+        if h >= 0:
+            gain = w * c.s_list[h]
+            if sys.float_info.min <= gain < math.inf:
+                heapq.heappush(heap, (-gain, f, h, c.stamp, c))
+                return
+        gains = np.where(c.cand & is_open, w * c.s, -1.0)
+        h = int(gains.argmax())
+        heapq.heappush(heap, (-float(gains[h]), f, h, c.stamp, c))
+
+    inv_bs = 1.0 / graph.bs_rate
+    has_users = np.array([u.size > 0 for u in users_of], dtype=bool)
+    start = _Class(0, inv_bs, is_open & has_users, users_of, edge_inv)
+    start.ranks = list(range(1, pop.m + 1))
+    classes = {0: start}
+    push(start)
+
     steps: list[tuple[int, int, float]] = []
     while heap:
-        _, f, h = heapq.heappop(heap)
-        if room[h] == 0:
+        neg_gain, f, h, stamp, c = heapq.heappop(heap)
+        if stamp != c.stamp:
             continue
-        col = cur_inv[users_of[h], f - 1]
-        gain = float(
-            file_bits * pop.pmf[f - 1] * np.maximum(0.0, col - edge_inv[h]).sum()
-        )
-        if heap and (-gain, f, h) > heap[0]:
-            # Stale bound: someone else may now be better.  Re-queue and retry.
-            heapq.heappush(heap, (-gain, f, h))
+        if not room[h]:
+            push(c)
             continue
-        if gain <= 0.0:
+        if neg_gain >= 0.0:
             break
-        steps.append((h, f, gain))
-        cur_inv[users_of[h], f - 1] = np.minimum(col, edge_inv[h])
+        steps.append((h, f, -neg_gain))
         room[h] -= 1
+        if not room[h]:
+            is_open[h] = False
+        heapq.heappop(c.ranks)
+        if c.ranks:
+            push(c)
+        held = c.held | (1 << h)
+        nxt = classes.get(held)
+        if nxt is None:
+            cur = c.cur.copy()
+            cur[users_of[h]] = np.minimum(cur[users_of[h]], edge_inv[h])
+            cand = c.cand.copy()
+            cand[h] = False
+            nxt = classes[held] = _Class(held, cur, cand, users_of, edge_inv)
+        # Ranks reach a class in increasing order unless rounding ties steer
+        # two of them apart and back together; then the older entry goes stale.
+        heapq.heappush(nxt.ranks, f)
+        if nxt.ranks[0] == f:
+            push(nxt)
     return steps
 
 
@@ -209,7 +257,7 @@ def greedy_place(
     specs: HelperSpecs,
     file_bits: float,
 ) -> UncodedPlacement:
-    """Lazy-greedy placement (1/2-approximation of the optimal delay savings)."""
+    """Greedy placement (1/2-approximation of the optimal delay savings)."""
     caches = [set() for _ in range(specs.n_helpers)]
     for h, f, _ in greedy_steps(graph, pop, specs, file_bits):
         caches[h].add(f)

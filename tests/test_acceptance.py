@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from delays import baseline_delay, delay_savings, evaluate_delay
 from test_simplex import enumerate_vertices, random_lp
 
 from helpercache.cli import main
@@ -25,10 +26,7 @@ from helpercache.macro_sim import MacroConfig, sweep_helper_count
 from helpercache.placement_coded import build_lp, simplex_solve, solve_lp_detailed
 from helpercache.placement_uncoded import (
     HelperSpecs,
-    baseline_delay,
     brute_force_place,
-    delay_savings,
-    evaluate_delay,
     greedy_place,
     most_popular_place,
 )

@@ -393,6 +393,25 @@ class TestD2DCommands:
         assert int(code) == 2 and float(seconds) < 1.0
         assert "gamma1=20" in done.stderr and "M=3" in done.stderr
 
+    def test_random_caches_too_slow_for_the_run_exit_two_quickly(self):
+        # gamma1=13.29 with M=2 passes the per-device bound (just under 1e4
+        # draws) but would spend about 5e9 draws on 500 devices over 1000
+        # replications; the whole-run bound refuses it before drawing.
+        probe = (
+            "import sys, time; from helpercache.cli import main; "
+            "t = time.perf_counter(); code = main(sys.argv[1:]); "
+            "print(code, time.perf_counter() - t)"
+        )
+        argv = ("simulate-d2d", "--strategy", "random-zipf", "--gamma1", "13.29", "--M", "2")
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        code, seconds = done.stdout.split()
+        assert int(code) == 2 and float(seconds) < 1.0
+        for name in ("gamma1=13.29", "M=2", "reps=1000"):
+            assert name in done.stderr
+
     def test_mc_runs_rerun_identically(self, capsys):
         argv = (
             "simulate-d2d", "--r", "1/3", "--n", "40", "--m", "15",

@@ -333,6 +333,18 @@ class TestMonteCarlo:
         with pytest.raises(InvalidParameterError):
             simulate_active_clusters(sc, zipf_model(0.8, 12), stream(1, "v"), 10)
 
+    def test_random_caches_bounded_over_the_whole_run(self):
+        # About 1e4 expected draws per device passes the per-device bound; 500
+        # devices over 101 replications pass 5e8 and are refused undrawn.
+        sc = D2DScenario(
+            n=500, m=1000, M=2, r=0.1, gamma=0.6, strategy="random-zipf", gamma1=13.29
+        )
+        rng = stream(3, "run-bound")
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameterError, match="reps=101"):
+            simulate_active_clusters(sc, sc.popularity(), rng, 101)
+        assert rng.bit_generator.state == state
+
 
 class TestSweeps:
     def test_r_sweep_has_an_interior_maximum(self):

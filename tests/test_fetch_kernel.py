@@ -9,15 +9,12 @@ below or just above one.
 
 import numpy as np
 import pytest
+from delays import evaluate_coded_delay, evaluate_delay
 
 from helpercache import rng as hrng
 from helpercache.macro_sim import WHOLE_FILE_TOL, simulate_snapshot
-from helpercache.placement_coded import (
-    CodedPlacement,
-    as_coded,
-    evaluate_coded_delay,
-)
-from helpercache.placement_uncoded import UncodedPlacement, evaluate_delay
+from helpercache.placement_coded import CodedPlacement, as_coded
+from helpercache.placement_uncoded import UncodedPlacement
 from helpercache.popularity import sample_requests, zipf_model
 from helpercache.topology import ConnectivityGraph, fetch_fastest_first
 

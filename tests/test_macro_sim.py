@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from delays import delay_savings
 
 from helpercache.errors import InvalidParameterError
 from helpercache.macro_sim import (
@@ -18,7 +19,6 @@ from helpercache.placement_coded import CodedPlacement
 from helpercache.placement_uncoded import (
     HelperSpecs,
     UncodedPlacement,
-    delay_savings,
     most_popular_place,
 )
 from helpercache.popularity import zipf_model

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from delays import baseline_delay, delay_savings, evaluate_coded_delay, evaluate_delay
 
 from helpercache import rng as hrng
 from helpercache.errors import (
@@ -14,20 +15,13 @@ from helpercache.placement_coded import (
     CodedPlacement,
     build_lp,
     coded_placement_rows,
-    evaluate_coded_delay,
     expand_grouped_rho,
     group_files,
     grouped_popularity,
     solve_grouped,
     solve_lp_detailed,
 )
-from helpercache.placement_uncoded import (
-    HelperSpecs,
-    baseline_delay,
-    delay_savings,
-    evaluate_delay,
-    greedy_place,
-)
+from helpercache.placement_uncoded import HelperSpecs, greedy_place
 from helpercache.popularity import zipf_model
 from helpercache.topology import ConnectivityGraph
 

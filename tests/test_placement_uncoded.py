@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from delays import baseline_delay, delay_savings, evaluate_delay
 
 from helpercache import rng as hrng
 from helpercache.errors import (
@@ -12,10 +13,7 @@ from helpercache.placement_uncoded import (
     BRUTE_FORCE_GUARD,
     HelperSpecs,
     UncodedPlacement,
-    baseline_delay,
     brute_force_place,
-    delay_savings,
-    evaluate_delay,
     greedy_place,
     greedy_steps,
     most_popular_place,

@@ -18,27 +18,27 @@ def enumerate_vertices(c, A, b, upper):
     """Best objective over all basic feasible points of {Ax<=b, 0<=x<=upper}.
 
     Stacks the row constraints with the box faces and tries every choice of n
-    active constraints; singular combinations are filtered by determinant.
+    active constraints; singular combinations are filtered by determinant and
+    the rest are solved in one stacked call.
     """
     n = c.size
     rows = np.vstack([A, np.eye(n), -np.eye(n)])
     rhs = np.concatenate([b, upper, np.zeros(n)])
-    best = None
-    combos = np.array(list(itertools.combinations(range(rows.shape[0]), n)))
+    combos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(rows.shape[0]), n)),
+        dtype=np.intp,
+    ).reshape(-1, n)
     mats = rows[combos]
-    dets = np.abs(np.linalg.det(mats))
-    for combo, mat, det in zip(combos, mats, dets):
-        if det < 1e-10:
-            continue
-        x = np.linalg.solve(mat, rhs[combo])
-        if np.any(A @ x > b + FEAS_TOL):
-            continue
-        if np.any(x < -FEAS_TOL) or np.any(x > upper + FEAS_TOL):
-            continue
-        val = float(c @ x)
-        if best is None or val > best:
-            best = val
-    return best
+    basic = np.abs(np.linalg.det(mats)) >= 1e-10
+    x = np.linalg.solve(mats[basic], rhs[combos[basic], None])[..., 0]
+    feasible = (
+        np.all(x @ A.T <= b + FEAS_TOL, axis=1)
+        & np.all(x >= -FEAS_TOL, axis=1)
+        & np.all(x <= upper + FEAS_TOL, axis=1)
+    )
+    if not feasible.any():
+        return None
+    return float((x[feasible] @ c).max())
 
 
 def random_lp(rng):
