@@ -4,9 +4,6 @@ and device-to-device cluster networks."""
 from .d2d import (
     ClusterStats,
     D2DScenario,
-    cache_random,
-    cluster_active,
-    cvc_deterministic,
     expected_active_analytic,
     scaling_check,
     simulate_active_clusters,
@@ -83,10 +80,7 @@ __all__ = [
     "brute_force_place",
     "build_connectivity",
     "build_lp",
-    "cache_random",
     "catalog_size",
-    "cluster_active",
-    "cvc_deterministic",
     "expected_active_analytic",
     "fit_zipf",
     "greedy_place",

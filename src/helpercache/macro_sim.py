@@ -12,10 +12,18 @@ helper deployment and the planning users (`plan_deployment`), place files
 (`make_placement`), then count the users served within the deadline over
 fresh draws.  The `place` command and both sweeps go through these steps.
 
+A sweep draws each replication once and scores all its points on it: the
+replications' graphs are stacked, one stack per helper deployment, and each
+point is scored on a whole stack by one fetch-kernel call per group of
+replications of equal degree.  Stacks hold at most `_CHUNK_ELEMENTS`
+user-helper pairs, so memory stays bounded for any `reps`.
+`simulate_snapshot` scores a single graph the same way.
+
 Seed handling: every random draw comes from a named substream of the root
 seed (`helpers`, `plan-users`, and per-replication `eval-users` /
 `requests`), so replication k is the same no matter how many replications
-run, and every sweep point sees identical user positions and requests.
+run or how they are chunked, and every sweep point sees identical user
+positions and requests.
 """
 
 from __future__ import annotations
@@ -56,6 +64,8 @@ PLACEMENT_POLICIES = ("greedy", "most-popular", "brute-force", "coded")
 
 # A user is helper-served once the collected fraction is within this of 1.
 WHOLE_FILE_TOL = 1e-9
+# User-helper pairs per chunk of stacked replicates; bounds a sweep's memory.
+_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +73,23 @@ class SimOutcome:
     download_time: np.ndarray  # seconds, one entry per user
     satisfied_count: int
     helper_served_fraction: float
+
+
+def _deliver(
+    graph: ConnectivityGraph, wanted: np.ndarray, file_bits: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Download times of one file per user, and which users helpers served.
+
+    `wanted[..., u, h]` is the share of user u's file that helper h stores;
+    leading axes stack graphs, each with its own base-station share.
+    """
+    collected, helper = fetch_fastest_first(graph, wanted)
+    # All or nothing: a user with less than the whole file in range gets all
+    # of it from the base station.
+    served = collected >= 1.0 - WHOLE_FILE_TOL
+    n_bs = graph.n_users - served.sum(axis=-1, keepdims=True)
+    times = np.where(served, file_bits * helper, file_bits * n_bs / graph.bs_rate)
+    return times, served
 
 
 def simulate_snapshot(
@@ -89,18 +116,10 @@ def simulate_snapshot(
     if rho.shape != (pop.m, graph.n_helpers):
         raise InvalidParameterError("placement does not match the graph")
     requests = sample_requests(pop, rng, n)
-    collected, helper = fetch_fastest_first(graph, rho[requests - 1])
-    # All or nothing: a user with less than the whole file in range gets all
-    # of it from the base station.
-    served = collected >= 1.0 - WHOLE_FILE_TOL
-    times = np.where(served, file_bits * helper, 0.0)
-    n_bs = int(n - served.sum())
-    if n_bs:
-        times[~served] = file_bits * n_bs / graph.bs_rate[~served]
-    satisfied = int((times <= qos_s).sum()) if n else 0
+    times, served = _deliver(graph, rho[requests - 1], file_bits)
     return SimOutcome(
         download_time=times,
-        satisfied_count=satisfied,
+        satisfied_count=int((times <= qos_s).sum()),
         helper_served_fraction=float(served.mean()) if n else 0.0,
     )
 
@@ -214,38 +233,80 @@ class SweepPoint:
     stderr: float
 
 
-def _sweep(
+def _degree_groups(graph: ConnectivityGraph) -> list:
+    """A stacked graph split into `(indices, graph)` groups of equal degree.
+
+    Each replicate is then scored at its own degree, so its row sums are the
+    ones a graph of that replicate alone gives (see `fetch_fastest_first`).
+    """
+    degree = graph.degree
+    return [
+        (sel, ConnectivityGraph(graph.rates[sel], graph.bs_rate[sel]))
+        for sel in (np.flatnonzero(degree == d) for d in np.unique(degree))
+    ]
+
+
+def _satisfied_counts(
     points, config: MacroConfig, policy: str, reps: int, root_seed: int
-) -> list[SweepPoint]:
-    """Plan, place and replicate each `(x, helper_count, capacity)` point."""
+) -> np.ndarray:
+    """Satisfied users per `(x, helper_count, capacity)` point and replicate.
+
+    Each helper count is planned once and each point placed once.  Replicate
+    k draws its users and requests once per sweep and is scored for every
+    point.  Replicates go in chunks of at most `_CHUNK_ELEMENTS` user-helper
+    pairs; each chunk builds one stacked graph per distinct helper count and
+    scores every point on that deployment against it.  Each replicate has its
+    own streams, so the chunk size changes no output.
+    """
     if reps < 1:
         raise InvalidParameterError("reps must be >= 1")
     pop = experiment_popularity(config, root_seed)
     plans = {}
-    out = []
-    for x, count, capacity in points:
+    rho = []
+    for _, count, capacity in points:
         if count not in plans:
             plans[count] = plan_deployment(count, config, root_seed)
-        helpers, plan = plans[count]
         specs = HelperSpecs.uniform(count, capacity)
-        placement = as_coded(make_placement(policy, plan, pop, specs, config), pop.m)
-        satisfied = np.empty(reps)
-        for k in range(reps):
-            users = place_uniform(
-                config.n_users, config.cell_radius_m, stream(root_seed, "eval-users", k)
-            )
-            outcome = simulate_snapshot(
-                _cell_graph(helpers, users, config),
-                placement,
-                pop,
-                config.file_bits,
-                config.qos_s,
-                stream(root_seed, "requests", k),
-            )
-            satisfied[k] = outcome.satisfied_count
-        err = float(satisfied.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+        stored = as_coded(
+            make_placement(policy, plans[count][1], pop, specs, config), pop.m
+        ).rho
+        # Every point's placement is kept until the last chunk is scored; a
+        # whole-file one fetches the same as bool, in an eighth of the memory.
+        whole = np.all((stored == 0.0) | (stored == 1.0))
+        rho.append(stored.astype(bool) if whole else stored)
+    n, radius = config.n_users, config.cell_radius_m
+    chunk = max(1, _CHUNK_ELEMENTS // (n * max(max(plans, default=0), 1)))
+    satisfied = np.empty((len(points), reps))
+    for lo in range(0, reps, chunk):
+        ks = range(lo, min(lo + chunk, reps))
+        users = np.stack(
+            [place_uniform(n, radius, stream(root_seed, "eval-users", k)) for k in ks]
+        )
+        requests = np.stack(
+            [sample_requests(pop, stream(root_seed, "requests", k), n) for k in ks]
+        )
+        for count, (helpers, _) in plans.items():
+            groups = _degree_groups(_cell_graph(helpers, users, config))
+            for i in (i for i, point in enumerate(points) if point[1] == count):
+                for sel, graph in groups:
+                    wanted = rho[i][requests[sel] - 1]
+                    times, _ = _deliver(graph, wanted, config.file_bits)
+                    satisfied[i, lo + sel] = (times <= config.qos_s).sum(axis=-1)
+    return satisfied
+
+
+def _sweep(
+    points, config: MacroConfig, policy: str, reps: int, root_seed: int
+) -> list[SweepPoint]:
+    """Mean and standard error per point of `_satisfied_counts`, whose
+    replicates are drawn once per sweep, scored together and chunked under a
+    fixed element budget."""
+    satisfied = _satisfied_counts(points, config, policy, reps, root_seed)
+    out = []
+    for (x, _, _), row in zip(points, satisfied):
+        err = float(row.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
         out.append(
-            SweepPoint(x=float(x), mean_satisfied=float(satisfied.mean()), stderr=err)
+            SweepPoint(x=float(x), mean_satisfied=float(row.mean()), stderr=err)
         )
     return out
 
@@ -261,6 +322,8 @@ def sweep_helper_count(
 
     Replications share user-position and request streams across points and
     policies, so curves are paired comparisons rather than independent noise.
+    Each replication is drawn once per sweep and scored for every point,
+    together with the others in chunks of a fixed size.
     """
     counts = [int(c) for c in counts]
     if any(c < 0 for c in counts):

@@ -79,11 +79,15 @@ def link_rate(distance_m, model: LinkRateModel):
 
 @dataclass(frozen=True, eq=False)
 class CellLayout:
-    """Helper and user positions in a disc cell; the base station is at the origin."""
+    """Helper and user positions in a disc cell; the base station is at the origin.
+
+    `users` may carry leading axes, one user draw per index, all sharing the
+    same helpers.
+    """
 
     cell_radius: float
     helpers: np.ndarray  # (n_helpers, 2)
-    users: np.ndarray  # (n_users, 2)
+    users: np.ndarray  # (..., n_users, 2)
 
     def __post_init__(self):
         if not math.isfinite(self.cell_radius) or self.cell_radius <= 0:
@@ -92,12 +96,12 @@ class CellLayout:
         users = np.atleast_2d(np.asarray(self.users, dtype=float))
         if helpers.size == 0:
             helpers = helpers.reshape(0, 2)
-        if users.size == 0:
+        if users.size == 0 and users.shape[-1] != 2:
             users = users.reshape(0, 2)
         for name, arr in (("helpers", helpers), ("users", users)):
-            if arr.ndim != 2 or arr.shape[1] != 2:
+            if arr.shape[-1] != 2 or (arr.ndim != 2 and name == "helpers"):
                 raise InvalidParameterError(f"{name} must be an (k, 2) array")
-            radii = np.hypot(arr[:, 0], arr[:, 1])
+            radii = np.hypot(arr[..., 0], arr[..., 1])
             if arr.size and radii.max() > self.cell_radius * (1 + 1e-9):
                 raise InvalidParameterError(f"{name} positions must lie within the cell")
         object.__setattr__(self, "helpers", helpers)
@@ -109,7 +113,7 @@ class CellLayout:
 
     @property
     def n_users(self) -> int:
-        return self.users.shape[0]
+        return self.users.shape[-2]
 
 
 def place_uniform(count: int, cell_radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -173,19 +177,20 @@ def place_helpers(
 class ConnectivityGraph:
     """Bipartite user/helper link rates plus the per-user base-station rate.
 
-    rates[u, h] is the helper link rate in bit/s, or 0.0 when user u is out of
-    helper h's coverage.  bs_rate[u] is always positive.
+    rates[..., u, h] is the helper link rate in bit/s, or 0.0 when user u is
+    out of helper h's coverage.  bs_rate[..., u] is always positive.  Leading
+    axes, when present, stack independent user draws over the same helpers.
     """
 
-    rates: np.ndarray  # (n_users, n_helpers)
-    bs_rate: np.ndarray  # (n_users,)
+    rates: np.ndarray  # (..., n_users, n_helpers)
+    bs_rate: np.ndarray  # (..., n_users)
 
     def __post_init__(self):
         rates = np.asarray(self.rates, dtype=float)
         bs = np.asarray(self.bs_rate, dtype=float)
-        if rates.ndim != 2:
-            raise InvalidParameterError("rates must be a 2-D array")
-        if bs.shape != (rates.shape[0],):
+        if rates.ndim < 2:
+            raise InvalidParameterError("rates must have at least 2 dimensions")
+        if bs.shape != rates.shape[:-1]:
             raise InvalidParameterError("bs_rate length must match the user count")
         if not np.all(np.isfinite(rates)) or np.any(rates < 0):
             raise InvalidParameterError("link rates must be finite and >= 0")
@@ -196,11 +201,11 @@ class ConnectivityGraph:
 
     @property
     def n_users(self) -> int:
-        return self.rates.shape[0]
+        return self.rates.shape[-2]
 
     @property
     def n_helpers(self) -> int:
-        return self.rates.shape[1]
+        return self.rates.shape[-1]
 
     @cached_property
     def inv_rates(self) -> np.ndarray:
@@ -208,8 +213,27 @@ class ConnectivityGraph:
         with np.errstate(divide="ignore"):
             return np.where(self.rates > 0, 1.0 / self.rates, np.inf)
 
+    @cached_property
+    def degree(self) -> np.ndarray:
+        """The most helpers any one user links to, per stacked draw."""
+        return (self.rates > 0).sum(axis=-1).max(axis=-1, initial=0)
+
+    @cached_property
+    def fastest_first(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`(order, seconds_per_bit, linked)`, each `(..., n_users, degree)`.
+
+        Each user's helpers by decreasing rate (ties by index), cut to the
+        largest degree in the whole graph, with their seconds per bit; columns
+        past a user's own links are unlinked and cost 0.
+        """
+        degree = int(np.max(self.degree, initial=0))
+        order = np.argsort(-self.rates, axis=-1, kind="stable")[..., :degree]
+        inv = np.take_along_axis(self.inv_rates, order, axis=-1)
+        linked = np.isfinite(inv)
+        return order, np.where(linked, inv, 0.0), linked
+
     def users_of(self, helper: int) -> np.ndarray:
-        """Indices of users inside helper `helper`'s coverage."""
+        """Indices of users inside helper `helper`'s coverage (unstacked graph)."""
         return np.flatnonzero(self.rates[:, helper] > 0)
 
 
@@ -218,23 +242,23 @@ def fetch_fastest_first(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Collect files from in-range helpers, fastest link first.
 
-    `fractions[u, ..., h]` is the share of a file wanted by user u that helper
-    h stores (one file per user, or one row per file).  Each user takes what
-    its helpers hold in decreasing rate order until the file is complete.
-    Returns `(collected, seconds_per_bit)`, both shaped `fractions.shape[:-1]`:
-    the fraction gathered from helpers, capped at 1, and the helper-side
-    download time per file bit.  What the base station serves is the caller's
-    rule.
+    `fractions[..., u, ..., h]` is the share of a file wanted by user u that
+    helper h stores (one file per user, or one row per file); its leading
+    axes are the graph's.  Each user takes what its helpers hold in
+    decreasing rate order until the file is complete.  Returns
+    `(collected, seconds_per_bit)`, both shaped `fractions.shape[:-1]`: the
+    fraction gathered from helpers, capped at 1, and the helper-side download
+    time per file bit.  What the base station serves is the caller's rule.
+
+    Every user is padded to the degree of the whole graph.  numpy sums eight
+    or more terms pairwise, so a fractional row sum is bit-identical to that
+    of a narrower graph only if both graphs have the same degree.
     """
-    # Each user's helpers by decreasing rate (ties by index), cut to the
-    # largest user degree; columns past a user's own links hold nothing.
-    degree = int((graph.rates > 0).sum(axis=1).max(initial=0))
-    order = np.argsort(-graph.rates, axis=1, kind="stable")[:, :degree]
-    inv = np.take_along_axis(graph.inv_rates, order, axis=1)
-    linked = np.isfinite(inv)
-    shape = (graph.n_users,) + (1,) * (np.ndim(fractions) - 2) + (degree,)
-    order, linked = order.reshape(shape), linked.reshape(shape)
-    inv = np.where(linked, inv.reshape(shape), 0.0)
+    order, inv, linked = graph.fastest_first
+    degree = order.shape[-1]
+    files = (1,) * (np.ndim(fractions) - graph.rates.ndim)
+    shape = graph.rates.shape[:-1] + files + (degree,)
+    order, inv, linked = (a.reshape(shape) for a in (order, inv, linked))
     picked = np.take_along_axis(fractions, order, axis=-1)
     # A leading zero column keeps users without any link in the same shape.
     cum = np.zeros(picked.shape[:-1] + (degree + 1,))
@@ -251,13 +275,14 @@ def build_connectivity(
     """Connect every user to the helpers within `helper_model.helper_radius_m`.
 
     An edge at exactly the radius is kept.  Base-station rates use `macro_model`
-    and the distance to the base station at the origin.
+    and the distance to the base station at the origin.  Stacked user draws
+    give a stacked graph with the same leading axes.
     """
     users = layout.users
-    diff = users[:, None, :] - layout.helpers[None, :, :]
+    diff = users[..., :, None, :] - layout.helpers
     dists = np.hypot(diff[..., 0], diff[..., 1])
     in_range = dists <= helper_model.helper_radius_m
     rates = np.where(in_range, link_rate(dists, helper_model), 0.0)
-    d_bs = np.hypot(users[:, 0], users[:, 1])
-    bs = np.asarray(link_rate(d_bs, macro_model), dtype=float).reshape(-1)
+    d_bs = np.hypot(users[..., 0], users[..., 1])
+    bs = np.reshape(link_rate(d_bs, macro_model), users.shape[:-1])
     return ConnectivityGraph(rates=rates, bs_rate=bs)

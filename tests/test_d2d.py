@@ -4,13 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from d2d_oracles import cache_random, cluster_active, cvc_deterministic
 
 from helpercache.d2d import (
     D2DScenario,
     _random_caches,
-    cache_random,
-    cluster_active,
-    cvc_deterministic,
     expected_active_analytic,
     grid_side,
     scaling_check,

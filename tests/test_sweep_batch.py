@@ -1,0 +1,194 @@
+"""The batched macro sweep against the per-replicate loop it replaced.
+
+`oracle_sweep` is the former body of `macro_sim._sweep`: one connectivity
+graph and one `simulate_snapshot` per (point, replicate).  The batched sweep
+must give the same per-replicate satisfied counts and the same `SweepPoint`s,
+compared with `==`.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from helpercache import macro_sim
+from helpercache.errors import InvalidParameterError
+from helpercache.macro_sim import (
+    MacroConfig,
+    SweepPoint,
+    _cell_graph,
+    _deliver,
+    _degree_groups,
+    _satisfied_counts,
+    _sweep,
+    experiment_popularity,
+    plan_deployment,
+    simulate_snapshot,
+)
+from helpercache.placement_coded import CodedPlacement, as_coded
+from helpercache.placement_uncoded import HelperSpecs
+from helpercache.popularity import sample_requests
+from helpercache.rng import stream
+from helpercache.topology import place_uniform
+
+
+def oracle_sweep(points, config, policy, reps, root_seed):
+    """Per-replicate counts and points of the per-(point, replicate) loop."""
+    if reps < 1:
+        raise InvalidParameterError("reps must be >= 1")
+    pop = experiment_popularity(config, root_seed)
+    plans = {}
+    counts = []
+    out = []
+    for x, count, capacity in points:
+        if count not in plans:
+            plans[count] = plan_deployment(count, config, root_seed)
+        helpers, plan = plans[count]
+        specs = HelperSpecs.uniform(count, capacity)
+        placement = as_coded(
+            macro_sim.make_placement(policy, plan, pop, specs, config), pop.m
+        )
+        satisfied = np.empty(reps)
+        for k in range(reps):
+            users = place_uniform(
+                config.n_users, config.cell_radius_m, stream(root_seed, "eval-users", k)
+            )
+            outcome = simulate_snapshot(
+                _cell_graph(helpers, users, config),
+                placement,
+                pop,
+                config.file_bits,
+                config.qos_s,
+                stream(root_seed, "requests", k),
+            )
+            satisfied[k] = outcome.satisfied_count
+        err = float(satisfied.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+        out.append(
+            SweepPoint(x=float(x), mean_satisfied=float(satisfied.mean()), stderr=err)
+        )
+        counts.append(satisfied)
+    return np.array(counts), out
+
+
+SMALL = MacroConfig(n_users=12, catalog_size=60, capacity=6, gamma=0.8, coded_groups=4)
+
+
+def assert_same(points, config, policy, reps, root_seed):
+    want_counts, want_points = oracle_sweep(points, config, policy, reps, root_seed)
+    got_counts = _satisfied_counts(points, config, policy, reps, root_seed)
+    np.testing.assert_array_equal(got_counts, want_counts)
+    assert _sweep(points, config, policy, reps, root_seed) == want_points
+    return got_counts
+
+
+def helper_points(counts, capacity):
+    return [(c, c, capacity) for c in counts]
+
+
+@pytest.mark.parametrize("mode", ["grid", "uniform"])
+@pytest.mark.parametrize("policy", ["greedy", "most-popular", "coded"])
+def test_helper_sweep_matches_the_loop(policy, mode):
+    # 0 helpers leaves every user unlinked; 3 is repeated.
+    config = replace(SMALL, helper_mode=mode)
+    assert_same(helper_points([3, 0, 8, 3], 6), config, policy, 9, 17)
+
+
+@pytest.mark.parametrize("policy", ["greedy", "most-popular", "coded"])
+def test_capacity_sweep_matches_the_loop(policy):
+    points = [(cap, 8, cap) for cap in (0, 3, 6, 60)]
+    assert_same(points, SMALL, policy, 8, 23)
+
+
+def test_brute_force_matches_the_loop():
+    config = replace(SMALL, catalog_size=6, capacity=1)
+    assert_same(helper_points([0, 2, 2], 1), config, "brute-force", 6, 5)
+
+
+def test_users_without_links_match_the_loop():
+    config = replace(SMALL, helper_radius_m=40.0)
+    _, plan = plan_deployment(8, config, 3)
+    assert not (plan.rates > 0).any(axis=1).all()
+    assert_same(helper_points([8, 16], 6), config, "greedy", 10, 3)
+
+
+def test_coded_degree_of_eight_or_more_matches_the_loop():
+    config = MacroConfig(
+        catalog_size=200, capacity=50, gamma=0.8, coded_groups=4, helper_radius_m=350.0
+    )
+    helpers, _ = plan_deployment(32, config, 0)
+    users = place_uniform(config.n_users, 400.0, stream(0, "eval-users", 0))
+    assert _cell_graph(helpers, users, config).degree >= 8
+    assert_same(helper_points([32, 16], 50), config, "coded", 6, 0)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3])
+def test_chunk_size_changes_no_output(monkeypatch, per_chunk):
+    # 3 replicates per chunk does not divide 7.
+    monkeypatch.setattr(macro_sim, "_CHUNK_ELEMENTS", per_chunk * SMALL.n_users * 8)
+    assert_same(helper_points([4, 8], 6), SMALL, "greedy", 7, 29)
+
+
+def test_draws_and_graphs_are_built_once_per_sweep(monkeypatch):
+    calls = {"sample_requests": 0, "build_connectivity": 0}
+    for name in calls:
+        original = getattr(macro_sim, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(macro_sim, name, counted)
+    reps = 5
+    _satisfied_counts(helper_points([3, 0, 8, 3], 6), SMALL, "most-popular", reps, 1)
+    # One request draw per replicate (the pinned gamma fits no trace); one
+    # planning graph and one stacked graph per distinct helper count.
+    assert calls == {"sample_requests": reps, "build_connectivity": 2 * 3}
+
+
+def dense_fractions(m, n_helpers):
+    """A fractional placement that spreads every file over all helpers, so a
+    served user sums its download time over four or more links."""
+    return stream(7, "fractions").uniform(0.15, 0.35, (m, n_helpers))
+
+
+def test_fractional_sums_match_the_loop_across_degrees(monkeypatch):
+    # Replicates with degree below and above 8 share one stacked graph here.
+    def place(policy, graph, pop, specs, config):
+        rho = dense_fractions(pop.m, graph.n_helpers)
+        capacities = tuple(int(c) + 1 for c in rho.sum(axis=0))
+        return CodedPlacement(rho=rho, capacities=capacities)
+
+    monkeypatch.setattr(macro_sim, "make_placement", place)
+    config = replace(SMALL, n_users=24, helper_radius_m=200.0)
+    assert_same(helper_points([32], 6), config, "coded", 30, 4)
+
+
+def test_degree_groups_score_each_replicate_at_its_own_degree():
+    config = replace(SMALL, n_users=24, helper_radius_m=200.0)
+    pop = experiment_popularity(config, 4)
+    helpers, _ = plan_deployment(32, config, 4)
+    reps = 30
+    users = np.stack(
+        [place_uniform(24, 400.0, stream(4, "eval-users", k)) for k in range(reps)]
+    )
+    requests = np.stack(
+        [sample_requests(pop, stream(4, "requests", k), 24) for k in range(reps)]
+    )
+    rho = dense_fractions(pop.m, 32)
+    stacked = _cell_graph(helpers, users, config)
+    assert stacked.degree.min() < 8 <= stacked.degree.max()
+
+    alone = np.empty((reps, 24))
+    for k in range(reps):
+        graph = _cell_graph(helpers, users[k], config)
+        alone[k] = _deliver(graph, rho[requests[k] - 1], 1.0)[0]
+    grouped = np.empty_like(alone)
+    for sel, graph in _degree_groups(stacked):
+        assert np.all(graph.degree == graph.degree[0])
+        grouped[sel] = _deliver(graph, rho[requests[sel] - 1], 1.0)[0]
+    np.testing.assert_array_equal(grouped, alone)
+    # Padding every replicate to the stack's largest degree moves some sums
+    # by an ulp; this instance would catch a scorer that did.
+    padded, _ = _deliver(stacked, rho[requests - 1], 1.0)
+    assert (padded != alone).any()
