@@ -211,32 +211,57 @@ def expected_active_analytic(
     return ClusterStats(expected_active=K * total, stderr=0.0, K=K)
 
 
-def _chunk_counts(
+def _draw_chunk(
     scenario: D2DScenario,
     pop: PopularityModel,
     rng: np.random.Generator,
     reps: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """One chunk's draws in stream order: user positions, then caches (random
+    strategy only), then one request per user.
+
+    Returns positions, requests, caches and, for random caches, whether each
+    user holds its own request.  None of them depends on r.
+    """
+    total = reps * scenario.n
+    pos = rng.random((total, 2))
+    caches = own = None
+    if scenario.strategy == "random-zipf":
+        caches = _random_caches(total, scenario.M, scenario.gamma1, scenario.m, rng)
+    requests = sample_requests(pop, rng, total)
+    if caches is not None:
+        own = (caches == requests[:, None]).any(axis=1)
+    return pos, requests, caches, own
+
+
+def _score_chunk(
+    scenario: D2DScenario,
+    pos: np.ndarray,
+    requests: np.ndarray,
+    caches: np.ndarray | None,
+    own: np.ndarray | None,
+    reps: int,
     side: int,
 ) -> np.ndarray:
+    """Active clusters per replication of one chunk's draws on a side x side
+    cluster grid."""
     n, m, M = scenario.n, scenario.m, scenario.M
     K = side * side
-    total = reps * n
-    pos = rng.random((total, 2))
-    cx = np.minimum((pos[:, 0] * side).astype(np.int64), side - 1)
-    cy = np.minimum((pos[:, 1] * side).astype(np.int64), side - 1)
-    gid = np.repeat(np.arange(reps, dtype=np.int64) * K, n) + cx * side + cy
-    if scenario.strategy == "random-zipf":
-        caches = _random_caches(total, M, scenario.gamma1, m, rng)
-    requests = sample_requests(pop, rng, total)
+    cell = np.minimum((pos[:, 0] * side).astype(np.int64), side - 1) * side
+    cell += np.minimum((pos[:, 1] * side).astype(np.int64), side - 1)
 
-    order = np.argsort(gid, kind="stable")
-    g = gid[order]
+    # Users arrive rep-major, so a stable sort on the cell alone orders them
+    # by (cell, rep) and keeps arrival order inside each cluster; the group id
+    # g = cell * reps + rep is then non-decreasing.  On keys of at most 16
+    # bits numpy sorts by radix.
+    order = np.argsort(cell.astype(np.min_scalar_type(K - 1)), kind="stable")
+    g = cell[order] * reps + order // n
     starts = np.flatnonzero(np.concatenate([[True], g[1:] != g[:-1]]))
-    sizes = np.diff(np.append(starts, g.size))
     req = requests[order]
 
     if scenario.strategy == "deterministic":
         # Rank within the cluster decides which contiguous block a user holds.
+        sizes = np.diff(np.append(starts, g.size))
         j = np.arange(g.size) - np.repeat(starts, sizes) + 1
         k = np.repeat(sizes, sizes)
         head = np.minimum(k * M, m)
@@ -244,21 +269,18 @@ def _chunk_counts(
         own_hi = np.minimum(j * M, m)
         active = (req <= head) & ~((req > own_lo) & (req <= own_hi))
     else:
-        if M == 0:
-            active = np.zeros(g.size, dtype=bool)
-        else:
-            # Count holders of each requested rank inside the cluster, then
-            # discount the requester's own copy.
-            keys = np.sort((gid[:, None] * (m + 1) + caches).ravel())
-            req_keys = g * (m + 1) + req
-            holders = np.searchsorted(keys, req_keys, side="right") - np.searchsorted(
-                keys, req_keys, side="left"
-            )
-            own = (caches[order] == req[:, None]).any(axis=1)
-            active = (holders - own.astype(np.int64)) >= 1
+        # A cache row holds distinct ranks, so the requester's own copy is at
+        # most one of the cluster's copies of its request: another user holds
+        # it iff the first matching key (the second, when the requester holds
+        # it too) is there.  Two -1 sentinels end the keys.
+        keys = np.sort((g[:, None] * (m + 1) + caches[order]).ravel())
+        req_keys = g * (m + 1) + req
+        first = np.searchsorted(keys, req_keys)
+        keys = np.append(keys, [-1, -1])
+        active = keys[first + own[order]] == req_keys
 
     group_active = np.logical_or.reduceat(active, starts)
-    rep_of_group = g[starts] // K
+    rep_of_group = g[starts] % reps
     return np.bincount(rep_of_group[group_active], minlength=reps).astype(float)
 
 
@@ -267,7 +289,9 @@ def simulate_active_clusters(
     pop: PopularityModel,
     rng: np.random.Generator,
     reps: int,
-) -> ClusterStats:
+    *,
+    r_values=None,
+) -> ClusterStats | list[ClusterStats]:
     """Monte Carlo active-cluster count: mean and standard error over `reps`.
 
     Draw order per replication batch: user positions, then caches (random
@@ -275,19 +299,29 @@ def simulate_active_clusters(
     element budget so results per replication do not depend on `reps`.
     Random caches whose fill may need more than RANDOM_RUN_MAX_DRAWS expected
     draws over the whole run are refused before the first draw.
+
+    With `r_values`, the draws are made once and scored on each value's
+    cluster grid in place of `scenario.r`; the result is then a list with one
+    ClusterStats per value, each equal to what a call with that r on a fresh
+    copy of `rng` returns.
     """
     if reps < 1:
         raise InvalidParameterError("reps must be >= 1")
     if pop.m != scenario.m:
         raise InvalidParameterError("popularity catalog must match the scenario")
-    side, exact = grid_side(scenario.r, exact=False)
-    if not exact:
-        logger.warning(
-            "r=%g does not tile the unit square; using a %d x %d cluster grid",
-            scenario.r,
-            side,
-            side,
-        )
+    r_list = [scenario.r] if r_values is None else [float(r) for r in r_values]
+    sides = []
+    for r in r_list:
+        replace(scenario, r=r)  # validates r
+        side, exact = grid_side(r, exact=False)
+        if not exact:
+            logger.warning(
+                "r=%g does not tile the unit square; using a %d x %d cluster grid",
+                r,
+                side,
+                side,
+            )
+        sides.append(side)
     if scenario.strategy == "random-zipf":
         per_device = _fill_draws(scenario.M, scenario.gamma1, scenario.m)
         draws = per_device * scenario.n * reps
@@ -300,15 +334,23 @@ def simulate_active_clusters(
             )
     per_rep = scenario.n * max(scenario.M, 1)
     chunk = max(1, _CHUNK_ELEMENTS // per_rep)
-    counts = np.empty(reps)
+    counts = np.empty((len(sides), reps))
     done = 0
     while done < reps:
         take = min(chunk, reps - done)
-        counts[done : done + take] = _chunk_counts(scenario, pop, rng, take, side)
+        drawn = _draw_chunk(scenario, pop, rng, take)
+        for row, side in zip(counts, sides):
+            row[done : done + take] = _score_chunk(scenario, *drawn, take, side)
         done += take
-    mean = float(counts.mean())
-    err = float(counts.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return ClusterStats(expected_active=mean, stderr=err, K=side * side)
+    stats = [
+        ClusterStats(
+            expected_active=float(row.mean()),
+            stderr=float(row.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0,
+            K=side * side,
+        )
+        for row, side in zip(counts, sides)
+    ]
+    return stats[0] if r_values is None else stats
 
 
 @dataclass(frozen=True)
@@ -322,37 +364,59 @@ class D2DSweepRow:
     mode: str
 
 
-def _sweep_row(
-    scenario: D2DScenario,
+def _point_mode(scenario: D2DScenario, mode: str) -> str:
+    """`auto` is analytic where the exact model covers the point."""
+    if mode != "auto":
+        return mode
+    analytic = scenario.strategy == "deterministic" and grid_side(
+        scenario.r, exact=False
+    )[1]
+    return "analytic" if analytic else "mc"
+
+
+def _sweep(
+    points: list[D2DScenario],
     pop: PopularityModel,
     reps: int,
     root_seed: int,
     mode: str,
-) -> D2DSweepRow:
+) -> list[D2DSweepRow]:
+    """One row per scenario.  Monte Carlo points that differ only in r share
+    their draws, so each such group is drawn once and scored per grid."""
     if mode not in ("auto", "analytic", "mc"):
         raise InvalidParameterError("mode must be 'auto', 'analytic', or 'mc'")
-    if mode == "auto":
-        analytic = scenario.strategy == "deterministic" and grid_side(
-            scenario.r, exact=False
-        )[1]
-        mode = "analytic" if analytic else "mc"
-    if mode == "analytic":
-        stats = expected_active_analytic(scenario, pop)
-    else:
-        # The stream key is the same for every sweep point on purpose: points
-        # see identical positions and requests, so curves differ only by the
-        # parameter.
-        rng = stream(root_seed, "d2d-mc")
-        stats = simulate_active_clusters(scenario, pop, rng, reps)
-    return D2DSweepRow(
-        r=scenario.r,
-        gamma=scenario.gamma,
-        gamma1=scenario.gamma1,
-        mean_active=stats.expected_active,
-        stderr=stats.stderr,
-        K=stats.K,
-        mode=mode,
-    )
+    modes = [_point_mode(sc, mode) for sc in points]
+    stats: list[ClusterStats | None] = [None] * len(points)
+    groups: dict[D2DScenario, list[int]] = {}
+    for i, (sc, point_mode) in enumerate(zip(points, modes)):
+        if point_mode == "analytic":
+            stats[i] = expected_active_analytic(sc, pop)
+        else:
+            groups.setdefault(replace(sc, r=1.0), []).append(i)
+    for members in groups.values():
+        # Every group opens the same stream on purpose: points see identical
+        # positions and requests, so curves differ only by the parameter.
+        group = simulate_active_clusters(
+            points[members[0]],
+            pop,
+            stream(root_seed, "d2d-mc"),
+            reps,
+            r_values=[points[i].r for i in members],
+        )
+        for i, point_stats in zip(members, group):
+            stats[i] = point_stats
+    return [
+        D2DSweepRow(
+            r=sc.r,
+            gamma=sc.gamma,
+            gamma1=sc.gamma1,
+            mean_active=st.expected_active,
+            stderr=st.stderr,
+            K=st.K,
+            mode=point_mode,
+        )
+        for sc, st, point_mode in zip(points, stats, modes)
+    ]
 
 
 def sweep_r(
@@ -363,11 +427,13 @@ def sweep_r(
     root_seed: int,
     mode: str = "auto",
 ) -> list[D2DSweepRow]:
-    """Expected active clusters per collaboration distance r."""
-    return [
-        _sweep_row(replace(scenario, r=float(r)), pop, reps, root_seed, mode)
-        for r in r_values
-    ]
+    """Expected active clusters per collaboration distance r.
+
+    Every Monte Carlo point reads the same stream, and r changes no draw, so
+    the points are drawn once and each is scored on its own cluster grid.
+    """
+    points = [replace(scenario, r=float(r)) for r in r_values]
+    return _sweep(points, pop, reps, root_seed, mode)
 
 
 def sweep_gamma1(
@@ -378,16 +444,20 @@ def sweep_gamma1(
     reps: int,
     root_seed: int,
 ) -> list[D2DSweepRow]:
-    """Active-cluster curves over the caching exponent, one curve per r."""
+    """Active-cluster curves over the caching exponent, one curve per r.
+
+    Rows run over r, then gamma1.  The points of one gamma1 share their draws
+    (positions, random caches, requests), so each gamma1 is drawn once and
+    scored on every r's cluster grid.
+    """
     if scenario.strategy != "random-zipf":
         raise InvalidParameterError("gamma1 sweeps need the random-zipf strategy")
-    return [
-        _sweep_row(
-            replace(scenario, r=float(r), gamma1=float(g1)), pop, reps, root_seed, "mc"
-        )
+    points = [
+        replace(scenario, r=float(r), gamma1=float(g1))
         for r in r_values
         for g1 in gamma1_values
     ]
+    return _sweep(points, pop, reps, root_seed, "mc")
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ class UncodedPlacement:
     capacities: tuple[int, ...]
 
     def __post_init__(self):
-        caches = tuple(frozenset(int(f) for f in c) for c in self.caches)
+        caches = tuple(frozenset(map(int, c)) for c in self.caches)
         caps = tuple(int(c) for c in self.capacities)
         if len(caches) != len(caps):
             raise InfeasiblePlacementError("one capacity per helper is required")
@@ -73,7 +73,7 @@ class UncodedPlacement:
                 raise InfeasiblePlacementError(
                     f"helper {h} caches {len(cache)} files, capacity {cap}"
                 )
-            if any(f < 1 for f in cache):
+            if cache and min(cache) < 1:
                 raise InfeasiblePlacementError("file ranks are 1-based")
         object.__setattr__(self, "caches", caches)
         object.__setattr__(self, "capacities", caps)

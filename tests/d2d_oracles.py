@@ -1,14 +1,28 @@
-"""Plain-Python D2D references the tests check the vectorized model against.
+"""D2D references the tests check the vectorized model against.
 
 `helpercache.d2d` computes cluster activity on whole arrays of users and
-replications; these one-cluster forms spell the caching rules and the
-activity rule out user by user.
+replications; the one-cluster forms spell the caching rules and the activity
+rule out user by user.  `sweep_row` is the point-by-point sweep the grouped
+sweeps replaced: every Monte Carlo point opens its own stream and redraws it,
+and its chunks are scored by the former kernel, which sorts users by
+`rep * K + cell`.
 """
+
+import math
 
 import numpy as np
 
-from helpercache.d2d import _random_caches
+from helpercache import d2d
+from helpercache.d2d import (
+    ClusterStats,
+    D2DSweepRow,
+    _random_caches,
+    expected_active_analytic,
+    grid_side,
+)
 from helpercache.errors import InvalidParameterError
+from helpercache.popularity import sample_requests
+from helpercache.rng import stream
 
 
 def cvc_deterministic(k: int, M: int, m: int) -> tuple[frozenset[int], ...]:
@@ -47,3 +61,80 @@ def cluster_active(caches, requests) -> bool:
             if j != i and req in cache:
                 return True
     return False
+
+
+def chunk_counts_by_gid(scenario, pop, rng, reps, side):
+    """Draw one chunk and count active clusters per replication, grouping
+    users with a stable sort of `rep * K + cell`."""
+    n, m, M = scenario.n, scenario.m, scenario.M
+    K = side * side
+    total = reps * n
+    pos = rng.random((total, 2))
+    cx = np.minimum((pos[:, 0] * side).astype(np.int64), side - 1)
+    cy = np.minimum((pos[:, 1] * side).astype(np.int64), side - 1)
+    gid = np.repeat(np.arange(reps, dtype=np.int64) * K, n) + cx * side + cy
+    if scenario.strategy == "random-zipf":
+        caches = _random_caches(total, M, scenario.gamma1, m, rng)
+    requests = sample_requests(pop, rng, total)
+
+    order = np.argsort(gid, kind="stable")
+    g = gid[order]
+    starts = np.flatnonzero(np.concatenate([[True], g[1:] != g[:-1]]))
+    sizes = np.diff(np.append(starts, g.size))
+    req = requests[order]
+    if scenario.strategy == "deterministic":
+        j = np.arange(g.size) - np.repeat(starts, sizes) + 1
+        k = np.repeat(sizes, sizes)
+        head = np.minimum(k * M, m)
+        own_lo = np.minimum((j - 1) * M, m)
+        own_hi = np.minimum(j * M, m)
+        active = (req <= head) & ~((req > own_lo) & (req <= own_hi))
+    elif M == 0:
+        active = np.zeros(g.size, dtype=bool)
+    else:
+        keys = np.sort((gid[:, None] * (m + 1) + caches).ravel())
+        req_keys = g * (m + 1) + req
+        holders = np.searchsorted(keys, req_keys, side="right") - np.searchsorted(
+            keys, req_keys, side="left"
+        )
+        own = (caches[order] == req[:, None]).any(axis=1)
+        active = (holders - own.astype(np.int64)) >= 1
+    group_active = np.logical_or.reduceat(active, starts)
+    rep_of_group = g[starts] // K
+    return np.bincount(rep_of_group[group_active], minlength=reps).astype(float)
+
+
+def simulate_by_gid(scenario, pop, rng, reps):
+    """Monte Carlo of one point, chunked by the library's element budget."""
+    side, _ = grid_side(scenario.r, exact=False)
+    chunk = max(1, d2d._CHUNK_ELEMENTS // (scenario.n * max(scenario.M, 1)))
+    counts = np.empty(reps)
+    done = 0
+    while done < reps:
+        take = min(chunk, reps - done)
+        counts[done : done + take] = chunk_counts_by_gid(scenario, pop, rng, take, side)
+        done += take
+    err = float(counts.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    return ClusterStats(expected_active=float(counts.mean()), stderr=err, K=side * side)
+
+
+def sweep_row(scenario, pop, reps, root_seed, mode):
+    """One sweep point on its own: analytic, or a fresh `d2d-mc` stream."""
+    if mode == "auto":
+        analytic = scenario.strategy == "deterministic" and grid_side(
+            scenario.r, exact=False
+        )[1]
+        mode = "analytic" if analytic else "mc"
+    if mode == "analytic":
+        stats = expected_active_analytic(scenario, pop)
+    else:
+        stats = simulate_by_gid(scenario, pop, stream(root_seed, "d2d-mc"), reps)
+    return D2DSweepRow(
+        r=scenario.r,
+        gamma=scenario.gamma,
+        gamma1=scenario.gamma1,
+        mean_active=stats.expected_active,
+        stderr=stats.stderr,
+        K=stats.K,
+        mode=mode,
+    )
