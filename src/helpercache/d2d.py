@@ -31,6 +31,7 @@ logger = logging.getLogger(__name__)
 STRATEGIES = ("deterministic", "random-zipf")
 TILE_TOL = 1e-9
 _CHUNK_ELEMENTS = 1 << 21  # keeps Monte Carlo chunking (and streams) stable
+_ANALYTIC_BLOCK = 1 << 14  # factors per block of the analytic all-miss products
 # Expected draws to fill one random cache row above which the input is refused.
 RANDOM_CACHE_MAX_DRAWS = 1e4
 # Expected draws to fill every random cache of one Monte Carlo run above which
@@ -127,7 +128,12 @@ def _random_caches(
 ) -> np.ndarray:
     """(count, M) matrix of distinct ranks per row, drawn Zipf(gamma1) with
     duplicate rejection.  Rows fill in lockstep rounds, one candidate per
-    incomplete row per round.
+    incomplete row per round, drawn in row order.
+
+    A round fills at most one column of a row, so no row is complete before
+    round M: rounds 1..M read `count` uniforms each, in row order, and round t
+    compares its candidates with the first t-1 columns only.  Later rounds
+    draw for the incomplete rows, kept in row order as they shrink.
 
     When `_fill_draws` exceeds RANDOM_CACHE_MAX_DRAWS the rounds could run
     for hours, so the input is refused before any draw.
@@ -148,15 +154,20 @@ def _random_caches(
             "lower gamma1 or M"
         )
     filled = np.zeros(count, dtype=np.int64)
-    while True:
-        rows = np.flatnonzero(filled < M)
-        if rows.size == 0:
-            return out
+    for t in range(M):
+        draws = sample_requests(model, rng, count)
+        hit = np.flatnonzero(~(out[:, :t] == draws[:, None]).any(axis=1))
+        out[hit, filled[hit]] = draws[hit]
+        filled[hit] += 1
+    rows = np.flatnonzero(filled < M)
+    while rows.size:
         draws = sample_requests(model, rng, rows.size)
         fresh = ~(out[rows] == draws[:, None]).any(axis=1)
         hit = rows[fresh]
         out[hit, filled[hit]] = draws[fresh]
         filled[hit] += 1
+        rows = rows[filled[rows] < M]
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -186,6 +197,11 @@ def expected_active_analytic(
     occupancy k is Binomial(n, 1/K), and given k the users' requests are
     independent, so P(active | k) = 1 - prod_j (1 - q_j) with q_j the mass of
     the cluster's cache union minus user j's own block.
+
+    The products are taken over blocks of occupancies, one row of factors
+    per k padded with 1.0.  Past column ceil(m/M)+1 they need no columns:
+    when kM >= m the union is the whole catalog, so the empty block of user
+    ceil(m/M)+1 contributes the factor 0.0.
     """
     if scenario.strategy != "deterministic":
         raise InvalidParameterError("the analytic model covers only deterministic caching")
@@ -200,14 +216,20 @@ def expected_active_analytic(
     ks = np.arange(2, n + 1)
     pk = _binomial_pmf(n, 1.0 / K, ks)
     kept = pk >= 1e-18  # occupancies too unlikely to matter
+    ks, pk = ks[kept], pk[kept]
+    cap = -(-m // M) + 1
+    rows = max(1, _ANALYTIC_BLOCK // cap)
     total = 0.0
-    for k, weight in zip(ks[kept].tolist(), pk[kept].tolist()):
-        head = cdf0[min(k * M, m)]
-        j = np.arange(1, k + 1)
-        lo = np.minimum((j - 1) * M, m)
-        hi = np.minimum(j * M, m)
-        q = head - (cdf0[hi] - cdf0[lo])
-        total += weight * (1.0 - float(np.prod(1.0 - q)))
+    for start in range(0, ks.size, rows):
+        k = ks[start : start + rows]
+        j = np.arange(1, min(int(k[-1]), cap) + 1)
+        own = cdf0[np.minimum(j * M, m)] - cdf0[np.minimum((j - 1) * M, m)]
+        head = cdf0[np.minimum(k * M, m)]
+        factors = 1.0 - (head[:, None] - own)
+        factors[j > k[:, None]] = 1.0
+        miss = np.prod(factors, axis=1)
+        for weight, p in zip(pk[start : start + rows].tolist(), miss.tolist()):
+            total += weight * (1.0 - p)
     return ClusterStats(expected_active=K * total, stderr=0.0, K=K)
 
 

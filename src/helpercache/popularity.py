@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -12,6 +13,10 @@ from .errors import InsufficientDataError, InvalidParameterError
 
 # Hard ceiling on catalog size so a typo cannot allocate tens of GB.
 MAX_CATALOG = 10_000_000
+# Guide-table buckets of the sampler; a power of two, so u * _GUIDE is exact.
+_GUIDE = 1 << 16
+# Uniforms drawn and mapped per block, which keeps the temporaries small.
+_SAMPLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +49,21 @@ class PopularityModel:
         cdf[-1] = 1.0  # guard against accumulated rounding at the tail
         object.__setattr__(self, "cdf", cdf)
 
+    @functools.cached_property
+    def _guide(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds of searchsorted(cdf, u, "right") over each bucket
+        b / _GUIDE <= u < (b + 1) / _GUIDE, built on first use.
+
+        lo[b] counts cdf <= b / _GUIDE, that is ceil(cdf * _GUIDE) <= b, and
+        hi[b] counts cdf < (b + 1) / _GUIDE, that is floor(cdf * _GUIDE) <= b;
+        the scaling is exact.
+        """
+        scaled = self.cdf * _GUIDE
+        dtype = np.min_scalar_type(self.m)
+        lo = np.bincount(np.ceil(scaled).astype(np.intp), minlength=_GUIDE)
+        hi = np.bincount(scaled.astype(np.intp), minlength=_GUIDE)
+        return np.cumsum(lo[:_GUIDE], dtype=dtype), np.cumsum(hi[:_GUIDE], dtype=dtype)
+
 
 def zipf_model(gamma: float, m: int) -> PopularityModel:
     """Build a Zipf(gamma) popularity model over ranks 1..m.
@@ -67,11 +87,28 @@ def zipf_model(gamma: float, m: int) -> PopularityModel:
 def sample_requests(
     model: PopularityModel, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Draw `size` i.i.d. request ranks (1-based) by inverse-CDF lookup."""
+    """Draw `size` i.i.d. request ranks (1-based) by inverse-CDF lookup.
+
+    The rank of a uniform u is searchsorted(cdf, u, "right") + 1, read from
+    an exact guide table: the count is monotone in u, so it equals the lower
+    bound of u's bucket whenever that bucket's bounds agree, and only the
+    draws in the remaining buckets are searched.  The uniforms are drawn in
+    blocks, which consume the stream exactly as one rng.random(size) does.
+    """
     if size < 0:
         raise InvalidParameterError("size must be >= 0")
-    u = rng.random(size)
-    return np.searchsorted(model.cdf, u, side="right").astype(np.int64) + 1
+    lo, hi = model._guide
+    out = np.empty(size, dtype=np.int64)
+    for start in range(0, size, _SAMPLE_BLOCK):
+        u = rng.random(min(_SAMPLE_BLOCK, size - start))
+        bucket = (u * _GUIDE).astype(np.intp)
+        ranks = lo[bucket]
+        ambiguous = np.flatnonzero(ranks != hi[bucket])
+        block = out[start : start + u.size]
+        block[:] = ranks
+        block[ambiguous] = np.searchsorted(model.cdf, u[ambiguous], side="right")
+    out += 1
+    return out
 
 
 def catalog_size(n_users: int, scale: float = 1.0) -> int:

@@ -5,7 +5,9 @@ replications; the one-cluster forms spell the caching rules and the activity
 rule out user by user.  `sweep_row` is the point-by-point sweep the grouped
 sweeps replaced: every Monte Carlo point opens its own stream and redraws it,
 and its chunks are scored by the former kernel, which sorts users by
-`rep * K + cell`.
+`rep * K + cell`.  `random_caches_lockstep` fills random caches by rescanning
+every row for the incomplete ones each round, and `expected_active_by_k`
+sums the analytic model one occupancy at a time.
 """
 
 import math
@@ -14,14 +16,17 @@ import numpy as np
 
 from helpercache import d2d
 from helpercache.d2d import (
+    RANDOM_CACHE_MAX_DRAWS,
     ClusterStats,
     D2DSweepRow,
+    _binomial_pmf,
+    _fill_draws,
     _random_caches,
     expected_active_analytic,
     grid_side,
 )
 from helpercache.errors import InvalidParameterError
-from helpercache.popularity import sample_requests
+from helpercache.popularity import sample_requests, zipf_model
 from helpercache.rng import stream
 
 
@@ -50,6 +55,56 @@ def cache_random(
 ) -> frozenset[int]:
     """One user's random cache: M distinct ranks, Zipf(gamma1)-weighted."""
     return frozenset(int(v) for v in _random_caches(1, M, gamma1, m, rng)[0])
+
+
+def random_caches_lockstep(
+    count: int, M: int, gamma1: float, m: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(count, M) random caches, one candidate per incomplete row per round;
+    each round finds the incomplete rows by scanning all of them."""
+    if M > m:
+        raise InvalidParameterError("random caches need M <= m")
+    out = np.zeros((count, M), dtype=np.int64)
+    if M == 0 or count == 0:
+        return out
+    if M == m:
+        return np.tile(np.arange(1, m + 1, dtype=np.int64), (count, 1))
+    model = zipf_model(gamma1, m)
+    draws = _fill_draws(M, gamma1, m)
+    if draws > RANDOM_CACHE_MAX_DRAWS:
+        raise InvalidParameterError("random-zipf caches may need too many draws")
+    filled = np.zeros(count, dtype=np.int64)
+    while True:
+        rows = np.flatnonzero(filled < M)
+        if rows.size == 0:
+            return out
+        draws = sample_requests(model, rng, rows.size)
+        fresh = ~(out[rows] == draws[:, None]).any(axis=1)
+        hit = rows[fresh]
+        out[hit, filled[hit]] = draws[fresh]
+        filled[hit] += 1
+
+
+def expected_active_by_k(scenario, pop) -> ClusterStats:
+    """The analytic model's expectation, one all-miss product per occupancy."""
+    side, _ = grid_side(scenario.r, exact=True)
+    K = side * side
+    n, M, m = scenario.n, scenario.M, scenario.m
+    if M == 0 or n < 2:
+        return ClusterStats(expected_active=0.0, stderr=0.0, K=K)
+    cdf0 = np.concatenate([[0.0], pop.cdf])
+    ks = np.arange(2, n + 1)
+    pk = _binomial_pmf(n, 1.0 / K, ks)
+    kept = pk >= 1e-18
+    total = 0.0
+    for k, weight in zip(ks[kept].tolist(), pk[kept].tolist()):
+        head = cdf0[min(k * M, m)]
+        j = np.arange(1, k + 1)
+        lo = np.minimum((j - 1) * M, m)
+        hi = np.minimum(j * M, m)
+        q = head - (cdf0[hi] - cdf0[lo])
+        total += weight * (1.0 - float(np.prod(1.0 - q)))
+    return ClusterStats(expected_active=K * total, stderr=0.0, K=K)
 
 
 def cluster_active(caches, requests) -> bool:

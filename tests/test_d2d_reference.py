@@ -1,16 +1,17 @@
-"""The `d2d-clusters` benchmark's two Monte Carlo sweeps at CLI seed 0, byte
-for byte.
+"""The `d2d-clusters` benchmark's three calls at CLI seed 0, byte for byte.
 
-The expected CSVs are the stored benchmark reference
-(`perfbench/reference/d2d-clusters.json`), read and never written here.  Any
-change to the `d2d-mc` stream, the chunking, the random-cache rejection rounds
-or the cluster scoring shows up as a changed byte.
+The expected CSVs of the two Monte Carlo sweeps are the stored benchmark
+reference (`perfbench/reference/d2d-clusters.json`), read and never written
+here.  Any change to the `d2d-mc` stream, the chunking, the request sampler,
+the random-cache rejection rounds or the cluster scoring shows up as a
+changed byte.
 
-The reference's third call, `scaling-check`, is left out: its rows are
-analytic, and computing the binomial probabilities in log space instead of
-with `scipy.stats` moved them on purpose, by up to about 4e-12 relative, so
-its stored CSV no longer matches byte for byte (the benchmark checks those
-values to 1e-9).
+The third call, `scaling-check`, is analytic, so its CSV does not depend on
+the seed.  Its stored reference is older: computing the binomial
+probabilities in log space instead of with `scipy.stats` moved its rows on
+purpose, by up to about 4e-12 relative (the benchmark checks those values to
+1e-9).  The CSV pinned below is the one the per-occupancy sum of the
+analytic model wrote in log space; the blocked products keep every byte.
 """
 
 import json
@@ -27,6 +28,16 @@ CALLS = [
     ["sweep-gamma1", "--M", "4", "--gamma1-values", "0,0.25,0.5,0.75,1,1.25,1.5,2",
      "--r-values", "1/5,1/10", "--reps", "250"],
 ]
+SCALING_CALL = ["scaling-check", "--n-values", "250,500,1000,2000,4000,8000"]
+SCALING_CSV = """\
+n,m,r,K,mean_active,ratio,stderr,mode
+250,276,0.1,100,53.39436644551995,0.2135774657820798,0.0,analytic
+500,311,0.07142857142857142,196,106.6069672681395,0.213213934536279,0.0,analytic
+1000,345,0.05,400,212.82750307866735,0.21282750307866735,0.0,analytic
+2000,380,0.03571428571428571,784,425.33672861304655,0.21266836430652328,0.0,analytic
+4000,415,0.02564102564102564,1521,849.871531761209,0.21246788294030225,0.0,analytic
+8000,449,0.017857142857142856,3136,1698.568757596753,0.21232109469959412,0.0,analytic
+"""
 
 
 def test_d2d_sweeps_match_the_stored_reference(tmp_path):
@@ -37,3 +48,11 @@ def test_d2d_sweeps_match_the_stored_reference(tmp_path):
         assert cli.main([*argv, "--seed", "0", "--out", str(out)]) == 0
         expected = reference["seeds"]["0"]["csv"][k].encode("utf-8")
         assert out.read_bytes() == expected
+
+
+def test_scaling_check_matches_the_pinned_csv(tmp_path):
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    assert reference["calls"][len(CALLS)] == SCALING_CALL
+    out = tmp_path / "scaling.csv"
+    assert cli.main([*SCALING_CALL, "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_bytes() == SCALING_CSV.encode("utf-8")

@@ -9,6 +9,8 @@ from scipy.stats import chisquare
 from helpercache import rng as hrng
 from helpercache.errors import InsufficientDataError, InvalidParameterError
 from helpercache.popularity import (
+    _GUIDE,
+    _SAMPLE_BLOCK,
     MAX_CATALOG,
     RequestTrace,
     catalog_size,
@@ -104,6 +106,77 @@ def test_sampling_deterministic_per_seed():
     a = sample_requests(model, hrng.stream(5, "dup"), 1000)
     b = sample_requests(model, hrng.stream(5, "dup"), 1000)
     np.testing.assert_array_equal(a, b)
+
+
+def _search_ranks(model, u):
+    """The inverse-CDF rank by binary search, which the sampler must equal."""
+    return np.searchsorted(model.cdf, u, side="right").astype(np.int64) + 1
+
+
+class _FixedUniforms:
+    """Stands in for a Generator and hands out given uniforms in order."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+        self.used = 0
+
+    def random(self, size):
+        out = self.u[self.used : self.used + size].copy()
+        assert out.size == size
+        self.used += size
+        return out
+
+
+# gamma=0 with m a power of two puts every cdf breakpoint on a bucket edge;
+# zipf(3, 1e5) has cdf entries above 1.0 before its last rank, which is 1.0.
+GUIDE_MODELS = [(0.0, 1024), (0.0, 1), (0.7, 1), (3.0, 50), (0.6, 1000), (3.0, 100_000)]
+
+
+@pytest.mark.parametrize("gamma,m", GUIDE_MODELS)
+def test_sampler_equals_binary_search_on_edge_uniforms(gamma, m):
+    model = zipf_model(gamma, m)
+    points = np.concatenate([np.arange(_GUIDE) / _GUIDE, model.cdf[model.cdf < 1.0]])
+    u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert u.size > _SAMPLE_BLOCK
+    source = _FixedUniforms(u)
+    ranks = sample_requests(model, source, u.size)
+    assert source.used == u.size
+    assert ranks.dtype == np.int64
+    assert np.array_equal(ranks, _search_ranks(model, u))
+
+
+@pytest.mark.parametrize("gamma,m", GUIDE_MODELS)
+def test_guide_bounds_are_the_counts_at_bucket_ends(gamma, m):
+    model = zipf_model(gamma, m)
+    lo, hi = model._guide
+    edges = np.arange(_GUIDE + 1) / _GUIDE
+    assert np.array_equal(lo, np.searchsorted(model.cdf, edges[:-1], side="right"))
+    assert np.array_equal(hi, np.searchsorted(model.cdf, edges[1:], side="left"))
+    assert lo.dtype == hi.dtype == np.min_scalar_type(m)
+
+
+def test_steep_catalog_passes_one_before_its_last_rank():
+    cdf = zipf_model(3.0, 100_000).cdf
+    assert cdf[-1] == 1.0
+    assert (cdf[:-1] > 1.0).any()
+
+
+def test_guide_bounds_agree_when_breakpoints_are_bucket_edges():
+    lo, hi = zipf_model(0.0, 1024)._guide
+    assert np.array_equal(lo, hi)
+
+
+@pytest.mark.parametrize("gamma,m", [(0.0, 1024), (1.5, 1), (0.6, 1000), (3.0, 100_000)])
+@pytest.mark.parametrize(
+    "size", [0, 1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 2 * _SAMPLE_BLOCK + 5]
+)
+def test_sampler_reads_one_uniform_per_rank(gamma, m, size):
+    model = zipf_model(gamma, m)
+    rng, twin = hrng.stream(4, "guide", size), hrng.stream(4, "guide", size)
+    ranks = sample_requests(model, rng, size)
+    assert np.array_equal(ranks, _search_ranks(model, twin.random(size)))
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_catalog_size_values():
