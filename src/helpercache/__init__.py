@@ -20,8 +20,6 @@ from .errors import (
 )
 from .macro_sim import (
     MacroConfig,
-    SimOutcome,
-    simulate_snapshot,
     sweep_capacity,
     sweep_helper_count,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "MacroConfig",
     "PopularityModel",
     "RequestTrace",
-    "SimOutcome",
     "UncodedPlacement",
     "brute_force_place",
     "build_connectivity",
@@ -91,7 +88,6 @@ __all__ = [
     "sample_requests",
     "scaling_check",
     "simulate_active_clusters",
-    "simulate_snapshot",
     "solve_grouped",
     "stream",
     "sweep_capacity",

@@ -38,6 +38,10 @@ RANDOM_CACHE_MAX_DRAWS = 1e4
 # the input is refused; at about 0.2 us a draw (2-core Xeon) that is under two
 # minutes of filling.
 RANDOM_RUN_MAX_DRAWS = 5e8
+# Users per cell above which a scenario is refused.  A run's peak memory
+# grows linearly with n, by about 105 bytes per user in Monte Carlo and 55
+# analytically (reps=1), so the cap keeps a run near 1 GB.
+MAX_USERS = 10**7
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,10 @@ class D2DScenario:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParameterError("n must be >= 1")
+        if self.n > MAX_USERS:
+            raise InvalidParameterError(
+                f"n={self.n} users exceeds the cap of {MAX_USERS}"
+            )
         if self.m < 1:
             raise InvalidParameterError("m must be >= 1")
         if self.M < 0:
@@ -209,7 +217,10 @@ def expected_active_analytic(
         raise InvalidParameterError("popularity catalog must match the scenario")
     side, _ = grid_side(scenario.r, exact=True)
     K = side * side
-    n, M, m = scenario.n, scenario.M, scenario.m
+    # min(kM, m) == min(k min(M, m), m) for k >= 1, and the capped products
+    # cannot overflow int64.
+    n, m = scenario.n, scenario.m
+    M = min(scenario.M, m)
     if M == 0 or n < 2:
         return ClusterStats(expected_active=0.0, stderr=0.0, K=K)
     cdf0 = np.concatenate([[0.0], pop.cdf])
@@ -267,7 +278,8 @@ def _score_chunk(
 ) -> np.ndarray:
     """Active clusters per replication of one chunk's draws on a side x side
     cluster grid."""
-    n, m, M = scenario.n, scenario.m, scenario.M
+    n, m = scenario.n, scenario.m
+    M = min(scenario.M, m)  # caps block ends exactly, without int64 overflow
     K = side * side
     cell = np.minimum((pos[:, 0] * side).astype(np.int64), side - 1) * side
     cell += np.minimum((pos[:, 1] * side).astype(np.int64), side - 1)

@@ -14,10 +14,10 @@ fresh draws.  The `place` command and both sweeps go through these steps.
 
 A sweep draws each replication once and scores all its points on it: the
 replications' graphs are stacked, one stack per helper deployment, and each
-point is scored on a whole stack by one fetch-kernel call per group of
-replications of equal degree.  Stacks hold at most `_CHUNK_ELEMENTS`
+point is scored on a whole stack by one fetch-kernel call.  The kernel
+adds each user's helper time in a fixed order, so a replication scores the
+same in a stack as alone.  Stacks hold at most `_CHUNK_ELEMENTS`
 user-helper pairs, so memory stays bounded for any `reps`.
-`simulate_snapshot` scores a single graph the same way.
 
 Seed handling: every random draw comes from a named substream of the root
 seed (`helpers`, `plan-users`, and per-replication `eval-users` /
@@ -68,13 +68,6 @@ WHOLE_FILE_TOL = 1e-9
 _CHUNK_ELEMENTS = 1 << 18
 
 
-@dataclass(frozen=True, eq=False)
-class SimOutcome:
-    download_time: np.ndarray  # seconds, one entry per user
-    satisfied_count: int
-    helper_served_fraction: float
-
-
 def _deliver(
     graph: ConnectivityGraph, wanted: np.ndarray, file_bits: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -90,38 +83,6 @@ def _deliver(
     n_bs = graph.n_users - served.sum(axis=-1, keepdims=True)
     times = np.where(served, file_bits * helper, file_bits * n_bs / graph.bs_rate)
     return times, served
-
-
-def simulate_snapshot(
-    graph: ConnectivityGraph,
-    placement,
-    pop: PopularityModel,
-    file_bits: float,
-    qos_s: float,
-    rng: np.random.Generator,
-) -> SimOutcome:
-    """One request of `file_bits` per graph user; helpers serve what they
-    hold, the BS the rest; users done within `qos_s` seconds are satisfied.
-
-    A user is helper-served when the requested file is whole at some in-range
-    helper, or, for fractional placements, when the in-range fractions sum to
-    at least 1 (collected fastest helper first).  Helper links carry no load
-    penalty; the base station is shared equally among its users.
-    """
-    for name, value in (("file_bits", file_bits), ("qos_s", qos_s)):
-        if not math.isfinite(value) or value <= 0:
-            raise InvalidParameterError(f"{name} must be finite and > 0")
-    n = graph.n_users
-    rho = as_coded(placement, pop.m).rho
-    if rho.shape != (pop.m, graph.n_helpers):
-        raise InvalidParameterError("placement does not match the graph")
-    requests = sample_requests(pop, rng, n)
-    times, served = _deliver(graph, rho[requests - 1], file_bits)
-    return SimOutcome(
-        download_time=times,
-        satisfied_count=int((times <= qos_s).sum()),
-        helper_served_fraction=float(served.mean()) if n else 0.0,
-    )
 
 
 @dataclass(frozen=True)
@@ -233,19 +194,6 @@ class SweepPoint:
     stderr: float
 
 
-def _degree_groups(graph: ConnectivityGraph) -> list:
-    """A stacked graph split into `(indices, graph)` groups of equal degree.
-
-    Each replicate is then scored at its own degree, so its row sums are the
-    ones a graph of that replicate alone gives (see `fetch_fastest_first`).
-    """
-    degree = graph.degree
-    return [
-        (sel, ConnectivityGraph(graph.rates[sel], graph.bs_rate[sel]))
-        for sel in (np.flatnonzero(degree == d) for d in np.unique(degree))
-    ]
-
-
 def _satisfied_counts(
     points, config: MacroConfig, policy: str, reps: int, root_seed: int
 ) -> np.ndarray:
@@ -286,12 +234,10 @@ def _satisfied_counts(
             [sample_requests(pop, stream(root_seed, "requests", k), n) for k in ks]
         )
         for count, (helpers, _) in plans.items():
-            groups = _degree_groups(_cell_graph(helpers, users, config))
+            graph = _cell_graph(helpers, users, config)
             for i in (i for i, point in enumerate(points) if point[1] == count):
-                for sel, graph in groups:
-                    wanted = rho[i][requests[sel] - 1]
-                    times, _ = _deliver(graph, wanted, config.file_bits)
-                    satisfied[i, lo + sel] = (times <= config.qos_s).sum(axis=-1)
+                times, _ = _deliver(graph, rho[i][requests - 1], config.file_bits)
+                satisfied[i, lo : ks.stop] = (times <= config.qos_s).sum(axis=-1)
     return satisfied
 
 

@@ -214,19 +214,15 @@ class ConnectivityGraph:
             return np.where(self.rates > 0, 1.0 / self.rates, np.inf)
 
     @cached_property
-    def degree(self) -> np.ndarray:
-        """The most helpers any one user links to, per stacked draw."""
-        return (self.rates > 0).sum(axis=-1).max(axis=-1, initial=0)
-
-    @cached_property
     def fastest_first(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`(order, seconds_per_bit, linked)`, each `(..., n_users, degree)`.
 
         Each user's helpers by decreasing rate (ties by index), cut to the
-        largest degree in the whole graph, with their seconds per bit; columns
-        past a user's own links are unlinked and cost 0.
+        graph's degree (the most links any user of any stacked draw has),
+        with their seconds per bit; columns past a user's own links are
+        unlinked and cost 0.
         """
-        degree = int(np.max(self.degree, initial=0))
+        degree = int((self.rates > 0).sum(axis=-1).max(initial=0))
         order = np.argsort(-self.rates, axis=-1, kind="stable")[..., :degree]
         inv = np.take_along_axis(self.inv_rates, order, axis=-1)
         linked = np.isfinite(inv)
@@ -250,9 +246,9 @@ def fetch_fastest_first(
     fraction gathered from helpers, capped at 1, and the helper-side download
     time per file bit.  What the base station serves is the caller's rule.
 
-    Every user is padded to the degree of the whole graph.  numpy sums eight
-    or more terms pairwise, so a fractional row sum is bit-identical to that
-    of a narrower graph only if both graphs have the same degree.
+    Helper seconds are added left to right, fastest link first.  Every user
+    is padded to the degree of the whole graph, and a pad column adds exactly
+    0.0, so a user's sum does not depend on the graph it is scored in.
     """
     order, inv, linked = graph.fastest_first
     degree = order.shape[-1]
@@ -264,7 +260,11 @@ def fetch_fastest_first(
     cum = np.zeros(picked.shape[:-1] + (degree + 1,))
     cum[..., 1:] = np.where(linked, picked, 0.0)
     cum = np.clip(np.cumsum(cum, axis=-1), 0.0, 1.0)
-    return cum[..., -1], (np.diff(cum, axis=-1) * inv).sum(axis=-1)
+    steps = np.diff(cum, axis=-1) * inv
+    helper = np.zeros(steps.shape[:-1])
+    for k in range(degree):
+        helper += steps[..., k]
+    return cum[..., -1], helper
 
 
 def build_connectivity(

@@ -1,7 +1,7 @@
 """Expected-delay evaluators the tests score placements with.
 
 The simulator itself measures placements by Monte Carlo snapshots
-(`macro_sim.simulate_snapshot`); these closed forms average over the request
+(`macro_sim._satisfied_counts`); these closed forms average over the request
 distribution instead and serve as references for the placement policies.
 """
 

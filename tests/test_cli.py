@@ -13,6 +13,7 @@ import pytest
 import helpercache
 from helpercache import placement_coded
 from helpercache.cli import build_parser, main
+from helpercache.d2d import MAX_USERS
 from helpercache.errors import IterationLimitError, UnboundedProblemError
 from helpercache.popularity import (
     catalog_size,
@@ -420,6 +421,32 @@ class TestD2DCommands:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+    @pytest.mark.parametrize("mode", ["analytic", "mc"])
+    def test_cache_size_past_the_catalog_acts_as_the_catalog(self, capsys, mode):
+        # At M=1e18 a cluster's k*M overflows int64; only min(M, m) matters.
+        def mean_active(r, M):
+            code, out, _ = run_cli(
+                capsys,
+                "simulate-d2d", "--r", r, "--M", M, "--n", "50", "--m", "40",
+                "--reps", "20", "--mode", mode,
+            )
+            assert code == 0
+            header, rows = csv_rows(out)
+            return float(dict(zip(header, rows[0]))["mean_active"])
+
+        huge = str(10**18)
+        # One cluster whose first user caches the whole catalog is active.
+        assert mean_active("1", huge) == 1.0
+        if mode == "analytic":
+            assert mean_active("1/10", huge) == mean_active("1/10", "40")
+
+    def test_population_past_the_cap_exits_two(self, capsys):
+        code, _, err = run_cli(
+            capsys, "simulate-d2d", "--n", str(MAX_USERS + 1), "--reps", "1"
+        )
+        assert code == 2
+        assert f"n={MAX_USERS + 1}" in err
 
 
 class TestScalingCheck:

@@ -12,8 +12,13 @@ probabilities in log space instead of with `scipy.stats` moved its rows on
 purpose, by up to about 4e-12 relative (the benchmark checks those values to
 1e-9).  The CSV pinned below is the one the per-occupancy sum of the
 analytic model wrote in log space; the blocked products keep every byte.
+
+A small `scaling-check --mode mc` is pinned too, and checked against the
+analytic mode: same side per n, mean within 4 standard errors.
 """
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -56,3 +61,25 @@ def test_scaling_check_matches_the_pinned_csv(tmp_path):
     out = tmp_path / "scaling.csv"
     assert cli.main([*SCALING_CALL, "--seed", "0", "--out", str(out)]) == 0
     assert out.read_bytes() == SCALING_CSV.encode("utf-8")
+
+
+SCALING_MC_CSV = """\
+n,m,r,K,mean_active,ratio,stderr,mode
+60,205,0.2,25,12.83,0.21383333333333335,0.08914941978285135,mc
+120,239,0.14285714285714285,49,25.44,0.21200000000000002,0.12476946159363642,mc
+"""
+
+
+def test_scaling_check_mc_picks_the_analytic_side(tmp_path):
+    rows = {}
+    for mode in ("mc", "analytic"):
+        out = tmp_path / f"{mode}.csv"
+        argv = ["scaling-check", "--mode", mode, "--n-values", "60,120", "--reps", "400"]
+        assert cli.main([*argv, "--seed", "0", "--out", str(out)]) == 0
+        rows[mode] = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
+    assert (tmp_path / "mc.csv").read_bytes() == SCALING_MC_CSV.encode("utf-8")
+    assert len(rows["mc"]) == len(rows["analytic"]) == 2
+    for mc, exact in zip(rows["mc"], rows["analytic"]):
+        assert (mc["n"], mc["r"], mc["K"]) == (exact["n"], exact["r"], exact["K"])
+        z = (float(mc["mean_active"]) - float(exact["mean_active"])) / float(mc["stderr"])
+        assert abs(z) < 4.0

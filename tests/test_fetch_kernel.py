@@ -10,9 +10,10 @@ below or just above one.
 import numpy as np
 import pytest
 from delays import evaluate_coded_delay, evaluate_delay
+from snapshot import simulate_snapshot
 
 from helpercache import rng as hrng
-from helpercache.macro_sim import WHOLE_FILE_TOL, simulate_snapshot
+from helpercache.macro_sim import WHOLE_FILE_TOL
 from helpercache.placement_coded import CodedPlacement, as_coded
 from helpercache.placement_uncoded import UncodedPlacement
 from helpercache.popularity import sample_requests, zipf_model
@@ -197,3 +198,35 @@ def test_kernel_shapes_and_unlinked_users():
     collected, seconds = fetch_fastest_first(graph, np.broadcast_to(rho, (2, 2, 3)))
     assert collected.shape == seconds.shape == (2, 2)
     np.testing.assert_allclose(collected, [[0.5, 1.0], [0.0, 0.0]], rtol=1e-15)
+
+
+def left_to_right_seconds(rates, fractions):
+    """Helper seconds per bit of one user, added one link at a time."""
+    linked = np.flatnonzero(rates > 0)
+    order = linked[np.argsort(-rates[linked], kind="stable")]
+    cum = took = total = 0.0
+    for h in order:
+        cum += fractions[h]
+        now = min(cum, 1.0)
+        total += (now - took) * (1.0 / rates[h])
+        took = now
+    return total
+
+
+def test_helper_seconds_add_left_to_right_whatever_the_padding():
+    # Fractional rows over 8 to 12 links, padded to 12 and then widened by
+    # unlinked helpers: a pairwise sum would move some rows by an ulp.
+    rng = hrng.stream(43, "left-to-right")
+    n, degree = 400, 12
+    links = rng.integers(8, degree + 1, n)
+    rates = rng.uniform(1e6, 3e7, (n, degree))
+    rates[np.arange(degree) >= links[:, None]] = 0.0
+    fractions = rng.uniform(0.01, 0.12, (n, degree))
+    want = [left_to_right_seconds(rates[u], fractions[u]) for u in range(n)]
+    bs = np.full(n, 2e6)
+    for extra in (0, 3):
+        wide = np.hstack([rates, np.zeros((n, extra))])
+        graph = ConnectivityGraph(rates=wide, bs_rate=bs)
+        padded = np.hstack([fractions, rng.uniform(0.0, 0.5, (n, extra))])
+        _, seconds = fetch_fastest_first(graph, padded)
+        assert seconds.tolist() == want

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from delays import delay_savings
+from snapshot import simulate_snapshot
 
 from helpercache.errors import InvalidParameterError
 from helpercache.macro_sim import (
@@ -11,7 +12,6 @@ from helpercache.macro_sim import (
     experiment_popularity,
     make_placement,
     plan_deployment,
-    simulate_snapshot,
     sweep_capacity,
     sweep_helper_count,
 )

@@ -40,3 +40,22 @@ def test_no_module_imports_a_private_name_from_a_sibling(tmp_path):
     assert len(modules) > 5
     found = [hit for path in modules for hit in _private_sibling_imports(path)]
     assert found == []
+
+
+def _names_read(path: Path) -> set[str]:
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_every_export_is_read_by_the_library():
+    # The package ships what its own modules use; a helper that only tests
+    # call lives under tests/.
+    modules = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    assert len(modules) > 5
+    read = set().union(*(_names_read(path) for path in modules))
+    assert sorted(set(helpercache.__all__) - read) == []
