@@ -19,6 +19,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,15 +145,17 @@ def _random_caches(
     draw for the incomplete rows, kept in row order as they shrink.
 
     When `_fill_draws` exceeds RANDOM_CACHE_MAX_DRAWS the rounds could run
-    for hours, so the input is refused before any draw.
+    for hours, so the input is refused before any draw.  Ranks are held in
+    the narrowest unsigned dtype that holds m.
     """
     if M > m:
         raise InvalidParameterError("random caches need M <= m")
-    out = np.zeros((count, M), dtype=np.int64)
+    dtype = np.min_scalar_type(m)
+    out = np.zeros((count, M), dtype=dtype)
     if M == 0 or count == 0:
         return out
     if M == m:
-        return np.tile(np.arange(1, m + 1, dtype=np.int64), (count, 1))
+        return np.tile(np.arange(1, m + 1, dtype=dtype), (count, 1))
     model = zipf_model(gamma1, m)
     draws = _fill_draws(M, gamma1, m)
     if draws > RANDOM_CACHE_MAX_DRAWS:
@@ -163,14 +166,20 @@ def _random_caches(
         )
     filled = np.zeros(count, dtype=np.int64)
     for t in range(M):
-        draws = sample_requests(model, rng, count)
-        hit = np.flatnonzero(~(out[:, :t] == draws[:, None]).any(axis=1))
+        draws = sample_requests(model, rng, count).astype(dtype)
+        fresh = np.ones(count, dtype=bool)
+        for column in out.T[:t]:
+            fresh &= column != draws
+        hit = np.flatnonzero(fresh)
         out[hit, filled[hit]] = draws[hit]
         filled[hit] += 1
     rows = np.flatnonzero(filled < M)
     while rows.size:
-        draws = sample_requests(model, rng, rows.size)
-        fresh = ~(out[rows] == draws[:, None]).any(axis=1)
+        draws = sample_requests(model, rng, rows.size).astype(dtype)
+        held = out[rows].T
+        fresh = held[0] != draws
+        for column in held[1:]:
+            fresh &= column != draws
         hit = rows[fresh]
         out[hit, filled[hit]] = draws[fresh]
         filled[hit] += 1
@@ -244,78 +253,171 @@ def expected_active_analytic(
     return ClusterStats(expected_active=K * total, stderr=0.0, K=K)
 
 
+class _Chunk(NamedTuple):
+    """One chunk's draws, in the forms that every cluster grid scores.
+
+    Position columns are contiguous and `rep` is each user's replication.
+    Deterministic caches keep only `block`, the cache block ceil(req / M)
+    that holds each request; random caches keep the requests, the caches and
+    whether each user holds its own request.  Ranks and blocks are in the
+    narrowest unsigned dtype that holds m.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    rep: np.ndarray
+    block: np.ndarray | None
+    requests: np.ndarray | None
+    caches: np.ndarray | None
+    own: np.ndarray | None
+
+
 def _draw_chunk(
     scenario: D2DScenario,
     pop: PopularityModel,
     rng: np.random.Generator,
     reps: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+) -> _Chunk:
     """One chunk's draws in stream order: user positions, then caches (random
-    strategy only), then one request per user.
-
-    Returns positions, requests, caches and, for random caches, whether each
-    user holds its own request.  None of them depends on r.
-    """
-    total = reps * scenario.n
-    pos = rng.random((total, 2))
-    caches = own = None
+    strategy only), then one request per user.  None of them depends on r."""
+    n, m = scenario.n, scenario.m
+    total = reps * n
+    x, y = rng.random((total, 2)).T.copy()
+    rep = np.repeat(np.arange(reps, dtype=np.min_scalar_type(reps - 1)), n)
     if scenario.strategy == "random-zipf":
-        caches = _random_caches(total, scenario.M, scenario.gamma1, scenario.m, rng)
+        caches = _random_caches(total, scenario.M, scenario.gamma1, m, rng)
+        requests = sample_requests(pop, rng, total).astype(caches.dtype)
+        own = np.zeros(total, dtype=bool)
+        for column in caches.T:
+            own |= column == requests
+        return _Chunk(x, y, rep, None, requests, caches, own)
     requests = sample_requests(pop, rng, total)
-    if caches is not None:
-        own = (caches == requests[:, None]).any(axis=1)
-    return pos, requests, caches, own
+    M = min(scenario.M, m)
+    block = None
+    if M:
+        block = requests - 1
+        block //= M
+        block += 1
+        block = block.astype(np.min_scalar_type(m))
+    return _Chunk(x, y, rep, block, None, None, None)
+
+
+def _cells(x: np.ndarray, y: np.ndarray, side: int) -> tuple[np.ndarray, int]:
+    """Each user's cell on a side x side grid, and the number of cell labels.
+
+    The label cx * side + cy is built in the narrowest unsigned dtype that
+    holds K - 1.  A grid of more than 2^64 cells fits no dtype; its occupied
+    cells are labelled 0, 1, ... instead, which groups users the same way.
+    """
+    K = side * side
+    if K <= 1 << 64:
+        dtype = np.min_scalar_type(K - 1)
+        cell = np.minimum((x * side).astype(dtype), side - 1)
+        cell *= side
+        cell += np.minimum((y * side).astype(dtype), side - 1)
+        return cell, K
+    xy = np.minimum(np.floor(np.column_stack((x, y)) * side), side - 1)
+    labels, cell = np.unique(xy, axis=0, return_inverse=True)
+    return cell.ravel(), len(labels)
 
 
 def _score_chunk(
-    scenario: D2DScenario,
-    pos: np.ndarray,
-    requests: np.ndarray,
-    caches: np.ndarray | None,
-    own: np.ndarray | None,
-    reps: int,
-    side: int,
+    scenario: D2DScenario, chunk: _Chunk, reps: int, side: int
 ) -> np.ndarray:
     """Active clusters per replication of one chunk's draws on a side x side
-    cluster grid."""
-    n, m = scenario.n, scenario.m
-    M = min(scenario.M, m)  # caps block ends exactly, without int64 overflow
-    K = side * side
-    cell = np.minimum((pos[:, 0] * side).astype(np.int64), side - 1) * side
-    cell += np.minimum((pos[:, 1] * side).astype(np.int64), side - 1)
+    cluster grid.
 
-    # Users arrive rep-major, so a stable sort on the cell alone orders them
-    # by (cell, rep) and keeps arrival order inside each cluster; the group id
-    # g = cell * reps + rep is then non-decreasing.  On keys of at most 16
-    # bits numpy sorts by radix.
-    order = np.argsort(cell.astype(np.min_scalar_type(K - 1)), kind="stable")
-    g = cell[order] * reps + order // n
-    starts = np.flatnonzero(np.concatenate([[True], g[1:] != g[:-1]]))
-    req = requests[order]
+    Deterministic caches: with M capped at m, the user of arrival rank j in
+    a cluster of k users holds block j, ranks (j-1)M+1 .. jM.  So a request
+    in block b = ceil(req / M) is held by another member iff b <= k and
+    b != j; because req <= m, this is exactly the rule on the capped ranges
+    min(kM, m) and (min((j-1)M, m), min(jM, m)].  Users arrive rep-major, so
+    a stable sort on the cell alone orders them by (cell, rep) and keeps
+    arrival order inside each cluster, which gives j and k.  Cells are in
+    the narrowest unsigned dtype that holds K - 1, which numpy sorts by radix
+    up to 16 bits.
 
-    if scenario.strategy == "deterministic":
-        # Rank within the cluster decides which contiguous block a user holds.
-        sizes = np.diff(np.append(starts, g.size))
-        j = np.arange(g.size) - np.repeat(starts, sizes) + 1
-        k = np.repeat(sizes, sizes)
-        head = np.minimum(k * M, m)
-        own_lo = np.minimum((j - 1) * M, m)
-        own_hi = np.minimum(j * M, m)
-        active = (req <= head) & ~((req > own_lo) & (req <= own_hi))
+    Random caches are scored by `_score_random`, with no sort of the users.
+    """
+    if scenario.M == 0:
+        return np.zeros(reps)
+    cell, K = _cells(chunk.x, chunk.y, side)
+    if scenario.strategy == "random-zipf":
+        return _score_random(scenario, chunk, reps, cell, K)
+
+    total = cell.size
+    order = np.argsort(cell, kind="stable")
+    rep, b = chunk.rep[order], chunk.block[order]
+    cell = cell[order]
+    del order  # the largest temporary, freed before the peak
+    new = np.empty(total, dtype=bool)  # first user of each (cell, rep) group
+    new[0] = True
+    np.not_equal(cell[1:], cell[:-1], out=new[1:])
+    new[1:] |= rep[1:] != rep[:-1]
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=total)
+    active = b <= np.repeat(sizes.astype(np.min_scalar_type(scenario.n)), sizes)
+    head = np.repeat(starts, sizes)  # each user's group, by its first position
+    j = np.arange(1, total + 1)
+    j -= head
+    active &= b != j
+    head = head[active]
+    head = head[np.diff(head, prepend=-1) != 0]  # one entry per active group
+    return np.bincount(rep[head], minlength=reps).astype(float)
+
+
+def _score_random(
+    scenario: D2DScenario, chunk: _Chunk, reps: int, cell: np.ndarray, K: int
+) -> np.ndarray:
+    """Active clusters per replication for random caches.
+
+    Each cache rank and each request becomes a key gid * (m + 1) + rank,
+    with group id gid = rep * K + cell.  A cache row holds distinct ranks, so
+    the requester's own copy is at most one of the group's copies of its
+    request: another user holds it iff the first matching key (the second,
+    when the requester holds it too) is there.  The requests are sorted with
+    the own bit below the key, so the lookups run in key order; two -1
+    sentinels end the keys.  A sorted request key names its group, so the
+    active groups come out sorted and are counted without an array of
+    reps * K.
+
+    Keys are int32 when 2 * reps * K * (m + 1) + 2 < 2^31 and int64
+    otherwise.  Where even int64 would overflow, the occupied (rep, cell)
+    pairs are numbered 0, 1, ... and serve as the group ids.
+    """
+    stride = scenario.m + 1
+    if 2 * reps * K * stride + 2 < 1 << 63:
+        gid = chunk.rep.astype(np.int64)
+        gid *= K
+        gid += cell.astype(np.int64)
+        groups, rep_of_group = reps * K, None
     else:
-        # A cache row holds distinct ranks, so the requester's own copy is at
-        # most one of the cluster's copies of its request: another user holds
-        # it iff the first matching key (the second, when the requester holds
-        # it too) is there.  Two -1 sentinels end the keys.
-        keys = np.sort((g[:, None] * (m + 1) + caches[order]).ravel())
-        req_keys = g * (m + 1) + req
-        first = np.searchsorted(keys, req_keys)
-        keys = np.append(keys, [-1, -1])
-        active = keys[first + own[order]] == req_keys
-
-    group_active = np.logical_or.reduceat(active, starts)
-    rep_of_group = g[starts] % reps
-    return np.bincount(rep_of_group[group_active], minlength=reps).astype(float)
+        pairs, gid = np.unique(
+            np.column_stack((chunk.rep, cell)), axis=0, return_inverse=True
+        )
+        gid = gid.ravel()
+        groups, rep_of_group = len(pairs), pairs[:, 0].astype(np.intp)
+    base = gid.astype(np.int32 if 2 * groups * stride + 2 < 1 << 31 else np.int64)
+    base *= stride
+    total, M = chunk.caches.shape
+    keys = np.empty(total * M + 2, dtype=base.dtype)
+    np.add(base[:, None], chunk.caches, out=keys[:-2].reshape(total, M))
+    keys[:-2].sort()
+    keys[-2:] = -1
+    asked = base  # reused in place, which keeps the key dtype
+    asked += chunk.requests
+    asked <<= 1
+    asked |= chunk.own
+    asked.sort()
+    own = asked & 1
+    asked >>= 1
+    first = np.searchsorted(keys[:-2], asked)
+    first += own
+    held = asked[keys[first] == asked]
+    held //= stride  # group ids of the active users, sorted
+    held = held[np.diff(held, prepend=-1) != 0]
+    rep = held // K if rep_of_group is None else rep_of_group[held]
+    return np.bincount(rep, minlength=reps).astype(float)
 
 
 def simulate_active_clusters(
@@ -330,7 +432,9 @@ def simulate_active_clusters(
 
     Draw order per replication batch: user positions, then caches (random
     strategy only), then one request per user.  Batching is sized by a fixed
-    element budget so results per replication do not depend on `reps`.
+    element budget of n * min(M, m) per replication, so results per
+    replication do not depend on `reps`, and a cache size past the catalog
+    draws what M = m draws.
     Random caches whose fill may need more than RANDOM_RUN_MAX_DRAWS expected
     draws over the whole run are refused before the first draw.
 
@@ -366,7 +470,7 @@ def simulate_active_clusters(
                 f"{draws:.3g} for {scenario.n} devices over reps={reps} (limit "
                 f"{RANDOM_RUN_MAX_DRAWS:g}); lower gamma1, M or reps"
             )
-    per_rep = scenario.n * max(scenario.M, 1)
+    per_rep = scenario.n * max(min(scenario.M, scenario.m), 1)
     chunk = max(1, _CHUNK_ELEMENTS // per_rep)
     counts = np.empty((len(sides), reps))
     done = 0
@@ -374,7 +478,7 @@ def simulate_active_clusters(
         take = min(chunk, reps - done)
         drawn = _draw_chunk(scenario, pop, rng, take)
         for row, side in zip(counts, sides):
-            row[done : done + take] = _score_chunk(scenario, *drawn, take, side)
+            row[done : done + take] = _score_chunk(scenario, drawn, take, side)
         done += take
     stats = [
         ClusterStats(

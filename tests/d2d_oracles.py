@@ -5,9 +5,12 @@ replications; the one-cluster forms spell the caching rules and the activity
 rule out user by user.  `sweep_row` is the point-by-point sweep the grouped
 sweeps replaced: every Monte Carlo point opens its own stream and redraws it,
 and its chunks are scored by the former kernel, which sorts users by
-`rep * K + cell`.  `random_caches_lockstep` fills random caches by rescanning
-every row for the incomplete ones each round, and `expected_active_by_k`
-sums the analytic model one occupancy at a time.
+`rep * K + cell`.  `draw_chunk` and `score_chunk` are the former chunk draw
+and scorer, which gathered int64 ranks and keys for every grid side, and
+`simulate_chunks` runs them like `simulate_active_clusters`.
+`random_caches_lockstep` fills random caches by rescanning every row for the
+incomplete ones each round, and `expected_active_by_k` sums the analytic
+model one occupancy at a time.
 """
 
 import math
@@ -18,6 +21,7 @@ from helpercache import d2d
 from helpercache.d2d import (
     RANDOM_CACHE_MAX_DRAWS,
     ClusterStats,
+    D2DScenario,
     D2DSweepRow,
     _binomial_pmf,
     _fill_draws,
@@ -26,7 +30,7 @@ from helpercache.d2d import (
     grid_side,
 )
 from helpercache.errors import InvalidParameterError
-from helpercache.popularity import sample_requests, zipf_model
+from helpercache.popularity import PopularityModel, sample_requests, zipf_model
 from helpercache.rng import stream
 
 
@@ -64,11 +68,11 @@ def random_caches_lockstep(
     each round finds the incomplete rows by scanning all of them."""
     if M > m:
         raise InvalidParameterError("random caches need M <= m")
-    out = np.zeros((count, M), dtype=np.int64)
+    out = np.zeros((count, M), dtype=np.min_scalar_type(m))
     if M == 0 or count == 0:
         return out
     if M == m:
-        return np.tile(np.arange(1, m + 1, dtype=np.int64), (count, 1))
+        return np.tile(np.arange(1, m + 1, dtype=out.dtype), (count, 1))
     model = zipf_model(gamma1, m)
     draws = _fill_draws(M, gamma1, m)
     if draws > RANDOM_CACHE_MAX_DRAWS:
@@ -159,10 +163,109 @@ def chunk_counts_by_gid(scenario, pop, rng, reps, side):
     return np.bincount(rep_of_group[group_active], minlength=reps).astype(float)
 
 
+def draw_chunk(
+    scenario: D2DScenario,
+    pop: PopularityModel,
+    rng: np.random.Generator,
+    reps: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """One chunk's draws in stream order: user positions, then caches (random
+    strategy only), then one request per user.
+
+    Returns positions, requests, caches and, for random caches, whether each
+    user holds its own request.  None of them depends on r.
+    """
+    total = reps * scenario.n
+    pos = rng.random((total, 2))
+    caches = own = None
+    if scenario.strategy == "random-zipf":
+        caches = _random_caches(total, scenario.M, scenario.gamma1, scenario.m, rng)
+    requests = sample_requests(pop, rng, total)
+    if caches is not None:
+        own = (caches == requests[:, None]).any(axis=1)
+    return pos, requests, caches, own
+
+
+def score_chunk(
+    scenario: D2DScenario,
+    pos: np.ndarray,
+    requests: np.ndarray,
+    caches: np.ndarray | None,
+    own: np.ndarray | None,
+    reps: int,
+    side: int,
+) -> np.ndarray:
+    """Active clusters per replication of one chunk's draws on a side x side
+    cluster grid."""
+    n, m = scenario.n, scenario.m
+    M = min(scenario.M, m)  # caps block ends exactly, without int64 overflow
+    K = side * side
+    cell = np.minimum((pos[:, 0] * side).astype(np.int64), side - 1) * side
+    cell += np.minimum((pos[:, 1] * side).astype(np.int64), side - 1)
+
+    # Users arrive rep-major, so a stable sort on the cell alone orders them
+    # by (cell, rep) and keeps arrival order inside each cluster; the group id
+    # g = cell * reps + rep is then non-decreasing.  On keys of at most 16
+    # bits numpy sorts by radix.
+    order = np.argsort(cell.astype(np.min_scalar_type(K - 1)), kind="stable")
+    g = cell[order] * reps + order // n
+    starts = np.flatnonzero(np.concatenate([[True], g[1:] != g[:-1]]))
+    req = requests[order]
+
+    if scenario.strategy == "deterministic":
+        # Rank within the cluster decides which contiguous block a user holds.
+        sizes = np.diff(np.append(starts, g.size))
+        j = np.arange(g.size) - np.repeat(starts, sizes) + 1
+        k = np.repeat(sizes, sizes)
+        head = np.minimum(k * M, m)
+        own_lo = np.minimum((j - 1) * M, m)
+        own_hi = np.minimum(j * M, m)
+        active = (req <= head) & ~((req > own_lo) & (req <= own_hi))
+    else:
+        # A cache row holds distinct ranks, so the requester's own copy is at
+        # most one of the cluster's copies of its request: another user holds
+        # it iff the first matching key (the second, when the requester holds
+        # it too) is there.  Two -1 sentinels end the keys.
+        keys = np.sort((g[:, None] * (m + 1) + caches[order]).ravel())
+        req_keys = g * (m + 1) + req
+        first = np.searchsorted(keys, req_keys)
+        keys = np.append(keys, [-1, -1])
+        active = keys[first + own[order]] == req_keys
+
+    group_active = np.logical_or.reduceat(active, starts)
+    rep_of_group = g[starts] % reps
+    return np.bincount(rep_of_group[group_active], minlength=reps).astype(float)
+
+
+def simulate_chunks(scenario, pop, rng, reps, r_values):
+    """`simulate_active_clusters` with `r_values`, each chunk drawn by
+    `draw_chunk` and scored by `score_chunk`."""
+    sides = [grid_side(r, exact=False)[0] for r in r_values]
+    per_rep = scenario.n * max(min(scenario.M, scenario.m), 1)
+    chunk = max(1, d2d._CHUNK_ELEMENTS // per_rep)
+    counts = np.empty((len(sides), reps))
+    done = 0
+    while done < reps:
+        take = min(chunk, reps - done)
+        drawn = draw_chunk(scenario, pop, rng, take)
+        for row, side in zip(counts, sides):
+            row[done : done + take] = score_chunk(scenario, *drawn, take, side)
+        done += take
+    return [
+        ClusterStats(
+            expected_active=float(row.mean()),
+            stderr=float(row.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0,
+            K=side * side,
+        )
+        for row, side in zip(counts, sides)
+    ]
+
+
 def simulate_by_gid(scenario, pop, rng, reps):
     """Monte Carlo of one point, chunked by the library's element budget."""
     side, _ = grid_side(scenario.r, exact=False)
-    chunk = max(1, d2d._CHUNK_ELEMENTS // (scenario.n * max(scenario.M, 1)))
+    per_rep = scenario.n * max(min(scenario.M, scenario.m), 1)
+    chunk = max(1, d2d._CHUNK_ELEMENTS // per_rep)
     counts = np.empty(reps)
     done = 0
     while done < reps:

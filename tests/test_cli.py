@@ -441,6 +441,36 @@ class TestD2DCommands:
         if mode == "analytic":
             assert mean_active("1/10", huge) == mean_active("1/10", "40")
 
+    def test_cache_size_past_the_catalog_keeps_the_monte_carlo_stream(self, capsys):
+        # Chunks are sized by min(M, m), so every M >= m draws one stream.
+        outs = []
+        for M in ("1000", str(10**17)):
+            code, out, _ = run_cli(
+                capsys,
+                "simulate-d2d", "--r", "1/10", "--mode", "mc", "--reps", "50", "--M", M,
+            )
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert csv_rows(outs[0])[1][0][3] == "95.88"
+
+    @pytest.mark.parametrize(
+        "strategy, gamma1",
+        [([], ""), (["--strategy", "random-zipf", "--gamma1", "0.5"], "0.5")],
+        ids=["deterministic", "random-zipf"],
+    )
+    def test_grid_of_more_than_2_64_cells(self, capsys, strategy, gamma1):
+        # r = 1e-10 makes K = 1e20 clusters, whose labels fit no integer dtype.
+        code, out, _ = run_cli(
+            capsys,
+            "simulate-d2d", "--mode", "mc", "--n", "50", "--m", "20", "--reps", "20",
+            "--r", "1e-10", *strategy,
+        )
+        assert code == 0
+        assert csv_rows(out)[1] == [
+            ["1e-10", "0.6", gamma1, "0.0", "0.0", str(10**20), "mc"]
+        ]
+
     def test_population_past_the_cap_exits_two(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate-d2d", "--n", str(MAX_USERS + 1), "--reps", "1"

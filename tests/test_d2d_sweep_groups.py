@@ -194,7 +194,7 @@ def test_wide_cell_keys_match_the_gid_sort(make):
     sc = make(n=20_000, M=1, r=1 / side)
     pop = sc.popularity()
     draws = _draw_chunk(sc, pop, stream(8, "wide"), 3)
-    got = _score_chunk(sc, *draws, 3, side)
+    got = _score_chunk(sc, draws, 3, side)
     want = chunk_counts_by_gid(sc, pop, stream(8, "wide"), 3, side)
     np.testing.assert_array_equal(got, want)
     assert got.sum() > 0
