@@ -70,6 +70,11 @@ class D2DScenario:
             raise InvalidParameterError("M must be >= 0")
         if not (0.0 < self.r <= 1.0):
             raise InvalidParameterError("r must lie in (0, 1]")
+        if not math.isfinite(1.0 / self.r):
+            raise InvalidParameterError(
+                f"r={self.r!r} is too small: its cluster grid, 1/r per edge, "
+                "is not finite"
+            )
         if not math.isfinite(self.gamma) or self.gamma < 0:
             raise InvalidParameterError("gamma must be finite and >= 0")
         if self.strategy not in STRATEGIES:

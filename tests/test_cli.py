@@ -316,6 +316,17 @@ class TestConfigLayering:
 
 
 class TestD2DCommands:
+    @pytest.mark.parametrize("mode", ["mc", "analytic"])
+    def test_r_with_infinite_inverse_exits_two(self, capsys, mode):
+        # 1/5e-324 overflows to inf, so no cluster grid exists for it.
+        code, out, err = run_cli(
+            capsys,
+            "simulate-d2d", "--mode", mode, "--n", "50", "--m", "20",
+            "--reps", "20", "--r", "5e-324",
+        )
+        assert code == 2 and out == ""
+        assert "r=5e-324" in err
+
     def test_simulate_d2d_analytic_row(self, capsys):
         code, out, _ = run_cli(
             capsys,

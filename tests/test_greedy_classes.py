@@ -1,22 +1,23 @@
-"""The class greedy of `greedy_steps` against the lazy greedy it replaced.
+"""The merged-segment greedy of `greedy_steps` against the heaps it replaced.
 
-`lazy_greedy_steps` below is the former body of `greedy_steps`, kept as the
-oracle: a heap of m x H upper bounds, one per (rank, helper) pair, re-queued
-until the popped bound is exact.  Both must return the same (helper, rank,
-gain) trajectory, compared with `==`.  Random instances mix gamma = 0 (every
-rank tied), tied link rates, duplicated helpers (equal coverage weights),
-helpers without users, and capacities from 0 past the catalog size.
+`greedy_oracles.class_greedy_steps` keeps one heap entry per class of ranks
+cached at the same helper set, and `greedy_oracles.lazy_greedy_steps` one
+entry per (rank, helper) pair.  Both must return the trajectory of
+`greedy_steps`, (helper, rank, gain) ties included, compared with `==`.
+Random instances mix gamma = 0 (every rank tied), tied link rates, duplicated
+helpers (equal coverage weights), helpers without users, and capacities from
+0 past the catalog size.
 """
 
-import heapq
-import math
+import tracemalloc
 
 import numpy as np
+from greedy_oracles import class_greedy_steps, lazy_greedy_steps
 
+from helpercache import placement_uncoded
 from helpercache import rng as hrng
-from helpercache.errors import InfeasiblePlacementError, InvalidParameterError
 from helpercache.macro_sim import MacroConfig, experiment_popularity, plan_deployment
-from helpercache.placement_uncoded import HelperSpecs, greedy_steps
+from helpercache.placement_uncoded import HelperSpecs, _clear_winner, greedy_steps
 from helpercache.popularity import zipf_model
 from helpercache.topology import ConnectivityGraph
 
@@ -24,54 +25,12 @@ from helpercache.topology import ConnectivityGraph
 RATE_LEVELS = np.array([2e6, 5e6, 5e6, 1.2e7, 3e7])
 GAMMAS = (0.0, 0.3, 0.8, 1.5, None)  # None: drawn from U(0, 1.5)
 
-
-def lazy_greedy_steps(graph, pop, specs, file_bits):
-    if specs.n_helpers != graph.n_helpers:
-        raise InfeasiblePlacementError("specs/graph helper counts differ")
-    if not math.isfinite(file_bits) or file_bits <= 0:
-        raise InvalidParameterError("file_bits must be finite and > 0")
-    n, m = graph.n_users, pop.m
-    if n == 0 or all(c == 0 for c in specs.capacities):
-        return []
-    users_of = [graph.users_of(h) for h in range(graph.n_helpers)]
-    edge_inv = [graph.inv_rates[users_of[h], h] for h in range(graph.n_helpers)]
-    cur_inv = np.repeat((1.0 / graph.bs_rate)[:, None], m, axis=1)
-
-    # With empty caches the gain of (f, h) factorizes as pmf[f] * base[h].
-    base = np.array(
-        [
-            float(np.maximum(0.0, 1.0 / graph.bs_rate[users_of[h]] - edge_inv[h]).sum())
-            for h in range(graph.n_helpers)
-        ]
-    )
-    heap = [
-        (-file_bits * pop.pmf[f - 1] * base[h], f, h)
-        for h in range(graph.n_helpers)
-        if specs.capacities[h] > 0 and users_of[h].size > 0
-        for f in range(1, m + 1)
-    ]
-    heapq.heapify(heap)
-
-    room = list(specs.capacities)
-    steps: list[tuple[int, int, float]] = []
-    while heap:
-        _, f, h = heapq.heappop(heap)
-        if room[h] == 0:
-            continue
-        col = cur_inv[users_of[h], f - 1]
-        gain = float(
-            file_bits * pop.pmf[f - 1] * np.maximum(0.0, col - edge_inv[h]).sum()
-        )
-        if heap and (-gain, f, h) > heap[0]:
-            # Stale bound: someone else may now be better.  Re-queue and retry.
-            heapq.heappush(heap, (-gain, f, h))
-            continue
-        if gain <= 0.0:
-            break
-        steps.append((h, f, gain))
-        cur_inv[users_of[h], f - 1] = np.minimum(col, edge_inv[h])
-        room[h] -= 1
-    return steps
+# The greedy calls of the benchmark's macro sweeps: `sweep-helpers` over its
+# helper counts at the default capacity, and `sweep-capacity` over its cache
+# sizes at 32 helpers.
+SWEEP_POINTS = [(c, 2000) for c in (0, 2, 4, 8, 10, 16, 24, 32)] + [
+    (32, cap) for cap in (0, 250, 500, 1000, 2000, 4000)
+]
 
 
 def random_instance(rng):
@@ -92,7 +51,15 @@ def random_instance(rng):
     return graph, zipf_model(gamma, m), HelperSpecs(caps)
 
 
-def test_class_greedy_equals_lazy_greedy_on_random_instances():
+def test_class_greedy_equals_lazy_greedy_on_random_instances(monkeypatch):
+    scored_alone = []
+    item_step = placement_uncoded._item_step
+
+    def counted(*args):
+        scored_alone.append(args)
+        return item_step(*args)
+
+    monkeypatch.setattr(placement_uncoded, "_item_step", counted)
     rng = hrng.stream(606, "greedy-classes")
     seen = {"gamma0": 0, "zero_cap": 0, "big_cap": 0, "idle_helper": 0}
     for _ in range(1200):
@@ -100,9 +67,9 @@ def test_class_greedy_equals_lazy_greedy_on_random_instances():
         # At 1e-316 the gains are subnormal and distinct coverage weights
         # can round to equal gains, which go to the lower helper index.
         for file_bits in (2.4e8, 1.0, 1e-316):
-            assert greedy_steps(graph, pop, specs, file_bits) == lazy_greedy_steps(
-                graph, pop, specs, file_bits
-            )
+            steps = greedy_steps(graph, pop, specs, file_bits)
+            assert steps == class_greedy_steps(graph, pop, specs, file_bits)
+            assert steps == lazy_greedy_steps(graph, pop, specs, file_bits)
         seen["gamma0"] += pop.gamma == 0.0
         seen["zero_cap"] += 0 in specs.capacities
         seen["big_cap"] += any(c > pop.m for c in specs.capacities)
@@ -110,6 +77,9 @@ def test_class_greedy_equals_lazy_greedy_on_random_instances():
             graph.users_of(h).size == 0 for h in range(graph.n_helpers)
         )
     assert min(seen.values()) >= 50, seen
+    # Items whose helper depends on the rank (no clear winner, or a gain that
+    # is not a normal float) take the per-item path.
+    assert len(scored_alone) >= 50
 
 
 def test_class_greedy_equals_lazy_greedy_on_the_default_cell():
@@ -119,4 +89,89 @@ def test_class_greedy_equals_lazy_greedy_on_the_default_cell():
     specs = HelperSpecs.uniform(16, 2000)
     steps = greedy_steps(graph, pop, specs, config.file_bits)
     assert len(steps) > 10_000
+    assert steps == class_greedy_steps(graph, pop, specs, config.file_bits)
     assert steps == lazy_greedy_steps(graph, pop, specs, config.file_bits)
+
+
+def test_merged_greedy_equals_the_heaps_on_the_sweep_points():
+    config = MacroConfig()
+    for seed in (0, 1, 2):
+        pop = experiment_popularity(config, seed)
+        for count, capacity in SWEEP_POINTS:
+            _, graph = plan_deployment(count, config, seed)
+            specs = HelperSpecs.uniform(count, capacity)
+            steps = greedy_steps(graph, pop, specs, config.file_bits)
+            assert steps == class_greedy_steps(graph, pop, specs, config.file_bits)
+            # The lazy greedy costs seconds per call at 24 or 32 helpers with
+            # large caches, so it checks the smaller points of one seed.
+            if seed == 0 and count * capacity <= 8000:
+                assert steps == lazy_greedy_steps(graph, pop, specs, config.file_bits)
+
+
+def test_merged_greedy_equals_the_class_heap_past_the_rank_window(monkeypatch):
+    # More live ranks than one segment looks at: the window must grow once
+    # the first items of ranks beyond it could still come first.
+    grown = []
+    items = placement_uncoded._Segments.items
+
+    def counted(self, *args):
+        found = items(self, *args)
+        grown.append(found is None)
+        return found
+
+    monkeypatch.setattr(placement_uncoded._Segments, "items", counted)
+    for gamma in (0.0, 0.6, 1.2):
+        config = MacroConfig(catalog_size=12_000, gamma=gamma)
+        pop = experiment_popularity(config, 0)
+        for count, capacity in ((8, 3000), (32, 100)):
+            _, graph = plan_deployment(count, config, 0)
+            specs = HelperSpecs.uniform(count, capacity)
+            steps = greedy_steps(graph, pop, specs, config.file_bits)
+            assert steps == class_greedy_steps(graph, pop, specs, config.file_bits)
+    assert sum(grown) >= 6
+
+
+def test_clear_winner_keeps_its_helper_while_it_stays_open():
+    rng = hrng.stream(607, "clear-winner")
+    kept = 0
+    for _ in range(2000):
+        H = int(rng.integers(1, 9))
+        # Few levels, so that exact ties are common; zeros and negatives too.
+        s = rng.choice([-0.5, 0.0, 0.0, 1.0, 1.0 + 1e-13, 2.0, 3.0], size=H)
+        s = s * float(rng.choice([1.0, 1e-300, 1e200]))
+        ok = rng.random(H) < 0.8
+        first = _clear_winner(s, ok)
+        if first >= 0:
+            w = float(rng.choice([2.4e8, 1.0, 1e-9]))
+            gains = np.where(ok, w * s, -1.0)
+            if np.finfo(float).tiny <= gains[first] < np.inf:
+                assert int(gains.argmax()) == first
+        for h in rng.permutation(H).tolist():
+            if not ok[h]:
+                continue
+            ok[h] = False
+            now = _clear_winner(s, ok)
+            if first == -2:
+                assert now == -2
+            elif first >= 0 and ok[first]:
+                assert now == first
+                kept += 1
+    assert kept >= 200
+
+
+def test_one_greedy_stays_within_its_item_budget():
+    # A segment scores at most _SEGMENT_ITEMS items; a horizon without that
+    # cap reached over a million items on this cell.
+    config = MacroConfig()
+    pop = experiment_popularity(config, 0)
+    _, graph = plan_deployment(32, config, 0)
+    specs = HelperSpecs.uniform(32, 2000)
+    placement_uncoded._greedy(graph, pop, specs, config.file_bits)
+    tracemalloc.start()
+    try:
+        helpers, _, _ = placement_uncoded._greedy(graph, pop, specs, config.file_bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert helpers.size > 30_000
+    assert peak < 6e6
