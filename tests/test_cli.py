@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -123,6 +124,36 @@ class TestPlace:
         assert manifest["parameters"]["helpers"] == 3
         assert manifest["seed"] == 7
         assert manifest["wall_time_s"] >= 0
+
+    @pytest.mark.parametrize("policy", ["greedy", "most-popular"])
+    def test_default_whole_file_placement_is_pinned(self, capsys, policy):
+        code, out, err = run_cli(capsys, "place", "--policy", policy, "--seed", "0")
+        assert code == 0 and err == ""
+        body = ",\n".join(
+            f'  "{h}": [\n    1,\n    2,\n    3\n  ]' for h in range(4)
+        )
+        assert out == "{\n" + body + "\n}\n"
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("--helpers", "32", "--capacity", "50", "--m", "200"),
+                "fbcd2e181c156fe9e5afd7efab81ecb994b599ac03891fe71d4df0dd827cfd52",
+            ),
+            (
+                ("--helpers", "16", "--capacity", "30", "--helper-mode", "uniform"),
+                "1fd6b85692c181132ac256b470138ab71aec41568e47121d7f910f78f1e9abe5",
+            ),
+        ],
+    )
+    def test_overlapping_greedy_placement_is_pinned(self, capsys, argv, digest):
+        # Overlapping helpers cache different ranks, so the per-helper lists
+        # differ in length and content.
+        code, out, err = run_cli(capsys, "place", "--seed", "0", *argv)
+        assert code == 0 and err == ""
+        assert len({tuple(c) for c in json.loads(out).values()}) > 2
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_coded_placement_csv(self, capsys):
         code, out, err = run_cli(
