@@ -17,6 +17,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .d2d import D2DScenario, scaling_check, sweep_gamma1, sweep_r
 from .errors import (
@@ -41,10 +43,11 @@ from .macro_sim import (
 from .placement_coded import coded_placement_rows
 from .placement_uncoded import HelperSpecs, placement_to_json
 from .popularity import (
+    MAX_SAMPLES,
     fit_zipf,
+    fit_zipf_counts,
     read_trace_csv,
     sample_requests,
-    trace_from_samples,
     zipf_model,
 )
 from .rng import stream
@@ -241,7 +244,9 @@ COMMANDS: dict[str, list[Param]] = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.  Every subcommand is registered; with `only`, just that
+    one gets its arguments, which is all that parsing a call of it reads."""
     top = argparse.ArgumentParser(
         prog="helpercache",
         description="Cache placement and delivery experiments for helper and D2D networks.",
@@ -250,6 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
     for command, params in COMMANDS.items():
         sp = sub.add_parser(command)
+        if only is not None and command != only:
+            continue
         sp.add_argument("--config", default=None, help="JSON file of parameter overrides")
         for param in _COMMON + params:
             sp.add_argument(
@@ -395,12 +402,15 @@ def _d2d_rows(rows):
 
 def _run_fit(p: dict, emitter: _Emitter) -> int:
     if p["trace"] is not None:
-        trace = read_trace_csv(p["trace"])
+        gamma_hat, m_hat = fit_zipf(read_trace_csv(p["trace"]))
     else:
+        if p["samples"] > MAX_SAMPLES:
+            raise InvalidParameterError(
+                f"samples={p['samples']} exceeds the cap of {MAX_SAMPLES}"
+            )
         model = zipf_model(p["synthetic_gamma"], p["m"])
         samples = sample_requests(model, stream(p["seed"], "fit-trace"), p["samples"])
-        trace = trace_from_samples(samples)
-    gamma_hat, m_hat = fit_zipf(trace)
+        gamma_hat, m_hat = fit_zipf_counts(np.bincount(samples))
     sys.stdout.write(f"gamma_hat={_format(float(gamma_hat))}\n")
     sys.stdout.write(f"m_hat={m_hat}\n")
     if p["out"] is not None:
@@ -528,7 +538,9 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     try:
         return run(args)
     except (ConfigError, InvalidParameterError, InsufficientDataError) as exc:

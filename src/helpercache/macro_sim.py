@@ -34,18 +34,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError
-from .placement_coded import as_coded, solve_grouped
+from .placement_coded import solve_grouped
 from .placement_uncoded import (
     HelperSpecs,
+    UncodedPlacement,
     brute_force_place,
     greedy_place,
     most_popular_place,
 )
 from .popularity import (
+    MAX_SAMPLES,
     PopularityModel,
-    fit_zipf,
+    fit_zipf_counts,
     sample_requests,
-    trace_from_samples,
     zipf_model,
 )
 from .rng import stream
@@ -66,6 +67,10 @@ PLACEMENT_POLICIES = ("greedy", "most-popular", "brute-force", "coded")
 WHOLE_FILE_TOL = 1e-9
 # User-helper pairs per chunk of stacked replicates; bounds a sweep's memory.
 _CHUNK_ELEMENTS = 1 << 18
+# Scored (point, replicate) pairs above which a sweep is refused.  Besides
+# its chunks a sweep holds 8 bytes per pair and a row's 8 bytes per replicate
+# (measured: 55 bytes per replicate over 8 points), so at most about 0.8 GB.
+MAX_SCORES = 5 * 10**7
 
 
 def _deliver(
@@ -125,19 +130,24 @@ class MacroConfig:
             raise InvalidParameterError("gamma must be finite and >= 0")
         if self.trace_samples < 2:
             raise InvalidParameterError("trace_samples must be >= 2")
+        if self.trace_samples > MAX_SAMPLES:
+            raise InvalidParameterError(
+                f"trace_samples={self.trace_samples} exceeds the cap of {MAX_SAMPLES}"
+            )
         if not 1 <= self.coded_groups:
             raise InvalidParameterError("coded_groups must be >= 1")
 
 
 def experiment_popularity(config: MacroConfig, root_seed: int) -> PopularityModel:
-    """The request model: `gamma` as given, else fitted from a synthetic trace."""
+    """The request model: `gamma` as given, else fitted from the request
+    counts of a synthetic trace."""
     if config.gamma is not None:
         return zipf_model(config.gamma, config.catalog_size)
     source = zipf_model(config.trace_gamma, config.catalog_size)
     samples = sample_requests(
         source, stream(root_seed, "fit-trace"), config.trace_samples
     )
-    gamma_hat, _ = fit_zipf(trace_from_samples(samples))
+    gamma_hat, _ = fit_zipf_counts(np.bincount(samples))
     return zipf_model(max(gamma_hat, 0.0), config.catalog_size)
 
 
@@ -199,7 +209,10 @@ def _satisfied_counts(
 ) -> np.ndarray:
     """Satisfied users per `(x, helper_count, capacity)` point and replicate.
 
-    Each helper count is planned once and each point placed once.  Replicate
+    Each helper count is planned once and each point placed once; a
+    whole-file placement is kept as its boolean (m, H) matrix, built straight
+    from its rank arrays, a fractional one as rho (bool when all 0 or 1).
+    At most `MAX_SCORES` (point, replicate) pairs are scored.  Replicate
     k draws its users and requests once per sweep and is scored for every
     point.  Replicates go in chunks of at most `_CHUNK_ELEMENTS` user-helper
     pairs; each chunk builds one stacked graph per distinct helper count and
@@ -208,6 +221,11 @@ def _satisfied_counts(
     """
     if reps < 1:
         raise InvalidParameterError("reps must be >= 1")
+    if reps * len(points) > MAX_SCORES:
+        raise InvalidParameterError(
+            f"reps={reps} over {len(points)} sweep point(s) scores "
+            f"{reps * len(points)} replicates, above the cap of {MAX_SCORES}"
+        )
     pop = experiment_popularity(config, root_seed)
     plans = {}
     rho = []
@@ -215,13 +233,16 @@ def _satisfied_counts(
         if count not in plans:
             plans[count] = plan_deployment(count, config, root_seed)
         specs = HelperSpecs.uniform(count, capacity)
-        stored = as_coded(
-            make_placement(policy, plans[count][1], pop, specs, config), pop.m
-        ).rho
+        placement = make_placement(policy, plans[count][1], pop, specs, config)
         # Every point's placement is kept until the last chunk is scored; a
         # whole-file one fetches the same as bool, in an eighth of the memory.
-        whole = np.all((stored == 0.0) | (stored == 1.0))
-        rho.append(stored.astype(bool) if whole else stored)
+        if isinstance(placement, UncodedPlacement):
+            stored = placement.stored(pop.m)
+        else:
+            stored = placement.rho
+            if np.all((stored == 0.0) | (stored == 1.0)):
+                stored = stored.astype(bool)
+        rho.append(stored)
     n, radius = config.n_users, config.cell_radius_m
     chunk = max(1, _CHUNK_ELEMENTS // (n * max(max(plans, default=0), 1)))
     satisfied = np.empty((len(points), reps))

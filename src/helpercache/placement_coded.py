@@ -28,7 +28,7 @@ from .errors import (
     IterationLimitError,
     UnboundedProblemError,
 )
-from .placement_uncoded import HelperSpecs, UncodedPlacement
+from .placement_uncoded import HelperSpecs
 from .popularity import PopularityModel
 from .topology import ConnectivityGraph
 
@@ -70,22 +70,6 @@ class CodedPlacement:
     @property
     def n_helpers(self) -> int:
         return self.rho.shape[1]
-
-    @classmethod
-    def from_uncoded(cls, placement: UncodedPlacement, m: int) -> "CodedPlacement":
-        """0/1 fractions equivalent to a whole-file placement."""
-        return cls(rho=placement.fractions(m), capacities=placement.capacities)
-
-
-def as_coded(placement, m: int) -> CodedPlacement:
-    """Either placement kind as stored fractions (whole files become 0/1)."""
-    if isinstance(placement, CodedPlacement):
-        return placement
-    if isinstance(placement, UncodedPlacement):
-        return CodedPlacement.from_uncoded(placement, m)
-    raise InvalidParameterError(
-        "placement must be an UncodedPlacement or a CodedPlacement"
-    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,15 +1,18 @@
 """Whole-file cache placement: the greedy, most-popular and brute-force policies.
 
-A placement stores, for each helper, the set of file ranks cached in full.  A
-user's download rate for a file is the best rate among the base station and the
-in-range helpers that cache it, so the expected-delay objective is a weighted
-coverage function of the chosen (file, helper) pairs: monotone and submodular,
-which makes the greedy a 1/2-approximation under the per-helper capacity
-constraint.
+A placement stores the file ranks each helper caches in full: one array of
+ranks, ascending within each helper and laid out helper after helper, and a
+count per helper.  The macro snapshot reads it as a boolean (m, H) matrix
+(`UncodedPlacement.stored`); the per-helper frozensets of `caches` are built
+only when something reads them.  A user's download rate for a file is the
+best rate among the base station and the in-range helpers that cache it, so
+the expected-delay objective is a weighted coverage function of the chosen
+(file, helper) pairs: monotone and submodular, which makes the greedy a
+1/2-approximation under the per-helper capacity constraint.
 
 The gain of caching rank f at helper h is `fl(file_bits * pmf[f-1])` times a
 coverage weight `s_h(S)` that depends only on the set S of helpers already
-caching f, so ranks with equal S form a class.  `greedy_steps` sorts these
+caching f, so ranks with equal S form a class.  `_greedy` sorts these
 gains in segments instead of popping a heap once per cached file: between two
 helper fills each class hands its members down a fixed chain of classes, along
 which the gain never grows, so a heap's pop order is the order of the merge
@@ -19,6 +22,7 @@ of the pairwise lazy greedy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -58,64 +62,86 @@ class HelperSpecs:
         return cls(capacities=(int(capacity),) * int(n_helpers))
 
 
-@dataclass(frozen=True)
 class UncodedPlacement:
-    """One frozenset of cached file ranks (1-based) per helper."""
+    """Whole files cached per helper, as one array of ranks (1-based).
 
-    caches: tuple[frozenset[int], ...]
-    capacities: tuple[int, ...]
+    `ranks` holds each helper's ranks in ascending order, helper after
+    helper, and `counts[h]` says how many belong to helper h.  Built from
+    `caches`, one iterable of ranks per helper, or, within this module, from
+    the arrays directly; both go through the same checks.  The `caches`
+    attribute, one frozenset per helper, is built on first access.
+    """
 
-    def __post_init__(self):
-        # Helpers may share one cache object (most-popular placements do);
-        # each distinct object is converted and its ranks checked once.
-        given = tuple(self.caches)
-        converted: dict[int, frozenset[int]] = {}
+    def __init__(self, caches, capacities):
+        # Helpers may share one cache object; each distinct object is
+        # converted once.
+        given = tuple(caches)
+        converted: dict[int, list[int]] = {}
         for c in given:
             if id(c) not in converted:
-                converted[id(c)] = frozenset(map(int, c))
-        caches = tuple(converted[id(c)] for c in given)
-        caps = tuple(int(c) for c in self.capacities)
-        if len(caches) != len(caps):
+                converted[id(c)] = sorted(set(map(int, c)))
+        rows = [converted[id(c)] for c in given]
+        counts = np.array([len(row) for row in rows], dtype=np.int64)
+        ranks = np.fromiter(
+            itertools.chain.from_iterable(rows), dtype=np.int64, count=counts.sum()
+        )
+        self._store(ranks, counts, capacities)
+
+    @classmethod
+    def _from_ranks(cls, ranks, counts, capacities) -> "UncodedPlacement":
+        """A placement from `ranks` ascending within each helper, helper-major."""
+        placement = cls.__new__(cls)
+        placement._store(ranks, counts, capacities)
+        return placement
+
+    def _store(self, ranks: np.ndarray, counts: np.ndarray, capacities) -> None:
+        caps = tuple(int(c) for c in capacities)
+        if counts.size != len(caps):
             raise InfeasiblePlacementError("one capacity per helper is required")
-        checked = set()
-        for h, (cache, cap) in enumerate(zip(caches, caps)):
-            if len(cache) > cap:
+        # Helper by helper, the capacity check before the 1-based one.  A
+        # capacity past the number of ranks is clipped to it, so any fits int64.
+        room = np.fromiter((min(c, ranks.size) for c in caps), np.int64, len(caps))
+        over = counts > room
+        held = counts > 0
+        below = np.zeros(counts.size, dtype=bool)
+        below[held] = ranks[(np.cumsum(counts) - counts)[held]] < 1
+        if over.any() or below.any():
+            h = int((over | below).argmax())
+            if over[h]:
                 raise InfeasiblePlacementError(
-                    f"helper {h} caches {len(cache)} files, capacity {cap}"
+                    f"helper {h} caches {counts[h]} files, capacity {caps[h]}"
                 )
-            if id(cache) not in checked:
-                checked.add(id(cache))
-                if cache and min(cache) < 1:
-                    raise InfeasiblePlacementError("file ranks are 1-based")
-        object.__setattr__(self, "caches", caches)
-        object.__setattr__(self, "capacities", caps)
+            raise InfeasiblePlacementError("file ranks are 1-based")
+        ranks.flags.writeable = counts.flags.writeable = False
+        self.ranks, self.counts, self.capacities = ranks, counts, caps
 
     @property
     def n_helpers(self) -> int:
-        return len(self.caches)
+        return self.counts.size
 
-    def fractions(self, m: int) -> np.ndarray:
-        """(m, n_helpers) stored fractions: 1.0 where a helper caches the rank."""
-        sizes = [len(cache) for cache in self.caches]
-        ranks = np.fromiter(
-            itertools.chain.from_iterable(self.caches), dtype=np.int64, count=sum(sizes)
-        )
-        if ranks.size and ranks.max() > m:
+    @functools.cached_property
+    def caches(self) -> tuple[frozenset[int], ...]:
+        """One frozenset of cached ranks per helper."""
+        ranks, ends = self.ranks.tolist(), np.cumsum(self.counts).tolist()
+        return tuple(frozenset(ranks[a:b]) for a, b in zip([0, *ends], ends))
+
+    def stored(self, m: int) -> np.ndarray:
+        """(m, n_helpers) bool matrix: True where a helper caches the rank."""
+        if self.ranks.size and self.ranks.max() > m:
             raise InfeasiblePlacementError(
                 f"a helper caches a rank beyond the catalog size {m}"
             )
-        rho = np.zeros((m, self.n_helpers))
-        rho[ranks - 1, np.repeat(np.arange(self.n_helpers), sizes)] = 1.0
-        return rho
+        matrix = np.zeros((m, self.n_helpers), dtype=bool)
+        matrix[self.ranks - 1, np.repeat(np.arange(self.n_helpers), self.counts)] = True
+        return matrix
 
 
 def most_popular_place(specs: HelperSpecs, pop: PopularityModel) -> UncodedPlacement:
     """Every helper independently caches the min(capacity, m) most popular files."""
-    sizes = [min(cap, pop.m) for cap in specs.capacities]
-    tops = {k: frozenset(range(1, k + 1)) for k in set(sizes)}
-    return UncodedPlacement(
-        caches=tuple(tops[k] for k in sizes), capacities=specs.capacities
-    )
+    counts = np.array([min(cap, pop.m) for cap in specs.capacities], dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    ranks = np.arange(1, counts.sum() + 1) - np.repeat(starts, counts)
+    return UncodedPlacement._from_ranks(ranks, counts, specs.capacities)
 
 
 class _Class:
@@ -475,13 +501,8 @@ def _sorted(at, level, gain):
     return at[order], level[order], gain[order]
 
 
-def greedy_steps(
-    graph: ConnectivityGraph,
-    pop: PopularityModel,
-    specs: HelperSpecs,
-    file_bits: float,
-) -> list[tuple[int, int, float]]:
-    """Run the greedy and return its trajectory as (helper, rank, gain).
+def _greedy(graph, pop, specs, file_bits):
+    """Run the greedy; its trajectory as (helpers, ranks, gains) arrays.
 
     Each step caches the (rank, helper) pair of largest exact marginal delay
     reduction; the gains are non-increasing.  Ties break toward lower file
@@ -515,11 +536,6 @@ def greedy_steps(
     normal float, where rounding can tie helpers whose `s` differ.  A segment
     stops before such an item, which then makes a segment by itself.
     """
-    helpers, ranks, gains = _greedy(graph, pop, specs, file_bits)
-    return list(zip(helpers.tolist(), ranks.tolist(), gains.tolist()))
-
-
-def _greedy(graph, pop, specs, file_bits):
     if specs.n_helpers != graph.n_helpers:
         raise InfeasiblePlacementError("specs/graph helper counts differ")
     if not math.isfinite(file_bits) or file_bits <= 0:
@@ -537,10 +553,11 @@ def greedy_place(
 ) -> UncodedPlacement:
     """Greedy placement (1/2-approximation of the optimal delay savings)."""
     helpers, ranks, _ = _greedy(graph, pop, specs, file_bits)
-    ranks = ranks[np.argsort(helpers, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(helpers, minlength=specs.n_helpers)).tolist()
-    caches = tuple(frozenset(ranks[a:b]) for a, b in zip([0, *ends], ends))
-    return UncodedPlacement(caches=caches, capacities=specs.capacities)
+    # One sort puts the ranks helper-major, ascending within each helper.
+    stride = pop.m + 1
+    ranks = np.sort(helpers * stride + ranks) % stride
+    counts = np.bincount(helpers, minlength=specs.n_helpers)
+    return UncodedPlacement._from_ranks(ranks, counts, specs.capacities)
 
 
 def brute_force_place(

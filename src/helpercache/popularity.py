@@ -13,6 +13,9 @@ from .errors import InsufficientDataError, InvalidParameterError
 
 # Hard ceiling on catalog size so a typo cannot allocate tens of GB.
 MAX_CATALOG = 10_000_000
+# Longest synthetic trace.  Its ranks are held at once, 8 bytes each (measured
+# 8.0 bytes per sample in `fit` and `simulate-macro`), so about 0.8 GB.
+MAX_SAMPLES = 10**8
 # Guide-table buckets of the sampler; a power of two, so u * _GUIDE is exact.
 _GUIDE = 1 << 16
 # Uniforms drawn and mapped per block, which keeps the temporaries small.
@@ -149,12 +152,6 @@ class RequestTrace:
         return cls(counts=tuple(kept), total_requests=sum(c for _, c in kept))
 
 
-def trace_from_samples(ranks: np.ndarray) -> RequestTrace:
-    """Aggregate sampled ranks into a trace (file id = rank)."""
-    ids, counts = np.unique(np.asarray(ranks, dtype=np.int64), return_counts=True)
-    return RequestTrace.from_pairs(zip(ids.tolist(), counts.tolist()))
-
-
 def read_trace_csv(path) -> RequestTrace:
     """Read a `file_id,count` UTF-8 CSV (header required) into a RequestTrace."""
     try:
@@ -184,16 +181,27 @@ def read_trace_csv(path) -> RequestTrace:
 
 
 def fit_zipf(trace: RequestTrace) -> tuple[float, int]:
-    """Fit (gamma_hat, m_hat) from a request trace.
+    """Fit (gamma_hat, m_hat) from a request trace; see `fit_zipf_counts`."""
+    pairs = np.array(trace.counts, dtype=float).reshape(-1, 2)
+    return fit_zipf_counts(pairs[:, 1], ids=pairs[:, 0])
 
-    Files are ranked by descending count (ties broken by ascending file id) and
-    gamma_hat is minus the slope of the ordinary least-squares line of
-    log(count) against log(rank).  m_hat is the number of distinct files.
+
+def fit_zipf_counts(counts, ids=None) -> tuple[float, int]:
+    """Fit (gamma_hat, m_hat) from request counts per file.
+
+    `counts[i]` requests name file `ids[i]`, or file i when `ids` is omitted,
+    as in `np.bincount` of sampled ranks; files without a request are left
+    out.  Files are ranked by descending count (ties broken by ascending file
+    id) and gamma_hat is minus the slope of the ordinary least-squares line
+    of log(count) against log(rank).  m_hat is the number of distinct files.
     """
-    if len(trace.counts) < 2:
+    counts = np.asarray(counts)
+    ids = np.arange(counts.size) if ids is None else np.asarray(ids)
+    seen = counts >= 1
+    counts, ids = counts[seen], ids[seen]
+    if counts.size < 2:
         raise InsufficientDataError("need at least two distinct files to fit")
-    ordered = sorted(trace.counts, key=lambda fc: (-fc[1], fc[0]))
-    counts = np.array([c for _, c in ordered], dtype=float)
-    ranks = np.arange(1, len(ordered) + 1, dtype=float)
-    slope, _ = np.polyfit(np.log(ranks), np.log(counts), 1)
-    return -float(slope), len(ordered)
+    ordered = counts[np.lexsort((ids, -counts))].astype(float)
+    ranks = np.arange(1, counts.size + 1, dtype=float)
+    slope, _ = np.polyfit(np.log(ranks), np.log(ordered), 1)
+    return -float(slope), int(counts.size)

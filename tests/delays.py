@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from placement_oracles import fractions
+
 from helpercache.errors import InfeasiblePlacementError, InvalidParameterError
 from helpercache.placement_coded import CodedPlacement
 from helpercache.placement_uncoded import UncodedPlacement
@@ -33,7 +35,7 @@ def evaluate_delay(
         )
     if not math.isfinite(file_bits) or file_bits <= 0:
         raise InvalidParameterError("file_bits must be finite and > 0")
-    rho = placement.fractions(pop.m)
+    rho = fractions(placement, pop.m)
     collected, helper = fetch_fastest_first(
         graph, np.broadcast_to(rho, (graph.n_users,) + rho.shape)
     )

@@ -1,5 +1,7 @@
-"""Greedy references the tests check `placement_uncoded.greedy_steps` against.
+"""The greedy's trajectory and the references the tests check it against.
 
+`greedy_steps` lists the (helper, rank, gain) steps of the merged-segment
+greedy, `placement_uncoded._greedy`, that `greedy_place` runs.
 `class_greedy_steps` is the class greedy that the merged segments replaced:
 one exact heap entry per class of ranks cached at the same helper set, one
 heap operation per cached file.  `lazy_greedy_steps` is the lazy greedy
@@ -16,9 +18,21 @@ import sys
 import numpy as np
 
 from helpercache.errors import InfeasiblePlacementError, InvalidParameterError
-from helpercache.placement_uncoded import HelperSpecs, _clear_winner
+from helpercache.placement_uncoded import HelperSpecs, _clear_winner, _greedy
 from helpercache.popularity import PopularityModel
 from helpercache.topology import ConnectivityGraph
+
+
+def greedy_steps(
+    graph: ConnectivityGraph,
+    pop: PopularityModel,
+    specs: HelperSpecs,
+    file_bits: float,
+) -> list[tuple[int, int, float]]:
+    """The greedy's trajectory as (helper, rank, gain), one step per cached
+    file; see `placement_uncoded._greedy`."""
+    helpers, ranks, gains = _greedy(graph, pop, specs, file_bits)
+    return list(zip(helpers.tolist(), ranks.tolist(), gains.tolist()))
 
 
 class _Class:

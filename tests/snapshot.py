@@ -10,10 +10,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from placement_oracles import as_coded
 
 from helpercache.errors import InvalidParameterError
 from helpercache.macro_sim import _deliver
-from helpercache.placement_coded import as_coded
 from helpercache.popularity import PopularityModel, sample_requests
 from helpercache.topology import ConnectivityGraph
 

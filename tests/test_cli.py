@@ -10,9 +10,10 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from popularity_oracles import trace_from_samples
 
 import helpercache
-from helpercache import placement_coded
+from helpercache import cli, placement_coded
 from helpercache.cli import build_parser, main
 from helpercache.d2d import MAX_USERS
 from helpercache.errors import IterationLimitError, UnboundedProblemError
@@ -20,7 +21,6 @@ from helpercache.popularity import (
     catalog_size,
     fit_zipf,
     sample_requests,
-    trace_from_samples,
     zipf_model,
 )
 from helpercache.rng import stream
@@ -205,6 +205,38 @@ class TestPlace:
         assert code == 1 and out == ""
         assert "needs 6.06 GB, above the guard of 1 GB" in err
         assert peak < 100e6
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("simulate-macro", "--policy", "most-popular", "--reps", "10000000000000"),
+            "error: reps=10000000000000 over 1 sweep point(s) scores "
+            "10000000000000 replicates, above the cap of 50000000\n",
+        ),
+        (
+            ("simulate-macro", "--policy", "most-popular",
+             "--trace-samples", "1000000000000", "--reps", "1"),
+            "error: trace_samples=1000000000000 exceeds the cap of 100000000\n",
+        ),
+        (
+            ("fit", "--samples", "1000000000000"),
+            "error: samples=1000000000000 exceeds the cap of 100000000\n",
+        ),
+    ],
+    ids=["reps", "trace-samples", "samples"],
+)
+def test_oversized_macro_and_fit_inputs_exit_two_before_allocating(capsys, argv, message):
+    # Each would need terabytes; the refusal comes before any allocation.
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", message)
+    assert peak < 20e6
 
 
 MACRO_ARGS = [
@@ -547,6 +579,46 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "helpercache 0.1.0" in capsys.readouterr().out
+
+
+def captured_main(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["sweep-r", "--help"],
+        ["place", "--bogus", "1"],
+        ["no-such-command"],
+        [],
+        ["--version"],
+        ["sweep-helpers", "--counts", "x"],
+        ["fit", "--samples", "1"],
+    ],
+)
+def test_parser_with_only_the_invoked_command_matches_the_full_one(
+    capsys, monkeypatch, argv
+):
+    # `main` gives only the invoked subcommand its arguments; what a call
+    # prints and returns must not change.
+    lazy = captured_main(capsys, argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: full())
+    assert lazy == captured_main(capsys, argv)
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_one_command_parser_reads_its_flags_like_the_full_one(command):
+    argv = [command, "--seed", "3", "--out", "x.csv"]
+    argv += [f"--{p.name.replace('_', '-')}" for p in cli.COMMANDS[command][:1]] + ["1"]
+    assert cli.build_parser(command).parse_args(argv) == cli.build_parser().parse_args(argv)
 
 
 def readme_commands():

@@ -10,11 +10,12 @@ below or just above one.
 import numpy as np
 import pytest
 from delays import evaluate_coded_delay, evaluate_delay
+from placement_oracles import as_coded, from_uncoded
 from snapshot import simulate_snapshot
 
 from helpercache import rng as hrng
 from helpercache.macro_sim import WHOLE_FILE_TOL
-from helpercache.placement_coded import CodedPlacement, as_coded
+from helpercache.placement_coded import CodedPlacement
 from helpercache.placement_uncoded import UncodedPlacement
 from helpercache.popularity import sample_requests, zipf_model
 from helpercache.topology import ConnectivityGraph, fetch_fastest_first
@@ -161,7 +162,7 @@ def test_expected_delay_matches_per_user_loops(kind):
             assert evaluate_delay(uncoded, graph, pop, B) == pytest.approx(
                 oracle_delay_uncoded(graph, uncoded, pop), rel=1e-12
             )
-            coded = CodedPlacement.from_uncoded(uncoded, pop.m)
+            coded = from_uncoded(uncoded, pop.m)
         else:
             coded = random_fractions(rng, pop.m, graph.n_helpers)
         assert evaluate_coded_delay(coded, graph, pop, B) == pytest.approx(
@@ -177,7 +178,7 @@ def test_remainder_rules_differ_on_slow_holders():
     pop = zipf_model(0.0, 1)
     whole = UncodedPlacement(caches=(frozenset({1}),), capacities=(1,))
     assert evaluate_delay(whole, graph, pop, B) == pytest.approx(B / 4e6, rel=1e-15)
-    coded = CodedPlacement.from_uncoded(whole, 1)
+    coded = from_uncoded(whole, 1)
     assert evaluate_coded_delay(coded, graph, pop, B) == pytest.approx(
         B / 1e6, rel=1e-15
     )

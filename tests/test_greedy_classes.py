@@ -1,4 +1,4 @@
-"""The merged-segment greedy of `greedy_steps` against the heaps it replaced.
+"""The merged-segment greedy of `greedy_oracles.greedy_steps` against the heaps it replaced.
 
 `greedy_oracles.class_greedy_steps` keeps one heap entry per class of ranks
 cached at the same helper set, and `greedy_oracles.lazy_greedy_steps` one
@@ -12,12 +12,12 @@ helpers (equal coverage weights), helpers without users, and capacities from
 import tracemalloc
 
 import numpy as np
-from greedy_oracles import class_greedy_steps, lazy_greedy_steps
+from greedy_oracles import class_greedy_steps, greedy_steps, lazy_greedy_steps
 
 from helpercache import placement_uncoded
 from helpercache import rng as hrng
 from helpercache.macro_sim import MacroConfig, experiment_popularity, plan_deployment
-from helpercache.placement_uncoded import HelperSpecs, _clear_winner, greedy_steps
+from helpercache.placement_uncoded import HelperSpecs, _clear_winner
 from helpercache.popularity import zipf_model
 from helpercache.topology import ConnectivityGraph
 

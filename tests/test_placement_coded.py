@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from delays import baseline_delay, delay_savings, evaluate_coded_delay, evaluate_delay
+from placement_oracles import from_uncoded
 
 from helpercache import rng as hrng
 from helpercache.errors import (
@@ -184,7 +185,7 @@ def test_infeasible_coded_placements_rejected(fixture):
 def test_uncoded_embedding_matches_delays(fixture):
     graph, pop, specs = fixture
     uncoded = greedy_place(graph, pop, specs, FILE_BITS)
-    coded = CodedPlacement.from_uncoded(uncoded, pop.m)
+    coded = from_uncoded(uncoded, pop.m)
     assert evaluate_coded_delay(coded, graph, pop, FILE_BITS) == pytest.approx(
         evaluate_delay(uncoded, graph, pop, FILE_BITS), rel=1e-12
     )

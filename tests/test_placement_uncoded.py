@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from delays import baseline_delay, delay_savings, evaluate_delay
+from greedy_oracles import greedy_steps
 
 from helpercache import rng as hrng
 from helpercache.errors import (
@@ -15,7 +16,6 @@ from helpercache.placement_uncoded import (
     UncodedPlacement,
     brute_force_place,
     greedy_place,
-    greedy_steps,
     most_popular_place,
     placement_to_json,
 )

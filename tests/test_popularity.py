@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from popularity_oracles import sorted_fit, trace_from_samples
 from scipy.stats import chisquare
 
 from helpercache import rng as hrng
@@ -15,9 +16,9 @@ from helpercache.popularity import (
     RequestTrace,
     catalog_size,
     fit_zipf,
+    fit_zipf_counts,
     read_trace_csv,
     sample_requests,
-    trace_from_samples,
     zipf_model,
 )
 
@@ -238,3 +239,36 @@ def test_trace_from_samples_totals():
     trace = trace_from_samples(draws)
     assert trace.total_requests == 6
     assert dict(trace.counts) == {1: 2, 2: 1, 5: 3}
+
+
+def test_array_fit_equals_the_sorted_fit_on_tied_traces():
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        files = int(rng.integers(2, 400))
+        ids = rng.choice(10_000, size=files, replace=False) + 1
+        # Few count levels, so that most counts tie with others.
+        counts = rng.choice([1, 2, 3, 5, 8, 40], size=files)
+        trace = RequestTrace.from_pairs(zip(ids.tolist(), counts.tolist()))
+        want = sorted_fit(trace)
+        assert fit_zipf(trace) == want
+        assert fit_zipf_counts(counts, ids=ids) == want
+
+
+def test_sample_count_fit_equals_the_trace_fit():
+    # The macro experiment and `fit` fit a bincount of their samples; the
+    # result must not differ from fitting the aggregated trace.
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 300))
+        model = zipf_model(float(rng.uniform(0.0, 1.5)), m)
+        draws = sample_requests(model, hrng.stream(seed, "fit"), int(rng.integers(2, 5000)))
+        if np.unique(draws).size < 2:
+            continue
+        want = sorted_fit(trace_from_samples(draws))
+        assert fit_zipf_counts(np.bincount(draws)) == want
+
+
+def test_sample_count_fit_needs_two_distinct_ranks():
+    for draws in (np.array([3, 3, 3]), np.array([], dtype=np.int64)):
+        with pytest.raises(InsufficientDataError, match="^need at least two distinct files to fit$"):
+            fit_zipf_counts(np.bincount(draws))

@@ -59,3 +59,33 @@ def test_every_export_is_read_by_the_library():
     assert len(modules) > 5
     read = set().union(*(_names_read(path) for path in modules))
     assert sorted(set(helpercache.__all__) - read) == []
+
+
+def _public_definitions(path: Path) -> list[str]:
+    """Public module-level functions and classes, and public methods."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef):
+            found.append(node.name)
+            found += [
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append(node.name)
+    return [name for name in found if not name.split(".")[-1].startswith("_")]
+
+
+def test_every_public_definition_is_read_by_the_library_or_exported():
+    # A function or method that only tests call lives under tests/, next to
+    # the tests that use it.
+    modules = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    read = set().union(*(_names_read(path) for path in modules))
+    unused = [
+        f"{path.name}:{name}"
+        for path in modules
+        for name in _public_definitions(path)
+        if name.split(".")[-1] not in read | set(helpercache.__all__)
+    ]
+    assert unused == []

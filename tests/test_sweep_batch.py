@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from placement_oracles import as_coded
 from snapshot import simulate_snapshot
 
 from helpercache import macro_sim
@@ -25,7 +26,7 @@ from helpercache.macro_sim import (
     experiment_popularity,
     plan_deployment,
 )
-from helpercache.placement_coded import CodedPlacement, as_coded
+from helpercache.placement_coded import CodedPlacement
 from helpercache.placement_uncoded import HelperSpecs
 from helpercache.popularity import sample_requests
 from helpercache.rng import stream
