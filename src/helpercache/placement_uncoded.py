@@ -227,7 +227,11 @@ class _Segments:
             graph.inv_rates[self.users_of[h], h] for h in range(n_helpers)
         ]
         self.weights = file_bits * pop.pmf
-        self.room = np.array(specs.capacities, dtype=np.int64)
+        # No helper holds more than the catalog, so a larger capacity acts
+        # as the catalog size (and any capacity fits int64).
+        self.room = np.array(
+            [min(c, pop.m) for c in specs.capacities], dtype=np.int64
+        )
         self.is_open = self.room > 0
         self.classes: dict[int, _Class] = {}
         self.by_row: list[_Class] = []

@@ -155,6 +155,13 @@ class TestPlace:
         assert len({tuple(c) for c in json.loads(out).values()}) > 2
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("policy", ["greedy", "most-popular"])
+    def test_capacity_past_int64_acts_as_the_catalog(self, capsys, policy):
+        argv = ("place", "--policy", policy, "--m", "30", "--helpers", "6", "--capacity")
+        code, out, err = run_cli(capsys, *argv, str(10**20))
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *argv, "30")[1]
+
     def test_coded_placement_csv(self, capsys):
         code, out, err = run_cli(
             capsys,
