@@ -43,7 +43,7 @@ from .macro_sim import (
 from .placement_coded import coded_placement_rows
 from .placement_uncoded import HelperSpecs, placement_to_json
 from .popularity import (
-    MAX_SAMPLES,
+    check_samples,
     fit_zipf,
     fit_zipf_counts,
     read_trace_csv,
@@ -404,10 +404,7 @@ def _run_fit(p: dict, emitter: _Emitter) -> int:
     if p["trace"] is not None:
         gamma_hat, m_hat = fit_zipf(read_trace_csv(p["trace"]))
     else:
-        if p["samples"] > MAX_SAMPLES:
-            raise InvalidParameterError(
-                f"samples={p['samples']} exceeds the cap of {MAX_SAMPLES}"
-            )
+        check_samples("samples", p["samples"])
         model = zipf_model(p["synthetic_gamma"], p["m"])
         samples = sample_requests(model, stream(p["seed"], "fit-trace"), p["samples"])
         gamma_hat, m_hat = fit_zipf_counts(np.bincount(samples))

@@ -43,8 +43,8 @@ from .placement_uncoded import (
     most_popular_place,
 )
 from .popularity import (
-    MAX_SAMPLES,
     PopularityModel,
+    check_samples,
     fit_zipf_counts,
     sample_requests,
     zipf_model,
@@ -130,10 +130,7 @@ class MacroConfig:
             raise InvalidParameterError("gamma must be finite and >= 0")
         if self.trace_samples < 2:
             raise InvalidParameterError("trace_samples must be >= 2")
-        if self.trace_samples > MAX_SAMPLES:
-            raise InvalidParameterError(
-                f"trace_samples={self.trace_samples} exceeds the cap of {MAX_SAMPLES}"
-            )
+        check_samples("trace_samples", self.trace_samples)
         if not 1 <= self.coded_groups:
             raise InvalidParameterError("coded_groups must be >= 1")
 

@@ -73,14 +73,7 @@ class UncodedPlacement:
     """
 
     def __init__(self, caches, capacities):
-        # Helpers may share one cache object; each distinct object is
-        # converted once.
-        given = tuple(caches)
-        converted: dict[int, list[int]] = {}
-        for c in given:
-            if id(c) not in converted:
-                converted[id(c)] = sorted(set(map(int, c)))
-        rows = [converted[id(c)] for c in given]
+        rows = [sorted(set(map(int, c))) for c in caches]
         counts = np.array([len(row) for row in rows], dtype=np.int64)
         ranks = np.fromiter(
             itertools.chain.from_iterable(rows), dtype=np.int64, count=counts.sum()
@@ -636,5 +629,6 @@ def placement_to_json(placement: UncodedPlacement) -> str:
     """JSON export: helper id (0-based, as a string key) to sorted rank list."""
     import json
 
-    doc = {str(h): sorted(cache) for h, cache in enumerate(placement.caches)}
+    ranks, ends = placement.ranks.tolist(), np.cumsum(placement.counts).tolist()
+    doc = {str(h): ranks[a:b] for h, (a, b) in enumerate(zip([0, *ends], ends))}
     return json.dumps(doc, indent=2, sort_keys=True)

@@ -87,6 +87,14 @@ def zipf_model(gamma: float, m: int) -> PopularityModel:
     return PopularityModel(gamma=float(gamma), m=int(m), pmf=pmf)
 
 
+def check_samples(name: str, samples: int) -> None:
+    """Refuse a synthetic trace longer than MAX_SAMPLES, naming its field."""
+    if samples > MAX_SAMPLES:
+        raise InvalidParameterError(
+            f"{name}={samples} exceeds the cap of {MAX_SAMPLES}"
+        )
+
+
 def sample_requests(
     model: PopularityModel, rng: np.random.Generator, size: int
 ) -> np.ndarray:
@@ -182,26 +190,23 @@ def read_trace_csv(path) -> RequestTrace:
 
 def fit_zipf(trace: RequestTrace) -> tuple[float, int]:
     """Fit (gamma_hat, m_hat) from a request trace; see `fit_zipf_counts`."""
-    pairs = np.array(trace.counts, dtype=float).reshape(-1, 2)
-    return fit_zipf_counts(pairs[:, 1], ids=pairs[:, 0])
+    return fit_zipf_counts(np.array([c for _, c in trace.counts], dtype=float))
 
 
-def fit_zipf_counts(counts, ids=None) -> tuple[float, int]:
+def fit_zipf_counts(counts) -> tuple[float, int]:
     """Fit (gamma_hat, m_hat) from request counts per file.
 
-    `counts[i]` requests name file `ids[i]`, or file i when `ids` is omitted,
-    as in `np.bincount` of sampled ranks; files without a request are left
-    out.  Files are ranked by descending count (ties broken by ascending file
-    id) and gamma_hat is minus the slope of the ordinary least-squares line
-    of log(count) against log(rank).  m_hat is the number of distinct files.
+    Files without a request (count < 1) are left out, so `np.bincount` of
+    sampled ranks can be passed as is.  Files are ranked by descending count
+    and gamma_hat is minus the slope of the ordinary least-squares line of
+    log(count) against log(rank); the order among equal counts does not change
+    the fit.  m_hat is the number of distinct files.
     """
     counts = np.asarray(counts)
-    ids = np.arange(counts.size) if ids is None else np.asarray(ids)
-    seen = counts >= 1
-    counts, ids = counts[seen], ids[seen]
+    counts = counts[counts >= 1]
     if counts.size < 2:
         raise InsufficientDataError("need at least two distinct files to fit")
-    ordered = counts[np.lexsort((ids, -counts))].astype(float)
+    ordered = np.sort(counts)[::-1].astype(float)
     ranks = np.arange(1, counts.size + 1, dtype=float)
     slope, _ = np.polyfit(np.log(ranks), np.log(ordered), 1)
     return -float(slope), int(counts.size)

@@ -78,6 +78,20 @@ class TestFit:
         assert manifest["command"] == "fit"
         assert manifest["outputs"] == [str(out_path)]
 
+    def test_file_ids_past_the_float_range_fit_like_small_ones(self, capsys, tmp_path):
+        # File ids are labels, never numbers: one past 2**1024 fits the same.
+        counts = [40, 8, 8, 3, 1]
+        outputs = []
+        for first_id in (1, 2**1100):
+            trace = tmp_path / f"trace-{len(outputs)}.csv"
+            rows = [f"{first_id + i},{c}" for i, c in enumerate(counts)]
+            trace.write_text("\n".join(["file_id,count", *rows]) + "\n")
+            code, out, err = run_cli(capsys, "fit", "--trace", str(trace))
+            assert code == 0 and err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].endswith("m_hat=5\n")
+
     @pytest.mark.parametrize(
         "body", ["1,10\n2,abc\n", "1,10\n2\n"], ids=["non-integer", "one-column"]
     )

@@ -251,7 +251,7 @@ def test_array_fit_equals_the_sorted_fit_on_tied_traces():
         trace = RequestTrace.from_pairs(zip(ids.tolist(), counts.tolist()))
         want = sorted_fit(trace)
         assert fit_zipf(trace) == want
-        assert fit_zipf_counts(counts, ids=ids) == want
+        assert fit_zipf_counts(counts) == want
 
 
 def test_sample_count_fit_equals_the_trace_fit():
