@@ -24,14 +24,13 @@ from .macro_sim import (
     sweep_helper_count,
 )
 from .placement_coded import (
-    CodedPlacement,
     build_lp,
     group_files,
     solve_grouped,
 )
 from .placement_uncoded import (
     HelperSpecs,
-    UncodedPlacement,
+    Placement,
     brute_force_place,
     greedy_place,
     most_popular_place,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CellLayout",
     "ClusterStats",
-    "CodedPlacement",
     "ConfigError",
     "ConnectivityGraph",
     "D2DScenario",
@@ -71,9 +69,9 @@ __all__ = [
     "InvalidParameterError",
     "LinkRateModel",
     "MacroConfig",
+    "Placement",
     "PopularityModel",
     "RequestTrace",
-    "UncodedPlacement",
     "brute_force_place",
     "build_connectivity",
     "build_lp",

@@ -33,7 +33,9 @@ from .errors import (
 )
 from .macro_sim import (
     PLACEMENT_POLICIES,
+    MAX_HELPERS,
     MacroConfig,
+    check_placement_bytes,
     experiment_popularity,
     make_placement,
     plan_deployment,
@@ -57,14 +59,19 @@ def _parse_int(value) -> int:
     return int(str(value))
 
 
-def _int_at_least(bound: int):
+def _int_at_least(bound: int, most: int | None = None):
     def parse(value):
         out = _parse_int(value)
         if out < bound:
             raise ValueError(f"must be an integer >= {bound}")
+        if most is not None and out > most:
+            raise ValueError(f"must be at most {most}")
         return out
 
     return parse
+
+
+_helper_count = _int_at_least(0, MAX_HELPERS)
 
 
 def _parse_float(value) -> float:
@@ -183,7 +190,7 @@ COMMANDS: dict[str, list[Param]] = {
     ],
     "place": [
         Param("policy", _choice(*PLACEMENT_POLICIES), "greedy", "placement policy"),
-        Param("helpers", _int_at_least(0), 4, "number of helpers"),
+        Param("helpers", _helper_count, 4, "number of helpers"),
         Param("capacity", _int_at_least(0), 3, "files per helper cache"),
         Param("m", _int_at_least(1), 100, "catalog size"),
         Param("n", _int_at_least(1), 24, "users in the cell"),
@@ -196,17 +203,17 @@ COMMANDS: dict[str, list[Param]] = {
     ],
     "simulate-macro": [
         Param("policy", _choice("greedy", "most-popular", "coded"), "greedy", "placement policy"),
-        Param("helpers", _int_at_least(0), 32, "number of helpers"),
+        Param("helpers", _helper_count, 32, "number of helpers"),
         *_MACRO,
     ],
     "sweep-helpers": [
-        Param("counts", _list_of(_int_at_least(0)), [0, 2, 4, 8, 10, 16, 24, 32], "helper counts"),
+        Param("counts", _list_of(_helper_count), [0, 2, 4, 8, 10, 16, 24, 32], "helper counts"),
         Param("policy", _choice("greedy", "most-popular", "coded"), "greedy", "placement policy"),
         *_MACRO,
     ],
     "sweep-capacity": [
         Param("capacities", _list_of(_int_at_least(0)), [0, 250, 500, 1000, 2000, 4000], "cache sizes"),
-        Param("helpers", _int_at_least(0), 32, "number of helpers"),
+        Param("helpers", _helper_count, 32, "number of helpers"),
         Param("policy", _choice("greedy", "most-popular", "coded"), "greedy", "placement policy"),
         *[p for p in _MACRO if p.name != "capacity"],
     ],
@@ -420,6 +427,7 @@ def _run_fit(p: dict, emitter: _Emitter) -> int:
 
 def _run_place(p: dict, emitter: _Emitter) -> int:
     config = _macro_config(p)
+    check_placement_bytes(p["policy"], p["m"], p["helpers"])
     pop = experiment_popularity(config, p["seed"])
     _, graph = plan_deployment(p["helpers"], config, p["seed"])
     specs = HelperSpecs.uniform(p["helpers"], p["capacity"])

@@ -37,7 +37,6 @@ from .errors import InvalidParameterError
 from .placement_coded import solve_grouped
 from .placement_uncoded import (
     HelperSpecs,
-    UncodedPlacement,
     brute_force_place,
     greedy_place,
     most_popular_place,
@@ -71,6 +70,26 @@ _CHUNK_ELEMENTS = 1 << 18
 # its chunks a sweep holds 8 bytes per pair and a row's 8 bytes per replicate
 # (measured: 55 bytes per replicate over 8 points), so at most about 0.8 GB.
 MAX_SCORES = 5 * 10**7
+# Helpers per deployment above which a command is refused.  At 10^4 helpers a
+# one-replicate `simulate-macro` takes 0.6 s and 99 MB and a point's placement
+# over the default 4000 files is a 40 MB matrix; at 10^5, 4.3 s and 625 MB
+# (2-core Xeon).
+MAX_HELPERS = 10**4
+# Bytes of placement matrices one command may hold: a whole-file placement
+# takes a byte per (file, helper) entry, a fractional one eight.  The largest
+# catalog at 32 helpers takes 320 MB as booleans.
+MAX_PLACEMENT_BYTES = 2 * 10**9
+
+
+def check_placement_bytes(policy: str, m: int, helpers: int) -> None:
+    """Refuse placements of m files at `helpers` helpers in all whose
+    matrices would take more than MAX_PLACEMENT_BYTES."""
+    held = (8 if policy == "coded" else 1) * m * helpers
+    if held > MAX_PLACEMENT_BYTES:
+        raise InvalidParameterError(
+            f"m={m} files at {helpers} helpers take {held} bytes of placements, "
+            f"above the cap of {MAX_PLACEMENT_BYTES}"
+        )
 
 
 def _deliver(
@@ -206,12 +225,12 @@ def _satisfied_counts(
 ) -> np.ndarray:
     """Satisfied users per `(x, helper_count, capacity)` point and replicate.
 
-    Each helper count is planned once and each point placed once; a
-    whole-file placement is kept as its boolean (m, H) matrix, built straight
-    from its rank arrays, a fractional one as rho (bool when all 0 or 1).
-    At most `MAX_SCORES` (point, replicate) pairs are scored.  Replicate
-    k draws its users and requests once per sweep and is scored for every
-    point.  Replicates go in chunks of at most `_CHUNK_ELEMENTS` user-helper
+    Each helper count is planned once and each point placed once, and its
+    placement's (m, H) matrix is kept: boolean for whole files, float for
+    fractions (a 0/1 float fetches the same bits as a bool).  At most
+    `MAX_SCORES` (point, replicate) pairs are scored.  Replicate k draws its
+    users and requests once per sweep and is scored for every point.
+    Replicates go in chunks of at most `_CHUNK_ELEMENTS` user-helper
     pairs; each chunk builds one stacked graph per distinct helper count and
     scores every point on that deployment against it.  Each replicate has its
     own streams, so the chunk size changes no output.
@@ -223,6 +242,9 @@ def _satisfied_counts(
             f"reps={reps} over {len(points)} sweep point(s) scores "
             f"{reps * len(points)} replicates, above the cap of {MAX_SCORES}"
         )
+    check_placement_bytes(
+        policy, config.catalog_size, sum(count for _, count, _ in points)
+    )
     pop = experiment_popularity(config, root_seed)
     plans = {}
     rho = []
@@ -230,16 +252,7 @@ def _satisfied_counts(
         if count not in plans:
             plans[count] = plan_deployment(count, config, root_seed)
         specs = HelperSpecs.uniform(count, capacity)
-        placement = make_placement(policy, plans[count][1], pop, specs, config)
-        # Every point's placement is kept until the last chunk is scored; a
-        # whole-file one fetches the same as bool, in an eighth of the memory.
-        if isinstance(placement, UncodedPlacement):
-            stored = placement.stored(pop.m)
-        else:
-            stored = placement.rho
-            if np.all((stored == 0.0) | (stored == 1.0)):
-                stored = stored.astype(bool)
-        rho.append(stored)
+        rho.append(make_placement(policy, plans[count][1], pop, specs, config).rho)
     n, radius = config.n_users, config.cell_radius_m
     chunk = max(1, _CHUNK_ELEMENTS // (n * max(max(plans, default=0), 1)))
     satisfied = np.empty((len(points), reps))

@@ -1,8 +1,9 @@
 """Fractional (coded) cache placement via a linear program.
 
-Each helper stores a fraction rho[f, h] of every file; a user can recover a
-file by collecting fractions from the in-range helpers (fastest first) as long
-as they sum to one, fetching any remainder from the base station.  Maximizing
+Each helper stores a fraction rho[f, h] of every file: a float `Placement`,
+whose boolean case the whole-file policies return.  A user can recover a file
+by collecting fractions from the in-range helpers (fastest first) as long as
+they sum to one, fetching any remainder from the base station.  Maximizing
 the expected delay savings over rho is an LP: auxiliary variables a[u, f, h]
 say which fraction user u actually pulls from helper h, weighted by the
 per-second savings of that link over the base station.
@@ -28,48 +29,14 @@ from .errors import (
     IterationLimitError,
     UnboundedProblemError,
 )
-from .placement_uncoded import HelperSpecs
+from .placement_uncoded import HelperSpecs, Placement
 from .popularity import PopularityModel
 from .topology import ConnectivityGraph
 
 logger = logging.getLogger(__name__)
 
-RHO_TOL = 1e-9
 DENSE_LP_GUARD_BYTES = 10**9  # the solve holds a few copies of the dense A
 _UNBOUNDED = 3  # linprog status code
-
-
-@dataclass(frozen=True, eq=False)
-class CodedPlacement:
-    """Stored fraction of each file at each helper, rho in [0, 1]^(m x H)."""
-
-    rho: np.ndarray  # (m, n_helpers)
-    capacities: tuple[int, ...]
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        caps = tuple(int(c) for c in self.capacities)
-        if rho.ndim != 2 or rho.shape[1] != len(caps):
-            raise InfeasiblePlacementError("rho must be (m, n_helpers)")
-        if np.any(rho < -RHO_TOL) or np.any(rho > 1 + RHO_TOL):
-            raise InfeasiblePlacementError("rho entries must lie in [0, 1]")
-        rho = np.clip(rho, 0.0, 1.0)
-        used = rho.sum(axis=0)
-        for h, cap in enumerate(caps):
-            if used[h] > cap + 1e-9:
-                raise InfeasiblePlacementError(
-                    f"helper {h} stores {used[h]:.12g} file units, capacity {cap}"
-                )
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "capacities", caps)
-
-    @property
-    def m(self) -> int:
-        return self.rho.shape[0]
-
-    @property
-    def n_helpers(self) -> int:
-        return self.rho.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,7 +222,7 @@ class LPReport:
     iterations: int
 
 
-def solve_lp_detailed(instance: LPInstance) -> tuple[CodedPlacement, LPReport]:
+def solve_lp_detailed(instance: LPInstance) -> tuple[Placement, LPReport]:
     """Solve the placement LP to optimality with `simplex_solve` (HiGHS).
 
     The rows come equilibrated from `build_lp`; the objective is scaled here,
@@ -265,7 +232,7 @@ def solve_lp_detailed(instance: LPInstance) -> tuple[CodedPlacement, LPReport]:
     c = instance.c
     if c.size == 0:
         rho = np.zeros((instance.m, instance.n_helpers))
-        placement = CodedPlacement(rho=rho, capacities=instance.capacities)
+        placement = Placement(rho, instance.capacities)
         return placement, LPReport(objective=0.0, iterations=0)
     obj_scale = max(float(np.abs(c).max()), 1e-300)
     result = simplex_solve(c / obj_scale, instance.A, instance.b, upper=instance.upper)
@@ -277,7 +244,7 @@ def solve_lp_detailed(instance: LPInstance) -> tuple[CodedPlacement, LPReport]:
     for h, cap in enumerate(instance.capacities):
         if used[h] > cap:
             rho[:, h] *= cap / used[h]
-    placement = CodedPlacement(rho=rho, capacities=instance.capacities)
+    placement = Placement(rho, instance.capacities)
     return placement, LPReport(
         objective=float(c @ x), iterations=result.iterations
     )
@@ -322,13 +289,13 @@ def grouped_popularity(grouped: GroupedCatalog) -> PopularityModel:
 
 
 def expand_grouped_rho(
-    grouped: GroupedCatalog, bucket_placement: CodedPlacement
-) -> CodedPlacement:
+    grouped: GroupedCatalog, bucket_placement: Placement
+) -> Placement:
     """Per-file fractions from a bucket-level solution (uniform within bucket)."""
     if bucket_placement.m != grouped.groups:
         raise InfeasiblePlacementError("bucket placement does not match grouping")
     rho = np.repeat(bucket_placement.rho, grouped.sizes, axis=0)
-    return CodedPlacement(rho=rho, capacities=bucket_placement.capacities)
+    return Placement(rho, bucket_placement.capacities)
 
 
 def solve_grouped(
@@ -336,7 +303,7 @@ def solve_grouped(
     pop: PopularityModel,
     specs: HelperSpecs,
     groups: int,
-) -> tuple[CodedPlacement, LPReport]:
+) -> tuple[Placement, LPReport]:
     """Bucket the catalog, solve the bucket LP, and expand to per-file rho.
 
     The bucket LP charges each bucket its size in file units, so expanded
@@ -349,12 +316,8 @@ def solve_grouped(
     return expand_grouped_rho(grouped, bucket_placement), report
 
 
-def coded_placement_rows(placement: CodedPlacement):
+def coded_placement_rows(placement: Placement):
     """Nonzero (file_rank, helper_id, rho) triples, rank-major order."""
-    rows = []
-    for f in range(placement.m):
-        for h in range(placement.n_helpers):
-            value = float(placement.rho[f, h])
-            if value > 0.0:
-                rows.append((f + 1, h, value))
-    return rows
+    files, helpers = np.nonzero(placement.rho)
+    values = placement.rho[files, helpers].astype(float).tolist()
+    return list(zip((files + 1).tolist(), helpers.tolist(), values))

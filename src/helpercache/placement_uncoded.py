@@ -1,14 +1,14 @@
-"""Whole-file cache placement: the greedy, most-popular and brute-force policies.
+"""The placement type, and the whole-file greedy, most-popular and brute-force
+policies.
 
-A placement stores the file ranks each helper caches in full: one array of
-ranks, ascending within each helper and laid out helper after helper, and a
-count per helper.  The macro snapshot reads it as a boolean (m, H) matrix
-(`UncodedPlacement.stored`); the per-helper frozensets of `caches` are built
-only when something reads them.  A user's download rate for a file is the
-best rate among the base station and the in-range helpers that cache it, so
-the expected-delay objective is a weighted coverage function of the chosen
-(file, helper) pairs: monotone and submodular, which makes the greedy a
-1/2-approximation under the per-helper capacity constraint.
+Every policy returns a `Placement`: the stored fraction of each file at each
+helper, as an (m, H) matrix.  A whole-file placement is its boolean case, so
+the macro snapshot and the LP's fractional placements read the same type.
+A user's download rate for a file is the best rate among the base station
+and the in-range helpers that cache it, so the expected-delay objective is a
+weighted coverage function of the chosen (file, helper) pairs: monotone and
+submodular, which makes the greedy a 1/2-approximation under the per-helper
+capacity constraint.
 
 The gain of caching rank f at helper h is `fl(file_bits * pmf[f-1])` times a
 coverage weight `s_h(S)` that depends only on the set S of helpers already
@@ -39,6 +39,9 @@ from .popularity import PopularityModel
 from .topology import ConnectivityGraph
 
 BRUTE_FORCE_GUARD = 10**6
+# How far outside [0, 1] a stored fraction, and past its capacity a helper's
+# column sum, may stray before a placement is refused.
+RHO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,79 +65,66 @@ class HelperSpecs:
         return cls(capacities=(int(capacity),) * int(n_helpers))
 
 
-class UncodedPlacement:
-    """Whole files cached per helper, as one array of ranks (1-based).
+@dataclass(frozen=True, eq=False)
+class Placement:
+    """Stored fraction of each file at each helper, an (m, n_helpers) matrix.
 
-    `ranks` holds each helper's ranks in ascending order, helper after
-    helper, and `counts[h]` says how many belong to helper h.  Built from
-    `caches`, one iterable of ranks per helper, or, within this module, from
-    the arrays directly; both go through the same checks.  The `caches`
-    attribute, one frozenset per helper, is built on first access.
+    Row f - 1 is file rank f.  A whole-file placement is the boolean case,
+    True where a helper caches the file; a fractional one holds floats in
+    [0, 1] (entries within `RHO_TOL` outside are clipped).  Every helper's
+    column sums to at most its capacity in files.  `caches`, one frozenset
+    of ranks per helper, is built on first access.
     """
 
-    def __init__(self, caches, capacities):
-        rows = [sorted(set(map(int, c))) for c in caches]
-        counts = np.array([len(row) for row in rows], dtype=np.int64)
-        ranks = np.fromiter(
-            itertools.chain.from_iterable(rows), dtype=np.int64, count=counts.sum()
-        )
-        self._store(ranks, counts, capacities)
+    rho: np.ndarray
+    capacities: tuple[int, ...]
 
-    @classmethod
-    def _from_ranks(cls, ranks, counts, capacities) -> "UncodedPlacement":
-        """A placement from `ranks` ascending within each helper, helper-major."""
-        placement = cls.__new__(cls)
-        placement._store(ranks, counts, capacities)
-        return placement
+    def __post_init__(self):
+        rho = np.asarray(self.rho)
+        caps = tuple(int(c) for c in self.capacities)
+        if rho.ndim != 2 or rho.shape[1] != len(caps):
+            raise InfeasiblePlacementError("rho must be (m, n_helpers)")
+        if rho.dtype != bool:
+            rho = rho.astype(float, copy=False)
+            if not np.all((rho >= -RHO_TOL) & (rho <= 1 + RHO_TOL)):
+                raise InfeasiblePlacementError("rho entries must lie in [0, 1]")
+            rho = np.clip(rho, 0.0, 1.0)
+        # A column holds at most m files, so a larger capacity is clipped to
+        # m and any capacity fits a float.
+        room = np.array([min(c, rho.shape[0]) for c in caps], dtype=float)
+        used = rho.sum(axis=0)
+        over = np.flatnonzero(used > room + RHO_TOL)
+        if over.size:
+            h = int(over[0])
+            raise InfeasiblePlacementError(
+                f"helper {h} stores {used[h]:.12g} file units, capacity {caps[h]}"
+            )
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "capacities", caps)
 
-    def _store(self, ranks: np.ndarray, counts: np.ndarray, capacities) -> None:
-        caps = tuple(int(c) for c in capacities)
-        if counts.size != len(caps):
-            raise InfeasiblePlacementError("one capacity per helper is required")
-        # Helper by helper, the capacity check before the 1-based one.  A
-        # capacity past the number of ranks is clipped to it, so any fits int64.
-        room = np.fromiter((min(c, ranks.size) for c in caps), np.int64, len(caps))
-        over = counts > room
-        held = counts > 0
-        below = np.zeros(counts.size, dtype=bool)
-        below[held] = ranks[(np.cumsum(counts) - counts)[held]] < 1
-        if over.any() or below.any():
-            h = int((over | below).argmax())
-            if over[h]:
-                raise InfeasiblePlacementError(
-                    f"helper {h} caches {counts[h]} files, capacity {caps[h]}"
-                )
-            raise InfeasiblePlacementError("file ranks are 1-based")
-        ranks.flags.writeable = counts.flags.writeable = False
-        self.ranks, self.counts, self.capacities = ranks, counts, caps
+    @property
+    def m(self) -> int:
+        return self.rho.shape[0]
 
     @property
     def n_helpers(self) -> int:
-        return self.counts.size
+        return self.rho.shape[1]
 
     @functools.cached_property
     def caches(self) -> tuple[frozenset[int], ...]:
-        """One frozenset of cached ranks per helper."""
-        ranks, ends = self.ranks.tolist(), np.cumsum(self.counts).tolist()
-        return tuple(frozenset(ranks[a:b]) for a, b in zip([0, *ends], ends))
-
-    def stored(self, m: int) -> np.ndarray:
-        """(m, n_helpers) bool matrix: True where a helper caches the rank."""
-        if self.ranks.size and self.ranks.max() > m:
-            raise InfeasiblePlacementError(
-                f"a helper caches a rank beyond the catalog size {m}"
-            )
-        matrix = np.zeros((m, self.n_helpers), dtype=bool)
-        matrix[self.ranks - 1, np.repeat(np.arange(self.n_helpers), self.counts)] = True
-        return matrix
+        """One frozenset per helper of the ranks it stores (any fraction)."""
+        return tuple(frozenset(_ranks(column)) for column in self.rho.T)
 
 
-def most_popular_place(specs: HelperSpecs, pop: PopularityModel) -> UncodedPlacement:
+def _ranks(column: np.ndarray) -> list[int]:
+    """The ranks (1-based, ascending) whose entry in `column` is nonzero."""
+    return (np.flatnonzero(column) + 1).tolist()
+
+
+def most_popular_place(specs: HelperSpecs, pop: PopularityModel) -> Placement:
     """Every helper independently caches the min(capacity, m) most popular files."""
     counts = np.array([min(cap, pop.m) for cap in specs.capacities], dtype=np.int64)
-    starts = np.cumsum(counts) - counts
-    ranks = np.arange(1, counts.sum() + 1) - np.repeat(starts, counts)
-    return UncodedPlacement._from_ranks(ranks, counts, specs.capacities)
+    return Placement(np.arange(pop.m)[:, None] < counts, specs.capacities)
 
 
 class _Class:
@@ -547,14 +537,12 @@ def greedy_place(
     pop: PopularityModel,
     specs: HelperSpecs,
     file_bits: float,
-) -> UncodedPlacement:
+) -> Placement:
     """Greedy placement (1/2-approximation of the optimal delay savings)."""
     helpers, ranks, _ = _greedy(graph, pop, specs, file_bits)
-    # One sort puts the ranks helper-major, ascending within each helper.
-    stride = pop.m + 1
-    ranks = np.sort(helpers * stride + ranks) % stride
-    counts = np.bincount(helpers, minlength=specs.n_helpers)
-    return UncodedPlacement._from_ranks(ranks, counts, specs.capacities)
+    rho = np.zeros((pop.m, specs.n_helpers), dtype=bool)
+    rho[ranks - 1, helpers] = True
+    return Placement(rho, specs.capacities)
 
 
 def brute_force_place(
@@ -562,7 +550,7 @@ def brute_force_place(
     pop: PopularityModel,
     specs: HelperSpecs,
     file_bits: float,
-) -> UncodedPlacement:
+) -> Placement:
     """Exhaustively optimal placement for tiny instances.
 
     Guarded: the product over helpers of C(m, capacity) must not exceed
@@ -619,16 +607,15 @@ def brute_force_place(
 
     recurse(0, inv_bs_mat, ())
     assert best["choice"] is not None
-    return UncodedPlacement(
-        caches=tuple(frozenset(c) for c in best["choice"]),
-        capacities=specs.capacities,
-    )
+    rho = np.zeros((m, specs.n_helpers), dtype=bool)
+    for h, combo in enumerate(best["choice"]):
+        rho[[f - 1 for f in combo], h] = True
+    return Placement(rho, specs.capacities)
 
 
-def placement_to_json(placement: UncodedPlacement) -> str:
+def placement_to_json(placement: Placement) -> str:
     """JSON export: helper id (0-based, as a string key) to sorted rank list."""
     import json
 
-    ranks, ends = placement.ranks.tolist(), np.cumsum(placement.counts).tolist()
-    doc = {str(h): ranks[a:b] for h, (a, b) in enumerate(zip([0, *ends], ends))}
+    doc = {str(h): _ranks(column) for h, column in enumerate(placement.rho.T)}
     return json.dumps(doc, indent=2, sort_keys=True)

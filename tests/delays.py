@@ -9,17 +9,14 @@ import math
 
 import numpy as np
 
-from placement_oracles import fractions
-
 from helpercache.errors import InfeasiblePlacementError, InvalidParameterError
-from helpercache.placement_coded import CodedPlacement
-from helpercache.placement_uncoded import UncodedPlacement
+from helpercache.placement_uncoded import Placement
 from helpercache.popularity import PopularityModel
 from helpercache.topology import ConnectivityGraph, fetch_fastest_first
 
 
 def evaluate_delay(
-    placement: UncodedPlacement,
+    placement: Placement,
     graph: ConnectivityGraph,
     pop: PopularityModel,
     file_bits: float,
@@ -29,13 +26,11 @@ def evaluate_delay(
     Each user requests independently from `pop` and downloads at the best rate
     among the base station and the in-range helpers caching the file.
     """
-    if placement.n_helpers != graph.n_helpers:
-        raise InfeasiblePlacementError(
-            f"placement has {placement.n_helpers} helpers, graph {graph.n_helpers}"
-        )
+    if placement.n_helpers != graph.n_helpers or placement.m != pop.m:
+        raise InfeasiblePlacementError("placement shape does not match instance")
     if not math.isfinite(file_bits) or file_bits <= 0:
         raise InvalidParameterError("file_bits must be finite and > 0")
-    rho = fractions(placement, pop.m)
+    rho = placement.rho
     collected, helper = fetch_fastest_first(
         graph, np.broadcast_to(rho, (graph.n_users,) + rho.shape)
     )
@@ -52,7 +47,7 @@ def baseline_delay(graph: ConnectivityGraph, file_bits: float) -> float:
 
 
 def delay_savings(
-    placement: UncodedPlacement,
+    placement: Placement,
     graph: ConnectivityGraph,
     pop: PopularityModel,
     file_bits: float,
@@ -63,7 +58,7 @@ def delay_savings(
 
 
 def evaluate_coded_delay(
-    placement: CodedPlacement,
+    placement: Placement,
     graph: ConnectivityGraph,
     pop: PopularityModel,
     file_bits: float,

@@ -1,11 +1,10 @@
-"""Whole-file placement references and conversions that only tests use.
+"""Whole-file placement references that only tests use.
 
-`FrozensetPlacement` is the frozenset placement that the rank arrays of
-`placement_uncoded.UncodedPlacement` replaced, kept as it was (checks and
-`fractions` included) so the tests can compare the two.  `fractions`,
-`from_uncoded` and `as_coded` turn either placement kind into the stored
-fractions of a `CodedPlacement`, as the closed-form evaluators and the
-per-replicate snapshot oracle want them.
+`FrozensetPlacement` is the frozenset placement that the policies returned
+before every placement became a matrix, kept as it was (checks and
+`fractions` included) so the tests can compare the two.  `whole_files` builds
+the boolean `Placement` that caches given ranks, as tests write placements
+by hand.
 """
 
 import itertools
@@ -13,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from helpercache.errors import InfeasiblePlacementError, InvalidParameterError
-from helpercache.placement_coded import CodedPlacement
-from helpercache.placement_uncoded import UncodedPlacement
+from helpercache.errors import InfeasiblePlacementError
+from helpercache.placement_uncoded import Placement
 
 
 @dataclass(frozen=True)
@@ -69,22 +67,10 @@ class FrozensetPlacement:
         return rho
 
 
-def fractions(placement: UncodedPlacement, m: int) -> np.ndarray:
-    """(m, n_helpers) stored fractions: 1.0 where a helper caches the rank."""
-    return placement.stored(m).astype(float)
-
-
-def from_uncoded(placement: UncodedPlacement, m: int) -> CodedPlacement:
-    """0/1 fractions equivalent to a whole-file placement."""
-    return CodedPlacement(rho=fractions(placement, m), capacities=placement.capacities)
-
-
-def as_coded(placement, m: int) -> CodedPlacement:
-    """Either placement kind as stored fractions (whole files become 0/1)."""
-    if isinstance(placement, CodedPlacement):
-        return placement
-    if isinstance(placement, UncodedPlacement):
-        return from_uncoded(placement, m)
-    raise InvalidParameterError(
-        "placement must be an UncodedPlacement or a CodedPlacement"
-    )
+def whole_files(caches, capacities, m: int) -> Placement:
+    """The boolean placement over m files that caches the ranks (1-based) of
+    `caches[h]` at helper h."""
+    rho = np.zeros((m, len(caches)), dtype=bool)
+    for h, cache in enumerate(caches):
+        rho[[int(f) - 1 for f in cache], h] = True
+    return Placement(rho, capacities)

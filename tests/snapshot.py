@@ -10,10 +10,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from placement_oracles import as_coded
 
 from helpercache.errors import InvalidParameterError
 from helpercache.macro_sim import _deliver
+from helpercache.placement_uncoded import Placement
 from helpercache.popularity import PopularityModel, sample_requests
 from helpercache.topology import ConnectivityGraph
 
@@ -45,7 +45,9 @@ def simulate_snapshot(
         if not math.isfinite(value) or value <= 0:
             raise InvalidParameterError(f"{name} must be finite and > 0")
     n = graph.n_users
-    rho = as_coded(placement, pop.m).rho
+    if not isinstance(placement, Placement):
+        raise InvalidParameterError("placement must be a Placement")
+    rho = placement.rho
     if rho.shape != (pop.m, graph.n_helpers):
         raise InvalidParameterError("placement does not match the graph")
     requests = sample_requests(pop, rng, n)

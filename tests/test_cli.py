@@ -14,9 +14,10 @@ from popularity_oracles import trace_from_samples
 
 import helpercache
 from helpercache import cli, placement_coded
-from helpercache.cli import build_parser, main
+from helpercache.cli import build_parser, main, resolve_params
 from helpercache.d2d import MAX_USERS
 from helpercache.errors import IterationLimitError, UnboundedProblemError
+from helpercache.macro_sim import MAX_HELPERS, MAX_PLACEMENT_BYTES
 from helpercache.popularity import (
     catalog_size,
     fit_zipf,
@@ -245,8 +246,34 @@ class TestPlace:
             ("fit", "--samples", "1000000000000"),
             "error: samples=1000000000000 exceeds the cap of 100000000\n",
         ),
+        (
+            ("place", "--helpers", "100000000000"),
+            f"error: helpers: must be at most {MAX_HELPERS}\n",
+        ),
+        (
+            ("simulate-macro", "--helpers", "1000000", "--reps", "1", "--gamma", "0.8"),
+            f"error: helpers: must be at most {MAX_HELPERS}\n",
+        ),
+        (
+            ("sweep-helpers", "--counts", f"0,2,{MAX_HELPERS + 1}", "--reps", "1"),
+            f"error: counts: must be at most {MAX_HELPERS}\n",
+        ),
+        (
+            ("place", "--policy", "most-popular", "--m", "10000000", "--helpers", "1000"),
+            "error: m=10000000 files at 1000 helpers take 10000000000 bytes of "
+            f"placements, above the cap of {MAX_PLACEMENT_BYTES}\n",
+        ),
+        (
+            ("sweep-helpers", "--policy", "coded", "--m", "10000000",
+             "--counts", "8,16,32", "--reps", "1"),
+            "error: m=10000000 files at 56 helpers take 4480000000 bytes of "
+            f"placements, above the cap of {MAX_PLACEMENT_BYTES}\n",
+        ),
     ],
-    ids=["reps", "trace-samples", "samples"],
+    ids=[
+        "reps", "trace-samples", "samples", "place-helpers", "macro-helpers", "counts",
+        "place-bytes", "sweep-bytes",
+    ],
 )
 def test_oversized_macro_and_fit_inputs_exit_two_before_allocating(capsys, argv, message):
     # Each would need terabytes; the refusal comes before any allocation.
@@ -644,7 +671,7 @@ def test_one_command_parser_reads_its_flags_like_the_full_one(command):
 
 def readme_commands():
     readme = Path(__file__).resolve().parent.parent / "README.md"
-    blocks = re.findall(r"```[a-z]*\n(.*?)```", readme.read_text(), re.S)
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S)
     return [
         line
         for block in blocks
@@ -654,12 +681,14 @@ def readme_commands():
 
 
 def test_readme_examples_parse():
+    # Every example parses and its parameters resolve; none is run.
     commands = readme_commands()
     assert len(commands) >= 10
     parser = build_parser()
     for line in commands:
         args = parser.parse_args(shlex.split(line)[1:])
         assert args.command == shlex.split(line)[1]
+        resolve_params(args)
 
 
 def test_import_loads_no_scipy():

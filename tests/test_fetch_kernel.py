@@ -10,13 +10,12 @@ below or just above one.
 import numpy as np
 import pytest
 from delays import evaluate_coded_delay, evaluate_delay
-from placement_oracles import as_coded, from_uncoded
+from placement_oracles import whole_files
 from snapshot import simulate_snapshot
 
 from helpercache import rng as hrng
 from helpercache.macro_sim import WHOLE_FILE_TOL
-from helpercache.placement_coded import CodedPlacement
-from helpercache.placement_uncoded import UncodedPlacement
+from helpercache.placement_uncoded import Placement
 from helpercache.popularity import sample_requests, zipf_model
 from helpercache.topology import ConnectivityGraph, fetch_fastest_first
 
@@ -43,15 +42,12 @@ def random_fractions(rng, m, H):
         holders = rng.choice(H, size=int(rng.integers(1, H + 1)), replace=False)
         split = rng.dirichlet(np.ones(holders.size)) * total
         rho[f, holders] = np.minimum(split, 1.0)
-    return CodedPlacement(rho=rho, capacities=(m,) * H)
+    return Placement(rho=rho, capacities=(m,) * H)
 
 
 def random_whole_files(rng, m, H):
-    caches = tuple(
-        frozenset(int(f) for f in np.flatnonzero(rng.random(m) < 0.4) + 1)
-        for _ in range(H)
-    )
-    return UncodedPlacement(caches=caches, capacities=(m,) * H)
+    caches = [np.flatnonzero(rng.random(m) < 0.4) + 1 for _ in range(H)]
+    return whole_files(caches, (m,) * H, m)
 
 
 def oracle_snapshot_uncoded(graph, placement, pop, requests):
@@ -142,7 +138,7 @@ def test_snapshot_matches_per_user_loops(kind):
         requests = sample_requests(pop, hrng.stream(k, "req"), graph.n_users)
         served, times = oracle(graph, placement, pop, requests)
 
-        rho = as_coded(placement, pop.m).rho
+        rho = placement.rho
         collected, _ = fetch_fastest_first(graph, rho[requests - 1])
         np.testing.assert_array_equal(collected >= 1.0 - WHOLE_FILE_TOL, served)
         assert out.download_time == pytest.approx(
@@ -162,7 +158,7 @@ def test_expected_delay_matches_per_user_loops(kind):
             assert evaluate_delay(uncoded, graph, pop, B) == pytest.approx(
                 oracle_delay_uncoded(graph, uncoded, pop), rel=1e-12
             )
-            coded = from_uncoded(uncoded, pop.m)
+            coded = Placement(uncoded.rho.astype(float), uncoded.capacities)
         else:
             coded = random_fractions(rng, pop.m, graph.n_helpers)
         assert evaluate_coded_delay(coded, graph, pop, B) == pytest.approx(
@@ -176,13 +172,13 @@ def test_remainder_rules_differ_on_slow_holders():
     # rule takes the helper's share as stored.
     graph = ConnectivityGraph(rates=np.array([[1e6]]), bs_rate=np.array([4e6]))
     pop = zipf_model(0.0, 1)
-    whole = UncodedPlacement(caches=(frozenset({1}),), capacities=(1,))
+    whole = whole_files(({1},), (1,), 1)
     assert evaluate_delay(whole, graph, pop, B) == pytest.approx(B / 4e6, rel=1e-15)
-    coded = from_uncoded(whole, 1)
+    coded = Placement(whole.rho.astype(float), whole.capacities)
     assert evaluate_coded_delay(coded, graph, pop, B) == pytest.approx(
         B / 1e6, rel=1e-15
     )
-    half = CodedPlacement(rho=np.array([[0.5]]), capacities=(1,))
+    half = Placement(rho=np.array([[0.5]]), capacities=(1,))
     assert evaluate_coded_delay(half, graph, pop, B) == pytest.approx(
         B * (0.5 / 1e6 + 0.5 / 4e6), rel=1e-15
     )

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from delays import delay_savings
+from placement_oracles import whole_files
 from snapshot import simulate_snapshot
 
 from helpercache.errors import InvalidParameterError
@@ -15,10 +16,9 @@ from helpercache.macro_sim import (
     sweep_capacity,
     sweep_helper_count,
 )
-from helpercache.placement_coded import CodedPlacement
 from helpercache.placement_uncoded import (
     HelperSpecs,
-    UncodedPlacement,
+    Placement,
     most_popular_place,
 )
 from helpercache.popularity import zipf_model
@@ -60,7 +60,7 @@ def one_file_pop():
 class TestSnapshotBasics:
     def test_single_user_no_helpers_downloads_from_bs(self):
         graph = build_graph(np.empty((0, 2)), [[100.0, 0.0]])
-        placement = UncodedPlacement(caches=(), capacities=())
+        placement = whole_files((), (), 1)
         out = simulate_snapshot(
             graph,
             placement,
@@ -78,7 +78,7 @@ class TestSnapshotBasics:
         # three users, no helpers: each download takes 3x its solo time
         users = [[50.0, 0.0], [0.0, 250.0], [-390.0, 0.0]]
         graph = build_graph(np.empty((0, 2)), users)
-        placement = UncodedPlacement(caches=(), capacities=())
+        placement = whole_files((), (), 1)
         out = simulate_snapshot(
             graph,
             placement,
@@ -94,7 +94,7 @@ class TestSnapshotBasics:
         # helper at the origin, one user inside its disc and one outside
         users = [[10.0, 0.0], [350.0, 0.0]]
         graph = build_graph([[0.0, 0.0]], users)
-        placement = UncodedPlacement(caches=(frozenset({1}),), capacities=(1,))
+        placement = whole_files((frozenset({1}),), (1,), 1)
         out = simulate_snapshot(
             graph,
             placement,
@@ -115,9 +115,7 @@ class TestSnapshotBasics:
         helpers = [[200.0, 0.0], [10.0, 0.0]]
         graph = build_graph(helpers, users, helper_radius=300.0)
         assert graph.rates[0, 0] < graph.rates[0, 1]
-        placement = UncodedPlacement(
-            caches=(frozenset({1}), frozenset({1})), capacities=(1, 1)
-        )
+        placement = whole_files((frozenset({1}), frozenset({1})), (1, 1), 1)
         out = simulate_snapshot(
             graph,
             placement,
@@ -132,7 +130,7 @@ class TestSnapshotBasics:
         # helper in range but holding the wrong file
         pop = zipf_model(0.0, 2)
         graph = build_graph([[0.0, 0.0]], [[10.0, 0.0]])
-        placement = UncodedPlacement(caches=(frozenset({2}),), capacities=(2,))
+        placement = whole_files((frozenset({2}),), (2,), 2)
         rng = stream(9, "reqs")
         # find a seed draw that asks for rank 1
         out = simulate_snapshot(
@@ -144,7 +142,7 @@ class TestSnapshotBasics:
 
     def test_count_satisfied_thresholds(self):
         graph = build_graph(np.empty((0, 2)), [[100.0, 0.0], [200.0, 0.0]])
-        placement = UncodedPlacement(caches=(), capacities=())
+        placement = whole_files((), (), 1)
         out = simulate_snapshot(
             graph,
             placement,
@@ -161,7 +159,7 @@ class TestSnapshotBasics:
     def test_satisfied_count_matches_qos_threshold(self):
         users = place_uniform(12, 400.0, stream(21, "users"))
         graph = build_graph([[0.0, 0.0]], users)
-        placement = UncodedPlacement(caches=(frozenset({1}),), capacities=(1,))
+        placement = whole_files((frozenset({1}),), (1,), 1)
         out = simulate_snapshot(
             graph, placement, one_file_pop(), B, 40.0, stream(21, "reqs")
         )
@@ -189,7 +187,7 @@ class TestSnapshotCoded:
 
     def test_fractions_summing_to_one_serve_fastest_first(self):
         graph = self._two_helper_graph()
-        placement = CodedPlacement(rho=np.array([[0.4, 0.6]]), capacities=(1, 1))
+        placement = Placement(rho=np.array([[0.4, 0.6]]), capacities=(1, 1))
         out = simulate_snapshot(
             graph,
             placement,
@@ -204,7 +202,7 @@ class TestSnapshotCoded:
 
     def test_surplus_fractions_drawn_from_fastest_helpers(self):
         graph = self._two_helper_graph()
-        placement = CodedPlacement(rho=np.array([[0.8, 0.4]]), capacities=(1, 1))
+        placement = Placement(rho=np.array([[0.8, 0.4]]), capacities=(1, 1))
         out = simulate_snapshot(
             graph,
             placement,
@@ -219,7 +217,7 @@ class TestSnapshotCoded:
 
     def test_incomplete_fractions_fall_back_to_bs_for_whole_file(self):
         graph = self._two_helper_graph()
-        placement = CodedPlacement(rho=np.array([[0.6, 0.3]]), capacities=(1, 1))
+        placement = Placement(rho=np.array([[0.6, 0.3]]), capacities=(1, 1))
         out = simulate_snapshot(
             graph,
             placement,
@@ -233,10 +231,8 @@ class TestSnapshotCoded:
 
     def test_whole_file_at_one_helper_matches_uncoded_time(self):
         graph = self._two_helper_graph()
-        coded = CodedPlacement(rho=np.array([[0.0, 1.0]]), capacities=(1, 1))
-        uncoded = UncodedPlacement(
-            caches=(frozenset(), frozenset({1})), capacities=(1, 1)
-        )
+        coded = Placement(rho=np.array([[0.0, 1.0]]), capacities=(1, 1))
+        uncoded = whole_files((frozenset(), frozenset({1})), (1, 1), 1)
         a = simulate_snapshot(graph, coded, one_file_pop(), B, QOS, stream(5, "r"))
         b = simulate_snapshot(graph, uncoded, one_file_pop(), B, QOS, stream(5, "r"))
         assert a.download_time[0] == pytest.approx(b.download_time[0])
@@ -245,9 +241,7 @@ class TestSnapshotCoded:
 class TestSnapshotValidation:
     def test_uncoded_helper_count_mismatch(self):
         graph = build_graph([[0.0, 0.0]], [[10.0, 0.0]])
-        placement = UncodedPlacement(
-            caches=(frozenset(), frozenset()), capacities=(1, 1)
-        )
+        placement = whole_files((frozenset(), frozenset()), (1, 1), 1)
         with pytest.raises(InvalidParameterError):
             simulate_snapshot(
                 graph,
@@ -260,7 +254,7 @@ class TestSnapshotValidation:
 
     def test_coded_catalog_mismatch(self):
         graph = build_graph([[0.0, 0.0]], [[10.0, 0.0]])
-        placement = CodedPlacement(rho=np.ones((2, 1)), capacities=(2,))
+        placement = Placement(rho=np.ones((2, 1)), capacities=(2,))
         with pytest.raises(InvalidParameterError):
             simulate_snapshot(
                 graph,
@@ -285,7 +279,7 @@ class TestSnapshotValidation:
 
     def test_snapshot_rejects_bad_file_bits_and_qos(self):
         graph = build_graph(np.empty((0, 2)), [[10.0, 0.0]])
-        placement = UncodedPlacement(caches=(), capacities=())
+        placement = whole_files((), (), 1)
         for file_bits, qos_s, name in [
             (0.0, QOS, "file_bits"),
             (-B, QOS, "file_bits"),

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 from delays import baseline_delay, delay_savings, evaluate_coded_delay, evaluate_delay
-from placement_oracles import from_uncoded
 
 from helpercache import rng as hrng
 from helpercache.errors import (
@@ -13,7 +12,6 @@ from helpercache.errors import (
     InvalidParameterError,
 )
 from helpercache.placement_coded import (
-    CodedPlacement,
     build_lp,
     coded_placement_rows,
     expand_grouped_rho,
@@ -22,7 +20,7 @@ from helpercache.placement_coded import (
     solve_grouped,
     solve_lp_detailed,
 )
-from helpercache.placement_uncoded import HelperSpecs, greedy_place
+from helpercache.placement_uncoded import HelperSpecs, Placement, greedy_place
 from helpercache.popularity import zipf_model
 from helpercache.topology import ConnectivityGraph
 
@@ -149,12 +147,12 @@ def test_slow_edges_dropped_with_warning(caplog):
 
 def test_evaluate_zero_and_full_fractions(fixture):
     graph, pop, specs = fixture
-    zero = CodedPlacement(rho=np.zeros((4, 2)), capacities=specs.capacities)
+    zero = Placement(rho=np.zeros((4, 2)), capacities=specs.capacities)
     assert evaluate_coded_delay(zero, graph, pop, FILE_BITS) == pytest.approx(
         baseline_delay(graph, FILE_BITS), rel=1e-12
     )
     single = ConnectivityGraph(rates=np.array([[6e6]]), bs_rate=np.array([1e6]))
-    full = CodedPlacement(rho=np.ones((4, 1)), capacities=(4,))
+    full = Placement(rho=np.ones((4, 1)), capacities=(4,))
     assert evaluate_coded_delay(full, single, pop, FILE_BITS) == pytest.approx(
         FILE_BITS / 6e6, rel=1e-12
     )
@@ -164,7 +162,7 @@ def test_partial_fractions_split_between_helpers():
     # 0.5 from a fast helper, 0.3 from a slow one, 0.2 from the BS
     graph = ConnectivityGraph(rates=np.array([[2e7, 5e6]]), bs_rate=np.array([1e6]))
     pop = zipf_model(0.0, 1)
-    placement = CodedPlacement(rho=np.array([[0.5, 0.3]]), capacities=(1, 1))
+    placement = Placement(rho=np.array([[0.5, 0.3]]), capacities=(1, 1))
     expected = FILE_BITS * (0.5 / 2e7 + 0.3 / 5e6 + 0.2 / 1e6)
     assert evaluate_coded_delay(placement, graph, pop, FILE_BITS) == pytest.approx(
         expected, rel=1e-12
@@ -174,10 +172,10 @@ def test_partial_fractions_split_between_helpers():
 def test_infeasible_coded_placements_rejected(fixture):
     graph, pop, specs = fixture
     with pytest.raises(InfeasiblePlacementError):
-        CodedPlacement(rho=np.full((4, 2), 0.9), capacities=(2, 2))  # 3.6 > 2
+        Placement(rho=np.full((4, 2), 0.9), capacities=(2, 2))  # 3.6 > 2
     with pytest.raises(InfeasiblePlacementError):
-        CodedPlacement(rho=np.array([[1.2, 0.0]] * 4), capacities=(4, 4))
-    wrong_shape = CodedPlacement(rho=np.zeros((3, 2)), capacities=(2, 2))
+        Placement(rho=np.array([[1.2, 0.0]] * 4), capacities=(4, 4))
+    wrong_shape = Placement(rho=np.zeros((3, 2)), capacities=(2, 2))
     with pytest.raises(InfeasiblePlacementError):
         evaluate_coded_delay(wrong_shape, graph, pop, FILE_BITS)
 
@@ -185,7 +183,7 @@ def test_infeasible_coded_placements_rejected(fixture):
 def test_uncoded_embedding_matches_delays(fixture):
     graph, pop, specs = fixture
     uncoded = greedy_place(graph, pop, specs, FILE_BITS)
-    coded = from_uncoded(uncoded, pop.m)
+    coded = Placement(uncoded.rho.astype(float), uncoded.capacities)
     assert evaluate_coded_delay(coded, graph, pop, FILE_BITS) == pytest.approx(
         evaluate_delay(uncoded, graph, pop, FILE_BITS), rel=1e-12
     )
@@ -256,7 +254,7 @@ def test_identity_grouping_matches_plain_lp(fixture):
 def test_expand_checks_bucket_count():
     pop = zipf_model(0.8, 10)
     grouped = group_files(pop, 3)
-    wrong = CodedPlacement(rho=np.zeros((4, 1)), capacities=(2,))
+    wrong = Placement(rho=np.zeros((4, 1)), capacities=(2,))
     with pytest.raises(InfeasiblePlacementError):
         expand_grouped_rho(grouped, wrong)
 
@@ -268,3 +266,35 @@ def test_placement_rows(fixture):
     rows = coded_placement_rows(placement)
     assert all(r > 0 for _, _, r in rows)
     assert rows == sorted(rows, key=lambda t: (t[0], t[1]))
+
+
+def loop_placement_rows(placement):
+    """`coded_placement_rows` as a loop over every (rank, helper) entry."""
+    rows = []
+    for f in range(placement.m):
+        for h in range(placement.n_helpers):
+            value = float(placement.rho[f, h])
+            if value > 0.0:
+                rows.append((f + 1, h, value))
+    return rows
+
+
+def test_placement_rows_match_the_loop():
+    rng = hrng.stream(17, "placement-rows")
+    tiny = [0.0, -0.0, 5e-324, 2.2e-308, 1e-310, 1.0]
+    for _ in range(200):
+        m, H = int(rng.integers(0, 7)), int(rng.integers(0, 5))
+        rho = rng.uniform(0.0, 1.0, (m, H))
+        rho[rng.random((m, H)) < 0.3] = 0.0
+        pick = rng.random((m, H)) < 0.3
+        rho[pick] = rng.choice(tiny, size=int(pick.sum()))
+        assert_rows_match_the_loop(Placement(rho, (m,) * H))
+    whole = np.array([[True, False], [True, True]])
+    assert_rows_match_the_loop(Placement(whole, (2, 1)))
+
+
+def assert_rows_match_the_loop(placement):
+    rows = coded_placement_rows(placement)
+    assert rows == loop_placement_rows(placement)
+    assert all(type(v) is int for f, h, _ in rows for v in (f, h))
+    assert all(type(r) is float for _, _, r in rows)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from delays import baseline_delay, delay_savings, evaluate_delay
 from greedy_oracles import greedy_steps
+from placement_oracles import whole_files
 
 from helpercache import rng as hrng
 from helpercache.errors import (
@@ -13,7 +15,6 @@ from helpercache.errors import (
 from helpercache.placement_uncoded import (
     BRUTE_FORCE_GUARD,
     HelperSpecs,
-    UncodedPlacement,
     brute_force_place,
     greedy_place,
     most_popular_place,
@@ -53,7 +54,7 @@ def with_added(placement, helper, rank):
     """Copy of `placement` with one more file at `helper`."""
     caches = list(placement.caches)
     caches[helper] = caches[helper] | {rank}
-    return UncodedPlacement(caches=tuple(caches), capacities=placement.capacities)
+    return whole_files(caches, placement.capacities, placement.m)
 
 
 def loop_delay(caches, pop):
@@ -70,9 +71,7 @@ def loop_delay(caches, pop):
 
 def test_empty_placement_is_bs_baseline(fixture_instance):
     graph, pop, specs = fixture_instance
-    empty = UncodedPlacement(
-        caches=(frozenset(), frozenset()), capacities=specs.capacities
-    )
+    empty = whole_files((frozenset(), frozenset()), specs.capacities, pop.m)
     assert evaluate_delay(empty, graph, pop, FILE_BITS) == pytest.approx(
         FIXTURE_BASELINE, rel=1e-12
     )
@@ -123,13 +122,12 @@ def test_full_caches_use_best_helper_rate(fixture_instance):
 def test_infeasible_placements_rejected(fixture_instance):
     graph, pop, specs = fixture_instance
     with pytest.raises(InfeasiblePlacementError):
-        UncodedPlacement(caches=(frozenset({1, 2, 3}), frozenset()), capacities=(2, 2))
-    with pytest.raises(InfeasiblePlacementError):
-        UncodedPlacement(caches=(frozenset({0}), frozenset()), capacities=(2, 2))
-    beyond = UncodedPlacement(caches=(frozenset({5}), frozenset()), capacities=(2, 2))
+        whole_files((frozenset({1, 2, 3}), frozenset()), (2, 2), pop.m)
+    # A placement over a larger catalog than the instance's.
+    beyond = whole_files((frozenset({5}), frozenset()), (2, 2), 5)
     with pytest.raises(InfeasiblePlacementError):
         evaluate_delay(beyond, graph, pop, FILE_BITS)
-    one_helper = UncodedPlacement(caches=(frozenset(),), capacities=(2,))
+    one_helper = whole_files((frozenset(),), (2,), pop.m)
     with pytest.raises(InfeasiblePlacementError):
         evaluate_delay(one_helper, graph, pop, FILE_BITS)
 
@@ -145,6 +143,22 @@ def test_most_popular_shapes():
     assert most_popular_place(HelperSpecs.uniform(4, 3), pop).caches == (
         frozenset({1, 2, 3}),
     ) * 4
+
+
+def test_most_popular_holds_one_boolean_matrix():
+    # 10^6 files at 32 helpers: the matrix is 32 MB, while the ranks of every
+    # cached file alone would take 256 MB as int64.
+    pop = zipf_model(0.8, 10**6)
+    specs = HelperSpecs.uniform(32, 10**6)
+    tracemalloc.start()
+    try:
+        placement = most_popular_place(specs, pop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert placement.rho.dtype == bool and placement.rho.all()
+    assert placement.rho.nbytes == 32 * 10**6
+    assert peak < 1.5 * placement.rho.nbytes
 
 
 def test_zero_capacity_greedy_empty(fixture_instance):
@@ -203,9 +217,8 @@ def test_adding_a_file_never_hurts():
     rng = hrng.stream(32, "monotone")
     for _ in range(40):
         graph, pop, specs = random_instance(rng)
-        placement = UncodedPlacement(
-            caches=(frozenset(),) * specs.n_helpers,
-            capacities=(pop.m,) * specs.n_helpers,
+        placement = whole_files(
+            (frozenset(),) * specs.n_helpers, (pop.m,) * specs.n_helpers, pop.m
         )
         before = evaluate_delay(placement, graph, pop, FILE_BITS)
         h = int(rng.integers(0, specs.n_helpers))
@@ -233,8 +246,8 @@ def test_marginal_gains_shrink_with_context():
             )
         h = int(rng.integers(0, specs.n_helpers))
         f = int(rng.integers(1, pop.m + 1))
-        small = UncodedPlacement(tuple(map(frozenset, small_sets)), caps)
-        big = UncodedPlacement(tuple(map(frozenset, big_sets)), caps)
+        small = whole_files(small_sets, caps, pop.m)
+        big = whole_files(big_sets, caps, pop.m)
 
         def gain(p):
             return evaluate_delay(p, graph, pop, FILE_BITS) - evaluate_delay(

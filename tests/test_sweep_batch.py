@@ -11,7 +11,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from placement_oracles import as_coded
 from snapshot import simulate_snapshot
 
 from helpercache import macro_sim
@@ -26,8 +25,7 @@ from helpercache.macro_sim import (
     experiment_popularity,
     plan_deployment,
 )
-from helpercache.placement_coded import CodedPlacement
-from helpercache.placement_uncoded import HelperSpecs
+from helpercache.placement_uncoded import HelperSpecs, Placement
 from helpercache.popularity import sample_requests
 from helpercache.rng import stream
 from helpercache.topology import place_uniform
@@ -46,9 +44,10 @@ def oracle_sweep(points, config, policy, reps, root_seed):
             plans[count] = plan_deployment(count, config, root_seed)
         helpers, plan = plans[count]
         specs = HelperSpecs.uniform(count, capacity)
-        placement = as_coded(
-            macro_sim.make_placement(policy, plan, pop, specs, config), pop.m
-        )
+        placed = macro_sim.make_placement(policy, plan, pop, specs, config)
+        # As floats, so that a whole-file placement, which the sweep scores as
+        # booleans, is scored here as 0/1 fractions.
+        placement = Placement(placed.rho.astype(float), placed.capacities)
         satisfied = np.empty(reps)
         for k in range(reps):
             users = place_uniform(
@@ -162,7 +161,7 @@ def test_fractional_sums_match_the_loop_across_degrees(monkeypatch):
     def place(policy, graph, pop, specs, config):
         rho = dense_fractions(pop.m, graph.n_helpers)
         capacities = tuple(int(c) + 1 for c in rho.sum(axis=0))
-        return CodedPlacement(rho=rho, capacities=capacities)
+        return Placement(rho=rho, capacities=capacities)
 
     monkeypatch.setattr(macro_sim, "make_placement", place)
     config = replace(SMALL, n_users=24, helper_radius_m=200.0)

@@ -1,22 +1,24 @@
-"""Whole-file placements as rank arrays against the frozenset placement.
+"""Whole-file placements as boolean matrices against the frozenset placement.
 
 `placement_oracles.FrozensetPlacement` is the frozenset placement that the
-rank arrays replaced.  On the same input both must keep the same caches and
-capacities, store the same matrix, and refuse the same inputs with the same
-exception and message, checked in the same order.
+policies once returned.  On the same caches both must keep the same caches
+and capacities, store the same matrix, and refuse the same inputs at the same
+helper.  The matrix words two refusals its own way: "stores 3 file units"
+where the frozensets say "caches 3 files", and "rho must be (m, n_helpers)"
+where they say "one capacity per helper is required".  A matrix of m rows
+holds only ranks 1 to m, so no input here holds any other rank.
 """
 
 import numpy as np
 import pytest
 from greedy_oracles import greedy_steps
-from placement_oracles import FrozensetPlacement, fractions
+from placement_oracles import FrozensetPlacement, whole_files
 
 from helpercache import rng as hrng
 from helpercache.errors import InfeasiblePlacementError
 from helpercache.macro_sim import MacroConfig, experiment_popularity, plan_deployment
 from helpercache.placement_uncoded import (
     HelperSpecs,
-    UncodedPlacement,
     greedy_place,
     most_popular_place,
 )
@@ -29,39 +31,45 @@ def outcome(build):
         return None, (type(exc), str(exc))
 
 
+def matrix_message(message: str) -> str:
+    """The refusal of the matrix where the frozenset placement says `message`."""
+    if message == "one capacity per helper is required":
+        return "rho must be (m, n_helpers)"
+    return message.replace(" caches ", " stores ").replace(" files,", " file units,")
+
+
 def assert_same(caches, capacities, catalog_sizes):
-    got, got_error = outcome(lambda: UncodedPlacement(caches, capacities))
     want, want_error = outcome(lambda: FrozensetPlacement(caches, capacities))
-    assert got_error == want_error
-    if want is None:
-        return got_error
-    assert got.caches == want.caches
-    assert got.capacities == want.capacities
-    assert got.n_helpers == want.n_helpers
     for m in catalog_sizes:
-        stored, stored_error = outcome(lambda: fractions(got, m))
-        rho, rho_error = outcome(lambda: want.fractions(m))
-        assert stored_error == rho_error
-        if rho is not None:
-            assert got.stored(m).dtype == bool
-            assert np.array_equal(stored, rho)
-    return None
+        got, got_error = outcome(lambda: whole_files(caches, capacities, m))
+        if want is None:
+            assert got_error == (want_error[0], matrix_message(want_error[1]))
+            continue
+        assert got_error is None
+        assert got.rho.dtype == bool
+        assert got.caches == want.caches
+        assert got.capacities == want.capacities
+        assert got.n_helpers == want.n_helpers
+        assert np.array_equal(got.rho, want.fractions(m))
+    return want_error
 
 
+# Explicit ids keep each case's name as cases come and go.
 @pytest.mark.parametrize(
     "caches, capacities, message",
     [
-        # A helper over capacity, before and after a helper holding rank 0.
-        (({1, 2, 3}, {0}), (2, 2), "helper 0 caches 3 files, capacity 2"),
-        (({0}, {1, 2, 3}), (2, 2), "file ranks are 1-based"),
-        (({1}, {0, 1, 2}), (1, 2), "helper 1 caches 3 files, capacity 2"),
-        (({2}, {0}, {1, 2, 3}), (1, 1, 1), "file ranks are 1-based"),
+        (({1, 2, 3}, {4}), (2, 2), "helper 0 caches 3 files, capacity 2"),
+        (({1}, {1, 2, 3}), (1, 2), "helper 1 caches 3 files, capacity 2"),
         (({1},), (1, 1), "one capacity per helper is required"),
-        (({-4, 7}, set()), (2, 0), "file ranks are 1-based"),
+    ],
+    ids=[
+        "caches0-capacities0-helper 0 caches 3 files, capacity 2",
+        "caches2-capacities2-helper 1 caches 3 files, capacity 2",
+        "caches4-capacities4-one capacity per helper is required",
     ],
 )
 def test_refusals_keep_their_message_and_order(caches, capacities, message):
-    error = assert_same(tuple(frozenset(c) for c in caches), capacities, [10])
+    error = assert_same(tuple(frozenset(c) for c in caches), capacities, [4, 10])
     assert error == (InfeasiblePlacementError, message)
 
 
@@ -73,15 +81,12 @@ def test_shared_cache_objects():
     assert error == (InfeasiblePlacementError, "helper 1 caches 3 files, capacity 2")
 
 
-def test_empty_helpers_and_ranks_beyond_the_catalog():
+def test_empty_helpers_and_catalog_sizes():
     assert assert_same((), (), [1, 5]) is None
     assert assert_same((frozenset(), frozenset()), (0, 4), [1]) is None
-    assert assert_same((frozenset({2, 9}), frozenset({1})), (2, 1), [8, 9, 20]) is None
-    placement = UncodedPlacement((frozenset({2, 9}),), (2,))
-    with pytest.raises(
-        InfeasiblePlacementError, match="^a helper caches a rank beyond the catalog size 8$"
-    ):
-        placement.stored(8)
+    # The last rank of the catalog, and capacities past it.
+    assert assert_same((frozenset({2, 9}), frozenset({1})), (2, 1), [9, 20]) is None
+    assert assert_same((frozenset({1, 2}),), (10**30,), [2, 3]) is None
 
 
 def test_iterables_with_repeats_and_numpy_ranks():
@@ -95,13 +100,13 @@ def test_random_placements_match_the_frozenset_placement():
     for _ in range(3000):
         H = int(rng.integers(0, 6))
         pool = [
-            frozenset(rng.integers(-1, 14, int(rng.integers(0, 7))).tolist())
+            frozenset(rng.integers(1, 14, int(rng.integers(0, 7))).tolist())
             for _ in range(max(H, 1))
         ]
         # Some helpers share one cache object, others an empty cache.
         caches = tuple(pool[int(rng.integers(0, len(pool)))] for _ in range(H))
         capacities = tuple(rng.integers(0, 8, H + int(rng.random() < 0.05)).tolist())
-        error = assert_same(caches, capacities, [1, 6, 13, 20])
+        error = assert_same(caches, capacities, [13, 20])
         refused += error is not None
         kept += error is None
     assert refused > 300 and kept > 300
@@ -130,10 +135,8 @@ def frozenset_most_popular(specs, pop):
 def assert_placements_equal(got, want, m):
     assert got.caches == want.caches
     assert got.capacities == want.capacities
-    assert np.array_equal(fractions(got, m), want.fractions(m))
-    for h, cache in enumerate(want.caches):
-        start = int(got.counts[:h].sum())
-        assert got.ranks[start : start + len(cache)].tolist() == sorted(cache)
+    assert got.rho.dtype == bool
+    assert np.array_equal(got.rho, want.fractions(m))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
