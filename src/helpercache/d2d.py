@@ -15,7 +15,6 @@ against this module's own Monte Carlo, not against published values.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -33,6 +32,7 @@ STRATEGIES = ("deterministic", "random-zipf")
 TILE_TOL = 1e-9
 _CHUNK_ELEMENTS = 1 << 21  # keeps Monte Carlo chunking (and streams) stable
 _ANALYTIC_BLOCK = 1 << 14  # factors per block of the analytic all-miss products
+_WINDOW = 12.0  # first occupancy window: n/K +- _WINDOW * (std + 1)
 # Expected draws to fill one random cache row above which the input is refused.
 RANDOM_CACHE_MAX_DRAWS = 1e4
 # Expected draws to fill every random cache of one Monte Carlo run above which
@@ -149,16 +149,17 @@ def _random_caches(
     compares its candidates with the first t-1 columns only.  Later rounds
     draw for the incomplete rows, kept in row order as they shrink.
 
-    When `_fill_draws` exceeds RANDOM_CACHE_MAX_DRAWS the rounds could run
-    for hours, so the input is refused before any draw.  Ranks are held in
-    the narrowest unsigned dtype that holds m.
+    The rounds fill an (M, count) array, so that each column is contiguous
+    and an accepted rank is stored at one flat index; the result is its
+    transpose.  When `_fill_draws` exceeds RANDOM_CACHE_MAX_DRAWS the rounds
+    could run for hours, so the input is refused before any draw.  Ranks are
+    held in the narrowest unsigned dtype that holds m.
     """
     if M > m:
         raise InvalidParameterError("random caches need M <= m")
     dtype = np.min_scalar_type(m)
-    out = np.zeros((count, M), dtype=dtype)
     if M == 0 or count == 0:
-        return out
+        return np.zeros((count, M), dtype=dtype)
     if M == m:
         return np.tile(np.arange(1, m + 1, dtype=dtype), (count, 1))
     model = zipf_model(gamma1, m)
@@ -169,35 +170,55 @@ def _random_caches(
             f"{draws:.3g} draws per device (limit {RANDOM_CACHE_MAX_DRAWS:g}); "
             "lower gamma1 or M"
         )
-    filled = np.zeros(count, dtype=np.int64)
+    held = np.zeros((M, count), dtype=dtype)
+    flat = held.reshape(-1)
+    # Flat index of each row's next free slot: column j of row i is at
+    # j * count + i, so a row is complete once its index reaches M * count.
+    slot = np.arange(count)
     for t in range(M):
         draws = sample_requests(model, rng, count).astype(dtype)
         fresh = np.ones(count, dtype=bool)
-        for column in out.T[:t]:
+        for column in held[:t]:
             fresh &= column != draws
-        hit = np.flatnonzero(fresh)
-        out[hit, filled[hit]] = draws[hit]
-        filled[hit] += 1
-    rows = np.flatnonzero(filled < M)
+        flat[slot[fresh]] = draws[fresh]
+        np.add(slot, count, out=slot, where=fresh)
+    rows = np.flatnonzero(slot < M * count)
+    slot = slot[rows]  # kept aligned with the incomplete rows
     while rows.size:
         draws = sample_requests(model, rng, rows.size).astype(dtype)
-        held = out[rows].T
-        fresh = held[0] != draws
+        fresh = held[0][rows] != draws
         for column in held[1:]:
-            fresh &= column != draws
-        hit = rows[fresh]
-        out[hit, filled[hit]] = draws[fresh]
-        filled[hit] += 1
-        rows = rows[filled[rows] < M]
-    return out
+            fresh &= column[rows] != draws
+        flat[slot[fresh]] = draws[fresh]
+        np.add(slot, count, out=slot, where=fresh)
+        open_rows = slot < M * count
+        rows, slot = rows[open_rows], slot[open_rows]
+    return held.T
 
 
-@functools.lru_cache(maxsize=8)
+_LOG_FACTORIALS = np.zeros(1)  # log(k!) for k = 0, 1, ...; grown on demand
+_LOG_FACTORIALS.flags.writeable = False
+
+
 def _log_factorials(n: int) -> np.ndarray:
-    """log(k!) for k = 0..n (read-only, shared between calls)."""
-    out = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-    out.flags.writeable = False
-    return out
+    """log(k!) for k = 0..n: a read-only slice of one table, which grows to
+    n + 1 entries the first time a larger n asks for it."""
+    global _LOG_FACTORIALS
+    have = _LOG_FACTORIALS.size
+    if have <= n:
+        table = np.empty(n + 1)
+        table[:have] = _LOG_FACTORIALS
+        for start in range(have, n + 1, _ANALYTIC_BLOCK):
+            stop = min(start + _ANALYTIC_BLOCK, n + 1)
+            # lgamma(k + 1.0) for k in start..stop-1, without a list of floats
+            table[start:stop] = np.fromiter(
+                map(math.lgamma, map(float, range(start + 1, stop + 1))),
+                float,
+                stop - start,
+            )
+        table.flags.writeable = False
+        _LOG_FACTORIALS = table
+    return _LOG_FACTORIALS[: n + 1]
 
 
 def _binomial_pmf(n: int, p: float, ks: np.ndarray) -> np.ndarray:
@@ -210,6 +231,90 @@ def _binomial_pmf(n: int, p: float, ks: np.ndarray) -> np.ndarray:
     )
 
 
+def _occupancies(n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The occupancies k >= 2 of one of K clusters whose Binomial(n, 1/K)
+    probability pk is at least 1e-18, with their pk, in increasing k.
+
+    The pmf is unimodal, so these are the kept k of a window around n/K
+    whose ends are below the cut or at 2 and n.  The window starts at
+    _WINDOW standard deviations plus _WINDOW each way, which was wide enough
+    for every case tried, and doubles until its ends qualify.
+    """
+    p = 1.0 / K
+    half = _WINDOW * (math.sqrt(n * p * (1.0 - p)) + 1.0)
+    while True:
+        lo = max(2, math.floor(n * p - half))
+        hi = min(n, max(2, math.ceil(n * p + half)))
+        ks = np.arange(lo, hi + 1)
+        pk = _binomial_pmf(n, p, ks)
+        if (lo == 2 or pk[0] < 1e-18) and (hi == n or pk[-1] < 1e-18):
+            kept = pk >= 1e-18  # occupancies too unlikely to matter
+            return ks[kept], pk[kept]
+        half *= 2.0
+
+
+class _Hits:
+    """P(active | k) by occupancy k for the deterministic caching rule at
+    one (n, m, M), each k computed on first use and kept.
+
+    Given k users, P(active | k) = 1 - prod_j (1 - q_j), with q_j the mass
+    of the cluster's cache union minus user j's own block.  The products
+    are taken over blocks of occupancies, one row of factors per k padded
+    with 1.0.  Past column ceil(m/M)+1 they need no columns: when kM >= m
+    the union is the whole catalog, so the empty block of user
+    ceil(m/M)+1 contributes the factor 0.0 and P(active | k) is 1.0.
+    """
+
+    def __init__(self, n: int, m: int, M: int, cdf: np.ndarray):
+        self.m, self.M = m, M
+        self.cdf0 = np.concatenate([[0.0], cdf])
+        self.cap = -(-m // M) + 1
+        self.top = min(n, self.cap)  # k >= cap reads hit[cap], which is 1.0
+        self.hit = np.full(self.top + 1, np.nan)
+        self.hit[self.cap :] = 1.0
+
+    def __getitem__(self, ks: np.ndarray) -> np.ndarray:
+        """P(active | k) for each of the increasing occupancies `ks`."""
+        ks = np.minimum(ks, self.top)
+        out = self.hit[ks]
+        todo = ks[np.isnan(out)]
+        if todo.size == 0:
+            return out
+        m, M, cap, cdf0 = self.m, self.M, self.cap, self.cdf0
+        rows = max(1, _ANALYTIC_BLOCK // cap)
+        for start in range(0, todo.size, rows):
+            k = todo[start : start + rows]
+            j = np.arange(1, min(int(k[-1]), cap) + 1)
+            own = cdf0[np.minimum(j * M, m)] - cdf0[np.minimum((j - 1) * M, m)]
+            head = cdf0[np.minimum(k * M, m)]
+            factors = 1.0 - (head[:, None] - own)
+            factors[j > k[:, None]] = 1.0
+            self.hit[k] = 1.0 - np.prod(factors, axis=1)
+        return self.hit[ks]
+
+
+def _hit_table(scenario: D2DScenario, pop: PopularityModel) -> _Hits | None:
+    """The scenario's `_Hits`, or None when no cluster can be active."""
+    # min(kM, m) == min(k min(M, m), m) for k >= 1, and the capped products
+    # cannot overflow int64.
+    M = min(scenario.M, scenario.m)
+    if M == 0 or scenario.n < 2:
+        return None
+    return _Hits(scenario.n, scenario.m, M, pop.cdf)
+
+
+def _expected_active(n: int, K: int, hits: _Hits | None) -> float:
+    """K times the expectation of P(active | k) over the occupancy k of one
+    of K clusters, summed in increasing k."""
+    if hits is None:
+        return 0.0
+    ks, pk = _occupancies(n, K)
+    if ks.size == 0:
+        return 0.0
+    pk *= hits[ks]
+    return K * float(np.cumsum(pk)[-1])  # cumsum adds left to right
+
+
 def expected_active_analytic(
     scenario: D2DScenario, pop: PopularityModel
 ) -> ClusterStats:
@@ -218,12 +323,9 @@ def expected_active_analytic(
     By linearity the answer is K times the per-cluster activation probability:
     occupancy k is Binomial(n, 1/K), and given k the users' requests are
     independent, so P(active | k) = 1 - prod_j (1 - q_j) with q_j the mass of
-    the cluster's cache union minus user j's own block.
-
-    The products are taken over blocks of occupancies, one row of factors
-    per k padded with 1.0.  Past column ceil(m/M)+1 they need no columns:
-    when kM >= m the union is the whole catalog, so the empty block of user
-    ceil(m/M)+1 contributes the factor 0.0.
+    the cluster's cache union minus user j's own block (`_Hits`).  The sum
+    runs over the occupancies k >= 2 of probability at least 1e-18
+    (`_occupancies`).
     """
     if scenario.strategy != "deterministic":
         raise InvalidParameterError("the analytic model covers only deterministic caching")
@@ -231,31 +333,8 @@ def expected_active_analytic(
         raise InvalidParameterError("popularity catalog must match the scenario")
     side, _ = grid_side(scenario.r, exact=True)
     K = side * side
-    # min(kM, m) == min(k min(M, m), m) for k >= 1, and the capped products
-    # cannot overflow int64.
-    n, m = scenario.n, scenario.m
-    M = min(scenario.M, m)
-    if M == 0 or n < 2:
-        return ClusterStats(expected_active=0.0, stderr=0.0, K=K)
-    cdf0 = np.concatenate([[0.0], pop.cdf])
-    ks = np.arange(2, n + 1)
-    pk = _binomial_pmf(n, 1.0 / K, ks)
-    kept = pk >= 1e-18  # occupancies too unlikely to matter
-    ks, pk = ks[kept], pk[kept]
-    cap = -(-m // M) + 1
-    rows = max(1, _ANALYTIC_BLOCK // cap)
-    total = 0.0
-    for start in range(0, ks.size, rows):
-        k = ks[start : start + rows]
-        j = np.arange(1, min(int(k[-1]), cap) + 1)
-        own = cdf0[np.minimum(j * M, m)] - cdf0[np.minimum((j - 1) * M, m)]
-        head = cdf0[np.minimum(k * M, m)]
-        factors = 1.0 - (head[:, None] - own)
-        factors[j > k[:, None]] = 1.0
-        miss = np.prod(factors, axis=1)
-        for weight, p in zip(pk[start : start + rows].tolist(), miss.tolist()):
-            total += weight * (1.0 - p)
-    return ClusterStats(expected_active=K * total, stderr=0.0, K=K)
+    mean = _expected_active(scenario.n, K, _hit_table(scenario, pop))
+    return ClusterStats(expected_active=mean, stderr=0.0, K=K)
 
 
 class _Chunk(NamedTuple):
@@ -377,48 +456,58 @@ def _score_random(
     """Active clusters per replication for random caches.
 
     Each cache rank and each request becomes a key gid * (m + 1) + rank,
-    with group id gid = rep * K + cell.  A cache row holds distinct ranks, so
-    the requester's own copy is at most one of the group's copies of its
-    request: another user holds it iff the first matching key (the second,
-    when the requester holds it too) is there.  The requests are sorted with
-    the own bit below the key, so the lookups run in key order; two -1
-    sentinels end the keys.  A sorted request key names its group, so the
-    active groups come out sorted and are counted without an array of
-    reps * K.
+    with group id gid = rep * K + cell.  Cache keys enter one array as
+    key << 2 and request keys as key << 2 | 2 | own, with `own` set when the
+    requester holds its request itself, and the array is sorted once.  A
+    cache row holds distinct ranks, so a requester's own copy is at most one
+    of its group's copies.  The first request of a rank in a group, at
+    sorted position p, is served by another user iff
+    keys[p - 1 - own] == key << 2.  Later requests of the rank can read the
+    wrong entry without changing the group's answer: requesters without
+    their own copy sort first and are served iff anyone holds the rank, and
+    two requesters that hold it themselves hold two copies.  A request key
+    names its group, so the active groups come out sorted and are counted
+    without an array of reps * K.
 
-    Keys are int32 when 2 * reps * K * (m + 1) + 2 < 2^31 and int64
-    otherwise.  Where even int64 would overflow, the occupied (rep, cell)
-    pairs are numbered 0, 1, ... and serve as the group ids.
+    Keys are int32 when 4 * reps * K * (m + 1) < 2^31 and int64 otherwise.
+    Where even int64 would overflow, the occupied (rep, cell) pairs are
+    numbered 0, 1, ... and serve as the group ids.
     """
     stride = scenario.m + 1
-    if 2 * reps * K * stride + 2 < 1 << 63:
-        gid = chunk.rep.astype(np.int64)
-        gid *= K
-        gid += cell.astype(np.int64)
+    total, M = chunk.caches.shape
+    if 4 * reps * K * stride < 1 << 63:
         groups, rep_of_group = reps * K, None
     else:
         pairs, gid = np.unique(
             np.column_stack((chunk.rep, cell)), axis=0, return_inverse=True
         )
-        gid = gid.ravel()
         groups, rep_of_group = len(pairs), pairs[:, 0].astype(np.intp)
-    base = gid.astype(np.int32 if 2 * groups * stride + 2 < 1 << 31 else np.int64)
-    base *= stride
-    total, M = chunk.caches.shape
-    keys = np.empty(total * M + 2, dtype=base.dtype)
-    np.add(base[:, None], chunk.caches, out=keys[:-2].reshape(total, M))
-    keys[:-2].sort()
-    keys[-2:] = -1
-    asked = base  # reused in place, which keeps the key dtype
+    dtype = np.int32 if 4 * groups * stride < 1 << 31 else np.int64
+    keys = np.empty(total * (M + 1), dtype=dtype)
+    asked = keys[total * M :]  # the request keys, built from the group ids
+    if rep_of_group is None:
+        np.multiply(chunk.rep, K, out=asked, dtype=dtype)
+        np.add(asked, cell, out=asked, dtype=dtype)  # cell < K fits dtype
+    else:
+        asked[:] = gid.ravel()
+        del pairs, gid  # freed before the keys' peak
+    asked *= stride
+    cached = keys[: total * M].reshape(M, total)
+    np.add(asked, chunk.caches.T, out=cached)
+    cached <<= 2
     asked += chunk.requests
-    asked <<= 1
+    asked <<= 2
+    asked |= 2
     asked |= chunk.own
-    asked.sort()
-    own = asked & 1
-    asked >>= 1
-    first = np.searchsorted(keys[:-2], asked)
-    first += own
-    held = asked[keys[first] == asked]
+    keys.sort()
+    # The requests' sorted positions; the tag is read from each key's low
+    # byte, so the temporaries take a byte per key.
+    at = np.flatnonzero(np.bitwise_and(keys, 2, dtype=np.uint8, casting="unsafe") != 0)
+    key = keys[at]
+    at -= 1
+    at -= key & 1
+    key >>= 2
+    held = key[keys[at] == key << 2]
     held //= stride  # group ids of the active users, sorted
     held = held[np.diff(held, prepend=-1) != 0]
     rep = held // K if rep_of_group is None else rep_of_group[held]
@@ -628,7 +717,10 @@ def scaling_check(
 
     The catalog grows logarithmically with n (`scale` files per log unit).
     For each n the collaboration distance is chosen as the best 1/integer by
-    the same evaluation mode used for the reported row.
+    the same evaluation mode used for the reported row.  Analytically, every
+    side of one n reads one `_Hits` table, and each side sums only its kept
+    occupancies, so a side costs about its binomial window, 24 standard
+    deviations wide.
     """
     if mode not in ("analytic", "mc"):
         raise InvalidParameterError("mode must be 'analytic' or 'mc'")
@@ -637,12 +729,15 @@ def scaling_check(
         n = int(n)
         m = catalog_size(n, scale=scale)
         pop = zipf_model(gamma, m)
+        if mode == "analytic":  # one hit table serves every side
+            hits = _hit_table(D2DScenario(n=n, m=m, M=M, r=1.0, gamma=gamma), pop)
         best: tuple[ClusterStats, int] | None = None
         for side in range(1, int(math.ceil(2.0 * math.sqrt(n))) + 1):
-            sc = D2DScenario(n=n, m=m, M=M, r=1.0 / side, gamma=gamma)
             if mode == "analytic":
-                stats = expected_active_analytic(sc, pop)
+                K = side * side
+                stats = ClusterStats(_expected_active(n, K, hits), 0.0, K)
             else:
+                sc = D2DScenario(n=n, m=m, M=M, r=1.0 / side, gamma=gamma)
                 stats = simulate_active_clusters(
                     sc, pop, stream(root_seed, "scaling", n, side), reps
                 )

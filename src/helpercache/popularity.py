@@ -53,19 +53,25 @@ class PopularityModel:
         object.__setattr__(self, "cdf", cdf)
 
     @functools.cached_property
-    def _guide(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds of searchsorted(cdf, u, "right") over each bucket
-        b / _GUIDE <= u < (b + 1) / _GUIDE, built on first use.
+    def _guide(self) -> np.ndarray:
+        """Rank of every u in each bucket b / _GUIDE <= u < (b + 1) / _GUIDE,
+        or 0 where the bucket holds more than one rank; built on first use.
 
-        lo[b] counts cdf <= b / _GUIDE, that is ceil(cdf * _GUIDE) <= b, and
-        hi[b] counts cdf < (b + 1) / _GUIDE, that is floor(cdf * _GUIDE) <= b;
-        the scaling is exact.
+        The rank of u is searchsorted(cdf, u, "right") + 1.  At the bucket's
+        lower end that count is the number of cdf <= b / _GUIDE, that is of
+        ceil(cdf * _GUIDE) <= b, and just below its upper end the number of
+        cdf < (b + 1) / _GUIDE, that is of floor(cdf * _GUIDE) <= b; the
+        scaling is exact.  Where the two counts agree the bucket has one rank.
         """
         scaled = self.cdf * _GUIDE
         dtype = np.min_scalar_type(self.m)
         lo = np.bincount(np.ceil(scaled).astype(np.intp), minlength=_GUIDE)
         hi = np.bincount(scaled.astype(np.intp), minlength=_GUIDE)
-        return np.cumsum(lo[:_GUIDE], dtype=dtype), np.cumsum(hi[:_GUIDE], dtype=dtype)
+        lo = np.cumsum(lo[:_GUIDE], dtype=dtype)
+        hi = np.cumsum(hi[:_GUIDE], dtype=dtype)
+        rank = lo + 1  # at most m, as cdf[-1] == 1.0 exceeds every b / _GUIDE
+        rank[lo != hi] = 0
+        return rank
 
 
 def zipf_model(gamma: float, m: int) -> PopularityModel:
@@ -101,24 +107,23 @@ def sample_requests(
     """Draw `size` i.i.d. request ranks (1-based) by inverse-CDF lookup.
 
     The rank of a uniform u is searchsorted(cdf, u, "right") + 1, read from
-    an exact guide table: the count is monotone in u, so it equals the lower
-    bound of u's bucket whenever that bucket's bounds agree, and only the
-    draws in the remaining buckets are searched.  The uniforms are drawn in
-    blocks, which consume the stream exactly as one rng.random(size) does.
+    an exact guide table: the count is monotone in u, so a bucket whose ends
+    give the same count holds one rank, which the table stores.  The table
+    stores 0 for the other buckets, and only the draws in them are searched.
+    The uniforms are drawn in blocks, which consume the stream exactly as
+    one rng.random(size) does.
     """
     if size < 0:
         raise InvalidParameterError("size must be >= 0")
-    lo, hi = model._guide
+    guide = model._guide
     out = np.empty(size, dtype=np.int64)
     for start in range(0, size, _SAMPLE_BLOCK):
         u = rng.random(min(_SAMPLE_BLOCK, size - start))
         bucket = (u * _GUIDE).astype(np.intp)
-        ranks = lo[bucket]
-        ambiguous = np.flatnonzero(ranks != hi[bucket])
         block = out[start : start + u.size]
-        block[:] = ranks
-        block[ambiguous] = np.searchsorted(model.cdf, u[ambiguous], side="right")
-    out += 1
+        block[:] = guide[bucket]
+        ambiguous = np.flatnonzero(block == 0)
+        block[ambiguous] = np.searchsorted(model.cdf, u[ambiguous], side="right") + 1
     return out
 
 

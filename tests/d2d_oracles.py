@@ -10,7 +10,10 @@ and scorer, which gathered int64 ranks and keys for every grid side, and
 `simulate_chunks` runs them like `simulate_active_clusters`.
 `random_caches_lockstep` fills random caches by rescanning every row for the
 incomplete ones each round, and `expected_active_by_k` sums the analytic
-model one occupancy at a time.
+model one occupancy at a time.  `score_random_two_sorts` is the former
+random-cache scorer, which sorted cache keys and request keys apart, and
+`scaling_check_by_side` the former analytic scaling table, one
+`expected_active_analytic` call per side.
 """
 
 import math
@@ -23,6 +26,7 @@ from helpercache.d2d import (
     ClusterStats,
     D2DScenario,
     D2DSweepRow,
+    ScalingRow,
     _binomial_pmf,
     _fill_draws,
     _random_caches,
@@ -30,7 +34,12 @@ from helpercache.d2d import (
     grid_side,
 )
 from helpercache.errors import InvalidParameterError
-from helpercache.popularity import PopularityModel, sample_requests, zipf_model
+from helpercache.popularity import (
+    PopularityModel,
+    catalog_size,
+    sample_requests,
+    zipf_model,
+)
 from helpercache.rng import stream
 
 
@@ -296,3 +305,71 @@ def sweep_row(scenario, pop, reps, root_seed, mode):
         K=stats.K,
         mode=mode,
     )
+
+
+def score_random_two_sorts(scenario, chunk, reps, cell, K):
+    """The former `d2d._score_random`: cache keys and request keys sorted
+    apart, each request key looked up by binary search among the cache keys
+    behind two -1 sentinels; the own bit sits below the request key."""
+    stride = scenario.m + 1
+    if 2 * reps * K * stride + 2 < 1 << 63:
+        gid = chunk.rep.astype(np.int64)
+        gid *= K
+        gid += cell.astype(np.int64)
+        groups, rep_of_group = reps * K, None
+    else:
+        pairs, gid = np.unique(
+            np.column_stack((chunk.rep, cell)), axis=0, return_inverse=True
+        )
+        gid = gid.ravel()
+        groups, rep_of_group = len(pairs), pairs[:, 0].astype(np.intp)
+    base = gid.astype(np.int32 if 2 * groups * stride + 2 < 1 << 31 else np.int64)
+    base *= stride
+    total, M = chunk.caches.shape
+    keys = np.empty(total * M + 2, dtype=base.dtype)
+    np.add(base[:, None], chunk.caches, out=keys[:-2].reshape(total, M))
+    keys[:-2].sort()
+    keys[-2:] = -1
+    asked = base
+    asked += chunk.requests
+    asked <<= 1
+    asked |= chunk.own
+    asked.sort()
+    own = asked & 1
+    asked >>= 1
+    first = np.searchsorted(keys[:-2], asked)
+    first += own
+    held = asked[keys[first] == asked]
+    held //= stride
+    held = held[np.diff(held, prepend=-1) != 0]
+    rep = held // K if rep_of_group is None else rep_of_group[held]
+    return np.bincount(rep, minlength=reps).astype(float)
+
+
+def scaling_check_by_side(gamma, n_values, M=1, scale=50.0):
+    """The analytic `scaling_check` as a loop over sides, each evaluated by
+    its own `expected_active_analytic` call."""
+    rows = []
+    for n in n_values:
+        m = catalog_size(n, scale=scale)
+        pop = zipf_model(gamma, m)
+        best = None
+        for side in range(1, int(math.ceil(2.0 * math.sqrt(n))) + 1):
+            sc = D2DScenario(n=n, m=m, M=M, r=1.0 / side, gamma=gamma)
+            stats = expected_active_analytic(sc, pop)
+            if best is None or stats.expected_active > best[0].expected_active:
+                best = (stats, side)
+        stats, side = best
+        rows.append(
+            ScalingRow(
+                n=n,
+                m=m,
+                r=1.0 / side,
+                K=stats.K,
+                mean_active=stats.expected_active,
+                ratio=stats.expected_active / n,
+                stderr=stats.stderr,
+                mode="analytic",
+            )
+        )
+    return rows

@@ -5,18 +5,39 @@ block and random caches by sorted request keys.  `d2d_oracles.score_chunk`
 is the former scorer, which gathered int64 ranks and keys per grid side, and
 `d2d_oracles.simulate_chunks` runs it chunk by chunk on the same stream as
 `simulate_active_clusters`.  Every statistic must be equal.
+
+`d2d._score_random` sorts cache and request keys in one array;
+`d2d_oracles.score_random_two_sorts`, the scorer it replaced, sorted them
+apart and searched one in the other.  Both are run on the same chunks, down
+to groups in which two or three users ask for one rank.
 """
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from d2d_oracles import draw_chunk, score_chunk, simulate_chunks
+from d2d_oracles import (
+    cluster_active,
+    draw_chunk,
+    score_chunk,
+    score_random_two_sorts,
+    simulate_chunks,
+)
 
 from helpercache import d2d
-from helpercache.d2d import D2DScenario, _draw_chunk, _score_chunk, simulate_active_clusters
-from helpercache.popularity import sample_requests
+from helpercache.d2d import (
+    D2DScenario,
+    _cells,
+    _Chunk,
+    _draw_chunk,
+    _random_caches,
+    _score_chunk,
+    _score_random,
+    simulate_active_clusters,
+)
+from helpercache.popularity import sample_requests, zipf_model
 from helpercache.rng import stream
 
 # 0.3 does not tile the square and falls back to a 3 x 3 grid.
@@ -77,15 +98,15 @@ def test_300x300_grid(sc):
     assert got[0].K == 90_000 and got[0].expected_active > 0.0
 
 
-@pytest.mark.parametrize("reps", [100, 108])
+@pytest.mark.parametrize("reps", [53, 54])
 def test_random_keys_on_both_sides_of_the_int32_switch(reps):
-    # Keys carry the own bit below gid * (m + 1) + rank: int32 holds them
-    # at 100 replications of 100 clusters, not at 108.
+    # Keys carry two tag bits below gid * (m + 1) + rank: int32 holds them
+    # at 53 replications of 100 clusters, not at 54.
     sc = D2DScenario(
         n=200, m=100_000, M=1, r=0.1, gamma=1.2, strategy="random-zipf", gamma1=1.5
     )
-    fits_int32 = 2 * reps * 100 * (sc.m + 1) + 2 < 2**31
-    assert fits_int32 == (reps == 100)
+    fits_int32 = 4 * reps * 100 * (sc.m + 1) < 2**31
+    assert fits_int32 == (reps == 53)
     got = _assert_matches_oracle(sc, reps=reps, r_values=[0.1])
     assert got[0].expected_active > 1.0
 
@@ -124,3 +145,117 @@ def test_deterministic_scoring_memory():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+def _groups_chunk(caches, requests, K):
+    """A chunk whose group g holds the users of row g of `caches` (users x
+    M ranks) and `requests`, placed at replication g // K, cell g % K."""
+    count, n, M = caches.shape
+    dtype = np.min_scalar_type(max(int(caches.max(initial=0)), int(requests.max())))
+    caches = caches.reshape(count * n, M).astype(dtype)
+    requests = requests.reshape(-1).astype(dtype)
+    g = np.repeat(np.arange(count), n)
+    own = (caches == requests[:, None]).any(axis=1)
+    none = np.zeros(count * n)
+    chunk = _Chunk(none, none, (g // K).astype(np.uint32), None, requests, caches, own)
+    return chunk, (g % K).astype(np.min_scalar_type(K - 1)), -(-count // K)
+
+
+def _brute_force(caches, requests, K, reps):
+    active = np.zeros(reps)
+    for g, (rows, asked) in enumerate(zip(caches, requests)):
+        active[g // K] += cluster_active([set(row) for row in rows.tolist()], asked.tolist())
+    return active
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("M", [1, 2])
+@pytest.mark.parametrize("K", [1, 7])
+def test_every_small_group_scores_like_the_two_sort_scorer(n, M, K):
+    # Every group of n users over a 3-file catalog: each user's cache is one
+    # of the M-subsets (M = m - 1 at M = 2) and each request any rank, so two
+    # or three users ask for one rank with every mix of own copies.
+    m = 3
+    subsets = [s for s in itertools.combinations(range(1, m + 1), M)]
+    rows = np.array(list(itertools.product(subsets, repeat=n)))
+    asks = np.array(list(itertools.product(range(1, m + 1), repeat=n)))
+    caches = np.repeat(rows, len(asks), axis=0)
+    requests = np.tile(asks, (len(rows), 1))
+    chunk, cell, reps = _groups_chunk(caches, requests, K)
+    sc = D2DScenario(n=n, m=m, M=M, r=1.0, gamma=0.5, strategy="random-zipf", gamma1=0.5)
+    got = _score_random(sc, chunk, reps, cell, K)
+    assert np.array_equal(got, score_random_two_sorts(sc, chunk, reps, cell, K))
+    assert np.array_equal(got, _brute_force(caches, requests, K, reps))
+    # The own bits of two requesters of one rank: (0, 0), (0, 1) and (1, 1).
+    own = chunk.own.reshape(-1, n)
+    same = requests[:, 0] == requests[:, 1]
+    pairs = {(a, b) for a, b in own[same, :2].astype(int).tolist()}
+    assert pairs >= {(0, 0), (0, 1), (1, 1)}
+
+
+def test_single_file_catalog_scores_groups_of_two_as_active():
+    # m = 1: every user holds and asks for rank 1, so a group is active iff
+    # it holds two users.
+    sizes = np.array([1, 2, 3, 1, 4])
+    caches = np.ones((sizes.sum(), 1), dtype=np.uint8)
+    requests = np.ones(sizes.sum(), dtype=np.uint8)
+    g = np.repeat(np.arange(sizes.size), sizes)
+    chunk = _Chunk(None, None, g.astype(np.uint8), None, requests, caches, np.ones(g.size, bool))
+    sc = D2DScenario(n=4, m=1, M=1, r=1.0, gamma=0.5, strategy="random-zipf", gamma1=0.5)
+    cell = np.zeros(g.size, dtype=np.uint8)
+    got = _score_random(sc, chunk, sizes.size, cell, 1)
+    assert np.array_equal(got, (sizes >= 2).astype(float))
+    assert np.array_equal(got, score_random_two_sorts(sc, chunk, sizes.size, cell, 1))
+    _assert_matches_oracle(replace(RAND, m=1, M=1), reps=20)
+
+
+@pytest.mark.parametrize("side", [2**28, 2**31])
+def test_numbered_groups_score_like_the_two_sort_scorer(side):
+    # 4 reps K (m + 1) reaches 2^63 on both sides, so the occupied groups
+    # are numbered; at 2^28 the two-sort scorer still keys them by
+    # rep * K + cell, which must not change a count.
+    sc = replace(RAND, n=30, m=2, M=1)
+    reps = 20
+    K = side * side
+    assert 4 * reps * K * (sc.m + 1) >= 2**63
+    assert (2 * reps * K * (sc.m + 1) + 2 < 2**63) == (side == 2**28)
+    pop = sc.popularity()
+    chunk = _draw_chunk(sc, pop, stream(6, "numbered"), reps)
+    x = (np.floor(chunk.x * 4) + 0.5) / 4
+    y = (np.floor(chunk.y * 4) + 0.5) / 4
+    cell, K = _cells(x, y, side)
+    got = _score_random(sc, chunk, reps, cell, K)
+    assert got.sum() > 0
+    assert np.array_equal(got, score_random_two_sorts(sc, chunk, reps, cell, K))
+
+
+@pytest.mark.parametrize(
+    "M,m,fill_bound,score_bound",
+    [(1, 1000, 55e6, 65e6), (4, 1000, 18.5e6, 23e6), (4, 100_000, 26e6, 40e6)],
+)
+def test_random_fill_and_scoring_memory(M, m, fill_bound, score_bound):
+    # One chunk at the element limit, n * M * reps = 2^21: filling its caches
+    # and scoring it on a 10 x 10 grid.  The fill that wrote a (count, M)
+    # array through 2-D index pairs peaked at 65.3, 20.9 and 28.2 MB here,
+    # the two-sort scorer at 69.2, 23.6 and 38.3 MB.
+    sc = D2DScenario(n=500, m=m, M=M, r=0.1, gamma=0.6, strategy="random-zipf", gamma1=1.0)
+    pop = sc.popularity()
+    reps = d2d._CHUNK_ELEMENTS // (sc.n * M)
+    sample_requests(pop, stream(1, "warm"), 1)  # the samplers' tables stay untraced
+    sample_requests(zipf_model(1.0, m), stream(1, "warm"), 1)
+    tracemalloc.start()
+    try:
+        _random_caches(reps * sc.n, M, 1.0, m, stream(0, "memory"))
+        fill_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk = _draw_chunk(sc, pop, stream(0, "memory"), reps)
+    cell, K = _cells(chunk.x, chunk.y, 10)
+    tracemalloc.start()
+    try:
+        _score_random(sc, chunk, reps, cell, K)
+        score_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fill_peak < fill_bound
+    assert score_peak < score_bound

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from popularity_oracles import sorted_fit, trace_from_samples
+from popularity_oracles import sample_two_tables, sorted_fit, trace_from_samples
 from scipy.stats import chisquare
 
 from helpercache import rng as hrng
@@ -148,13 +148,19 @@ def test_sampler_equals_binary_search_on_edge_uniforms(gamma, m):
 
 
 @pytest.mark.parametrize("gamma,m", GUIDE_MODELS)
-def test_guide_bounds_are_the_counts_at_bucket_ends(gamma, m):
+def test_guide_ranks_are_the_counts_at_both_bucket_ends(gamma, m):
+    # A bucket holds one rank iff the count at its lower end equals the
+    # count just below its upper end; the table stores that rank, 0 if not.
     model = zipf_model(gamma, m)
-    lo, hi = model._guide
+    guide = model._guide
     edges = np.arange(_GUIDE + 1) / _GUIDE
-    assert np.array_equal(lo, np.searchsorted(model.cdf, edges[:-1], side="right"))
-    assert np.array_equal(hi, np.searchsorted(model.cdf, edges[1:], side="left"))
-    assert lo.dtype == hi.dtype == np.min_scalar_type(m)
+    lo = np.searchsorted(model.cdf, edges[:-1], side="right")
+    hi = np.searchsorted(model.cdf, edges[1:], side="left")
+    one = guide != 0
+    assert np.array_equal(one, lo == hi)
+    assert np.array_equal(guide[one], lo[one] + 1)
+    assert np.array_equal(guide[one], hi[one] + 1)
+    assert guide.dtype == np.min_scalar_type(m)
 
 
 def test_steep_catalog_passes_one_before_its_last_rank():
@@ -163,9 +169,21 @@ def test_steep_catalog_passes_one_before_its_last_rank():
     assert (cdf[:-1] > 1.0).any()
 
 
-def test_guide_bounds_agree_when_breakpoints_are_bucket_edges():
-    lo, hi = zipf_model(0.0, 1024)._guide
-    assert np.array_equal(lo, hi)
+def test_guide_has_one_rank_per_bucket_when_breakpoints_are_bucket_edges():
+    guide = zipf_model(0.0, 1024)._guide
+    assert np.array_equal(guide, np.arange(_GUIDE) // 64 + 1)
+
+
+@pytest.mark.parametrize("gamma,m", GUIDE_MODELS)
+@pytest.mark.parametrize("size", [0, 1, _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK])
+def test_one_table_sampler_equals_the_two_table_sampler(gamma, m, size):
+    model = zipf_model(gamma, m)
+    rng, twin = hrng.stream(8, "tables", size), hrng.stream(8, "tables", size)
+    ranks = sample_requests(model, rng, size)
+    want = sample_two_tables(model, twin, size)
+    assert ranks.dtype == want.dtype == np.int64
+    assert np.array_equal(ranks, want)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("gamma,m", [(0.0, 1024), (1.5, 1), (0.6, 1000), (3.0, 100_000)])
