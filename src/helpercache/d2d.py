@@ -31,7 +31,7 @@ logger = logging.getLogger(__name__)
 STRATEGIES = ("deterministic", "random-zipf")
 TILE_TOL = 1e-9
 _CHUNK_ELEMENTS = 1 << 21  # keeps Monte Carlo chunking (and streams) stable
-_ANALYTIC_BLOCK = 1 << 14  # factors per block of the analytic all-miss products
+_ANALYTIC_BLOCK = 1 << 14  # factors per all-miss product block; log-factorials per fill
 _WINDOW = 12.0  # first occupancy window: n/K +- _WINDOW * (std + 1)
 # Expected draws to fill one random cache row above which the input is refused.
 RANDOM_CACHE_MAX_DRAWS = 1e4

@@ -61,7 +61,7 @@ def _assert_matches_oracle(sc, reps, r_values=R_VALUES, seed=3):
     "sc",
     [
         *[replace(DET, M=M) for M in (0, 1, 3, DET.m, DET.m + 7)],
-        *[replace(RAND, M=M) for M in (0, 1, 3, RAND.m)],
+        *[replace(RAND, M=M) for M in (0, 1, 3, RAND.m - 1, RAND.m)],
     ],
     ids=lambda sc: f"{sc.strategy}-M{sc.M}",
 )
@@ -151,9 +151,8 @@ def _groups_chunk(caches, requests, K):
     """A chunk whose group g holds the users of row g of `caches` (users x
     M ranks) and `requests`, placed at replication g // K, cell g % K."""
     count, n, M = caches.shape
-    dtype = np.min_scalar_type(max(int(caches.max(initial=0)), int(requests.max())))
-    caches = caches.reshape(count * n, M).astype(dtype)
-    requests = requests.reshape(-1).astype(dtype)
+    caches = caches.reshape(count * n, M).astype(np.uint8)
+    requests = requests.reshape(-1).astype(np.uint8)
     g = np.repeat(np.arange(count), n)
     own = (caches == requests[:, None]).any(axis=1)
     none = np.zeros(count * n)
@@ -164,7 +163,8 @@ def _groups_chunk(caches, requests, K):
 def _brute_force(caches, requests, K, reps):
     active = np.zeros(reps)
     for g, (rows, asked) in enumerate(zip(caches, requests)):
-        active[g // K] += cluster_active([set(row) for row in rows.tolist()], asked.tolist())
+        caches_of = [set(row) for row in rows.tolist()]
+        active[g // K] += cluster_active(caches_of, asked.tolist())
     return active
 
 
@@ -176,7 +176,7 @@ def test_every_small_group_scores_like_the_two_sort_scorer(n, M, K):
     # of the M-subsets (M = m - 1 at M = 2) and each request any rank, so two
     # or three users ask for one rank with every mix of own copies.
     m = 3
-    subsets = [s for s in itertools.combinations(range(1, m + 1), M)]
+    subsets = list(itertools.combinations(range(1, m + 1), M))
     rows = np.array(list(itertools.product(subsets, repeat=n)))
     asks = np.array(list(itertools.product(range(1, m + 1), repeat=n)))
     caches = np.repeat(rows, len(asks), axis=0)
@@ -200,7 +200,8 @@ def test_single_file_catalog_scores_groups_of_two_as_active():
     caches = np.ones((sizes.sum(), 1), dtype=np.uint8)
     requests = np.ones(sizes.sum(), dtype=np.uint8)
     g = np.repeat(np.arange(sizes.size), sizes)
-    chunk = _Chunk(None, None, g.astype(np.uint8), None, requests, caches, np.ones(g.size, bool))
+    own = np.ones(g.size, dtype=bool)
+    chunk = _Chunk(None, None, g.astype(np.uint8), None, requests, caches, own)
     sc = D2DScenario(n=4, m=1, M=1, r=1.0, gamma=0.5, strategy="random-zipf", gamma1=0.5)
     cell = np.zeros(g.size, dtype=np.uint8)
     got = _score_random(sc, chunk, sizes.size, cell, 1)
@@ -238,7 +239,9 @@ def test_random_fill_and_scoring_memory(M, m, fill_bound, score_bound):
     # and scoring it on a 10 x 10 grid.  The fill that wrote a (count, M)
     # array through 2-D index pairs peaked at 65.3, 20.9 and 28.2 MB here,
     # the two-sort scorer at 69.2, 23.6 and 38.3 MB.
-    sc = D2DScenario(n=500, m=m, M=M, r=0.1, gamma=0.6, strategy="random-zipf", gamma1=1.0)
+    sc = D2DScenario(
+        n=500, m=m, M=M, r=0.1, gamma=0.6, strategy="random-zipf", gamma1=1.0
+    )
     pop = sc.popularity()
     reps = d2d._CHUNK_ELEMENTS // (sc.n * M)
     sample_requests(pop, stream(1, "warm"), 1)  # the samplers' tables stay untraced

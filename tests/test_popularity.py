@@ -148,7 +148,7 @@ def test_sampler_equals_binary_search_on_edge_uniforms(gamma, m):
 
 
 @pytest.mark.parametrize("gamma,m", GUIDE_MODELS)
-def test_guide_ranks_are_the_counts_at_both_bucket_ends(gamma, m):
+def test_guide_bounds_are_the_counts_at_bucket_ends(gamma, m):
     # A bucket holds one rank iff the count at its lower end equals the
     # count just below its upper end; the table stores that rank, 0 if not.
     model = zipf_model(gamma, m)
@@ -169,7 +169,7 @@ def test_steep_catalog_passes_one_before_its_last_rank():
     assert (cdf[:-1] > 1.0).any()
 
 
-def test_guide_has_one_rank_per_bucket_when_breakpoints_are_bucket_edges():
+def test_guide_bounds_agree_when_breakpoints_are_bucket_edges():
     guide = zipf_model(0.0, 1024)._guide
     assert np.array_equal(guide, np.arange(_GUIDE) // 64 + 1)
 
