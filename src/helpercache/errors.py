@@ -18,7 +18,7 @@ class DegenerateInstanceError(ValueError):
 
 
 class InstanceTooLargeError(ValueError):
-    """An instance is above a size guard (brute-force search space, dense LP)."""
+    """An instance is above a size guard (brute-force search space, LP nonzeros)."""
 
 
 class UnboundedProblemError(RuntimeError):

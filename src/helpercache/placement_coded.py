@@ -8,15 +8,22 @@ the expected delay savings over rho is an LP: auxiliary variables a[u, f, h]
 say which fraction user u actually pulls from helper h, weighted by the
 per-second savings of that link over the base station.
 
-This module is the one place that knows the LP: `build_lp` assembles it
-(size guard and row scaling included), `solve_lp_detailed` scales the
-objective and calls `simplex_solve`, which hands it to the HiGHS dual simplex.
+This module is the one place that knows the LP: `build_lp` assembles it as a
+sparse `CSCMatrix` (nonzero guard and row scaling included),
+`solve_lp_detailed` scales the objective and calls `simplex_solve`, which
+hands it to the HiGHS dual simplex through the bindings scipy bundles,
+without importing `scipy.optimize` or `scipy.sparse`.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +42,40 @@ from .topology import ConnectivityGraph
 
 logger = logging.getLogger(__name__)
 
-DENSE_LP_GUARD_BYTES = 10**9  # the solve holds a few copies of the dense A
-_UNBOUNDED = 3  # linprog status code
+# The solve time grows about as the square of A's nonzeros: 99,176 took 6.7 s.
+LP_NONZERO_GUARD = 10**5
+
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+_HIGHS_NAMES = (  # what `_highs_solve` reads from that module
+    "HighsLp",
+    "HighsModelStatus",
+    "HighsOptions",
+    "MatrixFormat",
+    "_Highs",
+    "kHighsInf",
+)
+
+
+@dataclass(frozen=True, eq=False)
+class CSCMatrix:
+    """A sparse matrix in compressed sparse column form, as HiGHS takes it.
+
+    Column j holds value[start[j]:start[j + 1]] in rows index[start[j]:
+    start[j + 1]], rows ascending, without duplicates or explicit zeros: the
+    order `scipy.sparse.csc_array` gives the dense matrix.  `np.asarray`
+    returns the dense matrix.
+    """
+
+    start: np.ndarray  # (ncols + 1,) int32
+    index: np.ndarray  # (nnz,) int32
+    value: np.ndarray  # (nnz,) float64
+    shape: tuple[int, int]
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.shape, dtype=dtype)
+        cols = np.repeat(np.arange(self.shape[1]), np.diff(self.start))
+        dense[self.index, cols] = self.value
+        return dense
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +90,7 @@ class LPInstance:
     """
 
     c: np.ndarray
-    A: np.ndarray
+    A: CSCMatrix
     b: np.ndarray
     upper: np.ndarray
     m: int
@@ -79,8 +118,9 @@ def build_lp(
     file; bucketed catalogs pass their bucket sizes here).  Rows are written
     already equilibrated: capacity rows and their bounds are divided by
     max(file_units), the other rows have unit entries.  Raises
-    InstanceTooLargeError, before allocating, when the dense constraint
-    matrix would exceed DENSE_LP_GUARD_BYTES.
+    InstanceTooLargeError, before allocating, when A would hold more than
+    LP_NONZERO_GUARD (10^5) nonzeros: the solve time grows about as their
+    square, and an LP of 99,176 nonzeros took 6.7 s to solve on a 2-core box.
     """
     if specs.n_helpers != graph.n_helpers:
         raise InfeasiblePlacementError("specs/graph helper counts differ")
@@ -91,7 +131,8 @@ def build_lp(
         units = np.ones(m)
     else:
         units = np.asarray(file_units, dtype=float).ravel()
-        if units.shape != (m,) or np.any(units <= 0):
+        # Each capacity coefficient units / max(units) must stay a nonzero float.
+        if units.shape != (m,) or not np.all(units / units.max() > 0):
             raise InvalidParameterError("file_units must be positive, one per file")
 
     users, helpers = np.nonzero(graph.rates > 0)  # row-major (user, helper)
@@ -110,27 +151,41 @@ def build_lp(
     n_demand = covered.size * m
     ncols = n_rho + n_link
     nrows = n_link + n_demand + H
-    dense_bytes = nrows * ncols * 8
-    if dense_bytes > DENSE_LP_GUARD_BYTES:
+    nnz = n_rho + 3 * n_link  # rho: a capacity entry and its links; a: two
+    if nnz > LP_NONZERO_GUARD:
         raise InstanceTooLargeError(
-            f"dense LP of {nrows} x {ncols} needs {dense_bytes / 1e9:.2f} GB, "
-            f"above the guard of {DENSE_LP_GUARD_BYTES / 1e9:g} GB; "
-            "use fewer users or coded groups"
+            f"LP of {nrows} x {ncols} has {nnz} nonzeros, above the guard of "
+            f"{LP_NONZERO_GUARD}; use fewer users or coded groups"
         )
-    A = np.zeros((nrows, ncols))
-    b = np.zeros(nrows)
 
+    # rho column f*H + h: the link rows e*m + f of helper h's edges, in
+    # ascending e, then capacity row h.  `rows` holds that pattern for f = 0.
+    per_helper = np.bincount(helpers, minlength=H) + 1
+    capacity_at = np.cumsum(per_helper) - 1
+    is_link = np.ones(users.size + H, dtype=bool)
+    is_link[capacity_at] = False
+    rows = np.empty(is_link.size, dtype=np.int64)
+    rows[is_link] = np.argsort(helpers, kind="stable") * m
+    rows[capacity_at] = n_link + n_demand + np.arange(H)
     files = np.arange(m)
-    link = np.arange(n_link)  # row e*m + f, and its a column n_rho + e*m + f
-    A[link, n_rho + link] = 1.0
-    A[link, (files * H + helpers[:, None]).ravel()] = -1.0
-    demand = n_link + (user_slot[:, None] * m + files).ravel()
-    A[demand, n_rho + link] = 1.0
-    b[n_link:n_link + n_demand] = 1.0
     top = units.max()
-    capacity = n_link + n_demand + np.arange(H)
-    A[capacity[:, None], files * H + np.arange(H)[:, None]] = units / top
-    b[capacity] = np.asarray(specs.capacities, dtype=float) / top
+    rho_index = rows + files[:, None] * is_link
+    rho_value = np.where(is_link, -1.0, (units / top)[:, None])
+    # a column n_rho + e*m + f: link row e*m + f, then demand row of (user, f).
+    link = np.arange(n_link)
+    demand = n_link + (user_slot[:, None] * m + files).ravel()
+    lengths = np.concatenate((np.tile(per_helper, m), np.full(n_link, 2)))
+    A = CSCMatrix(
+        start=np.concatenate(([0], np.cumsum(lengths))).astype(np.int32),
+        index=np.concatenate(
+            (rho_index.ravel(), np.column_stack((link, demand)).ravel())
+        ).astype(np.int32),
+        value=np.concatenate((rho_value.ravel(), np.ones(2 * n_link))),
+        shape=(nrows, ncols),
+    )
+    b = np.zeros(nrows)
+    b[n_link:n_link + n_demand] = 1.0
+    b[n_link + n_demand:] = np.asarray(specs.capacities, dtype=float) / top
 
     c = np.zeros(ncols)
     c[n_rho:] = (weight[:, None] * pop.pmf).ravel()
@@ -156,36 +211,31 @@ class SimplexResult:
 
 def simplex_solve(
     c,
-    A,
+    A: CSCMatrix,
     b,
     upper=None,
     max_iterations: int | None = None,
 ) -> SimplexResult:
     """Maximize c.x over {A x <= b, 0 <= x <= upper} with the HiGHS dual simplex.
 
-    Calls `scipy.optimize.linprog` with `method="highs-ds"`: Huangfu & Hall,
-    "Parallelizing the dual revised simplex method", Math. Prog. Comp. 2018.
-    Presolve is off, so the iteration limit counts simplex iterations on the
-    problem as given.  HiGHS tolerances are absolute: callers whose
-    coefficients are far from 1 should equilibrate first.
+    HiGHS: Huangfu & Hall, "Parallelizing the dual revised simplex method",
+    Math. Prog. Comp. 2018.  The LP goes straight to the HiGHS bindings that
+    scipy bundles, loaded without importing scipy, with the options
+    `scipy.optimize.linprog(method="highs-ds")` sets; on a scipy that ships no
+    such bindings, `linprog` itself solves it.  Either way presolve is off, so
+    the iteration limit counts simplex iterations on the problem as given.
+    HiGHS tolerances are absolute: callers whose coefficients are far from 1
+    should equilibrate first.
 
     `upper` may contain np.inf; omitted means all-unbounded above.  Requires
     b >= 0.  Raises UnboundedProblemError, or IterationLimitError on the
     iteration limit (default 50x the variable count, slacks included) and on
     any other non-optimal HiGHS status.
     """
-    # Imported here so that `import helpercache` does not pay for scipy.
-    from scipy.optimize import linprog
-    from scipy.sparse import csc_array
-
     c = np.asarray(c, dtype=float).ravel()
-    A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
-    nstruct = c.size
-    if A.size == 0:
-        A = A.reshape(0, nstruct)
-    nrows = A.shape[0]
-    if A.shape[1] != nstruct or b.size != nrows:
+    nrows, nstruct = A.shape
+    if c.size != nstruct or b.size != nrows:
         raise InvalidParameterError("inconsistent LP dimensions")
     if np.any(b < 0):
         raise InvalidParameterError("this solver requires b >= 0")
@@ -198,22 +248,105 @@ def simplex_solve(
     if max_iterations is None:
         max_iterations = 50 * max(nstruct + nrows, 1)
 
+    core = _highs_core()
+    if core is None:
+        x, iterations = _linprog_solve(c, A, b, upper, max_iterations)
+    else:
+        x, iterations = _highs_solve(core, c, A, b, upper, max_iterations)
+    return SimplexResult(x=x, objective=float(c @ x), iterations=iterations)
+
+
+@functools.cache
+def _highs_core():
+    """scipy's compiled HiGHS bindings, or None where scipy ships none.
+
+    The module is loaded from its file and registered under its own name, so
+    a later `import scipy.optimize` reuses it instead of loading it twice.
+    """
+    core = sys.modules.get(_HIGHS_MODULE)
+    if core is None:
+        scipy = importlib.util.find_spec("scipy")
+        folders = scipy.submodule_search_locations if scipy else ()
+        paths = [
+            os.path.join(folder, "optimize", "_highspy", "_core" + suffix)
+            for folder in folders
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        ]
+        paths = [path for path in paths if os.path.isfile(path)]
+        if not paths:
+            return None
+        spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, paths[0])
+        core = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS_MODULE] = core
+        spec.loader.exec_module(core)
+    if not all(hasattr(core, name) for name in _HIGHS_NAMES):
+        return None
+    return core
+
+
+def _stopped(max_iterations: int, status: str) -> IterationLimitError:
+    return IterationLimitError(
+        f"LP solve stopped before an optimum (limit {max_iterations} "
+        f"iterations): {status}"
+    )
+
+
+def _highs_solve(core, c, A: CSCMatrix, b, upper, max_iterations: int):
+    """(x, iterations) of min -c.x, as `linprog(method="highs-ds")` solves it."""
+    nrows, ncols = A.shape
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = ncols
+    lp.num_row_ = lp.a_matrix_.num_row_ = nrows
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = A.start
+    lp.a_matrix_.index_ = A.index
+    lp.a_matrix_.value_ = A.value
+    lp.col_cost_ = -c
+    lp.col_lower_ = np.zeros(ncols)
+    lp.col_upper_ = upper
+    lp.row_lower_ = np.full(nrows, -core.kHighsInf)
+    lp.row_upper_ = b
+    options = core.HighsOptions()
+    options.presolve = "off"
+    options.solver = "simplex"
+    options.simplex_strategy = 1  # dual
+    options.highs_debug_level = 0
+    options.output_flag = False
+    options.log_to_console = False
+    options.simplex_iteration_limit = max_iterations
+    options.ipm_iteration_limit = max_iterations
+    highs = core._Highs()
+    highs.passOptions(options)
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    if status == core.HighsModelStatus.kUnbounded:
+        raise UnboundedProblemError("objective is unbounded above")
+    if status != core.HighsModelStatus.kOptimal:
+        raise _stopped(max_iterations, highs.modelStatusToString(status))
+    x = np.array(highs.getSolution().col_value)
+    return x, int(highs.getInfo().simplex_iteration_count)
+
+
+def _linprog_solve(c, A: CSCMatrix, b, upper, max_iterations: int):
+    """(x, iterations) from `scipy.optimize.linprog`, for a scipy without the
+    HiGHS bindings `_highs_solve` drives."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_array
+
     res = linprog(
         -c,
-        A_ub=csc_array(A),  # dense input would be copied twice more
+        A_ub=csc_array((A.value, A.index, A.start), shape=A.shape),
         b_ub=b,
-        bounds=np.column_stack((np.zeros(nstruct), upper)),
+        bounds=np.column_stack((np.zeros(c.size), upper)),
         method="highs-ds",
         options={"presolve": False, "maxiter": max_iterations},
     )
-    if res.status == _UNBOUNDED:
+    if res.status == 3:  # unbounded
         raise UnboundedProblemError("objective is unbounded above")
     if res.status != 0:
-        raise IterationLimitError(
-            f"LP solve stopped before an optimum (limit {max_iterations} "
-            f"iterations): {res.message}"
-        )
-    return SimplexResult(x=res.x, objective=float(c @ res.x), iterations=int(res.nit))
+        raise _stopped(max_iterations, res.message)
+    return res.x, int(res.nit)
 
 
 @dataclass(frozen=True)

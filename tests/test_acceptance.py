@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from delays import baseline_delay, delay_savings, evaluate_delay
+from lp_matrices import to_csc
 from test_simplex import enumerate_vertices, random_lp
 
 from helpercache.cli import main
@@ -172,7 +173,7 @@ def test_simplex_matches_vertex_enumeration(gate):
     worst = 0.0
     for _ in range(100):
         c, A, b, upper = random_lp(rng)
-        result = simplex_solve(c, A, b, upper=upper)
+        result = simplex_solve(c, to_csc(A), b, upper=upper)
         best = enumerate_vertices(c, A, b, upper)
         worst = max(worst, abs(result.objective - best))
     gate(

@@ -212,21 +212,32 @@ class TestPlace:
         assert code == 1 and out == ""
         assert err == "solver gave up\n"
 
-    def test_oversized_dense_lp_exits_one_before_allocating(self, capsys):
-        # 100 users and 64 coded groups would need a 6 GB constraint matrix.
+    def test_lp_above_the_nonzero_guard_exits_one_before_allocating(self, capsys):
+        # 100 users and 128 coded groups make an LP of 144256 nonzeros.
         tracemalloc.start()
         try:
             code, out, err = run_cli(
                 capsys,
                 "simulate-macro", "--policy", "coded", "--n", "100",
-                "--coded-groups", "64",
+                "--coded-groups", "128",
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 1 and out == ""
-        assert "needs 6.06 GB, above the guard of 1 GB" in err
+        assert "has 144256 nonzeros, above the guard of 100000" in err
         assert peak < 100e6
+
+    def test_coded_place_of_100_users_and_64_groups_runs(self, capsys):
+        # 72128 nonzeros; the dense matrix the guard used to price was 6 GB.
+        code, out, err = run_cli(
+            capsys,
+            "place", "--policy", "coded", "--n", "100", "--coded-groups", "64",
+            "--helpers", "32",
+        )
+        assert code == 0 and err == ""
+        header, rows = csv_rows(out)
+        assert header == ["file_rank", "helper_id", "rho"] and rows
 
 
 @pytest.mark.parametrize(
@@ -692,13 +703,40 @@ def test_readme_examples_parse():
 
 
 def test_import_loads_no_scipy():
-    # scipy costs about a second to import; only the coded LP solve needs it.
+    # scipy costs about a second to import.  The coded LP loads only the HiGHS
+    # bindings that scipy bundles, not scipy.optimize or scipy.sparse.
     probe = (
         "import sys, helpercache.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "helpercache.cli.main(['place', '--policy', 'coded']); "
+        "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env=child_env(), capture_output=True, text=True, timeout=60, check=True,
     )
-    assert done.stdout.strip() == "[]"
+    lines = done.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[1] == "file_rank,helper_id,rho"
+    if placement_coded._highs_core() is not None:  # else linprog solves
+        assert lines[-1] == "[]"
+
+
+@pytest.mark.skipif(
+    placement_coded._highs_core() is None, reason="this scipy ships no HiGHS bindings"
+)
+def test_scipy_optimize_reuses_the_loaded_highs_bindings():
+    # After a coded solve, linprog in the same process uses the same module.
+    probe = (
+        "import sys; from helpercache import placement_coded as pc; "
+        "core = pc._highs_core(); "
+        "from scipy.optimize import linprog; "
+        "from scipy.optimize._highspy import _highs_wrapper; "
+        "res = linprog([-3, -2], A_ub=[[1, 1], [1, 3]], b_ub=[4, 6], method='highs-ds'); "
+        "print(_highs_wrapper._h is core, res.status, res.x.tolist())"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=child_env(), capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "True 0 [4.0, 0.0]"

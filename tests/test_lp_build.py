@@ -5,7 +5,9 @@ edge, one per matrix entry) followed by the row equilibration that
 `solve_lp_detailed` used to apply: every row divided by its largest absolute
 entry.  The shipped build writes the rows already scaled, so its A, b and c
 must equal the oracle's bit for bit, with the same kept (user, helper) links
-and the same count of dropped slow links.
+and the same count of dropped slow links.  Its A comes in CSC form, entry for
+entry in the order `scipy.sparse.csc_array` gives the dense matrix, which is
+the order the solver has always been handed.
 """
 
 import logging
@@ -14,6 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 from helpercache import rng as hrng
 from helpercache.placement_coded import build_lp, group_files, grouped_popularity
@@ -88,6 +91,14 @@ def loop_build(graph, pop, specs, file_units=None):
     return A, b, c, kept, dropped
 
 
+def assert_csc_order(matrix):
+    reference = csc_array(np.asarray(matrix))
+    assert matrix.start.dtype == matrix.index.dtype == np.int32
+    assert matrix.start.tolist() == reference.indptr.tolist()
+    assert matrix.index.tolist() == reference.indices.tolist()
+    assert matrix.value.tolist() == reference.data.tolist()
+
+
 def dropped_in(caplog) -> int:
     found = re.search(r"dropped (\d+) helper links", caplog.text)
     return int(found.group(1)) if found else 0
@@ -98,7 +109,8 @@ def assert_same_lp(graph, pop, specs, caplog, file_units=None):
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="helpercache.placement_coded"):
         instance = build_lp(graph, pop, specs, file_units=file_units)
-    assert np.array_equal(instance.A, A)
+    assert np.array_equal(np.asarray(instance.A), A)
+    assert_csc_order(instance.A)
     assert np.array_equal(instance.b, b)
     assert np.array_equal(instance.c, c)
     assert instance.edges.shape == (len(kept), 2)
@@ -161,6 +173,7 @@ def test_capacity_rows_are_prescaled():
     instance = build_lp(
         graph, zipf_model(0.8, 3), HelperSpecs((4, 0)), file_units=[4, 2, 1]
     )
-    np.testing.assert_array_equal(instance.A[-2:, :6].max(axis=1), [1.0, 1.0])
+    A = np.asarray(instance.A)
+    np.testing.assert_array_equal(A[-2:, :6].max(axis=1), [1.0, 1.0])
     np.testing.assert_array_equal(instance.b[-2:], [1.0, 0.0])
-    assert np.all(np.abs(instance.A).max(axis=1) == 1.0)
+    assert np.all(np.abs(A).max(axis=1) == 1.0)

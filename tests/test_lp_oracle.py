@@ -21,6 +21,7 @@ import pytest
 
 from helpercache import placement_coded
 from helpercache import rng as hrng
+from helpercache.cli import main
 from helpercache.errors import (
     InvalidParameterError,
     IterationLimitError,
@@ -235,7 +236,7 @@ def test_shipped_solver_matches_tableau_on_random_placement_lps(
         assert_feasible(oracle_placement, instance)
 
 
-def test_shipped_solver_matches_tableau_on_tiny_costs(monkeypatch):
+def tiny_cost_instance():
     # 32 helpers and 32 users in a 400 m cell: savings weights are ~1e-7 s/bit,
     # below the solver's absolute tolerances unless the LP is equilibrated.
     helper_model = replace(DEFAULT_HELPER_MODEL, helper_radius_m=150.0)
@@ -245,10 +246,55 @@ def test_shipped_solver_matches_tableau_on_tiny_costs(monkeypatch):
         users=place_uniform(32, 400.0, hrng.stream(3, "c4-users")),
     )
     graph = build_connectivity(layout, helper_model, DEFAULT_MACRO_MODEL)
-    instance = build_lp(
-        graph, zipf_model(0.8, 4), HelperSpecs.uniform(32, 2)
-    )
+    return build_lp(graph, zipf_model(0.8, 4), HelperSpecs.uniform(32, 2))
+
+
+def test_shipped_solver_matches_tableau_on_tiny_costs(monkeypatch):
+    instance = tiny_cost_instance()
     assert 0.0 < np.abs(instance.c).max() < 1e-6
     (placement, report), (_, oracle) = solve_both(instance, monkeypatch)
     assert report.objective == pytest.approx(oracle.objective, rel=OBJECTIVE_REL_TOL)
     assert_feasible(placement, instance)
+
+
+def recorded_solves(monkeypatch, run):
+    """The (args, kwargs) of every `simplex_solve` call that `run()` makes."""
+    calls = []
+    solve = placement_coded.simplex_solve
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return solve(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(placement_coded, "simplex_solve", record)
+        run()
+    return calls
+
+
+def test_direct_highs_matches_the_linprog_fallback(monkeypatch, tmp_path):
+    # The direct path hands HiGHS the LP and options that linprog does, so
+    # both must return the same x, bit for bit, after the same iterations.
+    if placement_coded._highs_core() is None:
+        pytest.skip("this scipy ships no HiGHS bindings to call directly")
+    instances = [tiny_cost_instance()]
+    for bucketed in (False, True):
+        rng = hrng.stream(4242, "lp-backends", int(bucketed))
+        instances += [random_instance(rng, bucketed) for _ in range(60)]
+    calls = recorded_solves(
+        monkeypatch, lambda: [solve_lp_detailed(i) for i in instances]
+    )
+    # One pass of the coded benchmark workload: three growing LPs.
+    calls += recorded_solves(monkeypatch, lambda: main([
+        "sweep-helpers", "--policy", "coded", "--counts", "8,16,32",
+        "--coded-groups", "6", "--reps", "40", "--seed", "0",
+        "--out", str(tmp_path / "sweep.csv"),
+    ]))
+    assert len(calls) == 124
+    for args, kwargs in calls:
+        direct = placement_coded.simplex_solve(*args, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(placement_coded, "_highs_core", lambda: None)
+            fallback = placement_coded.simplex_solve(*args, **kwargs)
+        assert direct.x.tobytes() == fallback.x.tobytes()
+        assert direct.iterations == fallback.iterations

@@ -2,7 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from lp_matrices import to_csc
 
+from helpercache import placement_coded
 from helpercache import rng as hrng
 from helpercache.errors import (
     InvalidParameterError,
@@ -62,7 +64,7 @@ def test_matches_vertex_enumeration_on_random_lps():
     rng = hrng.stream(2024, "lp-oracle")
     for _ in range(60):
         c, A, b, upper = random_lp(rng)
-        result = simplex_solve(c, A, b, upper)
+        result = simplex_solve(c, to_csc(A), b, upper)
         check_solution(c, A, b, upper, result)
         assert result.objective == pytest.approx(
             enumerate_vertices(c, A, b, upper), abs=1e-7
@@ -76,7 +78,7 @@ def test_degenerate_right_hand_sides():
     for _ in range(25):
         c, A, b, upper = random_lp(rng)
         b[: b.size // 2 + 1] = 0.0
-        result = simplex_solve(c, A, b, upper)
+        result = simplex_solve(c, to_csc(A), b, upper)
         check_solution(c, A, b, upper, result)
         assert result.objective == pytest.approx(
             enumerate_vertices(c, A, b, upper), abs=1e-7
@@ -85,39 +87,51 @@ def test_degenerate_right_hand_sides():
 
 def test_known_small_problems():
     # max 3x+2y st x+y<=4, x+3y<=6 -> (4,0), objective 12
-    r = simplex_solve([3, 2], [[1, 1], [1, 3]], [4, 6])
+    r = simplex_solve([3, 2], to_csc([[1, 1], [1, 3]]), [4, 6])
     assert r.objective == pytest.approx(12.0, abs=1e-9)
     np.testing.assert_allclose(r.x, [4.0, 0.0], atol=1e-9)
     # box bound binds before the row constraint
-    r = simplex_solve([1, 1], [[1, 1]], [1.5], upper=[1, 1])
+    r = simplex_solve([1, 1], to_csc([[1, 1]]), [1.5], upper=[1, 1])
     assert r.objective == pytest.approx(1.5, abs=1e-9)
     # negative costs: optimum stays home
-    r = simplex_solve([-1, -2], [[1, 1]], [3], upper=[1, 1])
+    r = simplex_solve([-1, -2], to_csc([[1, 1]]), [3], upper=[1, 1])
     assert r.objective == pytest.approx(0.0, abs=0)
     np.testing.assert_allclose(r.x, [0.0, 0.0])
 
 
 def test_upper_bound_flips():
     # optimum needs x1 at its upper bound while x2 enters the basis
-    r = simplex_solve([2, 1], [[1, 1]], [3], upper=[2, 5])
+    r = simplex_solve([2, 1], to_csc([[1, 1]]), [3], upper=[2, 5])
     assert r.objective == pytest.approx(5.0, abs=1e-9)
     np.testing.assert_allclose(r.x, [2.0, 1.0], atol=1e-9)
 
 
 def test_unbounded_detection():
     with pytest.raises(UnboundedProblemError):
-        simplex_solve([1.0], np.zeros((0, 1)), np.zeros(0))
+        simplex_solve([1.0], to_csc(np.zeros((0, 1))), np.zeros(0))
     with pytest.raises(UnboundedProblemError):
-        simplex_solve([1.0, 1.0], [[1.0, -1.0]], [1.0])
+        simplex_solve([1.0, 1.0], to_csc([[1.0, -1.0]]), [1.0])
 
 
 def test_iteration_limit_surfaces():
     with pytest.raises(IterationLimitError):
-        simplex_solve([3, 2], [[1, 1], [1, 3]], [4, 6], max_iterations=1)
+        simplex_solve([3, 2], to_csc([[1, 1], [1, 3]]), [4, 6], max_iterations=1)
 
 
 def test_dimension_validation():
     with pytest.raises(InvalidParameterError):
-        simplex_solve([1, 2], [[1, 1, 1]], [1])
+        simplex_solve([1, 2], to_csc([[1, 1, 1]]), [1])
     with pytest.raises(InvalidParameterError):
-        simplex_solve([1, 2], [[1, 1]], [-1])
+        simplex_solve([1, 2], to_csc([[1, 1]]), [-1])
+
+
+def test_linprog_fallback_surfaces_the_same_errors(monkeypatch):
+    # Where scipy ships no HiGHS bindings, linprog solves; its statuses map
+    # to the same exceptions.
+    monkeypatch.setattr(placement_coded, "_highs_core", lambda: None)
+    with pytest.raises(UnboundedProblemError):
+        simplex_solve([1.0, 1.0], to_csc([[1.0, -1.0]]), [1.0])
+    with pytest.raises(IterationLimitError):
+        simplex_solve([3, 2], to_csc([[1, 1], [1, 3]]), [4, 6], max_iterations=1)
+    r = simplex_solve([2, 1], to_csc([[1, 1]]), [3], upper=[2, 5])
+    np.testing.assert_allclose(r.x, [2.0, 1.0], atol=1e-9)
