@@ -32,6 +32,7 @@ STRATEGIES = ("deterministic", "random-zipf")
 TILE_TOL = 1e-9
 _CHUNK_ELEMENTS = 1 << 21  # keeps Monte Carlo chunking (and streams) stable
 _ANALYTIC_BLOCK = 1 << 14  # factors per all-miss product block; log-factorials per fill
+_BLOCK_USERS = 1 << 15  # users drawn or scored at once, so that temporaries stay in cache
 _WINDOW = 12.0  # first occupancy window: n/K +- _WINDOW * (std + 1)
 # Expected draws to fill one random cache row above which the input is refused.
 RANDOM_CACHE_MAX_DRAWS = 1e4
@@ -39,9 +40,11 @@ RANDOM_CACHE_MAX_DRAWS = 1e4
 # the input is refused; at about 0.2 us a draw (2-core Xeon) that is under two
 # minutes of filling.
 RANDOM_RUN_MAX_DRAWS = 5e8
-# Users per cell above which a scenario is refused.  A run's peak memory
-# grows linearly with n, by about 105 bytes per user in Monte Carlo and 55
-# analytically (reps=1), so the cap keeps a run near 1 GB.
+# Users per cell above which a scenario is refused.  Between n = 10^6 and
+# 10^7 (reps=1), a Monte Carlo run's peak memory grows by about 56 bytes per
+# user (52 with random caches of M = 1), so the cap keeps a run near 0.6 GB;
+# an analytic run's stays near 37 MB, because it computes only the
+# log-factorials that its occupancy windows read.
 MAX_USERS = 10**7
 
 
@@ -196,36 +199,53 @@ def _random_caches(
     return held.T
 
 
-_LOG_FACTORIALS = np.zeros(1)  # log(k!) for k = 0, 1, ...; grown on demand
-_LOG_FACTORIALS.flags.writeable = False
+# log(k!) for k = 0, 1, ..., grown on demand; an _ANALYTIC_BLOCK block of it
+# holds values once `_FILLED` marks it, and is filled the first time it is read.
+_LOG_FACTORIALS = np.zeros(0)
+_FILLED = np.zeros(0, dtype=bool)
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    """log(k!) for k = 0..n: a read-only slice of one table, which grows to
-    n + 1 entries the first time a larger n asks for it."""
-    global _LOG_FACTORIALS
-    have = _LOG_FACTORIALS.size
-    if have <= n:
-        table = np.empty(n + 1)
-        table[:have] = _LOG_FACTORIALS
-        for start in range(have, n + 1, _ANALYTIC_BLOCK):
-            stop = min(start + _ANALYTIC_BLOCK, n + 1)
-            # lgamma(k + 1.0) for k in start..stop-1, without a list of floats
-            table[start:stop] = np.fromiter(
-                map(math.lgamma, map(float, range(start + 1, stop + 1))),
-                float,
-                stop - start,
+def _log_factorials(n: int, ks: np.ndarray) -> np.ndarray:
+    """A read-only table of log(k!) for k = 0..n that holds values at n and
+    at every k and n - k of the nonempty, increasing `ks` in 0..n.
+
+    One table serves every call.  It grows to cover n, and it fills only the
+    _ANALYTIC_BLOCK blocks that the ranges ks[0]..ks[-1] and n - ks[-1] ..
+    n - ks[0] and n itself reach, each by the same math.lgamma calls the
+    first time; its other entries are undefined.  The occupancy windows of
+    a large n so read a small part of the table, whose untouched pages take
+    no memory.
+    """
+    global _LOG_FACTORIALS, _FILLED
+    B = _ANALYTIC_BLOCK
+    if _FILLED.size <= n // B:
+        table = np.zeros((n // B + 1) * B)
+        filled = np.zeros(n // B + 1, dtype=bool)
+        for b in np.flatnonzero(_FILLED).tolist():
+            table[b * B : (b + 1) * B] = _LOG_FACTORIALS[b * B : (b + 1) * B]
+        filled[: _FILLED.size] = _FILLED
+        _LOG_FACTORIALS, _FILLED = table, filled
+    lo, hi = int(ks[0]), int(ks[-1])
+    reads = {n // B, *range(lo // B, hi // B + 1)}
+    reads.update(range((n - hi) // B, (n - lo) // B + 1))
+    for b in sorted(reads):
+        if not _FILLED[b]:
+            # lgamma(k + 1.0) for the block's k, without a list of floats
+            _LOG_FACTORIALS[b * B : (b + 1) * B] = np.fromiter(
+                map(math.lgamma, map(float, range(b * B + 1, (b + 1) * B + 1))), float, B
             )
-        table.flags.writeable = False
-        _LOG_FACTORIALS = table
-    return _LOG_FACTORIALS[: n + 1]
+            _FILLED[b] = True
+    view = _LOG_FACTORIALS[: n + 1]
+    view.flags.writeable = False
+    return view
 
 
 def _binomial_pmf(n: int, p: float, ks: np.ndarray) -> np.ndarray:
-    """Binomial(n, p) probabilities of `ks`, computed in log space."""
+    """Binomial(n, p) probabilities of the nonempty, increasing `ks`,
+    computed in log space."""
     if p == 1.0:
         return (ks == n).astype(float)
-    logf = _log_factorials(n)
+    logf = _log_factorials(n, ks)
     return np.exp(
         logf[n] - logf[ks] - logf[n - ks] + ks * math.log(p) + (n - ks) * math.log1p(-p)
     )
@@ -340,20 +360,23 @@ def expected_active_analytic(
 class _Chunk(NamedTuple):
     """One chunk's draws, in the forms that every cluster grid scores.
 
-    Position columns are contiguous and `rep` is each user's replication.
-    Deterministic caches keep only `block`, the cache block ceil(req / M)
-    that holds each request; random caches keep the requests, the caches and
-    whether each user holds its own request.  Ranks and blocks are in the
-    narrowest unsigned dtype that holds m.
+    Users are rep-major, n per replication, and position columns are
+    contiguous.  Deterministic caches keep only `block`, the cache block
+    ceil(req / M) that holds each request; random caches keep the requests,
+    the caches and whether each user holds its own request.  Ranks and
+    blocks are in the narrowest unsigned dtype that holds m.
     """
 
     x: np.ndarray
     y: np.ndarray
-    rep: np.ndarray
     block: np.ndarray | None
     requests: np.ndarray | None
     caches: np.ndarray | None
     own: np.ndarray | None
+
+    def users(self, start: int, stop: int) -> _Chunk:
+        """Users start..stop-1 of the chunk, as views of its arrays."""
+        return self._make(None if a is None else a[start:stop] for a in self)
 
 
 def _draw_chunk(
@@ -363,27 +386,38 @@ def _draw_chunk(
     reps: int,
 ) -> _Chunk:
     """One chunk's draws in stream order: user positions, then caches (random
-    strategy only), then one request per user.  None of them depends on r."""
+    strategy only), then one request per user.  None of them depends on r.
+
+    Positions and requests are drawn _BLOCK_USERS users at a time straight
+    into the chunk's arrays, which reads the stream as one draw of the whole
+    chunk does.
+    """
     n, m = scenario.n, scenario.m
     total = reps * n
-    x, y = rng.random((total, 2)).T.copy()
-    rep = np.repeat(np.arange(reps, dtype=np.min_scalar_type(reps - 1)), n)
+    blocks = [(lo, min(lo + _BLOCK_USERS, total)) for lo in range(0, total, _BLOCK_USERS)]
+    x, y = np.empty(total), np.empty(total)
+    for lo, hi in blocks:
+        x[lo:hi], y[lo:hi] = rng.random((hi - lo, 2)).T
     if scenario.strategy == "random-zipf":
         caches = _random_caches(total, scenario.M, scenario.gamma1, m, rng)
-        requests = sample_requests(pop, rng, total).astype(caches.dtype)
+        requests = np.empty(total, dtype=caches.dtype)
         own = np.zeros(total, dtype=bool)
-        for column in caches.T:
-            own |= column == requests
-        return _Chunk(x, y, rep, None, requests, caches, own)
-    requests = sample_requests(pop, rng, total)
+        for lo, hi in blocks:
+            asked, mine = requests[lo:hi], own[lo:hi]
+            asked[:] = sample_requests(pop, rng, hi - lo)
+            for column in caches[lo:hi].T:
+                mine |= column == asked
+        return _Chunk(x, y, None, requests, caches, own)
     M = min(scenario.M, m)
-    block = None
-    if M:
-        block = requests - 1
-        block //= M
-        block += 1
-        block = block.astype(np.min_scalar_type(m))
-    return _Chunk(x, y, rep, block, None, None, None)
+    block = np.empty(total, dtype=np.min_scalar_type(m)) if M else None
+    for lo, hi in blocks:
+        requests = sample_requests(pop, rng, hi - lo)  # drawn even when M == 0
+        if M:
+            requests -= 1
+            requests //= M
+            requests += 1
+            block[lo:hi] = requests
+    return _Chunk(x, y, block, None, None, None)
 
 
 def _cells(x: np.ndarray, y: np.ndarray, side: int) -> tuple[np.ndarray, int]:
@@ -411,6 +445,26 @@ def _score_chunk(
     """Active clusters per replication of one chunk's draws on a side x side
     cluster grid.
 
+    Replications share no cluster, so the chunk is scored in blocks of
+    max(1, _BLOCK_USERS // n) replications, each on views of the chunk's
+    arrays (`_score_block`); a block's temporaries then stay cache-sized.
+    """
+    counts = np.zeros(reps)
+    if scenario.M == 0:
+        return counts
+    n = scenario.n
+    step = max(1, _BLOCK_USERS // n)
+    for lo in range(0, reps, step):
+        hi = min(lo + step, reps)
+        counts[lo:hi] = _score_block(scenario, chunk.users(lo * n, hi * n), hi - lo, side)
+    return counts
+
+
+def _score_block(
+    scenario: D2DScenario, draws: _Chunk, reps: int, side: int
+) -> np.ndarray:
+    """Active clusters per replication of `reps` replications' draws.
+
     Deterministic caches: with M capped at m, the user of arrival rank j in
     a cluster of k users holds block j, ranks (j-1)M+1 .. jM.  So a request
     in block b = ceil(req / M) is held by another member iff b <= k and
@@ -423,15 +477,14 @@ def _score_chunk(
 
     Random caches are scored by `_score_random`, with no sort of the users.
     """
-    if scenario.M == 0:
-        return np.zeros(reps)
-    cell, K = _cells(chunk.x, chunk.y, side)
+    rep = np.repeat(np.arange(reps, dtype=np.min_scalar_type(reps - 1)), scenario.n)
+    cell, K = _cells(draws.x, draws.y, side)
     if scenario.strategy == "random-zipf":
-        return _score_random(scenario, chunk, reps, cell, K)
+        return _score_random(scenario, draws, rep, reps, cell, K)
 
     total = cell.size
     order = np.argsort(cell, kind="stable")
-    rep, b = chunk.rep[order], chunk.block[order]
+    rep, b = rep[order], draws.block[order]
     cell = cell[order]
     del order  # the largest temporary, freed before the peak
     new = np.empty(total, dtype=bool)  # first user of each (cell, rep) group
@@ -451,9 +504,15 @@ def _score_chunk(
 
 
 def _score_random(
-    scenario: D2DScenario, chunk: _Chunk, reps: int, cell: np.ndarray, K: int
+    scenario: D2DScenario,
+    draws: _Chunk,
+    rep: np.ndarray,
+    reps: int,
+    cell: np.ndarray,
+    K: int,
 ) -> np.ndarray:
-    """Active clusters per replication for random caches.
+    """Active clusters per replication for random caches, from each user's
+    replication `rep` (0 .. reps-1) and cell label (below K).
 
     Each cache rank and each request becomes a key gid * (m + 1) + rank,
     with group id gid = rep * K + cell.  Cache keys enter one array as
@@ -474,31 +533,31 @@ def _score_random(
     numbered 0, 1, ... and serve as the group ids.
     """
     stride = scenario.m + 1
-    total, M = chunk.caches.shape
+    total, M = draws.caches.shape
     if 4 * reps * K * stride < 1 << 63:
         groups, rep_of_group = reps * K, None
     else:
         pairs, gid = np.unique(
-            np.column_stack((chunk.rep, cell)), axis=0, return_inverse=True
+            np.column_stack((rep, cell)), axis=0, return_inverse=True
         )
         groups, rep_of_group = len(pairs), pairs[:, 0].astype(np.intp)
     dtype = np.int32 if 4 * groups * stride < 1 << 31 else np.int64
     keys = np.empty(total * (M + 1), dtype=dtype)
     asked = keys[total * M :]  # the request keys, built from the group ids
     if rep_of_group is None:
-        np.multiply(chunk.rep, K, out=asked, dtype=dtype)
+        np.multiply(rep, K, out=asked, dtype=dtype)
         np.add(asked, cell, out=asked, dtype=dtype)  # cell < K fits dtype
     else:
         asked[:] = gid.ravel()
         del pairs, gid  # freed before the keys' peak
     asked *= stride
     cached = keys[: total * M].reshape(M, total)
-    np.add(asked, chunk.caches.T, out=cached)
+    np.add(asked, draws.caches.T, out=cached)
     cached <<= 2
-    asked += chunk.requests
+    asked += draws.requests
     asked <<= 2
     asked |= 2
-    asked |= chunk.own
+    asked |= draws.own
     keys.sort()
     # The requests' sorted positions; the tag is read from each key's low
     # byte, so the temporaries take a byte per key.
@@ -510,8 +569,8 @@ def _score_random(
     held = key[keys[at] == key << 2]
     held //= stride  # group ids of the active users, sorted
     held = held[np.diff(held, prepend=-1) != 0]
-    rep = held // K if rep_of_group is None else rep_of_group[held]
-    return np.bincount(rep, minlength=reps).astype(float)
+    active_rep = held // K if rep_of_group is None else rep_of_group[held]
+    return np.bincount(active_rep, minlength=reps).astype(float)
 
 
 def simulate_active_clusters(

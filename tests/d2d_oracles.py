@@ -6,8 +6,9 @@ rule out user by user.  `sweep_row` is the point-by-point sweep the grouped
 sweeps replaced: every Monte Carlo point opens its own stream and redraws it,
 and its chunks are scored by the former kernel, which sorts users by
 `rep * K + cell`.  `draw_chunk` and `score_chunk` are the former chunk draw
-and scorer, which gathered int64 ranks and keys for every grid side, and
-`simulate_chunks` runs them like `simulate_active_clusters`.
+and scorer, which drew and scored a whole chunk at once and gathered int64
+ranks and keys for every grid side, and `simulate_chunks` runs them like
+`simulate_active_clusters`.
 `random_caches_lockstep` fills random caches by rescanning every row for the
 incomplete ones each round, and `expected_active_by_k` sums the analytic
 model one occupancy at a time.  `score_random_two_sorts` is the former
@@ -307,19 +308,19 @@ def sweep_row(scenario, pop, reps, root_seed, mode):
     )
 
 
-def score_random_two_sorts(scenario, chunk, reps, cell, K):
+def score_random_two_sorts(scenario, chunk, rep, reps, cell, K):
     """The former `d2d._score_random`: cache keys and request keys sorted
     apart, each request key looked up by binary search among the cache keys
     behind two -1 sentinels; the own bit sits below the request key."""
     stride = scenario.m + 1
     if 2 * reps * K * stride + 2 < 1 << 63:
-        gid = chunk.rep.astype(np.int64)
+        gid = rep.astype(np.int64)
         gid *= K
         gid += cell.astype(np.int64)
         groups, rep_of_group = reps * K, None
     else:
         pairs, gid = np.unique(
-            np.column_stack((chunk.rep, cell)), axis=0, return_inverse=True
+            np.column_stack((rep, cell)), axis=0, return_inverse=True
         )
         gid = gid.ravel()
         groups, rep_of_group = len(pairs), pairs[:, 0].astype(np.intp)
@@ -342,8 +343,8 @@ def score_random_two_sorts(scenario, chunk, reps, cell, K):
     held = asked[keys[first] == asked]
     held //= stride
     held = held[np.diff(held, prepend=-1) != 0]
-    rep = held // K if rep_of_group is None else rep_of_group[held]
-    return np.bincount(rep, minlength=reps).astype(float)
+    active_rep = held // K if rep_of_group is None else rep_of_group[held]
+    return np.bincount(active_rep, minlength=reps).astype(float)
 
 
 def scaling_check_by_side(gamma, n_values, M=1, scale=50.0):

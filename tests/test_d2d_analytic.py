@@ -84,15 +84,28 @@ def test_scaling_check_at_large_n(tmp_path):
 
 
 def test_one_log_factorial_table_grows_on_demand(monkeypatch):
-    monkeypatch.setattr(d2d, "_LOG_FACTORIALS", d2d._LOG_FACTORIALS[:1])
-    small = _log_factorials(10)
-    assert d2d._LOG_FACTORIALS.size == 11
-    large = _log_factorials(70_000)  # more than one fill block
-    assert d2d._LOG_FACTORIALS.size == 70_001
-    again = _log_factorials(300)
-    assert again.base is d2d._LOG_FACTORIALS
-    assert d2d._LOG_FACTORIALS.size == 70_001
-    want = [math.lgamma(k + 1.0) for k in range(70_001)]
-    assert large.tolist() == want
-    assert small.tolist() == want[:11] and again.tolist() == want[:301]
-    assert not large.flags.writeable and not again.flags.writeable
+    # Blocks of 16 entries.  n = 1000 with the occupancies 300..340 reads the
+    # blocks of 300..340, of n - k = 660..700 and of n; those blocks, and no
+    # other, must hold lgamma(k + 1) to their edges, also after the table
+    # grows past blocks filled for a smaller n.
+    B = 16
+    monkeypatch.setattr(d2d, "_ANALYTIC_BLOCK", B)
+    monkeypatch.setattr(d2d, "_LOG_FACTORIALS", np.zeros(0))
+    monkeypatch.setattr(d2d, "_FILLED", np.zeros(0, dtype=bool))
+    small = _log_factorials(10, np.arange(2, 11))
+    assert small.size == 11 and d2d._FILLED.tolist() == [True]
+    large = _log_factorials(1000, np.arange(300, 341))
+    assert large.size == 1001 and d2d._LOG_FACTORIALS.size == 63 * B
+    blocks = [0, *range(300 // B, 340 // B + 1), *range(660 // B, 700 // B + 1), 1000 // B]
+    assert np.flatnonzero(d2d._FILLED).tolist() == blocks
+    again = _log_factorials(300, np.arange(2, 4))
+    assert again.base is d2d._LOG_FACTORIALS and d2d._LOG_FACTORIALS.size == 63 * B
+    assert np.flatnonzero(d2d._FILLED).tolist() == blocks  # 300 is in block 18
+    for b in blocks:
+        ks = range(b * B, (b + 1) * B)
+        assert d2d._LOG_FACTORIALS[b * B : (b + 1) * B].tolist() == [
+            math.lgamma(k + 1.0) for k in ks
+        ], b
+    assert small.tolist() == [math.lgamma(k + 1.0) for k in range(11)]
+    assert not small.flags.writeable and not large.flags.writeable
+    assert not again.flags.writeable

@@ -1,10 +1,13 @@
 """The D2D scorer against the scorer it replaced, with `==`.
 
-`d2d._score_chunk` scores deterministic caches by each request's cache
-block and random caches by sorted request keys.  `d2d_oracles.score_chunk`
-is the former scorer, which gathered int64 ranks and keys per grid side, and
-`d2d_oracles.simulate_chunks` runs it chunk by chunk on the same stream as
-`simulate_active_clusters`.  Every statistic must be equal.
+`d2d._score_chunk` scores a chunk in blocks of replications, deterministic
+caches by each request's cache block and random caches by sorted request
+keys, and `d2d._draw_chunk` draws it in blocks of users.
+`d2d_oracles.score_chunk` is the former scorer, which gathered int64 ranks
+and keys per grid side for the whole chunk at once, and
+`d2d_oracles.simulate_chunks` draws whole chunks and runs it chunk by chunk
+on the same stream as `simulate_active_clusters`.  Every statistic must be
+equal, whichever way chunk, draw-block and score-block edges fall.
 
 `d2d._score_random` sorts cache and request keys in one array;
 `d2d_oracles.score_random_two_sorts`, the scorer it replaced, sorted them
@@ -98,6 +101,56 @@ def test_300x300_grid(sc):
     assert got[0].K == 90_000 and got[0].expected_active > 0.0
 
 
+@pytest.mark.parametrize("block_users", [130, 700])
+@pytest.mark.parametrize(
+    "sc",
+    [
+        *[replace(DET, M=M) for M in (0, DET.M, DET.m + 7)],
+        *[replace(RAND, M=M) for M in (0, RAND.M, RAND.m)],
+    ],
+    ids=lambda sc: f"{sc.strategy}-M{sc.M}",
+)
+def test_replication_blocks_score_like_whole_chunks(sc, block_users, monkeypatch):
+    # 53 replications of 60 (40) users: blocks of 2 (3) replications at 130
+    # users and of 11 (17) at 700, each time with a short last block, and
+    # draw blocks that end inside a replication.
+    monkeypatch.setattr(d2d, "_BLOCK_USERS", block_users)
+    _assert_matches_oracle(sc, reps=53)
+
+
+@pytest.mark.parametrize("sc", [DET, RAND], ids=["deterministic", "random-zipf"])
+def test_module_blocks_with_a_short_last_block(sc):
+    step = d2d._BLOCK_USERS // sc.n
+    assert step > 1
+    _assert_matches_oracle(sc, reps=2 * step + 7, r_values=[1.0, 0.3, 0.1])
+
+
+@pytest.mark.parametrize("sc", [DET, RAND], ids=["deterministic", "random-zipf"])
+def test_chunk_and_block_edges_cross(sc, monkeypatch):
+    # Chunks of 1100 // (n M) = 9 replications, scored in blocks of 4 (6)
+    # replications, so every chunk ends in a short block, and drawn in blocks
+    # of 250 users, which end inside replications and chunks.
+    monkeypatch.setattr(d2d, "_CHUNK_ELEMENTS", 1100)
+    monkeypatch.setattr(d2d, "_BLOCK_USERS", 250)
+    _assert_matches_oracle(sc, reps=37)
+
+
+@pytest.mark.parametrize("sc", [DET, RAND], ids=["deterministic", "random-zipf"])
+def test_populations_past_a_block_score_one_replication_at_a_time(sc):
+    sc = replace(sc, n=40_000)
+    assert d2d._BLOCK_USERS // sc.n == 0
+    got = _assert_matches_oracle(sc, reps=3, r_values=[1.0, 0.3, 0.01])
+    assert got[-1].expected_active > 0.0
+
+
+@pytest.mark.parametrize("sc", [DET, RAND], ids=["deterministic", "random-zipf"])
+def test_very_fine_grids_in_small_blocks(sc, monkeypatch):
+    # Blocks of 3 replications: past 2^64 cells each block labels its own
+    # occupied cells, and past int64 keys (side 2^31) numbers its own groups.
+    monkeypatch.setattr(d2d, "_BLOCK_USERS", 90)
+    _assert_lattice_scores_alike(sc)
+
+
 @pytest.mark.parametrize("reps", [53, 54])
 def test_random_keys_on_both_sides_of_the_int32_switch(reps):
     # Keys carry two tag bits below gid * (m + 1) + rank: int32 holds them
@@ -113,6 +166,10 @@ def test_random_keys_on_both_sides_of_the_int32_switch(reps):
 
 @pytest.mark.parametrize("sc", [DET, RAND], ids=["deterministic", "random-zipf"])
 def test_very_fine_grids_group_users_like_a_coarse_one(sc):
+    _assert_lattice_scores_alike(sc)
+
+
+def _assert_lattice_scores_alike(sc):
     # Users placed on a 4 x 4 lattice share a cell on every grid of side
     # 4 * 2^k and more, so each side must score the chunk alike: 2^20 needs
     # 64-bit cells, 2^31 random keys past int64, and 10^15 more than 2^64
@@ -131,8 +188,10 @@ def test_very_fine_grids_group_users_like_a_coarse_one(sc):
 
 
 def test_deterministic_scoring_memory():
-    # sweep-r's default chunk: 500 users x 1000 replications scored on three
-    # grids.  The former scorer peaked at 63.5 MB here, 12 MB of it draws.
+    # sweep-r's default chunk: 500 users x 1000 replications drawn and scored
+    # on three grids.  Drawn and scored whole, the chunk peaked at 29.8 MB
+    # here, and at 63.5 MB with the former scorer; in blocks it takes
+    # 10.3 MB, 8 MB of it the positions.
     sc = D2DScenario(n=500, m=1000, M=1, r=0.1, gamma=0.6)
     pop = sc.popularity()
     sample_requests(pop, stream(1, "warm"), 1)  # the sampler's table stays untraced
@@ -144,20 +203,22 @@ def test_deterministic_scoring_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 15e6
 
 
 def _groups_chunk(caches, requests, K):
     """A chunk whose group g holds the users of row g of `caches` (users x
-    M ranks) and `requests`, placed at replication g // K, cell g % K."""
+    M ranks) and `requests`, placed at replication g // K, cell g % K; with
+    the users' replications and cells, and the replication count."""
     count, n, M = caches.shape
     caches = caches.reshape(count * n, M).astype(np.uint8)
     requests = requests.reshape(-1).astype(np.uint8)
     g = np.repeat(np.arange(count), n)
     own = (caches == requests[:, None]).any(axis=1)
     none = np.zeros(count * n)
-    chunk = _Chunk(none, none, (g // K).astype(np.uint32), None, requests, caches, own)
-    return chunk, (g % K).astype(np.min_scalar_type(K - 1)), -(-count // K)
+    chunk = _Chunk(none, none, None, requests, caches, own)
+    rep = (g // K).astype(np.uint32)
+    return chunk, rep, (g % K).astype(np.min_scalar_type(K - 1)), -(-count // K)
 
 
 def _brute_force(caches, requests, K, reps):
@@ -181,10 +242,10 @@ def test_every_small_group_scores_like_the_two_sort_scorer(n, M, K):
     asks = np.array(list(itertools.product(range(1, m + 1), repeat=n)))
     caches = np.repeat(rows, len(asks), axis=0)
     requests = np.tile(asks, (len(rows), 1))
-    chunk, cell, reps = _groups_chunk(caches, requests, K)
+    chunk, rep, cell, reps = _groups_chunk(caches, requests, K)
     sc = D2DScenario(n=n, m=m, M=M, r=1.0, gamma=0.5, strategy="random-zipf", gamma1=0.5)
-    got = _score_random(sc, chunk, reps, cell, K)
-    assert np.array_equal(got, score_random_two_sorts(sc, chunk, reps, cell, K))
+    got = _score_random(sc, chunk, rep, reps, cell, K)
+    assert np.array_equal(got, score_random_two_sorts(sc, chunk, rep, reps, cell, K))
     assert np.array_equal(got, _brute_force(caches, requests, K, reps))
     # The own bits of two requesters of one rank: (0, 0), (0, 1) and (1, 1).
     own = chunk.own.reshape(-1, n)
@@ -201,12 +262,12 @@ def test_single_file_catalog_scores_groups_of_two_as_active():
     requests = np.ones(sizes.sum(), dtype=np.uint8)
     g = np.repeat(np.arange(sizes.size), sizes)
     own = np.ones(g.size, dtype=bool)
-    chunk = _Chunk(None, None, g.astype(np.uint8), None, requests, caches, own)
+    chunk = _Chunk(None, None, None, requests, caches, own)
     sc = D2DScenario(n=4, m=1, M=1, r=1.0, gamma=0.5, strategy="random-zipf", gamma1=0.5)
-    cell = np.zeros(g.size, dtype=np.uint8)
-    got = _score_random(sc, chunk, sizes.size, cell, 1)
+    rep, cell = g.astype(np.uint8), np.zeros(g.size, dtype=np.uint8)
+    got = _score_random(sc, chunk, rep, sizes.size, cell, 1)
     assert np.array_equal(got, (sizes >= 2).astype(float))
-    assert np.array_equal(got, score_random_two_sorts(sc, chunk, sizes.size, cell, 1))
+    assert np.array_equal(got, score_random_two_sorts(sc, chunk, rep, sizes.size, cell, 1))
     _assert_matches_oracle(replace(RAND, m=1, M=1), reps=20)
 
 
@@ -225,20 +286,23 @@ def test_numbered_groups_score_like_the_two_sort_scorer(side):
     x = (np.floor(chunk.x * 4) + 0.5) / 4
     y = (np.floor(chunk.y * 4) + 0.5) / 4
     cell, K = _cells(x, y, side)
-    got = _score_random(sc, chunk, reps, cell, K)
+    rep = np.repeat(np.arange(reps, dtype=np.uint8), sc.n)
+    got = _score_random(sc, chunk, rep, reps, cell, K)
     assert got.sum() > 0
-    assert np.array_equal(got, score_random_two_sorts(sc, chunk, reps, cell, K))
+    assert np.array_equal(got, score_random_two_sorts(sc, chunk, rep, reps, cell, K))
 
 
 @pytest.mark.parametrize(
     "M,m,fill_bound,score_bound",
-    [(1, 1000, 55e6, 65e6), (4, 1000, 18.5e6, 23e6), (4, 100_000, 26e6, 40e6)],
+    [(1, 1000, 55e6, 1.5e6), (4, 1000, 18.5e6, 2e6), (4, 100_000, 26e6, 3.5e6)],
 )
 def test_random_fill_and_scoring_memory(M, m, fill_bound, score_bound):
     # One chunk at the element limit, n * M * reps = 2^21: filling its caches
     # and scoring it on a 10 x 10 grid.  The fill that wrote a (count, M)
-    # array through 2-D index pairs peaked at 65.3, 20.9 and 28.2 MB here,
-    # the two-sort scorer at 69.2, 23.6 and 38.3 MB.
+    # array through 2-D index pairs peaked at 65.3, 20.9 and 28.2 MB here.
+    # Scored in blocks, the chunk peaks at 1.1, 1.4 and 2.5 MB; scored
+    # whole, it took 62.9, 22.0 and 38.8 MB, and the two-sort scorer 69.2,
+    # 23.6 and 38.3 MB.
     sc = D2DScenario(
         n=500, m=m, M=M, r=0.1, gamma=0.6, strategy="random-zipf", gamma1=1.0
     )
@@ -253,10 +317,9 @@ def test_random_fill_and_scoring_memory(M, m, fill_bound, score_bound):
     finally:
         tracemalloc.stop()
     chunk = _draw_chunk(sc, pop, stream(0, "memory"), reps)
-    cell, K = _cells(chunk.x, chunk.y, 10)
     tracemalloc.start()
     try:
-        _score_random(sc, chunk, reps, cell, K)
+        _score_chunk(sc, chunk, reps, 10)
         score_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
