@@ -30,9 +30,8 @@ logger = logging.getLogger(__name__)
 
 STRATEGIES = ("deterministic", "random-zipf")
 TILE_TOL = 1e-9
-_CHUNK_ELEMENTS = 1 << 21  # keeps Monte Carlo chunking (and streams) stable
 _ANALYTIC_BLOCK = 1 << 14  # factors per all-miss product block; log-factorials per fill
-_BLOCK_USERS = 1 << 15  # users drawn or scored at once, so that temporaries stay in cache
+_BLOCK_USERS = 1 << 14  # users drawn and scored at once, so that temporaries stay in cache
 _WINDOW = 12.0  # first occupancy window: n/K +- _WINDOW * (std + 1)
 # Expected draws to fill one random cache row above which the input is refused.
 RANDOM_CACHE_MAX_DRAWS = 1e4
@@ -42,10 +41,16 @@ RANDOM_CACHE_MAX_DRAWS = 1e4
 RANDOM_RUN_MAX_DRAWS = 5e8
 # Users per cell above which a scenario is refused.  Between n = 10^6 and
 # 10^7 (reps=1), a Monte Carlo run's peak memory grows by about 56 bytes per
-# user (52 with random caches of M = 1), so the cap keeps a run near 0.6 GB;
+# user (51 with random caches of M = 1), so the cap keeps a run near 0.6 GB;
 # an analytic run's stays near 37 MB, because it computes only the
 # log-factorials that its occupancy windows read.
 MAX_USERS = 10**7
+# (Cluster grid, replication) pairs above which a Monte Carlo call is
+# refused.  A call keeps 8 bytes per pair and, for the statistics, 8 per
+# replication: at the cap `simulate-d2d --n 2 --mode mc --reps 10000000`
+# takes 1.6 s (2.9 s with random caches) and 200 MB (2-core Xeon).  Time
+# grows with n * reps.
+MAX_SCORES = 10**7
 
 
 @dataclass(frozen=True)
@@ -140,10 +145,31 @@ def _fill_draws(M: int, gamma1: float, m: int) -> float:
     return float((1.0 / tails).sum())
 
 
+def _cache_model(scenario: D2DScenario, reps: int) -> PopularityModel:
+    """The Zipf(gamma1) model that the random caches of `reps` replications
+    are drawn from.
+
+    Fills whose expected draws (`_fill_draws`) pass RANDOM_CACHE_MAX_DRAWS
+    per device, or RANDOM_RUN_MAX_DRAWS over the run, could run for hours,
+    so they are refused here, before any draw.
+    """
+    M, gamma1 = scenario.M, scenario.gamma1
+    per_device = _fill_draws(M, gamma1, scenario.m)
+    draws = per_device * scenario.n * reps
+    if per_device > RANDOM_CACHE_MAX_DRAWS or draws > RANDOM_RUN_MAX_DRAWS:
+        raise InvalidParameterError(
+            f"random-zipf caches with gamma1={gamma1:g} and M={M} may need "
+            f"{per_device:.3g} draws per device (limit {RANDOM_CACHE_MAX_DRAWS:g}), "
+            f"{draws:.3g} for {scenario.n} devices over reps={reps} (limit "
+            f"{RANDOM_RUN_MAX_DRAWS:g}); lower gamma1, M or reps"
+        )
+    return zipf_model(gamma1, scenario.m)
+
+
 def _random_caches(
-    count: int, M: int, gamma1: float, m: int, rng: np.random.Generator
+    count: int, M: int, model: PopularityModel, rng: np.random.Generator
 ) -> np.ndarray:
-    """(count, M) matrix of distinct ranks per row, drawn Zipf(gamma1) with
+    """(count, M) matrix of distinct ranks per row, drawn from `model` with
     duplicate rejection.  Rows fill in lockstep rounds, one candidate per
     incomplete row per round, drawn in row order.
 
@@ -154,10 +180,11 @@ def _random_caches(
 
     The rounds fill an (M, count) array, so that each column is contiguous
     and an accepted rank is stored at one flat index; the result is its
-    transpose.  When `_fill_draws` exceeds RANDOM_CACHE_MAX_DRAWS the rounds
-    could run for hours, so the input is refused before any draw.  Ranks are
-    held in the narrowest unsigned dtype that holds m.
+    transpose.  A full catalog (M == m) is copied, not drawn.  Ranks are held
+    in the narrowest unsigned dtype that holds m.  The caller bounds the
+    expected draws (`_cache_model`).
     """
+    m = model.m
     if M > m:
         raise InvalidParameterError("random caches need M <= m")
     dtype = np.min_scalar_type(m)
@@ -165,14 +192,6 @@ def _random_caches(
         return np.zeros((count, M), dtype=dtype)
     if M == m:
         return np.tile(np.arange(1, m + 1, dtype=dtype), (count, 1))
-    model = zipf_model(gamma1, m)
-    draws = _fill_draws(M, gamma1, m)
-    if draws > RANDOM_CACHE_MAX_DRAWS:
-        raise InvalidParameterError(
-            f"random-zipf caches with gamma1={gamma1:g} and M={M} may need "
-            f"{draws:.3g} draws per device (limit {RANDOM_CACHE_MAX_DRAWS:g}); "
-            "lower gamma1 or M"
-        )
     held = np.zeros((M, count), dtype=dtype)
     flat = held.reshape(-1)
     # Flat index of each row's next free slot: column j of row i is at
@@ -357,8 +376,8 @@ def expected_active_analytic(
     return ClusterStats(expected_active=mean, stderr=0.0, K=K)
 
 
-class _Chunk(NamedTuple):
-    """One chunk's draws, in the forms that every cluster grid scores.
+class _Draws(NamedTuple):
+    """One block's draws, in the forms that every cluster grid scores.
 
     Users are rep-major, n per replication, and position columns are
     contiguous.  Deterministic caches keep only `block`, the cache block
@@ -374,50 +393,33 @@ class _Chunk(NamedTuple):
     caches: np.ndarray | None
     own: np.ndarray | None
 
-    def users(self, start: int, stop: int) -> _Chunk:
-        """Users start..stop-1 of the chunk, as views of its arrays."""
-        return self._make(None if a is None else a[start:stop] for a in self)
 
-
-def _draw_chunk(
+def _draw_block(
     scenario: D2DScenario,
     pop: PopularityModel,
     rng: np.random.Generator,
     reps: int,
-) -> _Chunk:
-    """One chunk's draws in stream order: user positions, then caches (random
-    strategy only), then one request per user.  None of them depends on r.
-
-    Positions and requests are drawn _BLOCK_USERS users at a time straight
-    into the chunk's arrays, which reads the stream as one draw of the whole
-    chunk does.
+    caches: np.ndarray | None,
+) -> _Draws:
+    """`reps` replications' draws from `rng`: the users' positions, as one
+    (2, users) draw, then one request per user.  `caches` holds the users'
+    random caches, drawn on their own stream, and is None for deterministic
+    caches.  None of the draws depends on r.
     """
-    n, m = scenario.n, scenario.m
-    total = reps * n
-    blocks = [(lo, min(lo + _BLOCK_USERS, total)) for lo in range(0, total, _BLOCK_USERS)]
-    x, y = np.empty(total), np.empty(total)
-    for lo, hi in blocks:
-        x[lo:hi], y[lo:hi] = rng.random((hi - lo, 2)).T
-    if scenario.strategy == "random-zipf":
-        caches = _random_caches(total, scenario.M, scenario.gamma1, m, rng)
-        requests = np.empty(total, dtype=caches.dtype)
-        own = np.zeros(total, dtype=bool)
-        for lo, hi in blocks:
-            asked, mine = requests[lo:hi], own[lo:hi]
-            asked[:] = sample_requests(pop, rng, hi - lo)
-            for column in caches[lo:hi].T:
-                mine |= column == asked
-        return _Chunk(x, y, None, requests, caches, own)
-    M = min(scenario.M, m)
-    block = np.empty(total, dtype=np.min_scalar_type(m)) if M else None
-    for lo, hi in blocks:
-        requests = sample_requests(pop, rng, hi - lo)  # drawn even when M == 0
-        if M:
-            requests -= 1
-            requests //= M
-            requests += 1
-            block[lo:hi] = requests
-    return _Chunk(x, y, block, None, None, None)
+    users = reps * scenario.n
+    x, y = rng.random((2, users))
+    requests = sample_requests(pop, rng, users)
+    if caches is None:
+        requests -= 1
+        requests //= min(scenario.M, scenario.m)
+        requests += 1
+        block = requests.astype(np.min_scalar_type(scenario.m))
+        return _Draws(x, y, block, None, None, None)
+    requests = requests.astype(caches.dtype)
+    own = np.zeros(users, dtype=bool)
+    for column in caches.T:
+        own |= column == requests
+    return _Draws(x, y, None, requests, caches, own)
 
 
 def _cells(x: np.ndarray, y: np.ndarray, side: int) -> tuple[np.ndarray, int]:
@@ -439,29 +441,8 @@ def _cells(x: np.ndarray, y: np.ndarray, side: int) -> tuple[np.ndarray, int]:
     return cell.ravel(), len(labels)
 
 
-def _score_chunk(
-    scenario: D2DScenario, chunk: _Chunk, reps: int, side: int
-) -> np.ndarray:
-    """Active clusters per replication of one chunk's draws on a side x side
-    cluster grid.
-
-    Replications share no cluster, so the chunk is scored in blocks of
-    max(1, _BLOCK_USERS // n) replications, each on views of the chunk's
-    arrays (`_score_block`); a block's temporaries then stay cache-sized.
-    """
-    counts = np.zeros(reps)
-    if scenario.M == 0:
-        return counts
-    n = scenario.n
-    step = max(1, _BLOCK_USERS // n)
-    for lo in range(0, reps, step):
-        hi = min(lo + step, reps)
-        counts[lo:hi] = _score_block(scenario, chunk.users(lo * n, hi * n), hi - lo, side)
-    return counts
-
-
 def _score_block(
-    scenario: D2DScenario, draws: _Chunk, reps: int, side: int
+    scenario: D2DScenario, draws: _Draws, reps: int, side: int
 ) -> np.ndarray:
     """Active clusters per replication of `reps` replications' draws.
 
@@ -505,7 +486,7 @@ def _score_block(
 
 def _score_random(
     scenario: D2DScenario,
-    draws: _Chunk,
+    draws: _Draws,
     rep: np.ndarray,
     reps: int,
     cell: np.ndarray,
@@ -583,13 +564,20 @@ def simulate_active_clusters(
 ) -> ClusterStats | list[ClusterStats]:
     """Monte Carlo active-cluster count: mean and standard error over `reps`.
 
-    Draw order per replication batch: user positions, then caches (random
-    strategy only), then one request per user.  Batching is sized by a fixed
-    element budget of n * min(M, m) per replication, so results per
-    replication do not depend on `reps`, and a cache size past the catalog
-    draws what M = m draws.
-    Random caches whose fill may need more than RANDOM_RUN_MAX_DRAWS expected
-    draws over the whole run are refused before the first draw.
+    Replications go in blocks of max(1, _BLOCK_USERS // n), the last one
+    possibly shorter; a block is drawn (`_draw_block`: positions, then
+    requests, from `rng`) and scored on every cluster grid before the next.
+    Random caches come block after block from a child stream that `rng`
+    spawns once per call, so a replication's positions and requests depend
+    only on `rng`, n, the request popularity and the replication's block,
+    not on the caching rule, gamma1 or M.  A full block draws the same
+    whatever `reps` is.  A cache size past the catalog acts as M = m; with
+    M = 0 no cluster can be active, and nothing is drawn.
+
+    Calls that would score more than MAX_SCORES (grid, replication) pairs,
+    and random caches whose fill may need more than RANDOM_CACHE_MAX_DRAWS
+    expected draws per device or RANDOM_RUN_MAX_DRAWS over the run, are
+    refused before the first draw.
 
     With `r_values`, the draws are made once and scored on each value's
     cluster grid in place of `scenario.r`; the result is then a list with one
@@ -606,33 +594,29 @@ def simulate_active_clusters(
         replace(scenario, r=r)  # validates r
         side, exact = grid_side(r, exact=False)
         if not exact:
-            logger.warning(
-                "r=%g does not tile the unit square; using a %d x %d cluster grid",
-                r,
-                side,
-                side,
-            )
+            msg = "r=%g does not tile the unit square; using a %d x %d cluster grid"
+            logger.warning(msg, r, side, side)
         sides.append(side)
-    if scenario.strategy == "random-zipf":
-        per_device = _fill_draws(scenario.M, scenario.gamma1, scenario.m)
-        draws = per_device * scenario.n * reps
-        if draws > RANDOM_RUN_MAX_DRAWS:
-            raise InvalidParameterError(
-                f"random-zipf caches with gamma1={scenario.gamma1:g} and "
-                f"M={scenario.M} may need {per_device:.3g} draws per device, "
-                f"{draws:.3g} for {scenario.n} devices over reps={reps} (limit "
-                f"{RANDOM_RUN_MAX_DRAWS:g}); lower gamma1, M or reps"
-            )
-    per_rep = scenario.n * max(min(scenario.M, scenario.m), 1)
-    chunk = max(1, _CHUNK_ELEMENTS // per_rep)
-    counts = np.empty((len(sides), reps))
-    done = 0
-    while done < reps:
-        take = min(chunk, reps - done)
-        drawn = _draw_chunk(scenario, pop, rng, take)
-        for row, side in zip(counts, sides):
-            row[done : done + take] = _score_chunk(scenario, drawn, take, side)
-        done += take
+    if reps * len(sides) > MAX_SCORES:
+        raise InvalidParameterError(
+            f"reps={reps} over {len(sides)} cluster grid(s) scores "
+            f"{reps * len(sides)} (grid, replication) pairs, above the cap of "
+            f"{MAX_SCORES}"
+        )
+    caching = _cache_model(scenario, reps) if scenario.strategy == "random-zipf" else None
+    counts = np.zeros((len(sides), reps))
+    if scenario.M > 0:
+        cache_rng = None if caching is None else rng.spawn(1)[0]
+        n = scenario.n
+        step = max(1, _BLOCK_USERS // n)
+        for lo in range(0, reps, step):
+            take = min(step, reps - lo)
+            caches = None
+            if caching is not None:
+                caches = _random_caches(take * n, scenario.M, caching, cache_rng)
+            draws = _draw_block(scenario, pop, rng, take, caches)
+            for row, side in zip(counts, sides):
+                row[lo : lo + take] = _score_block(scenario, draws, take, side)
     stats = [
         ClusterStats(
             expected_active=float(row.mean()),
@@ -685,8 +669,10 @@ def _sweep(
         else:
             groups.setdefault(replace(sc, r=1.0), []).append(i)
     for members in groups.values():
-        # Every group opens the same stream on purpose: points see identical
-        # positions and requests, so curves differ only by the parameter.
+        # Every group opens the same stream on purpose.  Positions and
+        # requests come from it and random caches from its child stream, so
+        # all points see identical positions and requests (common random
+        # numbers), and curves differ only by the parameter.
         group = simulate_active_clusters(
             points[members[0]],
             pop,
@@ -739,7 +725,8 @@ def sweep_gamma1(
 
     Rows run over r, then gamma1.  The points of one gamma1 share their draws
     (positions, random caches, requests), so each gamma1 is drawn once and
-    scored on every r's cluster grid.
+    scored on every r's cluster grid.  Every gamma1 reads the same positions
+    and requests; only its caches differ.
     """
     if scenario.strategy != "random-zipf":
         raise InvalidParameterError("gamma1 sweeps need the random-zipf strategy")

@@ -2,13 +2,15 @@
 
 `helpercache.d2d` computes cluster activity on whole arrays of users and
 replications; the one-cluster forms spell the caching rules and the activity
-rule out user by user.  `sweep_row` is the point-by-point sweep the grouped
-sweeps replaced: every Monte Carlo point opens its own stream and redraws it,
-and its chunks are scored by the former kernel, which sorts users by
-`rep * K + cell`.  `draw_chunk` and `score_chunk` are the former chunk draw
-and scorer, which drew and scored a whole chunk at once and gathered int64
-ranks and keys for every grid side, and `simulate_chunks` runs them like
-`simulate_active_clusters`.
+rule out user by user.  `draw_block` draws one block of replications in the
+library's stream layout (positions as one (2, users) draw, then requests,
+random caches on the call's child stream), and `simulate_blocks` runs
+blocks of max(1, `d2d._BLOCK_USERS` // n) replications like
+`simulate_active_clusters`, each scored by an oracle: `score_chunk`, the
+former scorer, which gathers int64 ranks and keys for every grid side, or
+`chunk_counts_by_gid`, the former kernel, which sorts users by
+`rep * K + cell`.  `sweep_row` is the point-by-point sweep the grouped
+sweeps replaced: every Monte Carlo point opens its own stream and redraws it.
 `random_caches_lockstep` fills random caches by rescanning every row for the
 incomplete ones each round, and `expected_active_by_k` sums the analytic
 model one occupancy at a time.  `score_random_two_sorts` is the former
@@ -68,7 +70,7 @@ def cache_random(
     M: int, gamma1: float, m: int, rng: np.random.Generator
 ) -> frozenset[int]:
     """One user's random cache: M distinct ranks, Zipf(gamma1)-weighted."""
-    return frozenset(int(v) for v in _random_caches(1, M, gamma1, m, rng)[0])
+    return frozenset(int(v) for v in _random_caches(1, M, zipf_model(gamma1, m), rng)[0])
 
 
 def random_caches_lockstep(
@@ -132,25 +134,20 @@ def cluster_active(caches, requests) -> bool:
     return False
 
 
-def chunk_counts_by_gid(scenario, pop, rng, reps, side):
-    """Draw one chunk and count active clusters per replication, grouping
-    users with a stable sort of `rep * K + cell`."""
-    n, m, M = scenario.n, scenario.m, scenario.M
+def chunk_counts_by_gid(scenario, pos, requests, caches, reps, side):
+    """Active clusters per replication of one block's draws, grouping users
+    with a stable sort of `rep * K + cell`."""
+    n, m, M = scenario.n, scenario.m, min(scenario.M, scenario.m)
     K = side * side
-    total = reps * n
-    pos = rng.random((total, 2))
     cx = np.minimum((pos[:, 0] * side).astype(np.int64), side - 1)
     cy = np.minimum((pos[:, 1] * side).astype(np.int64), side - 1)
     gid = np.repeat(np.arange(reps, dtype=np.int64) * K, n) + cx * side + cy
-    if scenario.strategy == "random-zipf":
-        caches = _random_caches(total, M, scenario.gamma1, m, rng)
-    requests = sample_requests(pop, rng, total)
 
     order = np.argsort(gid, kind="stable")
     g = gid[order]
     starts = np.flatnonzero(np.concatenate([[True], g[1:] != g[:-1]]))
     sizes = np.diff(np.append(starts, g.size))
-    req = requests[order]
+    req = requests[order].astype(np.int64)
     if scenario.strategy == "deterministic":
         j = np.arange(g.size) - np.repeat(starts, sizes) + 1
         k = np.repeat(sizes, sizes)
@@ -173,27 +170,24 @@ def chunk_counts_by_gid(scenario, pop, rng, reps, side):
     return np.bincount(rep_of_group[group_active], minlength=reps).astype(float)
 
 
-def draw_chunk(
+def draw_block(
     scenario: D2DScenario,
     pop: PopularityModel,
     rng: np.random.Generator,
+    cache_rng: np.random.Generator | None,
     reps: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """One chunk's draws in stream order: user positions, then caches (random
-    strategy only), then one request per user.
-
-    Returns positions, requests, caches and, for random caches, whether each
-    user holds its own request.  None of them depends on r.
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """One block's draws: positions (users x 2) from one (2, users) draw of
+    `rng`, then one request per user from `rng`, and for random caches the
+    users' caches from `cache_rng`.  None of them depends on r."""
     total = reps * scenario.n
-    pos = rng.random((total, 2))
-    caches = own = None
-    if scenario.strategy == "random-zipf":
-        caches = _random_caches(total, scenario.M, scenario.gamma1, scenario.m, rng)
+    pos = rng.random((2, total)).T
     requests = sample_requests(pop, rng, total)
-    if caches is not None:
-        own = (caches == requests[:, None]).any(axis=1)
-    return pos, requests, caches, own
+    caches = None
+    if scenario.strategy == "random-zipf":
+        model = zipf_model(scenario.gamma1, scenario.m)
+        caches = _random_caches(total, scenario.M, model, cache_rng)
+    return pos, requests, caches
 
 
 def score_chunk(
@@ -201,11 +195,10 @@ def score_chunk(
     pos: np.ndarray,
     requests: np.ndarray,
     caches: np.ndarray | None,
-    own: np.ndarray | None,
     reps: int,
     side: int,
 ) -> np.ndarray:
-    """Active clusters per replication of one chunk's draws on a side x side
+    """Active clusters per replication of one block's draws on a side x side
     cluster grid."""
     n, m = scenario.n, scenario.m
     M = min(scenario.M, m)  # caps block ends exactly, without int64 overflow
@@ -220,7 +213,7 @@ def score_chunk(
     order = np.argsort(cell.astype(np.min_scalar_type(K - 1)), kind="stable")
     g = cell[order] * reps + order // n
     starts = np.flatnonzero(np.concatenate([[True], g[1:] != g[:-1]]))
-    req = requests[order]
+    req = requests[order].astype(np.int64)
 
     if scenario.strategy == "deterministic":
         # Rank within the cluster decides which contiguous block a user holds.
@@ -236,31 +229,32 @@ def score_chunk(
         # most one of the cluster's copies of its request: another user holds
         # it iff the first matching key (the second, when the requester holds
         # it too) is there.  Two -1 sentinels end the keys.
+        own = (caches[order] == req[:, None]).any(axis=1)
         keys = np.sort((g[:, None] * (m + 1) + caches[order]).ravel())
         req_keys = g * (m + 1) + req
         first = np.searchsorted(keys, req_keys)
         keys = np.append(keys, [-1, -1])
-        active = keys[first + own[order]] == req_keys
+        active = keys[first + own] == req_keys
 
     group_active = np.logical_or.reduceat(active, starts)
     rep_of_group = g[starts] % reps
     return np.bincount(rep_of_group[group_active], minlength=reps).astype(float)
 
 
-def simulate_chunks(scenario, pop, rng, reps, r_values):
-    """`simulate_active_clusters` with `r_values`, each chunk drawn by
-    `draw_chunk` and scored by `score_chunk`."""
+def simulate_blocks(scenario, pop, rng, reps, r_values, score=score_chunk):
+    """`simulate_active_clusters` with `r_values`: blocks of
+    max(1, d2d._BLOCK_USERS // n) replications, each drawn by `draw_block`
+    and scored by `score` on every side; with M = 0 nothing is drawn."""
     sides = [grid_side(r, exact=False)[0] for r in r_values]
-    per_rep = scenario.n * max(min(scenario.M, scenario.m), 1)
-    chunk = max(1, d2d._CHUNK_ELEMENTS // per_rep)
-    counts = np.empty((len(sides), reps))
-    done = 0
-    while done < reps:
-        take = min(chunk, reps - done)
-        drawn = draw_chunk(scenario, pop, rng, take)
-        for row, side in zip(counts, sides):
-            row[done : done + take] = score_chunk(scenario, *drawn, take, side)
-        done += take
+    counts = np.zeros((len(sides), reps))
+    if scenario.M > 0:
+        cache_rng = rng.spawn(1)[0] if scenario.strategy == "random-zipf" else None
+        step = max(1, d2d._BLOCK_USERS // scenario.n)
+        for lo in range(0, reps, step):
+            take = min(step, reps - lo)
+            drawn = draw_block(scenario, pop, rng, cache_rng, take)
+            for row, side in zip(counts, sides):
+                row[lo : lo + take] = score(scenario, *drawn, take, side)
     return [
         ClusterStats(
             expected_active=float(row.mean()),
@@ -272,18 +266,8 @@ def simulate_chunks(scenario, pop, rng, reps, r_values):
 
 
 def simulate_by_gid(scenario, pop, rng, reps):
-    """Monte Carlo of one point, chunked by the library's element budget."""
-    side, _ = grid_side(scenario.r, exact=False)
-    per_rep = scenario.n * max(min(scenario.M, scenario.m), 1)
-    chunk = max(1, d2d._CHUNK_ELEMENTS // per_rep)
-    counts = np.empty(reps)
-    done = 0
-    while done < reps:
-        take = min(chunk, reps - done)
-        counts[done : done + take] = chunk_counts_by_gid(scenario, pop, rng, take, side)
-        done += take
-    err = float(counts.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return ClusterStats(expected_active=float(counts.mean()), stderr=err, K=side * side)
+    """Monte Carlo of one point, each block scored by `chunk_counts_by_gid`."""
+    return simulate_blocks(scenario, pop, rng, reps, [scenario.r], chunk_counts_by_gid)[0]
 
 
 def sweep_row(scenario, pop, reps, root_seed, mode):
@@ -308,7 +292,7 @@ def sweep_row(scenario, pop, reps, root_seed, mode):
     )
 
 
-def score_random_two_sorts(scenario, chunk, rep, reps, cell, K):
+def score_random_two_sorts(scenario, draws, rep, reps, cell, K):
     """The former `d2d._score_random`: cache keys and request keys sorted
     apart, each request key looked up by binary search among the cache keys
     behind two -1 sentinels; the own bit sits below the request key."""
@@ -326,15 +310,15 @@ def score_random_two_sorts(scenario, chunk, rep, reps, cell, K):
         groups, rep_of_group = len(pairs), pairs[:, 0].astype(np.intp)
     base = gid.astype(np.int32 if 2 * groups * stride + 2 < 1 << 31 else np.int64)
     base *= stride
-    total, M = chunk.caches.shape
+    total, M = draws.caches.shape
     keys = np.empty(total * M + 2, dtype=base.dtype)
-    np.add(base[:, None], chunk.caches, out=keys[:-2].reshape(total, M))
+    np.add(base[:, None], draws.caches, out=keys[:-2].reshape(total, M))
     keys[:-2].sort()
     keys[-2:] = -1
     asked = base
-    asked += chunk.requests
+    asked += draws.requests
     asked <<= 1
-    asked |= chunk.own
+    asked |= draws.own
     asked.sort()
     own = asked & 1
     asked >>= 1

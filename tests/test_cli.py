@@ -15,7 +15,7 @@ from popularity_oracles import trace_from_samples
 import helpercache
 from helpercache import cli, placement_coded
 from helpercache.cli import build_parser, main, resolve_params
-from helpercache.d2d import MAX_USERS
+from helpercache.d2d import MAX_SCORES, MAX_USERS
 from helpercache.errors import IterationLimitError, UnboundedProblemError
 from helpercache.macro_sim import MAX_HELPERS, MAX_PLACEMENT_BYTES
 from helpercache.popularity import (
@@ -527,6 +527,32 @@ class TestD2DCommands:
         assert int(code) == 2 and float(seconds) < 1.0
         assert "gamma1=20" in done.stderr and "M=3" in done.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate-d2d", "--mode", "mc", "--reps", "1000000000000"),
+            ("sweep-r", "--mode", "mc", "--reps", "100000000"),
+            ("sweep-gamma1", "--reps", "10000000"),
+        ],
+        ids=["simulate-d2d", "sweep-r", "sweep-gamma1"],
+    )
+    def test_monte_carlo_past_the_score_cap_exits_two_quickly(self, argv):
+        # 10^12 replications, or 8 grids x 10^8 (a 6.4 GB array of counts),
+        # are refused before anything is allocated or drawn.  A child
+        # process keeps a regression from exhausting the suite's memory.
+        probe = (
+            "import sys, time; from helpercache.cli import main; "
+            "t = time.perf_counter(); code = main(sys.argv[1:]); "
+            "print(code, time.perf_counter() - t)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        code, seconds = done.stdout.split()
+        assert int(code) == 2 and float(seconds) < 1.0
+        assert "reps=" in done.stderr and f"cap of {MAX_SCORES}" in done.stderr
+
     def test_random_caches_too_slow_for_the_run_exit_two_quickly(self):
         # gamma1=13.29 with M=2 passes the per-device bound (just under 1e4
         # draws) but would spend about 5e9 draws on 500 devices over 1000
@@ -575,7 +601,7 @@ class TestD2DCommands:
             assert mean_active("1/10", huge) == mean_active("1/10", "40")
 
     def test_cache_size_past_the_catalog_keeps_the_monte_carlo_stream(self, capsys):
-        # Chunks are sized by min(M, m), so every M >= m draws one stream.
+        # Blocks are sized by n alone, so every M >= m draws one stream.
         outs = []
         for M in ("1000", str(10**17)):
             code, out, _ = run_cli(
@@ -585,7 +611,7 @@ class TestD2DCommands:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
-        assert csv_rows(outs[0])[1][0][3] == "95.88"
+        assert csv_rows(outs[0])[1][0][3] == "96.3"
 
     @pytest.mark.parametrize(
         "strategy, gamma1",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from d2d_oracles import cache_random, cluster_active, cvc_deterministic
 
+from helpercache import d2d
 from helpercache.d2d import (
     D2DScenario,
     _random_caches,
@@ -112,20 +113,20 @@ class TestRandomCaches:
         assert cache_random(0, 1.0, 5, stream(1, "e")) == frozenset()
 
     def test_rows_hold_distinct_ranks(self):
-        rows = _random_caches(500, 3, 1.0, 6, stream(5, "d"))
+        rows = _random_caches(500, 3, zipf_model(1.0, 6), stream(5, "d"))
         assert rows.shape == (500, 3)
         assert np.all((rows >= 1) & (rows <= 6))
         for row in rows:
             assert len(set(row.tolist())) == 3
 
     def test_flat_exponent_is_uniform(self):
-        rows = _random_caches(100_000, 1, 0.0, 10, stream(13, "u"))
+        rows = _random_caches(100_000, 1, zipf_model(0.0, 10), stream(13, "u"))
         freq = np.bincount(rows[:, 0], minlength=11)[1:] / 100_000
         np.testing.assert_allclose(freq, 0.1, atol=0.01)
 
     def test_oversized_cache_rejected(self):
         with pytest.raises(InvalidParameterError):
-            _random_caches(1, 4, 0.5, 3, stream(1, "x"))
+            _random_caches(1, 4, zipf_model(0.5, 3), stream(1, "x"))
 
 
 class TestClusterActive:
@@ -236,7 +237,7 @@ class TestMonteCarlo:
         pop = zipf_model(0.9, 20)
         reps, side = 25, 3
         rng = stream(9, "mirror")
-        pos = rng.random((reps * sc.n, 2))
+        pos = rng.random((2, reps * sc.n)).T  # one block: x row, then y row
         requests = sample_requests(pop, rng, reps * sc.n)
         counts = []
         for rep in range(reps):
@@ -260,16 +261,18 @@ class TestMonteCarlo:
         )
 
     def test_random_strategy_matches_a_plain_rerun(self):
-        # with M=1 the cache draw is a single batch, mirrored exactly here
+        # with M=1 the cache draw is a single batch from the child stream,
+        # mirrored exactly here
         sc = D2DScenario(
             n=10, m=15, M=1, r=0.5, gamma=0.6, strategy="random-zipf", gamma1=0.8
         )
         pop = zipf_model(0.6, 15)
         reps, side = 30, 2
         rng = stream(13, "mirror")
-        pos = rng.random((reps * sc.n, 2))
-        holder = sample_requests(zipf_model(sc.gamma1, sc.m), rng, reps * sc.n)
+        caching = rng.spawn(1)[0]
+        pos = rng.random((2, reps * sc.n)).T
         requests = sample_requests(pop, rng, reps * sc.n)
+        holder = sample_requests(zipf_model(sc.gamma1, sc.m), caching, reps * sc.n)
         counts = []
         for rep in range(reps):
             base = rep * sc.n
@@ -289,10 +292,40 @@ class TestMonteCarlo:
         assert got.expected_active == np.mean(counts)
 
     def test_no_caches_means_no_active_clusters(self):
-        sc = D2DScenario(n=50, m=10, M=0, r=0.25, gamma=0.8)
-        stats = simulate_active_clusters(sc, zipf_model(0.8, 10), stream(3, "z"), 200)
-        assert stats.expected_active == 0.0
-        assert stats.stderr == 0.0
+        # With M = 0 nothing is drawn: no request, no position, no child stream.
+        for gamma1 in (None, 1.0):
+            sc = D2DScenario(
+                n=50, m=10, M=0, r=0.25, gamma=0.8,
+                strategy="deterministic" if gamma1 is None else "random-zipf",
+                gamma1=gamma1,
+            )
+            rng = stream(3, "z")
+            state = rng.bit_generator.state
+            stats = simulate_active_clusters(
+                sc, zipf_model(0.8, 10), rng, 200, r_values=[0.25, 0.1]
+            )
+            assert [(st.expected_active, st.stderr) for st in stats] == [(0.0, 0.0)] * 2
+            assert rng.bit_generator.state == state
+            assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+    def test_full_blocks_draw_alike_whatever_reps_is(self, monkeypatch):
+        # Replications go in blocks of _BLOCK_USERS // n, so the first block
+        # of a longer run scores what a run of one block does.
+        scored = []
+        real = d2d._score_block
+
+        def spy(*args):
+            scored.append(real(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(d2d, "_score_block", spy)
+        sc = D2DScenario(n=4000, m=50, M=2, r=0.1, gamma=0.8)
+        step = d2d._BLOCK_USERS // sc.n
+        simulate_active_clusters(sc, sc.popularity(), stream(2, "b"), step)
+        simulate_active_clusters(sc, sc.popularity(), stream(2, "b"), 2 * step + 1)
+        assert [counts.size for counts in scored] == [step, step, step, 1]
+        assert scored[0].sum() > 0
+        np.testing.assert_array_equal(scored[0], scored[1])
 
     def test_full_caches_ignore_the_caching_exponent(self):
         # M=m stores everything, so no cache randomness is consumed and the
@@ -330,6 +363,15 @@ class TestMonteCarlo:
             simulate_active_clusters(sc, zipf_model(0.8, 10), stream(1, "v"), 0)
         with pytest.raises(InvalidParameterError):
             simulate_active_clusters(sc, zipf_model(0.8, 12), stream(1, "v"), 10)
+
+    def test_score_cap_fires_before_any_draw(self):
+        sc = D2DScenario(n=10, m=10, M=1, r=0.5, gamma=0.8)
+        rng = stream(3, "cap")
+        state = rng.bit_generator.state
+        reps = d2d.MAX_SCORES // 2 + 1
+        with pytest.raises(InvalidParameterError, match=f"reps={reps} over 2 "):
+            simulate_active_clusters(sc, sc.popularity(), rng, reps, r_values=[0.5, 0.25])
+        assert rng.bit_generator.state == state
 
     def test_random_caches_bounded_over_the_whole_run(self):
         # About 1e4 expected draws per device passes the per-device bound; 500

@@ -43,7 +43,7 @@ def _near_draw_limit(M: int, m: int) -> float:
 
 def _assert_same_fill(count, M, gamma1, m):
     rng, twin = stream(9, "fill", count, M), stream(9, "fill", count, M)
-    caches = _random_caches(count, M, gamma1, m, rng)
+    caches = _random_caches(count, M, zipf_model(gamma1, m), rng)
     expected = random_caches_lockstep(count, M, gamma1, m, twin)
     assert caches.dtype == expected.dtype
     assert np.array_equal(caches, expected)

@@ -1,17 +1,15 @@
-"""The D2D scorer against the scorer it replaced, with `==`.
+"""The D2D scorer against the scorers it replaced, with `==`.
 
-`d2d._score_chunk` scores a chunk in blocks of replications, deterministic
-caches by each request's cache block and random caches by sorted request
-keys, and `d2d._draw_chunk` draws it in blocks of users.
-`d2d_oracles.score_chunk` is the former scorer, which gathered int64 ranks
-and keys per grid side for the whole chunk at once, and
-`d2d_oracles.simulate_chunks` draws whole chunks and runs it chunk by chunk
-on the same stream as `simulate_active_clusters`.  Every statistic must be
-equal, whichever way chunk, draw-block and score-block edges fall.
+`simulate_active_clusters` draws and scores blocks of replications:
+deterministic caches by each request's cache block, random caches by sorted
+request keys.  `d2d_oracles.simulate_blocks` draws the same blocks in the
+same stream layout and scores each with `d2d_oracles.score_chunk`, the
+former scorer, which gathered int64 ranks and keys per grid side.  Every
+statistic must be equal, whichever way block edges fall.
 
 `d2d._score_random` sorts cache and request keys in one array;
 `d2d_oracles.score_random_two_sorts`, the scorer it replaced, sorted them
-apart and searched one in the other.  Both are run on the same chunks, down
+apart and searched one in the other.  Both are run on the same blocks, down
 to groups in which two or three users ask for one rank.
 """
 
@@ -19,24 +17,18 @@ import itertools
 import tracemalloc
 from dataclasses import replace
 
+import d2d_oracles
 import numpy as np
 import pytest
-from d2d_oracles import (
-    cluster_active,
-    draw_chunk,
-    score_chunk,
-    score_random_two_sorts,
-    simulate_chunks,
-)
+from d2d_oracles import cluster_active, score_random_two_sorts, simulate_blocks
 
 from helpercache import d2d
 from helpercache.d2d import (
     D2DScenario,
     _cells,
-    _Chunk,
-    _draw_chunk,
+    _draw_block,
+    _Draws,
     _random_caches,
-    _score_chunk,
     _score_random,
     simulate_active_clusters,
 )
@@ -55,7 +47,7 @@ RAND = D2DScenario(
 def _assert_matches_oracle(sc, reps, r_values=R_VALUES, seed=3):
     pop = sc.popularity()
     got = simulate_active_clusters(sc, pop, stream(seed, "s"), reps, r_values=r_values)
-    want = simulate_chunks(sc, pop, stream(seed, "s"), reps, r_values)
+    want = simulate_blocks(sc, pop, stream(seed, "s"), reps, r_values)
     assert got == want
     return got
 
@@ -88,12 +80,6 @@ def test_single_user(sc):
 
 
 @pytest.mark.parametrize("sc", [DET, RAND], ids=["deterministic", "random-zipf"])
-def test_multi_chunk_runs(sc, monkeypatch):
-    monkeypatch.setattr(d2d, "_CHUNK_ELEMENTS", 1000)
-    _assert_matches_oracle(sc, reps=37)
-
-
-@pytest.mark.parametrize("sc", [DET, RAND], ids=["deterministic", "random-zipf"])
 def test_300x300_grid(sc):
     # Cell labels need 32 bits; 20000 users crowd enough clusters that a
     # wrapped 16-bit label would merge some of them.
@@ -112,8 +98,7 @@ def test_300x300_grid(sc):
 )
 def test_replication_blocks_score_like_whole_chunks(sc, block_users, monkeypatch):
     # 53 replications of 60 (40) users: blocks of 2 (3) replications at 130
-    # users and of 11 (17) at 700, each time with a short last block, and
-    # draw blocks that end inside a replication.
+    # users and of 11 (17) at 700, each time with a short last block.
     monkeypatch.setattr(d2d, "_BLOCK_USERS", block_users)
     _assert_matches_oracle(sc, reps=53)
 
@@ -123,16 +108,6 @@ def test_module_blocks_with_a_short_last_block(sc):
     step = d2d._BLOCK_USERS // sc.n
     assert step > 1
     _assert_matches_oracle(sc, reps=2 * step + 7, r_values=[1.0, 0.3, 0.1])
-
-
-@pytest.mark.parametrize("sc", [DET, RAND], ids=["deterministic", "random-zipf"])
-def test_chunk_and_block_edges_cross(sc, monkeypatch):
-    # Chunks of 1100 // (n M) = 9 replications, scored in blocks of 4 (6)
-    # replications, so every chunk ends in a short block, and drawn in blocks
-    # of 250 users, which end inside replications and chunks.
-    monkeypatch.setattr(d2d, "_CHUNK_ELEMENTS", 1100)
-    monkeypatch.setattr(d2d, "_BLOCK_USERS", 250)
-    _assert_matches_oracle(sc, reps=37)
 
 
 @pytest.mark.parametrize("sc", [DET, RAND], ids=["deterministic", "random-zipf"])
@@ -148,7 +123,7 @@ def test_very_fine_grids_in_small_blocks(sc, monkeypatch):
     # Blocks of 3 replications: past 2^64 cells each block labels its own
     # occupied cells, and past int64 keys (side 2^31) numbers its own groups.
     monkeypatch.setattr(d2d, "_BLOCK_USERS", 90)
-    _assert_lattice_scores_alike(sc)
+    _assert_lattice_scores_alike(sc, monkeypatch)
 
 
 @pytest.mark.parametrize("reps", [53, 54])
@@ -165,49 +140,75 @@ def test_random_keys_on_both_sides_of_the_int32_switch(reps):
 
 
 @pytest.mark.parametrize("sc", [DET, RAND], ids=["deterministic", "random-zipf"])
-def test_very_fine_grids_group_users_like_a_coarse_one(sc):
-    _assert_lattice_scores_alike(sc)
+def test_very_fine_grids_group_users_like_a_coarse_one(sc, monkeypatch):
+    _assert_lattice_scores_alike(sc, monkeypatch)
 
 
-def _assert_lattice_scores_alike(sc):
+def _on_lattice(v):
+    return (np.floor(v * 4) + 0.5) / 4
+
+
+def _assert_lattice_scores_alike(sc, monkeypatch):
     # Users placed on a 4 x 4 lattice share a cell on every grid of side
-    # 4 * 2^k and more, so each side must score the chunk alike: 2^20 needs
+    # 4 * 2^k and more, so each side must score the draws alike: 2^20 needs
     # 64-bit cells, 2^31 random keys past int64, and 10^15 more than 2^64
     # cells.
+    draw, oracle_draw = d2d._draw_block, d2d_oracles.draw_block
+
+    def lattice_draw(*args):
+        draws = draw(*args)
+        return draws._replace(x=_on_lattice(draws.x), y=_on_lattice(draws.y))
+
+    def lattice_oracle_draw(*args):
+        pos, requests, caches = oracle_draw(*args)
+        return _on_lattice(pos), requests, caches
+
+    monkeypatch.setattr(d2d, "_draw_block", lattice_draw)
+    monkeypatch.setattr(d2d_oracles, "draw_block", lattice_oracle_draw)
     sc = replace(sc, n=30)
     pop = sc.popularity()
-    reps = 20
-    chunk = _draw_chunk(sc, pop, stream(6, "lattice"), reps)
-    pos, requests, caches, own = draw_chunk(sc, pop, stream(6, "lattice"), reps)
-    pos = (np.floor(pos * 4) + 0.5) / 4
-    chunk = chunk._replace(x=pos[:, 0].copy(), y=pos[:, 1].copy())
-    want = score_chunk(sc, pos, requests, caches, own, reps, 4)
-    assert want.sum() > 0
-    for side in (4, 2**20, 2**31, 10**15):
-        np.testing.assert_array_equal(_score_chunk(sc, chunk, reps, side), want)
+    (want,) = simulate_blocks(sc, pop, stream(6, "lattice"), 20, [1 / 4])
+    assert want.expected_active > 0
+    sides = (4, 2**20, 2**31, 10**15)
+    got = simulate_active_clusters(
+        sc, pop, stream(6, "lattice"), 20, r_values=[1 / side for side in sides]
+    )
+    assert [st.K for st in got] == [side * side for side in sides]
+    for st in got:
+        assert (st.expected_active, st.stderr) == (want.expected_active, want.stderr)
 
 
 def test_deterministic_scoring_memory():
-    # sweep-r's default chunk: 500 users x 1000 replications drawn and scored
-    # on three grids.  Drawn and scored whole, the chunk peaked at 29.8 MB
-    # here, and at 63.5 MB with the former scorer; in blocks it takes
-    # 10.3 MB, 8 MB of it the positions.
+    # sweep-r's default run: 500 users x 1000 replications drawn and scored
+    # on three grids.  Drawn and scored as one chunk, it peaked at 29.8 MB
+    # here, and at 63.5 MB with the former scorer; a chunk scored in blocks
+    # took 10.3 MB, 8 MB of it the positions.  Drawn block by block, the run
+    # takes 1.1 MB.
     sc = D2DScenario(n=500, m=1000, M=1, r=0.1, gamma=0.6)
     pop = sc.popularity()
     sample_requests(pop, stream(1, "warm"), 1)  # the sampler's table stays untraced
     tracemalloc.start()
     try:
-        chunk = _draw_chunk(sc, pop, stream(0, "memory"), 1000)
-        for side in (1, 10, 50):
-            _score_chunk(sc, chunk, 1000, side)
+        simulate_active_clusters(
+            sc, pop, stream(0, "memory"), 1000, r_values=[1.0, 0.1, 0.02]
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 15e6
+    assert peak < 2e6
 
 
-def _groups_chunk(caches, requests, K):
-    """A chunk whose group g holds the users of row g of `caches` (users x
+def _first_block(sc, rng, reps):
+    """The draws of a call's first block of `reps` replications."""
+    caches = None
+    if sc.strategy == "random-zipf":
+        model = zipf_model(sc.gamma1, sc.m)
+        caches = _random_caches(reps * sc.n, sc.M, model, rng.spawn(1)[0])
+    return _draw_block(sc, sc.popularity(), rng, reps, caches)
+
+
+def _groups_block(caches, requests, K):
+    """Draws whose group g holds the users of row g of `caches` (users x
     M ranks) and `requests`, placed at replication g // K, cell g % K; with
     the users' replications and cells, and the replication count."""
     count, n, M = caches.shape
@@ -216,9 +217,9 @@ def _groups_chunk(caches, requests, K):
     g = np.repeat(np.arange(count), n)
     own = (caches == requests[:, None]).any(axis=1)
     none = np.zeros(count * n)
-    chunk = _Chunk(none, none, None, requests, caches, own)
+    draws = _Draws(none, none, None, requests, caches, own)
     rep = (g // K).astype(np.uint32)
-    return chunk, rep, (g % K).astype(np.min_scalar_type(K - 1)), -(-count // K)
+    return draws, rep, (g % K).astype(np.min_scalar_type(K - 1)), -(-count // K)
 
 
 def _brute_force(caches, requests, K, reps):
@@ -242,13 +243,13 @@ def test_every_small_group_scores_like_the_two_sort_scorer(n, M, K):
     asks = np.array(list(itertools.product(range(1, m + 1), repeat=n)))
     caches = np.repeat(rows, len(asks), axis=0)
     requests = np.tile(asks, (len(rows), 1))
-    chunk, rep, cell, reps = _groups_chunk(caches, requests, K)
+    draws, rep, cell, reps = _groups_block(caches, requests, K)
     sc = D2DScenario(n=n, m=m, M=M, r=1.0, gamma=0.5, strategy="random-zipf", gamma1=0.5)
-    got = _score_random(sc, chunk, rep, reps, cell, K)
-    assert np.array_equal(got, score_random_two_sorts(sc, chunk, rep, reps, cell, K))
+    got = _score_random(sc, draws, rep, reps, cell, K)
+    assert np.array_equal(got, score_random_two_sorts(sc, draws, rep, reps, cell, K))
     assert np.array_equal(got, _brute_force(caches, requests, K, reps))
     # The own bits of two requesters of one rank: (0, 0), (0, 1) and (1, 1).
-    own = chunk.own.reshape(-1, n)
+    own = draws.own.reshape(-1, n)
     same = requests[:, 0] == requests[:, 1]
     pairs = {(a, b) for a, b in own[same, :2].astype(int).tolist()}
     assert pairs >= {(0, 0), (0, 1), (1, 1)}
@@ -262,12 +263,12 @@ def test_single_file_catalog_scores_groups_of_two_as_active():
     requests = np.ones(sizes.sum(), dtype=np.uint8)
     g = np.repeat(np.arange(sizes.size), sizes)
     own = np.ones(g.size, dtype=bool)
-    chunk = _Chunk(None, None, None, requests, caches, own)
+    draws = _Draws(None, None, None, requests, caches, own)
     sc = D2DScenario(n=4, m=1, M=1, r=1.0, gamma=0.5, strategy="random-zipf", gamma1=0.5)
     rep, cell = g.astype(np.uint8), np.zeros(g.size, dtype=np.uint8)
-    got = _score_random(sc, chunk, rep, sizes.size, cell, 1)
+    got = _score_random(sc, draws, rep, sizes.size, cell, 1)
     assert np.array_equal(got, (sizes >= 2).astype(float))
-    assert np.array_equal(got, score_random_two_sorts(sc, chunk, rep, sizes.size, cell, 1))
+    assert np.array_equal(got, score_random_two_sorts(sc, draws, rep, sizes.size, cell, 1))
     _assert_matches_oracle(replace(RAND, m=1, M=1), reps=20)
 
 
@@ -281,15 +282,12 @@ def test_numbered_groups_score_like_the_two_sort_scorer(side):
     K = side * side
     assert 4 * reps * K * (sc.m + 1) >= 2**63
     assert (2 * reps * K * (sc.m + 1) + 2 < 2**63) == (side == 2**28)
-    pop = sc.popularity()
-    chunk = _draw_chunk(sc, pop, stream(6, "numbered"), reps)
-    x = (np.floor(chunk.x * 4) + 0.5) / 4
-    y = (np.floor(chunk.y * 4) + 0.5) / 4
-    cell, K = _cells(x, y, side)
+    draws = _first_block(sc, stream(6, "numbered"), reps)
+    cell, K = _cells(_on_lattice(draws.x), _on_lattice(draws.y), side)
     rep = np.repeat(np.arange(reps, dtype=np.uint8), sc.n)
-    got = _score_random(sc, chunk, rep, reps, cell, K)
+    got = _score_random(sc, draws, rep, reps, cell, K)
     assert got.sum() > 0
-    assert np.array_equal(got, score_random_two_sorts(sc, chunk, rep, reps, cell, K))
+    assert np.array_equal(got, score_random_two_sorts(sc, draws, rep, reps, cell, K))
 
 
 @pytest.mark.parametrize(
@@ -297,31 +295,37 @@ def test_numbered_groups_score_like_the_two_sort_scorer(side):
     [(1, 1000, 55e6, 1.5e6), (4, 1000, 18.5e6, 2e6), (4, 100_000, 26e6, 3.5e6)],
 )
 def test_random_fill_and_scoring_memory(M, m, fill_bound, score_bound):
-    # One chunk at the element limit, n * M * reps = 2^21: filling its caches
-    # and scoring it on a 10 x 10 grid.  The fill that wrote a (count, M)
-    # array through 2-D index pairs peaked at 65.3, 20.9 and 28.2 MB here.
-    # Scored in blocks, the chunk peaks at 1.1, 1.4 and 2.5 MB; scored
-    # whole, it took 62.9, 22.0 and 38.8 MB, and the two-sort scorer 69.2,
-    # 23.6 and 38.3 MB.
+    # 2^21 cache entries, n * M * reps, filled at once, and a run of those
+    # reps drawn and scored on a 10 x 10 grid.  The fill that wrote a
+    # (count, M) array through 2-D index pairs peaked at 65.3, 20.9 and
+    # 28.2 MB here.  Scored as one chunk, the run took 62.9, 22.0 and
+    # 38.8 MB, and with the two-sort scorer 69.2, 23.6 and 38.3 MB.  Drawn
+    # and scored block by block, it peaks 0.2, 0.3 and 0.4 MB above the
+    # 1.3, 1.3 and 4.2 MB that building its caching model's tables takes.
     sc = D2DScenario(
         n=500, m=m, M=M, r=0.1, gamma=0.6, strategy="random-zipf", gamma1=1.0
     )
     pop = sc.popularity()
-    reps = d2d._CHUNK_ELEMENTS // (sc.n * M)
-    sample_requests(pop, stream(1, "warm"), 1)  # the samplers' tables stay untraced
-    sample_requests(zipf_model(1.0, m), stream(1, "warm"), 1)
+    reps = (1 << 21) // (sc.n * M)
+    sample_requests(pop, stream(1, "warm"), 1)  # the sampler's table stays untraced
     tracemalloc.start()
     try:
-        _random_caches(reps * sc.n, M, 1.0, m, stream(0, "memory"))
+        model = zipf_model(1.0, m)
+        sample_requests(model, stream(1, "warm"), 1)
+        tables = tracemalloc.get_traced_memory()[1]  # building the caching model
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        _random_caches(reps * sc.n, M, model, stream(0, "memory"))
         fill_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    chunk = _draw_chunk(sc, pop, stream(0, "memory"), reps)
     tracemalloc.start()
     try:
-        _score_chunk(sc, chunk, reps, 10)
-        score_peak = tracemalloc.get_traced_memory()[1]
+        simulate_active_clusters(sc, pop, stream(0, "memory"), reps)
+        run_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert fill_peak < fill_bound
-    assert score_peak < score_bound
+    assert run_peak - tables < score_bound

@@ -5,6 +5,10 @@ points that differ only in r and score every cluster grid from that draw.
 `d2d_oracles.sweep_row` evaluates one point at a time, redrawing its stream
 and scoring it with the former gid-sorted kernel; every row must be equal
 with `==`.
+
+Every Monte Carlo group of a sweep opens the same stream, and random caches
+come from a child stream, so the points of a `sweep_gamma1` call see the
+same positions and requests and differ only in their caches.
 """
 
 import logging
@@ -12,13 +16,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from d2d_oracles import chunk_counts_by_gid, simulate_by_gid, sweep_row
+from d2d_oracles import chunk_counts_by_gid, draw_block, simulate_by_gid, sweep_row
 
 from helpercache import d2d
 from helpercache.d2d import (
     D2DScenario,
-    _draw_chunk,
-    _score_chunk,
+    _draw_block,
+    _score_block,
     simulate_active_clusters,
     sweep_gamma1,
     sweep_r,
@@ -98,10 +102,10 @@ def test_sweep_gamma1_equals_the_point_loop():
 
 @pytest.mark.parametrize("make", [_det, _rand], ids=["deterministic", "random-zipf"])
 def test_multi_chunk_runs(make, monkeypatch):
-    monkeypatch.setattr(d2d, "_CHUNK_ELEMENTS", 1000)
+    monkeypatch.setattr(d2d, "_BLOCK_USERS", 130)
     sc = make()
     pop = sc.popularity()
-    # 1000 // (n * M) replications per chunk: several full chunks and a short one
+    # 130 // n replications per block: several full blocks and a short one
     got = sweep_r(sc, [0.5, 0.2, 1 / 9], pop, reps=37, root_seed=5, mode="mc")
     assert got == _oracle_r(sc, [0.5, 0.2, 1 / 9], pop, 37, 5, "mc")
 
@@ -121,7 +125,8 @@ def test_empty_caches_and_single_replication(sc, reps):
 
 
 def test_requests_are_drawn_once_per_group_and_chunk(monkeypatch):
-    monkeypatch.setattr(d2d, "_CHUNK_ELEMENTS", 1200)
+    # A chunk is a block of replications, drawn at once.
+    monkeypatch.setattr(d2d, "_BLOCK_USERS", 300)
     sc = _rand()
     pop = sc.popularity()
     request_calls = []
@@ -133,11 +138,37 @@ def test_requests_are_drawn_once_per_group_and_chunk(monkeypatch):
         return real(model, rng, size)
 
     monkeypatch.setattr(d2d, "sample_requests", counting)
-    reps, per_chunk = 25, 1200 // (sc.n * sc.M)
-    chunks = -(-reps // per_chunk)
+    reps, per_block = 25, 300 // sc.n
+    blocks = -(-reps // per_block)
     sweep_gamma1(sc, [0.3, 1.1], [0.5, 0.25, 0.2], pop, reps=reps, root_seed=1)
-    assert len(request_calls) == 2 * chunks
+    assert len(request_calls) == 2 * blocks
     assert sum(request_calls) == 2 * reps * sc.n
+
+
+def test_gamma1_points_share_positions_and_requests(monkeypatch):
+    # Common random numbers: every gamma1 group reads its positions and
+    # requests from the same stream, whatever its caches consume.
+    monkeypatch.setattr(d2d, "_BLOCK_USERS", 300)
+    seen = {}
+    real = d2d._score_block
+
+    def spy(scenario, draws, reps, side):
+        seen.setdefault(scenario.gamma1, []).append(draws)
+        return real(scenario, draws, reps, side)
+
+    monkeypatch.setattr(d2d, "_score_block", spy)
+    sc = _rand(M=4)
+    gamma1_values = [0.0, 0.75, 2.0]
+    sweep_gamma1(sc, gamma1_values, [0.2], sc.popularity(), reps=25, root_seed=3)
+    assert sorted(seen) == gamma1_values
+    first, *others = seen.values()
+    assert len(first) == -(-25 // (300 // sc.n))
+    for blocks in others:
+        assert len(blocks) == len(first)
+        for a, b in zip(first, blocks):
+            for field in ("x", "y", "requests"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert not all(np.array_equal(a.caches, b.caches) for a, b in zip(first, blocks))
 
 
 def test_sweeps_reach_the_monte_carlo_once_per_group(monkeypatch):
@@ -174,7 +205,8 @@ def test_r_values_score_one_draw_like_separate_calls():
 
 def test_run_guard_fires_before_any_draw(monkeypatch):
     drawn = []
-    monkeypatch.setattr(d2d, "_draw_chunk", lambda *a: drawn.append(a))
+    monkeypatch.setattr(d2d, "_draw_block", lambda *a: drawn.append(a))
+    monkeypatch.setattr(d2d, "_random_caches", lambda *a: drawn.append(a))
     sc = D2DScenario(
         n=500, m=1000, M=2, r=0.1, gamma=0.6, strategy="random-zipf", gamma1=13.29
     )
@@ -193,9 +225,10 @@ def test_wide_cell_keys_match_the_gid_sort(make):
     assert np.min_scalar_type(side * side - 1) == np.uint32
     sc = make(n=20_000, M=1, r=1 / side)
     pop = sc.popularity()
-    draws = _draw_chunk(sc, pop, stream(8, "wide"), 3)
-    got = _score_chunk(sc, draws, 3, side)
-    want = chunk_counts_by_gid(sc, pop, stream(8, "wide"), 3, side)
+    rng, twin = stream(8, "wide"), stream(8, "wide")
+    pos, requests, caches = draw_block(sc, pop, twin, twin.spawn(1)[0], 3)
+    got = _score_block(sc, _draw_block(sc, pop, rng, 3, caches), 3, side)
+    want = chunk_counts_by_gid(sc, pos, requests, caches, 3, side)
     np.testing.assert_array_equal(got, want)
     assert got.sum() > 0
     assert simulate_active_clusters(sc, pop, stream(9, "wide"), 4) == simulate_by_gid(
