@@ -45,12 +45,19 @@ RANDOM_RUN_MAX_DRAWS = 5e8
 # an analytic run's stays near 37 MB, because it computes only the
 # log-factorials that its occupancy windows read.
 MAX_USERS = 10**7
-# (Cluster grid, replication) pairs above which a Monte Carlo call is
-# refused.  A call keeps 8 bytes per pair and, for the statistics, 8 per
-# replication: at the cap `simulate-d2d --n 2 --mode mc --reps 10000000`
-# takes 1.6 s (2.9 s with random caches) and 200 MB (2-core Xeon).  Time
-# grows with n * reps.
+# (Caching model, cluster grid, replication) triples above which a Monte
+# Carlo call is refused.  A call keeps 8 bytes per triple and, for the
+# statistics, 8 per replication: at the cap `simulate-d2d --n 2 --mode mc
+# --reps 10000000` takes 1.6 s (2.9 s with random caches) and 200 MB
+# (2-core Xeon).
 MAX_SCORES = 10**7
+# Users drawn by one Monte Carlo call (n * reps) above which it is refused,
+# for MAX_SCORES bounds its memory but not its time.  At the cap,
+# `simulate-d2d --mode mc --reps 200000` (n = 500) takes 8 s whole process,
+# 25 s with random caches (--strategy random-zipf --gamma1 1 --M 4), and
+# `sweep-r --mode mc` over eight grids 31 s, in 42-53 MB (2-core Xeon).
+# Time grows with the grids, the caching models and M.
+MAX_MC_USERS = 10**8
 
 
 @dataclass(frozen=True)
@@ -179,10 +186,15 @@ def _random_caches(
     draw for the incomplete rows, kept in row order as they shrink.
 
     The rounds fill an (M, count) array, so that each column is contiguous
-    and an accepted rank is stored at one flat index; the result is its
-    transpose.  A full catalog (M == m) is copied, not drawn.  Ranks are held
-    in the narrowest unsigned dtype that holds m.  The caller bounds the
-    expected draws (`_cache_model`).
+    and a row's next free slot is one flat index; the result is its
+    transpose.  Every round writes each candidate into its row's next free
+    slot and advances the slot only where the candidate was fresh.  A
+    rejected candidate equals a rank its row already holds, so comparing a
+    later candidate with it changes nothing, and the row's next fresh
+    candidate overwrites it; slots past it still hold 0, which is no rank.
+    A full catalog (M == m) is copied, not drawn.  Ranks are held in the
+    narrowest unsigned dtype that holds m.  The caller bounds the expected
+    draws (`_cache_model`).
     """
     m = model.m
     if M > m:
@@ -194,15 +206,16 @@ def _random_caches(
         return np.tile(np.arange(1, m + 1, dtype=dtype), (count, 1))
     held = np.zeros((M, count), dtype=dtype)
     flat = held.reshape(-1)
+    held[0] = sample_requests(model, rng, count)  # round 1 draws no duplicate
     # Flat index of each row's next free slot: column j of row i is at
     # j * count + i, so a row is complete once its index reaches M * count.
-    slot = np.arange(count)
-    for t in range(M):
+    slot = np.arange(count, 2 * count)
+    for t in range(1, M):
         draws = sample_requests(model, rng, count).astype(dtype)
-        fresh = np.ones(count, dtype=bool)
-        for column in held[:t]:
+        fresh = held[0] != draws
+        for column in held[1:t]:
             fresh &= column != draws
-        flat[slot[fresh]] = draws[fresh]
+        flat[slot] = draws
         np.add(slot, count, out=slot, where=fresh)
     rows = np.flatnonzero(slot < M * count)
     slot = slot[rows]  # kept aligned with the incomplete rows
@@ -211,7 +224,7 @@ def _random_caches(
         fresh = held[0][rows] != draws
         for column in held[1:]:
             fresh &= column[rows] != draws
-        flat[slot[fresh]] = draws[fresh]
+        flat[slot] = draws
         np.add(slot, count, out=slot, where=fresh)
         open_rows = slot < M * count
         rows, slot = rows[open_rows], slot[open_rows]
@@ -381,9 +394,10 @@ class _Draws(NamedTuple):
 
     Users are rep-major, n per replication, and position columns are
     contiguous.  Deterministic caches keep only `block`, the cache block
-    ceil(req / M) that holds each request; random caches keep the requests,
-    the caches and whether each user holds its own request.  Ranks and
-    blocks are in the narrowest unsigned dtype that holds m.
+    ceil(req / M) that holds each request; random caches keep the requests
+    and, once one caching model's caches are filled (`_with_caches`), the
+    caches and whether each user holds its own request.  Ranks and blocks
+    are in the narrowest unsigned dtype that holds m.
     """
 
     x: np.ndarray
@@ -399,27 +413,31 @@ def _draw_block(
     pop: PopularityModel,
     rng: np.random.Generator,
     reps: int,
-    caches: np.ndarray | None,
 ) -> _Draws:
     """`reps` replications' draws from `rng`: the users' positions, as one
-    (2, users) draw, then one request per user.  `caches` holds the users'
-    random caches, drawn on their own stream, and is None for deterministic
-    caches.  None of the draws depends on r.
+    (2, users) draw, then one request per user.  Random caches are drawn on
+    their own stream and added per caching model (`_with_caches`).  None of
+    the draws depends on r, gamma1 or the caches.
     """
     users = reps * scenario.n
     x, y = rng.random((2, users))
     requests = sample_requests(pop, rng, users)
-    if caches is None:
-        requests -= 1
-        requests //= min(scenario.M, scenario.m)
-        requests += 1
-        block = requests.astype(np.min_scalar_type(scenario.m))
-        return _Draws(x, y, block, None, None, None)
-    requests = requests.astype(caches.dtype)
-    own = np.zeros(users, dtype=bool)
+    dtype = np.min_scalar_type(scenario.m)
+    if scenario.strategy == "random-zipf":
+        return _Draws(x, y, None, requests.astype(dtype), None, None)
+    requests -= 1
+    requests //= min(scenario.M, scenario.m)
+    requests += 1
+    return _Draws(x, y, requests.astype(dtype), None, None, None)
+
+
+def _with_caches(draws: _Draws, caches: np.ndarray) -> _Draws:
+    """`draws` with the users' random `caches`, one row per user, and
+    whether each user holds its own request."""
+    own = np.zeros(len(caches), dtype=bool)
     for column in caches.T:
-        own |= column == requests
-    return _Draws(x, y, None, requests, caches, own)
+        own |= column == draws.requests
+    return draws._replace(caches=caches, own=own)
 
 
 def _cells(x: np.ndarray, y: np.ndarray, side: int) -> tuple[np.ndarray, int]:
@@ -442,9 +460,16 @@ def _cells(x: np.ndarray, y: np.ndarray, side: int) -> tuple[np.ndarray, int]:
 
 
 def _score_block(
-    scenario: D2DScenario, draws: _Draws, reps: int, side: int
+    scenario: D2DScenario,
+    draws: _Draws,
+    rep: np.ndarray,
+    reps: int,
+    cell: np.ndarray,
+    K: int,
 ) -> np.ndarray:
-    """Active clusters per replication of `reps` replications' draws.
+    """Active clusters per replication of `reps` replications' draws, from
+    each user's replication `rep` and its cell (`_cells`) on a grid of K
+    labels.  Neither array is changed, so one block's scorings share them.
 
     Deterministic caches: with M capped at m, the user of arrival rank j in
     a cluster of k users holds block j, ranks (j-1)M+1 .. jM.  So a request
@@ -458,8 +483,6 @@ def _score_block(
 
     Random caches are scored by `_score_random`, with no sort of the users.
     """
-    rep = np.repeat(np.arange(reps, dtype=np.min_scalar_type(reps - 1)), scenario.n)
-    cell, K = _cells(draws.x, draws.y, side)
     if scenario.strategy == "random-zipf":
         return _score_random(scenario, draws, rep, reps, cell, K)
 
@@ -567,65 +590,112 @@ def simulate_active_clusters(
     Replications go in blocks of max(1, _BLOCK_USERS // n), the last one
     possibly shorter; a block is drawn (`_draw_block`: positions, then
     requests, from `rng`) and scored on every cluster grid before the next.
-    Random caches come block after block from a child stream that `rng`
-    spawns once per call, so a replication's positions and requests depend
-    only on `rng`, n, the request popularity and the replication's block,
-    not on the caching rule, gamma1 or M.  A full block draws the same
-    whatever `reps` is.  A cache size past the catalog acts as M = m; with
-    M = 0 no cluster can be active, and nothing is drawn.
+    Random caches come block after block from the first child stream of
+    `rng`'s seed sequence, which the call spawns once, so a replication's
+    positions and requests depend only on `rng`, n, the request popularity
+    and the replication's block, not on the caching rule, gamma1 or M.  A
+    full block draws the same whatever `reps` is.  A cache size past the
+    catalog acts as M = m; with M = 0 no cluster can be active, and nothing
+    is drawn.
 
-    Calls that would score more than MAX_SCORES (grid, replication) pairs,
-    and random caches whose fill may need more than RANDOM_CACHE_MAX_DRAWS
-    expected draws per device or RANDOM_RUN_MAX_DRAWS over the run, are
-    refused before the first draw.
+    Calls that would score more than MAX_SCORES (grid, replication) pairs
+    or draw more than MAX_MC_USERS users (n * reps), and random caches
+    whose fill may need more than RANDOM_CACHE_MAX_DRAWS expected draws per
+    device or RANDOM_RUN_MAX_DRAWS over the run, are refused before the
+    first draw.
 
     With `r_values`, the draws are made once and scored on each value's
     cluster grid in place of `scenario.r`; the result is then a list with one
     ClusterStats per value, each equal to what a call with that r on a fresh
-    copy of `rng` returns.
+    copy of `rng` returns.  The sweeps run the same block loop
+    (`_monte_carlo`) for all their points at once: each block's positions
+    and requests are drawn once for every gamma1, and each gamma1 fills its
+    caches from its own generator on the same child seed sequence.
+    """
+    r_list = [scenario.r] if r_values is None else [float(r) for r in r_values]
+    (stats,) = _monte_carlo(scenario, pop, rng, reps, r_list, [scenario.gamma1])
+    return stats[0] if r_values is None else stats
+
+
+def _monte_carlo(
+    scenario: D2DScenario,
+    pop: PopularityModel,
+    rng: np.random.Generator,
+    reps: int,
+    r_values: list[float],
+    gamma1_values: list[float | None],
+) -> list[list[ClusterStats]]:
+    """`simulate_active_clusters` for every caching exponent of
+    `gamma1_values` (None for deterministic caches) at once: one list of
+    ClusterStats per gamma1, one per r in each.
+
+    Each block's positions and requests are drawn once, and each grid's
+    cells are built once, for all the gamma1 values.  Each gamma1 fills its
+    caches from its own generator on the same child seed sequence, so it
+    scores what a call with that gamma1 alone on a fresh copy of `rng`
+    does.  Every bound is checked, for every gamma1, before the first draw.
     """
     if reps < 1:
         raise InvalidParameterError("reps must be >= 1")
     if pop.m != scenario.m:
         raise InvalidParameterError("popularity catalog must match the scenario")
-    r_list = [scenario.r] if r_values is None else [float(r) for r in r_values]
     sides = []
-    for r in r_list:
+    for r in r_values:
         replace(scenario, r=r)  # validates r
         side, exact = grid_side(r, exact=False)
         if not exact:
             msg = "r=%g does not tile the unit square; using a %d x %d cluster grid"
             logger.warning(msg, r, side, side)
         sides.append(side)
-    if reps * len(sides) > MAX_SCORES:
+    scores = reps * len(sides) * len(gamma1_values)
+    if scores > MAX_SCORES:
         raise InvalidParameterError(
-            f"reps={reps} over {len(sides)} cluster grid(s) scores "
-            f"{reps * len(sides)} (grid, replication) pairs, above the cap of "
-            f"{MAX_SCORES}"
+            f"reps={reps} over {len(sides)} cluster grid(s) and "
+            f"{len(gamma1_values)} caching model(s) scores {scores} (model, grid, "
+            f"replication) triples, above the cap of {MAX_SCORES}"
         )
-    caching = _cache_model(scenario, reps) if scenario.strategy == "random-zipf" else None
-    counts = np.zeros((len(sides), reps))
+    n = scenario.n
+    if n * reps > MAX_MC_USERS:
+        raise InvalidParameterError(
+            f"reps={reps} draws n={n} users each, {n * reps} in all, above the "
+            f"cap of {MAX_MC_USERS}"
+        )
+    models = [
+        None if g1 is None else _cache_model(replace(scenario, gamma1=g1), reps)
+        for g1 in gamma1_values
+    ]
+    counts = np.zeros((len(models), len(sides), reps))
     if scenario.M > 0:
-        cache_rng = None if caching is None else rng.spawn(1)[0]
-        n = scenario.n
+        cache_rngs = [None] * len(models)
+        if models[0] is not None:
+            bits = rng.bit_generator
+            child = bits.seed_seq.spawn(1)[0]  # what rng.spawn(1)[0] is seeded by
+            cache_rngs = [np.random.Generator(type(bits)(child)) for _ in models]
         step = max(1, _BLOCK_USERS // n)
         for lo in range(0, reps, step):
             take = min(step, reps - lo)
-            caches = None
-            if caching is not None:
-                caches = _random_caches(take * n, scenario.M, caching, cache_rng)
-            draws = _draw_block(scenario, pop, rng, take, caches)
-            for row, side in zip(counts, sides):
-                row[lo : lo + take] = _score_block(scenario, draws, take, side)
-    stats = [
-        ClusterStats(
-            expected_active=float(row.mean()),
-            stderr=float(row.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0,
-            K=side * side,
-        )
-        for row, side in zip(counts, sides)
+            drawn = _draw_block(scenario, pop, rng, take)
+            rep = np.repeat(np.arange(take, dtype=np.min_scalar_type(take - 1)), n)
+            cells = [_cells(drawn.x, drawn.y, side) for side in sides]
+            for model, cache_rng, rows in zip(models, cache_rngs, counts):
+                draws = drawn
+                if model is not None:
+                    caches = _random_caches(take * n, scenario.M, model, cache_rng)
+                    draws = _with_caches(drawn, caches)
+                for row, (cell, K) in zip(rows, cells):
+                    scored = _score_block(scenario, draws, rep, take, cell, K)
+                    row[lo : lo + take] = scored
+    return [
+        [
+            ClusterStats(
+                expected_active=float(row.mean()),
+                stderr=float(row.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0,
+                K=side * side,
+            )
+            for row, side in zip(rows, sides)
+        ]
+        for rows in counts
     ]
-    return stats[0] if r_values is None else stats
 
 
 @dataclass(frozen=True)
@@ -649,6 +719,11 @@ def _point_mode(scenario: D2DScenario, mode: str) -> str:
     return "analytic" if analytic else "mc"
 
 
+def _positions(values) -> dict:
+    """Each distinct value's position among the distinct `values`."""
+    return {v: k for k, v in enumerate(dict.fromkeys(values))}
+
+
 def _sweep(
     points: list[D2DScenario],
     pop: PopularityModel,
@@ -656,32 +731,36 @@ def _sweep(
     root_seed: int,
     mode: str,
 ) -> list[D2DSweepRow]:
-    """One row per scenario.  Monte Carlo points that differ only in r share
-    their draws, so each such group is drawn once and scored per grid."""
+    """One row per scenario; the scenarios differ only in r and gamma1.
+    The Monte Carlo points share one draw, whose caches are filled once per
+    gamma1 and scored on every grid."""
     if mode not in ("auto", "analytic", "mc"):
         raise InvalidParameterError("mode must be 'auto', 'analytic', or 'mc'")
     modes = [_point_mode(sc, mode) for sc in points]
     stats: list[ClusterStats | None] = [None] * len(points)
-    groups: dict[D2DScenario, list[int]] = {}
+    mc = []
     for i, (sc, point_mode) in enumerate(zip(points, modes)):
         if point_mode == "analytic":
             stats[i] = expected_active_analytic(sc, pop)
         else:
-            groups.setdefault(replace(sc, r=1.0), []).append(i)
-    for members in groups.values():
-        # Every group opens the same stream on purpose.  Positions and
+            mc.append(i)
+    if mc:
+        gamma1_at = _positions(points[i].gamma1 for i in mc)
+        r_at = _positions(points[i].r for i in mc)
+        # Every sweep opens the same stream on purpose.  Positions and
         # requests come from it and random caches from its child stream, so
         # all points see identical positions and requests (common random
         # numbers), and curves differ only by the parameter.
-        group = simulate_active_clusters(
-            points[members[0]],
+        table = _monte_carlo(
+            points[mc[0]],
             pop,
             stream(root_seed, "d2d-mc"),
             reps,
-            r_values=[points[i].r for i in members],
+            list(r_at),
+            list(gamma1_at),
         )
-        for i, point_stats in zip(members, group):
-            stats[i] = point_stats
+        for i in mc:
+            stats[i] = table[gamma1_at[points[i].gamma1]][r_at[points[i].r]]
     return [
         D2DSweepRow(
             r=sc.r,
@@ -723,10 +802,12 @@ def sweep_gamma1(
 ) -> list[D2DSweepRow]:
     """Active-cluster curves over the caching exponent, one curve per r.
 
-    Rows run over r, then gamma1.  The points of one gamma1 share their draws
-    (positions, random caches, requests), so each gamma1 is drawn once and
-    scored on every r's cluster grid.  Every gamma1 reads the same positions
-    and requests; only its caches differ.
+    Rows run over r, then gamma1.  All points share one block loop: each
+    block's positions and requests are drawn once for the whole sweep, each
+    gamma1 fills its caches from its own copy of the child stream, and each
+    gamma1's draws are scored on every r's cluster grid.  So every gamma1
+    reads the same positions and requests, only its caches differ, and each
+    row equals what a sweep of that gamma1 alone returns.
     """
     if scenario.strategy != "random-zipf":
         raise InvalidParameterError("gamma1 sweeps need the random-zipf strategy")

@@ -15,7 +15,7 @@ from popularity_oracles import trace_from_samples
 import helpercache
 from helpercache import cli, placement_coded
 from helpercache.cli import build_parser, main, resolve_params
-from helpercache.d2d import MAX_SCORES, MAX_USERS
+from helpercache.d2d import MAX_MC_USERS, MAX_SCORES, MAX_USERS
 from helpercache.errors import IterationLimitError, UnboundedProblemError
 from helpercache.macro_sim import MAX_HELPERS, MAX_PLACEMENT_BYTES
 from helpercache.popularity import (
@@ -552,6 +552,32 @@ class TestD2DCommands:
         code, seconds = done.stdout.split()
         assert int(code) == 2 and float(seconds) < 1.0
         assert "reps=" in done.stderr and f"cap of {MAX_SCORES}" in done.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate-d2d", "--mode", "mc", "--reps", "10000000"),
+            ("sweep-gamma1", "--n", "1000000", "--reps", "101"),
+            ("scaling-check", "--mode", "mc", "--n-values", "10000000", "--reps", "11"),
+        ],
+        ids=["simulate-d2d", "sweep-gamma1", "scaling-check"],
+    )
+    def test_monte_carlo_past_the_user_cap_exits_two_quickly(self, argv):
+        # More than 10^8 users drawn in one Monte Carlo call (5 * 10^9 at
+        # the default 500 devices, under the score cap) would run for
+        # minutes; the call is refused before anything is drawn.
+        probe = (
+            "import sys, time; from helpercache.cli import main; "
+            "t = time.perf_counter(); code = main(sys.argv[1:]); "
+            "print(code, time.perf_counter() - t)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        code, seconds = done.stdout.split()
+        assert int(code) == 2 and float(seconds) < 1.0
+        assert "reps=" in done.stderr and f"cap of {MAX_MC_USERS}" in done.stderr
 
     def test_random_caches_too_slow_for_the_run_exit_two_quickly(self):
         # gamma1=13.29 with M=2 passes the per-device bound (just under 1e4

@@ -76,6 +76,14 @@ def test_random_cache_replay_on_a_large_fill():
     _assert_same_fill(20_000, 4, 1.5, 1000)
 
 
+@pytest.mark.parametrize("gamma1", [0.0, 2.0])
+def test_random_cache_replay_at_the_sweep_block_shape(gamma1):
+    # A block of 32 replications of 500 devices with M = 4 over 1000 files,
+    # as `sweep-gamma1 --M 4` fills it; at gamma1 = 2 its rejection tail
+    # runs for dozens of rounds.
+    _assert_same_fill(16_000, 4, gamma1, 1000)
+
+
 def _scaling_cases(n_values, M, gamma=1.5):
     """The (scenario, popularity) pairs `scaling_check` evaluates."""
     for n in n_values:

@@ -30,6 +30,7 @@ from helpercache.d2d import (
     _Draws,
     _random_caches,
     _score_random,
+    _with_caches,
     simulate_active_clusters,
 )
 from helpercache.popularity import sample_requests, zipf_model
@@ -200,11 +201,12 @@ def test_deterministic_scoring_memory():
 
 def _first_block(sc, rng, reps):
     """The draws of a call's first block of `reps` replications."""
-    caches = None
+    draws = _draw_block(sc, sc.popularity(), rng, reps)
     if sc.strategy == "random-zipf":
         model = zipf_model(sc.gamma1, sc.m)
         caches = _random_caches(reps * sc.n, sc.M, model, rng.spawn(1)[0])
-    return _draw_block(sc, sc.popularity(), rng, reps, caches)
+        draws = _with_caches(draws, caches)
+    return draws
 
 
 def _groups_block(caches, requests, K):

@@ -1,14 +1,12 @@
 """The grouped D2D sweeps against the point-by-point loop they replaced.
 
 `sweep_r` and `sweep_gamma1` draw each Monte Carlo stream once per group of
-points that differ only in r and score every cluster grid from that draw.
+points that differ only in r and gamma1: each block's positions and requests
+are drawn once, each gamma1 fills its caches from its own copy of the child
+stream, and every cluster grid is scored from those draws.
 `d2d_oracles.sweep_row` evaluates one point at a time, redrawing its stream
 and scoring it with the former gid-sorted kernel; every row must be equal
 with `==`.
-
-Every Monte Carlo group of a sweep opens the same stream, and random caches
-come from a child stream, so the points of a `sweep_gamma1` call see the
-same positions and requests and differ only in their caches.
 """
 
 import logging
@@ -21,8 +19,10 @@ from d2d_oracles import chunk_counts_by_gid, draw_block, simulate_by_gid, sweep_
 from helpercache import d2d
 from helpercache.d2d import (
     D2DScenario,
+    _cells,
     _draw_block,
     _score_block,
+    _with_caches,
     simulate_active_clusters,
     sweep_gamma1,
     sweep_r,
@@ -100,6 +100,21 @@ def test_sweep_gamma1_equals_the_point_loop():
     ]
 
 
+@pytest.mark.parametrize("M", [4, 30, 0], ids=["M4", "full", "empty"])
+def test_multi_block_sweep_gamma1_equals_the_point_loop(M, monkeypatch):
+    # 130 // 40 = 3 replications per block: eight full blocks and a short
+    # one, each filled once per gamma1; M = m copies the catalog and M = 0
+    # draws nothing.
+    monkeypatch.setattr(d2d, "_BLOCK_USERS", 130)
+    sc = _rand(M=M)
+    pop = sc.popularity()
+    gamma1_values, r_values = [0.0, 1.5, 2.0], [0.5, 0.2]
+    got = sweep_gamma1(sc, gamma1_values, r_values, pop, reps=25, root_seed=8)
+    assert got == _oracle_gamma1(sc, gamma1_values, r_values, pop, 25, 8)
+    if M == 0:
+        assert all(row.mean_active == 0.0 for row in got)
+
+
 @pytest.mark.parametrize("make", [_det, _rand], ids=["deterministic", "random-zipf"])
 def test_multi_chunk_runs(make, monkeypatch):
     monkeypatch.setattr(d2d, "_BLOCK_USERS", 130)
@@ -125,7 +140,9 @@ def test_empty_caches_and_single_replication(sc, reps):
 
 
 def test_requests_are_drawn_once_per_group_and_chunk(monkeypatch):
-    # A chunk is a block of replications, drawn at once.
+    # A chunk is a block of replications, drawn at once.  A whole gamma1
+    # sweep is one group, so each block's requests are drawn once, not once
+    # per gamma1.
     monkeypatch.setattr(d2d, "_BLOCK_USERS", 300)
     sc = _rand()
     pop = sc.popularity()
@@ -141,53 +158,55 @@ def test_requests_are_drawn_once_per_group_and_chunk(monkeypatch):
     reps, per_block = 25, 300 // sc.n
     blocks = -(-reps // per_block)
     sweep_gamma1(sc, [0.3, 1.1], [0.5, 0.25, 0.2], pop, reps=reps, root_seed=1)
-    assert len(request_calls) == 2 * blocks
-    assert sum(request_calls) == 2 * reps * sc.n
+    assert len(request_calls) == blocks
+    assert sum(request_calls) == reps * sc.n
 
 
 def test_gamma1_points_share_positions_and_requests(monkeypatch):
-    # Common random numbers: every gamma1 group reads its positions and
-    # requests from the same stream, whatever its caches consume.
+    # Common random numbers: every gamma1 of a block is scored on the very
+    # arrays of that block's positions, requests, replications and cells;
+    # only the caches differ.
     monkeypatch.setattr(d2d, "_BLOCK_USERS", 300)
-    seen = {}
+    scored = []
     real = d2d._score_block
 
-    def spy(scenario, draws, reps, side):
-        seen.setdefault(scenario.gamma1, []).append(draws)
-        return real(scenario, draws, reps, side)
+    def spy(scenario, draws, rep, reps, cell, K):
+        scored.append((draws, rep, cell))
+        return real(scenario, draws, rep, reps, cell, K)
 
     monkeypatch.setattr(d2d, "_score_block", spy)
     sc = _rand(M=4)
     gamma1_values = [0.0, 0.75, 2.0]
     sweep_gamma1(sc, gamma1_values, [0.2], sc.popularity(), reps=25, root_seed=3)
-    assert sorted(seen) == gamma1_values
-    first, *others = seen.values()
-    assert len(first) == -(-25 // (300 // sc.n))
-    for blocks in others:
-        assert len(blocks) == len(first)
-        for a, b in zip(first, blocks):
+    blocks = -(-25 // (300 // sc.n))
+    assert len(scored) == blocks * len(gamma1_values)
+    for b in range(blocks):
+        (first, rep, cell), *others = scored[3 * b : 3 * b + 3]
+        for draws, other_rep, other_cell in others:
             for field in ("x", "y", "requests"):
-                assert np.array_equal(getattr(a, field), getattr(b, field))
-        assert not all(np.array_equal(a.caches, b.caches) for a, b in zip(first, blocks))
+                assert getattr(draws, field) is getattr(first, field)
+            assert other_rep is rep and other_cell is cell
+            assert not np.array_equal(draws.caches, first.caches)
 
 
 def test_sweeps_reach_the_monte_carlo_once_per_group(monkeypatch):
-    # Callers that wrap d2d.simulate_active_clusters see the scenario first
-    # and reps fourth, once per group of points that share a draw.
+    # Callers that wrap d2d._monte_carlo see the scenario first and reps
+    # fourth, once per group of points that share a draw: a whole gamma1
+    # sweep is one group, with each distinct r and gamma1 once.
     seen = []
-    real = d2d.simulate_active_clusters
+    real = d2d._monte_carlo
 
-    def spy(*args, **kwargs):
-        seen.append((args[0], args[3], tuple(kwargs["r_values"])))
-        return real(*args, **kwargs)
+    def spy(*args):
+        seen.append((args[3], tuple(args[4]), tuple(args[5])))
+        return real(*args)
 
-    monkeypatch.setattr(d2d, "simulate_active_clusters", spy)
+    monkeypatch.setattr(d2d, "_monte_carlo", spy)
     sc = _rand()
     sweep_gamma1(sc, [0.3, 1.1], [0.5, 0.25], sc.popularity(), reps=20, root_seed=1)
-    assert [(s.gamma1, reps, rs) for s, reps, rs in seen] == [
-        (0.3, 20, (0.5, 0.25)),
-        (1.1, 20, (0.5, 0.25)),
-    ]
+    assert seen == [(20, (0.5, 0.25), (0.3, 1.1))]
+    seen.clear()
+    sweep_r(sc, [0.5, 0.25, 0.5], sc.popularity(), reps=20, root_seed=1, mode="mc")
+    assert seen == [(20, (0.5, 0.25), (0.9,))]
 
 
 def test_r_values_score_one_draw_like_separate_calls():
@@ -227,7 +246,11 @@ def test_wide_cell_keys_match_the_gid_sort(make):
     pop = sc.popularity()
     rng, twin = stream(8, "wide"), stream(8, "wide")
     pos, requests, caches = draw_block(sc, pop, twin, twin.spawn(1)[0], 3)
-    got = _score_block(sc, _draw_block(sc, pop, rng, 3, caches), 3, side)
+    draws = _draw_block(sc, pop, rng, 3)
+    if caches is not None:
+        draws = _with_caches(draws, caches)
+    rep = np.repeat(np.arange(3, dtype=np.uint8), sc.n)
+    got = _score_block(sc, draws, rep, 3, *_cells(draws.x, draws.y, side))
     want = chunk_counts_by_gid(sc, pos, requests, caches, 3, side)
     np.testing.assert_array_equal(got, want)
     assert got.sum() > 0
