@@ -178,10 +178,10 @@ def test_gamma1_points_share_positions_and_requests(monkeypatch):
     sc = _rand(M=4)
     gamma1_values = [0.0, 0.75, 2.0]
     sweep_gamma1(sc, gamma1_values, [0.2], sc.popularity(), reps=25, root_seed=3)
-    blocks = -(-25 // (300 // sc.n))
-    assert len(scored) == blocks * len(gamma1_values)
+    blocks, g = -(-25 // (300 // sc.n)), len(gamma1_values)
+    assert len(scored) == blocks * g
     for b in range(blocks):
-        (first, rep, cell), *others = scored[3 * b : 3 * b + 3]
+        (first, rep, cell), *others = scored[g * b : g * (b + 1)]
         for draws, other_rep, other_cell in others:
             for field in ("x", "y", "requests"):
                 assert getattr(draws, field) is getattr(first, field)
