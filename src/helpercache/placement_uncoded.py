@@ -13,11 +13,12 @@ capacity constraint.
 The gain of caching rank f at helper h is `fl(file_bits * pmf[f-1])` times a
 coverage weight `s_h(S)` that depends only on the set S of helpers already
 caching f, so ranks with equal S form a class.  `_greedy` sorts these
-gains in segments instead of popping a heap once per cached file: between two
-helper fills each class hands its members down a fixed chain of classes, along
-which the gain never grows, so a heap's pop order is the order of the merge
-key (-gain, rank, level on the chain).  Its trajectory, ties included, is that
-of the pairwise lazy greedy.
+gains in segments instead of popping a heap once per cached file: each class
+hands its members down a chain of classes, along which the gain never grows,
+so a heap's pop order is the order of the merge key (-gain, rank, depth on
+the chain).  A segment ends only when its items run out; a helper that fills
+or a class that is made re-routes just the items whose chains it changes.
+Its trajectory, ties included, is that of the pairwise lazy greedy.
 """
 
 from __future__ import annotations
@@ -134,31 +135,24 @@ class _Class:
     helpers in `held`.  `s[h]` is the coverage weight of adding helper h, so
     caching member f at h gains `weights[f - 1] * s[h]`.  `cand` marks the
     helpers a member can go to: not in `held`, with users, and open when the
-    class was made.  `best` is the class's `_clear_winner` over its open
-    candidates, or `_STALE` until it is next needed; `row` is the class's row
-    in the chain tables of `_Segments`.
+    class was made.  `row` is the class's index in the per-class arrays of
+    `_Segments`.
     """
 
-    __slots__ = ("held", "cur", "cand", "s", "best", "row")
+    __slots__ = ("held", "cur", "cand", "s", "row")
 
-    def __init__(self, held, cur, cand, users_of, edge_inv, row):
-        self.held, self.cur, self.cand, self.row = held, cur, cand, row
-        self.s = np.zeros(cand.size)
-        for h in cand.nonzero()[0].tolist():
-            # The gathered array and the numpy sum the gain of one (rank,
-            # helper) pair has always used, so every float is bit-equal.
-            self.s[h] = np.maximum(0.0, cur[users_of[h]] - edge_inv[h]).sum()
-        self.best = _STALE
+    def __init__(self, held, cur, cand, s, row):
+        self.held, self.cur, self.cand, self.s, self.row = held, cur, cand, s, row
 
 
 # Relative margin by which a class's best `s` must beat every other open
 # candidate's before the class caches that helper (see `_clear_winner`).
 _CLEAR_WIN = 1e-12
-_STALE = -3  # `_Class.best` until `_clear_winner` runs on the open helpers
+_DORMANT = -3  # `best` of a class that chooses again when next reached
 
 # A segment of the greedy takes the first items of at most `_SEGMENT_RANKS`
 # ranks, and at most `_SEGMENT_ITEMS` items in all.
-_SEGMENT_RANKS = 1024
+_SEGMENT_RANKS = 2048
 _SEGMENT_ITEMS = 4096
 
 
@@ -172,10 +166,10 @@ def _clear_winner(s: np.ndarray, ok: np.ndarray) -> int:
     drop out of `ok`, so a class may cache it until it fills.
     """
     s = np.where(ok, s, -1.0)
-    top = s.max()
+    h = int(s.argmax())
+    top = s[h]
     if top < 0.0:
         return -2
-    h = int(s.argmax())
     s[s == top] = -1.0
     return h if top > (1.0 + _CLEAR_WIN) * s.max() else -1
 
@@ -191,16 +185,24 @@ def _item_step(c: _Class, w: float, is_open: np.ndarray) -> tuple[int, float]:
 class _Segments:
     """One run of the greedy, advanced a segment of items at a time.
 
-    A class with a clear winner b hands each member cached at b on to the
-    class `held | b`; these hand-offs make each class's chain.  Row `c.row` of
-    the chain tables holds the chain that starts at class `c`, a column per
-    class on it: `sig`, the class's largest open `s`; `hlp`, its helper, or
-    -1 where that depends on the rank; `nxt`, the row of the class after it,
-    or -1 while that class is not made.  A chain ends at a class whose helper
-    depends on the rank, before a class with no open candidate (`dead`), or
-    at a class whose successor is not made yet (`ends_open`).  A row goes
-    stale (`valid`) when a helper on it fills, when any helper fills if it
-    ends at a class without a clear winner, and when its open end is made.
+    Each class has a row in the per-class arrays: `best`, its `_clear_winner`
+    over the open helpers; `sig`, its largest open `s` (-inf if none is
+    open); `nxt`, the row of class `held | best`, or -1 while that class is
+    not made or is dormant; `depth`, how many helpers it holds.  A class with
+    a clear winner b caches its members at b and hands them on to `nxt`, so
+    following `nxt` from a rank's class walks the rank's chain.  A chain ends
+    at a class without a clear winner, before a class with no open
+    candidate, or where `nxt` is -1.  When a helper that a class may choose
+    fills, the class chooses again at once if an item is pending at it, and
+    otherwise goes dormant (`_DORMANT`) until a rank reaches it; no `nxt`
+    points to a dormant class.
+
+    A segment's pending items are the columns of one int64 array, sorted by
+    key; its rows are `_RANK`, `_DEPTH`, `_GAIN` (the float's bits), `_ROW`
+    (the class), `_HELPER` (the class's `best`) and `_STOP` (1 if the chain
+    ends at the item open, or if the item is scored on its own).  Each item
+    names its class, so a change to some classes finds the items it touches
+    with one gather.
     """
 
     def __init__(self, graph, pop, specs, file_bits):
@@ -208,6 +210,27 @@ class _Segments:
         self.users_of = [graph.users_of(h) for h in range(n_helpers)]
         self.edge_inv = [
             graph.inv_rates[self.users_of[h], h] for h in range(n_helpers)
+        ]
+        # The helpers by user count, each a row of its users padded to the
+        # largest count: one row sum over each count's block gives every
+        # helper's `s` bit-equal to the numpy sum over its own users.
+        sizes = np.array([u.size for u in self.users_of], dtype=np.int64)
+        self.order = np.argsort(sizes, kind="stable")
+        self.pad_users = np.zeros((n_helpers, int(sizes.max(initial=0))), np.int64)
+        self.pad_inv = np.full(self.pad_users.shape, np.inf)  # padding gains 0
+        for i, h in enumerate(self.order.tolist()):
+            self.pad_users[i, : sizes[h]] = self.users_of[h]
+            self.pad_inv[i, : sizes[h]] = self.edge_inv[h]
+        # numpy sums fewer than 128 numbers in blocks of 8 and then one by
+        # one, so zeros padded after the last block leave a sum unchanged:
+        # user counts below 128 with equal count // 8 share a block.
+        group = np.where(sizes < 128, sizes // 8, sizes + 16)[self.order]
+        _, first = np.unique(group, return_index=True)
+        bounds = np.append(first, n_helpers).tolist()
+        self.blocks = [
+            (lo, hi, int(sizes[self.order[hi - 1]]))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+            if sizes[self.order[hi - 1]] > 0
         ]
         self.weights = file_bits * pop.pmf
         # No helper holds more than the catalog, so a larger capacity acts
@@ -218,43 +241,40 @@ class _Segments:
         self.is_open = self.room > 0
         self.classes: dict[int, _Class] = {}
         self.by_row: list[_Class] = []
-        self.width = max(n_helpers, 1)  # a chain adds a helper per class
-        self.sig = np.zeros((0, self.width))
-        self.hlp = np.zeros((0, self.width), dtype=np.int64)
-        self.nxt = np.zeros((0, self.width), dtype=np.int64)
-        self.length = np.zeros(0, dtype=np.int64)
-        self.valid = np.zeros(0, dtype=bool)
-        self.dead = np.zeros(0, dtype=bool)
-        self.ends_open = np.zeros(0, dtype=bool)
-        has_users = np.array([u.size > 0 for u in self.users_of], dtype=bool)
-        self._add(0, 1.0 / graph.bs_rate, self.is_open & has_users)
+        self.best = np.zeros(0, dtype=np.int64)
+        self.sig = np.zeros(0)
+        self.nxt = np.zeros(0, dtype=np.int64)
+        self.depth = np.zeros(0, dtype=np.int64)
+        # Each rank's class, as depth << 32 | row.
+        self.place = np.zeros(pop.m, dtype=np.int64)
+        self.cutoff = np.full(pop.m, _NO_CUT)  # scratch of `repair`
+        self._add(0, 0, 1.0 / graph.bs_rate, self.is_open & (sizes > 0))
 
-    def _add(self, held: int, cur: np.ndarray, cand: np.ndarray) -> _Class:
+    def _add(self, held: int, depth: int, cur: np.ndarray, cand: np.ndarray) -> int:
+        """Make the class of helper set `held`, `depth` helpers; its row."""
         row = len(self.by_row)
-        if row == self.length.size:
+        if row == self.best.size:
             more = max(row, 8)
-
-            def grown(a, fill):
-                block = np.full((more,) + a.shape[1:], fill, a.dtype)
-                return np.concatenate([a, block])
-
-            self.sig, self.hlp, self.nxt = (
-                grown(self.sig, 0.0), grown(self.hlp, -2), grown(self.nxt, -1)
-            )
-            self.length = grown(self.length, 0)
-            self.valid, self.dead, self.ends_open = (
-                grown(self.valid, False), grown(self.dead, False),
-                grown(self.ends_open, False),
-            )
-        c = self.classes[held] = _Class(
-            held, cur, cand, self.users_of, self.edge_inv, row
-        )
+            self.best = np.append(self.best, np.zeros(more, np.int64))
+            self.sig = np.append(self.sig, np.zeros(more))
+            self.nxt = np.append(self.nxt, np.full(more, -1))
+            self.depth = np.append(self.depth, np.zeros(more, np.int64))
+        gap = np.maximum(0.0, cur[self.pad_users] - self.pad_inv)
+        s = np.zeros(cand.size)
+        for lo, hi, n in self.blocks:
+            s[self.order[lo:hi]] = gap[lo:hi, :n].sum(axis=1)
+        s[~cand] = 0.0
+        c = self.classes[held] = _Class(held, cur, cand, s, row)
         self.by_row.append(c)
-        return c
+        self.depth[row] = depth
+        self.choose(row)
+        return row
 
-    def successor(self, c: _Class, h: int) -> _Class:
-        """The class of a member of `c` once cached at helper `h`, made when
-        first needed; the rows that reached `c` then go stale."""
+    def successor(self, row: int, h: int) -> tuple[int, bool]:
+        """The row of the class a member of class `row` joins once cached at
+        helper `h`, made if need be (a dormant one is woken by `repair`); and
+        whether the chain of `row`, which ended there, now goes on to it."""
+        c = self.by_row[row]
         nxt = self.classes.get(c.held | (1 << h))
         if nxt is None:
             users = self.users_of[h]
@@ -262,144 +282,263 @@ class _Segments:
             cur[users] = np.minimum(cur[users], self.edge_inv[h])
             cand = c.cand & self.is_open
             cand[h] = False
-            rows = len(self.by_row)
-            self.valid[:rows] &= ~(self.nxt[:rows] == c.row).any(axis=1)
-            self.valid[c.row] = False
-            nxt = self._add(c.held | (1 << h), cur, cand)
-        return nxt
+            target = self._add(c.held | (1 << h), self.depth[row] + 1, cur, cand)
+        else:
+            target = nxt.row
+        linked = self.best[row] == h and self.nxt[row] < 0
+        if linked:
+            self.nxt[row] = target
+        return target, linked
 
-    def chain(self, c: _Class) -> None:
-        """Make the row of `c`, and the rows of the classes on its chain,
-        valid.  Every row ends where its last class's does."""
-        path = []
-        while not self.valid[c.row]:
-            if c.best == _STALE:
-                c.best = _clear_winner(c.s, c.cand & self.is_open)
-            if c.best == -2:
-                self.dead[c.row] = self.valid[c.row] = True
-                break
-            path.append(c)
-            if c.best == -1:
-                break
-            c = self.classes.get(c.held | (1 << c.best))
-            if c is None:
-                break
-        for c in reversed(path):
-            r, size = c.row, 1
-            if c.best == -1:
-                self.sig[r, 0] = np.where(c.cand & self.is_open, c.s, -1.0).max()
-                self.nxt[r, 0], self.ends_open[r] = -1, False
-            else:
-                self.sig[r, 0] = c.s[c.best]
-                nxt = self.classes.get(c.held | (1 << c.best))
-                self.nxt[r, 0], self.ends_open[r] = -1, nxt is None
-                if nxt is not None:
-                    n = self.nxt[r, 0] = nxt.row
-                    if not self.dead[n]:
-                        tail = self.length[n]
-                        self.sig[r, 1 : tail + 1] = self.sig[n, :tail]
-                        self.hlp[r, 1 : tail + 1] = self.hlp[n, :tail]
-                        self.nxt[r, 1 : tail + 1] = self.nxt[n, :tail]
-                        self.ends_open[r] = self.ends_open[n]
-                        size += tail
-            self.hlp[r, 0] = c.best
-            self.hlp[r, size:], self.nxt[r, size:] = -2, -1
-            self.length[r], self.valid[r] = size, True
+    def choose(self, r: int) -> None:
+        """Run `_clear_winner` for class row `r` over the open helpers."""
+        c = self.by_row[r]
+        ok = c.cand & self.is_open
+        b = self.best[r] = _clear_winner(c.s, ok)
+        self.nxt[r] = -1
+        if b >= 0:
+            self.sig[r] = c.s[b]
+            nxt = self.classes.get(c.held | (1 << b))
+            if nxt is not None and self.best[nxt.row] != _DORMANT:
+                self.nxt[r] = nxt.row
+        elif b == -1:
+            self.sig[r] = np.where(ok, c.s, -1.0).max()
+        else:
+            self.sig[r] = -math.inf  # no item: no key passes any limit
 
-    def close(self, filled: np.ndarray) -> None:
-        """Helpers `filled` ran out of room: the classes that chose one of
-        them, or no clear winner, choose again when next needed, and every
-        row through such a class goes stale."""
+    def wake(self, rows) -> None:
+        """Let the dormant classes among `rows` choose again."""
+        for r in set(np.asarray(rows).tolist()):
+            if self.best[r] == _DORMANT:
+                self.choose(r)
+
+    def close(self, filled: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Helpers `filled` ran out of room.  The classes that chose one of
+        them, or had no clear winner and could choose one, choose again if
+        one of the pending `items` is at them (their rows are returned) and
+        go dormant otherwise: the chains into them end before them, so the
+        items at their end stop."""
         self.is_open[filled] = False
-        gone = set(filled.tolist()) | {-1}
-        for c in self.by_row:
-            if c.best in gone:
-                c.best = _STALE
-        # Indexed by a table entry: helpers 0..H-1, then -2 (past the chain)
-        # and -1 (no clear winner).
-        hit = np.zeros(self.width + 2, dtype=bool)
-        hit[filled] = hit[-1] = True
-        rows = len(self.by_row)
-        self.valid[:rows] &= ~hit[self.hlp[:rows]].any(axis=1)
+        n = len(self.by_row)
+        # Indexed by `best`: helpers 0..H-1, then dormant (-3), dead (-2), -1.
+        gone = np.zeros(self.is_open.size + 3, dtype=bool)
+        gone[filled] = gone[-1] = True
+        rows = [
+            r
+            for r in gone[self.best[:n]].nonzero()[0].tolist()
+            if self.best[r] >= 0 or self.by_row[r].cand[filled].any()
+        ]
+        used = np.zeros(n, dtype=bool)
+        used[items[_ROW]] = True
+        now = [r for r in rows if used[r]]
+        for r in now:
+            self.choose(r)
+        later = [r for r in rows if not used[r]]
+        if later:
+            self.best[later] = _DORMANT
+            asleep = np.zeros(n + 1, dtype=bool)  # the last entry: nxt -1
+            asleep[later] = True
+            ends = asleep[self.nxt[:n]].nonzero()[0]
+            self.nxt[ends] = -1
+            asleep[:] = False
+            asleep[ends] = True
+            items[_STOP, asleep[items[_ROW]]] = 1
+        return np.array(now, dtype=np.int64)
 
-    def extend(self, c: _Class, w: float, floor: float) -> None:
-        """Make the classes on the chain after `c` where a member of weight
-        `w` still gains at least `floor`, so a segment need not stop there."""
-        while True:
-            if c.best == _STALE:
-                c.best = _clear_winner(c.s, c.cand & self.is_open)
-            if c.best < 0 or w * c.s[c.best] < floor:
-                return
-            c = self.successor(c, c.best)
+    def walk(self, ranks, rows, limit, cap=None):
+        """The items of key at most `limit` on the chains of `ranks` from
+        class rows `rows`, unsorted, and the limit then in force.
 
-    def items(self, w: np.ndarray, rows: np.ndarray, beyond: float):
-        """The segment's items, sorted by key; None if `w` holds too few ranks.
-
-        An item is a rank (an index into `w`; its class row is in `rows`) at
-        a level of that class's chain, and its key is (-gain, rank, level).
-        The segment takes every item whose key is at most a limit: the first
-        items of at most `_SEGMENT_RANKS` ranks pass it, and at most
-        `_SEGMENT_ITEMS` items do.  Every other item's key is larger, that of
-        every rank after those in `w` too: their gains are at most `beyond`
-        (-1 if there are none).  Returns (rank index, level, gain) arrays.
+        With `cap`, the limit is lowered to the cap-th key whenever more
+        items pass it.
         """
-        n = w.size
-        at, gain = np.arange(n), w * self.sig[rows, 0]
-        limit = (-1.0, n, 0)  # admits every item: gains are >= 0
+        parts, count = [], 0
+        top, i, d = limit
+        while ranks.size:
+            gain = self.weights[ranks] * self.sig[rows]
+            keep = gain > top
+            if top >= 0.0 and (gain == top).any():
+                keep |= (gain == top) & (
+                    (ranks < i) | (ranks == i) & (self.depth[rows] <= d)
+                )
+            if not keep.all():
+                ranks, rows, gain = ranks[keep], rows[keep], gain[keep]
+            parts.append((ranks, rows, gain))
+            count += ranks.size
+            if cap is not None and count > cap:
+                at, at_rows, g = (np.concatenate(a) for a in zip(*parts))
+                level = self.depth[at_rows]
+                top, i, d = _kth_key(g, at, level, cap)
+                keep = _within(g, at, level, (top, i, d))
+                parts = [(at[keep], at_rows[keep], g[keep])]
+                count = cap
+                keep = _within(gain, ranks, self.depth[rows], (top, i, d))
+                ranks, rows = ranks[keep], rows[keep]
+            # The gain does not grow along a chain, so a rank's next item
+            # passes the limit only if this one did.
+            nxt = self.nxt[rows]
+            on = nxt >= 0
+            ranks, rows = ranks[on], nxt[on]
+        if len(parts) == 1:
+            ranks, rows, gain = parts[0]
+        elif parts:
+            ranks, rows, gain = (np.concatenate(a) for a in zip(*parts))
+        else:
+            ranks, rows, gain = _NONE, _NONE, np.zeros(0)
+        helper = self.best[rows]
+        alone = (gain < sys.float_info.min) | (gain == math.inf) | (helper < 0)
+        stop = alone | (self.nxt[rows] < 0)
+        items = np.concatenate(
+            (ranks, self.depth[rows], gain.view(np.int64), rows, helper, stop)
+        ).reshape(6, -1)
+        return items, (top, i, d)
+
+    def items(self, head: np.ndarray, rows: np.ndarray, beyond: float):
+        """The segment's items sorted by key, and the limit of their keys;
+        None if `head` holds too few ranks.
+
+        An item is a rank at a class of its chain; its key is (-gain, rank,
+        depth of the class).  The segment takes every item whose key is at
+        most a limit: the first items of at most `_SEGMENT_RANKS` ranks pass
+        it, and at most `_SEGMENT_ITEMS` items do.  Every other item's key is
+        larger, that of every rank after those in `head` too: their gains are
+        at most `beyond` (-1 if there are none).  Items are the columns of
+        one int64 array, see `_RANK`.
+        """
+        n = head.size
+        limit = (-1.0, 0, 0)  # admits every item: gains are >= 0
         if beyond >= 0.0 and n <= _SEGMENT_RANKS:
             return None
         if n > _SEGMENT_RANKS:
+            gain = self.weights[head] * self.sig[rows]
             top = np.partition(gain, n - _SEGMENT_RANKS)[n - _SEGMENT_RANKS]
             if top < beyond:
                 return None
             keep = gain > top
             ties = (gain == top).nonzero()[0][: _SEGMENT_RANKS - keep.sum()]
             keep[ties] = True
-            limit = (top, ties[-1], 0)
-            at = keep.nonzero()[0]
-            gain = gain[at]
-        parts = [(at, np.zeros(at.size, dtype=np.int64), gain)]
-        count = at.size
-        size = self.length[rows]
-        deeper, d = at[size[at] > 1], 1
-        while deeper.size:
-            # The gain does not grow along a chain, so a rank's item at level
-            # d passes the limit only if its item at level d - 1 did.
-            g = w[deeper] * self.sig[rows[deeper], d]
-            lv = np.full(deeper.size, d)
-            keep = _within(g, deeper, lv, limit)
-            deeper, lv, g = deeper[keep], lv[keep], g[keep]
-            parts.append((deeper, lv, g))
-            count += deeper.size
-            if count > _SEGMENT_ITEMS:
-                at, level, gain = (np.concatenate(p) for p in zip(*parts))
-                limit = _kth_key(gain, at, level, _SEGMENT_ITEMS)
-                keep = _within(gain, at, level, limit)
-                parts = [(at[keep], level[keep], gain[keep])]
-                count = _SEGMENT_ITEMS
-                deeper = deeper[_within(g, deeper, lv, limit)]
-            d += 1
-            deeper = deeper[size[deeper] > d]
-        return _sorted(*(np.concatenate(p) for p in zip(*parts)))
+            limit = (top, head[ties[-1]], self.depth[rows[ties[-1]]])
+            head, rows = head[keep], rows[keep]
+        items, limit = self.walk(head, rows, limit, _SEGMENT_ITEMS)
+        return _sorted(items), limit
+
+    def repair(self, items, limit, changed, link=None, moved=None):
+        """The pending `items` and their limit after a step changed classes.
+
+        Each rank's items from its first at a `changed` class on are walked
+        again from there.  `link` (Y, X) says that the chains ending at class
+        Y now go on to class X: the ranks with an item at Y walk on from X.
+        `moved` (f, X, drop) says that rank f joined class X, which its items
+        did not reach: they walk on from X, after dropping f's items if
+        `drop`.
+        """
+        starts = []
+        # A class reached by this step may have gone dormant at its fill.
+        self.wake([x[1] for x in (moved, link) if x is not None])
+        if moved is not None:
+            f, x, drop = moved
+            if drop:
+                items = np.compress(items[_RANK] != f, items, axis=1)
+            starts.append((np.array([f]), np.array([x])))
+        if link is not None and not np.any(changed == link[0]):
+            at = (items[_ROW] == link[0]).nonzero()[0]
+            # Their chains go on: they stop only if scored on their own.
+            gain = items[_GAIN, at].view(np.float64)
+            items[_STOP, at] = (gain < sys.float_info.min) | (gain == math.inf)
+            at = items[_RANK, at]
+            starts.append((at, np.full(at.size, link[1])))
+        if changed.size:
+            hit = np.zeros(len(self.by_row), dtype=bool)
+            hit[changed] = True
+            bad = hit[items[_ROW]].nonzero()[0]
+            if bad.size:
+                # Each rank walks again from its shallowest bad item.
+                rank, depth = items[_RANK], items[_DEPTH]
+                np.minimum.at(self.cutoff, rank[bad], depth[bad])
+                cutoff = self.cutoff[rank]
+                first = bad[depth[bad] == cutoff[bad]]
+                self.cutoff[rank[bad]] = _NO_CUT
+                starts.append((rank[first], items[_ROW, first]))
+                items = np.compress(depth < cutoff, items, axis=1)
+        if starts:
+            if len(starts) > 1:
+                ranks, rows = (np.concatenate(a) for a in zip(*starts))
+            else:
+                ranks, rows = starts[0]
+            new, _ = self.walk(ranks, rows, limit)
+            items = _merged(items, _sorted(new))
+        if items.shape[1] > _SEGMENT_ITEMS:
+            # Chains that reach new classes add items: keep the first ones,
+            # and lower the limit to the last kept.
+            k = _SEGMENT_ITEMS
+            gain = items[_GAIN, k - 1 : k].view(np.float64)[0]
+            limit = (gain, items[_RANK, k - 1], items[_DEPTH, k - 1])
+            items = items[:, :k]
+        return items, limit
+
+    def drain(self, items, limit, out, moves) -> bool:
+        """Commit the segment's `items` in key order, steps to `out` and
+        each committed rank's new class row to `moves`; False once a gain
+        is not positive, which ends the greedy."""
+        room = self.room
+        n_helpers = room.size
+        while items.shape[1]:
+            rank, _, gain, rows, helper, stop = items  # row views
+            # Commit up to the first item that ends the greedy (gain <= 0)
+            # or is scored on its own, and through the first that fills a
+            # helper or ends its chain at a class not made yet.
+            cut = int(stop.argmax())
+            if not stop[cut]:
+                cut = stop.size
+            elif helper[cut] >= 0 and _normal(gain[cut : cut + 1]):
+                cut += 1
+            counts = np.bincount(helper[:cut], minlength=n_helpers)
+            full = counts >= np.maximum(room, 1)
+            if full.any():
+                for h in full.nonzero()[0].tolist():
+                    cut = min(cut, int((helper == h).nonzero()[0][room[h] - 1]) + 1)
+                counts = np.bincount(helper[:cut], minlength=n_helpers)
+            link = moved = None
+            if cut:
+                out.append(items[_STEP, :cut])
+                room -= counts
+                target = self.nxt[rows[:cut]]
+                if target[-1] < 0:
+                    # The chain ended here, at the item's helper: linked.
+                    f, y = int(rank[cut - 1]), int(rows[cut - 1])
+                    target[-1], _ = self.successor(y, int(helper[cut - 1]))
+                    link, moved = (y, target[-1]), (f, target[-1], False)
+                moves.append((rank[:cut], target))
+                items = items[:, cut:]
+                filled = ((room == 0) & (counts > 0)).nonzero()[0]
+            else:
+                f, y = int(rank[0]), int(rows[0])
+                if items[_GAIN, :1].view(np.float64)[0] <= 0.0:
+                    return False
+                h, g = _item_step(self.by_row[y], self.weights[f], self.is_open)
+                out.append(np.array([[h], [f], [np.float64(g).view(np.int64)]]))
+                room[h] -= 1
+                x, linked = self.successor(y, h)
+                moved = (f, x, True)
+                if linked:
+                    link = (y, x)
+                moves.append((np.array([f]), np.array([x])))
+                filled = np.array([h]) if room[h] == 0 else _NONE
+            changed = self.close(filled, items) if filled.size else _NONE
+            if moved is not None or changed.size:
+                items, limit = self.repair(items, limit, changed, link, moved)
+        return True
 
     def run(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The greedy's (helpers, ranks, gains), one entry per cached file."""
-        weights, room = self.weights, self.room
-        n_helpers = room.size
-        live = np.arange(weights.size)  # 0-based ranks that may still be cached
-        row_of = np.zeros(weights.size, dtype=np.int64)  # each rank's class row
+        live = np.arange(self.weights.size)  # 0-based ranks that may still be cached
         window = 4 * _SEGMENT_RANKS  # how many live ranks a segment looks at
-        out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        out: list[np.ndarray] = []
         while True:
             head = live[:window]
-            rows = row_of[head]
-            stale = ~self.valid[rows]
-            if stale.any():
-                todo = np.zeros(len(self.by_row), dtype=bool)
-                todo[rows[stale]] = True
-                for r in todo.nonzero()[0].tolist():
-                    self.chain(self.by_row[r])
-            alive = ~self.dead[rows]
+            rows = self.place[head] & 0xFFFFFFFF
+            self.wake(np.append(rows[self.best[rows] == _DORMANT], 0))
+            alive = self.best[rows] != -2
             if not alive.all():
                 head, rows = head[alive], rows[alive]
                 live = np.concatenate([head, live[window:]])
@@ -407,63 +546,40 @@ class _Segments:
                 break
             # Every class descends from the root, and the best `s` does not
             # grow down a chain or as helpers fill, so no rank after the
-            # window gains more than this at its first level.
+            # window gains more than this at its first item (0 once the
+            # root has no open candidate).
             beyond = -1.0
             if live.size > head.size:
-                beyond = weights[live[head.size]] * self.sig[0, 0]
-            found = self.items(weights[head], rows, beyond)
+                beyond = self.weights[live[head.size]] * max(self.sig[0], 0.0)
+            found = self.items(head, rows, beyond)
             if found is None:
                 window *= 2
                 continue
-            at, level, gain = found
-            row = rows[at]
-            helper = self.hlp[row, level]
-
-            # Cut before the first item that ends the greedy (gain <= 0) or
-            # is scored on its own, and after the first that fills a helper or
-            # ends its chain open, whichever comes first.
-            alone = (gain < sys.float_info.min) | (gain == math.inf) | (helper < 0)
-            cut = int(alone.argmax()) if alone.any() else gain.size
-            last = level[:cut] == self.length[row[:cut]] - 1
-            ends = self.ends_open[row[:cut]] & last
-            if ends.any():
-                cut = int(ends.argmax()) + 1
-            counts = np.bincount(helper[:cut], minlength=n_helpers)
-            for h in (counts >= np.maximum(room, 1)).nonzero()[0].tolist():
-                cut = min(cut, int((helper == h).nonzero()[0][room[h] - 1]) + 1)
-            if cut:
-                out.append((helper[:cut], head[at[:cut]], gain[:cut]))
-                room -= np.bincount(helper[:cut], minlength=n_helpers)
-                # A rank's items in the segment are its first levels, so it
-                # moves to the class after the deepest one, made if need be.
-                depth = np.bincount(at[:cut], minlength=head.size)
-                moved = depth.nonzero()[0]
-                src, depth = rows[moved], depth[moved] - 1
-                target = self.nxt[src, depth]
-                for j in (target < 0).nonzero()[0].tolist():
-                    r, d = int(src[j]), int(depth[j])
-                    c = self.by_row[r if d == 0 else self.nxt[r, d - 1]]
-                    target[j] = self.successor(c, int(self.hlp[r, d])).row
-                row_of[head[moved]] = target
-            elif gain[0] <= 0.0:
+            moves: list[tuple[np.ndarray, np.ndarray]] = []
+            if not self.drain(*found, out, moves):
                 break
-            else:
-                f = head[at[0]]
-                c = self.by_row[row_of[f]]
-                h, g = _item_step(c, weights[f], self.is_open)
-                out.append((np.array([h]), np.array([f]), np.array([g])))
-                room[h] -= 1
-                row_of[f] = self.successor(c, h).row
-            filled = (self.is_open & (room == 0)).nonzero()[0]
-            if filled.size:
-                self.close(filled)
-            if ends.any() and cut == ends.argmax() + 1:
-                f = head[at[cut - 1]]
-                self.extend(self.by_row[row_of[f]], weights[f], gain[-1])
+            if moves:
+                # A rank's class gains a helper with every move, so its
+                # deepest move is its last.
+                ranks, rows = (np.concatenate(a) for a in zip(*moves))
+                np.maximum.at(self.place, ranks, self.depth[rows] << 32 | rows)
         if not out:
             return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
-        helpers, ranks, gains = (np.concatenate(a) for a in zip(*out))
-        return helpers, ranks + 1, gains
+        helpers, ranks, gains = np.concatenate(out, axis=1)
+        return helpers, ranks + 1, gains.view(np.float64)
+
+
+# The rows of an item array, one column per item.
+_RANK, _DEPTH, _GAIN, _ROW, _HELPER, _STOP = range(6)
+_STEP = [_HELPER, _RANK, _GAIN]  # the rows of a committed step
+_NO_CUT = np.iinfo(np.int64).max
+_NONE = np.zeros(0, np.int64)
+
+
+def _normal(bits: np.ndarray) -> bool:
+    """Whether the one gain whose bits are `bits` is a normal float."""
+    g = bits.view(np.float64)[0]
+    return sys.float_info.min <= g < math.inf
 
 
 def _kth_key(gain, at, level, k):
@@ -480,12 +596,35 @@ def _within(gain, at, level, limit):
     return (gain > top) | (gain == top) & ((at < i) | (at == i) & (level <= d))
 
 
-def _sorted(at, level, gain):
-    """The items in key order (-gain, at, level)."""
-    order = np.argsort(-gain)
-    if np.any(gain[order[1:]] == gain[order[:-1]]):
-        order = np.lexsort((level, at, -gain))
-    return at[order], level[order], gain[order]
+def _sorted(items):
+    """The item array in key order (-gain, rank, depth).
+
+    Gains are not negative, so their bits as int64 sort like them.
+    """
+    key = -items[_GAIN]
+    if np.all(key[1:] > key[:-1]):
+        return items
+    order = key.argsort()
+    k = key[order]
+    if np.any(k[1:] == k[:-1]):
+        order = np.lexsort((items[_DEPTH], items[_RANK], key))
+    return np.take(items, order, axis=1)
+
+
+def _merged(a, b):
+    """Two item arrays sorted by key, merged."""
+    if not b.shape[1]:
+        return a
+    both = np.concatenate([a, b], axis=1)
+    key = -both[_GAIN]
+    ka, kb = key[: a.shape[1]], key[a.shape[1] :]
+    if np.any(ka.searchsorted(kb, "left") != ka.searchsorted(kb, "right")):
+        # Equal gains across the two: order by the whole key.
+        order = np.lexsort((both[_DEPTH], both[_RANK], key))
+    else:
+        # A stable sort of the two sorted runs keeps each run's order.
+        order = key.argsort(kind="stable")
+    return np.take(both, order, axis=1)
 
 
 def _greedy(graph, pop, specs, file_bits):
@@ -510,18 +649,30 @@ def _greedy(graph, pop, specs, file_bits):
     the order of the merge key (-gain, f, l); at equal gain and rank, the
     parent class comes first.
 
-    The greedy therefore advances a segment at a time: it takes the items of
-    smallest key (at most `_SEGMENT_ITEMS`, from the first items of at most
-    `_SEGMENT_RANKS` ranks; every item left out has a larger key), sorts
-    them, cuts at the first non-positive gain, which ends the greedy, and
-    after the item that fills a helper, and commits what precedes the cuts.
-    Each rank moves to the class after its last committed item, and only the
-    classes whose helper filled, or that had no clear winner, run
-    `_clear_winner` again.  Two kinds of item are scored on their own, as a
-    heap entry is (`_item_step`), because their helper depends on the rank:
-    those of a class without a clear winner, and those whose gain is not a
-    normal float, where rounding can tie helpers whose `s` differ.  A segment
-    stops before such an item, which then makes a segment by itself.
+    The greedy therefore advances a segment at a time.  A segment takes the
+    items of smallest key (from the first items of at most `_SEGMENT_RANKS`
+    ranks, at most `_SEGMENT_ITEMS` in all; every item left out has a larger
+    key), sorts them and commits them in key order.  It ends when its items
+    run out, or at the first non-positive gain, which ends the greedy.  Three
+    kinds of step change chains while it runs; after each, only the items it
+    touches are walked again, from the changed class, and merged back into
+    the sorted items:
+
+    - a helper fills: the classes that chose it, or had no clear winner, run
+      `_clear_winner` again (at once if an item is pending at them, else
+      when a rank next reaches them), and each rank's items from its first
+      at such a class on are re-routed;
+    - an item ends its chain at a class whose successor is not made: the
+      successor is made (a class is made only when a committed item reaches
+      it), and every rank with an item at that class walks on into it;
+    - an item is scored on its own, as a heap entry is (`_item_step`),
+      because its helper depends on the rank: items of a class without a
+      clear winner, and items whose gain is not a normal float, where
+      rounding can tie helpers whose `s` differ.  Its rank walks again from
+      the class it joins.
+
+    When the new chains add more than `_SEGMENT_ITEMS` items, the segment
+    keeps its first ones and lowers its limit to the last kept.
     """
     if specs.n_helpers != graph.n_helpers:
         raise InfeasiblePlacementError("specs/graph helper counts differ")

@@ -112,6 +112,27 @@ class TestFit:
 
 
 class TestPlace:
+    @pytest.mark.parametrize("helpers,bound_s", [(1024, 5.0), (10_000, 10.0)])
+    def test_greedy_at_many_helpers_finishes_in_seconds(self, tmp_path, helpers, bound_s):
+        # Whole process on a 2-core Xeon: 0.45 s at 1024 helpers and 0.74 s
+        # at 10^4, the helper cap.  A child process keeps a regression from
+        # hanging the suite.
+        probe = (
+            "import sys, time; from helpercache.cli import main; "
+            "t = time.perf_counter(); code = main(sys.argv[1:]); "
+            "print(code, time.perf_counter() - t)"
+        )
+        argv = ("place", "--helpers", str(helpers), "--out", str(tmp_path / "p.json"))
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        code, seconds = done.stdout.split()
+        assert int(code) == 0 and float(seconds) < bound_s
+        caches = json.loads((tmp_path / "p.json").read_text())
+        assert len(caches) == helpers
+        assert all(len(cache) <= 3 for cache in caches.values())
+
     def test_most_popular_caches_every_top_rank(self, capsys):
         code, out, err = run_cli(
             capsys,

@@ -12,12 +12,13 @@ helpers (equal coverage weights), helpers without users, and capacities from
 import tracemalloc
 
 import numpy as np
+import pytest
 from greedy_oracles import class_greedy_steps, greedy_steps, lazy_greedy_steps
 
 from helpercache import placement_uncoded
 from helpercache import rng as hrng
 from helpercache.macro_sim import MacroConfig, experiment_popularity, plan_deployment
-from helpercache.placement_uncoded import HelperSpecs, _clear_winner
+from helpercache.placement_uncoded import HelperSpecs, _clear_winner, _Segments
 from helpercache.popularity import zipf_model
 from helpercache.topology import ConnectivityGraph
 
@@ -175,3 +176,82 @@ def test_one_greedy_stays_within_its_item_budget():
         tracemalloc.stop()
     assert helpers.size > 30_000
     assert peak < 6e6
+
+
+def place_defaults(helpers, **overrides):
+    """The graph, popularity and specs `place --helpers N` plans on (m 100,
+    capacity 3, 24 users, gamma 0.8), at seed 0 unless overridden."""
+    seed = overrides.pop("seed", 0)
+    capacity = overrides.pop("capacity", 3)
+    config = MacroConfig(**{"catalog_size": 100, "gamma": 0.8, **overrides})
+    _, graph = plan_deployment(helpers, config, seed)
+    pop = experiment_popularity(config, seed)
+    return graph, pop, HelperSpecs.uniform(helpers, capacity), config.file_bits
+
+
+@pytest.mark.parametrize("helpers", [128, 256])
+def test_segments_equal_the_class_heap_at_the_place_defaults(helpers):
+    # Helpers fill after three files each, so fills come every few steps.
+    graph, pop, specs, file_bits = place_defaults(helpers)
+    steps = greedy_steps(graph, pop, specs, file_bits)
+    assert len(steps) > 300
+    assert steps == class_greedy_steps(graph, pop, specs, file_bits)
+
+
+def test_segments_equal_the_class_heap_when_helpers_fill_often():
+    rng = hrng.stream(608, "greedy-fills")
+    filled = 0
+    for _ in range(10):
+        helpers = int(rng.integers(32, 257))
+        graph, pop, specs, file_bits = place_defaults(
+            helpers,
+            seed=int(rng.integers(1000)),
+            capacity=int(rng.integers(1, 6)),
+            catalog_size=int(rng.integers(20, 150)),
+            n_users=int(rng.integers(8, 41)),
+            gamma=float(rng.choice([0.0, 0.5, 0.8, 1.2])),
+            helper_mode=str(rng.choice(["grid", "uniform"])),
+        )
+        steps = greedy_steps(graph, pop, specs, file_bits)
+        assert steps == class_greedy_steps(graph, pop, specs, file_bits)
+        used = np.bincount([h for h, _, _ in steps], minlength=specs.n_helpers)
+        filled += int(np.sum(used == np.array(specs.capacities)))
+    assert filled >= 500
+
+
+def test_one_greedy_at_1024_helpers_stays_within_its_memory_bound():
+    # Each made class keeps a coverage weight per helper (8 KB at 1024
+    # helpers); 6.1 MB measured for 665 steps and 259 classes.
+    graph, pop, specs, file_bits = place_defaults(1024)
+    placement_uncoded._greedy(graph, pop, specs, file_bits)
+    tracemalloc.start()
+    try:
+        helpers, _, _ = placement_uncoded._greedy(graph, pop, specs, file_bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert helpers.size > 600
+    assert peak < 10e6
+
+
+def test_coverage_weights_equal_the_sum_over_each_helpers_users():
+    # Helpers are summed in blocks of equal user count // 8 (below 128) or
+    # equal user count, padded with zeros; every weight must still be the
+    # numpy sum over the helper's own users, bit for bit.
+    rng = hrng.stream(609, "coverage-weights")
+    counts = list(range(0, 20)) + [23, 24, 31, 32, 33, 64, 127, 128, 129, 200, 300]
+    n_users = max(counts)
+    rates = np.zeros((n_users, len(counts)))
+    for h, k in enumerate(counts):
+        users = rng.permutation(n_users)[:k]
+        rates[users, h] = rng.choice(RATE_LEVELS, size=k) * rng.uniform(0.5, 2.0, k)
+    graph = ConnectivityGraph(rates=rates, bs_rate=rng.uniform(1e6, 2e6, n_users))
+    specs = HelperSpecs.uniform(len(counts), 2)
+    run = _Segments(graph, zipf_model(0.8, 50), specs, 2.4e8)
+    root = run.by_row[0]
+    row, _ = run.successor(0, int(np.argmax(root.s)))
+    for c in (root, run.by_row[row]):
+        for h in range(len(counts)):
+            users = graph.users_of(h)
+            want = np.maximum(0.0, c.cur[users] - graph.inv_rates[users, h]).sum()
+            assert c.s[h] == (want if c.cand[h] else 0.0), (h, counts[h])
