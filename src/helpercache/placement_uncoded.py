@@ -247,7 +247,8 @@ class _Segments:
         self.depth = np.zeros(0, dtype=np.int64)
         # Each rank's class, as depth << 32 | row.
         self.place = np.zeros(pop.m, dtype=np.int64)
-        self.cutoff = np.full(pop.m, _NO_CUT)  # scratch of `repair`
+        # Scratch of `repair`: a depth per rank (a depth is at most H < 2^31).
+        self.cutoff = np.full(pop.m, _NO_CUT, dtype=np.int32)
         self._add(0, 0, 1.0 / graph.bs_rate, self.is_open & (sizes > 0))
 
     def _add(self, held: int, depth: int, cur: np.ndarray, cand: np.ndarray) -> int:
@@ -454,7 +455,7 @@ class _Segments:
             if bad.size:
                 # Each rank walks again from its shallowest bad item.
                 rank, depth = items[_RANK], items[_DEPTH]
-                np.minimum.at(self.cutoff, rank[bad], depth[bad])
+                np.minimum.at(self.cutoff, rank[bad], depth[bad].astype(np.int32))
                 cutoff = self.cutoff[rank]
                 first = bad[depth[bad] == cutoff[bad]]
                 self.cutoff[rank[bad]] = _NO_CUT
@@ -572,7 +573,7 @@ class _Segments:
 # The rows of an item array, one column per item.
 _RANK, _DEPTH, _GAIN, _ROW, _HELPER, _STOP = range(6)
 _STEP = [_HELPER, _RANK, _GAIN]  # the rows of a committed step
-_NO_CUT = np.iinfo(np.int64).max
+_NO_CUT = np.iinfo(np.int32).max
 _NONE = np.zeros(0, np.int64)
 
 
