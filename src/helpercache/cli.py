@@ -36,6 +36,7 @@ from .macro_sim import (
     MAX_HELPERS,
     MacroConfig,
     check_placement_bytes,
+    check_user_helper_pairs,
     experiment_popularity,
     make_placement,
     plan_deployment,
@@ -428,6 +429,7 @@ def _run_fit(p: dict, emitter: _Emitter) -> int:
 def _run_place(p: dict, emitter: _Emitter) -> int:
     config = _macro_config(p)
     check_placement_bytes(p["policy"], p["m"], p["helpers"])
+    check_user_helper_pairs(p["n"], p["helpers"])
     pop = experiment_popularity(config, p["seed"])
     _, graph = plan_deployment(p["helpers"], config, p["seed"])
     specs = HelperSpecs.uniform(p["helpers"], p["capacity"])

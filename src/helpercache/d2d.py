@@ -577,44 +577,32 @@ def _score_random(
     return np.bincount(active_rep, minlength=reps).astype(float)
 
 
+def _check_users(n: int, reps: int) -> None:
+    """Refuse a Monte Carlo run that would draw more than MAX_MC_USERS users."""
+    if n * reps > MAX_MC_USERS:
+        raise InvalidParameterError(
+            f"reps={reps} draws n={n} users each, {n * reps} in all, above the "
+            f"cap of {MAX_MC_USERS}"
+        )
+
+
 def simulate_active_clusters(
     scenario: D2DScenario,
     pop: PopularityModel,
     rng: np.random.Generator,
     reps: int,
-    *,
-    r_values=None,
-) -> ClusterStats | list[ClusterStats]:
-    """Monte Carlo active-cluster count: mean and standard error over `reps`.
+) -> ClusterStats:
+    """Monte Carlo active-cluster count at `scenario.r`: mean and standard
+    error over `reps` replications drawn from `rng` (`_monte_carlo`).
 
-    Replications go in blocks of max(1, _BLOCK_USERS // n), the last one
-    possibly shorter; a block is drawn (`_draw_block`: positions, then
-    requests, from `rng`) and scored on every cluster grid before the next.
-    Random caches come block after block from the first child stream of
-    `rng`'s seed sequence, which the call spawns once, so a replication's
-    positions and requests depend only on `rng`, n, the request popularity
-    and the replication's block, not on the caching rule, gamma1 or M.  A
-    full block draws the same whatever `reps` is.  A cache size past the
-    catalog acts as M = m; with M = 0 no cluster can be active, and nothing
-    is drawn.
-
-    Calls that would score more than MAX_SCORES (grid, replication) pairs
-    or draw more than MAX_MC_USERS users (n * reps), and random caches
-    whose fill may need more than RANDOM_CACHE_MAX_DRAWS expected draws per
-    device or RANDOM_RUN_MAX_DRAWS over the run, are refused before the
-    first draw.
-
-    With `r_values`, the draws are made once and scored on each value's
-    cluster grid in place of `scenario.r`; the result is then a list with one
-    ClusterStats per value, each equal to what a call with that r on a fresh
-    copy of `rng` returns.  The sweeps run the same block loop
-    (`_monte_carlo`) for all their points at once: each block's positions
-    and requests are drawn once for every gamma1, and each gamma1 fills its
-    caches from its own generator on the same child seed sequence.
+    A cache size past the catalog acts as M = m; with M = 0 no cluster can
+    be active, and nothing is drawn.  Calls of more than MAX_SCORES
+    replications or MAX_MC_USERS users (n * reps), and random caches whose
+    fill may need more than RANDOM_CACHE_MAX_DRAWS expected draws per device
+    or RANDOM_RUN_MAX_DRAWS over the run, are refused before the first draw.
     """
-    r_list = [scenario.r] if r_values is None else [float(r) for r in r_values]
-    (stats,) = _monte_carlo(scenario, pop, rng, reps, r_list, [scenario.gamma1])
-    return stats[0] if r_values is None else stats
+    ((stats,),) = _monte_carlo(scenario, pop, rng, reps, [scenario.r], [scenario.gamma1])
+    return stats
 
 
 def _monte_carlo(
@@ -625,15 +613,24 @@ def _monte_carlo(
     r_values: list[float],
     gamma1_values: list[float | None],
 ) -> list[list[ClusterStats]]:
-    """`simulate_active_clusters` for every caching exponent of
-    `gamma1_values` (None for deterministic caches) at once: one list of
-    ClusterStats per gamma1, one per r in each.
+    """Monte Carlo active-cluster counts for every caching exponent of
+    `gamma1_values` (None for deterministic caches) on every cluster grid of
+    `r_values`: one list of ClusterStats per gamma1, one per r in each.
 
-    Each block's positions and requests are drawn once, and each grid's
-    cells are built once, for all the gamma1 values.  Each gamma1 fills its
-    caches from its own generator on the same child seed sequence, so it
-    scores what a call with that gamma1 alone on a fresh copy of `rng`
-    does.  Every bound is checked, for every gamma1, before the first draw.
+    Replications go in blocks of max(1, _BLOCK_USERS // n), the last one
+    possibly shorter.  A block is drawn once (`_draw_block`: positions, then
+    requests, from `rng`), its cells are built once per grid, and it is
+    scored on every grid and every gamma1 before the next block.  Random
+    caches come block after block from the first child stream of `rng`'s
+    seed sequence, which the call spawns once; each gamma1 fills its caches
+    from its own generator on that child seed sequence.  So a replication's
+    positions and requests depend only on `rng`, n, the request popularity
+    and the replication's block, not on r, the caching rule, gamma1 or M.  A
+    full block draws the same whatever `reps` is, and each (gamma1, r) pair
+    scores what a call with that pair alone on a fresh copy of `rng` does.
+
+    Every bound, MAX_SCORES (model, grid, replication) triples included,
+    is checked for every gamma1 before the first draw.
     """
     if reps < 1:
         raise InvalidParameterError("reps must be >= 1")
@@ -655,11 +652,7 @@ def _monte_carlo(
             f"replication) triples, above the cap of {MAX_SCORES}"
         )
     n = scenario.n
-    if n * reps > MAX_MC_USERS:
-        raise InvalidParameterError(
-            f"reps={reps} draws n={n} users each, {n * reps} in all, above the "
-            f"cap of {MAX_MC_USERS}"
-        )
+    _check_users(n, reps)
     models = [
         None if g1 is None else _cache_model(replace(scenario, gamma1=g1), reps)
         for g1 in gamma1_values
@@ -843,11 +836,13 @@ def scaling_check(
     """Per-user active clusters across cell sizes, with r re-optimized per n.
 
     The catalog grows logarithmically with n (`scale` files per log unit).
-    For each n the collaboration distance is chosen as the best 1/integer by
-    the same evaluation mode used for the reported row.  Analytically, every
-    side of one n reads one `_Hits` table, and each side sums only its kept
-    occupancies, so a side costs about its binomial window, 24 standard
-    deviations wide.
+    In both modes each n's collaboration distance is the 1/side, side from
+    1 to ceil(2 sqrt(n)), of the first strict maximum of the exact expected
+    active clusters (`_expected_active`).  Every side of one n reads one
+    `_Hits` table, and each side sums only its kept occupancies, so a side
+    costs about its binomial window, 24 standard deviations wide.  The mc
+    mode then runs one Monte Carlo call at that side, on the stream
+    ("scaling", n, side).
     """
     if mode not in ("analytic", "mc"):
         raise InvalidParameterError("mode must be 'analytic' or 'mc'")
@@ -856,21 +851,20 @@ def scaling_check(
         n = int(n)
         m = catalog_size(n, scale=scale)
         pop = zipf_model(gamma, m)
-        if mode == "analytic":  # one hit table serves every side
-            hits = _hit_table(D2DScenario(n=n, m=m, M=M, r=1.0, gamma=gamma), pop)
-        best: tuple[ClusterStats, int] | None = None
-        for side in range(1, int(math.ceil(2.0 * math.sqrt(n))) + 1):
-            if mode == "analytic":
-                K = side * side
-                stats = ClusterStats(_expected_active(n, K, hits), 0.0, K)
-            else:
-                sc = D2DScenario(n=n, m=m, M=M, r=1.0 / side, gamma=gamma)
-                stats = simulate_active_clusters(
-                    sc, pop, stream(root_seed, "scaling", n, side), reps
-                )
-            if best is None or stats.expected_active > best[0].expected_active:
-                best = (stats, side)
-        stats, side = best
+        sc = D2DScenario(n=n, m=m, M=M, r=1.0, gamma=gamma)
+        if mode == "mc":
+            _check_users(n, reps)  # before the side search, which a refusal wastes
+        hits = _hit_table(sc, pop)
+        means = [
+            _expected_active(n, side * side, hits)
+            for side in range(1, int(math.ceil(2.0 * math.sqrt(n))) + 1)
+        ]
+        side = 1 + means.index(max(means))
+        if mode == "analytic":
+            stats = ClusterStats(means[side - 1], 0.0, side * side)
+        else:
+            rng = stream(root_seed, "scaling", n, side)
+            stats = simulate_active_clusters(replace(sc, r=1.0 / side), pop, rng, reps)
         rows.append(
             ScalingRow(
                 n=n,
@@ -884,4 +878,3 @@ def scaling_check(
             )
         )
     return rows
-

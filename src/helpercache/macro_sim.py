@@ -55,6 +55,7 @@ from .topology import (
     CellLayout,
     ConnectivityGraph,
     build_connectivity,
+    check_cell_radius,
     fetch_fastest_first,
     place_helpers,
     place_uniform,
@@ -82,6 +83,14 @@ MAX_HELPERS = 10**4
 # takes a byte per (file, helper) entry, a fractional one eight.  The largest
 # catalog at 32 helpers takes 320 MB as booleans.
 MAX_PLACEMENT_BYTES = 2 * 10**9
+# User-helper pairs of one deployment, users times max(helpers, 1), above
+# which a command is refused: its positions and connectivity take tens of
+# bytes per pair (10^7 users at 32 helpers asked for a 4.77 GiB array).  At
+# the cap `simulate-macro --n 312500 --helpers 32 --reps 1 --gamma 0.8`
+# takes 3.3 s and 672 MB whole process with `--policy most-popular` and
+# 9.0 s and 913 MB with the greedy, and `place --helpers 10000 --n 1000`
+# 13 s and 581 MB (2-core Xeon).
+MAX_USER_HELPER_PAIRS = 10**7
 
 
 def check_placement_bytes(policy: str, m: int, helpers: int) -> None:
@@ -92,6 +101,17 @@ def check_placement_bytes(policy: str, m: int, helpers: int) -> None:
         raise InvalidParameterError(
             f"m={m} files at {helpers} helpers take {held} bytes of placements, "
             f"above the cap of {MAX_PLACEMENT_BYTES}"
+        )
+
+
+def check_user_helper_pairs(users: int, helpers: int) -> None:
+    """Refuse a deployment whose users times max(helpers, 1) pass
+    MAX_USER_HELPER_PAIRS."""
+    pairs = users * max(helpers, 1)
+    if pairs > MAX_USER_HELPER_PAIRS:
+        raise InvalidParameterError(
+            f"n={users} users at {helpers} helpers make {pairs} user-helper "
+            f"pairs, above the cap of {MAX_USER_HELPER_PAIRS}"
         )
 
 
@@ -142,10 +162,11 @@ class MacroConfig:
             raise InvalidParameterError("catalog_size must be >= 1")
         if self.capacity < 0:
             raise InvalidParameterError("capacity must be >= 0")
-        for name in ("file_bits", "qos_s", "cell_radius_m", "helper_radius_m"):
+        for name in ("file_bits", "qos_s", "helper_radius_m"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
                 raise InvalidParameterError(f"{name} must be finite and > 0")
+        check_cell_radius(self.cell_radius_m)
         if self.helper_mode not in ("grid", "uniform"):
             raise InvalidParameterError("helper_mode must be 'grid' or 'uniform'")
         if self.gamma is not None and (not math.isfinite(self.gamma) or self.gamma < 0):
@@ -247,6 +268,9 @@ def _satisfied_counts(
         )
     check_placement_bytes(
         policy, config.catalog_size, sum(count for _, count, _ in points)
+    )
+    check_user_helper_pairs(
+        config.n_users, max((count for _, count, _ in points), default=0)
     )
     pop = experiment_popularity(config, root_seed)
     plans = {}

@@ -214,4 +214,5 @@ def fit_zipf_counts(counts) -> tuple[float, int]:
     ordered = np.sort(counts)[::-1].astype(float)
     ranks = np.arange(1, counts.size + 1, dtype=float)
     slope, _ = np.polyfit(np.log(ranks), np.log(ordered), 1)
-    return -float(slope), int(counts.size)
+    # 0.0 - slope, not -slope, which is -0.0 for a flat trace.
+    return 0.0 - float(slope), int(counts.size)

@@ -67,6 +67,15 @@ DEFAULT_MACRO_MODEL = LinkRateModel(
 )
 
 
+def check_cell_radius(cell_radius: float) -> None:
+    """Refuse a cell radius that is not positive or whose diameter is not
+    finite: no lattice point or uniform draw fits a cell of infinite width."""
+    if not (cell_radius > 0 and math.isfinite(2.0 * cell_radius)):
+        raise InvalidParameterError(
+            f"cell_radius={cell_radius!r} must be > 0 with a finite diameter"
+        )
+
+
 def link_rate(distance_m, model: LinkRateModel):
     """Rate in bit/s at the given distance(s).  Accepts scalars or arrays."""
     d = np.maximum(np.asarray(distance_m, dtype=float), model.d0_m)
@@ -90,8 +99,7 @@ class CellLayout:
     users: np.ndarray  # (..., n_users, 2)
 
     def __post_init__(self):
-        if not math.isfinite(self.cell_radius) or self.cell_radius <= 0:
-            raise InvalidParameterError("cell_radius must be finite and > 0")
+        check_cell_radius(self.cell_radius)
         helpers = np.atleast_2d(np.asarray(self.helpers, dtype=float))
         users = np.atleast_2d(np.asarray(self.users, dtype=float))
         if helpers.size == 0:
@@ -120,8 +128,7 @@ def place_uniform(count: int, cell_radius: float, rng: np.random.Generator) -> n
     """`count` i.i.d. uniform points on the disc, by rejection from the square."""
     if count < 0:
         raise InvalidParameterError("count must be >= 0")
-    if not math.isfinite(cell_radius) or cell_radius <= 0:
-        raise InvalidParameterError("cell_radius must be finite and > 0")
+    check_cell_radius(cell_radius)
     out = np.empty((count, 2))
     have = 0
     while have < count:
@@ -150,6 +157,7 @@ def place_helpers(
     """
     if count < 0:
         raise InvalidParameterError("count must be >= 0")
+    check_cell_radius(cell_radius)
     if count == 0:
         return np.zeros((0, 2))
     if mode == "uniform":

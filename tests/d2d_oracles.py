@@ -6,7 +6,7 @@ rule out user by user.  `draw_block` draws one block of replications in the
 library's stream layout (positions as one (2, users) draw, then requests,
 random caches on the call's child stream), and `simulate_blocks` runs
 blocks of max(1, `d2d._BLOCK_USERS` // n) replications like
-`simulate_active_clusters`, each scored by an oracle: `score_chunk`, the
+`d2d._monte_carlo`, each scored by an oracle: `score_chunk`, the
 former scorer, which gathers int64 ranks and keys for every grid side, or
 `chunk_counts_by_gid`, the former kernel, which sorts users by
 `rep * K + cell`.  `sweep_row` is the point-by-point sweep the grouped
@@ -242,7 +242,7 @@ def score_chunk(
 
 
 def simulate_blocks(scenario, pop, rng, reps, r_values, score=score_chunk):
-    """`simulate_active_clusters` with `r_values`: blocks of
+    """`d2d._monte_carlo` for one caching model: blocks of
     max(1, d2d._BLOCK_USERS // n) replications, each drawn by `draw_block`
     and scored by `score` on every side; with M = 0 nothing is drawn."""
     sides = [grid_side(r, exact=False)[0] for r in r_values]

@@ -18,9 +18,9 @@ from test_simplex import enumerate_vertices, random_lp
 from helpercache.cli import main
 from helpercache.d2d import (
     D2DScenario,
+    _monte_carlo,
     expected_active_analytic,
     scaling_check,
-    simulate_active_clusters,
     sweep_r,
 )
 from helpercache.macro_sim import MacroConfig, sweep_helper_count
@@ -193,8 +193,8 @@ def test_cluster_model_analytic_vs_monte_carlo(gate):
             # one draw per (gamma, n), scored on each r's cluster grid
             sc = D2DScenario(n=n, m=1000, M=1, r=1.0, gamma=gamma)
             r_values = (1 / 2, 1 / 5, 1 / 10)
-            runs = simulate_active_clusters(
-                sc, pop, stream(1006, "c6", int(gamma * 10), n), reps, r_values=r_values
+            (runs,) = _monte_carlo(
+                sc, pop, stream(1006, "c6", int(gamma * 10), n), reps, r_values, [None]
             )
             for r, mc in zip(r_values, runs):
                 exact = expected_active_analytic(replace(sc, r=r), pop).expected_active

@@ -17,7 +17,12 @@ from helpercache import cli, placement_coded
 from helpercache.cli import build_parser, main, resolve_params
 from helpercache.d2d import MAX_MC_USERS, MAX_SCORES, MAX_USERS
 from helpercache.errors import IterationLimitError, UnboundedProblemError
-from helpercache.macro_sim import MAX_HELPERS, MAX_PLACEMENT_BYTES
+from helpercache.macro_sim import (
+    MAX_HELPERS,
+    MAX_PLACEMENT_BYTES,
+    MAX_USER_HELPER_PAIRS,
+    check_user_helper_pairs,
+)
 from helpercache.popularity import (
     catalog_size,
     fit_zipf,
@@ -33,6 +38,23 @@ def child_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
+
+
+def run_child(*argv, timeout=60):
+    """The exit code, the seconds `main` took and the stderr of the CLI run
+    in a child interpreter, which keeps a hang or an exhausted memory out of
+    the suite."""
+    probe = (
+        "import sys, time; from helpercache.cli import main; "
+        "t = time.perf_counter(); code = main(sys.argv[1:]); "
+        "print(code, time.perf_counter() - t)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=child_env(), capture_output=True, text=True, timeout=timeout,
+    )
+    code, seconds = done.stdout.split()
+    return int(code), float(seconds), done.stderr
 
 
 def run_cli(capsys, *argv):
@@ -117,18 +139,9 @@ class TestPlace:
         # Whole process on a 2-core Xeon: 0.45 s at 1024 helpers and 0.74 s
         # at 10^4, the helper cap.  A child process keeps a regression from
         # hanging the suite.
-        probe = (
-            "import sys, time; from helpercache.cli import main; "
-            "t = time.perf_counter(); code = main(sys.argv[1:]); "
-            "print(code, time.perf_counter() - t)"
-        )
         argv = ("place", "--helpers", str(helpers), "--out", str(tmp_path / "p.json"))
-        done = subprocess.run(
-            [sys.executable, "-c", probe, *argv],
-            env=child_env(), capture_output=True, text=True, timeout=120,
-        )
-        code, seconds = done.stdout.split()
-        assert int(code) == 0 and float(seconds) < bound_s
+        code, seconds, _ = run_child(*argv, timeout=120)
+        assert code == 0 and seconds < bound_s
         caches = json.loads((tmp_path / "p.json").read_text())
         assert len(caches) == helpers
         assert all(len(cache) <= 3 for cache in caches.values())
@@ -301,10 +314,19 @@ class TestPlace:
             "error: m=10000000 files at 56 helpers take 4480000000 bytes of "
             f"placements, above the cap of {MAX_PLACEMENT_BYTES}\n",
         ),
+        (
+            ("sweep-helpers", "--counts", "0", "--n", "10000001", "--reps", "1"),
+            "error: n=10000001 users at 0 helpers make 10000001 user-helper pairs, "
+            f"above the cap of {MAX_USER_HELPER_PAIRS}\n",
+        ),
+        (
+            ("simulate-macro", "--cell-radius", "1e308", "--helpers", "0", "--reps", "1"),
+            "error: cell_radius=1e+308 must be > 0 with a finite diameter\n",
+        ),
     ],
     ids=[
         "reps", "trace-samples", "samples", "place-helpers", "macro-helpers", "counts",
-        "place-bytes", "sweep-bytes",
+        "place-bytes", "sweep-bytes", "pairs-without-helpers", "cell-radius",
     ],
 )
 def test_oversized_macro_and_fit_inputs_exit_two_before_allocating(capsys, argv, message):
@@ -317,6 +339,40 @@ def test_oversized_macro_and_fit_inputs_exit_two_before_allocating(capsys, argv,
         tracemalloc.stop()
     assert (code, out, err) == (2, "", message)
     assert peak < 20e6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("place", "--cell-radius", "1e308"),
+        ("place", "--cell-radius", "1e308", "--helper-mode", "uniform"),
+    ],
+    ids=["grid", "uniform"],
+)
+def test_cell_of_infinite_diameter_exits_two_quickly(argv):
+    # 2 * 1e308 is inf: the grid layout found no lattice point inside and
+    # grew until memory ran out, and the uniform draw raised OverflowError.
+    code, seconds, err = run_child(*argv)
+    assert code == 2 and seconds < 1.0
+    assert err == "error: cell_radius=1e+308 must be > 0 with a finite diameter\n"
+
+
+@pytest.mark.parametrize(
+    "argv,pairs",
+    [
+        (("simulate-macro", "--n", "312501", "--helpers", "32", "--reps", "1",
+          "--gamma", "0.8"), 10_000_032),
+        (("place", "--n", "2500001"), 10_000_004),
+    ],
+    ids=["simulate-macro", "place"],
+)
+def test_users_times_helpers_past_the_cap_exit_two_quickly(argv, pairs):
+    # One pair past the cap.  10^7 users at 32 helpers asked for a 4.77 GiB
+    # array and ended in a traceback.
+    code, seconds, err = run_child(*argv)
+    assert code == 2 and seconds < 1.0
+    assert f"make {pairs} user-helper pairs, above the cap of {MAX_USER_HELPER_PAIRS}" in err
+    check_user_helper_pairs(MAX_USER_HELPER_PAIRS // 32, 32)  # at the cap: accepted
 
 
 MACRO_ARGS = [
@@ -531,22 +587,13 @@ class TestD2DCommands:
         # gamma1=20 leaves ranks past 2 so unlikely that filling a third cache
         # slot takes about 3.5e9 draws; the sampler refuses before drawing.  A
         # child process keeps a regression from hanging the suite.
-        probe = (
-            "import sys, time; from helpercache.cli import main; "
-            "t = time.perf_counter(); code = main(sys.argv[1:]); "
-            "print(code, time.perf_counter() - t)"
-        )
         argv = (
             "simulate-d2d", "--strategy", "random-zipf", "--gamma1", "20",
             "--M", "3", "--m", "100", "--n", "10", "--reps", "1", "--mode", "mc",
         )
-        done = subprocess.run(
-            [sys.executable, "-c", probe, *argv],
-            env=child_env(), capture_output=True, text=True, timeout=60,
-        )
-        code, seconds = done.stdout.split()
-        assert int(code) == 2 and float(seconds) < 1.0
-        assert "gamma1=20" in done.stderr and "M=3" in done.stderr
+        code, seconds, err = run_child(*argv)
+        assert code == 2 and seconds < 1.0
+        assert "gamma1=20" in err and "M=3" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -561,18 +608,9 @@ class TestD2DCommands:
         # 10^12 replications, or 8 grids x 10^8 (a 6.4 GB array of counts),
         # are refused before anything is allocated or drawn.  A child
         # process keeps a regression from exhausting the suite's memory.
-        probe = (
-            "import sys, time; from helpercache.cli import main; "
-            "t = time.perf_counter(); code = main(sys.argv[1:]); "
-            "print(code, time.perf_counter() - t)"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", probe, *argv],
-            env=child_env(), capture_output=True, text=True, timeout=60,
-        )
-        code, seconds = done.stdout.split()
-        assert int(code) == 2 and float(seconds) < 1.0
-        assert "reps=" in done.stderr and f"cap of {MAX_SCORES}" in done.stderr
+        code, seconds, err = run_child(*argv)
+        assert code == 2 and seconds < 1.0
+        assert "reps=" in err and f"cap of {MAX_SCORES}" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -587,37 +625,19 @@ class TestD2DCommands:
         # More than 10^8 users drawn in one Monte Carlo call (5 * 10^9 at
         # the default 500 devices, under the score cap) would run for
         # minutes; the call is refused before anything is drawn.
-        probe = (
-            "import sys, time; from helpercache.cli import main; "
-            "t = time.perf_counter(); code = main(sys.argv[1:]); "
-            "print(code, time.perf_counter() - t)"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", probe, *argv],
-            env=child_env(), capture_output=True, text=True, timeout=60,
-        )
-        code, seconds = done.stdout.split()
-        assert int(code) == 2 and float(seconds) < 1.0
-        assert "reps=" in done.stderr and f"cap of {MAX_MC_USERS}" in done.stderr
+        code, seconds, err = run_child(*argv)
+        assert code == 2 and seconds < 1.0
+        assert "reps=" in err and f"cap of {MAX_MC_USERS}" in err
 
     def test_random_caches_too_slow_for_the_run_exit_two_quickly(self):
         # gamma1=13.29 with M=2 passes the per-device bound (just under 1e4
         # draws) but would spend about 5e9 draws on 500 devices over 1000
         # replications; the whole-run bound refuses it before drawing.
-        probe = (
-            "import sys, time; from helpercache.cli import main; "
-            "t = time.perf_counter(); code = main(sys.argv[1:]); "
-            "print(code, time.perf_counter() - t)"
-        )
         argv = ("simulate-d2d", "--strategy", "random-zipf", "--gamma1", "13.29", "--M", "2")
-        done = subprocess.run(
-            [sys.executable, "-c", probe, *argv],
-            env=child_env(), capture_output=True, text=True, timeout=60,
-        )
-        code, seconds = done.stdout.split()
-        assert int(code) == 2 and float(seconds) < 1.0
+        code, seconds, err = run_child(*argv)
+        assert code == 2 and seconds < 1.0
         for name in ("gamma1=13.29", "M=2", "reps=1000"):
-            assert name in done.stderr
+            assert name in err
 
     def test_mc_runs_rerun_identically(self, capsys):
         argv = (
@@ -686,6 +706,23 @@ class TestD2DCommands:
 
 
 class TestScalingCheck:
+    def test_monte_carlo_runs_once_at_the_exact_optimum(self, capsys, tmp_path):
+        # Both modes pick the side of the exact maximum, and mc draws only
+        # there.  Drawing every one of the 633 sides took 12.2 s whole
+        # process (2-core Xeon) and kept side 200, the noisiest maximum.
+        out = tmp_path / "mc.csv"
+        common = ("--n-values", "100000", "--reps", "1")
+        code, seconds, _ = run_child(
+            "scaling-check", "--mode", "mc", *common, "--out", str(out), timeout=120
+        )
+        assert code == 0 and seconds < 3.0
+        header, rows = csv_rows(out.read_text(encoding="utf-8"))
+        row = dict(zip(header, rows[0]))
+        assert (float(row["r"]), row["K"], row["mode"]) == (1 / 196, "38416", "mc")
+        _, exact, _ = run_cli(capsys, "scaling-check", *common)
+        (analytic,) = csv_rows(exact)[1]
+        assert analytic[2:4] == [row["r"], row["K"]]
+
     def test_single_row_schema(self, capsys):
         code, out, _ = run_cli(
             capsys, "scaling-check", "--n-values", "100", "--gamma", "1.2"

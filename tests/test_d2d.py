@@ -301,8 +301,8 @@ class TestMonteCarlo:
             )
             rng = stream(3, "z")
             state = rng.bit_generator.state
-            stats = simulate_active_clusters(
-                sc, zipf_model(0.8, 10), rng, 200, r_values=[0.25, 0.1]
+            (stats,) = d2d._monte_carlo(
+                sc, zipf_model(0.8, 10), rng, 200, [0.25, 0.1], [gamma1]
             )
             assert [(st.expected_active, st.stderr) for st in stats] == [(0.0, 0.0)] * 2
             assert rng.bit_generator.state == state
@@ -370,7 +370,7 @@ class TestMonteCarlo:
         state = rng.bit_generator.state
         reps = d2d.MAX_SCORES // 2 + 1
         with pytest.raises(InvalidParameterError, match=f"reps={reps} over 2 "):
-            simulate_active_clusters(sc, sc.popularity(), rng, reps, r_values=[0.5, 0.25])
+            d2d._monte_carlo(sc, sc.popularity(), rng, reps, [0.5, 0.25], [None])
         assert rng.bit_generator.state == state
 
     def test_random_caches_bounded_over_the_whole_run(self):

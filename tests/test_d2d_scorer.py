@@ -1,6 +1,6 @@
 """The D2D scorer against the scorers it replaced, with `==`.
 
-`simulate_active_clusters` draws and scores blocks of replications:
+`d2d._monte_carlo` draws and scores blocks of replications:
 deterministic caches by each request's cache block, random caches by sorted
 request keys.  `d2d_oracles.simulate_blocks` draws the same blocks in the
 same stream layout and scores each with `d2d_oracles.score_chunk`, the
@@ -47,7 +47,7 @@ RAND = D2DScenario(
 
 def _assert_matches_oracle(sc, reps, r_values=R_VALUES, seed=3):
     pop = sc.popularity()
-    got = simulate_active_clusters(sc, pop, stream(seed, "s"), reps, r_values=r_values)
+    (got,) = d2d._monte_carlo(sc, pop, stream(seed, "s"), reps, r_values, [sc.gamma1])
     want = simulate_blocks(sc, pop, stream(seed, "s"), reps, r_values)
     assert got == want
     return got
@@ -171,8 +171,8 @@ def _assert_lattice_scores_alike(sc, monkeypatch):
     (want,) = simulate_blocks(sc, pop, stream(6, "lattice"), 20, [1 / 4])
     assert want.expected_active > 0
     sides = (4, 2**20, 2**31, 10**15)
-    got = simulate_active_clusters(
-        sc, pop, stream(6, "lattice"), 20, r_values=[1 / side for side in sides]
+    (got,) = d2d._monte_carlo(
+        sc, pop, stream(6, "lattice"), 20, [1 / side for side in sides], [sc.gamma1]
     )
     assert [st.K for st in got] == [side * side for side in sides]
     for st in got:
@@ -190,9 +190,7 @@ def test_deterministic_scoring_memory():
     sample_requests(pop, stream(1, "warm"), 1)  # the sampler's table stays untraced
     tracemalloc.start()
     try:
-        simulate_active_clusters(
-            sc, pop, stream(0, "memory"), 1000, r_values=[1.0, 0.1, 0.02]
-        )
+        d2d._monte_carlo(sc, pop, stream(0, "memory"), 1000, [1.0, 0.1, 0.02], [None])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -213,13 +213,13 @@ def test_r_values_score_one_draw_like_separate_calls():
     sc = _rand()
     pop = sc.popularity()
     r_values = [0.5, 0.3, 0.125]
-    grouped = simulate_active_clusters(sc, pop, stream(4, "g"), 60, r_values=r_values)
+    (grouped,) = d2d._monte_carlo(sc, pop, stream(4, "g"), 60, r_values, [sc.gamma1])
     single = [
         simulate_active_clusters(_rand(r=r), pop, stream(4, "g"), 60) for r in r_values
     ]
     assert grouped == single
     with pytest.raises(InvalidParameterError):
-        simulate_active_clusters(sc, pop, stream(4, "g"), 60, r_values=[0.5, 0.0])
+        d2d._monte_carlo(sc, pop, stream(4, "g"), 60, [0.5, 0.0], [sc.gamma1])
 
 
 def test_run_guard_fires_before_any_draw(monkeypatch):

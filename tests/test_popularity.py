@@ -220,6 +220,13 @@ def test_fit_flat_counts():
     assert m_hat == 20
 
 
+def test_fit_of_two_equal_counts_is_positive_zero():
+    # The slope is exactly 0, and its negation would print as -0.0.
+    gamma_hat, m_hat = fit_zipf_counts([1, 1])
+    assert (gamma_hat, m_hat) == (0.0, 2)
+    assert math.copysign(1.0, gamma_hat) == 1.0
+
+
 def test_fit_from_samples():
     model = zipf_model(1.2, 500)
     draws = sample_requests(model, hrng.stream(11, "fitme"), 1_000_000)

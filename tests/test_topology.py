@@ -145,6 +145,11 @@ def test_place_helpers_validation():
         place_helpers(4, "hexagon", 400.0)
     with pytest.raises(InvalidParameterError):
         place_helpers(4, "uniform", 400.0)
+    # 2 * 1e308 overflows: no draw or lattice point fits an infinite cell.
+    with pytest.raises(InvalidParameterError, match="finite diameter"):
+        place_helpers(4, "uniform", 1e308, hrng.stream(0, "wide"))
+    with pytest.raises(InvalidParameterError, match="finite diameter"):
+        place_uniform(4, 1e308, hrng.stream(0, "wide"))
 
 
 def test_layout_rejects_positions_outside_cell():
