@@ -57,6 +57,7 @@ from .topology import (
     build_connectivity,
     check_cell_radius,
     fetch_fastest_first,
+    link_rate,
     place_helpers,
     place_uniform,
 )
@@ -167,6 +168,13 @@ class MacroConfig:
             if not math.isfinite(value) or value <= 0:
                 raise InvalidParameterError(f"{name} must be finite and > 0")
         check_cell_radius(self.cell_radius_m)
+        # The base-station rate falls with distance, and at the cell edge it
+        # rounds to 0 past a radius of about 9.56e6 m.
+        if not link_rate(self.cell_radius_m, DEFAULT_MACRO_MODEL) > 0:
+            raise InvalidParameterError(
+                f"cell_radius={self.cell_radius_m!r} leaves users at the cell "
+                "edge a base-station rate of 0 bit/s"
+            )
         if self.helper_mode not in ("grid", "uniform"):
             raise InvalidParameterError("helper_mode must be 'grid' or 'uniform'")
         if self.gamma is not None and (not math.isfinite(self.gamma) or self.gamma < 0):

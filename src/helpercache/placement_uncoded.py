@@ -16,8 +16,9 @@ caching f, so ranks with equal S form a class.  `_greedy` sorts these
 gains in segments instead of popping a heap once per cached file: each class
 hands its members down a chain of classes, along which the gain never grows,
 so a heap's pop order is the order of the merge key (-gain, rank, depth on
-the chain).  A segment ends only when its items run out; a helper that fills
-or a class that is made re-routes just the items whose chains it changes.
+the chain).  A segment keeps at most a fixed number of items, and ends only
+when they run out; a helper that fills or a class that is made re-routes
+just the items whose chains it changes.
 Its trajectory, ties included, is that of the pairwise lazy greedy.
 """
 
@@ -151,7 +152,7 @@ _CLEAR_WIN = 1e-12
 _DORMANT = -3  # `best` of a class that chooses again when next reached
 
 # A segment of the greedy takes the first items of at most `_SEGMENT_RANKS`
-# ranks, and at most `_SEGMENT_ITEMS` items in all.
+# ranks, and keeps at most `_SEGMENT_ITEMS` items in all (`_budgeted`).
 _SEGMENT_RANKS = 2048
 _SEGMENT_ITEMS = 4096
 
@@ -346,14 +347,10 @@ class _Segments:
             items[_STOP, asleep[items[_ROW]]] = 1
         return np.array(now, dtype=np.int64)
 
-    def walk(self, ranks, rows, limit, cap=None):
+    def walk(self, ranks, rows, limit):
         """The items of key at most `limit` on the chains of `ranks` from
-        class rows `rows`, unsorted, and the limit then in force.
-
-        With `cap`, the limit is lowered to the cap-th key whenever more
-        items pass it.
-        """
-        parts, count = [], 0
+        class rows `rows`, unsorted."""
+        parts = []
         top, i, d = limit
         while ranks.size:
             gain = self.weights[ranks] * self.sig[rows]
@@ -365,16 +362,6 @@ class _Segments:
             if not keep.all():
                 ranks, rows, gain = ranks[keep], rows[keep], gain[keep]
             parts.append((ranks, rows, gain))
-            count += ranks.size
-            if cap is not None and count > cap:
-                at, at_rows, g = (np.concatenate(a) for a in zip(*parts))
-                level = self.depth[at_rows]
-                top, i, d = _kth_key(g, at, level, cap)
-                keep = _within(g, at, level, (top, i, d))
-                parts = [(at[keep], at_rows[keep], g[keep])]
-                count = cap
-                keep = _within(gain, ranks, self.depth[rows], (top, i, d))
-                ranks, rows = ranks[keep], rows[keep]
             # The gain does not grow along a chain, so a rank's next item
             # passes the limit only if this one did.
             nxt = self.nxt[rows]
@@ -382,17 +369,14 @@ class _Segments:
             ranks, rows = ranks[on], nxt[on]
         if len(parts) == 1:
             ranks, rows, gain = parts[0]
-        elif parts:
-            ranks, rows, gain = (np.concatenate(a) for a in zip(*parts))
         else:
-            ranks, rows, gain = _NONE, _NONE, np.zeros(0)
+            ranks, rows, gain = (np.concatenate(a) for a in zip(*parts))
         helper = self.best[rows]
         alone = (gain < sys.float_info.min) | (gain == math.inf) | (helper < 0)
         stop = alone | (self.nxt[rows] < 0)
-        items = np.concatenate(
+        return np.concatenate(
             (ranks, self.depth[rows], gain.view(np.int64), rows, helper, stop)
         ).reshape(6, -1)
-        return items, (top, i, d)
 
     def items(self, head: np.ndarray, rows: np.ndarray, beyond: float):
         """The segment's items sorted by key, and the limit of their keys;
@@ -400,11 +384,11 @@ class _Segments:
 
         An item is a rank at a class of its chain; its key is (-gain, rank,
         depth of the class).  The segment takes every item whose key is at
-        most a limit: the first items of at most `_SEGMENT_RANKS` ranks pass
-        it, and at most `_SEGMENT_ITEMS` items do.  Every other item's key is
-        larger, that of every rank after those in `head` too: their gains are
-        at most `beyond` (-1 if there are none).  Items are the columns of
-        one int64 array, see `_RANK`.
+        most a limit that the first items of at most `_SEGMENT_RANKS` ranks
+        pass, then keeps the first `_SEGMENT_ITEMS` (`_budgeted`).  Every
+        other item's key is larger, that of every rank after those in `head`
+        too: their gains are at most `beyond` (-1 if there are none).  Items
+        are the columns of one int64 array, see `_RANK`.
         """
         n = head.size
         limit = (-1.0, 0, 0)  # admits every item: gains are >= 0
@@ -420,8 +404,7 @@ class _Segments:
             keep[ties] = True
             limit = (top, head[ties[-1]], self.depth[rows[ties[-1]]])
             head, rows = head[keep], rows[keep]
-        items, limit = self.walk(head, rows, limit, _SEGMENT_ITEMS)
-        return _sorted(items), limit
+        return _budgeted(_sorted(self.walk(head, rows, limit)), limit)
 
     def repair(self, items, limit, changed, link=None, moved=None):
         """The pending `items` and their limit after a step changed classes.
@@ -466,16 +449,8 @@ class _Segments:
                 ranks, rows = (np.concatenate(a) for a in zip(*starts))
             else:
                 ranks, rows = starts[0]
-            new, _ = self.walk(ranks, rows, limit)
-            items = _merged(items, _sorted(new))
-        if items.shape[1] > _SEGMENT_ITEMS:
-            # Chains that reach new classes add items: keep the first ones,
-            # and lower the limit to the last kept.
-            k = _SEGMENT_ITEMS
-            gain = items[_GAIN, k - 1 : k].view(np.float64)[0]
-            limit = (gain, items[_RANK, k - 1], items[_DEPTH, k - 1])
-            items = items[:, :k]
-        return items, limit
+            items = _merged(items, _sorted(self.walk(ranks, rows, limit)))
+        return _budgeted(items, limit)
 
     def drain(self, items, limit, out, moves) -> bool:
         """Commit the segment's `items` in key order, steps to `out` and
@@ -583,18 +558,14 @@ def _normal(bits: np.ndarray) -> bool:
     return sys.float_info.min <= g < math.inf
 
 
-def _kth_key(gain, at, level, k):
-    """The k-th smallest key (-gain, at, level), as (gain, at, level)."""
-    top = np.partition(gain, gain.size - k)[gain.size - k]
-    ties = (gain == top).nonzero()[0]
-    j = ties[np.lexsort((level[ties], at[ties]))[k - np.count_nonzero(gain > top) - 1]]
-    return top, at[j], level[j]
-
-
-def _within(gain, at, level, limit):
-    """Which items' keys (-gain, at, level) are at most `limit`'s."""
-    top, i, d = limit
-    return (gain > top) | (gain == top) & ((at < i) | (at == i) & (level <= d))
+def _budgeted(items, limit):
+    """The first `_SEGMENT_ITEMS` of the sorted `items`, and their limit,
+    lowered to the key of the last one kept if any are dropped."""
+    k = _SEGMENT_ITEMS
+    if items.shape[1] <= k:
+        return items, limit
+    gain = items[_GAIN, k - 1 : k].view(np.float64)[0]
+    return items[:, :k], (gain, items[_RANK, k - 1], items[_DEPTH, k - 1])
 
 
 def _sorted(items):
@@ -652,12 +623,11 @@ def _greedy(graph, pop, specs, file_bits):
 
     The greedy therefore advances a segment at a time.  A segment takes the
     items of smallest key (from the first items of at most `_SEGMENT_RANKS`
-    ranks, at most `_SEGMENT_ITEMS` in all; every item left out has a larger
-    key), sorts them and commits them in key order.  It ends when its items
-    run out, or at the first non-positive gain, which ends the greedy.  Three
-    kinds of step change chains while it runs; after each, only the items it
-    touches are walked again, from the changed class, and merged back into
-    the sorted items:
+    ranks; every item left out has a larger key), sorts them and commits
+    them in key order.  It ends when its items run out, or at the first
+    non-positive gain, which ends the greedy.  Three kinds of step change
+    chains while it runs; after each, only the items it touches are walked
+    again, from the changed class, and merged back into the sorted items:
 
     - a helper fills: the classes that chose it, or had no clear winner, run
       `_clear_winner` again (at once if an item is pending at them, else
@@ -672,8 +642,9 @@ def _greedy(graph, pop, specs, file_bits):
       rounding can tie helpers whose `s` differ.  Its rank walks again from
       the class it joins.
 
-    When the new chains add more than `_SEGMENT_ITEMS` items, the segment
-    keeps its first ones and lowers its limit to the last kept.
+    One rule keeps a segment within `_SEGMENT_ITEMS` items, when it is taken
+    and after every re-route: it keeps its first `_SEGMENT_ITEMS` sorted
+    items and lowers its limit to the key of the last one kept.
     """
     if specs.n_helpers != graph.n_helpers:
         raise InfeasiblePlacementError("specs/graph helper counts differ")

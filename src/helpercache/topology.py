@@ -115,14 +115,6 @@ class CellLayout:
         object.__setattr__(self, "helpers", helpers)
         object.__setattr__(self, "users", users)
 
-    @property
-    def n_helpers(self) -> int:
-        return self.helpers.shape[0]
-
-    @property
-    def n_users(self) -> int:
-        return self.users.shape[-2]
-
 
 def place_uniform(count: int, cell_radius: float, rng: np.random.Generator) -> np.ndarray:
     """`count` i.i.d. uniform points on the disc, by rejection from the square."""

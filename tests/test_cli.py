@@ -357,6 +357,25 @@ def test_cell_of_infinite_diameter_exits_two_quickly(argv):
     assert err == "error: cell_radius=1e+308 must be > 0 with a finite diameter\n"
 
 
+@pytest.mark.parametrize("command", ["place", "simulate-macro"])
+def test_cell_whose_edge_rate_rounds_to_zero_exits_two_quickly(command):
+    # Past a radius of about 9.56e6 m the default macro link's rate at the
+    # cell edge rounds to 0, which used to surface as a base-station rate
+    # error that named neither the flag nor the radius.
+    code, seconds, err = run_child(command, "--cell-radius", "1e7")
+    assert code == 2 and seconds < 1.0
+    assert err == (
+        "error: cell_radius=10000000.0 leaves users at the cell edge a "
+        "base-station rate of 0 bit/s\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["place", "simulate-macro"])
+def test_cell_of_5e6_m_still_runs(capsys, command):
+    code, out, err = run_cli(capsys, command, "--cell-radius", "5e6")
+    assert code == 0 and out and not err
+
+
 @pytest.mark.parametrize(
     "argv,pairs",
     [
