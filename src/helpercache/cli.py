@@ -17,8 +17,6 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .d2d import D2DScenario, scaling_check, sweep_gamma1, sweep_r
 from .errors import (
@@ -50,7 +48,7 @@ from .popularity import (
     fit_zipf,
     fit_zipf_counts,
     read_trace_csv,
-    sample_requests,
+    request_counts,
     zipf_model,
 )
 from .rng import stream
@@ -253,20 +251,21 @@ COMMANDS: dict[str, list[Param]] = {
 
 
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser.  Every subcommand is registered; with `only`, just that
-    one gets its arguments, which is all that parsing a call of it reads."""
+    """The CLI parser.  With `only`, just that subcommand is registered, which
+    is all that parsing a call of it reads, under the full parser's usage line."""
     top = argparse.ArgumentParser(
         prog="helpercache",
         description="Cache placement and delivery experiments for helper and D2D networks.",
     )
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = top.add_subparsers(dest="command", required=True)
-    for command, params in COMMANDS.items():
+    # argparse names the choices from the registered subcommands; with `only`
+    # the metavar keeps every command in the usage line.
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    for command in COMMANDS if only is None else [only]:
         sp = sub.add_parser(command)
-        if only is not None and command != only:
-            continue
         sp.add_argument("--config", default=None, help="JSON file of parameter overrides")
-        for param in _COMMON + params:
+        for param in _COMMON + COMMANDS[command]:
             sp.add_argument(
                 f"--{param.name.replace('_', '-')}",
                 dest=param.name,
@@ -414,8 +413,8 @@ def _run_fit(p: dict, emitter: _Emitter) -> int:
     else:
         check_samples("samples", p["samples"])
         model = zipf_model(p["synthetic_gamma"], p["m"])
-        samples = sample_requests(model, stream(p["seed"], "fit-trace"), p["samples"])
-        gamma_hat, m_hat = fit_zipf_counts(np.bincount(samples))
+        counts = request_counts(model, stream(p["seed"], "fit-trace"), p["samples"])
+        gamma_hat, m_hat = fit_zipf_counts(counts)
     sys.stdout.write(f"gamma_hat={_format(float(gamma_hat))}\n")
     sys.stdout.write(f"m_hat={m_hat}\n")
     if p["out"] is not None:

@@ -45,6 +45,7 @@ from .popularity import (
     PopularityModel,
     check_samples,
     fit_zipf_counts,
+    request_counts,
     sample_requests,
     zipf_model,
 )
@@ -192,10 +193,8 @@ def experiment_popularity(config: MacroConfig, root_seed: int) -> PopularityMode
     if config.gamma is not None:
         return zipf_model(config.gamma, config.catalog_size)
     source = zipf_model(config.trace_gamma, config.catalog_size)
-    samples = sample_requests(
-        source, stream(root_seed, "fit-trace"), config.trace_samples
-    )
-    gamma_hat, _ = fit_zipf_counts(np.bincount(samples))
+    counts = request_counts(source, stream(root_seed, "fit-trace"), config.trace_samples)
+    gamma_hat, _ = fit_zipf_counts(counts)
     return zipf_model(max(gamma_hat, 0.0), config.catalog_size)
 
 

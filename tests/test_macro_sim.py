@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from helpercache.placement_uncoded import (
     Placement,
     most_popular_place,
 )
-from helpercache.popularity import zipf_model
+from helpercache.popularity import fit_zipf_counts, sample_requests, zipf_model
 from helpercache.rng import stream
 from helpercache.topology import (
     DEFAULT_HELPER_MODEL,
@@ -337,6 +338,28 @@ class TestMacroConfig:
         pop = experiment_popularity(config, root_seed=11)
         assert pop.m == 500
         assert abs(pop.gamma - 0.8) < 0.1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fitted_gamma_is_the_fit_of_the_sampled_ranks(self, seed):
+        config = MacroConfig()
+        source = zipf_model(config.trace_gamma, config.catalog_size)
+        ranks = sample_requests(source, stream(seed, "fit-trace"), config.trace_samples)
+        gamma_hat, _ = fit_zipf_counts(np.bincount(ranks))
+        assert experiment_popularity(config, seed).gamma == max(gamma_hat, 0.0)
+
+    def test_fitting_trace_holds_no_ranks(self):
+        # A million int64 ranks would take 8 MB; the fit counts them a
+        # block at a time.  The peak is the guide table's construction.  A
+        # first call is made untraced, so that lazy imports are not counted.
+        experiment_popularity(MacroConfig(trace_samples=10), 0)
+        config = MacroConfig(trace_samples=10**6)
+        tracemalloc.start()
+        try:
+            experiment_popularity(config, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_make_placement_rejects_unknown_policy(self):
         config = MacroConfig(catalog_size=20, capacity=2, gamma=0.8)

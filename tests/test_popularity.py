@@ -18,6 +18,7 @@ from helpercache.popularity import (
     fit_zipf,
     fit_zipf_counts,
     read_trace_csv,
+    request_counts,
     sample_requests,
     zipf_model,
 )
@@ -174,8 +175,15 @@ def test_guide_bounds_agree_when_breakpoints_are_bucket_edges():
     assert np.array_equal(guide, np.arange(_GUIDE) // 64 + 1)
 
 
+# 2^16 draws are a whole number of blocks for every power-of-two block size
+# up to 2^16, so sizes next to its multiples are block edges as well.
+_WIDE = 1 << 16
+
+
 @pytest.mark.parametrize("gamma,m", GUIDE_MODELS)
-@pytest.mark.parametrize("size", [0, 1, _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK])
+@pytest.mark.parametrize(
+    "size", [0, 1, _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK, _WIDE + 1, 3 * _WIDE]
+)
 def test_one_table_sampler_equals_the_two_table_sampler(gamma, m, size):
     model = zipf_model(gamma, m)
     rng, twin = hrng.stream(8, "tables", size), hrng.stream(8, "tables", size)
@@ -188,7 +196,9 @@ def test_one_table_sampler_equals_the_two_table_sampler(gamma, m, size):
 
 @pytest.mark.parametrize("gamma,m", [(0.0, 1024), (1.5, 1), (0.6, 1000), (3.0, 100_000)])
 @pytest.mark.parametrize(
-    "size", [0, 1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 2 * _SAMPLE_BLOCK + 5]
+    "size",
+    [0, 1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 2 * _SAMPLE_BLOCK + 5]
+    + [_WIDE - 1, _WIDE, _WIDE + 1, 2 * _WIDE + 5],
 )
 def test_sampler_reads_one_uniform_per_rank(gamma, m, size):
     model = zipf_model(gamma, m)
@@ -196,6 +206,25 @@ def test_sampler_reads_one_uniform_per_rank(gamma, m, size):
     ranks = sample_requests(model, rng, size)
     assert np.array_equal(ranks, _search_ranks(model, twin.random(size)))
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("gamma,m", GUIDE_MODELS)
+@pytest.mark.parametrize(
+    "size", [0, 1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 2 * _SAMPLE_BLOCK + 5]
+)
+def test_request_counts_are_the_bincount_of_the_samples(gamma, m, size):
+    model = zipf_model(gamma, m)
+    rng, twin = hrng.stream(5, "counts", size), hrng.stream(5, "counts", size)
+    counts = request_counts(model, rng, size)
+    want = np.bincount(sample_requests(model, twin, size), minlength=m + 1)
+    assert counts.dtype == want.dtype
+    assert np.array_equal(counts, want)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_request_counts_refuse_a_negative_size():
+    with pytest.raises(InvalidParameterError):
+        request_counts(zipf_model(0.8, 10), hrng.stream(0, "counts"), -1)
 
 
 def test_catalog_size_values():
