@@ -36,8 +36,11 @@ _WINDOW = 12.0  # first occupancy window: n/K +- _WINDOW * (std + 1)
 # Expected draws to fill one random cache row above which the input is refused.
 RANDOM_CACHE_MAX_DRAWS = 1e4
 # Expected draws to fill every random cache of one Monte Carlo run above which
-# the input is refused; at about 0.2 us a draw (2-core Xeon) that is under two
-# minutes of filling.
+# the input is refused.  A draw is compared with its row's ranks, so it costs
+# more as M grows (2-core Xeon, 1000 files): 11-34 ns up to M = 16, about
+# 0.1 us at M = 128-256 and 0.76 us at M = 900, where a run just under the
+# cap (`simulate-d2d --mode mc --strategy random-zipf --gamma1 0 --M 900
+# --reps 435`) took 312 s whole process.
 RANDOM_RUN_MAX_DRAWS = 5e8
 # Users per cell above which a scenario is refused.  Between n = 10^6 and
 # 10^7 (reps=1), a Monte Carlo run's peak memory grows by about 56 bytes per
@@ -53,9 +56,10 @@ MAX_USERS = 10**7
 MAX_SCORES = 10**7
 # Users drawn by one Monte Carlo call (n * reps) above which it is refused,
 # for MAX_SCORES bounds its memory but not its time.  At the cap,
-# `simulate-d2d --mode mc --reps 200000` (n = 500) takes 8 s whole process,
-# 25 s with random caches (--strategy random-zipf --gamma1 1 --M 4), and
-# `sweep-r --mode mc` over eight grids 31 s, in 42-53 MB (2-core Xeon).
+# `simulate-d2d --mode mc --reps 200000` (n = 500) takes 3.6-3.7 s whole
+# process, 11-13 s with random caches (--strategy random-zipf --gamma1 1
+# --M 4), and `sweep-r --mode mc` over eight grids 17-18 s, in 42-53 MB
+# (2-core Xeon).
 # Time grows with the grids, the caching models and M.
 MAX_MC_USERS = 10**8
 
@@ -199,7 +203,7 @@ def _random_caches(
     m = model.m
     if M > m:
         raise InvalidParameterError("random caches need M <= m")
-    dtype = np.min_scalar_type(m)
+    dtype = np.min_scalar_type(m)  # the dtype of sample_requests' ranks
     if M == 0 or count == 0:
         return np.zeros((count, M), dtype=dtype)
     if M == m:
@@ -211,23 +215,24 @@ def _random_caches(
     # j * count + i, so a row is complete once its index reaches M * count.
     slot = np.arange(count, 2 * count)
     for t in range(1, M):
-        draws = sample_requests(model, rng, count).astype(dtype)
+        draws = sample_requests(model, rng, count)
         fresh = held[0] != draws
         for column in held[1:t]:
             fresh &= column != draws
         flat[slot] = draws
-        np.add(slot, count, out=slot, where=fresh)
+        slot += fresh * count
     rows = np.flatnonzero(slot < M * count)
-    slot = slot[rows]  # kept aligned with the incomplete rows
+    slot = slot.take(rows)  # kept aligned with the incomplete rows
     while rows.size:
-        draws = sample_requests(model, rng, rows.size).astype(dtype)
-        fresh = held[0][rows] != draws
+        draws = sample_requests(model, rng, rows.size)
+        fresh = held[0].take(rows) != draws
         for column in held[1:]:
-            fresh &= column[rows] != draws
+            fresh &= column.take(rows) != draws
         flat[slot] = draws
-        np.add(slot, count, out=slot, where=fresh)
-        open_rows = slot < M * count
-        rows, slot = rows[open_rows], slot[open_rows]
+        slot += fresh * count
+        open_rows = np.flatnonzero(slot < M * count)
+        rows = rows.take(open_rows)  # the old rows go before the slots are taken
+        slot = slot.take(open_rows)
     return held.T
 
 
@@ -422,13 +427,12 @@ def _draw_block(
     users = reps * scenario.n
     x, y = rng.random((2, users))
     requests = sample_requests(pop, rng, users)
-    dtype = np.min_scalar_type(scenario.m)
     if scenario.strategy == "random-zipf":
-        return _Draws(x, y, None, requests.astype(dtype), None, None)
+        return _Draws(x, y, None, requests, None, None)
     requests -= 1
     requests //= min(scenario.M, scenario.m)
     requests += 1
-    return _Draws(x, y, requests.astype(dtype), None, None, None)
+    return _Draws(x, y, requests, None, None, None)
 
 
 def _with_caches(draws: _Draws, caches: np.ndarray) -> _Draws:
@@ -502,8 +506,8 @@ def _score_block(
     j = np.arange(1, total + 1)
     j -= head
     active &= b != j
-    head = head[active]
-    head = head[np.diff(head, prepend=-1) != 0]  # one entry per active group
+    head = np.compress(active, head)
+    head = np.compress(np.diff(head, prepend=-1) != 0, head)  # one per active group
     return np.bincount(rep[head], minlength=reps).astype(float)
 
 
@@ -521,16 +525,23 @@ def _score_random(
     Each cache rank and each request becomes a key gid * (m + 1) + rank,
     with group id gid = rep * K + cell.  Cache keys enter one array as
     key << 2 and request keys as key << 2 | 2 | own, with `own` set when the
-    requester holds its request itself, and the array is sorted once.  A
-    cache row holds distinct ranks, so a requester's own copy is at most one
-    of its group's copies.  The first request of a rank in a group, at
-    sorted position p, is served by another user iff
-    keys[p - 1 - own] == key << 2.  Later requests of the rank can read the
-    wrong entry without changing the group's answer: requesters without
-    their own copy sort first and are served iff anyone holds the rank, and
-    two requesters that hold it themselves hold two copies.  A request key
-    names its group, so the active groups come out sorted and are counted
-    without an array of reps * K.
+    requester holds its request itself, and the array is sorted.  A cache
+    row holds distinct ranks, so a requester's own copy is at most one of
+    its group's copies.  The first request of a rank in a group, at sorted
+    position p, is served by another user iff keys[p - 1 - own] == key << 2.
+    Later requests of the rank can read the wrong entry without changing
+    the group's answer: requesters without their own copy sort first and
+    are served iff anyone holds the rank, and two requesters that hold it
+    themselves hold two copies.  A request key names its group, so the
+    active groups come out sorted and are counted without an array of
+    reps * K.
+
+    When the users are n per replication, rep-major as the block loop draws
+    them, each replication's keys are sorted in a row of their own, which
+    takes less time than one sort of them all.  A row's keys all lie below
+    the next row's, so the rows end to end are the sorted array; the lookup
+    of a row's first request may read the row before, whose keys name
+    other groups and never match.
 
     Keys are int32 when 4 * reps * K * (m + 1) < 2^31 and int64 otherwise.
     Where even int64 would overflow, the occupied (rep, cell) pairs are
@@ -562,7 +573,12 @@ def _score_random(
     asked <<= 2
     asked |= 2
     asked |= draws.own
+    # The keys are built in whole columns and then copied into one row per
+    # replication, which costs less than building them in strided views.
+    rows = reps if total == reps * scenario.n else 1
+    keys = keys.reshape(M + 1, rows, -1).swapaxes(0, 1).reshape(rows, -1)
     keys.sort()
+    keys = keys.reshape(-1)
     # The requests' sorted positions; the tag is read from each key's low
     # byte, so the temporaries take a byte per key.
     at = np.flatnonzero(np.bitwise_and(keys, 2, dtype=np.uint8, casting="unsafe") != 0)
@@ -570,9 +586,9 @@ def _score_random(
     at -= 1
     at -= key & 1
     key >>= 2
-    held = key[keys[at] == key << 2]
+    held = np.compress(keys[at] == key << 2, key)
     held //= stride  # group ids of the active users, sorted
-    held = held[np.diff(held, prepend=-1) != 0]
+    held = np.compress(np.diff(held, prepend=-1) != 0, held)
     active_rep = held // K if rep_of_group is None else rep_of_group[held]
     return np.bincount(active_rep, minlength=reps).astype(float)
 

@@ -126,13 +126,15 @@ def sample_requests(
 
     The uniforms are drawn and mapped in blocks of _SAMPLE_BLOCK, which
     consume the stream exactly as one rng.random(size) does.  The ranks are
-    int64, 8 bytes each, so 0.8 GB at MAX_SAMPLES.  A caller that needs only
-    how often each rank is drawn calls `request_counts`, which holds one
-    block: `fit` at MAX_SAMPLES peaks at 39 MB whole process.
+    in the guide's dtype, the narrowest unsigned one that holds m: 1 byte
+    each up to 255 files, 2 up to 65535 and 4 past that, so at most 0.4 GB
+    at MAX_SAMPLES.  A caller that needs only how often each rank is drawn
+    calls `request_counts`, which holds one block: `fit` at MAX_SAMPLES
+    peaks at 39 MB whole process.
     """
     if size < 0:
         raise InvalidParameterError("size must be >= 0")
-    out = np.empty(size, dtype=np.int64)
+    out = np.empty(size, dtype=np.min_scalar_type(model.m))
     for start in range(0, size, _SAMPLE_BLOCK):
         u = rng.random(min(_SAMPLE_BLOCK, size - start))
         out[start : start + u.size] = _block_ranks(model, u)

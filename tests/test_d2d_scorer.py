@@ -255,6 +255,33 @@ def test_every_small_group_scores_like_the_two_sort_scorer(n, M, K):
     assert pairs >= {(0, 0), (0, 1), (1, 1)}
 
 
+@pytest.mark.parametrize(
+    "rep1_caches,rep1_requests",
+    [([[4], [5]], [3, 5]), ([[3], [5]], [3, 4])],
+    ids=["request", "own-copy"],
+)
+def test_keys_at_a_replication_edge(rep1_caches, rep1_requests):
+    # Two replications of two users in one cell, n users each, so each
+    # replication's keys are sorted in a row of their own.  Replication 0
+    # ends with a cache key of rank 3, and replication 1 starts with a
+    # request of rank 3, or with its requester's own copy of it, so the
+    # request's lookup reads replication 0's last key.  Neither replication
+    # is active.
+    caches = np.array([[[3], [2]], rep1_caches])
+    requests = np.array([[1, 1], rep1_requests])
+    ranks_of = [np.concatenate((c.ravel(), r)) for c, r in zip(caches, requests)]
+    assert ranks_of[0].max() == 3 == ranks_of[1].min()
+    assert 3 in caches[0] and 3 not in requests[0]
+    holders = [u for u, row in enumerate(caches[1]) if 3 in row]
+    assert holders in ([], [requests[1].tolist().index(3)])
+    draws, rep, cell, reps = _groups_block(caches, requests, 1)
+    sc = D2DScenario(n=2, m=5, M=1, r=1.0, gamma=0.5, strategy="random-zipf", gamma1=0.5)
+    got = _score_random(sc, draws, rep, reps, cell, 1)
+    assert np.array_equal(got, [0.0, 0.0])
+    assert np.array_equal(got, score_random_two_sorts(sc, draws, rep, reps, cell, 1))
+    assert np.array_equal(got, _brute_force(caches, requests, 1, reps))
+
+
 def test_single_file_catalog_scores_groups_of_two_as_active():
     # m = 1: every user holds and asks for rank 1, so a group is active iff
     # it holds two users.
@@ -288,6 +315,23 @@ def test_numbered_groups_score_like_the_two_sort_scorer(side):
     got = _score_random(sc, draws, rep, reps, cell, K)
     assert got.sum() > 0
     assert np.array_equal(got, score_random_two_sorts(sc, draws, rep, reps, cell, K))
+
+
+def test_steep_fill_keeps_its_memory():
+    # 2^19 caches of 4 ranks at gamma1 = 2, where most rows are still open
+    # after round M, so the later rounds compact long arrays of open rows.
+    # The fill that compacted them through boolean masks peaked at 20.68 MB
+    # here (20.69 MB under pytest), and at 23.6 MB when its open rows and
+    # slots were both taken before the old ones were dropped.
+    model = zipf_model(2.0, 1000)
+    sample_requests(model, stream(1, "warm"), 1)  # the sampler's table stays untraced
+    tracemalloc.start()
+    try:
+        _random_caches(1 << 19, 4, model, stream(0, "memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20.7e6
 
 
 @pytest.mark.parametrize(

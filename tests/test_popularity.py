@@ -144,7 +144,7 @@ def test_sampler_equals_binary_search_on_edge_uniforms(gamma, m):
     source = _FixedUniforms(u)
     ranks = sample_requests(model, source, u.size)
     assert source.used == u.size
-    assert ranks.dtype == np.int64
+    assert ranks.dtype == np.min_scalar_type(m)
     assert np.array_equal(ranks, _search_ranks(model, u))
 
 
@@ -189,7 +189,7 @@ def test_one_table_sampler_equals_the_two_table_sampler(gamma, m, size):
     rng, twin = hrng.stream(8, "tables", size), hrng.stream(8, "tables", size)
     ranks = sample_requests(model, rng, size)
     want = sample_two_tables(model, twin, size)
-    assert ranks.dtype == want.dtype == np.int64
+    assert ranks.dtype == np.min_scalar_type(m)
     assert np.array_equal(ranks, want)
     assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -206,6 +206,24 @@ def test_sampler_reads_one_uniform_per_rank(gamma, m, size):
     ranks = sample_requests(model, rng, size)
     assert np.array_equal(ranks, _search_ranks(model, twin.random(size)))
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+@pytest.mark.parametrize("m", [255, 256, 65535, 65536])
+def test_sampler_ranks_at_the_dtype_edges(gamma, m):
+    # The ranks come in the guide's dtype, the narrowest unsigned one that
+    # holds m: at 255 and 65535 files the last rank is its largest value,
+    # at 256 and 65536 the dtype is one size wider.
+    model = zipf_model(gamma, m)
+    size = 2 * _WIDE + 5
+    rng, twin = hrng.stream(6, "edges", m), hrng.stream(6, "edges", m)
+    ranks = sample_requests(model, rng, size)
+    assert ranks.dtype == np.min_scalar_type(m)
+    assert np.array_equal(ranks, _search_ranks(model, twin.random(size)))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    ends = sample_requests(model, _FixedUniforms([0.0, np.nextafter(1.0, 0.0)]), 2)
+    assert ends.dtype == np.min_scalar_type(m)
+    assert ends.tolist() == [1, m]
 
 
 @pytest.mark.parametrize("gamma,m", GUIDE_MODELS)
