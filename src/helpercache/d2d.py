@@ -2,11 +2,12 @@
 
 Users land uniformly in the cell; each cluster of side r is a potential D2D
 collaboration domain.  A cluster is active when some user's request sits in
-another same-cluster user's cache (a request found in the user's own cache is
-served locally and does not activate the cluster).  The module computes the
-expected number of active clusters analytically for the deterministic caching
-rule and by Monte Carlo for both caching rules, plus the collaboration-radius
-and caching-exponent sweeps and scaling tables.
+another same-cluster user's cache, whether or not the requester holds it too;
+a request that only the requester's own cache holds does not activate the
+cluster.  The module computes the expected number of active clusters
+analytically for the deterministic caching rule and by Monte Carlo for both
+caching rules, plus the collaboration-radius and caching-exponent sweeps and
+scaling tables.
 
 The analytic expression is an independent derivation (expectation over the
 binomial cluster occupancy of one minus the all-miss product) and is validated
@@ -15,10 +16,10 @@ against this module's own Monte Carlo, not against published values.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ logger = logging.getLogger(__name__)
 
 STRATEGIES = ("deterministic", "random-zipf")
 TILE_TOL = 1e-9
-_ANALYTIC_BLOCK = 1 << 14  # factors per all-miss product block; log-factorials per fill
+_ANALYTIC_BLOCK = 1 << 14  # factors per all-miss product block; log-factorials per cached block
 _BLOCK_USERS = 1 << 14  # users drawn and scored at once, so that temporaries stay in cache
 _WINDOW = 12.0  # first occupancy window: n/K +- _WINDOW * (std + 1)
 # Expected draws to fill one random cache row above which the input is refused.
@@ -45,8 +46,9 @@ RANDOM_RUN_MAX_DRAWS = 5e8
 # Users per cell above which a scenario is refused.  Between n = 10^6 and
 # 10^7 (reps=1), a Monte Carlo run's peak memory grows by about 56 bytes per
 # user (51 with random caches of M = 1), so the cap keeps a run near 0.6 GB;
-# an analytic run's stays near 37 MB, because it computes only the
-# log-factorials that its occupancy windows read.
+# an analytic run's stays near 32 MB (38 MB for `scaling-check --n-values
+# 10000000`), because it computes only the log-factorials that its occupancy
+# windows read.
 MAX_USERS = 10**7
 # (Caching model, cluster grid, replication) triples above which a Monte
 # Carlo call is refused.  A call keeps 8 bytes per triple and, for the
@@ -211,6 +213,8 @@ def _random_caches(
     held = np.zeros((M, count), dtype=dtype)
     flat = held.reshape(-1)
     held[0] = sample_requests(model, rng, count)  # round 1 draws no duplicate
+    if M == 1:
+        return held.T
     # Flat index of each row's next free slot: column j of row i is at
     # j * count + i, so a row is complete once its index reaches M * count.
     slot = np.arange(count, 2 * count)
@@ -236,55 +240,37 @@ def _random_caches(
     return held.T
 
 
-# log(k!) for k = 0, 1, ..., grown on demand; an _ANALYTIC_BLOCK block of it
-# holds values once `_FILLED` marks it, and is filled the first time it is read.
-_LOG_FACTORIALS = np.zeros(0)
-_FILLED = np.zeros(0, dtype=bool)
-
-
-def _log_factorials(n: int, ks: np.ndarray) -> np.ndarray:
-    """A read-only table of log(k!) for k = 0..n that holds values at n and
-    at every k and n - k of the nonempty, increasing `ks` in 0..n.
-
-    One table serves every call.  It grows to cover n, and it fills only the
-    _ANALYTIC_BLOCK blocks that the ranges ks[0]..ks[-1] and n - ks[-1] ..
-    n - ks[0] and n itself reach, each by the same math.lgamma calls the
-    first time; its other entries are undefined.  The occupancy windows of
-    a large n so read a small part of the table, whose untouched pages take
-    no memory.
-    """
-    global _LOG_FACTORIALS, _FILLED
+@functools.cache
+def _log_factorial_block(b: int) -> np.ndarray:
+    """log(k!) for the _ANALYTIC_BLOCK values of k from b * _ANALYTIC_BLOCK,
+    read-only, computed by math.lgamma the first time block b is asked for."""
     B = _ANALYTIC_BLOCK
-    if _FILLED.size <= n // B:
-        table = np.zeros((n // B + 1) * B)
-        filled = np.zeros(n // B + 1, dtype=bool)
-        for b in np.flatnonzero(_FILLED).tolist():
-            table[b * B : (b + 1) * B] = _LOG_FACTORIALS[b * B : (b + 1) * B]
-        filled[: _FILLED.size] = _FILLED
-        _LOG_FACTORIALS, _FILLED = table, filled
-    lo, hi = int(ks[0]), int(ks[-1])
-    reads = {n // B, *range(lo // B, hi // B + 1)}
-    reads.update(range((n - hi) // B, (n - lo) // B + 1))
-    for b in sorted(reads):
-        if not _FILLED[b]:
-            # lgamma(k + 1.0) for the block's k, without a list of floats
-            _LOG_FACTORIALS[b * B : (b + 1) * B] = np.fromiter(
-                map(math.lgamma, map(float, range(b * B + 1, (b + 1) * B + 1))), float, B
-            )
-            _FILLED[b] = True
-    view = _LOG_FACTORIALS[: n + 1]
-    view.flags.writeable = False
-    return view
+    # lgamma(k + 1.0) for the block's k, without a list of floats
+    block = np.fromiter(map(math.lgamma, map(float, range(b * B + 1, (b + 1) * B + 1))), float, B)
+    block.flags.writeable = False
+    return block
+
+
+def _log_factorials(lo: int, hi: int) -> np.ndarray:
+    """log(k!) for k = lo..hi, from the blocks that the range reaches.  The
+    occupancy windows of a large n so compute a small part of the table."""
+    B = _ANALYTIC_BLOCK
+    first = lo // B
+    blocks = [_log_factorial_block(b) for b in range(first, hi // B + 1)]
+    table = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)  # one is not copied
+    return table[lo - first * B : hi - first * B + 1]
 
 
 def _binomial_pmf(n: int, p: float, ks: np.ndarray) -> np.ndarray:
-    """Binomial(n, p) probabilities of the nonempty, increasing `ks`,
+    """Binomial(n, p) probabilities of the consecutive `ks` lo..hi in 2..n,
     computed in log space."""
     if p == 1.0:
         return (ks == n).astype(float)
-    logf = _log_factorials(n, ks)
+    lo, hi = int(ks[0]), int(ks[-1])
+    log_n = _log_factorials(n, n)[0]
+    rest = _log_factorials(n - hi, n - lo)[::-1]  # log((n - k)!) for each k
     return np.exp(
-        logf[n] - logf[ks] - logf[n - ks] + ks * math.log(p) + (n - ks) * math.log1p(-p)
+        log_n - _log_factorials(lo, hi) - rest + ks * math.log(p) + (n - ks) * math.log1p(-p)
     )
 
 
@@ -295,9 +281,12 @@ def _occupancies(n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
     The pmf is unimodal, so these are the kept k of a window around n/K
     whose ends are below the cut or at 2 and n.  The window starts at
     _WINDOW standard deviations plus _WINDOW each way, which was wide enough
-    for every case tried, and doubles until its ends qualify.
+    for every case tried, and doubles until its ends qualify.  A grid so
+    fine that 1/K rounds to 0.0 keeps no occupancy.
     """
-    p = 1.0 / K
+    p = 1 / K  # exact: 1.0 / K cannot convert a K past the float range
+    if p == 0.0:
+        return np.zeros(0, dtype=int), np.zeros(0)
     half = _WINDOW * (math.sqrt(n * p * (1.0 - p)) + 1.0)
     while True:
         lo = max(2, math.floor(n * p - half))
@@ -394,54 +383,15 @@ def expected_active_analytic(
     return ClusterStats(expected_active=mean, stderr=0.0, K=K)
 
 
-class _Draws(NamedTuple):
-    """One block's draws, in the forms that every cluster grid scores.
-
-    Users are rep-major, n per replication, and position columns are
-    contiguous.  Deterministic caches keep only `block`, the cache block
-    ceil(req / M) that holds each request; random caches keep the requests
-    and, once one caching model's caches are filled (`_with_caches`), the
-    caches and whether each user holds its own request.  Ranks and blocks
-    are in the narrowest unsigned dtype that holds m.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    block: np.ndarray | None
-    requests: np.ndarray | None
-    caches: np.ndarray | None
-    own: np.ndarray | None
-
-
 def _draw_block(
-    scenario: D2DScenario,
-    pop: PopularityModel,
-    rng: np.random.Generator,
-    reps: int,
-) -> _Draws:
-    """`reps` replications' draws from `rng`: the users' positions, as one
-    (2, users) draw, then one request per user.  Random caches are drawn on
-    their own stream and added per caching model (`_with_caches`).  None of
-    the draws depends on r, gamma1 or the caches.
+    pop: PopularityModel, rng: np.random.Generator, users: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x and y positions of `users` users, as one (2, users) draw from
+    `rng`, then one request per user, in the narrowest unsigned dtype that
+    holds m.  None of the draws depends on r, gamma1 or the caches.
     """
-    users = reps * scenario.n
     x, y = rng.random((2, users))
-    requests = sample_requests(pop, rng, users)
-    if scenario.strategy == "random-zipf":
-        return _Draws(x, y, None, requests, None, None)
-    requests -= 1
-    requests //= min(scenario.M, scenario.m)
-    requests += 1
-    return _Draws(x, y, requests, None, None, None)
-
-
-def _with_caches(draws: _Draws, caches: np.ndarray) -> _Draws:
-    """`draws` with the users' random `caches`, one row per user, and
-    whether each user holds its own request."""
-    own = np.zeros(len(caches), dtype=bool)
-    for column in caches.T:
-        own |= column == draws.requests
-    return draws._replace(caches=caches, own=own)
+    return x, y, sample_requests(pop, rng, users)
 
 
 def _cells(x: np.ndarray, y: np.ndarray, side: int) -> tuple[np.ndarray, int]:
@@ -464,35 +414,25 @@ def _cells(x: np.ndarray, y: np.ndarray, side: int) -> tuple[np.ndarray, int]:
 
 
 def _score_block(
-    scenario: D2DScenario,
-    draws: _Draws,
-    rep: np.ndarray,
-    reps: int,
-    cell: np.ndarray,
-    K: int,
+    block: np.ndarray, rep: np.ndarray, reps: int, cell: np.ndarray, n: int
 ) -> np.ndarray:
-    """Active clusters per replication of `reps` replications' draws, from
-    each user's replication `rep` and its cell (`_cells`) on a grid of K
-    labels.  Neither array is changed, so one block's scorings share them.
+    """Active clusters per replication of `reps` replications of n users
+    under deterministic caches, from each user's cache block `block` =
+    ceil(req / M), replication `rep` and cell (`_cells`).  No array is
+    changed, so one block's scorings share them.
 
-    Deterministic caches: with M capped at m, the user of arrival rank j in
-    a cluster of k users holds block j, ranks (j-1)M+1 .. jM.  So a request
-    in block b = ceil(req / M) is held by another member iff b <= k and
-    b != j; because req <= m, this is exactly the rule on the capped ranges
-    min(kM, m) and (min((j-1)M, m), min(jM, m)].  Users arrive rep-major, so
-    a stable sort on the cell alone orders them by (cell, rep) and keeps
-    arrival order inside each cluster, which gives j and k.  Cells are in
-    the narrowest unsigned dtype that holds K - 1, which numpy sorts by radix
-    up to 16 bits.
-
-    Random caches are scored by `_score_random`, with no sort of the users.
+    With M capped at m, the user of arrival rank j in a cluster of k users
+    holds block j, ranks (j-1)M+1 .. jM.  So a request in block b is held by
+    another member iff b <= k and b != j; because req <= m, this is exactly
+    the rule on the capped ranges min(kM, m) and (min((j-1)M, m), min(jM, m)].
+    Users arrive rep-major, so a stable sort on the cell alone orders them
+    by (cell, rep) and keeps arrival order inside each cluster, which gives
+    j and k.  Cells are in the narrowest unsigned dtype that holds K - 1,
+    which numpy sorts by radix up to 16 bits.
     """
-    if scenario.strategy == "random-zipf":
-        return _score_random(scenario, draws, rep, reps, cell, K)
-
     total = cell.size
     order = np.argsort(cell, kind="stable")
-    rep, b = rep[order], draws.block[order]
+    rep, b = rep[order], block[order]
     cell = cell[order]
     del order  # the largest temporary, freed before the peak
     new = np.empty(total, dtype=bool)  # first user of each (cell, rep) group
@@ -501,7 +441,7 @@ def _score_block(
     new[1:] |= rep[1:] != rep[:-1]
     starts = np.flatnonzero(new)
     sizes = np.diff(starts, append=total)
-    active = b <= np.repeat(sizes.astype(np.min_scalar_type(scenario.n)), sizes)
+    active = b <= np.repeat(sizes.astype(np.min_scalar_type(n)), sizes)
     head = np.repeat(starts, sizes)  # each user's group, by its first position
     j = np.arange(1, total + 1)
     j -= head
@@ -512,15 +452,19 @@ def _score_block(
 
 
 def _score_random(
-    scenario: D2DScenario,
-    draws: _Draws,
+    requests: np.ndarray,
+    caches: np.ndarray,
+    own: np.ndarray,
+    m: int,
     rep: np.ndarray,
     reps: int,
     cell: np.ndarray,
     K: int,
 ) -> np.ndarray:
-    """Active clusters per replication for random caches, from each user's
-    replication `rep` (0 .. reps-1) and cell label (below K).
+    """Active clusters per replication for random caches over m files, from
+    each user's request, cache row, whether it holds its own request (`own`),
+    replication `rep` (0 .. reps-1) and cell label (below K).  Users are
+    rep-major, the same number per replication, as the block loop draws them.
 
     Each cache rank and each request becomes a key gid * (m + 1) + rank,
     with group id gid = rep * K + cell.  Cache keys enter one array as
@@ -536,9 +480,8 @@ def _score_random(
     active groups come out sorted and are counted without an array of
     reps * K.
 
-    When the users are n per replication, rep-major as the block loop draws
-    them, each replication's keys are sorted in a row of their own, which
-    takes less time than one sort of them all.  A row's keys all lie below
+    Each replication's keys are sorted in a row of their own, which takes
+    less time than one sort of them all.  A row's keys all lie below
     the next row's, so the rows end to end are the sorted array; the lookup
     of a row's first request may read the row before, whose keys name
     other groups and never match.
@@ -547,8 +490,8 @@ def _score_random(
     Where even int64 would overflow, the occupied (rep, cell) pairs are
     numbered 0, 1, ... and serve as the group ids.
     """
-    stride = scenario.m + 1
-    total, M = draws.caches.shape
+    stride = m + 1
+    total, M = caches.shape
     if 4 * reps * K * stride < 1 << 63:
         groups, rep_of_group = reps * K, None
     else:
@@ -567,16 +510,15 @@ def _score_random(
         del pairs, gid  # freed before the keys' peak
     asked *= stride
     cached = keys[: total * M].reshape(M, total)
-    np.add(asked, draws.caches.T, out=cached)
+    np.add(asked, caches.T, out=cached)
     cached <<= 2
-    asked += draws.requests
+    asked += requests
     asked <<= 2
     asked |= 2
-    asked |= draws.own
+    asked |= own
     # The keys are built in whole columns and then copied into one row per
     # replication, which costs less than building them in strided views.
-    rows = reps if total == reps * scenario.n else 1
-    keys = keys.reshape(M + 1, rows, -1).swapaxes(0, 1).reshape(rows, -1)
+    keys = keys.reshape(M + 1, reps, -1).swapaxes(0, 1).reshape(reps, -1)
     keys.sort()
     keys = keys.reshape(-1)
     # The requests' sorted positions; the tag is read from each key's low
@@ -636,7 +578,9 @@ def _monte_carlo(
     Replications go in blocks of max(1, _BLOCK_USERS // n), the last one
     possibly shorter.  A block is drawn once (`_draw_block`: positions, then
     requests, from `rng`), its cells are built once per grid, and it is
-    scored on every grid and every gamma1 before the next block.  Random
+    scored on every grid and every gamma1 before the next block: by
+    `_score_block` on the requests' cache blocks, or by `_score_random` on
+    each gamma1's caches and own-copy flags, built once per gamma1.  Random
     caches come block after block from the first child stream of `rng`'s
     seed sequence, which the call spawns once; each gamma1 fills its caches
     from its own generator on that child seed sequence.  So a replication's
@@ -683,17 +627,25 @@ def _monte_carlo(
         step = max(1, _BLOCK_USERS // n)
         for lo in range(0, reps, step):
             take = min(step, reps - lo)
-            drawn = _draw_block(scenario, pop, rng, take)
+            x, y, requests = _draw_block(pop, rng, take * n)
             rep = np.repeat(np.arange(take, dtype=np.min_scalar_type(take - 1)), n)
-            cells = [_cells(drawn.x, drawn.y, side) for side in sides]
+            cells = [_cells(x, y, side) for side in sides]
             for model, cache_rng, rows in zip(models, cache_rngs, counts):
-                draws = drawn
-                if model is not None:
+                if model is None:  # deterministic caches, the call's only model
+                    requests -= 1
+                    requests //= min(scenario.M, scenario.m)
+                    requests += 1  # each request's cache block
+                    for row, (cell, _) in zip(rows, cells):
+                        row[lo : lo + take] = _score_block(requests, rep, take, cell, n)
+                else:
                     caches = _random_caches(take * n, scenario.M, model, cache_rng)
-                    draws = _with_caches(drawn, caches)
-                for row, (cell, K) in zip(rows, cells):
-                    scored = _score_block(scenario, draws, rep, take, cell, K)
-                    row[lo : lo + take] = scored
+                    own = np.zeros(take * n, dtype=bool)  # users holding their request
+                    for column in caches.T:
+                        own |= column == requests
+                    for row, (cell, K) in zip(rows, cells):
+                        row[lo : lo + take] = _score_random(
+                            requests, caches, own, scenario.m, rep, take, cell, K
+                        )
     return [
         [
             ClusterStats(

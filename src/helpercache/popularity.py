@@ -94,6 +94,11 @@ def zipf_model(gamma: float, m: int) -> PopularityModel:
     ranks = np.arange(1, m + 1, dtype=float)
     weights = np.power(ranks, -gamma)
     pmf = weights / weights.sum()
+    if pmf[-1] == 0.0:  # the smallest entry
+        raise InvalidParameterError(
+            f"a Zipf exponent of {gamma:g} over a catalog of {m} files gives rank "
+            f"{m} a probability of 0 in floating point; lower the exponent or the catalog"
+        )
     return PopularityModel(gamma=float(gamma), m=int(m), pmf=pmf)
 
 

@@ -109,11 +109,17 @@ class CellLayout:
         for name, arr in (("helpers", helpers), ("users", users)):
             if arr.shape[-1] != 2 or (arr.ndim != 2 and name == "helpers"):
                 raise InvalidParameterError(f"{name} must be an (k, 2) array")
-            radii = np.hypot(arr[..., 0], arr[..., 1])
-            if arr.size and radii.max() > self.cell_radius * (1 + 1e-9):
+            if arr.size and not _in_cell(arr, self.cell_radius).all():
                 raise InvalidParameterError(f"{name} positions must lie within the cell")
         object.__setattr__(self, "helpers", helpers)
         object.__setattr__(self, "users", users)
+
+
+def _in_cell(points: np.ndarray, cell_radius: float) -> np.ndarray:
+    """Which of the (..., 2) `points` lie in the disc cell, up to a relative
+    1e-9 of its radius, so that lattice points on the edge stay in at any
+    radius."""
+    return np.hypot(points[..., 0], points[..., 1]) <= cell_radius * (1 + 1e-9)
 
 
 def place_uniform(count: int, cell_radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -164,7 +170,7 @@ def place_helpers(
         coords = -cell_radius + pitch * (np.arange(side) + 0.5)
         xx, yy = np.meshgrid(coords, coords, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
-        inside = pts[np.hypot(pts[:, 0], pts[:, 1]) <= cell_radius + 1e-9]
+        inside = pts[_in_cell(pts, cell_radius)]
         if inside.shape[0] >= count:
             order = np.lexsort(
                 (inside[:, 1], inside[:, 0], -np.hypot(inside[:, 0], inside[:, 1]))

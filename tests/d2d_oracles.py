@@ -292,11 +292,12 @@ def sweep_row(scenario, pop, reps, root_seed, mode):
     )
 
 
-def score_random_two_sorts(scenario, draws, rep, reps, cell, K):
+def score_random_two_sorts(requests, caches, own, m, rep, reps, cell, K):
     """The former `d2d._score_random`: cache keys and request keys sorted
     apart, each request key looked up by binary search among the cache keys
-    behind two -1 sentinels; the own bit sits below the request key."""
-    stride = scenario.m + 1
+    behind two -1 sentinels; the own bit sits below the request key.  Users
+    may come in any order, any number per replication."""
+    stride = m + 1
     if 2 * reps * K * stride + 2 < 1 << 63:
         gid = rep.astype(np.int64)
         gid *= K
@@ -310,15 +311,15 @@ def score_random_two_sorts(scenario, draws, rep, reps, cell, K):
         groups, rep_of_group = len(pairs), pairs[:, 0].astype(np.intp)
     base = gid.astype(np.int32 if 2 * groups * stride + 2 < 1 << 31 else np.int64)
     base *= stride
-    total, M = draws.caches.shape
+    total, M = caches.shape
     keys = np.empty(total * M + 2, dtype=base.dtype)
-    np.add(base[:, None], draws.caches, out=keys[:-2].reshape(total, M))
+    np.add(base[:, None], caches, out=keys[:-2].reshape(total, M))
     keys[:-2].sort()
     keys[-2:] = -1
     asked = base
-    asked += draws.requests
+    asked += requests
     asked <<= 1
-    asked |= draws.own
+    asked |= own
     asked.sort()
     own = asked & 1
     asked >>= 1

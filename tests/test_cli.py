@@ -377,6 +377,36 @@ def test_cell_of_5e6_m_still_runs(capsys, command):
     assert code == 0 and out and not err
 
 
+def test_cell_of_1e_300_m_places_its_grid_helpers(capsys):
+    # The grid layout kept lattice points within cell_radius + 1e-9 m, which
+    # at this radius is the whole square, and the cell refused its corners.
+    code, out, err = run_cli(
+        capsys, "simulate-macro", "--cell-radius", "1e-300", "--reps", "2", "--gamma", "0.8"
+    )
+    assert code == 0 and out and not err
+
+
+@pytest.mark.parametrize(
+    "argv, exponent, m",
+    [
+        (("place", "--gamma", "400"), "400", 100),
+        (("simulate-d2d", "--gamma", "400"), "400", 1000),
+        (("sweep-gamma1", "--gamma1-values", "0.5,400", "--reps", "2"), "400", 1000),
+    ],
+    ids=["place", "simulate-d2d", "gamma1"],
+)
+def test_zipf_pmf_that_underflows_names_its_exponent(capsys, argv, exponent, m):
+    # 7^-400 rounds to 0.0, which the popularity model refused as a pmf
+    # entry that was not positive, naming neither exponent nor catalog.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: a Zipf exponent of {exponent} over a catalog of {m} files gives "
+        f"rank {m} a probability of 0 in floating point; lower the exponent or the "
+        "catalog\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv,pairs",
     [
@@ -716,6 +746,22 @@ class TestD2DCommands:
         assert csv_rows(out)[1] == [
             ["1e-10", "0.6", gamma1, "0.0", "0.0", str(10**20), "mc"]
         ]
+
+    @pytest.mark.parametrize("r", ["1e-160", "1e-200"])
+    def test_grid_past_the_float_range(self, capsys, r):
+        # K = 1/r^2 is past the float range: the analytic sum converted it
+        # with 1.0 / K and raised OverflowError.  No occupancy of two users
+        # has a probability there, so every mode reads 0.0 at the same K.
+        rows = []
+        for mode in ("auto", "analytic", "mc"):
+            code, out, _ = run_cli(
+                capsys, "simulate-d2d", "--r", r, "--mode", mode, "--reps", "20"
+            )
+            assert code == 0
+            rows.extend(csv_rows(out)[1])
+        assert [row[3] for row in rows] == ["0.0"] * 3
+        assert len(rows) == 3 and len({row[5] for row in rows}) == 1
+        assert float(rows[0][5]) > 1e308
 
     def test_population_past_the_cap_exits_two(self, capsys):
         code, _, err = run_cli(

@@ -83,29 +83,28 @@ def test_scaling_check_at_large_n(tmp_path):
     )
 
 
-def test_one_log_factorial_table_grows_on_demand(monkeypatch):
-    # Blocks of 16 entries.  n = 1000 with the occupancies 300..340 reads the
-    # blocks of 300..340, of n - k = 660..700 and of n; those blocks, and no
-    # other, must hold lgamma(k + 1) to their edges, also after the table
-    # grows past blocks filled for a smaller n.
-    B = 16
-    monkeypatch.setattr(d2d, "_ANALYTIC_BLOCK", B)
-    monkeypatch.setattr(d2d, "_LOG_FACTORIALS", np.zeros(0))
-    monkeypatch.setattr(d2d, "_FILLED", np.zeros(0, dtype=bool))
-    small = _log_factorials(10, np.arange(2, 11))
-    assert small.size == 11 and d2d._FILLED.tolist() == [True]
-    large = _log_factorials(1000, np.arange(300, 341))
-    assert large.size == 1001 and d2d._LOG_FACTORIALS.size == 63 * B
-    blocks = [0, *range(300 // B, 340 // B + 1), *range(660 // B, 700 // B + 1), 1000 // B]
-    assert np.flatnonzero(d2d._FILLED).tolist() == blocks
-    again = _log_factorials(300, np.arange(2, 4))
-    assert again.base is d2d._LOG_FACTORIALS and d2d._LOG_FACTORIALS.size == 63 * B
-    assert np.flatnonzero(d2d._FILLED).tolist() == blocks  # 300 is in block 18
-    for b in blocks:
-        ks = range(b * B, (b + 1) * B)
-        assert d2d._LOG_FACTORIALS[b * B : (b + 1) * B].tolist() == [
-            math.lgamma(k + 1.0) for k in ks
-        ], b
-    assert small.tolist() == [math.lgamma(k + 1.0) for k in range(11)]
-    assert not small.flags.writeable and not large.flags.writeable
-    assert not again.flags.writeable
+def test_log_factorials_come_from_cached_blocks():
+    # The range B - 3 .. 2B + 5 reaches blocks 0, 1 and 2, each computed
+    # once, read-only and equal to lgamma(k + 1) to its edges.  A window of
+    # n = 10^7 reads only the blocks of its k, of n - k and of n.
+    B = d2d._ANALYTIC_BLOCK
+    d2d._log_factorial_block.cache_clear()
+    got = _log_factorials(B - 3, 2 * B + 5)
+    assert got.tolist() == [math.lgamma(k + 1.0) for k in range(B - 3, 2 * B + 6)]
+    assert _log_factorials(B + 1, B + 7).tolist() == got[4:11].tolist()
+    info = d2d._log_factorial_block.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+    assert not any(d2d._log_factorial_block(b).flags.writeable for b in range(3))
+    n, p = 10**7, 1e-3
+    ks = np.arange(9900, 10101)
+    d2d._log_factorial_block.cache_clear()
+    pk = _binomial_pmf(n, p, ks)
+    assert d2d._log_factorial_block.cache_info().currsize == len({0, 609, 610})
+    want = [
+        math.exp(
+            math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
+            + k * math.log(p) + (n - k) * math.log1p(-p)
+        )
+        for k in ks.tolist()
+    ]
+    np.testing.assert_allclose(pk, want, rtol=1e-9)

@@ -27,10 +27,8 @@ from helpercache.d2d import (
     D2DScenario,
     _cells,
     _draw_block,
-    _Draws,
     _random_caches,
     _score_random,
-    _with_caches,
     simulate_active_clusters,
 )
 from helpercache.popularity import sample_requests, zipf_model
@@ -157,8 +155,8 @@ def _assert_lattice_scores_alike(sc, monkeypatch):
     draw, oracle_draw = d2d._draw_block, d2d_oracles.draw_block
 
     def lattice_draw(*args):
-        draws = draw(*args)
-        return draws._replace(x=_on_lattice(draws.x), y=_on_lattice(draws.y))
+        x, y, requests = draw(*args)
+        return _on_lattice(x), _on_lattice(y), requests
 
     def lattice_oracle_draw(*args):
         pos, requests, caches = oracle_draw(*args)
@@ -198,28 +196,29 @@ def test_deterministic_scoring_memory():
 
 
 def _first_block(sc, rng, reps):
-    """The draws of a call's first block of `reps` replications."""
-    draws = _draw_block(sc, sc.popularity(), rng, reps)
-    if sc.strategy == "random-zipf":
-        model = zipf_model(sc.gamma1, sc.m)
-        caches = _random_caches(reps * sc.n, sc.M, model, rng.spawn(1)[0])
-        draws = _with_caches(draws, caches)
-    return draws
+    """The positions, requests, random caches and own-copy flags of a call's
+    first block of `reps` replications."""
+    x, y, requests = _draw_block(sc.popularity(), rng, reps * sc.n)
+    model = zipf_model(sc.gamma1, sc.m)
+    caches = _random_caches(reps * sc.n, sc.M, model, rng.spawn(1)[0])
+    own = (caches == requests[:, None]).any(axis=1)
+    return x, y, requests, caches, own
 
 
-def _groups_block(caches, requests, K):
-    """Draws whose group g holds the users of row g of `caches` (users x
-    M ranks) and `requests`, placed at replication g // K, cell g % K; with
-    the users' replications and cells, and the replication count."""
+def _groups_block(caches, requests, m, K):
+    """`_score_random`'s arguments for groups over m files, group g holding
+    the users of row g of `caches` (users x M ranks) and `requests`, placed
+    at replication g // K, cell g % K.  The groups fill whole replications,
+    so that the users are rep-major, the same number per replication."""
     count, n, M = caches.shape
+    assert count % K == 0
     caches = caches.reshape(count * n, M).astype(np.uint8)
     requests = requests.reshape(-1).astype(np.uint8)
     g = np.repeat(np.arange(count), n)
     own = (caches == requests[:, None]).any(axis=1)
-    none = np.zeros(count * n)
-    draws = _Draws(none, none, None, requests, caches, own)
     rep = (g // K).astype(np.uint32)
-    return draws, rep, (g % K).astype(np.min_scalar_type(K - 1)), -(-count // K)
+    cell = (g % K).astype(np.min_scalar_type(K - 1))
+    return requests, caches, own, m, rep, count // K, cell, K
 
 
 def _brute_force(caches, requests, K, reps):
@@ -243,13 +242,17 @@ def test_every_small_group_scores_like_the_two_sort_scorer(n, M, K):
     asks = np.array(list(itertools.product(range(1, m + 1), repeat=n)))
     caches = np.repeat(rows, len(asks), axis=0)
     requests = np.tile(asks, (len(rows), 1))
-    draws, rep, cell, reps = _groups_block(caches, requests, K)
-    sc = D2DScenario(n=n, m=m, M=M, r=1.0, gamma=0.5, strategy="random-zipf", gamma1=0.5)
-    got = _score_random(sc, draws, rep, reps, cell, K)
-    assert np.array_equal(got, score_random_two_sorts(sc, draws, rep, reps, cell, K))
-    assert np.array_equal(got, _brute_force(caches, requests, K, reps))
+    # Inactive groups fill the last replication: every user holds ranks
+    # 1..M and asks for rank m.
+    pad = -len(caches) % K
+    caches = np.concatenate([caches, np.tile(np.arange(1, M + 1), (pad, n, 1))])
+    requests = np.concatenate([requests, np.full((pad, n), m)])
+    args = _groups_block(caches, requests, m, K)
+    got = _score_random(*args)
+    assert np.array_equal(got, score_random_two_sorts(*args))
+    assert np.array_equal(got, _brute_force(caches, requests, K, args[5]))
     # The own bits of two requesters of one rank: (0, 0), (0, 1) and (1, 1).
-    own = draws.own.reshape(-1, n)
+    own = args[2].reshape(-1, n)
     same = requests[:, 0] == requests[:, 1]
     pairs = {(a, b) for a, b in own[same, :2].astype(int).tolist()}
     assert pairs >= {(0, 0), (0, 1), (1, 1)}
@@ -274,28 +277,28 @@ def test_keys_at_a_replication_edge(rep1_caches, rep1_requests):
     assert 3 in caches[0] and 3 not in requests[0]
     holders = [u for u, row in enumerate(caches[1]) if 3 in row]
     assert holders in ([], [requests[1].tolist().index(3)])
-    draws, rep, cell, reps = _groups_block(caches, requests, 1)
-    sc = D2DScenario(n=2, m=5, M=1, r=1.0, gamma=0.5, strategy="random-zipf", gamma1=0.5)
-    got = _score_random(sc, draws, rep, reps, cell, 1)
+    args = _groups_block(caches, requests, 5, 1)
+    got = _score_random(*args)
     assert np.array_equal(got, [0.0, 0.0])
-    assert np.array_equal(got, score_random_two_sorts(sc, draws, rep, reps, cell, 1))
-    assert np.array_equal(got, _brute_force(caches, requests, 1, reps))
+    assert np.array_equal(got, score_random_two_sorts(*args))
+    assert np.array_equal(got, _brute_force(caches, requests, 1, 2))
 
 
 def test_single_file_catalog_scores_groups_of_two_as_active():
     # m = 1: every user holds and asks for rank 1, so a group is active iff
-    # it holds two users.
-    sizes = np.array([1, 2, 3, 1, 4])
-    caches = np.ones((sizes.sum(), 1), dtype=np.uint8)
-    requests = np.ones(sizes.sum(), dtype=np.uint8)
-    g = np.repeat(np.arange(sizes.size), sizes)
-    own = np.ones(g.size, dtype=bool)
-    draws = _Draws(None, None, None, requests, caches, own)
-    sc = D2DScenario(n=4, m=1, M=1, r=1.0, gamma=0.5, strategy="random-zipf", gamma1=0.5)
-    rep, cell = g.astype(np.uint8), np.zeros(g.size, dtype=np.uint8)
-    got = _score_random(sc, draws, rep, sizes.size, cell, 1)
-    assert np.array_equal(got, (sizes >= 2).astype(float))
-    assert np.array_equal(got, score_random_two_sorts(sc, draws, rep, sizes.size, cell, 1))
+    # it holds two users.  Five replications of four users in four cells
+    # make groups of one to four users.
+    cell = np.array(
+        [[0, 1, 2, 3], [0, 0, 1, 2], [3, 1, 3, 3], [1, 2, 1, 2], [0, 0, 0, 0]],
+        dtype=np.uint8,
+    )
+    reps, n = cell.shape
+    rep = np.repeat(np.arange(reps, dtype=np.uint8), n)
+    ones = np.ones(reps * n, dtype=np.uint8)
+    args = (ones, ones[:, None], ones.astype(bool), 1, rep, reps, cell.ravel(), 4)
+    got = _score_random(*args)
+    assert np.array_equal(got, [0.0, 1.0, 1.0, 2.0, 1.0])
+    assert np.array_equal(got, score_random_two_sorts(*args))
     _assert_matches_oracle(replace(RAND, m=1, M=1), reps=20)
 
 
@@ -309,12 +312,13 @@ def test_numbered_groups_score_like_the_two_sort_scorer(side):
     K = side * side
     assert 4 * reps * K * (sc.m + 1) >= 2**63
     assert (2 * reps * K * (sc.m + 1) + 2 < 2**63) == (side == 2**28)
-    draws = _first_block(sc, stream(6, "numbered"), reps)
-    cell, K = _cells(_on_lattice(draws.x), _on_lattice(draws.y), side)
+    x, y, requests, caches, own = _first_block(sc, stream(6, "numbered"), reps)
+    cell, K = _cells(_on_lattice(x), _on_lattice(y), side)
     rep = np.repeat(np.arange(reps, dtype=np.uint8), sc.n)
-    got = _score_random(sc, draws, rep, reps, cell, K)
+    args = (requests, caches, own, sc.m, rep, reps, cell, K)
+    got = _score_random(*args)
     assert got.sum() > 0
-    assert np.array_equal(got, score_random_two_sorts(sc, draws, rep, reps, cell, K))
+    assert np.array_equal(got, score_random_two_sorts(*args))
 
 
 def test_steep_fill_keeps_its_memory():
@@ -332,6 +336,22 @@ def test_steep_fill_keeps_its_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 20.7e6
+
+
+def test_single_file_fill_keeps_only_its_caches():
+    # 2^21 caches of one rank over 1000 files: 4.2 MB of caches, 8.8 MB at
+    # the peak here.  The fill that allocated the slots of later rounds,
+    # which M = 1 never reads, peaked at 23.1 MB.
+    model = zipf_model(1.0, 1000)
+    sample_requests(model, stream(1, "warm"), 1)  # the sampler's table stays untraced
+    tracemalloc.start()
+    try:
+        caches = _random_caches(1 << 21, 1, model, stream(0, "memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert caches.nbytes == 1 << 22
+    assert peak < 10e6
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from helpercache.d2d import (
     _cells,
     _draw_block,
     _score_block,
-    _with_caches,
+    _score_random,
     simulate_active_clusters,
     sweep_gamma1,
     sweep_r,
@@ -164,29 +164,28 @@ def test_requests_are_drawn_once_per_group_and_chunk(monkeypatch):
 
 def test_gamma1_points_share_positions_and_requests(monkeypatch):
     # Common random numbers: every gamma1 of a block is scored on the very
-    # arrays of that block's positions, requests, replications and cells;
-    # only the caches differ.
+    # arrays of that block's requests, replications and cells, the cells
+    # built from its positions; only the caches differ.
     monkeypatch.setattr(d2d, "_BLOCK_USERS", 300)
     scored = []
-    real = d2d._score_block
+    real = d2d._score_random
 
-    def spy(scenario, draws, rep, reps, cell, K):
-        scored.append((draws, rep, cell))
-        return real(scenario, draws, rep, reps, cell, K)
+    def spy(requests, caches, own, m, rep, reps, cell, K):
+        scored.append((requests, caches, rep, cell))
+        return real(requests, caches, own, m, rep, reps, cell, K)
 
-    monkeypatch.setattr(d2d, "_score_block", spy)
+    monkeypatch.setattr(d2d, "_score_random", spy)
     sc = _rand(M=4)
     gamma1_values = [0.0, 0.75, 2.0]
     sweep_gamma1(sc, gamma1_values, [0.2], sc.popularity(), reps=25, root_seed=3)
     blocks, g = -(-25 // (300 // sc.n)), len(gamma1_values)
     assert len(scored) == blocks * g
     for b in range(blocks):
-        (first, rep, cell), *others = scored[g * b : g * (b + 1)]
-        for draws, other_rep, other_cell in others:
-            for field in ("x", "y", "requests"):
-                assert getattr(draws, field) is getattr(first, field)
+        (requests, caches, rep, cell), *others = scored[g * b : g * (b + 1)]
+        for other_requests, other_caches, other_rep, other_cell in others:
+            assert other_requests is requests
             assert other_rep is rep and other_cell is cell
-            assert not np.array_equal(draws.caches, first.caches)
+            assert not np.array_equal(other_caches, caches)
 
 
 def test_sweeps_reach_the_monte_carlo_once_per_group(monkeypatch):
@@ -246,11 +245,14 @@ def test_wide_cell_keys_match_the_gid_sort(make):
     pop = sc.popularity()
     rng, twin = stream(8, "wide"), stream(8, "wide")
     pos, requests, caches = draw_block(sc, pop, twin, twin.spawn(1)[0], 3)
-    draws = _draw_block(sc, pop, rng, 3)
-    if caches is not None:
-        draws = _with_caches(draws, caches)
+    x, y, asked = _draw_block(pop, rng, 3 * sc.n)
     rep = np.repeat(np.arange(3, dtype=np.uint8), sc.n)
-    got = _score_block(sc, draws, rep, 3, *_cells(draws.x, draws.y, side))
+    cell, K = _cells(x, y, side)
+    if caches is None:  # with M = 1 a request's cache block is its rank
+        got = _score_block(asked, rep, 3, cell, sc.n)
+    else:
+        own = (caches == asked[:, None]).any(axis=1)
+        got = _score_random(asked, caches, own, sc.m, rep, 3, cell, K)
     want = chunk_counts_by_gid(sc, pos, requests, caches, 3, side)
     np.testing.assert_array_equal(got, want)
     assert got.sum() > 0
