@@ -37,7 +37,6 @@ from .placement_uncoded import (
 )
 from .popularity import (
     PopularityModel,
-    RequestTrace,
     catalog_size,
     fit_zipf,
     sample_requests,
@@ -71,7 +70,6 @@ __all__ = [
     "MacroConfig",
     "Placement",
     "PopularityModel",
-    "RequestTrace",
     "brute_force_place",
     "build_connectivity",
     "build_lp",

@@ -17,6 +17,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .d2d import D2DScenario, scaling_check, sweep_gamma1, sweep_r
 from .errors import (
@@ -41,12 +43,10 @@ from .macro_sim import (
     sweep_capacity,
     sweep_helper_count,
 )
-from .placement_coded import coded_placement_rows
-from .placement_uncoded import HelperSpecs, placement_to_json
+from .placement_uncoded import HelperSpecs, Placement
 from .popularity import (
     check_samples,
     fit_zipf,
-    fit_zipf_counts,
     read_trace_csv,
     request_counts,
     zipf_model,
@@ -324,6 +324,22 @@ def _csv_text(header: list[str], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _placement_json(placement: Placement) -> str:
+    """Helper id (0-based, as a string key) to its sorted cached ranks."""
+    doc = {
+        str(h): (np.flatnonzero(column) + 1).tolist()
+        for h, column in enumerate(placement.rho.T)
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _coded_rows(placement: Placement) -> list[tuple]:
+    """Nonzero (file_rank, helper_id, rho) triples, rank-major order."""
+    files, helpers = np.nonzero(placement.rho)
+    values = placement.rho[files, helpers].astype(float).tolist()
+    return list(zip((files + 1).tolist(), helpers.tolist(), values))
+
+
 def _plot_text(x_label: str, y_label: str, rows: list[tuple]) -> str:
     head = [f"# x: {x_label}", f"# y: {y_label}", "x,y,yerr,series"]
     body = [",".join(_format(v) for v in row) for row in rows]
@@ -409,12 +425,12 @@ def _d2d_rows(rows):
 
 def _run_fit(p: dict, emitter: _Emitter) -> int:
     if p["trace"] is not None:
-        gamma_hat, m_hat = fit_zipf(read_trace_csv(p["trace"]))
+        counts = read_trace_csv(p["trace"])
     else:
         check_samples("samples", p["samples"])
         model = zipf_model(p["synthetic_gamma"], p["m"])
         counts = request_counts(model, stream(p["seed"], "fit-trace"), p["samples"])
-        gamma_hat, m_hat = fit_zipf_counts(counts)
+    gamma_hat, m_hat = fit_zipf(counts)
     sys.stdout.write(f"gamma_hat={_format(float(gamma_hat))}\n")
     sys.stdout.write(f"m_hat={m_hat}\n")
     if p["out"] is not None:
@@ -434,10 +450,10 @@ def _run_place(p: dict, emitter: _Emitter) -> int:
     specs = HelperSpecs.uniform(p["helpers"], p["capacity"])
     placement = make_placement(p["policy"], graph, pop, specs, config)
     if p["policy"] == "coded":
-        rows = coded_placement_rows(placement)
+        rows = _coded_rows(placement)
         emitter.primary(_csv_text(["file_rank", "helper_id", "rho"], rows))
     else:
-        emitter.primary(placement_to_json(placement) + "\n")
+        emitter.primary(_placement_json(placement) + "\n")
     return emitter.finish()
 
 

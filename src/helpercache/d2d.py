@@ -36,12 +36,13 @@ _BLOCK_USERS = 1 << 14  # users drawn and scored at once, so that temporaries st
 _WINDOW = 12.0  # first occupancy window: n/K +- _WINDOW * (std + 1)
 # Expected draws to fill one random cache row above which the input is refused.
 RANDOM_CACHE_MAX_DRAWS = 1e4
-# Expected draws to fill every random cache of one Monte Carlo run above which
-# the input is refused.  A draw is compared with its row's ranks, so it costs
-# more as M grows (2-core Xeon, 1000 files): 11-34 ns up to M = 16, about
-# 0.1 us at M = 128-256 and 0.76 us at M = 900, where a run just under the
-# cap (`simulate-d2d --mode mc --strategy random-zipf --gamma1 0 --M 900
-# --reps 435`) took 312 s whole process.
+# Priced draws to fill every random cache of one Monte Carlo run above which
+# the input is refused.  A draw is compared with up to M ranks its row holds,
+# so it is priced max(1, M / 16) draws.  Just under the cap, over 1000 files
+# at gamma1 = 0, `simulate-d2d --mode mc --strategy random-zipf --gamma1 0`
+# takes 25 s and 42 MB whole process with `--M 16 --reps 62029` (5.0e8
+# draws), and 15-17 s and 74 MB with `--M 900 --reps 7` (8.0e6 draws;
+# 2-core Xeon).  Unpriced, `--M 900 --reps 435` passed and took 312 s.
 RANDOM_RUN_MAX_DRAWS = 5e8
 # Users per cell above which a scenario is refused.  Between n = 10^6 and
 # 10^7 (reps=1), a Monte Carlo run's peak memory grows by about 56 bytes per
@@ -143,16 +144,15 @@ def grid_side(r: float, exact: bool) -> tuple[int, bool]:
     return max(int(math.floor(inv)), 1), False
 
 
-def _fill_draws(M: int, gamma1: float, m: int) -> float:
-    """Bound on the expected Zipf(gamma1) draws that fill one random cache.
+def _fill_draws(M: int, pmf: np.ndarray) -> float:
+    """Bound on the expected draws from `pmf` that fill one random cache.
 
     A row holding the j most popular ranks needs 1 / pmf[j:].sum() draws on
     average for its next rank, more than any other row holding j ranks; the
     bound sums that over j < M.  A full catalog (M == m) is copied, not drawn.
     """
-    if M == 0 or M >= m:
+    if M == 0 or M >= pmf.size:
         return 0.0
-    pmf = zipf_model(gamma1, m).pmf
     # Tail sums from the pmf, not 1 - cdf, which cancels to 0 for steep gamma1.
     tails = np.cumsum(pmf[::-1])[::-1][:M]
     return float((1.0 / tails).sum())
@@ -163,20 +163,23 @@ def _cache_model(scenario: D2DScenario, reps: int) -> PopularityModel:
     are drawn from.
 
     Fills whose expected draws (`_fill_draws`) pass RANDOM_CACHE_MAX_DRAWS
-    per device, or RANDOM_RUN_MAX_DRAWS over the run, could run for hours,
-    so they are refused here, before any draw.
+    per device, or whose priced draws pass RANDOM_RUN_MAX_DRAWS over the
+    run, could run for hours, so they are refused here, before any draw.
     """
     M, gamma1 = scenario.M, scenario.gamma1
-    per_device = _fill_draws(M, gamma1, scenario.m)
+    model = zipf_model(gamma1, scenario.m)
+    per_device = _fill_draws(M, model.pmf)
     draws = per_device * scenario.n * reps
-    if per_device > RANDOM_CACHE_MAX_DRAWS or draws > RANDOM_RUN_MAX_DRAWS:
+    priced = draws * max(1, M / 16)
+    if per_device > RANDOM_CACHE_MAX_DRAWS or priced > RANDOM_RUN_MAX_DRAWS:
         raise InvalidParameterError(
             f"random-zipf caches with gamma1={gamma1:g} and M={M} may need "
             f"{per_device:.3g} draws per device (limit {RANDOM_CACHE_MAX_DRAWS:g}), "
-            f"{draws:.3g} for {scenario.n} devices over reps={reps} (limit "
-            f"{RANDOM_RUN_MAX_DRAWS:g}); lower gamma1, M or reps"
+            f"{draws:.3g} for {scenario.n} devices over reps={reps}, priced "
+            f"{priced:.3g} at max(1, M/16) each (limit {RANDOM_RUN_MAX_DRAWS:g}); "
+            "lower gamma1, M or reps"
         )
-    return zipf_model(gamma1, scenario.m)
+    return model
 
 
 def _random_caches(
@@ -557,7 +560,8 @@ def simulate_active_clusters(
     be active, and nothing is drawn.  Calls of more than MAX_SCORES
     replications or MAX_MC_USERS users (n * reps), and random caches whose
     fill may need more than RANDOM_CACHE_MAX_DRAWS expected draws per device
-    or RANDOM_RUN_MAX_DRAWS over the run, are refused before the first draw.
+    or more than RANDOM_RUN_MAX_DRAWS priced draws over the run, are refused
+    before the first draw.
     """
     ((stats,),) = _monte_carlo(scenario, pop, rng, reps, [scenario.r], [scenario.gamma1])
     return stats

@@ -44,7 +44,7 @@ from .placement_uncoded import (
 from .popularity import (
     PopularityModel,
     check_samples,
-    fit_zipf_counts,
+    fit_zipf,
     request_counts,
     sample_requests,
     zipf_model,
@@ -194,7 +194,7 @@ def experiment_popularity(config: MacroConfig, root_seed: int) -> PopularityMode
         return zipf_model(config.gamma, config.catalog_size)
     source = zipf_model(config.trace_gamma, config.catalog_size)
     counts = request_counts(source, stream(root_seed, "fit-trace"), config.trace_samples)
-    gamma_hat, _ = fit_zipf_counts(counts)
+    gamma_hat, _ = fit_zipf(counts)
     return zipf_model(max(gamma_hat, 0.0), config.catalog_size)
 
 

@@ -9,10 +9,17 @@ say which fraction user u actually pulls from helper h, weighted by the
 per-second savings of that link over the base station.
 
 This module is the one place that knows the LP: `build_lp` assembles it as a
-sparse `CSCMatrix` (nonzero guard and row scaling included),
-`solve_lp_detailed` scales the objective and calls `simplex_solve`, which
-hands it to the HiGHS dual simplex through the bindings scipy bundles,
-without importing `scipy.optimize` or `scipy.sparse`.
+sparse `CSCMatrix` (nonzero guard and row scaling included) from a pmf and
+the storage cost of each of its entries, `solve_lp_detailed` scales the
+objective and calls `simplex_solve`, which hands it to the HiGHS dual simplex
+through the bindings scipy bundles, without importing `scipy.optimize` or
+`scipy.sparse`; it returns the solver's `SimplexResult` with the objective
+unscaled.
+
+The macro experiments solve a bucketed catalog (`solve_grouped`):
+`group_files` splits the ranks into contiguous buckets, given as plain
+arrays of sizes and probabilities, the LP places buckets, and each file
+takes its bucket's fractions.
 """
 
 from __future__ import annotations
@@ -21,10 +28,9 @@ import functools
 import importlib.machinery
 import importlib.util
 import logging
-import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,9 +89,9 @@ class LPInstance:
     """max c.x over {A x <= b, 0 <= x <= upper}; x = (rho columns, a columns).
 
     Column layout: rho[f, h] (0-based f) occupies column f*n_helpers + h; the
-    a variable of edge e (row e of `edges`) and file f occupies column
-    n_rho + e*m + f.  Rows: a <= rho per (edge, file), then per (covered
-    user, file) sum_h a <= 1, then per-helper capacity.  The capacity rows
+    a variable of kept edge e, in row-major (user, helper) order, and file f
+    occupies column n_rho + e*m + f.  Rows: a <= rho per (edge, file), then
+    per (covered user, file) sum_h a <= 1, then per-helper capacity.  The capacity rows
     come pre-scaled by 1/max(file_units), so every row of A peaks at 1.
     """
 
@@ -95,7 +101,6 @@ class LPInstance:
     upper: np.ndarray
     m: int
     n_helpers: int
-    edges: np.ndarray  # (n_edges, 2) int (user, helper) of the kept links
     capacities: tuple[int, ...]
     file_units: np.ndarray  # per-file storage cost in file units
 
@@ -106,16 +111,17 @@ class LPInstance:
 
 def build_lp(
     graph: ConnectivityGraph,
-    pop: PopularityModel,
+    pmf: np.ndarray,
     specs: HelperSpecs,
-    file_units=None,
+    file_units,
 ) -> LPInstance:
-    """Assemble the placement LP for the given connectivity and popularity.
+    """Assemble the placement LP of the files whose request probabilities are
+    `pmf`, most popular first, over the given connectivity.
 
     Edges whose helper rate is below the user's base-station rate would have
     negative savings weight; they are dropped with a warning.  `file_units`
-    give each file's storage cost for the capacity rows (defaults to 1 per
-    file; bucketed catalogs pass their bucket sizes here).  Rows are written
+    give each file's storage cost for the capacity rows: its bucket size for
+    a bucketed catalog, 1 for a single file.  Rows are written
     already equilibrated: capacity rows and their bounds are divided by
     max(file_units), the other rows have unit entries.  Raises
     InstanceTooLargeError, before allocating, when A would hold more than
@@ -126,14 +132,11 @@ def build_lp(
         raise InfeasiblePlacementError("specs/graph helper counts differ")
     if graph.n_users == 0:
         raise DegenerateInstanceError("LP needs at least one user")
-    m, H = pop.m, graph.n_helpers
-    if file_units is None:
-        units = np.ones(m)
-    else:
-        units = np.asarray(file_units, dtype=float).ravel()
-        # Each capacity coefficient units / max(units) must stay a nonzero float.
-        if units.shape != (m,) or not np.all(units / units.max() > 0):
-            raise InvalidParameterError("file_units must be positive, one per file")
+    m, H = pmf.size, graph.n_helpers
+    units = np.asarray(file_units, dtype=float).ravel()
+    # Each capacity coefficient units / max(units) must stay a nonzero float.
+    if units.shape != (m,) or not np.all(units / units.max() > 0):
+        raise InvalidParameterError("file_units must be positive, one per file")
 
     users, helpers = np.nonzero(graph.rates > 0)  # row-major (user, helper)
     weight = 1.0 / graph.bs_rate[users] - 1.0 / graph.rates[users, helpers]
@@ -188,7 +191,7 @@ def build_lp(
     b[n_link + n_demand:] = np.asarray(specs.capacities, dtype=float) / top
 
     c = np.zeros(ncols)
-    c[n_rho:] = (weight[:, None] * pop.pmf).ravel()
+    c[n_rho:] = (weight[:, None] * pmf).ravel()
     return LPInstance(
         c=c,
         A=A,
@@ -196,7 +199,6 @@ def build_lp(
         upper=np.ones(ncols),
         m=m,
         n_helpers=H,
-        edges=np.column_stack((users, helpers)),
         capacities=specs.capacities,
         file_units=units,
     )
@@ -349,24 +351,19 @@ def _linprog_solve(c, A: CSCMatrix, b, upper, max_iterations: int):
     return res.x, int(res.nit)
 
 
-@dataclass(frozen=True)
-class LPReport:
-    objective: float  # expected savings, seconds per file bit
-    iterations: int
-
-
-def solve_lp_detailed(instance: LPInstance) -> tuple[Placement, LPReport]:
+def solve_lp_detailed(instance: LPInstance) -> tuple[Placement, SimplexResult]:
     """Solve the placement LP to optimality with `simplex_solve` (HiGHS).
 
     The rows come equilibrated from `build_lp`; the objective is scaled here,
     because the savings weights are about 1e-7 s/bit, below the solver's
-    absolute tolerances.  The report's objective is in unscaled units.
+    absolute tolerances.  The result's objective is `instance.c` times its x:
+    the expected savings in seconds per file bit, unscaled.
     """
     c = instance.c
     if c.size == 0:
         rho = np.zeros((instance.m, instance.n_helpers))
         placement = Placement(rho, instance.capacities)
-        return placement, LPReport(objective=0.0, iterations=0)
+        return placement, SimplexResult(x=np.zeros(0), objective=0.0, iterations=0)
     obj_scale = max(float(np.abs(c).max()), 1e-300)
     result = simplex_solve(c / obj_scale, instance.A, instance.b, upper=instance.upper)
     x = result.x
@@ -378,33 +375,15 @@ def solve_lp_detailed(instance: LPInstance) -> tuple[Placement, LPReport]:
         if used[h] > cap:
             rho[:, h] *= cap / used[h]
     placement = Placement(rho, instance.capacities)
-    return placement, LPReport(
-        objective=float(c @ x), iterations=result.iterations
-    )
+    return placement, replace(result, objective=float(c @ x))
 
 
-@dataclass(frozen=True, eq=False)
-class GroupedCatalog:
-    """Contiguous popularity buckets of a catalog, most popular bucket first."""
-
-    pmf: np.ndarray  # (groups,) bucket masses
-    sizes: np.ndarray  # (groups,) files per bucket
-    starts: np.ndarray  # (groups,) first rank (1-based) of each bucket
-
-    @property
-    def groups(self) -> int:
-        return self.pmf.size
-
-    @property
-    def m(self) -> int:
-        return int(self.sizes.sum())
-
-
-def group_files(pop: PopularityModel, group_count: int) -> GroupedCatalog:
-    """Split ranks 1..m into `group_count` contiguous near-equal buckets.
+def group_files(pop: PopularityModel, group_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split ranks 1..m into `group_count` contiguous near-equal buckets:
+    (files per bucket, request probability of each bucket).
 
     Larger buckets come first (sizes differ by at most one), which keeps the
-    bucket masses non-increasing.
+    bucket probabilities non-increasing.
     """
     if not 1 <= group_count <= pop.m:
         raise InvalidParameterError("group_count must be in [1, m]")
@@ -412,23 +391,7 @@ def group_files(pop: PopularityModel, group_count: int) -> GroupedCatalog:
     sizes = np.array([base + 1] * rem + [base] * (group_count - rem), dtype=np.int64)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     masses = np.add.reduceat(pop.pmf, starts)
-    return GroupedCatalog(pmf=masses, sizes=sizes, starts=starts + 1)
-
-
-def grouped_popularity(grouped: GroupedCatalog) -> PopularityModel:
-    """A popularity model over bucket indices (mass of each bucket)."""
-    pmf = grouped.pmf / grouped.pmf.sum()
-    return PopularityModel(gamma=math.nan, m=grouped.groups, pmf=pmf)
-
-
-def expand_grouped_rho(
-    grouped: GroupedCatalog, bucket_placement: Placement
-) -> Placement:
-    """Per-file fractions from a bucket-level solution (uniform within bucket)."""
-    if bucket_placement.m != grouped.groups:
-        raise InfeasiblePlacementError("bucket placement does not match grouping")
-    rho = np.repeat(bucket_placement.rho, grouped.sizes, axis=0)
-    return Placement(rho, bucket_placement.capacities)
+    return sizes, masses / masses.sum()
 
 
 def solve_grouped(
@@ -436,21 +399,14 @@ def solve_grouped(
     pop: PopularityModel,
     specs: HelperSpecs,
     groups: int,
-) -> tuple[Placement, LPReport]:
-    """Bucket the catalog, solve the bucket LP, and expand to per-file rho.
+) -> tuple[Placement, SimplexResult]:
+    """Bucket the catalog, solve the bucket LP, and give every file of a
+    bucket the bucket's fractions.
 
     The bucket LP charges each bucket its size in file units, so expanded
     placements respect the original capacities exactly.
     """
-    grouped = group_files(pop, groups)
-    bucket_pop = grouped_popularity(grouped)
-    instance = build_lp(graph, bucket_pop, specs, file_units=grouped.sizes)
-    bucket_placement, report = solve_lp_detailed(instance)
-    return expand_grouped_rho(grouped, bucket_placement), report
-
-
-def coded_placement_rows(placement: Placement):
-    """Nonzero (file_rank, helper_id, rho) triples, rank-major order."""
-    files, helpers = np.nonzero(placement.rho)
-    values = placement.rho[files, helpers].astype(float).tolist()
-    return list(zip((files + 1).tolist(), helpers.tolist(), values))
+    sizes, pmf = group_files(pop, groups)
+    buckets, result = solve_lp_detailed(build_lp(graph, pmf, specs, sizes))
+    rho = np.repeat(buckets.rho, sizes, axis=0)
+    return Placement(rho, buckets.capacities), result

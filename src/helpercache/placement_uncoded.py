@@ -735,10 +735,3 @@ def brute_force_place(
         rho[[f - 1 for f in combo], h] = True
     return Placement(rho, specs.capacities)
 
-
-def placement_to_json(placement: Placement) -> str:
-    """JSON export: helper id (0-based, as a string key) to sorted rank list."""
-    import json
-
-    doc = {str(h): _ranks(column) for h, column in enumerate(placement.rho.T)}
-    return json.dumps(doc, indent=2, sort_keys=True)

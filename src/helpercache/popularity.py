@@ -1,4 +1,9 @@
-"""Zipf request popularity: model construction, sampling, and trace fitting."""
+"""Zipf request popularity: model construction, sampling, and trace fitting.
+
+A trace is a plain array of request counts per file: `request_counts` counts
+sampled ranks, `read_trace_csv` reads a `file_id,count` file, and
+`fit_zipf` fits a Zipf exponent to either.
+"""
 
 from __future__ import annotations
 
@@ -178,34 +183,15 @@ def catalog_size(n_users: int, scale: float = 1.0) -> int:
     return max(1, round(scale * math.log(n_users)))
 
 
-@dataclass(frozen=True)
-class RequestTrace:
-    """Observed request counts per file id.
+def read_trace_csv(path) -> np.ndarray:
+    """Request counts of a `file_id,count` UTF-8 CSV (header required), one
+    float per row in file order.
 
-    Only files with at least one request are retained; `total_requests` is the
-    sum of the retained counts.
+    Blank lines are skipped.  A row whose two fields are not integers, whose
+    count is negative or past the float range, or whose file id repeats an
+    earlier row's is refused, naming its line.  A count of 0 is kept;
+    `fit_zipf` leaves it out.
     """
-
-    counts: tuple[tuple[int, int], ...]
-    total_requests: int
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "RequestTrace":
-        kept = []
-        seen = set()
-        for file_id, count in pairs:
-            file_id = int(file_id)
-            count = int(count)
-            if file_id in seen:
-                raise InvalidParameterError(f"duplicate file id {file_id} in trace")
-            seen.add(file_id)
-            if count >= 1:
-                kept.append((file_id, count))
-        return cls(counts=tuple(kept), total_requests=sum(c for _, c in kept))
-
-
-def read_trace_csv(path) -> RequestTrace:
-    """Read a `file_id,count` UTF-8 CSV (header required) into a RequestTrace."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -214,37 +200,51 @@ def read_trace_csv(path) -> RequestTrace:
                 raise InvalidParameterError(
                     "trace CSV must start with header file_id,count"
                 )
-            pairs = []
+            counts = []
+            first_line = {}
             for row in reader:
                 if not row:
                     continue
+                where = f"trace CSV line {reader.line_num}"
                 try:
-                    pairs.append((int(row[0]), int(row[1])))
+                    file_id, count = int(row[0]), int(row[1])
                 except (ValueError, IndexError):
                     raise InvalidParameterError(
-                        f"trace CSV line {reader.line_num}: expected integers "
-                        f"file_id,count, got {','.join(row)!r}"
+                        f"{where}: expected integers file_id,count, got "
+                        f"{','.join(row)!r}"
                     ) from None
+                if count < 0:
+                    raise InvalidParameterError(
+                        f"{where}: count {count} of file id {file_id} is negative"
+                    )
+                if file_id in first_line:
+                    raise InvalidParameterError(
+                        f"{where}: duplicate file id {file_id}, first on line "
+                        f"{first_line[file_id]}"
+                    )
+                try:
+                    counts.append(float(count))
+                except OverflowError:
+                    raise InvalidParameterError(
+                        f"{where}: count of file id {file_id} is past the float range"
+                    ) from None
+                first_line[file_id] = reader.line_num
     except UnicodeDecodeError as exc:
         raise InvalidParameterError(
             f"trace CSV {path} is not UTF-8 text: {exc}"
         ) from None
-    return RequestTrace.from_pairs(pairs)
+    return np.array(counts, dtype=float)
 
 
-def fit_zipf(trace: RequestTrace) -> tuple[float, int]:
-    """Fit (gamma_hat, m_hat) from a request trace; see `fit_zipf_counts`."""
-    return fit_zipf_counts(np.array([c for _, c in trace.counts], dtype=float))
-
-
-def fit_zipf_counts(counts) -> tuple[float, int]:
+def fit_zipf(counts) -> tuple[float, int]:
     """Fit (gamma_hat, m_hat) from request counts per file.
 
     Files without a request (count < 1) are left out, so `np.bincount` of
-    sampled ranks can be passed as is.  Files are ranked by descending count
-    and gamma_hat is minus the slope of the ordinary least-squares line of
-    log(count) against log(rank); the order among equal counts does not change
-    the fit.  m_hat is the number of distinct files.
+    sampled ranks or the counts of `read_trace_csv` can be passed as they are.
+    Files are ranked by descending count and gamma_hat is minus the slope of
+    the ordinary least-squares line of log(count) against log(rank); the
+    order among equal counts does not change the fit.  m_hat is the number of
+    files with a request.
     """
     counts = np.asarray(counts)
     counts = counts[counts >= 1]

@@ -86,7 +86,7 @@ def random_caches_lockstep(
     if M == m:
         return np.tile(np.arange(1, m + 1, dtype=out.dtype), (count, 1))
     model = zipf_model(gamma1, m)
-    draws = _fill_draws(M, gamma1, m)
+    draws = _fill_draws(M, model.pmf)
     if draws > RANDOM_CACHE_MAX_DRAWS:
         raise InvalidParameterError("random-zipf caches may need too many draws")
     filled = np.zeros(count, dtype=np.int64)

@@ -1,8 +1,8 @@
 """Trace helpers, and the Zipf fit and sampler that the library replaced.
 
-`sorted_fit` is the former body of `popularity.fit_zipf`: it ranks the
+`sorted_fit` is the former body of `popularity.fit_zipf`: it ranks a
 trace's (file id, count) pairs with `sorted()` and fits the log-log line.
-`trace_from_samples` aggregates sampled ranks into a `RequestTrace`.
+`trace_from_samples` aggregates sampled ranks into such pairs.
 `sample_two_tables` is the former `popularity.sample_requests`, which read
 each bucket's lower and upper rank bound from two guide tables
 (`guide_bounds`).
@@ -11,25 +11,27 @@ each bucket's lower and upper rank bound from two guide tables
 import numpy as np
 
 from helpercache.errors import InsufficientDataError
-from helpercache.popularity import _GUIDE, _SAMPLE_BLOCK, PopularityModel, RequestTrace
+from helpercache.popularity import _GUIDE, _SAMPLE_BLOCK, PopularityModel
 
 
-def trace_from_samples(ranks: np.ndarray) -> RequestTrace:
-    """Aggregate sampled ranks into a trace (file id = rank)."""
+def trace_from_samples(ranks: np.ndarray) -> list[tuple[int, int]]:
+    """(file id, count) pairs of sampled ranks (file id = rank), by id."""
     ids, counts = np.unique(np.asarray(ranks, dtype=np.int64), return_counts=True)
-    return RequestTrace.from_pairs(zip(ids.tolist(), counts.tolist()))
+    return list(zip(ids.tolist(), counts.tolist()))
 
 
-def sorted_fit(trace: RequestTrace) -> tuple[float, int]:
-    """Fit (gamma_hat, m_hat) from a request trace.
+def sorted_fit(pairs) -> tuple[float, int]:
+    """Fit (gamma_hat, m_hat) from (file id, count) pairs; counts below 1 are
+    left out.
 
     Files are ranked by descending count (ties broken by ascending file id) and
     gamma_hat is minus the slope of the ordinary least-squares line of
     log(count) against log(rank).  m_hat is the number of distinct files.
     """
-    if len(trace.counts) < 2:
+    kept = [(f, c) for f, c in pairs if c >= 1]
+    if len(kept) < 2:
         raise InsufficientDataError("need at least two distinct files to fit")
-    ordered = sorted(trace.counts, key=lambda fc: (-fc[1], fc[0]))
+    ordered = sorted(kept, key=lambda fc: (-fc[1], fc[0]))
     counts = np.array([c for _, c in ordered], dtype=float)
     ranks = np.arange(1, len(ordered) + 1, dtype=float)
     slope, _ = np.polyfit(np.log(ranks), np.log(counts), 1)

@@ -11,7 +11,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from popularity_oracles import trace_from_samples
+from popularity_oracles import sorted_fit, trace_from_samples
 
 import helpercache
 from helpercache import cli, placement_coded
@@ -26,7 +26,6 @@ from helpercache.macro_sim import (
 )
 from helpercache.popularity import (
     catalog_size,
-    fit_zipf,
     sample_requests,
     zipf_model,
 )
@@ -81,7 +80,7 @@ class TestFit:
         lines = dict(line.split("=", 1) for line in out.strip().splitlines())
         model = zipf_model(0.9, 50)
         samples = sample_requests(model, stream(3, "fit-trace"), 5000)
-        gamma_hat, m_hat = fit_zipf(trace_from_samples(samples))
+        gamma_hat, m_hat = sorted_fit(trace_from_samples(samples))
         assert float(lines["gamma_hat"]) == pytest.approx(gamma_hat, rel=1e-12)
         assert int(lines["m_hat"]) == m_hat
 
@@ -125,6 +124,30 @@ class TestFit:
         code, out, err = run_cli(capsys, "fit", "--trace", str(trace))
         assert code == 2 and out == ""
         assert err.startswith("error: trace CSV line 3: expected integers")
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("1,10\n2,-20\n3,1\n4,2\n", "trace CSV line 3: count -20 of file id 2 is negative"),
+            ("1,10\n2,3\n\n1,1\n", "trace CSV line 5: duplicate file id 1, first on line 2"),
+            (f"1,10\n2,{2**1100}\n3,1\n", "trace CSV line 3: count of file id 2 is past the float range"),
+        ],
+        ids=["negative-count", "duplicate-id", "huge-count"],
+    )
+    def test_refused_trace_row_names_its_line(self, capsys, tmp_path, body, message):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("file_id,count\n" + body)
+        code, out, err = run_cli(capsys, "fit", "--trace", str(trace))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_zero_counts_are_left_out_of_the_fit(self, capsys, tmp_path):
+        fits = []
+        for body in ("1,40\n2,8\n3,8\n4,1\n", "9,0\n1,40\n2,8\n5,0\n3,8\n4,1\n6,0\n"):
+            trace = tmp_path / "trace.csv"
+            trace.write_text("file_id,count\n" + body)
+            fits.append(run_cli(capsys, "fit", "--trace", str(trace)))
+        assert fits[0] == fits[1]
+        assert fits[0][0] == 0 and fits[0][1].endswith("m_hat=4\n")
 
     def test_non_utf8_trace_exits_two(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -687,6 +710,19 @@ class TestD2DCommands:
         code, seconds, err = run_child(*argv)
         assert code == 2 and seconds < 1.0
         for name in ("gamma1=13.29", "M=2", "reps=1000"):
+            assert name in err
+
+    def test_wide_random_caches_are_priced_by_their_columns(self):
+        # About 5.0e8 expected draws, under the run bound, but each is
+        # compared with up to 900 held ranks: priced at 900/16 each, the run
+        # is refused before drawing (unpriced, it ran for minutes).
+        argv = (
+            "simulate-d2d", "--mode", "mc", "--strategy", "random-zipf",
+            "--gamma1", "0", "--M", "900", "--reps", "435",
+        )
+        code, seconds, err = run_child(*argv)
+        assert code == 2 and seconds < 1.0
+        for name in ("gamma1=0", "M=900", "reps=435", "priced 2.81e+10"):
             assert name in err
 
     def test_mc_runs_rerun_identically(self, capsys):

@@ -34,7 +34,7 @@ def _near_draw_limit(M: int, m: int) -> float:
     lo, hi = 0.0, 30.0
     for _ in range(60):
         mid = (lo + hi) / 2
-        if _fill_draws(M, mid, m) > RANDOM_CACHE_MAX_DRAWS / 2:
+        if _fill_draws(M, zipf_model(mid, m).pmf) > RANDOM_CACHE_MAX_DRAWS / 2:
             hi = mid
         else:
             lo = mid
@@ -62,7 +62,7 @@ def test_random_cache_replay_equals_the_lockstep_loop(M, gamma1, count):
 def test_random_cache_replay_near_the_draw_limit(M, count):
     # Thousands of rounds, most of them for one or two rows.
     gamma1 = _near_draw_limit(M, CATALOG)
-    assert _fill_draws(M, gamma1, CATALOG) > RANDOM_CACHE_MAX_DRAWS / 4
+    assert _fill_draws(M, zipf_model(gamma1, CATALOG).pmf) > RANDOM_CACHE_MAX_DRAWS / 4
     _assert_same_fill(count, M, gamma1, CATALOG)
 
 

@@ -4,8 +4,8 @@
 edge, one per matrix entry) followed by the row equilibration that
 `solve_lp_detailed` used to apply: every row divided by its largest absolute
 entry.  The shipped build writes the rows already scaled, so its A, b and c
-must equal the oracle's bit for bit, with the same kept (user, helper) links
-and the same count of dropped slow links.  Its A comes in CSC form, entry for
+must equal the oracle's bit for bit, which pins the kept (user, helper) links
+and their order, with the same count of dropped slow links.  Its A comes in CSC form, entry for
 entry in the order `scipy.sparse.csc_array` gives the dense matrix, which is
 the order the solver has always been handed.
 """
@@ -19,7 +19,7 @@ import pytest
 from scipy.sparse import csc_array
 
 from helpercache import rng as hrng
-from helpercache.placement_coded import build_lp, group_files, grouped_popularity
+from helpercache.placement_coded import build_lp, group_files
 from helpercache.placement_uncoded import HelperSpecs
 from helpercache.popularity import zipf_model
 from helpercache.topology import (
@@ -33,10 +33,10 @@ from helpercache.topology import (
 )
 
 
-def loop_build(graph, pop, specs, file_units=None):
-    """(A, b, c, kept (user, helper) pairs, dropped count), rows scaled."""
-    m, H = pop.m, graph.n_helpers
-    units = np.ones(m) if file_units is None else np.asarray(file_units, float)
+def loop_build(graph, pmf, specs, file_units):
+    """(A, b, c, dropped count), rows scaled."""
+    m, H = pmf.size, graph.n_helpers
+    units = np.asarray(file_units, float)
     edges = []
     dropped = 0
     for u in range(graph.n_users):
@@ -81,14 +81,13 @@ def loop_build(graph, pop, specs, file_units=None):
 
     c = np.zeros(ncols)
     for e, (u, _, w) in enumerate(edges):
-        c[n_rho + e * m : n_rho + (e + 1) * m] = pop.pmf * w
+        c[n_rho + e * m : n_rho + (e + 1) * m] = pmf * w
 
     if c.size:
         row_scale = np.maximum(np.abs(A).max(axis=1), 1e-300)
         A = A / row_scale[:, None]
         b = b / row_scale
-    kept = [(u, h) for u, h, _ in edges]
-    return A, b, c, kept, dropped
+    return A, b, c, dropped
 
 
 def assert_csc_order(matrix):
@@ -104,17 +103,15 @@ def dropped_in(caplog) -> int:
     return int(found.group(1)) if found else 0
 
 
-def assert_same_lp(graph, pop, specs, caplog, file_units=None):
-    A, b, c, kept, dropped = loop_build(graph, pop, specs, file_units)
+def assert_same_lp(graph, pmf, specs, caplog, file_units):
+    A, b, c, dropped = loop_build(graph, pmf, specs, file_units)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="helpercache.placement_coded"):
-        instance = build_lp(graph, pop, specs, file_units=file_units)
+        instance = build_lp(graph, pmf, specs, file_units)
     assert np.array_equal(np.asarray(instance.A), A)
     assert_csc_order(instance.A)
     assert np.array_equal(instance.b, b)
     assert np.array_equal(instance.c, c)
-    assert instance.edges.shape == (len(kept), 2)
-    assert [tuple(pair) for pair in instance.edges.tolist()] == kept
     assert dropped_in(caplog) == dropped
     return dropped
 
@@ -133,18 +130,18 @@ def random_case(rng):
     if n_users > 1 and rng.random() < 0.3:
         rates[int(rng.integers(n_users))] = 0.0  # a user with no link
     graph = ConnectivityGraph(rates=rates, bs_rate=bs)
-    pop = zipf_model(float(rng.uniform(0.0, 1.8)), m)
+    pmf = zipf_model(float(rng.uniform(0.0, 1.8)), m).pmf
     specs = HelperSpecs(tuple(int(c) for c in rng.integers(0, m + 1, n_helpers)))
-    units = rng.integers(1, 6, m) if rng.random() < 0.5 else None
-    return graph, pop, specs, units
+    units = rng.integers(1, 6, m) if rng.random() < 0.5 else np.ones(m)
+    return graph, pmf, specs, units
 
 
 def test_vectorized_build_matches_loop_build_on_random_instances(caplog):
     rng = hrng.stream(4711, "lp-build")
     dropped_total = 0
     for _ in range(300):
-        graph, pop, specs, units = random_case(rng)
-        dropped_total += assert_same_lp(graph, pop, specs, caplog, units)
+        graph, pmf, specs, units = random_case(rng)
+        dropped_total += assert_same_lp(graph, pmf, specs, caplog, units)
     assert dropped_total > 0  # the slow-link path was exercised
 
 
@@ -158,21 +155,13 @@ def test_vectorized_build_matches_loop_build_on_grouped_cell(caplog, groups):
         users=place_uniform(24, 400.0, hrng.stream(5, "lp-build-users")),
     )
     graph = build_connectivity(layout, helper_model, DEFAULT_MACRO_MODEL)
-    grouped = group_files(zipf_model(0.8, 1000), groups)
-    assert_same_lp(
-        graph,
-        grouped_popularity(grouped),
-        HelperSpecs.uniform(32, 30),
-        caplog,
-        grouped.sizes,
-    )
+    sizes, pmf = group_files(zipf_model(0.8, 1000), groups)
+    assert_same_lp(graph, pmf, HelperSpecs.uniform(32, 30), caplog, sizes)
 
 
 def test_capacity_rows_are_prescaled():
     graph = ConnectivityGraph(rates=np.array([[2e7, 0.0]]), bs_rate=np.array([1e6]))
-    instance = build_lp(
-        graph, zipf_model(0.8, 3), HelperSpecs((4, 0)), file_units=[4, 2, 1]
-    )
+    instance = build_lp(graph, zipf_model(0.8, 3).pmf, HelperSpecs((4, 0)), [4, 2, 1])
     A = np.asarray(instance.A)
     np.testing.assert_array_equal(A[-2:, :6].max(axis=1), [1.0, 1.0])
     np.testing.assert_array_equal(instance.b[-2:], [1.0, 0.0])

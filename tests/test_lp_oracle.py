@@ -214,9 +214,9 @@ def random_instance(rng, bucketed: bool):
     )
     graph = ConnectivityGraph(rates=rates, bs_rate=rng.uniform(1e6, 4e6, n_users))
     pop = zipf_model(float(rng.uniform(0.0, 1.8)), m)
-    units = rng.integers(1, 6, m) if bucketed else None
+    units = rng.integers(1, 6, m) if bucketed else np.ones(m)
     specs = HelperSpecs(tuple(int(c) for c in rng.integers(0, m + 1, n_helpers)))
-    return build_lp(graph, pop, specs, file_units=units)
+    return build_lp(graph, pop.pmf, specs, units)
 
 
 @pytest.mark.parametrize("bucketed", [False, True], ids=["unit", "bucketed"])
@@ -246,7 +246,7 @@ def tiny_cost_instance():
         users=place_uniform(32, 400.0, hrng.stream(3, "c4-users")),
     )
     graph = build_connectivity(layout, helper_model, DEFAULT_MACRO_MODEL)
-    return build_lp(graph, zipf_model(0.8, 4), HelperSpecs.uniform(32, 2))
+    return build_lp(graph, zipf_model(0.8, 4).pmf, HelperSpecs.uniform(32, 2), np.ones(4))
 
 
 def test_shipped_solver_matches_tableau_on_tiny_costs(monkeypatch):

@@ -22,7 +22,7 @@ from helpercache.placement_uncoded import (
     Placement,
     most_popular_place,
 )
-from helpercache.popularity import fit_zipf_counts, sample_requests, zipf_model
+from helpercache.popularity import fit_zipf, sample_requests, zipf_model
 from helpercache.rng import stream
 from helpercache.topology import (
     DEFAULT_HELPER_MODEL,
@@ -344,7 +344,7 @@ class TestMacroConfig:
         config = MacroConfig()
         source = zipf_model(config.trace_gamma, config.catalog_size)
         ranks = sample_requests(source, stream(seed, "fit-trace"), config.trace_samples)
-        gamma_hat, _ = fit_zipf_counts(np.bincount(ranks))
+        gamma_hat, _ = fit_zipf(np.bincount(ranks))
         assert experiment_popularity(config, seed).gamma == max(gamma_hat, 0.0)
 
     def test_fitting_trace_holds_no_ranks(self):

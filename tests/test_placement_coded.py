@@ -11,12 +11,10 @@ from helpercache.errors import (
     InfeasiblePlacementError,
     InvalidParameterError,
 )
+from helpercache.cli import _coded_rows
 from helpercache.placement_coded import (
     build_lp,
-    coded_placement_rows,
-    expand_grouped_rho,
     group_files,
-    grouped_popularity,
     solve_grouped,
     solve_lp_detailed,
 )
@@ -39,6 +37,11 @@ FIXTURE_BS = np.array([2.0e6, 2.0e6, 2.0e5, 2.0e6])
 FIXTURE_OPTIMAL_UNCODED_DELAY = 226.8
 
 
+def file_lp(graph, pop, specs):
+    """The LP of a catalog whose files each take one unit of storage."""
+    return build_lp(graph, pop.pmf, specs, np.ones(pop.m))
+
+
 @pytest.fixture
 def fixture():
     graph = ConnectivityGraph(rates=FIXTURE_RATES, bs_rate=FIXTURE_BS)
@@ -47,21 +50,21 @@ def fixture():
 
 def test_instance_dimensions(fixture):
     graph, pop, specs = fixture
-    instance = build_lp(graph, pop, specs)
-    assert len(instance.edges) == 5
+    instance = file_lp(graph, pop, specs)
     assert instance.n_rho == 8
     # rows: one per (edge, file), one per (covered user, file), one per helper
     assert instance.A.shape == (5 * 4 + 4 * 4 + 2, 8 + 5 * 4)
     assert instance.upper.shape == (28,)
     assert np.all(instance.upper == 1.0)
     assert instance.b[-2:] == pytest.approx([2.0, 2.0])
-    assert instance.edges.tolist() == [[0, 0], [1, 0], [2, 0], [2, 1], [3, 1]]
-    assert np.all(instance.c >= 0)
+    # one block of a columns per kept link, in (user, helper) order
+    links = [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1)]
+    assert np.array_equal(instance.c[8:], link_costs(graph, pop, links))
 
 
 def test_coded_dominates_uncoded_on_fixture(fixture):
     graph, pop, specs = fixture
-    placement, report = solve_lp_detailed(build_lp(graph, pop, specs))
+    placement, report = solve_lp_detailed(file_lp(graph, pop, specs))
     base = baseline_delay(graph, FILE_BITS)
     uncoded_savings = base - FIXTURE_OPTIMAL_UNCODED_DELAY
     delay = base - FILE_BITS * report.objective
@@ -93,7 +96,7 @@ def test_lp_beats_greedy_on_random_instances():
         greedy_savings = delay_savings(
             greedy_place(graph, pop, specs, FILE_BITS), graph, pop, FILE_BITS
         )
-        _, report = solve_lp_detailed(build_lp(graph, pop, specs))
+        _, report = solve_lp_detailed(file_lp(graph, pop, specs))
         scale = baseline_delay(graph, FILE_BITS)
         assert FILE_BITS * report.objective >= greedy_savings - 1e-9 * scale
 
@@ -105,7 +108,7 @@ def test_single_user_solution_is_integral():
         graph = ConnectivityGraph(rates=rates, bs_rate=np.array([1e6]))
         pop = zipf_model(float(rng.uniform(0.2, 1.5)), 4)
         specs = HelperSpecs((2, 1))
-        placement, _ = solve_lp_detailed(build_lp(graph, pop, specs))
+        placement, _ = solve_lp_detailed(file_lp(graph, pop, specs))
         dist_to_corner = np.minimum(placement.rho, 1.0 - placement.rho)
         assert float(dist_to_corner.max()) <= 1e-7
 
@@ -113,14 +116,14 @@ def test_single_user_solution_is_integral():
 def test_single_helper_caches_top_ranks():
     graph = ConnectivityGraph(rates=np.array([[2e7]]), bs_rate=np.array([1e6]))
     pop = zipf_model(0.9, 4)
-    placement, _ = solve_lp_detailed(build_lp(graph, pop, HelperSpecs((2,))))
+    placement, _ = solve_lp_detailed(file_lp(graph, pop, HelperSpecs((2,))))
     np.testing.assert_allclose(placement.rho[:, 0], [1.0, 1.0, 0.0, 0.0], atol=1e-9)
 
 
 def test_no_helpers_reduces_to_baseline():
     graph = ConnectivityGraph(rates=np.zeros((3, 0)), bs_rate=np.array([1e6, 2e6, 5e5]))
     pop = zipf_model(0.8, 4)
-    instance = build_lp(graph, pop, HelperSpecs(()))
+    instance = file_lp(graph, pop, HelperSpecs(()))
     assert instance.A.shape == (0, 0)
     placement, report = solve_lp_detailed(instance)
     assert placement.rho.shape == (4, 0)
@@ -132,7 +135,7 @@ def test_no_helpers_reduces_to_baseline():
 def test_no_users_is_degenerate():
     graph = ConnectivityGraph(rates=np.zeros((0, 2)), bs_rate=np.zeros(0))
     with pytest.raises(DegenerateInstanceError):
-        build_lp(graph, zipf_model(1.0, 3), HelperSpecs.uniform(2, 1))
+        file_lp(graph, zipf_model(1.0, 3), HelperSpecs.uniform(2, 1))
 
 
 def test_slow_edges_dropped_with_warning(caplog):
@@ -140,9 +143,16 @@ def test_slow_edges_dropped_with_warning(caplog):
     graph = ConnectivityGraph(rates=rates, bs_rate=np.array([1e6]))
     pop = zipf_model(1.0, 2)
     with caplog.at_level(logging.WARNING, logger="helpercache.placement_coded"):
-        instance = build_lp(graph, pop, HelperSpecs.uniform(2, 1))
+        instance = file_lp(graph, pop, HelperSpecs.uniform(2, 1))
     assert "slower than the base station" in caplog.text
-    assert instance.edges.tolist() == [[0, 1]]
+    assert np.array_equal(instance.c[4:], link_costs(graph, pop, [(0, 1)]))
+
+
+def link_costs(graph, pop, links):
+    """The objective of the a columns of `links`: savings weight times pmf."""
+    return np.concatenate(
+        [(1.0 / graph.bs_rate[u] - 1.0 / graph.rates[u, h]) * pop.pmf for u, h in links]
+    )
 
 
 def test_evaluate_zero_and_full_fractions(fixture):
@@ -191,23 +201,23 @@ def test_uncoded_embedding_matches_delays(fixture):
 
 def test_group_files_bucketing():
     pop = zipf_model(0.8, 10)
-    grouped = group_files(pop, 3)
-    np.testing.assert_array_equal(grouped.sizes, [4, 3, 3])
-    np.testing.assert_array_equal(grouped.starts, [1, 5, 8])
+    sizes, pmf = group_files(pop, 3)
+    np.testing.assert_array_equal(sizes, [4, 3, 3])
     np.testing.assert_allclose(
-        grouped.pmf,
+        pmf,
         [pop.pmf[0:4].sum(), pop.pmf[4:7].sum(), pop.pmf[7:10].sum()],
         rtol=1e-15,
     )
-    assert np.all(np.diff(grouped.pmf) <= 0)
-    assert grouped.m == 10
+    assert np.all(np.diff(pmf) <= 0)
+    assert abs(pmf.sum() - 1.0) <= 1e-15
 
-    identity = group_files(pop, 10)
-    np.testing.assert_array_equal(identity.sizes, np.ones(10))
-    np.testing.assert_allclose(identity.pmf, pop.pmf, rtol=0)
+    sizes, pmf = group_files(pop, 10)
+    np.testing.assert_array_equal(sizes, np.ones(10))
+    np.testing.assert_allclose(pmf, pop.pmf, rtol=1e-15)
 
-    single = group_files(pop, 1)
-    assert grouped_popularity(single).pmf == pytest.approx([1.0], abs=1e-15)
+    sizes, pmf = group_files(pop, 1)
+    np.testing.assert_array_equal(sizes, [10])
+    assert pmf == pytest.approx([1.0], abs=1e-15)
 
     with pytest.raises(InvalidParameterError):
         group_files(pop, 0)
@@ -217,17 +227,17 @@ def test_group_files_bucketing():
 
 def test_grouped_catalog_shrinks_lp():
     pop = zipf_model(0.8, 1000)
-    grouped = group_files(pop, 50)
-    assert grouped.groups == 50
+    sizes, pmf = group_files(pop, 50)
+    assert sizes.size == pmf.size == 50
     # per helper, the bucket LP carries 20x fewer storage variables
-    assert pop.m // grouped.groups == 20
+    assert np.all(sizes == 20)
 
 
 def test_grouped_solution_close_to_ungrouped(fixture):
     graph, _, _ = fixture
     pop = zipf_model(0.8, 40)
     specs = HelperSpecs.uniform(2, 6)
-    _, full_report = solve_lp_detailed(build_lp(graph, pop, specs))
+    _, full_report = solve_lp_detailed(file_lp(graph, pop, specs))
     expanded, bucket_report = solve_grouped(graph, pop, specs, groups=8)
     assert expanded.m == 40
     # bucketing restricts the LP, so it cannot win, and stays within 10%
@@ -244,32 +254,24 @@ def test_grouped_solution_close_to_ungrouped(fixture):
 
 def test_identity_grouping_matches_plain_lp(fixture):
     graph, pop, specs = fixture
-    _, full_report = solve_lp_detailed(build_lp(graph, pop, specs))
+    _, full_report = solve_lp_detailed(file_lp(graph, pop, specs))
     _, identity_report = solve_grouped(graph, pop, specs, groups=pop.m)
     assert identity_report.objective == pytest.approx(
         full_report.objective, abs=1e-9
     )
 
 
-def test_expand_checks_bucket_count():
-    pop = zipf_model(0.8, 10)
-    grouped = group_files(pop, 3)
-    wrong = Placement(rho=np.zeros((4, 1)), capacities=(2,))
-    with pytest.raises(InfeasiblePlacementError):
-        expand_grouped_rho(grouped, wrong)
-
-
 def test_placement_rows(fixture):
     graph, pop, specs = fixture
-    instance = build_lp(graph, pop, specs)
+    instance = file_lp(graph, pop, specs)
     placement, _ = solve_lp_detailed(instance)
-    rows = coded_placement_rows(placement)
+    rows = _coded_rows(placement)
     assert all(r > 0 for _, _, r in rows)
     assert rows == sorted(rows, key=lambda t: (t[0], t[1]))
 
 
 def loop_placement_rows(placement):
-    """`coded_placement_rows` as a loop over every (rank, helper) entry."""
+    """`_coded_rows` as a loop over every (rank, helper) entry."""
     rows = []
     for f in range(placement.m):
         for h in range(placement.n_helpers):
@@ -294,7 +296,7 @@ def test_placement_rows_match_the_loop():
 
 
 def assert_rows_match_the_loop(placement):
-    rows = coded_placement_rows(placement)
+    rows = _coded_rows(placement)
     assert rows == loop_placement_rows(placement)
     assert all(type(v) is int for f, h, _ in rows for v in (f, h))
     assert all(type(r) is float for _, _, r in rows)

@@ -8,6 +8,7 @@ from greedy_oracles import greedy_steps
 from placement_oracles import whole_files
 
 from helpercache import rng as hrng
+from helpercache.cli import _placement_json
 from helpercache.errors import (
     InfeasiblePlacementError,
     InstanceTooLargeError,
@@ -18,7 +19,6 @@ from helpercache.placement_uncoded import (
     brute_force_place,
     greedy_place,
     most_popular_place,
-    placement_to_json,
 )
 from helpercache.popularity import zipf_model
 from helpercache.topology import ConnectivityGraph
@@ -318,7 +318,7 @@ def test_brute_force_zero_users_returns_empty():
 
 def test_placement_json_shape(fixture_instance):
     graph, pop, specs = fixture_instance
-    text = placement_to_json(greedy_place(graph, pop, specs, FILE_BITS))
+    text = _placement_json(greedy_place(graph, pop, specs, FILE_BITS))
     import json
 
     doc = json.loads(text)

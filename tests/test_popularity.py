@@ -13,10 +13,8 @@ from helpercache.popularity import (
     _GUIDE,
     _SAMPLE_BLOCK,
     MAX_CATALOG,
-    RequestTrace,
     catalog_size,
     fit_zipf,
-    fit_zipf_counts,
     read_trace_csv,
     request_counts,
     sample_requests,
@@ -254,22 +252,21 @@ def test_catalog_size_values():
 
 
 def test_fit_recovers_exact_power_law():
-    counts = [(i, round(1e12 * i ** -0.8)) for i in range(1, 101)]
-    gamma_hat, m_hat = fit_zipf(RequestTrace.from_pairs(counts))
+    counts = [round(1e12 * i ** -0.8) for i in range(1, 101)]
+    gamma_hat, m_hat = fit_zipf(counts)
     assert gamma_hat == pytest.approx(0.8, abs=1e-6)
     assert m_hat == 100
 
 
 def test_fit_flat_counts():
-    trace = RequestTrace.from_pairs([(i, 7) for i in range(1, 21)])
-    gamma_hat, m_hat = fit_zipf(trace)
+    gamma_hat, m_hat = fit_zipf([7] * 20)
     assert abs(gamma_hat) <= 1e-9
     assert m_hat == 20
 
 
 def test_fit_of_two_equal_counts_is_positive_zero():
     # The slope is exactly 0, and its negation would print as -0.0.
-    gamma_hat, m_hat = fit_zipf_counts([1, 1])
+    gamma_hat, m_hat = fit_zipf([1, 1])
     assert (gamma_hat, m_hat) == (0.0, 2)
     assert math.copysign(1.0, gamma_hat) == 1.0
 
@@ -277,14 +274,14 @@ def test_fit_of_two_equal_counts_is_positive_zero():
 def test_fit_from_samples():
     model = zipf_model(1.2, 500)
     draws = sample_requests(model, hrng.stream(11, "fitme"), 1_000_000)
-    gamma_hat, m_hat = fit_zipf(trace_from_samples(draws))
+    gamma_hat, m_hat = fit_zipf(np.bincount(draws))
     assert gamma_hat == pytest.approx(1.2, abs=0.1)
     assert m_hat <= 500
 
 
 def test_fit_needs_two_files():
     with pytest.raises(InsufficientDataError):
-        fit_zipf(RequestTrace.from_pairs([(1, 9)]))
+        fit_zipf([9])
 
 
 def test_heavy_tail_limit_behavior():
@@ -296,21 +293,17 @@ def test_heavy_tail_limit_behavior():
 
 def test_trace_roundtrip_through_csv(tmp_path):
     path = tmp_path / "trace.csv"
-    path.write_text("file_id,count\n3,5\n1,9\n2,5\n")
-    trace = read_trace_csv(path)
-    assert trace.total_requests == 19
-    assert all(c >= 1 for _, c in trace.counts)
-    # equal counts keep file-id order
-    ordered = sorted(trace.counts, key=lambda fc: (-fc[1], fc[0]))
-    assert ordered[0] == (1, 9)
-    assert ordered[1] == (2, 5)
+    path.write_text("file_id,count\n3,5\n1,9\n\n7,0\n2,5\n")
+    counts = read_trace_csv(path)
+    # File order, blank lines skipped, a zero count kept.
+    assert counts.dtype == np.float64
+    assert counts.tolist() == [5.0, 9.0, 0.0, 5.0]
+    assert fit_zipf(counts) == sorted_fit([(3, 5), (1, 9), (7, 0), (2, 5)])
 
 
 def test_trace_from_samples_totals():
     draws = np.array([1, 1, 2, 5, 5, 5])
-    trace = trace_from_samples(draws)
-    assert trace.total_requests == 6
-    assert dict(trace.counts) == {1: 2, 2: 1, 5: 3}
+    assert trace_from_samples(draws) == [(1, 2), (2, 1), (5, 3)]
 
 
 def test_array_fit_equals_the_sorted_fit_on_tied_traces():
@@ -320,10 +313,9 @@ def test_array_fit_equals_the_sorted_fit_on_tied_traces():
         ids = rng.choice(10_000, size=files, replace=False) + 1
         # Few count levels, so that most counts tie with others.
         counts = rng.choice([1, 2, 3, 5, 8, 40], size=files)
-        trace = RequestTrace.from_pairs(zip(ids.tolist(), counts.tolist()))
-        want = sorted_fit(trace)
-        assert fit_zipf(trace) == want
-        assert fit_zipf_counts(counts) == want
+        want = sorted_fit(zip(ids.tolist(), counts.tolist()))
+        assert fit_zipf(counts) == want
+        assert fit_zipf(counts.astype(float)) == want
 
 
 def test_sample_count_fit_equals_the_trace_fit():
@@ -337,10 +329,10 @@ def test_sample_count_fit_equals_the_trace_fit():
         if np.unique(draws).size < 2:
             continue
         want = sorted_fit(trace_from_samples(draws))
-        assert fit_zipf_counts(np.bincount(draws)) == want
+        assert fit_zipf(np.bincount(draws)) == want
 
 
 def test_sample_count_fit_needs_two_distinct_ranks():
     for draws in (np.array([3, 3, 3]), np.array([], dtype=np.int64)):
         with pytest.raises(InsufficientDataError, match="^need at least two distinct files to fit$"):
-            fit_zipf_counts(np.bincount(draws))
+            fit_zipf(np.bincount(draws))

@@ -89,3 +89,53 @@ def test_every_public_definition_is_read_by_the_library_or_exported():
         if name.split(".")[-1] not in read | set(helpercache.__all__)
     ]
     assert unused == []
+
+
+def _dataclass_fields(path: Path) -> list[str]:
+    """`Class.field` of every annotated field of the module's dataclasses."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            continue
+        found += [
+            f"{node.name}.{item.target.id}"
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        ]
+    return found
+
+
+def _attributes_read(path: Path) -> set[str]:
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_dataclass_field_is_read_by_the_library_or_the_benchmark(tmp_path):
+    # A field that no module reads is carried for tests alone.  The benchmark
+    # under perfbench/ reads some results (a solve's objective and
+    # iterations), so its modules count as readers.
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from dataclasses import dataclass\n"
+        "import dataclasses\n"
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+        "@dataclasses.dataclass\nclass B:\n    z: int\n"
+        "class C:\n    w: int\n"
+        "def f(a):\n    return a.x\n"
+    )
+    assert _dataclass_fields(probe) == ["A.x", "A.y", "B.z"]
+    assert _attributes_read(probe) == {"dataclass", "x"}
+
+    readers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    readers += sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    read = set().union(*(_attributes_read(path) for path in readers))
+    fields = [f"{path.name}:{name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name in _dataclass_fields(path)]
+    assert len(fields) > 20
+    assert [name for name in fields if name.split(".")[-1] not in read] == []
