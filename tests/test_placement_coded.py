@@ -57,9 +57,10 @@ def test_instance_dimensions(fixture):
     assert instance.upper.shape == (28,)
     assert np.all(instance.upper == 1.0)
     assert instance.b[-2:] == pytest.approx([2.0, 2.0])
-    # one block of a columns per kept link, in (user, helper) order
+    # rho columns cost nothing; one block of a columns per kept link, in
+    # (user, helper) order
     links = [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1)]
-    assert np.array_equal(instance.c[8:], link_costs(graph, pop, links))
+    assert np.array_equal(instance.c, link_costs(graph, pop, 8, links))
 
 
 def test_coded_dominates_uncoded_on_fixture(fixture):
@@ -145,14 +146,14 @@ def test_slow_edges_dropped_with_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="helpercache.placement_coded"):
         instance = file_lp(graph, pop, HelperSpecs.uniform(2, 1))
     assert "slower than the base station" in caplog.text
-    assert np.array_equal(instance.c[4:], link_costs(graph, pop, [(0, 1)]))
+    assert np.array_equal(instance.c, link_costs(graph, pop, 4, [(0, 1)]))
 
 
-def link_costs(graph, pop, links):
-    """The objective of the a columns of `links`: savings weight times pmf."""
-    return np.concatenate(
-        [(1.0 / graph.bs_rate[u] - 1.0 / graph.rates[u, h]) * pop.pmf for u, h in links]
-    )
+def link_costs(graph, pop, n_rho, links):
+    """The LP objective: 0 for the rho columns, then each link's savings
+    weight times the pmf."""
+    weights = [1.0 / graph.bs_rate[u] - 1.0 / graph.rates[u, h] for u, h in links]
+    return np.concatenate([np.zeros(n_rho), *(w * pop.pmf for w in weights)])
 
 
 def test_evaluate_zero_and_full_fractions(fixture):
