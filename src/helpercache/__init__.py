@@ -44,7 +44,6 @@ from .popularity import (
 )
 from .rng import stream
 from .topology import (
-    CellLayout,
     ConnectivityGraph,
     LinkRateModel,
     build_connectivity,
@@ -55,7 +54,6 @@ from .topology import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellLayout",
     "ClusterStats",
     "ConfigError",
     "ConnectivityGraph",

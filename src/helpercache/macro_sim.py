@@ -29,7 +29,7 @@ positions and requests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,9 +51,7 @@ from .popularity import (
 )
 from .rng import stream
 from .topology import (
-    DEFAULT_HELPER_MODEL,
     DEFAULT_MACRO_MODEL,
-    CellLayout,
     ConnectivityGraph,
     build_connectivity,
     check_cell_radius,
@@ -140,8 +138,8 @@ class MacroConfig:
 
     Helper caches hold 2000 files of a 4000-file catalog (60 GB of 30 MB
     files).  The request exponent is fitted from a synthetic trace unless
-    `gamma` pins it.  `helper_radius_m` widens the module default so a few
-    tens of helpers can blanket the cell.
+    `gamma` pins it.  Each helper covers the users within `helper_radius_m`,
+    so a few tens of helpers can blanket the cell.
     """
 
     n_users: int = 24
@@ -198,14 +196,6 @@ def experiment_popularity(config: MacroConfig, root_seed: int) -> PopularityMode
     return zipf_model(max(gamma_hat, 0.0), config.catalog_size)
 
 
-def _cell_graph(
-    helpers: np.ndarray, users: np.ndarray, config: MacroConfig
-) -> ConnectivityGraph:
-    layout = CellLayout(cell_radius=config.cell_radius_m, helpers=helpers, users=users)
-    helper_model = replace(DEFAULT_HELPER_MODEL, helper_radius_m=config.helper_radius_m)
-    return build_connectivity(layout, helper_model, DEFAULT_MACRO_MODEL)
-
-
 def plan_deployment(
     count: int, config: MacroConfig, root_seed: int
 ) -> tuple[np.ndarray, ConnectivityGraph]:
@@ -214,12 +204,13 @@ def plan_deployment(
     Placement is chosen once, against a planning draw of user positions; the
     replications then measure it on fresh user and request draws.
     """
-    rng = stream(root_seed, "helpers", count) if config.helper_mode == "uniform" else None
-    helpers = place_helpers(count, config.helper_mode, config.cell_radius_m, rng=rng)
-    users = place_uniform(
-        config.n_users, config.cell_radius_m, stream(root_seed, "plan-users")
-    )
-    return helpers, _cell_graph(helpers, users, config)
+    radius = config.cell_radius_m
+    if config.helper_mode == "uniform":
+        helpers = place_uniform(count, radius, stream(root_seed, "helpers", count))
+    else:
+        helpers = place_helpers(count, radius)
+    users = place_uniform(config.n_users, radius, stream(root_seed, "plan-users"))
+    return helpers, build_connectivity(helpers, users, config.helper_radius_m)
 
 
 def make_placement(
@@ -299,7 +290,7 @@ def _satisfied_counts(
             [sample_requests(pop, stream(root_seed, "requests", k), n) for k in ks]
         )
         for count, (helpers, _) in plans.items():
-            graph = _cell_graph(helpers, users, config)
+            graph = build_connectivity(helpers, users, config.helper_radius_m)
             for i in (i for i, point in enumerate(points) if point[1] == count):
                 times, _ = _deliver(graph, rho[i][requests - 1], config.file_bits)
                 satisfied[i, lo : ks.stop] = (times <= config.qos_s).sum(axis=-1)

@@ -174,13 +174,19 @@ def request_counts(
 def catalog_size(n_users: int, scale: float = 1.0) -> int:
     """Catalog size that grows logarithmically with the user population.
 
-    Returns max(1, round(scale * ln(n_users))).
+    Returns max(1, round(scale * ln(n_users))); a product past the float
+    range is refused.
     """
     if n_users < 1:
         raise InvalidParameterError("n_users must be >= 1")
     if not math.isfinite(scale) or scale <= 0:
         raise InvalidParameterError("scale must be finite and > 0")
-    return max(1, round(scale * math.log(n_users)))
+    size = scale * math.log(n_users)
+    if not math.isfinite(size):
+        raise InvalidParameterError(
+            f"scale={scale!r} times ln(n={n_users}) is past the float range"
+        )
+    return max(1, round(size))
 
 
 def read_trace_csv(path) -> np.ndarray:

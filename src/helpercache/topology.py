@@ -1,5 +1,6 @@
-"""Cell geometry, link-rate model, user/helper connectivity, and the
-fastest-first fetch rule every delivery model shares."""
+"""Helper and user positions in a disc cell, the link-rate models, the
+connectivity graph built from positions and one helper coverage radius, and
+the fastest-first fetch rule every delivery model shares."""
 
 from __future__ import annotations
 
@@ -20,8 +21,6 @@ class LinkRateModel:
                   bandwidth_hz * log2(1 + reference_snr * (max(d, d0_m)/d0_m)**-alpha))
 
     `reference_snr` is the linear SNR at the reference distance `d0_m`.
-    `helper_radius_m` is the coverage radius used when building connectivity
-    (ignored for the base-station model, which reaches the whole cell).
     """
 
     bandwidth_hz: float
@@ -29,7 +28,6 @@ class LinkRateModel:
     d0_m: float
     pathloss_exponent: float
     max_rate_bps: float
-    helper_radius_m: float
 
     def __post_init__(self):
         for name in (
@@ -38,24 +36,23 @@ class LinkRateModel:
             "d0_m",
             "pathloss_exponent",
             "max_rate_bps",
-            "helper_radius_m",
         ):
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0:
                 raise InvalidParameterError(f"{name} must be finite and > 0")
 
 
-# Desk-scale calibration defaults.  The helper link saturates at its cap over the
-# whole 60 m disc; the base-station rate falls from the same cap near the center
-# to ~3 Mb/s at a 400 m cell edge, so an in-range helper is never slower than
-# the base station (required for non-negative delay-savings weights).
+# Desk-scale calibration defaults.  The helper link stays at its cap out to the
+# 150 m default coverage radius; the base-station rate falls from the same cap
+# near the center to ~3 Mb/s at a 400 m cell edge, so an in-range helper is
+# never slower than the base station (required for non-negative delay-savings
+# weights).
 DEFAULT_HELPER_MODEL = LinkRateModel(
     bandwidth_hz=20e6,
     reference_snr=1e8,
     d0_m=1.0,
     pathloss_exponent=3.5,
     max_rate_bps=30e6,
-    helper_radius_m=60.0,
 )
 DEFAULT_MACRO_MODEL = LinkRateModel(
     bandwidth_hz=10e6,
@@ -63,7 +60,6 @@ DEFAULT_MACRO_MODEL = LinkRateModel(
     d0_m=1.0,
     pathloss_exponent=3.5,
     max_rate_bps=30e6,
-    helper_radius_m=800.0,
 )
 
 
@@ -84,35 +80,6 @@ def link_rate(distance_m, model: LinkRateModel):
     if rate.ndim == 0:
         return float(rate)
     return rate
-
-
-@dataclass(frozen=True, eq=False)
-class CellLayout:
-    """Helper and user positions in a disc cell; the base station is at the origin.
-
-    `users` may carry leading axes, one user draw per index, all sharing the
-    same helpers.
-    """
-
-    cell_radius: float
-    helpers: np.ndarray  # (n_helpers, 2)
-    users: np.ndarray  # (..., n_users, 2)
-
-    def __post_init__(self):
-        check_cell_radius(self.cell_radius)
-        helpers = np.atleast_2d(np.asarray(self.helpers, dtype=float))
-        users = np.atleast_2d(np.asarray(self.users, dtype=float))
-        if helpers.size == 0:
-            helpers = helpers.reshape(0, 2)
-        if users.size == 0 and users.shape[-1] != 2:
-            users = users.reshape(0, 2)
-        for name, arr in (("helpers", helpers), ("users", users)):
-            if arr.shape[-1] != 2 or (arr.ndim != 2 and name == "helpers"):
-                raise InvalidParameterError(f"{name} must be an (k, 2) array")
-            if arr.size and not _in_cell(arr, self.cell_radius).all():
-                raise InvalidParameterError(f"{name} positions must lie within the cell")
-        object.__setattr__(self, "helpers", helpers)
-        object.__setattr__(self, "users", users)
 
 
 def _in_cell(points: np.ndarray, cell_radius: float) -> np.ndarray:
@@ -139,31 +106,20 @@ def place_uniform(count: int, cell_radius: float, rng: np.random.Generator) -> n
     return out
 
 
-def place_helpers(
-    count: int,
-    mode: str,
-    cell_radius: float,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Helper positions, either on a centered square lattice or uniform random.
+def place_helpers(count: int, cell_radius: float) -> np.ndarray:
+    """`count` helper positions on a centered square lattice.
 
-    Grid mode is deterministic: the lattice pitch shrinks until at least `count`
-    cell centers fall inside the disc, then the `count` farthest from the
-    center are kept (ties broken lexicographically by (x, y)).  Dropping the
-    innermost lattice points keeps the outer rings complete, where the base
-    station signal is weakest.
+    The layout is deterministic: the lattice pitch shrinks until at least
+    `count` cell centers fall inside the disc, then the `count` farthest from
+    the center are kept (ties broken lexicographically by (x, y)).  Dropping
+    the innermost lattice points keeps the outer rings complete, where the
+    base station signal is weakest.
     """
     if count < 0:
         raise InvalidParameterError("count must be >= 0")
     check_cell_radius(cell_radius)
     if count == 0:
         return np.zeros((0, 2))
-    if mode == "uniform":
-        if rng is None:
-            raise InvalidParameterError("uniform helper placement needs an rng")
-        return place_uniform(count, cell_radius, rng)
-    if mode != "grid":
-        raise InvalidParameterError(f"unknown helper placement mode {mode!r}")
     side = max(1, math.isqrt(count - 1) + 1)
     while True:
         pitch = 2.0 * cell_radius / side
@@ -274,21 +230,19 @@ def fetch_fastest_first(
 
 
 def build_connectivity(
-    layout: CellLayout,
-    helper_model: LinkRateModel = DEFAULT_HELPER_MODEL,
-    macro_model: LinkRateModel = DEFAULT_MACRO_MODEL,
+    helpers: np.ndarray, users: np.ndarray, helper_radius: float
 ) -> ConnectivityGraph:
-    """Connect every user to the helpers within `helper_model.helper_radius_m`.
+    """Connect every user to the helpers within `helper_radius` metres.
 
-    An edge at exactly the radius is kept.  Base-station rates use `macro_model`
-    and the distance to the base station at the origin.  Stacked user draws
-    give a stacked graph with the same leading axes.
+    `helpers` is `(n_helpers, 2)` and `users` `(..., n_users, 2)`.  An edge
+    at exactly the radius is kept.  Helper links use `DEFAULT_HELPER_MODEL`;
+    base-station rates use `DEFAULT_MACRO_MODEL` and the distance to the base
+    station at the origin.  Stacked user draws give a stacked graph with the
+    same leading axes.
     """
-    users = layout.users
-    diff = users[..., :, None, :] - layout.helpers
+    diff = users[..., :, None, :] - helpers
     dists = np.hypot(diff[..., 0], diff[..., 1])
-    in_range = dists <= helper_model.helper_radius_m
-    rates = np.where(in_range, link_rate(dists, helper_model), 0.0)
+    rates = np.where(dists <= helper_radius, link_rate(dists, DEFAULT_HELPER_MODEL), 0.0)
     d_bs = np.hypot(users[..., 0], users[..., 1])
-    bs = np.reshape(link_rate(d_bs, macro_model), users.shape[:-1])
+    bs = np.reshape(link_rate(d_bs, DEFAULT_MACRO_MODEL), users.shape[:-1])
     return ConnectivityGraph(rates=rates, bs_rate=bs)

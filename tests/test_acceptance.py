@@ -34,9 +34,6 @@ from helpercache.placement_uncoded import (
 from helpercache.popularity import fit_zipf, sample_requests, zipf_model
 from helpercache.rng import stream
 from helpercache.topology import (
-    DEFAULT_HELPER_MODEL,
-    DEFAULT_MACRO_MODEL,
-    CellLayout,
     ConnectivityGraph,
     build_connectivity,
     place_helpers,
@@ -141,16 +138,14 @@ def test_helper_gain_and_saturation(gate):
 
 
 def test_fractional_placement_tracks_and_dominates_greedy(gate):
-    helper_model = replace(DEFAULT_HELPER_MODEL, helper_radius_m=150.0)
-    helpers = place_helpers(32, "grid", 400.0)
+    helpers = place_helpers(32, 400.0)
     pop = zipf_model(0.8, 8)
     specs = HelperSpecs.uniform(32, 3)
     worst_gap = 0.0
     dominated = True
     for seed in (3, 17, 29):
         users = place_uniform(32, 400.0, stream(seed, "c4-users"))
-        layout = CellLayout(cell_radius=400.0, helpers=helpers, users=users)
-        graph = build_connectivity(layout, helper_model, DEFAULT_MACRO_MODEL)
+        graph = build_connectivity(helpers, users, 150.0)
         greedy = greedy_place(graph, pop, specs, FILE_BITS)
         d_uncoded = evaluate_delay(greedy, graph, pop, FILE_BITS)
         s_uncoded = delay_savings(greedy, graph, pop, FILE_BITS)

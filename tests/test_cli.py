@@ -15,7 +15,7 @@ from popularity_oracles import sorted_fit, trace_from_samples
 
 import helpercache
 from helpercache import cli, placement_coded
-from helpercache.cli import build_parser, main, resolve_params
+from helpercache.cli import main
 from helpercache.d2d import MAX_MC_USERS, MAX_SCORES, MAX_USERS
 from helpercache.errors import IterationLimitError, UnboundedProblemError
 from helpercache.macro_sim import (
@@ -825,6 +825,14 @@ class TestScalingCheck:
         (analytic,) = csv_rows(exact)[1]
         assert analytic[2:4] == [row["r"], row["K"]]
 
+    def test_catalog_past_the_float_range_exits_two(self, capsys):
+        # scale * ln(n) overflowed to inf, and rounding it to a catalog size
+        # raised an OverflowError traceback (exit 1).
+        code, out, err = run_cli(capsys, "scaling-check", "--scale", "1e308")
+        assert (code, out) == (2, "")
+        assert err == "error: scale=1e+308 times ln(n=250) is past the float range\n"
+        assert "Traceback" not in err
+
     def test_single_row_schema(self, capsys):
         code, out, _ = run_cli(
             capsys, "scaling-check", "--n-values", "100", "--gamma", "1.2"
@@ -916,15 +924,15 @@ def readme_commands():
     ]
 
 
-def test_readme_examples_parse():
-    # Every example parses and its parameters resolve; none is run.
+def test_readme_examples_run(monkeypatch, tmp_path):
+    # Every example runs to exit 0, in a directory that holds the trace
+    # `fit --trace requests.csv` reads and takes the files `--out` writes.
     commands = readme_commands()
     assert len(commands) >= 10
-    parser = build_parser()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "requests.csv").write_text("file_id,count\n1,50\n2,21\n3,9\n4,4\n")
     for line in commands:
-        args = parser.parse_args(shlex.split(line)[1:])
-        assert args.command == shlex.split(line)[1]
-        resolve_params(args)
+        assert main(shlex.split(line)[1:]) == 0, line
 
 
 def test_import_loads_no_scipy():

@@ -12,7 +12,6 @@ the order the solver has always been handed.
 
 import logging
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +22,6 @@ from helpercache.placement_coded import build_lp, group_files
 from helpercache.placement_uncoded import HelperSpecs
 from helpercache.popularity import zipf_model
 from helpercache.topology import (
-    DEFAULT_HELPER_MODEL,
-    DEFAULT_MACRO_MODEL,
-    CellLayout,
     ConnectivityGraph,
     build_connectivity,
     place_helpers,
@@ -148,13 +144,8 @@ def test_vectorized_build_matches_loop_build_on_random_instances(caplog):
 @pytest.mark.parametrize("groups", [6, 16])
 def test_vectorized_build_matches_loop_build_on_grouped_cell(caplog, groups):
     # the CLI's coded path: 32 grid helpers, 24 users, bucketed catalog
-    helper_model = replace(DEFAULT_HELPER_MODEL, helper_radius_m=150.0)
-    layout = CellLayout(
-        cell_radius=400.0,
-        helpers=place_helpers(32, "grid", 400.0),
-        users=place_uniform(24, 400.0, hrng.stream(5, "lp-build-users")),
-    )
-    graph = build_connectivity(layout, helper_model, DEFAULT_MACRO_MODEL)
+    users = place_uniform(24, 400.0, hrng.stream(5, "lp-build-users"))
+    graph = build_connectivity(place_helpers(32, 400.0), users, 150.0)
     sizes, pmf = group_files(zipf_model(0.8, 1000), groups)
     assert_same_lp(graph, pmf, HelperSpecs.uniform(32, 30), caplog, sizes)
 

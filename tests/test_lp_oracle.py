@@ -14,7 +14,6 @@ equilibrated LP.  Where the LP has several optimal vertices the two may
 return different placements; only the optimum and feasibility are compared.
 """
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,9 +30,6 @@ from helpercache.placement_coded import SimplexResult, build_lp, solve_lp_detail
 from helpercache.placement_uncoded import HelperSpecs
 from helpercache.popularity import zipf_model
 from helpercache.topology import (
-    DEFAULT_HELPER_MODEL,
-    DEFAULT_MACRO_MODEL,
-    CellLayout,
     ConnectivityGraph,
     build_connectivity,
     place_helpers,
@@ -239,13 +235,8 @@ def test_shipped_solver_matches_tableau_on_random_placement_lps(
 def tiny_cost_instance():
     # 32 helpers and 32 users in a 400 m cell: savings weights are ~1e-7 s/bit,
     # below the solver's absolute tolerances unless the LP is equilibrated.
-    helper_model = replace(DEFAULT_HELPER_MODEL, helper_radius_m=150.0)
-    layout = CellLayout(
-        cell_radius=400.0,
-        helpers=place_helpers(32, "grid", 400.0),
-        users=place_uniform(32, 400.0, hrng.stream(3, "c4-users")),
-    )
-    graph = build_connectivity(layout, helper_model, DEFAULT_MACRO_MODEL)
+    users = place_uniform(32, 400.0, hrng.stream(3, "c4-users"))
+    graph = build_connectivity(place_helpers(32, 400.0), users, 150.0)
     return build_lp(graph, zipf_model(0.8, 4).pmf, HelperSpecs.uniform(32, 2), np.ones(4))
 
 

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,9 +24,7 @@ from helpercache.placement_uncoded import (
 from helpercache.popularity import fit_zipf, sample_requests, zipf_model
 from helpercache.rng import stream
 from helpercache.topology import (
-    DEFAULT_HELPER_MODEL,
     DEFAULT_MACRO_MODEL,
-    CellLayout,
     build_connectivity,
     link_rate,
     place_helpers,
@@ -38,14 +35,12 @@ B = 2.4e8
 QOS = 200.0
 
 
-def build_graph(helpers, users, helper_radius=150.0, cell=400.0):
-    layout = CellLayout(
-        cell_radius=cell,
-        helpers=np.asarray(helpers, dtype=float).reshape(-1, 2),
-        users=np.asarray(users, dtype=float).reshape(-1, 2),
+def build_graph(helpers, users, helper_radius=150.0):
+    return build_connectivity(
+        np.asarray(helpers, dtype=float).reshape(-1, 2),
+        np.asarray(users, dtype=float).reshape(-1, 2),
+        helper_radius,
     )
-    helper_model = replace(DEFAULT_HELPER_MODEL, helper_radius_m=helper_radius)
-    return build_connectivity(layout, helper_model, DEFAULT_MACRO_MODEL)
 
 
 def count_satisfied(outcome, threshold):
@@ -304,12 +299,12 @@ class TestMacroConfig:
         users = place_uniform(
             config.n_users, config.cell_radius_m, stream(3, "plan-users")
         )
-        np.testing.assert_array_equal(helpers, place_helpers(16, "grid", 400.0))
+        np.testing.assert_array_equal(helpers, place_helpers(16, 400.0))
         diff = users[:, None, :] - helpers[None, :, :]
         dists = np.hypot(diff[..., 0], diff[..., 1])
         linked = graph.rates > 0
         np.testing.assert_array_equal(linked, dists <= config.helper_radius_m)
-        assert linked.any() and (dists[linked] > DEFAULT_HELPER_MODEL.helper_radius_m).any()
+        assert linked.any()
         np.testing.assert_array_equal(
             graph.bs_rate,
             link_rate(np.hypot(users[:, 0], users[:, 1]), DEFAULT_MACRO_MODEL),
@@ -427,7 +422,7 @@ class TestSweeps:
         # the two policies only promise an ordering on the layout the
         # placement was optimized for; fresh user draws can reshuffle them
         pop = experiment_popularity(SMALL, 3)
-        helpers = place_helpers(8, "grid", 400.0)
+        helpers = place_helpers(8, 400.0)
         users = place_uniform(SMALL.n_users, 400.0, stream(3, "plan-users"))
         graph = build_graph(helpers, users)
         specs = HelperSpecs.uniform(8, SMALL.capacity)

@@ -1,9 +1,12 @@
 """Structure rules for the package source, checked on its syntax tree."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import helpercache
+from helpercache import cli, d2d, macro_sim, placement_coded
 
 PACKAGE = Path(helpercache.__file__).resolve().parent
 
@@ -139,3 +142,23 @@ def test_every_dataclass_field_is_read_by_the_library_or_the_benchmark(tmp_path)
               for name in _dataclass_fields(path)]
     assert len(fields) > 20
     assert [name for name in fields if name.split(".")[-1] not in read] == []
+
+
+def test_the_benchmark_probes_resolve(monkeypatch):
+    # perfbench/tracer.py wraps library bindings by name, and lists a name it
+    # cannot find as missing instead of failing, so a rename would silently
+    # zero the traced metric it feeds.  The snapshot probe is missing already.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look it up
+    spec.loader.exec_module(tracer)
+    modules = {
+        "cli": cli, "macro_sim": macro_sim, "placement_coded": placement_coded, "d2d": d2d
+    }
+    recorder = tracer.Recorder()
+    try:
+        recorder.install(modules)
+    finally:
+        recorder.uninstall()
+    assert set(recorder.missing) <= {"macro_sim.simulate_snapshot"}

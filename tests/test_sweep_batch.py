@@ -18,7 +18,6 @@ from helpercache.errors import InvalidParameterError
 from helpercache.macro_sim import (
     MacroConfig,
     SweepPoint,
-    _cell_graph,
     _deliver,
     _satisfied_counts,
     _sweep,
@@ -28,7 +27,7 @@ from helpercache.macro_sim import (
 from helpercache.placement_uncoded import HelperSpecs, Placement
 from helpercache.popularity import sample_requests
 from helpercache.rng import stream
-from helpercache.topology import place_uniform
+from helpercache.topology import build_connectivity, place_uniform
 
 
 def oracle_sweep(points, config, policy, reps, root_seed):
@@ -54,7 +53,7 @@ def oracle_sweep(points, config, policy, reps, root_seed):
                 config.n_users, config.cell_radius_m, stream(root_seed, "eval-users", k)
             )
             outcome = simulate_snapshot(
-                _cell_graph(helpers, users, config),
+                build_connectivity(helpers, users, config.helper_radius_m),
                 placement,
                 pop,
                 config.file_bits,
@@ -122,7 +121,7 @@ def test_coded_degree_of_eight_or_more_matches_the_loop():
     )
     helpers, _ = plan_deployment(32, config, 0)
     users = place_uniform(config.n_users, 400.0, stream(0, "eval-users", 0))
-    assert degrees(_cell_graph(helpers, users, config)) >= 8
+    assert degrees(build_connectivity(helpers, users, config.helper_radius_m)) >= 8
     assert_same(helper_points([32, 16], 50), config, "coded", 6, 0)
 
 
@@ -182,12 +181,12 @@ def test_stacked_scores_equal_each_replicate_alone():
         [sample_requests(pop, stream(4, "requests", k), 24) for k in range(reps)]
     )
     rho = dense_fractions(pop.m, 32)
-    stacked = _cell_graph(helpers, users, config)
+    stacked = build_connectivity(helpers, users, config.helper_radius_m)
     assert degrees(stacked).min() < 8 <= degrees(stacked).max()
 
     alone = np.empty((reps, 24))
     for k in range(reps):
-        graph = _cell_graph(helpers, users[k], config)
+        graph = build_connectivity(helpers, users[k], config.helper_radius_m)
         alone[k] = _deliver(graph, rho[requests[k] - 1], 1.0)[0]
     together, _ = _deliver(stacked, rho[requests - 1], 1.0)
     assert (together == alone).all()

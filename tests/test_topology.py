@@ -9,7 +9,6 @@ from helpercache.errors import InvalidParameterError
 from helpercache.topology import (
     DEFAULT_HELPER_MODEL,
     DEFAULT_MACRO_MODEL,
-    CellLayout,
     ConnectivityGraph,
     LinkRateModel,
     build_connectivity,
@@ -42,7 +41,6 @@ def test_rate_formula_oracle():
         d0_m=2.0,
         pathloss_exponent=3.0,
         max_rate_bps=1e9,
-        helper_radius_m=100.0,
     )
     for d in (2.0, 10.0, 55.5, 400.0):
         snr = 1e6 * (d / 2.0) ** -3.0
@@ -74,7 +72,6 @@ def test_model_validation():
             d0_m=1.0,
             pathloss_exponent=3.5,
             max_rate_bps=30e6,
-            helper_radius_m=60.0,
         )
 
 
@@ -101,11 +98,11 @@ def test_uniform_helper_layout_regression():
 
 
 def test_grid_single_helper_at_center():
-    np.testing.assert_array_equal(place_helpers(1, "grid", 400.0), [[0.0, 0.0]])
+    np.testing.assert_array_equal(place_helpers(1, 400.0), [[0.0, 0.0]])
 
 
 def test_grid_four_helpers_form_square():
-    pts = place_helpers(4, "grid", 400.0)
+    pts = place_helpers(4, 400.0)
     assert pts.shape == (4, 2)
     dists = sorted(
         float(np.hypot(*(pts[i] - pts[j])))
@@ -119,7 +116,7 @@ def test_grid_four_helpers_form_square():
 
 def test_grid_32_fills_clipped_lattice():
     # 6x6 lattice over the 400 m cell loses exactly its 4 corners to the disc.
-    pts = place_helpers(32, "grid", 400.0)
+    pts = place_helpers(32, 400.0)
     assert pts.shape == (32, 2)
     norms = np.hypot(pts[:, 0], pts[:, 1])
     assert norms.max() <= 400.0
@@ -131,39 +128,35 @@ def test_grid_32_fills_clipped_lattice():
 
 
 def test_grid_16_keeps_outer_rings():
-    pts = place_helpers(16, "grid", 400.0)
+    pts = place_helpers(16, 400.0)
     norms = np.sort(np.round(np.hypot(pts[:, 0], pts[:, 1]), 2))
     expected = [226.27] * 4 + [320.0] * 4 + [357.77] * 8
     np.testing.assert_allclose(norms, expected, atol=0.01)
 
 
 def test_place_helpers_validation():
-    assert place_helpers(0, "grid", 400.0).shape == (0, 2)
+    assert place_helpers(0, 400.0).shape == (0, 2)
     with pytest.raises(InvalidParameterError):
-        place_helpers(-1, "grid", 400.0)
-    with pytest.raises(InvalidParameterError):
-        place_helpers(4, "hexagon", 400.0)
-    with pytest.raises(InvalidParameterError):
-        place_helpers(4, "uniform", 400.0)
+        place_helpers(-1, 400.0)
     # 2 * 1e308 overflows: no draw or lattice point fits an infinite cell.
     with pytest.raises(InvalidParameterError, match="finite diameter"):
-        place_helpers(4, "uniform", 1e308, hrng.stream(0, "wide"))
+        place_helpers(4, 1e308)
     with pytest.raises(InvalidParameterError, match="finite diameter"):
         place_uniform(4, 1e308, hrng.stream(0, "wide"))
 
 
-def test_layout_rejects_positions_outside_cell():
-    with pytest.raises(InvalidParameterError):
-        CellLayout(400.0, helpers=[[0.0, 0.0]], users=[[401.0, 0.0]])
+def connect(helpers, users, helper_radius=60.0):
+    return build_connectivity(
+        np.array(helpers, dtype=float).reshape(-1, 2),
+        np.array(users, dtype=float).reshape(-1, 2),
+        helper_radius,
+    )
 
 
 def test_connectivity_colocated_and_boundary():
-    layout = CellLayout(
-        400.0,
-        helpers=[[0.0, 0.0], [200.0, 0.0]],
-        users=[[0.0, 0.0], [60.0, 0.0], [260.0000001, 0.0]],
-    )
-    graph = build_connectivity(layout)
+    helpers = [[0.0, 0.0], [200.0, 0.0]]
+    users = [[0.0, 0.0], [60.0, 0.0], [260.0000001, 0.0]]
+    graph = connect(helpers, users)
     assert graph.rates[0, 0] == DEFAULT_HELPER_MODEL.max_rate_bps
     # exactly at the 60 m radius: edge kept
     assert graph.rates[1, 0] > 0
@@ -171,22 +164,19 @@ def test_connectivity_colocated_and_boundary():
     assert graph.rates[2, 1] == 0.0
     assert np.all(graph.bs_rate > 0)
     # No users, no helpers, or neither: empty float arrays of the right shape.
-    none = np.empty((0, 2))
-    for helpers, users in ((none, none), (layout.helpers, none), (none, layout.users)):
-        empty = build_connectivity(CellLayout(400.0, helpers, users))
-        assert empty.rates.shape == (len(users), len(helpers))
+    for h, u in (([], []), (helpers, []), ([], users)):
+        empty = connect(h, u)
+        assert empty.rates.shape == (len(u), len(h))
         assert empty.rates.dtype == float and not empty.rates.any()
-        np.testing.assert_array_equal(empty.bs_rate, graph.bs_rate[: len(users)])
+        np.testing.assert_array_equal(empty.bs_rate, graph.bs_rate[: len(u)])
 
 
 def test_connectivity_conflict_fixture_adjacency():
     # two helpers with one dual-covered user between them
-    layout = CellLayout(
-        400.0,
-        helpers=[[-50.0, 0.0], [50.0, 0.0]],
-        users=[[-80.0, 0.0], [-45.0, 20.0], [0.0, 0.0], [80.0, 0.0]],
+    graph = connect(
+        [[-50.0, 0.0], [50.0, 0.0]],
+        [[-80.0, 0.0], [-45.0, 20.0], [0.0, 0.0], [80.0, 0.0]],
     )
-    graph = build_connectivity(layout)
     adjacency = [set(np.flatnonzero(graph.rates[u] > 0).tolist()) for u in range(4)]
     assert adjacency == [{0}, {0}, {0, 1}, {1}]
     assert set(graph.users_of(0).tolist()) == {0, 1, 2}
@@ -195,10 +185,8 @@ def test_connectivity_conflict_fixture_adjacency():
 
 def test_boundary_perturbation_toggles_only_own_edges():
     helpers = [[0.0, 0.0]]
-    inside = CellLayout(400.0, helpers, [[59.9, 0.0], [10.0, 10.0]])
-    outside = CellLayout(400.0, helpers, [[60.1, 0.0], [10.0, 10.0]])
-    g_in = build_connectivity(inside)
-    g_out = build_connectivity(outside)
+    g_in = connect(helpers, [[59.9, 0.0], [10.0, 10.0]])
+    g_out = connect(helpers, [[60.1, 0.0], [10.0, 10.0]])
     assert g_in.rates[0, 0] > 0 and g_out.rates[0, 0] == 0
     assert g_in.rates[1, 0] == g_out.rates[1, 0]
 
