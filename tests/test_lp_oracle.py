@@ -14,7 +14,6 @@ equilibrated LP.  Where the LP has several optimal vertices the two may
 return different placements; only the optimum and feasibility are compared.
 """
 
-
 import numpy as np
 import pytest
 
