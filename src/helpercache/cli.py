@@ -2,6 +2,8 @@
 
 Every subcommand resolves its parameters in three layers: built-in defaults,
 then a JSON config file (`--config`), then explicit flags, with flags winning.
+Each parameter is declared once, in the tables below; the macro experiment's
+defaults, and `fit`'s synthetic trace, are read from `MacroConfig`.
 Runs are reproducible: the same resolved parameters and seed produce
 byte-identical CSV output.  When `--out` is given, results go to that file,
 a plot-ready variant goes to `<out minus .csv>.plot.csv`, and a manifest with
@@ -116,28 +118,17 @@ def _choice(*options: str):
     return parse
 
 
-def _list_of(item_parser, min_items: int = 1):
+def _list_of(item_parser):
     def parse(value):
         if isinstance(value, (list, tuple)):
             items = list(value)
         else:
             items = [tok for tok in str(value).split(",") if tok.strip()]
-        if len(items) < min_items:
-            raise ValueError(f"needs at least {min_items} value(s)")
+        if not items:
+            raise ValueError("needs at least 1 value(s)")
         return [item_parser(tok) for tok in items]
 
     return parse
-
-
-def _seed(value) -> int:
-    out = _parse_int(value)
-    if out < 0:
-        raise ValueError("must be >= 0")
-    return out
-
-
-def _path(value) -> str:
-    return str(value)
 
 
 class Param:
@@ -149,25 +140,33 @@ class Param:
 
 
 _COMMON = [
-    Param("seed", _seed, 0, "root seed for all random streams"),
-    Param("out", _path, None, "output file; stdout when omitted"),
+    Param("seed", _int_at_least(0), 0, "root seed for all random streams"),
+    Param("out", str, None, "output file; stdout when omitted"),
 ]
 
+# Every `_MACRO` entry but `reps` sets the `MacroConfig` field of its name,
+# or of the name `_FIELD` gives it, and takes that field's default.
+_FIELD = {"n": "n_users", "m": "catalog_size", "qos": "qos_s",
+          "cell_radius": "cell_radius_m", "helper_radius": "helper_radius_m"}
+
 _MACRO = [
-    Param("n", _int_at_least(1), 24, "users in the cell"),
-    Param("m", _int_at_least(1), 4000, "catalog size"),
-    Param("capacity", _int_at_least(0), 2000, "files per helper cache"),
-    Param("gamma", _nonneg_float, None, "request Zipf exponent; fitted from a synthetic trace when omitted"),
-    Param("trace_gamma", _nonneg_float, 0.8, "exponent of the synthetic fitting trace"),
-    Param("trace_samples", _int_at_least(2), 200_000, "synthetic fitting trace length"),
-    Param("file_bits", _positive_float, 2.4e8, "request size in bits"),
-    Param("qos", _positive_float, 200.0, "delivery deadline in seconds"),
-    Param("cell_radius", _positive_float, 400.0, "cell radius in meters"),
-    Param("helper_radius", _positive_float, 150.0, "helper service radius in meters"),
-    Param("helper_mode", _choice("grid", "uniform"), "grid", "helper layout"),
-    Param("coded_groups", _int_at_least(1), 16, "popularity buckets for the coded LP"),
+    Param("n", _int_at_least(1), MacroConfig.n_users, "users in the cell"),
+    Param("m", _int_at_least(1), MacroConfig.catalog_size, "catalog size"),
+    Param("capacity", _int_at_least(0), MacroConfig.capacity, "files per helper cache"),
+    Param("gamma", _nonneg_float, MacroConfig.gamma, "request Zipf exponent; fitted from a synthetic trace when omitted"),
+    Param("trace_gamma", _nonneg_float, MacroConfig.trace_gamma, "exponent of the synthetic fitting trace"),
+    Param("trace_samples", _int_at_least(2), MacroConfig.trace_samples, "synthetic fitting trace length"),
+    Param("file_bits", _positive_float, MacroConfig.file_bits, "request size in bits"),
+    Param("qos", _positive_float, MacroConfig.qos_s, "delivery deadline in seconds"),
+    Param("cell_radius", _positive_float, MacroConfig.cell_radius_m, "cell radius in meters"),
+    Param("helper_radius", _positive_float, MacroConfig.helper_radius_m, "helper service radius in meters"),
+    Param("helper_mode", _choice("grid", "uniform"), MacroConfig.helper_mode, "helper layout"),
+    Param("coded_groups", _int_at_least(1), MacroConfig.coded_groups, "popularity buckets for the coded LP"),
     Param("reps", _int_at_least(1), 100, "Monte Carlo replications"),
 ]
+
+# The cell's entries that `place` shares with the macro commands.
+_CELL = ("n", "file_bits", "cell_radius", "helper_radius", "helper_mode", "coded_groups")
 
 _D2D = [
     Param("n", _int_at_least(1), 500, "users in the unit-square cell"),
@@ -181,24 +180,20 @@ _D2D = [
 ]
 
 COMMANDS: dict[str, list[Param]] = {
+    # `fit`'s synthetic trace is the one the macro commands fit without `--gamma`.
     "fit": [
-        Param("trace", _path, None, "request trace CSV (file_id,count); synthetic when omitted"),
-        Param("synthetic_gamma", _nonneg_float, 0.8, "exponent of the synthetic trace"),
-        Param("samples", _int_at_least(2), 200_000, "synthetic trace length"),
-        Param("m", _int_at_least(1), 4000, "synthetic catalog size"),
+        Param("trace", str, None, "request trace CSV (file_id,count); synthetic when omitted"),
+        Param("synthetic_gamma", _nonneg_float, MacroConfig.trace_gamma, "exponent of the synthetic trace"),
+        Param("samples", _int_at_least(2), MacroConfig.trace_samples, "synthetic trace length"),
+        Param("m", _int_at_least(1), MacroConfig.catalog_size, "synthetic catalog size"),
     ],
     "place": [
         Param("policy", _choice(*PLACEMENT_POLICIES), "greedy", "placement policy"),
         Param("helpers", _helper_count, 4, "number of helpers"),
         Param("capacity", _int_at_least(0), 3, "files per helper cache"),
         Param("m", _int_at_least(1), 100, "catalog size"),
-        Param("n", _int_at_least(1), 24, "users in the cell"),
         Param("gamma", _nonneg_float, 0.8, "request Zipf exponent"),
-        Param("file_bits", _positive_float, 2.4e8, "request size in bits"),
-        Param("cell_radius", _positive_float, 400.0, "cell radius in meters"),
-        Param("helper_radius", _positive_float, 150.0, "helper service radius in meters"),
-        Param("helper_mode", _choice("grid", "uniform"), "grid", "helper layout"),
-        Param("coded_groups", _int_at_least(1), 16, "popularity buckets for the coded LP"),
+        *[p for p in _MACRO if p.name in _CELL],
     ],
     "simulate-macro": [
         Param("policy", _choice("greedy", "most-popular", "coded"), "greedy", "placement policy"),
@@ -386,24 +381,10 @@ class _Emitter:
 
 
 def _macro_config(p: dict) -> MacroConfig:
-    # `place` has no deadline or fitting-trace flags; those keep their defaults.
-    optional = {
-        "qos_s": "qos",
-        "trace_gamma": "trace_gamma",
-        "trace_samples": "trace_samples",
-    }
-    return MacroConfig(
-        n_users=p["n"],
-        catalog_size=p["m"],
-        capacity=p.get("capacity", 0),
-        file_bits=p["file_bits"],
-        cell_radius_m=p["cell_radius"],
-        helper_radius_m=p["helper_radius"],
-        helper_mode=p["helper_mode"],
-        gamma=p["gamma"],
-        coded_groups=p["coded_groups"],
-        **{field: p[key] for field, key in optional.items() if key in p},
-    )
+    """The command's `_MACRO` names set their fields; the fields it has no
+    flag for keep their defaults."""
+    names = {param.name for param in _MACRO if param.name != "reps"}
+    return MacroConfig(**{_FIELD.get(k, k): v for k, v in p.items() if k in names})
 
 
 def _macro_rows(points, policy: str, seed: int):
@@ -465,11 +446,9 @@ def _run_macro(p: dict, emitter: _Emitter, command: str) -> int:
             helper_count=p["helpers"],
         )
         x_label = "cache capacity (files)"
-    elif command == "sweep-helpers":
-        points = sweep_helper_count(p["counts"], config, p["policy"], p["reps"], p["seed"])
-        x_label = "number of helpers"
     else:
-        points = sweep_helper_count([p["helpers"]], config, p["policy"], p["reps"], p["seed"])
+        counts = p["counts"] if command == "sweep-helpers" else [p["helpers"]]
+        points = sweep_helper_count(counts, config, p["policy"], p["reps"], p["seed"])
         x_label = "number of helpers"
     rows = _macro_rows(points, p["policy"], p["seed"])
     plot = _plot_text(
@@ -481,24 +460,16 @@ def _run_macro(p: dict, emitter: _Emitter, command: str) -> int:
     return emitter.finish()
 
 
-def _d2d_scenario(p: dict, r: float) -> D2DScenario:
+def _d2d_scenario(p: dict, r: float, strategy: str, gamma1) -> D2DScenario:
     return D2DScenario(
-        n=p["n"],
-        m=p["m"],
-        M=p["M"],
-        r=r,
-        gamma=p["gamma"],
-        strategy=p["strategy"],
-        gamma1=p["gamma1"],
+        n=p["n"], m=p["m"], M=p["M"], r=r, gamma=p["gamma"],
+        strategy=strategy, gamma1=gamma1,
     )
 
 
 def _run_d2d(p: dict, emitter: _Emitter, command: str) -> int:
     if command == "sweep-gamma1":
-        scenario = D2DScenario(
-            n=p["n"], m=p["m"], M=p["M"], r=p["r_values"][0], gamma=p["gamma"],
-            strategy="random-zipf", gamma1=p["gamma1_values"][0],
-        )
+        scenario = _d2d_scenario(p, p["r_values"][0], "random-zipf", p["gamma1_values"][0])
         pop = scenario.popularity()
         rows = sweep_gamma1(
             scenario, p["gamma1_values"], p["r_values"], pop, p["reps"], p["seed"]
@@ -509,7 +480,7 @@ def _run_d2d(p: dict, emitter: _Emitter, command: str) -> int:
         x_label = "caching exponent"
     else:
         r_values = p["r_values"] if command == "sweep-r" else [p["r"]]
-        scenario = _d2d_scenario(p, r_values[0])
+        scenario = _d2d_scenario(p, r_values[0], p["strategy"], p["gamma1"])
         pop = scenario.popularity()
         rows = sweep_r(scenario, r_values, pop, p["reps"], p["seed"], mode=p["mode"])
         plot_rows = [

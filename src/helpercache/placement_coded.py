@@ -88,25 +88,20 @@ class CSCMatrix:
 class LPInstance:
     """max c.x over {A x <= b, 0 <= x <= upper}; x = (rho columns, a columns).
 
-    Column layout: rho[f, h] (0-based f) occupies column f*n_helpers + h; the
-    a variable of kept edge e, in row-major (user, helper) order, and file f
-    occupies column n_rho + e*m + f.  Rows: a <= rho per (edge, file), then
-    per (covered user, file) sum_h a <= 1, then per-helper capacity.  The capacity rows
-    come pre-scaled by 1/max(file_units), so every row of A peaks at 1.
+    With m = file_units.size files and H = len(capacities) helpers, rho[f, h]
+    (0-based f) occupies column f*H + h; the a variable of kept edge e, in
+    row-major (user, helper) order, and file f occupies column m*H + e*m + f.
+    Rows: a <= rho per (edge, file), then per (covered user, file)
+    sum_h a <= 1, then per-helper capacity.  The capacity rows come pre-scaled
+    by 1/max(file_units), so every row of A peaks at 1.
     """
 
     c: np.ndarray
     A: CSCMatrix
     b: np.ndarray
     upper: np.ndarray
-    m: int
-    n_helpers: int
     capacities: tuple[int, ...]
     file_units: np.ndarray  # per-file storage cost in file units
-
-    @property
-    def n_rho(self) -> int:
-        return self.m * self.n_helpers
 
 
 def build_lp(
@@ -197,8 +192,6 @@ def build_lp(
         A=A,
         b=b,
         upper=np.ones(ncols),
-        m=m,
-        n_helpers=H,
         capacities=specs.capacities,
         file_units=units,
     )
@@ -360,14 +353,15 @@ def solve_lp_detailed(instance: LPInstance) -> tuple[Placement, SimplexResult]:
     the expected savings in seconds per file bit, unscaled.
     """
     c = instance.c
+    m, H = instance.file_units.size, len(instance.capacities)
     if c.size == 0:
-        rho = np.zeros((instance.m, instance.n_helpers))
+        rho = np.zeros((m, H))
         placement = Placement(rho, instance.capacities)
         return placement, SimplexResult(x=np.zeros(0), objective=0.0, iterations=0)
     obj_scale = max(float(np.abs(c).max()), 1e-300)
     result = simplex_solve(c / obj_scale, instance.A, instance.b, upper=instance.upper)
     x = result.x
-    rho = x[: instance.n_rho].reshape(instance.m, instance.n_helpers).copy()
+    rho = x[: m * H].reshape(m, H).copy()
     rho = np.clip(rho, 0.0, 1.0)
     # Undo any capacity drift from the solver's feasibility tolerance.
     used = instance.file_units @ rho

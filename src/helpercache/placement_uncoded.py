@@ -449,7 +449,8 @@ class _Segments:
                 ranks, rows = (np.concatenate(a) for a in zip(*starts))
             else:
                 ranks, rows = starts[0]
-            items = _merged(items, _sorted(self.walk(ranks, rows, limit)))
+            walked = self.walk(ranks, rows, limit)
+            items = _sorted(np.concatenate((items, walked), axis=1))
         return _budgeted(items, limit)
 
     def drain(self, items, limit, out, moves) -> bool:
@@ -571,32 +572,18 @@ def _budgeted(items, limit):
 def _sorted(items):
     """The item array in key order (-gain, rank, depth).
 
-    Gains are not negative, so their bits as int64 sort like them.
+    Gains are not negative, so their bits as int64 sort like them.  A stable
+    sort merges sorted runs (a segment's pending items, then its re-walked
+    ones) in about linear time; equal gains fall back to the whole key.
     """
     key = -items[_GAIN]
     if np.all(key[1:] > key[:-1]):
         return items
-    order = key.argsort()
+    order = key.argsort(kind="stable")
     k = key[order]
     if np.any(k[1:] == k[:-1]):
         order = np.lexsort((items[_DEPTH], items[_RANK], key))
     return np.take(items, order, axis=1)
-
-
-def _merged(a, b):
-    """Two item arrays sorted by key, merged."""
-    if not b.shape[1]:
-        return a
-    both = np.concatenate([a, b], axis=1)
-    key = -both[_GAIN]
-    ka, kb = key[: a.shape[1]], key[a.shape[1] :]
-    if np.any(ka.searchsorted(kb, "left") != ka.searchsorted(kb, "right")):
-        # Equal gains across the two: order by the whole key.
-        order = np.lexsort((both[_DEPTH], both[_RANK], key))
-    else:
-        # A stable sort of the two sorted runs keeps each run's order.
-        order = key.argsort(kind="stable")
-    return np.take(both, order, axis=1)
 
 
 def _greedy(graph, pop, specs, file_bits):

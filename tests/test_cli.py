@@ -366,6 +366,30 @@ def test_oversized_macro_and_fit_inputs_exit_two_before_allocating(capsys, argv,
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("simulate-macro", "--qos", "inf"), "qos: must be finite"),
+        (("simulate-macro", "--file-bits", "0"), "file_bits: must be > 0"),
+        (("simulate-macro", "--gamma", "-1"), "gamma: must be >= 0"),
+        (("place", "--helper-mode", "ring"), "helper_mode: must be one of grid, uniform"),
+        (("sweep-helpers", "--counts", ","), "counts: needs at least 1 value(s)"),
+        (("place", "--n", "0"), "n: must be an integer >= 1"),
+        (("simulate-macro", "--reps", "x"), "reps: invalid literal for int() with base 10: 'x'"),
+        (("simulate-d2d", "--r", "2"), "r: must be a fraction in (0, 1], e.g. 0.1 or 1/10"),
+        (("fit", "--trace", "counts.csv"), "trace CSV must start with header file_id,count"),
+        (("fit", "--seed", "-1"), "seed: must be an integer >= 0"),
+    ],
+    ids=["qos", "file-bits", "gamma", "helper-mode", "counts", "n", "reps", "r", "trace", "seed"],
+)
+def test_refused_values_exit_two_with_one_line(capsys, monkeypatch, tmp_path, argv, message):
+    # The whole stderr is the one message line: no traceback, nothing else.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "counts.csv").write_text("1,50\n2,20\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("place", "--cell-radius", "1e308"),

@@ -51,7 +51,7 @@ def fixture():
 def test_instance_dimensions(fixture):
     graph, pop, specs = fixture
     instance = file_lp(graph, pop, specs)
-    assert instance.n_rho == 8
+    assert instance.file_units.size * len(instance.capacities) == 8
     # rows: one per (edge, file), one per (covered user, file), one per helper
     assert instance.A.shape == (5 * 4 + 4 * 4 + 2, 8 + 5 * 4)
     assert instance.upper.shape == (28,)
