@@ -1,14 +1,15 @@
-"""Command-line experiment runner.
+"""Command-line experiment runner: it parses, calls the library and writes.
 
 Every subcommand resolves its parameters in three layers: built-in defaults,
 then a JSON config file (`--config`), then explicit flags, with flags winning.
 Each parameter is declared once, in the tables below; the macro experiment's
-defaults, and `fit`'s synthetic trace, are read from `MacroConfig`.
-Runs are reproducible: the same resolved parameters and seed produce
-byte-identical CSV output.  When `--out` is given, results go to that file,
-a plot-ready variant goes to `<out minus .csv>.plot.csv`, and a manifest with
-the resolved parameters, seed, package version, and wall time goes to
-`<out>.manifest.json`; without `--out` the primary output prints to stdout.
+defaults, and `fit`'s synthetic trace, are read from `MacroConfig`.  Each
+command calls one library function and formats what it returns, and `run`
+writes that text: to stdout, or with `--out` to that file, a plot-ready
+variant (not for `fit` or `place`) to `<out minus .csv>.plot.csv`, and a
+manifest of the resolved parameters, seed, version, outputs and wall time to
+`<out>.manifest.json`.  The same resolved parameters and seed give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -37,23 +38,13 @@ from .macro_sim import (
     PLACEMENT_POLICIES,
     MAX_HELPERS,
     MacroConfig,
-    check_placement_bytes,
-    check_user_helper_pairs,
-    experiment_popularity,
-    make_placement,
-    plan_deployment,
+    fit_synthetic_trace,
+    place_points,
     sweep_capacity,
     sweep_helper_count,
 )
-from .placement_uncoded import HelperSpecs, Placement
-from .popularity import (
-    check_samples,
-    fit_zipf,
-    read_trace_csv,
-    request_counts,
-    zipf_model,
-)
-from .rng import stream
+from .placement_uncoded import Placement
+from .popularity import check_samples, fit_zipf, read_trace_csv
 
 
 def _parse_int(value) -> int:
@@ -319,6 +310,11 @@ def _csv_text(header: list[str], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _plot_text(x_label: str, y_label: str, rows: list[tuple]) -> str:
+    head = f"# x: {x_label}\n# y: {y_label}\n"
+    return head + _csv_text(["x", "y", "yerr", "series"], rows)
+
+
 def _placement_json(placement: Placement) -> str:
     """Helper id (0-based, as a string key) to its sorted cached ranks."""
     doc = {
@@ -335,51 +331,6 @@ def _coded_rows(placement: Placement) -> list[tuple]:
     return list(zip((files + 1).tolist(), helpers.tolist(), values))
 
 
-def _plot_text(x_label: str, y_label: str, rows: list[tuple]) -> str:
-    head = [f"# x: {x_label}", f"# y: {y_label}", "x,y,yerr,series"]
-    body = [",".join(_format(v) for v in row) for row in rows]
-    return "\n".join(head + body) + "\n"
-
-
-class _Emitter:
-    def __init__(self, command: str, params: dict):
-        self.command = command
-        self.params = params
-        self.started = time.perf_counter()
-        self.written: list[str] = []
-
-    def write(self, path: str, text: str):
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-        self.written.append(path)
-
-    def primary(self, text: str, plot: str | None = None):
-        out = self.params["out"]
-        if out is None:
-            sys.stdout.write(text)
-            return
-        self.write(out, text)
-        if plot is not None:
-            base = out[:-4] if out.endswith(".csv") else out
-            self.write(base + ".plot.csv", plot)
-
-    def finish(self) -> int:
-        out = self.params["out"]
-        if out is not None:
-            manifest = {
-                "command": self.command,
-                "version": __version__,
-                "seed": self.params["seed"],
-                "parameters": self.params,
-                "outputs": list(self.written),
-                "wall_time_s": round(time.perf_counter() - self.started, 6),
-            }
-            with open(out + ".manifest.json", "w", newline="") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        return 0
-
-
 def _macro_config(p: dict) -> MacroConfig:
     """The command's `_MACRO` names set their fields; the fields it has no
     flag for keep their defaults."""
@@ -387,77 +338,54 @@ def _macro_config(p: dict) -> MacroConfig:
     return MacroConfig(**{_FIELD.get(k, k): v for k, v in p.items() if k in names})
 
 
-def _macro_rows(points, policy: str, seed: int):
-    return [
-        (int(pt.x), pt.mean_satisfied, pt.stderr, policy, seed) for pt in points
-    ]
-
-
-_MACRO_HEADER = ["x", "mean_satisfied", "stderr", "policy", "seed"]
-_D2D_HEADER = ["r", "gamma", "gamma1", "mean_active", "stderr", "K", "mode"]
-
-
-def _d2d_rows(rows):
-    return [
-        (row.r, row.gamma, row.gamma1, row.mean_active, row.stderr, row.K, row.mode)
-        for row in rows
-    ]
-
-
-def _run_fit(p: dict, emitter: _Emitter) -> int:
+def _run_fit(p: dict):
     if p["trace"] is not None:
-        counts = read_trace_csv(p["trace"])
+        gamma_hat, m_hat = fit_zipf(read_trace_csv(p["trace"]))
     else:
         check_samples("samples", p["samples"])
-        model = zipf_model(p["synthetic_gamma"], p["m"])
-        counts = request_counts(model, stream(p["seed"], "fit-trace"), p["samples"])
-    gamma_hat, m_hat = fit_zipf(counts)
-    sys.stdout.write(f"gamma_hat={_format(float(gamma_hat))}\n")
-    sys.stdout.write(f"m_hat={m_hat}\n")
-    if p["out"] is not None:
-        payload = json.dumps(
-            {"gamma_hat": float(gamma_hat), "m_hat": int(m_hat)}, indent=2, sort_keys=True
+        gamma_hat, m_hat = fit_synthetic_trace(
+            p["synthetic_gamma"], p["m"], p["samples"], p["seed"]
         )
-        emitter.write(p["out"], payload + "\n")
-    return emitter.finish()
+    # `fit` prints its two lines in any case; its JSON goes only to `--out`.
+    sys.stdout.write(f"gamma_hat={_format(float(gamma_hat))}\nm_hat={m_hat}\n")
+    if p["out"] is None:
+        return "", None
+    doc = {"gamma_hat": float(gamma_hat), "m_hat": int(m_hat)}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n", None
 
 
-def _run_place(p: dict, emitter: _Emitter) -> int:
-    config = _macro_config(p)
-    check_placement_bytes(p["policy"], p["m"], p["helpers"])
-    check_user_helper_pairs(p["n"], p["helpers"])
-    pop = experiment_popularity(config, p["seed"])
-    _, graph = plan_deployment(p["helpers"], config, p["seed"])
-    specs = HelperSpecs.uniform(p["helpers"], p["capacity"])
-    placement = make_placement(p["policy"], graph, pop, specs, config)
+def _run_place(p: dict):
+    point = (0, p["helpers"], p["capacity"])
+    _, _, (placement,) = place_points([point], _macro_config(p), p["policy"], p["seed"])
     if p["policy"] == "coded":
-        rows = _coded_rows(placement)
-        emitter.primary(_csv_text(["file_rank", "helper_id", "rho"], rows))
-    else:
-        emitter.primary(_placement_json(placement) + "\n")
-    return emitter.finish()
+        header = ["file_rank", "helper_id", "rho"]
+        return _csv_text(header, _coded_rows(placement)), None
+    return _placement_json(placement) + "\n", None
 
 
-def _run_macro(p: dict, emitter: _Emitter, command: str) -> int:
-    config = _macro_config(p)
-    if command == "sweep-capacity":
-        points = sweep_capacity(
-            p["capacities"], config, p["policy"], p["reps"], p["seed"],
-            helper_count=p["helpers"],
-        )
-        x_label = "cache capacity (files)"
-    else:
-        counts = p["counts"] if command == "sweep-helpers" else [p["helpers"]]
-        points = sweep_helper_count(counts, config, p["policy"], p["reps"], p["seed"])
-        x_label = "number of helpers"
-    rows = _macro_rows(points, p["policy"], p["seed"])
-    plot = _plot_text(
-        x_label,
-        "mean satisfied users",
-        [(row[0], row[1], row[2], p["policy"]) for row in rows],
+def _macro_text(p: dict, points, x_label: str):
+    rows = [
+        (int(pt.x), pt.mean_satisfied, pt.stderr, p["policy"], p["seed"]) for pt in points
+    ]
+    plot = [(row[0], row[1], row[2], p["policy"]) for row in rows]
+    return (
+        _csv_text(["x", "mean_satisfied", "stderr", "policy", "seed"], rows),
+        _plot_text(x_label, "mean satisfied users", plot),
     )
-    emitter.primary(_csv_text(_MACRO_HEADER, rows), plot)
-    return emitter.finish()
+
+
+def _run_helpers(p: dict, counts):
+    config = _macro_config(p)
+    points = sweep_helper_count(counts, config, p["policy"], p["reps"], p["seed"])
+    return _macro_text(p, points, "number of helpers")
+
+
+def _run_capacity(p: dict):
+    points = sweep_capacity(
+        p["capacities"], _macro_config(p), p["policy"], p["reps"], p["seed"],
+        helper_count=p["helpers"],
+    )
+    return _macro_text(p, points, "cache capacity (files)")
 
 
 def _d2d_scenario(p: dict, r: float, strategy: str, gamma1) -> D2DScenario:
@@ -467,32 +395,35 @@ def _d2d_scenario(p: dict, r: float, strategy: str, gamma1) -> D2DScenario:
     )
 
 
-def _run_d2d(p: dict, emitter: _Emitter, command: str) -> int:
-    if command == "sweep-gamma1":
-        scenario = _d2d_scenario(p, p["r_values"][0], "random-zipf", p["gamma1_values"][0])
-        pop = scenario.popularity()
-        rows = sweep_gamma1(
-            scenario, p["gamma1_values"], p["r_values"], pop, p["reps"], p["seed"]
-        )
-        plot_rows = [
-            (row.gamma1, row.mean_active, row.stderr, f"r={row.r}") for row in rows
-        ]
-        x_label = "caching exponent"
-    else:
-        r_values = p["r_values"] if command == "sweep-r" else [p["r"]]
-        scenario = _d2d_scenario(p, r_values[0], p["strategy"], p["gamma1"])
-        pop = scenario.popularity()
-        rows = sweep_r(scenario, r_values, pop, p["reps"], p["seed"], mode=p["mode"])
-        plot_rows = [
-            (row.r, row.mean_active, row.stderr, f"gamma={row.gamma}") for row in rows
-        ]
-        x_label = "collaboration distance r"
+def _d2d_text(rows, x_label: str, plot_rows):
+    table = [
+        (row.r, row.gamma, row.gamma1, row.mean_active, row.stderr, row.K, row.mode)
+        for row in rows
+    ]
+    header = ["r", "gamma", "gamma1", "mean_active", "stderr", "K", "mode"]
     plot = _plot_text(x_label, "mean active clusters", plot_rows)
-    emitter.primary(_csv_text(_D2D_HEADER, _d2d_rows(rows)), plot)
-    return emitter.finish()
+    return _csv_text(header, table), plot
 
 
-def _run_scaling(p: dict, emitter: _Emitter) -> int:
+def _run_r(p: dict, r_values):
+    scenario = _d2d_scenario(p, r_values[0], p["strategy"], p["gamma1"])
+    pop = scenario.popularity()
+    rows = sweep_r(scenario, r_values, pop, p["reps"], p["seed"], mode=p["mode"])
+    plot = [(row.r, row.mean_active, row.stderr, f"gamma={row.gamma}") for row in rows]
+    return _d2d_text(rows, "collaboration distance r", plot)
+
+
+def _run_gamma1(p: dict):
+    scenario = _d2d_scenario(p, p["r_values"][0], "random-zipf", p["gamma1_values"][0])
+    pop = scenario.popularity()
+    rows = sweep_gamma1(
+        scenario, p["gamma1_values"], p["r_values"], pop, p["reps"], p["seed"]
+    )
+    plot = [(row.gamma1, row.mean_active, row.stderr, f"r={row.r}") for row in rows]
+    return _d2d_text(rows, "caching exponent", plot)
+
+
+def _run_scaling(p: dict):
     rows = scaling_check(
         gamma=p["gamma"],
         n_values=p["n_values"],
@@ -512,22 +443,51 @@ def _run_scaling(p: dict, emitter: _Emitter) -> int:
         [(row.n, row.ratio, row.stderr / row.n, f"gamma={p['gamma']}") for row in rows],
     )
     header = ["n", "m", "r", "K", "mean_active", "ratio", "stderr", "mode"]
-    emitter.primary(_csv_text(header, table), plot)
-    return emitter.finish()
+    return _csv_text(header, table), plot
+
+
+# Each runner returns the command's primary text and its plot text, or None.
+_RUNNERS = {
+    "fit": _run_fit,
+    "place": _run_place,
+    "simulate-macro": lambda p: _run_helpers(p, [p["helpers"]]),
+    "sweep-helpers": lambda p: _run_helpers(p, p["counts"]),
+    "sweep-capacity": _run_capacity,
+    "simulate-d2d": lambda p: _run_r(p, [p["r"]]),
+    "sweep-r": lambda p: _run_r(p, p["r_values"]),
+    "sweep-gamma1": _run_gamma1,
+    "scaling-check": _run_scaling,
+}
 
 
 def run(args: argparse.Namespace) -> int:
+    """Run the command and write its text: to stdout, or with `--out` to that
+    file, its plot beside it, and then the manifest."""
     params = resolve_params(args)
-    emitter = _Emitter(args.command, params)
-    if args.command == "fit":
-        return _run_fit(params, emitter)
-    if args.command == "place":
-        return _run_place(params, emitter)
-    if args.command in ("simulate-macro", "sweep-helpers", "sweep-capacity"):
-        return _run_macro(params, emitter, args.command)
-    if args.command in ("simulate-d2d", "sweep-r", "sweep-gamma1"):
-        return _run_d2d(params, emitter, args.command)
-    return _run_scaling(params, emitter)
+    started = time.perf_counter()
+    text, plot = _RUNNERS[args.command](params)
+    out = params["out"]
+    if out is None:
+        sys.stdout.write(text)
+        return 0
+    outputs = [out]
+    if plot is not None:
+        outputs.append((out[:-4] if out.endswith(".csv") else out) + ".plot.csv")
+    for path, body in zip(outputs, (text, plot)):
+        with open(path, "w", newline="") as fh:
+            fh.write(body)
+    manifest = {
+        "command": args.command,
+        "version": __version__,
+        "seed": params["seed"],
+        "parameters": params,
+        "outputs": outputs,
+        "wall_time_s": round(time.perf_counter() - started, 6),
+    }
+    with open(out + ".manifest.json", "w", newline="") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
 
 
 def main(argv=None) -> int:

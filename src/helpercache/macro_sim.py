@@ -7,10 +7,11 @@ slices, so each base-station download takes its solo time multiplied by the
 number of base-station users.
 
 This module is the one place that knows how a macro experiment is drawn,
-planned and measured: fit the popularity (`experiment_popularity`), draw a
-helper deployment and the planning users (`plan_deployment`), place files
-(`make_placement`), then count the users served within the deadline over
-fresh draws.  The `place` command and both sweeps go through these steps.
+planned and measured: fit the popularity (`experiment_popularity`, on the
+trace of `fit_synthetic_trace`), draw a helper deployment and the planning
+users (`plan_deployment`), place files (`make_placement`), then count the
+users served within the deadline over fresh draws.  `place_points` runs the
+planning steps; the `place` command and both sweeps call it.
 
 A sweep draws each replication once and scores all its points on it: the
 replications' graphs are stacked, one stack per helper deployment, and each
@@ -128,8 +129,13 @@ def _deliver(
     # of it from the base station.
     served = collected >= 1.0 - WHOLE_FILE_TOL
     n_bs = graph.n_users - served.sum(axis=-1, keepdims=True)
-    times = np.where(served, file_bits * helper, file_bits * n_bs / graph.bs_rate)
-    return times, served
+    with np.errstate(over="ignore"):
+        bs_time = file_bits * n_bs / graph.bs_rate
+        # file_bits * n_bs can pass the float range where the time does not.
+        over = np.isinf(bs_time)
+        if over.any():
+            bs_time[over] = (file_bits * (n_bs / graph.bs_rate))[over]
+    return np.where(served, file_bits * helper, bs_time), served
 
 
 @dataclass(frozen=True)
@@ -190,10 +196,17 @@ def experiment_popularity(config: MacroConfig, root_seed: int) -> PopularityMode
     counts of a synthetic trace."""
     if config.gamma is not None:
         return zipf_model(config.gamma, config.catalog_size)
-    source = zipf_model(config.trace_gamma, config.catalog_size)
-    counts = request_counts(source, stream(root_seed, "fit-trace"), config.trace_samples)
-    gamma_hat, _ = fit_zipf(counts)
+    gamma_hat, _ = fit_synthetic_trace(
+        config.trace_gamma, config.catalog_size, config.trace_samples, root_seed
+    )
     return zipf_model(max(gamma_hat, 0.0), config.catalog_size)
+
+
+def fit_synthetic_trace(gamma: float, m: int, samples: int, root_seed: int):
+    """`fit_zipf` of `samples` requests drawn from Zipf(gamma) over m files
+    on the `fit-trace` stream: the trace the macro commands fit."""
+    model = zipf_model(gamma, m)
+    return fit_zipf(request_counts(model, stream(root_seed, "fit-trace"), samples))
 
 
 def plan_deployment(
@@ -235,6 +248,27 @@ def make_placement(
     )
 
 
+def place_points(points, config: MacroConfig, policy: str, root_seed: int):
+    """The popularity, the plan of each helper count, and the placement of
+    each `(x, helper_count, capacity)` point, once the points pass the
+    placement-byte and user-helper caps."""
+    check_placement_bytes(
+        policy, config.catalog_size, sum(count for _, count, _ in points)
+    )
+    check_user_helper_pairs(
+        config.n_users, max((count for _, count, _ in points), default=0)
+    )
+    pop = experiment_popularity(config, root_seed)
+    plans = {}
+    placements = []
+    for _, count, capacity in points:
+        if count not in plans:
+            plans[count] = plan_deployment(count, config, root_seed)
+        specs = HelperSpecs.uniform(count, capacity)
+        placements.append(make_placement(policy, plans[count][1], pop, specs, config))
+    return pop, plans, placements
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     x: float
@@ -247,8 +281,8 @@ def _satisfied_counts(
 ) -> np.ndarray:
     """Satisfied users per `(x, helper_count, capacity)` point and replicate.
 
-    Each helper count is planned once and each point placed once, and its
-    placement's (m, H) matrix is kept: boolean for whole files, float for
+    `place_points` plans each helper count once and places each point once;
+    its placement's (m, H) matrix is kept: boolean for whole files, float for
     fractions (a 0/1 float fetches the same bits as a bool).  At most
     `MAX_SCORES` (point, replicate) pairs are scored.  Replicate k draws its
     users and requests once per sweep and is scored for every point.
@@ -264,20 +298,7 @@ def _satisfied_counts(
             f"reps={reps} over {len(points)} sweep point(s) scores "
             f"{reps * len(points)} replicates, above the cap of {MAX_SCORES}"
         )
-    check_placement_bytes(
-        policy, config.catalog_size, sum(count for _, count, _ in points)
-    )
-    check_user_helper_pairs(
-        config.n_users, max((count for _, count, _ in points), default=0)
-    )
-    pop = experiment_popularity(config, root_seed)
-    plans = {}
-    rho = []
-    for _, count, capacity in points:
-        if count not in plans:
-            plans[count] = plan_deployment(count, config, root_seed)
-        specs = HelperSpecs.uniform(count, capacity)
-        rho.append(make_placement(policy, plans[count][1], pop, specs, config).rho)
+    pop, plans, placements = place_points(points, config, policy, root_seed)
     n, radius = config.n_users, config.cell_radius_m
     chunk = max(1, _CHUNK_ELEMENTS // (n * max(max(plans, default=0), 1)))
     satisfied = np.empty((len(points), reps))
@@ -292,7 +313,8 @@ def _satisfied_counts(
         for count, (helpers, _) in plans.items():
             graph = build_connectivity(helpers, users, config.helper_radius_m)
             for i in (i for i, point in enumerate(points) if point[1] == count):
-                times, _ = _deliver(graph, rho[i][requests - 1], config.file_bits)
+                wanted = placements[i].rho[requests - 1]
+                times, _ = _deliver(graph, wanted, config.file_bits)
                 satisfied[i, lo : ks.stop] = (times <= config.qos_s).sum(axis=-1)
     return satisfied
 

@@ -8,13 +8,15 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from popularity_oracles import sorted_fit, trace_from_samples
 
 import helpercache
-from helpercache import cli, placement_coded
+from helpercache import cli, macro_sim, placement_coded
 from helpercache.cli import main
 from helpercache.d2d import MAX_MC_USERS, MAX_SCORES, MAX_USERS
 from helpercache.errors import IterationLimitError, UnboundedProblemError
@@ -22,7 +24,9 @@ from helpercache.macro_sim import (
     MAX_HELPERS,
     MAX_PLACEMENT_BYTES,
     MAX_USER_HELPER_PAIRS,
+    MacroConfig,
     check_user_helper_pairs,
+    experiment_popularity,
 )
 from helpercache.popularity import (
     catalog_size,
@@ -522,6 +526,91 @@ class TestMacroCommands:
         _, rows = csv_rows(out)
         assert [row[0] for row in rows] == ["0", "3"]
 
+    @pytest.mark.parametrize("helpers", ["0", "32"])
+    def test_base_station_time_past_the_product_range(self, capsys, helpers):
+        # 1e308 bits times the number of base-station users passed the float
+        # range, so those users' finite times read inf and missed the deadline
+        # (0.0 and 19.0 satisfied), with a RuntimeWarning on stderr.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys,
+                "simulate-macro", "--file-bits", "1e308", "--qos", "1e308",
+                "--gamma", "1", "--reps", "2", "--helpers", helpers,
+            )
+        assert (code, err) == (0, "")
+        assert csv_rows(out)[1][0][:2] == [helpers, "24.0"]
+
+
+# One small call of each command form, with the primary output's schema line.
+CONTRACT = [
+    (("fit", "--samples", "500", "--m", "20"), "{"),
+    (("place", "--helpers", "2", "--capacity", "2", "--m", "10"), "{"),
+    (
+        ("place", "--policy", "coded", "--helpers", "2", "--capacity", "2",
+         "--m", "6", "--n", "8", "--coded-groups", "6"),
+        "file_rank,helper_id,rho",
+    ),
+    (("simulate-macro", "--helpers", "2", *MACRO_ARGS), "x,mean_satisfied,stderr,policy,seed"),
+    (("sweep-helpers", "--counts", "0,2", *MACRO_ARGS), "x,mean_satisfied,stderr,policy,seed"),
+    (
+        ("sweep-capacity", "--capacities", "0,3", "--helpers", "2",
+         *[a for a in MACRO_ARGS if a not in ("--capacity", "3")]),
+        "x,mean_satisfied,stderr,policy,seed",
+    ),
+    (
+        ("simulate-d2d", "--r", "1/2", "--n", "20", "--m", "5", "--mode", "analytic"),
+        "r,gamma,gamma1,mean_active,stderr,K,mode",
+    ),
+    (
+        ("sweep-r", "--r-values", "1,1/2", "--n", "20", "--m", "5", "--mode", "analytic"),
+        "r,gamma,gamma1,mean_active,stderr,K,mode",
+    ),
+    (
+        ("sweep-gamma1", "--gamma1-values", "0,1", "--r-values", "1/2", "--n", "20",
+         "--m", "5", "--reps", "3"),
+        "r,gamma,gamma1,mean_active,stderr,K,mode",
+    ),
+    (("scaling-check", "--n-values", "100"), "n,m,r,K,mean_active,ratio,stderr,mode"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, first_line", CONTRACT, ids=[f"{argv[0]}-{k}" for k, (argv, _) in enumerate(CONTRACT)]
+)
+def test_output_contract_of_every_command(capsys, tmp_path, argv, first_line):
+    # With --out: the primary file, a plot file for every command but `fit`
+    # and `place`, and a manifest of both in write order and of the resolved
+    # parameters.  Without it, stdout is the primary file (`fit` prints its
+    # two lines either way).
+    out = tmp_path / "res.csv"
+    full = [*argv, "--seed", "4", "--out", str(out)]
+    code, printed, err = run_cli(capsys, *full)
+    assert (code, err) == (0, "")
+    primary = out.read_text()
+    assert primary.splitlines()[0] == first_line
+    outputs = [str(out)]
+    if argv[0] not in ("fit", "place"):
+        outputs.append(str(tmp_path / "res.plot.csv"))
+        plot = (tmp_path / "res.plot.csv").read_text().splitlines()
+        assert plot[0].startswith("# x: ") and plot[1].startswith("# y: ")
+        assert plot[2] == "x,y,yerr,series"
+    manifest_path = tmp_path / "res.csv.manifest.json"
+    assert sorted(tmp_path.iterdir()) == sorted(map(Path, [*outputs, manifest_path]))
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["outputs"] == outputs
+    assert (manifest["command"], manifest["seed"]) == (argv[0], 4)
+    assert manifest["parameters"] == cli.resolve_params(cli.build_parser().parse_args(full))
+
+    code, alone, err = run_cli(capsys, *argv, "--seed", "4")
+    assert (code, err) == (0, "")
+    if argv[0] == "fit":
+        assert alone == printed
+        fitted = json.loads(primary)
+        assert alone == f"gamma_hat={fitted['gamma_hat']}\nm_hat={fitted['m_hat']}\n"
+    else:
+        assert (printed, alone) == ("", primary)
+
 
 class TestConfigLayering:
     def test_flags_override_config_values(self, capsys, tmp_path):
@@ -957,6 +1046,46 @@ def test_readme_examples_run(monkeypatch, tmp_path):
     (tmp_path / "requests.csv").write_text("file_id,count\n1,50\n2,21\n3,9\n4,4\n")
     for line in commands:
         assert main(shlex.split(line)[1:]) == 0, line
+
+
+@pytest.mark.parametrize("capacity, distinct", [("500", 1), ("50", 3)])
+def test_place_prints_the_placement_that_simulate_macro_measures(
+    capsys, monkeypatch, capacity, distinct
+):
+    # The README's promise: for the same flags and seed, `place` prints the
+    # caches that `simulate-macro` places and then measures.  At capacity 500
+    # every helper holds the whole catalog; at 50 the planning users split
+    # the eight caches into three distinct ones.
+    flags = ("--helpers", "8", "--capacity", capacity, "--m", "400", "--gamma", "0.8")
+    original = macro_sim.make_placement
+    measured = []
+
+    def record(*args, **kwargs):
+        measured.append(original(*args, **kwargs))
+        return measured[-1]
+
+    monkeypatch.setattr(macro_sim, "make_placement", record)
+    code, _, err = run_cli(capsys, "simulate-macro", *flags, "--reps", "1", "--seed", "6")
+    assert (code, err, len(measured)) == (0, "", 1)
+    monkeypatch.undo()
+    code, out, err = run_cli(capsys, "place", *flags, "--seed", "6")
+    assert (code, err) == (0, "")
+    ranks = {str(h): (np.flatnonzero(c) + 1).tolist() for h, c in enumerate(measured[0].rho.T)}
+    assert json.loads(out) == ranks
+    assert len({tuple(cache) for cache in ranks.values()}) == distinct
+
+
+def test_fit_prints_the_exponent_the_macro_commands_fit(capsys):
+    # The README's promise: `fit`'s synthetic trace is the one the macro
+    # commands fit when `--gamma` is not given.
+    code, out, err = run_cli(
+        capsys, "fit", "--synthetic-gamma", "0.7", "--samples", "3000", "--m", "90",
+        "--seed", "8",
+    )
+    assert (code, err) == (0, "")
+    config = MacroConfig(trace_gamma=0.7, trace_samples=3000, catalog_size=90)
+    fitted = experiment_popularity(config, 8)
+    assert out.splitlines()[0] == f"gamma_hat={fitted.gamma}"
 
 
 def test_import_loads_no_scipy():

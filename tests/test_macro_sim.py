@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from snapshot import simulate_snapshot
 from helpercache.errors import InvalidParameterError
 from helpercache.macro_sim import (
     MacroConfig,
+    _deliver,
     experiment_popularity,
     make_placement,
     plan_deployment,
@@ -25,6 +27,7 @@ from helpercache.popularity import fit_zipf, sample_requests, zipf_model
 from helpercache.rng import stream
 from helpercache.topology import (
     DEFAULT_MACRO_MODEL,
+    ConnectivityGraph,
     build_connectivity,
     link_rate,
     place_helpers,
@@ -462,3 +465,21 @@ class TestSweeps:
             sweep_capacity([1], SMALL, "greedy", reps=1, root_seed=1, helper_count=-1)
         with pytest.raises(InvalidParameterError):
             sweep_helper_count([2], SMALL, "nearest", reps=1, root_seed=1)
+
+
+def test_base_station_time_whose_product_overflows_stays_finite():
+    # Draw 0 sends all three users to the base station: 1e308 bits times 3
+    # users passes the float range, though each time is at most 1.5e308 s.
+    # Draw 1's helper serves two users, so its base-station product is finite
+    # and keeps the bits of the left-to-right expression.
+    bits = 1e308
+    rates = np.zeros((2, 3, 1))
+    rates[1, :2, 0] = 1e6
+    bs_rate = np.array([[2.0, 4.0, 8.0], [2.0, 4.0, 8.0]])
+    wanted = (rates > 0).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        times, served = _deliver(ConnectivityGraph(rates, bs_rate), wanted, bits)
+    assert served.tolist() == [[False, False, False], [True, True, False]]
+    assert times[0].tolist() == [bits * (3 / rate) for rate in (2.0, 4.0, 8.0)]
+    assert times[1].tolist() == [bits * (1.0 / 1e6)] * 2 + [bits * 1 / 8.0]

@@ -179,3 +179,34 @@ def test_each_macro_flag_is_one_config_field_and_place_shares_the_cell_flags():
     shared = [p for p in cli.COMMANDS["place"] if p.name in cli._CELL]
     assert all(any(p is q for q in cli._MACRO) for p in shared)
     assert len(shared) == len(cli._CELL) == 6
+
+
+# What the CLI may not import: how a macro experiment draws, fits and plans
+# is `macro_sim`'s decision, so a second copy of that sequence fails here
+# instead of drifting from the sweeps.
+_LIBRARY_SEQUENCING = {
+    "stream", "sample_requests", "request_counts", "zipf_model",
+    "experiment_popularity", "plan_deployment", "make_placement",
+    "HelperSpecs", "check_placement_bytes", "check_user_helper_pairs",
+}
+
+
+def _imported_names(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_the_cli_leaves_drawing_and_planning_to_the_library(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .rng import stream\n"
+        "from .macro_sim import MacroConfig, make_placement as place\n"
+        "from helpercache.popularity import fit_zipf, zipf_model\n"
+    )
+    assert _imported_names(probe) & _LIBRARY_SEQUENCING == {
+        "stream", "make_placement", "zipf_model"
+    }
+    assert _imported_names(PACKAGE / "cli.py") & _LIBRARY_SEQUENCING == set()
