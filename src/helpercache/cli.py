@@ -346,10 +346,10 @@ def _run_fit(p: dict):
         gamma_hat, m_hat = fit_synthetic_trace(
             p["synthetic_gamma"], p["m"], p["samples"], p["seed"]
         )
-    # `fit` prints its two lines in any case; its JSON goes only to `--out`.
-    sys.stdout.write(f"gamma_hat={_format(float(gamma_hat))}\nm_hat={m_hat}\n")
+    lines = f"gamma_hat={_format(float(gamma_hat))}\nm_hat={m_hat}\n"
     if p["out"] is None:
-        return "", None
+        return lines, None
+    sys.stdout.write(lines)  # `fit` prints its two lines with `--out` too.
     doc = {"gamma_hat": float(gamma_hat), "m_hat": int(m_hat)}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n", None
 
@@ -462,7 +462,10 @@ _RUNNERS = {
 
 def run(args: argparse.Namespace) -> int:
     """Run the command and write its text: to stdout, or with `--out` to that
-    file, its plot beside it, and then the manifest."""
+    file, its plot beside it, and then the manifest.
+
+    The one exception is `fit` with `--out`, whose runner prints its two
+    lines to stdout before returning its JSON."""
     params = resolve_params(args)
     started = time.perf_counter()
     text, plot = _RUNNERS[args.command](params)

@@ -129,12 +129,9 @@ def _deliver(
     # of it from the base station.
     served = collected >= 1.0 - WHOLE_FILE_TOL
     n_bs = graph.n_users - served.sum(axis=-1, keepdims=True)
-    with np.errstate(over="ignore"):
-        bs_time = file_bits * n_bs / graph.bs_rate
-        # file_bits * n_bs can pass the float range where the time does not.
-        over = np.isinf(bs_time)
-        if over.any():
-            bs_time[over] = (file_bits * (n_bs / graph.bs_rate))[over]
+    # Dividing first keeps file_bits * n_bs from passing the float range
+    # where the time itself does not.
+    bs_time = file_bits * (n_bs / graph.bs_rate)
     return np.where(served, file_bits * helper, bs_time), served
 
 

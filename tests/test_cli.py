@@ -476,9 +476,9 @@ def test_users_times_helpers_past_the_cap_exit_two_quickly(argv, pairs):
     check_user_helper_pairs(MAX_USER_HELPER_PAIRS // 32, 32)  # at the cap: accepted
 
 
-MACRO_ARGS = [
-    "--n", "6", "--m", "30", "--capacity", "3", "--gamma", "0.8", "--reps", "2",
-]
+# `sweep-capacity` takes every macro flag but `--capacity`.
+SWEEP_CAPACITY_ARGS = ["--n", "6", "--m", "30", "--gamma", "0.8", "--reps", "2"]
+MACRO_ARGS = [*SWEEP_CAPACITY_ARGS, "--capacity", "3"]
 
 
 class TestMacroCommands:
@@ -520,7 +520,7 @@ class TestMacroCommands:
             capsys,
             "sweep-capacity", "--capacities", "0,3", "--helpers", "2",
             "--policy", "most-popular", "--seed", "2",
-            *[a for a in MACRO_ARGS if a not in ("--capacity", "3")],
+            *SWEEP_CAPACITY_ARGS,
         )
         assert code == 0
         _, rows = csv_rows(out)
@@ -555,7 +555,7 @@ CONTRACT = [
     (("sweep-helpers", "--counts", "0,2", *MACRO_ARGS), "x,mean_satisfied,stderr,policy,seed"),
     (
         ("sweep-capacity", "--capacities", "0,3", "--helpers", "2",
-         *[a for a in MACRO_ARGS if a not in ("--capacity", "3")]),
+         *SWEEP_CAPACITY_ARGS),
         "x,mean_satisfied,stderr,policy,seed",
     ),
     (

@@ -470,8 +470,7 @@ class TestSweeps:
 def test_base_station_time_whose_product_overflows_stays_finite():
     # Draw 0 sends all three users to the base station: 1e308 bits times 3
     # users passes the float range, though each time is at most 1.5e308 s.
-    # Draw 1's helper serves two users, so its base-station product is finite
-    # and keeps the bits of the left-to-right expression.
+    # Draw 1's helper serves two users and leaves one to the base station.
     bits = 1e308
     rates = np.zeros((2, 3, 1))
     rates[1, :2, 0] = 1e6
@@ -482,4 +481,4 @@ def test_base_station_time_whose_product_overflows_stays_finite():
         times, served = _deliver(ConnectivityGraph(rates, bs_rate), wanted, bits)
     assert served.tolist() == [[False, False, False], [True, True, False]]
     assert times[0].tolist() == [bits * (3 / rate) for rate in (2.0, 4.0, 8.0)]
-    assert times[1].tolist() == [bits * (1.0 / 1e6)] * 2 + [bits * 1 / 8.0]
+    assert times[1].tolist() == [bits * (1.0 / 1e6)] * 2 + [bits * (1 / 8.0)]
