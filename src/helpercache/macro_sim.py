@@ -73,12 +73,12 @@ _CHUNK_ELEMENTS = 1 << 18
 # (measured: 55 bytes per replicate over 8 points), so at most about 0.8 GB.
 MAX_SCORES = 5 * 10**7
 # Helpers per deployment above which a command is refused.  At 10^4 helpers a
-# one-replicate `simulate-macro` takes 0.6 s and 99 MB and a point's placement
-# over the default 4000 files is a 40 MB matrix; at 10^5, 4.3 s and 625 MB
-# (2-core Xeon).  The greedy's classes grow with the steps taken, not with
-# the helpers: `place --helpers N` at its defaults (100 files, capacity 3, 24
-# users) takes 0.4, 0.5, 0.5 and 0.7 s whole process and peaks at 39, 42, 43
-# and 66 MB for N = 128, 256, 1024 and 10^4.
+# one-replicate `simulate-macro` takes 0.37 s and 94 MB and a point's placement
+# over the default 4000 files is a 40 MB matrix; at 10^5, before this cap, it
+# took 4.3 s and 625 MB (2-core Xeon).  The greedy's classes grow with the
+# steps taken, not with the helpers: `place --helpers N` at its defaults (100
+# files, capacity 3, 24 users) takes 0.28, 0.32, 0.32 and 0.51 s whole process
+# and peaks at 39, 42, 43 and 65 MB for N = 128, 256, 1024 and 10^4.
 MAX_HELPERS = 10**4
 # Bytes of placement matrices one command may hold: a whole-file placement
 # takes a byte per (file, helper) entry, a fractional one eight.  The largest
@@ -88,9 +88,9 @@ MAX_PLACEMENT_BYTES = 2 * 10**9
 # which a command is refused: its positions and connectivity take tens of
 # bytes per pair (10^7 users at 32 helpers asked for a 4.77 GiB array).  At
 # the cap `simulate-macro --n 312500 --helpers 32 --reps 1 --gamma 0.8`
-# takes 3.3 s and 672 MB whole process with `--policy most-popular` and
-# 9.0 s and 913 MB with the greedy, and `place --helpers 10000 --n 1000`
-# 13 s and 581 MB (2-core Xeon).
+# takes 1.1 s and 441 MB whole process with `--policy most-popular` and
+# 4.5 s and 872 MB with the greedy, and `place --helpers 10000 --n 1000`
+# 6.6 s and 342 MB (2-core Xeon).
 MAX_USER_HELPER_PAIRS = 10**7
 
 

@@ -115,12 +115,7 @@ class Placement:
     @functools.cached_property
     def caches(self) -> tuple[frozenset[int], ...]:
         """One frozenset per helper of the ranks it stores (any fraction)."""
-        return tuple(frozenset(_ranks(column)) for column in self.rho.T)
-
-
-def _ranks(column: np.ndarray) -> list[int]:
-    """The ranks (1-based, ascending) whose entry in `column` is nonzero."""
-    return (np.flatnonzero(column) + 1).tolist()
+        return tuple(frozenset((np.flatnonzero(c) + 1).tolist()) for c in self.rho.T)
 
 
 def most_popular_place(specs: HelperSpecs, pop: PopularityModel) -> Placement:

@@ -193,10 +193,10 @@ def read_trace_csv(path) -> np.ndarray:
     """Request counts of a `file_id,count` UTF-8 CSV (header required), one
     float per row in file order.
 
-    Blank lines are skipped.  A row whose two fields are not integers, whose
-    count is negative or past the float range, or whose file id repeats an
-    earlier row's is refused, naming its line.  A count of 0 is kept;
-    `fit_zipf` leaves it out.
+    A file that cannot be read is refused.  Blank lines are skipped.  A row
+    whose two fields are not integers, whose count is negative or past the
+    float range, or whose file id repeats an earlier row's is refused, naming
+    its line.  A count of 0 is kept; `fit_zipf` leaves it out.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -235,6 +235,8 @@ def read_trace_csv(path) -> np.ndarray:
                         f"{where}: count of file id {file_id} is past the float range"
                     ) from None
                 first_line[file_id] = reader.line_num
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot read trace CSV {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InvalidParameterError(
             f"trace CSV {path} is not UTF-8 text: {exc}"

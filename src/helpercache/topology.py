@@ -5,6 +5,7 @@ the fastest-first fetch rule every delivery model shares."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -182,13 +183,30 @@ class ConnectivityGraph:
         Each user's helpers by decreasing rate (ties by index), cut to the
         graph's degree (the most links any user of any stacked draw has),
         with their seconds per bit; columns past a user's own links are
-        unlinked and cost 0.
+        unlinked and cost 0.  An unlinked column's `order` entry is 0 and is
+        never read, for `fetch_fastest_first` masks it by `linked`.
         """
-        degree = int((self.rates > 0).sum(axis=-1).max(initial=0))
-        order = np.argsort(-self.rates, axis=-1, kind="stable")[..., :degree]
-        inv = np.take_along_axis(self.inv_rates, order, axis=-1)
-        linked = np.isfinite(inv)
-        return order, np.where(linked, inv, 0.0), linked
+        lead = self.rates.shape[:-1]
+        rows = math.prod(lead)
+        rates = self.rates.reshape(rows, self.n_helpers)
+        # nonzero lists the links user after user, each user's by helper
+        # index.  Sorting by (user, -rate) moves links only within a user's
+        # run, and lexsort is stable, so equal rates keep helper-index order.
+        user, helper = np.nonzero(rates > 0)
+        rate = rates[user, helper]
+        by = np.lexsort((-rate, user))
+        helper, rate = helper[by], rate[by]
+        counts = np.bincount(user, minlength=rows)
+        degree = int(counts.max(initial=0))
+        slot = np.arange(user.size) - (np.cumsum(counts) - counts)[user]
+        order = np.zeros((rows, degree), dtype=np.intp)
+        inv = np.zeros((rows, degree))
+        linked = np.zeros((rows, degree), dtype=bool)
+        order[user, slot] = helper
+        inv[user, slot] = 1.0 / rate
+        linked[user, slot] = True
+        shape = lead + (degree,)
+        return order.reshape(shape), inv.reshape(shape), linked.reshape(shape)
 
     def users_of(self, helper: int) -> np.ndarray:
         """Indices of users inside helper `helper`'s coverage (unstacked graph)."""
@@ -240,9 +258,34 @@ def build_connectivity(
     station at the origin.  Stacked user draws give a stacked graph with the
     same leading axes.
     """
-    diff = users[..., :, None, :] - helpers
-    dists = np.hypot(diff[..., 0], diff[..., 1])
-    rates = np.where(dists <= helper_radius, link_rate(dists, DEFAULT_HELPER_MODEL), 0.0)
+    dx = users[..., :, None, 0] - helpers[:, 0]
+    dy = users[..., :, None, 1] - helpers[:, 1]
+    # Only the pairs that pass a squared-distance screen get the exact test
+    # and a rate; every other rate is 0.0.  The screen never drops an
+    # in-range pair.  Let u = 2**-53.  If fl(hypot(dx, dy)) <= R, hypot being
+    # within an ulp, the exact distance d has d**2 <= R**2 (1 + 2u)**2, so
+    # the screened fl(fl(dx*dx) + fl(dy*dy)) <= d**2 (1 + u)**2 <=
+    # R**2 (1 + 7u).  The bound `limit` = fl(fl(R * fl(1 + 1e-9))**2) >=
+    # R**2 (1 + 1e-9)**2 (1 - u)**5 >= R**2 (1 + 2e-9 - 6u) is larger by far.
+    # The relative bounds hold while the squares are normal floats.  With a
+    # normal `limit`, a square that underflows is off by at most
+    # 2**-1074 <= 2u * limit, and one that overflows is of a pair farther
+    # than R (1 + 1e-9).  When `limit` overflows or underflows itself, or R
+    # is not a number, every pair is kept.
+    reach = float(helper_radius) * (1 + 1e-9)
+    limit = reach * reach
+    if sys.float_info.min <= limit < math.inf:
+        with np.errstate(over="ignore"):
+            squares = dx * dx
+            squares += dy * dy
+        near = np.flatnonzero(squares <= limit)
+        del squares
+    else:
+        near = np.arange(dx.size)
+    dists = np.hypot(dx.ravel()[near], dy.ravel()[near])
+    linked = dists <= helper_radius
+    rates = np.zeros(dx.shape)
+    rates.ravel()[near[linked]] = link_rate(dists[linked], DEFAULT_HELPER_MODEL)
     d_bs = np.hypot(users[..., 0], users[..., 1])
     bs = np.reshape(link_rate(d_bs, DEFAULT_MACRO_MODEL), users.shape[:-1])
     return ConnectivityGraph(rates=rates, bs_rate=bs)

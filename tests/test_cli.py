@@ -381,9 +381,18 @@ def test_oversized_macro_and_fit_inputs_exit_two_before_allocating(capsys, argv,
         (("simulate-macro", "--reps", "x"), "reps: invalid literal for int() with base 10: 'x'"),
         (("simulate-d2d", "--r", "2"), "r: must be a fraction in (0, 1], e.g. 0.1 or 1/10"),
         (("fit", "--trace", "counts.csv"), "trace CSV must start with header file_id,count"),
+        (
+            ("fit", "--trace", "missing.csv"),
+            "cannot read trace CSV missing.csv: [Errno 2] No such file or directory: "
+            "'missing.csv'",
+        ),
+        (("fit", "--trace", "."), "cannot read trace CSV .: [Errno 21] Is a directory: '.'"),
         (("fit", "--seed", "-1"), "seed: must be an integer >= 0"),
     ],
-    ids=["qos", "file-bits", "gamma", "helper-mode", "counts", "n", "reps", "r", "trace", "seed"],
+    ids=[
+        "qos", "file-bits", "gamma", "helper-mode", "counts", "n", "reps", "r", "trace",
+        "missing-trace", "trace-directory", "seed",
+    ],
 )
 def test_refused_values_exit_two_with_one_line(capsys, monkeypatch, tmp_path, argv, message):
     # The whole stderr is the one message line: no traceback, nothing else.
@@ -610,6 +619,18 @@ def test_output_contract_of_every_command(capsys, tmp_path, argv, first_line):
         assert alone == f"gamma_hat={fitted['gamma_hat']}\nm_hat={fitted['m_hat']}\n"
     else:
         assert (printed, alone) == ("", primary)
+
+
+@pytest.mark.parametrize("trace", ["missing.csv", "."], ids=["missing", "directory"])
+def test_output_contract_of_an_unreadable_trace(capsys, monkeypatch, tmp_path, trace):
+    # A trace that cannot be read is refused like a missing --config: exit 2,
+    # one stderr line naming the trace, and no output file or manifest.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "fit", "--trace", trace, "--out", "res.json")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read trace CSV {trace}: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigLayering:
