@@ -12,18 +12,19 @@ capacity constraint.
 
 The gain of caching rank f at helper h is `fl(file_bits * pmf[f-1])` times a
 coverage weight `s_h(S)` that depends only on the set S of helpers already
-caching f, so ranks with equal S form a class.  `_greedy` sorts these
-gains in segments instead of popping a heap once per cached file: each class
-hands its members down a chain of classes, along which the gain never grows,
-so a heap's pop order is the order of the merge key (-gain, rank, depth on
-the chain).  A segment keeps at most a fixed number of items, and ends only
-when they run out; a helper that fills or a class that is made re-routes
-just the items whose chains it changes.
-Its trajectory, ties included, is that of the pairwise lazy greedy.
+caching f, so ranks with equal S form a class.  Each class hands its members
+down a chain of classes, along which the gain never grows, so a heap's pop
+order is the order of the merge key (-gain, rank, depth on the chain).
+`_greedy` holds its pending work as runs of consecutive ranks at one class,
+and commits every item before the next event (a helper fills, a chain ends,
+an item is scored on its own) run by run; an event re-routes only the runs
+of the classes it changes.  Its trajectory, ties included, is that of the
+pairwise lazy greedy.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -132,7 +133,7 @@ class _Class:
     caching member f at h gains `weights[f - 1] * s[h]`.  `cand` marks the
     helpers a member can go to: not in `held`, with users, and open when the
     class was made.  `row` is the class's index in the per-class arrays of
-    `_Segments`.
+    `_Runs`.
     """
 
     __slots__ = ("held", "cur", "cand", "s", "row")
@@ -145,11 +146,7 @@ class _Class:
 # candidate's before the class caches that helper (see `_clear_winner`).
 _CLEAR_WIN = 1e-12
 _DORMANT = -3  # `best` of a class that chooses again when next reached
-
-# A segment of the greedy takes the first items of at most `_SEGMENT_RANKS`
-# ranks, and keeps at most `_SEGMENT_ITEMS` items in all (`_budgeted`).
-_SEGMENT_RANKS = 2048
-_SEGMENT_ITEMS = 4096
+_NONE = np.zeros(0, np.int64)
 
 
 def _clear_winner(s: np.ndarray, ok: np.ndarray) -> int:
@@ -178,27 +175,17 @@ def _item_step(c: _Class, w: float, is_open: np.ndarray) -> tuple[int, float]:
     return h, float(gains[h])
 
 
-class _Segments:
-    """One run of the greedy, advanced a segment of items at a time.
+class _Runs:
+    """One run of the greedy, advanced a batch at a time (see `_greedy`).
 
-    Each class has a row in the per-class arrays: `best`, its `_clear_winner`
-    over the open helpers; `sig`, its largest open `s` (-inf if none is
-    open); `nxt`, the row of class `held | best`, or -1 while that class is
-    not made or is dormant; `depth`, how many helpers it holds.  A class with
-    a clear winner b caches its members at b and hands them on to `nxt`, so
-    following `nxt` from a rank's class walks the rank's chain.  A chain ends
-    at a class without a clear winner, before a class with no open
-    candidate, or where `nxt` is -1.  When a helper that a class may choose
-    fills, the class chooses again at once if an item is pending at it, and
-    otherwise goes dormant (`_DORMANT`) until a rank reaches it; no `nxt`
-    points to a dormant class.
-
-    A segment's pending items are the columns of one int64 array, sorted by
-    key; its rows are `_RANK`, `_DEPTH`, `_GAIN` (the float's bits), `_ROW`
-    (the class), `_HELPER` (the class's `best`) and `_STOP` (1 if the chain
-    ends at the item open, or if the item is scored on its own).  Each item
-    names its class, so a change to some classes finds the items it touches
-    with one gather.
+    Per class row: `best`, its `_clear_winner` over the open helpers; `sig`,
+    its largest open `s` (-inf if none is open); `nxt`, the row of class
+    `held | best`, or -1 while that class is not made or is dormant
+    (`_DORMANT`); `depth`, how many helpers it holds; `head` and `tail`, the
+    ranks between which its gains are normal floats (0 and 0 without a clear
+    winner).  Per run i: the items of ranks `lo[i]` to `hi[i] - 1` (0-based)
+    at class `row[i]`; `up[i]`, the run it was walked from (-1 if none);
+    `bare[i]`, whether none was walked from it since its class last chose.
     """
 
     def __init__(self, graph, pop, specs, file_bits):
@@ -229,22 +216,22 @@ class _Segments:
             if sizes[self.order[hi - 1]] > 0
         ]
         self.weights = file_bits * pop.pmf
+        self.neg = -self.weights  # ascending, for `np.searchsorted`
         # No helper holds more than the catalog, so a larger capacity acts
         # as the catalog size (and any capacity fits int64).
-        self.room = np.array(
-            [min(c, pop.m) for c in specs.capacities], dtype=np.int64
-        )
+        self.room = np.array([min(c, pop.m) for c in specs.capacities], np.int64)
         self.is_open = self.room > 0
         self.classes: dict[int, _Class] = {}
         self.by_row: list[_Class] = []
-        self.best = np.zeros(0, dtype=np.int64)
+        self.best, self.nxt, self.depth, self.head, self.tail = (
+            np.zeros(0, np.int64) for _ in range(5)
+        )
         self.sig = np.zeros(0)
-        self.nxt = np.zeros(0, dtype=np.int64)
-        self.depth = np.zeros(0, dtype=np.int64)
-        # Each rank's class, as depth << 32 | row.
-        self.place = np.zeros(pop.m, dtype=np.int64)
-        # Scratch of `repair`: a depth per rank (a depth is at most H < 2^31).
-        self.cutoff = np.full(pop.m, _NO_CUT, dtype=np.int32)
+        self.lo, self.hi = np.zeros(1, np.int64), np.full(1, pop.m)
+        self.row, self.up = np.zeros(1, np.int64), np.full(1, -1)
+        self.bare = np.ones(1, dtype=bool)
+        # The committed (helpers, ranks, gains), a batch per entry.
+        self.steps = ([_NONE], [_NONE], [np.zeros(0)])
         self._add(0, 0, 1.0 / graph.bs_rate, self.is_open & (sizes > 0))
 
     def _add(self, held: int, depth: int, cur: np.ndarray, cand: np.ndarray) -> int:
@@ -252,25 +239,26 @@ class _Segments:
         row = len(self.by_row)
         if row == self.best.size:
             more = max(row, 8)
-            self.best = np.append(self.best, np.zeros(more, np.int64))
-            self.sig = np.append(self.sig, np.zeros(more))
-            self.nxt = np.append(self.nxt, np.full(more, -1))
-            self.depth = np.append(self.depth, np.zeros(more, np.int64))
-        gap = np.maximum(0.0, cur[self.pad_users] - self.pad_inv)
+            for name in ("best", "nxt", "depth", "head", "tail", "sig"):
+                a = getattr(self, name)
+                setattr(self, name, np.concatenate((a, np.zeros(more, a.dtype))))
         s = np.zeros(cand.size)
+        pick = cand[self.order]  # the padded rows of the candidates
         for lo, hi, n in self.blocks:
-            s[self.order[lo:hi]] = gap[lo:hi, :n].sum(axis=1)
-        s[~cand] = 0.0
+            rows = lo + pick[lo:hi].nonzero()[0]
+            gap = cur[self.pad_users[rows, :n]]
+            gap -= self.pad_inv[rows, :n]
+            s[self.order[rows]] = np.maximum(gap, 0.0, out=gap).sum(axis=1)
         c = self.classes[held] = _Class(held, cur, cand, s, row)
         self.by_row.append(c)
         self.depth[row] = depth
         self.choose(row)
         return row
 
-    def successor(self, row: int, h: int) -> tuple[int, bool]:
+    def successor(self, row: int, h: int) -> int:
         """The row of the class a member of class `row` joins once cached at
-        helper `h`, made if need be (a dormant one is woken by `repair`); and
-        whether the chain of `row`, which ended there, now goes on to it."""
+        helper `h`, made if need be and woken if dormant; the chain of `row`,
+        if it ended there, now goes on to it."""
         c = self.by_row[row]
         nxt = self.classes.get(c.held | (1 << h))
         if nxt is None:
@@ -282,303 +270,320 @@ class _Segments:
             target = self._add(c.held | (1 << h), self.depth[row] + 1, cur, cand)
         else:
             target = nxt.row
-        linked = self.best[row] == h and self.nxt[row] < 0
-        if linked:
+            if self.best[target] == _DORMANT:
+                self.wake(target)
+        if self.best[row] == h and self.nxt[row] < 0:
             self.nxt[row] = target
-        return target, linked
+        return target
+
+    def extend(self, row: int) -> None:
+        """The chain of class `row` ends there, and its next committed item
+        is there: make or wake the class that the item joins."""
+        self.successor(row, int(self.best[row]))
+
+    def wake(self, row: int) -> None:
+        """Let the dormant class `row`, which a rank reached, choose again."""
+        self.choose(row)
 
     def choose(self, r: int) -> None:
         """Run `_clear_winner` for class row `r` over the open helpers."""
         c = self.by_row[r]
         ok = c.cand & self.is_open
         b = self.best[r] = _clear_winner(c.s, ok)
-        self.nxt[r] = -1
+        self.nxt[r], self.head[r], self.tail[r] = -1, 0, 0
         if b >= 0:
-            self.sig[r] = c.s[b]
+            sig = self.sig[r] = c.s[b]
             nxt = self.classes.get(c.held | (1 << b))
             if nxt is not None and self.best[nxt.row] != _DORMANT:
                 self.nxt[r] = nxt.row
+            self.head[r] = self._from_rank(lambda w: w * sig < math.inf)
+            self.tail[r] = self._from_rank(lambda w: w * sig < sys.float_info.min)
         elif b == -1:
             self.sig[r] = np.where(ok, c.s, -1.0).max()
         else:
-            self.sig[r] = -math.inf  # no item: no key passes any limit
+            self.sig[r] = -math.inf  # no item
 
-    def wake(self, rows) -> None:
-        """Let the dormant classes among `rows` choose again."""
-        for r in set(np.asarray(rows).tolist()):
-            if self.best[r] == _DORMANT:
-                self.choose(r)
+    def _from_rank(self, passes) -> int:
+        """The first rank whose weight `passes`, as the weights, which fall
+        with rank, do from some rank on."""
+        w = self.weights
+        if passes(w[0]) or not passes(w[-1]):
+            return 0 if passes(w[0]) else w.size
+        return bisect.bisect_left(range(w.size), True, key=lambda f: passes(w[f]))
 
-    def close(self, filled: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Helpers `filled` ran out of room.  The classes that chose one of
-        them, or had no clear winner and could choose one, choose again if
-        one of the pending `items` is at them (their rows are returned) and
-        go dormant otherwise: the chains into them end before them, so the
-        items at their end stop."""
-        self.is_open[filled] = False
-        n = len(self.by_row)
-        # Indexed by `best`: helpers 0..H-1, then dormant (-3), dead (-2), -1.
-        gone = np.zeros(self.is_open.size + 3, dtype=bool)
-        gone[filled] = gone[-1] = True
-        rows = [
-            r
-            for r in gone[self.best[:n]].nonzero()[0].tolist()
-            if self.best[r] >= 0 or self.by_row[r].cand[filled].any()
-        ]
-        used = np.zeros(n, dtype=bool)
-        used[items[_ROW]] = True
-        now = [r for r in rows if used[r]]
-        for r in now:
-            self.choose(r)
-        later = [r for r in rows if not used[r]]
-        if later:
-            self.best[later] = _DORMANT
-            asleep = np.zeros(n + 1, dtype=bool)  # the last entry: nxt -1
-            asleep[later] = True
-            ends = asleep[self.nxt[:n]].nonzero()[0]
-            self.nxt[ends] = -1
-            asleep[:] = False
-            asleep[ends] = True
-            items[_STOP, asleep[items[_ROW]]] = 1
-        return np.array(now, dtype=np.int64)
+    def walk(self):
+        """Walk runs on until every item before the first barrier is in a
+        run; each run's `bar`, its barrier's rank or `hi`, and the first
+        barrier's key (gain, rank, depth, run), None if there is none.  A
+        barrier is an item scored on its own or at a chain end; a first
+        barrier at a chain end, with no fill possible before it, is passed."""
+        w = self.weights
+        while True:
+            row, lo, hi = self.row, self.lo, self.hi
+            sig, tail, nxt = self.sig[row], self.tail[row], self.nxt[row]
+            normal = (lo >= self.head[row]) & (lo < tail)
+            go = normal & (nxt >= 0)
+            stop = np.minimum(tail, hi)
+            bar = np.where(go, stop, lo)
+            at = (bar < hi).nonzero()[0]
+            grow = (self.bare & go).nonzero()[0]
+            depth = self.depth[row]
+            key = _first(w[bar[at]] * sig[at], bar[at], depth[at], at)
+            if grow.size and key is not None:
+                first = w[lo[grow]] * sig[grow]
+                grow = grow[_before(first, lo[grow], depth[grow], key)]
+            elif key is not None and normal[key[3]] and not go[key[3]]:
+                if _earlier(_first(*self.bound(np.where(normal, stop, lo))[:4]), key):
+                    return bar, key
+                y = int(row[key[3]])
+                self.extend(y)
+                grow = ((row == y) & self.bare).nonzero()[0]
+            if not grow.size:
+                return bar, key
+            self.grow(grow)
 
-    def walk(self, ranks, rows, limit):
-        """The items of key at most `limit` on the chains of `ranks` from
-        class rows `rows`, unsorted."""
-        parts = []
-        top, i, d = limit
-        while ranks.size:
-            gain = self.weights[ranks] * self.sig[rows]
-            keep = gain > top
-            if top >= 0.0 and (gain == top).any():
-                keep |= (gain == top) & (
-                    (ranks < i) | (ranks == i) & (self.depth[rows] <= d)
-                )
-            if not keep.all():
-                ranks, rows, gain = ranks[keep], rows[keep], gain[keep]
-            parts.append((ranks, rows, gain))
-            # The gain does not grow along a chain, so a rank's next item
-            # passes the limit only if this one did.
-            nxt = self.nxt[rows]
-            on = nxt >= 0
-            ranks, rows = ranks[on], nxt[on]
-        if len(parts) == 1:
-            ranks, rows, gain = parts[0]
-        else:
-            ranks, rows, gain = (np.concatenate(a) for a in zip(*parts))
-        helper = self.best[rows]
-        alone = (gain < sys.float_info.min) | (gain == math.inf) | (helper < 0)
-        stop = alone | (self.nxt[rows] < 0)
-        return np.concatenate(
-            (ranks, self.depth[rows], gain.view(np.int64), rows, helper, stop)
-        ).reshape(6, -1)
+    def grow(self, at: np.ndarray) -> None:
+        """Walk on from runs `at`: their ranks at the next class of the chain."""
+        self.bare[at] = False
+        to = self.nxt[self.row[at]]
+        live = self.best[to] != -2  # a class with no open helper has no item
+        self._append(self.lo[at[live]], self.hi[at[live]], to[live], at[live])
 
-    def items(self, head: np.ndarray, rows: np.ndarray, beyond: float):
-        """The segment's items sorted by key, and the limit of their keys;
-        None if `head` holds too few ranks.
+    def _append(self, lo, hi, row, up) -> None:
+        """Add bare runs."""
+        for name, add in zip(("lo", "hi", "row", "up"), (lo, hi, row, up)):
+            setattr(self, name, np.concatenate((getattr(self, name), add)))
+        self.bare = np.concatenate((self.bare, np.ones(len(lo), dtype=bool)))
 
-        An item is a rank at a class of its chain; its key is (-gain, rank,
-        depth of the class).  The segment takes every item whose key is at
-        most a limit that the first items of at most `_SEGMENT_RANKS` ranks
-        pass, then keeps the first `_SEGMENT_ITEMS` (`_budgeted`).  Every
-        other item's key is larger, that of every rank after those in `head`
-        too: their gains are at most `beyond` (-1 if there are none).  Items
-        are the columns of one int64 array, see `_RANK`.
-        """
-        n = head.size
-        limit = (-1.0, 0, 0)  # admits every item: gains are >= 0
-        if beyond >= 0.0 and n <= _SEGMENT_RANKS:
-            return None
-        if n > _SEGMENT_RANKS:
-            gain = self.weights[head] * self.sig[rows]
-            top = np.partition(gain, n - _SEGMENT_RANKS)[n - _SEGMENT_RANKS]
-            if top < beyond:
-                return None
-            keep = gain > top
-            ties = (gain == top).nonzero()[0][: _SEGMENT_RANKS - keep.sum()]
-            keep[ties] = True
-            limit = (top, head[ties[-1]], self.depth[rows[ties[-1]]])
-            head, rows = head[keep], rows[keep]
-        return _budgeted(_sorted(self.walk(head, rows, limit)), limit)
+    def bound(self, bar: np.ndarray):
+        """Per helper that may fill if runs stop at `bar`, a key its filling
+        item does not come before (of k runs, one holds room / k items up to
+        it): arrays of gain, rank, depth, run, and whether it is that item."""
+        row, lo = self.row, self.lo
+        at = (bar > lo).nonzero()[0]
+        helper = self.best[row[at]]
+        runs = np.bincount(helper, minlength=self.room.size)[helper]
+        pos = lo[at] - 1 - (-self.room[helper] // runs)
+        ok = (pos < bar[at]).nonzero()[0]
+        at, pos = at[ok], pos[ok]
+        gain = self.weights[pos] * self.sig[row[at]]
+        return gain, pos, self.depth[row[at]], at, runs[ok] == 1
 
-    def repair(self, items, limit, changed, link=None, moved=None):
-        """The pending `items` and their limit after a step changed classes.
+    def counts(self, bar: np.ndarray, key) -> np.ndarray:
+        """How many items of each run come before `key` (gain, rank, depth,
+        run), all with None: ranks from `lo` on, before `bar`, with normal
+        gains."""
+        n = bar - self.lo
+        if key is None:
+            return n
+        g, f, d, i = key
+        if not sys.float_info.min <= g < math.inf:
+            return n if g < math.inf else n * 0
+        n[i] = 0  # its own run: the items before it
+        at = n.nonzero()[0]
+        n[i] = f - self.lo[i]
+        lo, bar, row = self.lo[at], bar[at], self.row[at]
+        sig = self.sig[row]
+        gt = np.minimum(np.maximum(self._edge(sig, g, np.greater), lo), bar)
+        n[at] = gt - lo
+        tie = (gt < bar).nonzero()[0]
+        tie = tie[self.weights[gt[tie]] * sig[tie] == g]
+        if tie.size:  # gains equal to g, from gt to ge: ranks and depths decide
+            at, gt, row = at[tie], gt[tie], row[tie]
+            ge = np.minimum(self._edge(sig[tie], g, np.greater_equal), bar[tie])
+            n[at] += np.minimum(np.maximum(f - gt, 0), ge - gt)
+            n[at] += (gt <= f) & (f < ge) & (self.depth[row] < d)
+        return n
 
-        Each rank's items from its first at a `changed` class on are walked
-        again from there.  `link` (Y, X) says that the chains ending at class
-        Y now go on to class X: the ranks with an item at Y walk on from X.
-        `moved` (f, X, drop) says that rank f joined class X, which its items
-        did not reach: they walk on from X, after dropping f's items if
-        `drop`.
-        """
-        starts = []
-        # A class reached by this step may have gone dormant at its fill.
-        self.wake([x[1] for x in (moved, link) if x is not None])
-        if moved is not None:
-            f, x, drop = moved
-            if drop:
-                items = np.compress(items[_RANK] != f, items, axis=1)
-            starts.append((np.array([f]), np.array([x])))
-        if link is not None and not np.any(changed == link[0]):
-            at = (items[_ROW] == link[0]).nonzero()[0]
-            # Their chains go on: they stop only if scored on their own.
-            gain = items[_GAIN, at].view(np.float64)
-            items[_STOP, at] = (gain < sys.float_info.min) | (gain == math.inf)
-            at = items[_RANK, at]
-            starts.append((at, np.full(at.size, link[1])))
-        if changed.size:
-            hit = np.zeros(len(self.by_row), dtype=bool)
-            hit[changed] = True
-            bad = hit[items[_ROW]].nonzero()[0]
-            if bad.size:
-                # Each rank walks again from its shallowest bad item.
-                rank, depth = items[_RANK], items[_DEPTH]
-                np.minimum.at(self.cutoff, rank[bad], depth[bad].astype(np.int32))
-                cutoff = self.cutoff[rank]
-                first = bad[depth[bad] == cutoff[bad]]
-                self.cutoff[rank[bad]] = _NO_CUT
-                starts.append((rank[first], items[_ROW, first]))
-                items = np.compress(depth < cutoff, items, axis=1)
-        if starts:
-            if len(starts) > 1:
-                ranks, rows = (np.concatenate(a) for a in zip(*starts))
-            else:
-                ranks, rows = starts[0]
-            walked = self.walk(ranks, rows, limit)
-            items = _sorted(np.concatenate((items, walked), axis=1))
-        return _budgeted(items, limit)
+    def _edge(self, sig: np.ndarray, g: float, above) -> np.ndarray:
+        """For each `sig`, the first rank whose gain `fl(w * sig)` is not
+        `above` g.  `g / sig` finds it to within a few weights; the rounded
+        products settle it."""
+        w, neg, last = self.weights, self.neg, self.weights.size - 1
+        p = np.searchsorted(neg, -(g / sig), "left" if above is np.greater else "right")
+        while True:
+            a, b = np.maximum(p - 1, 0), np.minimum(p, last)
+            back = ~above(w[a] * sig, g) & (p > 0)
+            on = above(w[b] * sig, g) & (p <= last)
+            if not (back | on).any():
+                return p
+            # Step over a whole group of equal weights, whose gains are equal.
+            p = np.where(back, np.searchsorted(neg, neg[a], "left"), p)
+            p = np.where(on, np.searchsorted(neg, neg[b], "right"), p)
 
-    def drain(self, items, limit, out, moves) -> bool:
-        """Commit the segment's `items` in key order, steps to `out` and
-        each committed rank's new class row to `moves`; False once a gain
-        is not positive, which ends the greedy."""
-        room = self.room
-        n_helpers = room.size
-        while items.shape[1]:
-            rank, _, gain, rows, helper, stop = items  # row views
-            # Commit up to the first item that ends the greedy (gain <= 0)
-            # or is scored on its own, and through the first that fills a
-            # helper or ends its chain at a class not made yet.
-            cut = int(stop.argmax())
-            if not stop[cut]:
-                cut = stop.size
-            elif helper[cut] >= 0 and _normal(gain[cut : cut + 1]):
-                cut += 1
-            counts = np.bincount(helper[:cut], minlength=n_helpers)
-            full = counts >= np.maximum(room, 1)
-            if full.any():
-                for h in full.nonzero()[0].tolist():
-                    cut = min(cut, int((helper == h).nonzero()[0][room[h] - 1]) + 1)
-                counts = np.bincount(helper[:cut], minlength=n_helpers)
-            link = moved = None
-            if cut:
-                out.append(items[_STEP, :cut])
-                room -= counts
-                target = self.nxt[rows[:cut]]
-                if target[-1] < 0:
-                    # The chain ended here, at the item's helper: linked.
-                    f, y = int(rank[cut - 1]), int(rows[cut - 1])
-                    target[-1], _ = self.successor(y, int(helper[cut - 1]))
-                    link, moved = (y, target[-1]), (f, target[-1], False)
-                moves.append((rank[:cut], target))
-                items = items[:, cut:]
-                filled = ((room == 0) & (counts > 0)).nonzero()[0]
-            else:
-                f, y = int(rank[0]), int(rows[0])
-                if items[_GAIN, :1].view(np.float64)[0] <= 0.0:
-                    return False
-                h, g = _item_step(self.by_row[y], self.weights[f], self.is_open)
-                out.append(np.array([[h], [f], [np.float64(g).view(np.int64)]]))
-                room[h] -= 1
-                x, linked = self.successor(y, h)
-                moved = (f, x, True)
-                if linked:
-                    link = (y, x)
-                moves.append((np.array([f]), np.array([x])))
-                filled = np.array([h]) if room[h] == 0 else _NONE
-            changed = self.close(filled, items) if filled.size else _NONE
-            if moved is not None or changed.size:
-                items, limit = self.repair(items, limit, changed, link, moved)
+    def fill(self, bar: np.ndarray, key):
+        """The key (gain, rank, depth, run) of the first item that fills a
+        helper, among the items before `bar` and `key`; None if none does."""
+        gain, rank, depth, at, one = self.bound(bar)
+        first = _first(gain, rank, depth, at)
+        if not _earlier(first, key) or one.all():
+            return first if _earlier(first, key) else None
+        # A helper with several runs: its room-th item is among the first
+        # room items of each of them that come before `key`.
+        row, room = self.row, self.room
+        counts = self.counts(bar, key)
+        helper = self.best[row]
+        many = np.zeros(room.size + 1, dtype=bool)  # the last entry: best -1
+        many[helper[at[~one]]] = True
+        of = (many[helper] & (counts > 0)).nonzero()[0]
+        total = np.bincount(helper[of], counts[of], minlength=room.size)
+        of = of[total[helper[of]] >= room[helper[of]]]
+        take = np.minimum(counts[of], room[helper[of]])
+        ranks, of = _spans(self.lo[of], take), np.repeat(of, take)
+        g = self.weights[ranks] * self.sig[row[of]]
+        h, d = helper[of], self.depth[row[of]]
+        order = np.lexsort((d, ranks, -g, h))
+        start = np.diff(h[order], prepend=-1).nonzero()[0]
+        pick = order[start + room[h[order[start]]] - 1]
+        first = _first(*(np.concatenate(a) for a in (
+            (gain[one], g[pick]), (rank[one], ranks[pick]),
+            (depth[one], d[pick]), (at[one], of[pick]),
+        )))
+        return first if _earlier(first, key) else None
+
+    def commit(self, counts: np.ndarray) -> None:
+        """Commit the first `counts[i]` items of each run i, in key order."""
+        at = counts.nonzero()[0]
+        n, row = counts[at], self.row[at]
+        ranks = _spans(self.lo[at], n)
+        gain = self.weights[ranks] * np.repeat(self.sig[row], n)
+        helper = np.repeat(self.best[row], n)
+        if at.size > 1:
+            order = _key_order(gain, ranks, np.repeat(self.depth[row], n))
+            helper, ranks, gain = helper[order], ranks[order], gain[order]
+        for out, part in zip(self.steps, (helper, ranks, gain)):
+            out.append(part)
+        self.lo[at] += n
+        np.subtract.at(self.room, self.best[row], n)
+
+    def alone(self, i: int) -> bool:
+        """Score the first item of run i on its own, as a heap entry is
+        (`_item_step`); its rank goes on as a run of its own.  False if its
+        gain is not positive, which ends the greedy."""
+        f, y = int(self.lo[i]), int(self.row[i])
+        w = self.weights[f]
+        if not w * self.sig[y] > 0.0:
+            return False
+        h, g = _item_step(self.by_row[y], w, self.is_open)
+        for out, part in zip(self.steps, (h, f, g)):
+            out.append(np.array([part]))
+        self.room[h] -= 1
+        x = self.successor(y, h)
+        self.cut(np.array([i]))
+        self.lo[i] += 1
+        self._append(np.array([f]), np.array([f + 1]), np.array([x]), np.array([-1]))
+        if not self.room[h]:
+            self.close(h)
         return True
+
+    def close(self, h: int) -> None:
+        """Helper `h` ran out of room.  The classes that chose it, or had no
+        clear winner and could choose it, choose again if a run is pending at
+        them, and the runs walked from theirs are cut; the others go dormant,
+        and the chains into them end before them."""
+        self.is_open[h] = False
+        n = len(self.by_row)
+        best = self.best[:n]
+        rows = ((best == h) | (best == -1)).nonzero()[0].tolist()
+        rows = [r for r in rows if best[r] == h or self.by_row[r].cand[h]]
+        hit = np.zeros(n, dtype=bool)
+        hit[self.row[self.lo < self.hi]] = True
+        for r in rows:
+            if hit[r]:
+                self.choose(r)
+            else:
+                self.best[r] = _DORMANT
+        asleep = np.append(self.best[:n] == _DORMANT, False)  # the last: nxt -1
+        self.nxt[:n][asleep[self.nxt[:n]]] = -1
+        hit[:] = False
+        hit[rows] = True
+        self.cut((hit[self.row] & (self.lo < self.hi)).nonzero()[0])
+
+    def cut(self, runs: np.ndarray) -> None:
+        """The runs walked from `runs` keep only the ranks before each one's
+        `lo`: the others have not passed its class, whose chain changed."""
+        big = np.iinfo(np.int64).max
+        limit = np.full(self.lo.size + 1, big)  # the last entry: up -1
+        limit[runs] = self.lo[runs]
+        below = np.full(self.lo.size, big)
+        while True:  # the smallest limit above each run
+            inherited = np.minimum(limit, np.append(below, big))[self.up]
+            if np.array_equal(inherited, below):
+                break
+            below = inherited
+        np.minimum(self.hi, below, out=self.hi)
+        self.bare[runs] = True
 
     def run(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The greedy's (helpers, ranks, gains), one entry per cached file."""
-        live = np.arange(self.weights.size)  # 0-based ranks that may still be cached
-        window = 4 * _SEGMENT_RANKS  # how many live ranks a segment looks at
-        out: list[np.ndarray] = []
         while True:
-            head = live[:window]
-            rows = self.place[head] & 0xFFFFFFFF
-            self.wake(np.append(rows[self.best[rows] == _DORMANT], 0))
-            alive = self.best[rows] != -2
-            if not alive.all():
-                head, rows = head[alive], rows[alive]
-                live = np.concatenate([head, live[window:]])
-            if not live.size:
+            keep = (self.lo < self.hi) & (self.best[self.row] != -2)
+            if not keep.all():  # drop the runs with no item left
+                at = keep.nonzero()[0]
+                new = np.full(keep.size + 1, -1)  # the last entry: up -1
+                new[at] = np.arange(at.size)
+                self.up = new[self.up[at]]
+                self.lo, self.hi, self.row = self.lo[at], self.hi[at], self.row[at]
+                self.bare = self.bare[at]
+            if not self.lo.size:
                 break
-            # Every class descends from the root, and the best `s` does not
-            # grow down a chain or as helpers fill, so no rank after the
-            # window gains more than this at its first item (0 once the
-            # root has no open candidate).
-            beyond = -1.0
-            if live.size > head.size:
-                beyond = self.weights[live[head.size]] * max(self.sig[0], 0.0)
-            found = self.items(head, rows, beyond)
-            if found is None:
-                window *= 2
-                continue
-            moves: list[tuple[np.ndarray, np.ndarray]] = []
-            if not self.drain(*found, out, moves):
-                break
-            if moves:
-                # A rank's class gains a helper with every move, so its
-                # deepest move is its last.
-                ranks, rows = (np.concatenate(a) for a in zip(*moves))
-                np.maximum.at(self.place, ranks, self.depth[rows] << 32 | rows)
-        if not out:
-            return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
-        helpers, ranks, gains = np.concatenate(out, axis=1)
-        return helpers, ranks + 1, gains.view(np.float64)
+            bar, key = self.walk()
+            filled = self.fill(bar, key)
+            counts = self.counts(bar, key if filled is None else filled)
+            if filled is not None:
+                counts[filled[3]] += 1
+            self.commit(counts)
+            if filled is not None:
+                self.close(int(self.best[self.row[filled[3]]]))
+            elif key is not None:
+                y = int(self.row[key[3]])
+                if self.nxt[y] < 0 and self.head[y] <= key[1] < self.tail[y]:
+                    self.extend(y)
+                elif not self.alone(key[3]):
+                    break
+        helpers, ranks, gains = (np.concatenate(part) for part in self.steps)
+        return helpers, ranks + 1, gains
 
 
-# The rows of an item array, one column per item.
-_RANK, _DEPTH, _GAIN, _ROW, _HELPER, _STOP = range(6)
-_STEP = [_HELPER, _RANK, _GAIN]  # the rows of a committed step
-_NO_CUT = np.iinfo(np.int32).max
-_NONE = np.zeros(0, np.int64)
+def _spans(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The ranks lo[i], ..., lo[i] + n[i] - 1 of each i, concatenated."""
+    ends = np.cumsum(n)
+    return np.arange(ends[-1] if n.size else 0) + np.repeat(lo - ends + n, n)
 
 
-def _normal(bits: np.ndarray) -> bool:
-    """Whether the one gain whose bits are `bits` is a normal float."""
-    g = bits.view(np.float64)[0]
-    return sys.float_info.min <= g < math.inf
+def _before(gain, rank, depth, key) -> np.ndarray:
+    """Whether each key (-gain, rank, depth) is below `key` (gain, rank, depth)."""
+    g, f, d = key[:3]
+    return (gain > g) | (gain == g) & ((rank < f) | (rank == f) & (depth < d))
 
 
-def _budgeted(items, limit):
-    """The first `_SEGMENT_ITEMS` of the sorted `items`, and their limit,
-    lowered to the key of the last one kept if any are dropped."""
-    k = _SEGMENT_ITEMS
-    if items.shape[1] <= k:
-        return items, limit
-    gain = items[_GAIN, k - 1 : k].view(np.float64)[0]
-    return items[:, :k], (gain, items[_RANK, k - 1], items[_DEPTH, k - 1])
+def _earlier(a, b) -> bool:
+    """Whether key `a` (gain, rank, depth) comes before key `b`; None is no
+    key, or a key after every other."""
+    return a is not None and (b is None or (-a[0], a[1], a[2]) < (-b[0], b[1], b[2]))
 
 
-def _sorted(items):
-    """The item array in key order (-gain, rank, depth).
+def _first(gain, rank, depth, at):
+    """The smallest key (-gain, rank, depth) as (gain, rank, depth, at of
+    it); None if there are no keys."""
+    if not gain.size:
+        return None
+    i = int(gain.argmax())
+    if np.count_nonzero(gain == gain[i]) > 1:
+        i = int(np.lexsort((depth, rank, -gain))[0])
+    return float(gain[i]), int(rank[i]), int(depth[i]), int(at[i])
 
-    Gains are not negative, so their bits as int64 sort like them.  A stable
-    sort merges sorted runs (a segment's pending items, then its re-walked
-    ones) in about linear time; equal gains fall back to the whole key.
-    """
-    key = -items[_GAIN]
-    if np.all(key[1:] > key[:-1]):
-        return items
+
+def _key_order(gain, rank, depth) -> np.ndarray:
+    """The order of the keys (-gain, rank, depth): positive gains' bits sort
+    like them, and a stable sort merges sorted runs in about linear time;
+    equal gains fall back to the whole key."""
+    key = -gain.view(np.int64)
     order = key.argsort(kind="stable")
     k = key[order]
     if np.any(k[1:] == k[:-1]):
-        order = np.lexsort((items[_DEPTH], items[_RANK], key))
-    return np.take(items, order, axis=1)
+        order = np.lexsort((depth, rank, key))
+    return order
 
 
 def _greedy(graph, pop, specs, file_bits):
@@ -603,30 +608,25 @@ def _greedy(graph, pop, specs, file_bits):
     the order of the merge key (-gain, f, l); at equal gain and rank, the
     parent class comes first.
 
-    The greedy therefore advances a segment at a time.  A segment takes the
-    items of smallest key (from the first items of at most `_SEGMENT_RANKS`
-    ranks; every item left out has a larger key), sorts them and commits
-    them in key order.  It ends when its items run out, or at the first
-    non-positive gain, which ends the greedy.  Three kinds of step change
-    chains while it runs; after each, only the items it touches are walked
-    again, from the changed class, and merged back into the sorted items:
+    The pending items are held as runs, the items of consecutive ranks at
+    one class, whose keys rise with rank.  Between two events the items
+    before a key are a prefix of every run, so the next event is found from
+    the runs alone (`np.searchsorted` over the weights, settled on the
+    rounded gains), and everything before it is committed run by run: only
+    the committed steps are built item by item, merged into key order.  A
+    run walks on to the next class of its chain once its first item comes
+    before the next event.  An event is one of:
 
-    - a helper fills: the classes that chose it, or had no clear winner, run
-      `_clear_winner` again (at once if an item is pending at them, else
-      when a rank next reaches them), and each rank's items from its first
-      at such a class on are re-routed;
-    - an item ends its chain at a class whose successor is not made: the
-      successor is made (a class is made only when a committed item reaches
-      it), and every rank with an item at that class walks on into it;
-    - an item is scored on its own, as a heap entry is (`_item_step`),
-      because its helper depends on the rank: items of a class without a
-      clear winner, and items whose gain is not a normal float, where
-      rounding can tie helpers whose `s` differ.  Its rank walks again from
-      the class it joins.
-
-    One rule keeps a segment within `_SEGMENT_ITEMS` items, when it is taken
-    and after every re-route: it keeps its first `_SEGMENT_ITEMS` sorted
-    items and lowers its limit to the key of the last one kept.
+    - a helper's room-th item: the classes that chose it, or had no clear
+      winner, choose again (at once if a run is pending at them, else when
+      a rank reaches them), and the runs walked from theirs are cut back;
+    - the first item at a chain end, whose next class is not made: it is
+      made (only for an item sure to be committed), and the runs there walk
+      on into it;
+    - an item scored on its own (`_item_step`), as its helper depends on the
+      rank: without a clear winner, or at a gain that is not a normal float,
+      where rounding can tie helpers whose `s` differ;
+    - a non-positive gain, which ends the greedy.
     """
     if specs.n_helpers != graph.n_helpers:
         raise InfeasiblePlacementError("specs/graph helper counts differ")
@@ -634,7 +634,7 @@ def _greedy(graph, pop, specs, file_bits):
         raise InvalidParameterError("file_bits must be finite and > 0")
     if graph.n_users == 0 or all(c == 0 for c in specs.capacities):
         return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
-    return _Segments(graph, pop, specs, file_bits).run()
+    return _Runs(graph, pop, specs, file_bits).run()
 
 
 def greedy_place(

@@ -1,8 +1,8 @@
 """The greedy's trajectory and the references the tests check it against.
 
-`greedy_steps` lists the (helper, rank, gain) steps of the merged-segment
-greedy, `placement_uncoded._greedy`, that `greedy_place` runs.
-`class_greedy_steps` is the class greedy that the merged segments replaced:
+`greedy_steps` lists the (helper, rank, gain) steps of the run greedy,
+`placement_uncoded._greedy`, that `greedy_place` runs.
+`class_greedy_steps` is the class greedy that it replaced:
 one exact heap entry per class of ranks cached at the same helper set, one
 heap operation per cached file.  `lazy_greedy_steps` is the lazy greedy
 before it: a heap of m x H upper bounds, one per (rank, helper) pair,

@@ -1,4 +1,4 @@
-"""The merged-segment greedy of `greedy_oracles.greedy_steps` against the heaps it replaced.
+"""The run greedy of `greedy_oracles.greedy_steps` against the heaps it replaced.
 
 `greedy_oracles.class_greedy_steps` keeps one heap entry per class of ranks
 cached at the same helper set, and `greedy_oracles.lazy_greedy_steps` one
@@ -9,7 +9,13 @@ helpers (equal coverage weights), helpers without users, and capacities from
 0 past the catalog size.
 """
 
+import collections
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +24,7 @@ from greedy_oracles import class_greedy_steps, greedy_steps, lazy_greedy_steps
 from helpercache import placement_uncoded
 from helpercache import rng as hrng
 from helpercache.macro_sim import MacroConfig, experiment_popularity, plan_deployment
-from helpercache.placement_uncoded import HelperSpecs, _clear_winner, _Segments
+from helpercache.placement_uncoded import _DORMANT, HelperSpecs, _Runs, _clear_winner
 from helpercache.popularity import zipf_model
 from helpercache.topology import ConnectivityGraph
 
@@ -109,18 +115,50 @@ def test_merged_greedy_equals_the_heaps_on_the_sweep_points():
                 assert steps == lazy_greedy_steps(graph, pop, specs, config.file_bits)
 
 
-def test_merged_greedy_equals_the_class_heap_past_the_rank_window(monkeypatch):
-    # More live ranks than one segment looks at: the window must grow once
-    # the first items of ranks beyond it could still come first.
-    grown = []
-    items = placement_uncoded._Segments.items
+def count_events(monkeypatch) -> collections.Counter:
+    """Count the events that end a batch of the run greedy (a fill, a class
+    made at a chain end, an item scored on its own, a dormant class woken),
+    and the batches committed while a class's pending members lay in several
+    rank runs."""
+    seen = collections.Counter()
+    runs = placement_uncoded._Runs
 
-    def counted(self, *args):
-        found = items(self, *args)
-        grown.append(found is None)
-        return found
+    def spy(name, count):
+        method = getattr(runs, name)
 
-    monkeypatch.setattr(placement_uncoded._Segments, "items", counted)
+        def counted(self, *args):
+            before = count(self)
+            result = method(self, *args)
+            seen[name] += count(self) - before
+            return result
+
+        monkeypatch.setattr(runs, name, counted)
+
+    spy("close", lambda run: -int(run.is_open.sum()))  # a helper fills
+    spy("extend", lambda run: len(run.by_row))  # the classes it makes
+    spy("wake", lambda run: -int((run.best == _DORMANT).sum()))  # one wakes
+    commit = runs.commit
+
+    def split(self, counts):
+        pending = self.row[self.lo < self.hi]
+        seen["split"] += len(set(pending.tolist())) < pending.size
+        return commit(self, counts)
+
+    monkeypatch.setattr(runs, "commit", split)
+    item_step = placement_uncoded._item_step
+
+    def alone(*args):
+        seen["alone"] += 1
+        return item_step(*args)
+
+    monkeypatch.setattr(placement_uncoded, "_item_step", alone)
+    return seen
+
+
+def test_run_greedy_equals_the_class_heap_on_a_large_catalog(monkeypatch):
+    # 12,000 files: long rank runs, cut by fills and by classes made at the
+    # ends of chains.
+    seen = count_events(monkeypatch)
     for gamma in (0.0, 0.6, 1.2):
         config = MacroConfig(catalog_size=12_000, gamma=gamma)
         pop = experiment_popularity(config, 0)
@@ -129,7 +167,23 @@ def test_merged_greedy_equals_the_class_heap_past_the_rank_window(monkeypatch):
             specs = HelperSpecs.uniform(count, capacity)
             steps = greedy_steps(graph, pop, specs, config.file_bits)
             assert steps == class_greedy_steps(graph, pop, specs, config.file_bits)
-    assert sum(grown) >= 6
+    assert seen["close"] >= 100 and seen["extend"] >= 50, seen
+
+
+def test_every_event_of_the_runs_fires_on_instances_equal_to_the_class_heap(monkeypatch):
+    # Each kind of event: a helper fills, a chain end makes its class, an
+    # item is scored on its own, a rank wakes a dormant class; and classes
+    # whose pending members lie in several rank runs.
+    seen = count_events(monkeypatch)
+    rng = hrng.stream(610, "run-events")
+    for _ in range(300):
+        graph, pop, specs = random_instance(rng)
+        for file_bits in (2.4e8, 1.0, 1e-316):
+            steps = greedy_steps(graph, pop, specs, file_bits)
+            assert steps == class_greedy_steps(graph, pop, specs, file_bits)
+    for kind in ("close", "extend", "alone", "split"):
+        assert seen[kind] >= 200, seen
+    assert seen["wake"] >= 5, seen
 
 
 def test_clear_winner_keeps_its_helper_while_it_stays_open():
@@ -160,32 +214,9 @@ def test_clear_winner_keeps_its_helper_while_it_stays_open():
     assert kept >= 200
 
 
-def test_segments_keep_at_most_their_item_budget(monkeypatch):
-    # Every segment, when taken and after every re-route, is cut to its
-    # first _SEGMENT_ITEMS items; on this cell some get more than that.
-    sizes = []
-    budgeted = placement_uncoded._budgeted
-
-    def counted(items, limit):
-        kept, limit = budgeted(items, limit)
-        sizes.append((items.shape[1], kept.shape[1]))
-        return kept, limit
-
-    monkeypatch.setattr(placement_uncoded, "_budgeted", counted)
-    config = MacroConfig()
-    pop = experiment_popularity(config, 0)
-    _, graph = plan_deployment(32, config, 0)
-    specs = HelperSpecs.uniform(32, 2000)
-    placement_uncoded._greedy(graph, pop, specs, config.file_bits)
-    budget = placement_uncoded._SEGMENT_ITEMS
-    assert max(kept for _, kept in sizes) <= budget
-    assert max(given for given, _ in sizes) > budget
-
-
-def test_one_greedy_stays_within_its_item_budget():
-    # 2.3 MB measured.  Without the item budget this call peaked at 2.6 MB,
-    # within this bound; test_segments_keep_at_most_their_item_budget is
-    # the test that sees the budget go.
+def test_one_greedy_at_32_helpers_stays_within_its_memory_bound():
+    # 2.0 MB measured: the pending runs are a few small arrays, and only the
+    # committed steps are built item by item.
     config = MacroConfig()
     pop = experiment_popularity(config, 0)
     _, graph = plan_deployment(32, config, 0)
@@ -199,6 +230,33 @@ def test_one_greedy_stays_within_its_item_budget():
         tracemalloc.stop()
     assert helpers.size > 30_000
     assert peak < 6e6
+
+
+def test_greedy_at_a_million_files_stays_within_its_time_and_memory(tmp_path):
+    # `place --m 10^6 --helpers 100 --capacity 10^4` commits 10^6 steps;
+    # measured at 0.66-0.77 s in `main` and a 189-190 MB peak in the child
+    # (2-core Xeon).  The bounds are about twice that, under a 4 GB limit.
+    probe = (
+        "import resource, sys, time; from helpercache.cli import main; "
+        "t = time.perf_counter(); code = main(sys.argv[1:]); "
+        "print(code, time.perf_counter() - t, "
+        "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    src = str(Path(placement_uncoded.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    limit = 4 << 30
+    done = subprocess.run(
+        [sys.executable, "-c", probe, "place", "--m", "1000000", "--helpers", "100",
+         "--capacity", "10000", "--out", str(tmp_path / "place.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    code, seconds, peak_kib = done.stdout.split()
+    assert (int(code), done.stderr) == (0, "")
+    assert float(seconds) < 1.5
+    assert int(peak_kib) * 1024 < 400e6
 
 
 def place_defaults(helpers, **overrides):
@@ -244,7 +302,7 @@ def test_segments_equal_the_class_heap_when_helpers_fill_often():
 
 def test_one_greedy_at_1024_helpers_stays_within_its_memory_bound():
     # Each made class keeps a coverage weight per helper (8 KB at 1024
-    # helpers); 6.1 MB measured for 665 steps and 259 classes.
+    # helpers); 3.4 MB measured for 665 steps and 259 classes.
     graph, pop, specs, file_bits = place_defaults(1024)
     placement_uncoded._greedy(graph, pop, specs, file_bits)
     tracemalloc.start()
@@ -270,9 +328,9 @@ def test_coverage_weights_equal_the_sum_over_each_helpers_users():
         rates[users, h] = rng.choice(RATE_LEVELS, size=k) * rng.uniform(0.5, 2.0, k)
     graph = ConnectivityGraph(rates=rates, bs_rate=rng.uniform(1e6, 2e6, n_users))
     specs = HelperSpecs.uniform(len(counts), 2)
-    run = _Segments(graph, zipf_model(0.8, 50), specs, 2.4e8)
+    run = _Runs(graph, zipf_model(0.8, 50), specs, 2.4e8)
     root = run.by_row[0]
-    row, _ = run.successor(0, int(np.argmax(root.s)))
+    row = run.successor(0, int(np.argmax(root.s)))
     for c in (root, run.by_row[row]):
         for h in range(len(counts)):
             users = graph.users_of(h)
