@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -460,16 +461,31 @@ _RUNNERS = {
 }
 
 
+def _check_out(path: str) -> None:
+    """Refuse an output path that is a directory, or whose directory does
+    not exist or cannot be written."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ConfigError("out", f"{path} is a directory")
+    if not os.path.isdir(folder):
+        raise ConfigError("out", f"no directory {folder}")
+    if not os.access(folder, os.W_OK | os.X_OK):
+        raise ConfigError("out", f"cannot write to directory {folder}")
+
+
 def run(args: argparse.Namespace) -> int:
     """Run the command and write its text: to stdout, or with `--out` to that
     file, its plot beside it, and then the manifest.
 
     The one exception is `fit` with `--out`, whose runner prints its two
-    lines to stdout before returning its JSON."""
+    lines to stdout before returning its JSON.  An `--out` that cannot be
+    written is refused before the run (`ConfigError`, exit 2)."""
     params = resolve_params(args)
+    out = params["out"]
+    if out is not None:
+        _check_out(out)
     started = time.perf_counter()
     text, plot = _RUNNERS[args.command](params)
-    out = params["out"]
     if out is None:
         sys.stdout.write(text)
         return 0

@@ -388,10 +388,19 @@ def test_oversized_macro_and_fit_inputs_exit_two_before_allocating(capsys, argv,
         ),
         (("fit", "--trace", "."), "cannot read trace CSV .: [Errno 21] Is a directory: '.'"),
         (("fit", "--seed", "-1"), "seed: must be an integer >= 0"),
+        (
+            ("simulate-d2d", "--r", "1/2", "--n", "20", "--m", "5", "--mode", "analytic",
+             "--out", "no-dir/x.csv"),
+            "out: no directory no-dir",
+        ),
+        (("fit", "--samples", "500", "--m", "20", "--out", "no-dir/x.json"),
+         "out: no directory no-dir"),
+        (("place", "--out", "."), "out: . is a directory"),
     ],
     ids=[
         "qos", "file-bits", "gamma", "helper-mode", "counts", "n", "reps", "r", "trace",
-        "missing-trace", "trace-directory", "seed",
+        "missing-trace", "trace-directory", "seed", "out-no-dir", "fit-out-no-dir",
+        "out-directory",
     ],
 )
 def test_refused_values_exit_two_with_one_line(capsys, monkeypatch, tmp_path, argv, message):
@@ -633,6 +642,25 @@ def test_output_contract_of_an_unreadable_trace(capsys, monkeypatch, tmp_path, t
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fit", "--samples", "500", "--m", "20"),
+        ("simulate-d2d", "--r", "1/2", "--n", "20", "--m", "5", "--mode", "analytic"),
+    ],
+    ids=["fit", "simulate-d2d"],
+)
+@pytest.mark.parametrize("out", ["no-dir/res.csv", "."], ids=["missing-dir", "directory"])
+def test_output_contract_of_an_unwritable_out(capsys, monkeypatch, tmp_path, argv, out):
+    # An --out that cannot be written is refused before the run: exit 2, one
+    # stderr line naming `out`, nothing on stdout and no file left behind.
+    monkeypatch.chdir(tmp_path)
+    code, printed, err = run_cli(capsys, *argv, "--out", out)
+    assert (code, printed) == (2, "")
+    assert err.startswith("error: out: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigLayering:
     def test_flags_override_config_values(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
@@ -711,14 +739,15 @@ class TestConfigLayering:
         assert code == 2 and out == ""
         assert "is not UTF-8 text" in err
 
-    def test_unwritable_output_exits_one(self, capsys, tmp_path):
-        code, _, err = run_cli(
+    def test_unwritable_output_exits_two(self, capsys, tmp_path):
+        missing = tmp_path / "no-dir"
+        code, out, err = run_cli(
             capsys,
             "simulate-d2d", "--r", "1/2", "--n", "20", "--m", "5",
-            "--mode", "analytic", "--out", str(tmp_path / "no-dir" / "x.csv"),
+            "--mode", "analytic", "--out", str(missing / "x.csv"),
         )
-        assert code == 1
-        assert err != ""
+        assert (code, out, err) == (2, "", f"error: out: no directory {missing}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestD2DCommands:
