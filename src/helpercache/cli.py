@@ -467,8 +467,6 @@ def _check_out(path: str) -> None:
     folder = os.path.dirname(path) or "."
     if os.path.isdir(path):
         raise ConfigError("out", f"{path} is a directory")
-    if not os.path.isdir(folder):
-        raise ConfigError("out", f"no directory {folder}")
     if not os.access(folder, os.W_OK | os.X_OK):
         raise ConfigError("out", f"cannot write to directory {folder}")
 

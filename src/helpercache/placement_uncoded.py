@@ -146,7 +146,6 @@ class _Class:
 # candidate's before the class caches that helper (see `_clear_winner`).
 _CLEAR_WIN = 1e-12
 _DORMANT = -3  # `best` of a class that chooses again when next reached
-_NONE = np.zeros(0, np.int64)
 
 
 def _clear_winner(s: np.ndarray, ok: np.ndarray) -> int:
@@ -226,12 +225,13 @@ class _Runs:
         self.best, self.nxt, self.depth, self.head, self.tail = (
             np.zeros(0, np.int64) for _ in range(5)
         )
-        self.sig = np.zeros(0)
+        self.sig, self.bare = np.zeros(0), np.ones(1, dtype=bool)
         self.lo, self.hi = np.zeros(1, np.int64), np.full(1, pop.m)
         self.row, self.up = np.zeros(1, np.int64), np.full(1, -1)
-        self.bare = np.ones(1, dtype=bool)
-        # The committed (helpers, ranks, gains), a batch per entry.
-        self.steps = ([_NONE], [_NONE], [np.zeros(0)])
+        # Committed (helper, rank, gain bits), grown in place: kept as many
+        # pieces instead, they pinned the heap memory the classes free.
+        self.steps = np.empty((min(int(self.room.sum()), pop.m), 3), np.int64)
+        self.count = 0
         self._add(0, 0, 1.0 / graph.bs_rate, self.is_open & (sizes > 0))
 
     def _add(self, held: int, depth: int, cur: np.ndarray, cand: np.ndarray) -> int:
@@ -271,7 +271,7 @@ class _Runs:
         else:
             target = nxt.row
             if self.best[target] == _DORMANT:
-                self.wake(target)
+                self.choose(target)
         if self.best[row] == h and self.nxt[row] < 0:
             self.nxt[row] = target
         return target
@@ -280,10 +280,6 @@ class _Runs:
         """The chain of class `row` ends there, and its next committed item
         is there: make or wake the class that the item joins."""
         self.successor(row, int(self.best[row]))
-
-    def wake(self, row: int) -> None:
-        """Let the dormant class `row`, which a rank reached, choose again."""
-        self.choose(row)
 
     def choose(self, r: int) -> None:
         """Run `_clear_winner` for class row `r` over the open helpers."""
@@ -296,27 +292,26 @@ class _Runs:
             nxt = self.classes.get(c.held | (1 << b))
             if nxt is not None and self.best[nxt.row] != _DORMANT:
                 self.nxt[r] = nxt.row
-            self.head[r] = self._from_rank(lambda w: w * sig < math.inf)
-            self.tail[r] = self._from_rank(lambda w: w * sig < sys.float_info.min)
+            self.head[r] = self._from_rank(sig, math.inf)
+            self.tail[r] = self._from_rank(sig, sys.float_info.min)
         elif b == -1:
             self.sig[r] = np.where(ok, c.s, -1.0).max()
         else:
             self.sig[r] = -math.inf  # no item
 
-    def _from_rank(self, passes) -> int:
-        """The first rank whose weight `passes`, as the weights, which fall
-        with rank, do from some rank on."""
+    def _from_rank(self, sig, limit: float) -> int:
+        """The first rank whose gain `w * sig` is below `limit` (the gains
+        fall with rank)."""
         w = self.weights
-        if passes(w[0]) or not passes(w[-1]):
-            return 0 if passes(w[0]) else w.size
-        return bisect.bisect_left(range(w.size), True, key=lambda f: passes(w[f]))
+        if w[0] * sig < limit or not w[-1] * sig < limit:
+            return 0 if w[0] * sig < limit else w.size
+        return bisect.bisect_left(range(w.size), True, key=lambda f: w[f] * sig < limit)
 
     def walk(self):
-        """Walk runs on until every item before the first barrier is in a
-        run; each run's `bar`, its barrier's rank or `hi`, and the first
-        barrier's key (gain, rank, depth, run), None if there is none.  A
-        barrier is an item scored on its own or at a chain end; a first
-        barrier at a chain end, with no fill possible before it, is passed."""
+        """Walk runs on until every item before the first barrier (an item
+        scored on its own or at a chain end) is in a run; each run's `bar`,
+        its barrier's rank or `hi`, and the first barrier's key (gain, rank,
+        depth, run) or None.  A first chain end no fill precedes is passed."""
         w = self.weights
         while True:
             row, lo, hi = self.row, self.lo, self.hi
@@ -349,8 +344,7 @@ class _Runs:
         live = self.best[to] != -2  # a class with no open helper has no item
         self._append(self.lo[at[live]], self.hi[at[live]], to[live], at[live])
 
-    def _append(self, lo, hi, row, up) -> None:
-        """Add bare runs."""
+    def _append(self, lo, hi, row, up) -> None:  # new runs are bare
         for name, add in zip(("lo", "hi", "row", "up"), (lo, hi, row, up)):
             setattr(self, name, np.concatenate((getattr(self, name), add)))
         self.bare = np.concatenate((self.bare, np.ones(len(lo), dtype=bool)))
@@ -451,10 +445,16 @@ class _Runs:
         if at.size > 1:
             order = _key_order(gain, ranks, np.repeat(self.depth[row], n))
             helper, ranks, gain = helper[order], ranks[order], gain[order]
-        for out, part in zip(self.steps, (helper, ranks, gain)):
-            out.append(part)
+        self.record(helper, ranks, gain)
         self.lo[at] += n
         np.subtract.at(self.room, self.best[row], n)
+
+    def record(self, helper, ranks, gain: np.ndarray) -> None:  # to `steps`
+        start, self.count = self.count, self.count + gain.size
+        if self.count > len(self.steps):
+            self.steps.resize((2 * self.count, 3), refcheck=False)
+        for j, part in enumerate((helper, ranks, gain.view(np.int64))):
+            self.steps[start : self.count, j] = part
 
     def alone(self, i: int) -> bool:
         """Score the first item of run i on its own, as a heap entry is
@@ -465,8 +465,7 @@ class _Runs:
         if not w * self.sig[y] > 0.0:
             return False
         h, g = _item_step(self.by_row[y], w, self.is_open)
-        for out, part in zip(self.steps, (h, f, g)):
-            out.append(np.array([part]))
+        self.record(h, f, np.array([g]))
         self.room[h] -= 1
         x = self.successor(y, h)
         self.cut(np.array([i]))
@@ -502,6 +501,8 @@ class _Runs:
     def cut(self, runs: np.ndarray) -> None:
         """The runs walked from `runs` keep only the ranks before each one's
         `lo`: the others have not passed its class, whose chain changed."""
+        if not runs.size:  # no class with a pending run chose again
+            return
         big = np.iinfo(np.int64).max
         limit = np.full(self.lo.size + 1, big)  # the last entry: up -1
         limit[runs] = self.lo[runs]
@@ -541,8 +542,8 @@ class _Runs:
                     self.extend(y)
                 elif not self.alone(key[3]):
                     break
-        helpers, ranks, gains = (np.concatenate(part) for part in self.steps)
-        return helpers, ranks + 1, gains
+        helpers, ranks, gains = self.steps[: self.count].T
+        return helpers, ranks + 1, gains.view(np.float64)
 
 
 def _spans(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -558,8 +559,7 @@ def _before(gain, rank, depth, key) -> np.ndarray:
 
 
 def _earlier(a, b) -> bool:
-    """Whether key `a` (gain, rank, depth) comes before key `b`; None is no
-    key, or a key after every other."""
+    """Whether key `a` (gain, rank, depth) comes before key `b` (None: none)."""
     return a is not None and (b is None or (-a[0], a[1], a[2]) < (-b[0], b[1], b[2]))
 
 

@@ -391,10 +391,10 @@ def test_oversized_macro_and_fit_inputs_exit_two_before_allocating(capsys, argv,
         (
             ("simulate-d2d", "--r", "1/2", "--n", "20", "--m", "5", "--mode", "analytic",
              "--out", "no-dir/x.csv"),
-            "out: no directory no-dir",
+            "out: cannot write to directory no-dir",
         ),
         (("fit", "--samples", "500", "--m", "20", "--out", "no-dir/x.json"),
-         "out: no directory no-dir"),
+         "out: cannot write to directory no-dir"),
         (("place", "--out", "."), "out: . is a directory"),
     ],
     ids=[
@@ -746,7 +746,7 @@ class TestConfigLayering:
             "simulate-d2d", "--r", "1/2", "--n", "20", "--m", "5",
             "--mode", "analytic", "--out", str(missing / "x.csv"),
         )
-        assert (code, out, err) == (2, "", f"error: out: no directory {missing}\n")
+        assert (code, out, err) == (2, "", f"error: out: cannot write to directory {missing}\n")
         assert list(tmp_path.iterdir()) == []
 
 

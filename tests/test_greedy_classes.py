@@ -136,7 +136,7 @@ def count_events(monkeypatch) -> collections.Counter:
 
     spy("close", lambda run: -int(run.is_open.sum()))  # a helper fills
     spy("extend", lambda run: len(run.by_row))  # the classes it makes
-    spy("wake", lambda run: -int((run.best == _DORMANT).sum()))  # one wakes
+    spy("choose", lambda run: -int((run.best == _DORMANT).sum()))  # one wakes
     commit = runs.commit
 
     def split(self, counts):
@@ -183,7 +183,7 @@ def test_every_event_of_the_runs_fires_on_instances_equal_to_the_class_heap(monk
             assert steps == class_greedy_steps(graph, pop, specs, file_bits)
     for kind in ("close", "extend", "alone", "split"):
         assert seen[kind] >= 200, seen
-    assert seen["wake"] >= 5, seen
+    assert seen["choose"] >= 5, seen
 
 
 def test_clear_winner_keeps_its_helper_while_it_stays_open():
