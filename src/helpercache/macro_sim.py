@@ -88,9 +88,9 @@ MAX_PLACEMENT_BYTES = 2 * 10**9
 # which a command is refused: its positions and connectivity take tens of
 # bytes per pair (10^7 users at 32 helpers asked for a 4.77 GiB array).  At
 # the cap `simulate-macro --n 312500 --helpers 32 --reps 1 --gamma 0.8`
-# takes 1.1 s and 441 MB whole process with `--policy most-popular` and
-# 4.5 s and 872 MB with the greedy, and `place --helpers 10000 --n 1000`
-# 6.6 s and 342 MB (2-core Xeon).
+# takes 0.9-1.1 s and 441 MB whole process with `--policy most-popular` and
+# 2.4-2.6 s and 851 MB with the greedy, and `place --helpers 10000 --n 1000`
+# 3.3-4.0 s and 342 MB (2-core Xeon).
 MAX_USER_HELPER_PAIRS = 10**7
 
 

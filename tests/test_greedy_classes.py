@@ -234,7 +234,7 @@ def test_one_greedy_at_32_helpers_stays_within_its_memory_bound():
 
 def test_greedy_at_a_million_files_stays_within_its_time_and_memory(tmp_path):
     # `place --m 10^6 --helpers 100 --capacity 10^4` commits 10^6 steps;
-    # measured at 0.66-0.77 s in `main` and a 189-190 MB peak in the child
+    # measured at 0.69-0.94 s in `main` and a 172-173 MB peak in the child
     # (2-core Xeon).  The bounds are about twice that, under a 4 GB limit.
     probe = (
         "import resource, sys, time; from helpercache.cli import main; "
@@ -255,8 +255,8 @@ def test_greedy_at_a_million_files_stays_within_its_time_and_memory(tmp_path):
     )
     code, seconds, peak_kib = done.stdout.split()
     assert (int(code), done.stderr) == (0, "")
-    assert float(seconds) < 1.5
-    assert int(peak_kib) * 1024 < 400e6
+    assert float(seconds) < 1.6
+    assert int(peak_kib) * 1024 < 350e6
 
 
 def place_defaults(helpers, **overrides):
