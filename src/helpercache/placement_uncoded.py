@@ -364,9 +364,8 @@ class _Runs:
         return gain, pos, self.depth[row[at]], at, runs[ok] == 1
 
     def counts(self, bar: np.ndarray, key) -> np.ndarray:
-        """How many items of each run come before `key` (gain, rank, depth,
-        run), all with None: ranks from `lo` on, before `bar`, with normal
-        gains."""
+        """How many items of each run (ranks from `lo` on, before `bar`) come
+        before `key` (gain, rank, depth, run); all with None."""
         n = bar - self.lo
         if key is None:
             return n
@@ -429,10 +428,8 @@ class _Runs:
         order = np.lexsort((d, ranks, -g, h))
         start = np.diff(h[order], prepend=-1).nonzero()[0]
         pick = order[start + room[h[order[start]]] - 1]
-        first = _first(*(np.concatenate(a) for a in (
-            (gain[one], g[pick]), (rank[one], ranks[pick]),
-            (depth[one], d[pick]), (at[one], of[pick]),
-        )))
+        pairs = zip((gain, rank, depth, at), (g, ranks, d, of))
+        first = _first(*(np.concatenate((a[one], b[pick])) for a, b in pairs))
         return first if _earlier(first, key) else None
 
     def commit(self, counts: np.ndarray) -> None:
@@ -470,7 +467,11 @@ class _Runs:
         x = self.successor(y, h)
         self.cut(np.array([i]))
         self.lo[i] += 1
-        self._append(np.array([f]), np.array([f + 1]), np.array([x]), np.array([-1]))
+        same = (self.row == x) & (self.hi == f) & (self.up < 0) & self.bare
+        if same.any():  # a run of the ranks before f that went the same way
+            self.hi[same.argmax()] += 1
+        else:
+            self._append([f], [f + 1], [x], [-1])
         if not self.room[h]:
             self.close(h)
         return True
@@ -524,8 +525,8 @@ class _Runs:
                 new = np.full(keep.size + 1, -1)  # the last entry: up -1
                 new[at] = np.arange(at.size)
                 self.up = new[self.up[at]]
-                self.lo, self.hi, self.row = self.lo[at], self.hi[at], self.row[at]
-                self.bare = self.bare[at]
+                self.lo, self.hi, self.row, self.bare = (
+                    a[at] for a in (self.lo, self.hi, self.row, self.bare))
             if not self.lo.size:
                 break
             bar, key = self.walk()
@@ -576,12 +577,11 @@ def _first(gain, rank, depth, at):
 
 def _key_order(gain, rank, depth) -> np.ndarray:
     """The order of the keys (-gain, rank, depth): positive gains' bits sort
-    like them, and a stable sort merges sorted runs in about linear time;
-    equal gains fall back to the whole key."""
+    like them, and a stable sort merges sorted runs; ties use the whole key."""
     key = -gain.view(np.int64)
     order = key.argsort(kind="stable")
     k = key[order]
-    if np.any(k[1:] == k[:-1]):
+    if (k[1:] == k[:-1]).any():
         order = np.lexsort((depth, rank, key))
     return order
 
