@@ -45,7 +45,6 @@ from .popularity import (
 from .rng import stream
 from .topology import (
     ConnectivityGraph,
-    LinkRateModel,
     build_connectivity,
     place_helpers,
     place_uniform,
@@ -64,7 +63,6 @@ __all__ = [
     "InstanceTooLargeError",
     "InsufficientDataError",
     "InvalidParameterError",
-    "LinkRateModel",
     "MacroConfig",
     "Placement",
     "PopularityModel",

@@ -37,7 +37,6 @@ from .errors import (
 )
 from .macro_sim import (
     PLACEMENT_POLICIES,
-    MAX_HELPERS,
     MacroConfig,
     fit_synthetic_trace,
     place_points,
@@ -52,19 +51,14 @@ def _parse_int(value) -> int:
     return int(str(value))
 
 
-def _int_at_least(bound: int, most: int | None = None):
+def _int_at_least(bound: int):
     def parse(value):
         out = _parse_int(value)
         if out < bound:
             raise ValueError(f"must be an integer >= {bound}")
-        if most is not None and out > most:
-            raise ValueError(f"must be at most {most}")
         return out
 
     return parse
-
-
-_helper_count = _int_at_least(0, MAX_HELPERS)
 
 
 def _parse_float(value) -> float:
@@ -181,7 +175,7 @@ COMMANDS: dict[str, list[Param]] = {
     ],
     "place": [
         Param("policy", _choice(*PLACEMENT_POLICIES), "greedy", "placement policy"),
-        Param("helpers", _helper_count, 4, "number of helpers"),
+        Param("helpers", _int_at_least(0), 4, "number of helpers"),
         Param("capacity", _int_at_least(0), 3, "files per helper cache"),
         Param("m", _int_at_least(1), 100, "catalog size"),
         Param("gamma", _nonneg_float, 0.8, "request Zipf exponent"),
@@ -189,17 +183,17 @@ COMMANDS: dict[str, list[Param]] = {
     ],
     "simulate-macro": [
         Param("policy", _choice("greedy", "most-popular", "coded"), "greedy", "placement policy"),
-        Param("helpers", _helper_count, 32, "number of helpers"),
+        Param("helpers", _int_at_least(0), 32, "number of helpers"),
         *_MACRO,
     ],
     "sweep-helpers": [
-        Param("counts", _list_of(_helper_count), [0, 2, 4, 8, 10, 16, 24, 32], "helper counts"),
+        Param("counts", _list_of(_int_at_least(0)), [0, 2, 4, 8, 10, 16, 24, 32], "helper counts"),
         Param("policy", _choice("greedy", "most-popular", "coded"), "greedy", "placement policy"),
         *_MACRO,
     ],
     "sweep-capacity": [
         Param("capacities", _list_of(_int_at_least(0)), [0, 250, 500, 1000, 2000, 4000], "cache sizes"),
-        Param("helpers", _helper_count, 32, "number of helpers"),
+        Param("helpers", _int_at_least(0), 32, "number of helpers"),
         Param("policy", _choice("greedy", "most-popular", "coded"), "greedy", "placement policy"),
         *[p for p in _MACRO if p.name != "capacity"],
     ],
@@ -408,18 +402,14 @@ def _d2d_text(rows, x_label: str, plot_rows):
 
 def _run_r(p: dict, r_values):
     scenario = _d2d_scenario(p, r_values[0], p["strategy"], p["gamma1"])
-    pop = scenario.popularity()
-    rows = sweep_r(scenario, r_values, pop, p["reps"], p["seed"], mode=p["mode"])
+    rows = sweep_r(scenario, r_values, p["reps"], p["seed"], p["mode"])
     plot = [(row.r, row.mean_active, row.stderr, f"gamma={row.gamma}") for row in rows]
     return _d2d_text(rows, "collaboration distance r", plot)
 
 
 def _run_gamma1(p: dict):
     scenario = _d2d_scenario(p, p["r_values"][0], "random-zipf", p["gamma1_values"][0])
-    pop = scenario.popularity()
-    rows = sweep_gamma1(
-        scenario, p["gamma1_values"], p["r_values"], pop, p["reps"], p["seed"]
-    )
+    rows = sweep_gamma1(scenario, p["gamma1_values"], p["r_values"], p["reps"], p["seed"])
     plot = [(row.gamma1, row.mean_active, row.stderr, f"r={row.r}") for row in rows]
     return _d2d_text(rows, "caching exponent", plot)
 
@@ -473,23 +463,25 @@ def _check_out(path: str) -> None:
 
 def run(args: argparse.Namespace) -> int:
     """Run the command and write its text: to stdout, or with `--out` to that
-    file, its plot beside it, and then the manifest.
+    file, its plot beside it (not for `fit` or `place`), and then the
+    manifest.
 
     The one exception is `fit` with `--out`, whose runner prints its two
-    lines to stdout before returning its JSON.  An `--out` that cannot be
-    written is refused before the run (`ConfigError`, exit 2)."""
+    lines to stdout before returning its JSON.  A path among these that
+    cannot be written is refused before the run (`ConfigError`, exit 2)."""
     params = resolve_params(args)
     out = params["out"]
     if out is not None:
-        _check_out(out)
+        outputs = [out]
+        if args.command not in ("fit", "place"):
+            outputs.append((out[:-4] if out.endswith(".csv") else out) + ".plot.csv")
+        for path in [*outputs, out + ".manifest.json"]:
+            _check_out(path)
     started = time.perf_counter()
     text, plot = _RUNNERS[args.command](params)
     if out is None:
         sys.stdout.write(text)
         return 0
-    outputs = [out]
-    if plot is not None:
-        outputs.append((out[:-4] if out.endswith(".csv") else out) + ".plot.csv")
     for path, body in zip(outputs, (text, plot)):
         with open(path, "w", newline="") as fh:
             fh.write(body)

@@ -7,7 +7,9 @@ a request that only the requester's own cache holds does not activate the
 cluster.  The module computes the expected number of active clusters
 analytically for the deterministic caching rule and by Monte Carlo for both
 caching rules, plus the collaboration-radius and caching-exponent sweeps and
-scaling tables.
+scaling tables.  A scenario fixes its own request popularity (Zipf with
+exponent gamma over its m files), so every entry point takes the scenario
+alone.
 
 The analytic expression is an independent derivation (expectation over the
 binomial cluster occupancy of one minus the all-miss product) and is validated
@@ -116,7 +118,12 @@ class D2DScenario:
             )
 
     def popularity(self) -> PopularityModel:
-        return zipf_model(self.gamma, self.m)
+        return _zipf(self.gamma, self.m)
+
+
+# The points of a sweep differ only in r and gamma1, so they share one
+# popularity: the model of the last (gamma, m) is kept.
+_zipf = functools.lru_cache(maxsize=1)(zipf_model)
 
 
 @dataclass(frozen=True)
@@ -364,9 +371,7 @@ def _expected_active(n: int, K: int, hits: _Hits | None) -> float:
     return K * float(np.cumsum(pk)[-1])  # cumsum adds left to right
 
 
-def expected_active_analytic(
-    scenario: D2DScenario, pop: PopularityModel
-) -> ClusterStats:
+def expected_active_analytic(scenario: D2DScenario) -> ClusterStats:
     """Exact expected active clusters for the deterministic caching rule.
 
     By linearity the answer is K times the per-cluster activation probability:
@@ -376,10 +381,9 @@ def expected_active_analytic(
     runs over the occupancies k >= 2 of probability at least 1e-18
     (`_occupancies`).
     """
+    pop = scenario.popularity()
     if scenario.strategy != "deterministic":
         raise InvalidParameterError("the analytic model covers only deterministic caching")
-    if pop.m != scenario.m:
-        raise InvalidParameterError("popularity catalog must match the scenario")
     side, _ = grid_side(scenario.r, exact=True)
     K = side * side
     mean = _expected_active(scenario.n, K, _hit_table(scenario, pop))
@@ -548,10 +552,7 @@ def _check_users(n: int, reps: int) -> None:
 
 
 def simulate_active_clusters(
-    scenario: D2DScenario,
-    pop: PopularityModel,
-    rng: np.random.Generator,
-    reps: int,
+    scenario: D2DScenario, rng: np.random.Generator, reps: int
 ) -> ClusterStats:
     """Monte Carlo active-cluster count at `scenario.r`: mean and standard
     error over `reps` replications drawn from `rng` (`_monte_carlo`).
@@ -563,13 +564,12 @@ def simulate_active_clusters(
     or more than RANDOM_RUN_MAX_DRAWS priced draws over the run, are refused
     before the first draw.
     """
-    ((stats,),) = _monte_carlo(scenario, pop, rng, reps, [scenario.r], [scenario.gamma1])
+    ((stats,),) = _monte_carlo(scenario, rng, reps, [scenario.r], [scenario.gamma1])
     return stats
 
 
 def _monte_carlo(
     scenario: D2DScenario,
-    pop: PopularityModel,
     rng: np.random.Generator,
     reps: int,
     r_values: list[float],
@@ -596,10 +596,9 @@ def _monte_carlo(
     Every bound, MAX_SCORES (model, grid, replication) triples included,
     is checked for every gamma1 before the first draw.
     """
+    pop = scenario.popularity()
     if reps < 1:
         raise InvalidParameterError("reps must be >= 1")
-    if pop.m != scenario.m:
-        raise InvalidParameterError("popularity catalog must match the scenario")
     sides = []
     for r in r_values:
         replace(scenario, r=r)  # validates r
@@ -690,11 +689,7 @@ def _positions(values) -> dict:
 
 
 def _sweep(
-    points: list[D2DScenario],
-    pop: PopularityModel,
-    reps: int,
-    root_seed: int,
-    mode: str,
+    points: list[D2DScenario], reps: int, root_seed: int, mode: str
 ) -> list[D2DSweepRow]:
     """One row per scenario; the scenarios differ only in r and gamma1.
     The Monte Carlo points share one draw, whose caches are filled once per
@@ -706,7 +701,7 @@ def _sweep(
     mc = []
     for i, (sc, point_mode) in enumerate(zip(points, modes)):
         if point_mode == "analytic":
-            stats[i] = expected_active_analytic(sc, pop)
+            stats[i] = expected_active_analytic(sc)
         else:
             mc.append(i)
     if mc:
@@ -718,7 +713,6 @@ def _sweep(
         # numbers), and curves differ only by the parameter.
         table = _monte_carlo(
             points[mc[0]],
-            pop,
             stream(root_seed, "d2d-mc"),
             reps,
             list(r_at),
@@ -741,12 +735,7 @@ def _sweep(
 
 
 def sweep_r(
-    scenario: D2DScenario,
-    r_values,
-    pop: PopularityModel,
-    reps: int,
-    root_seed: int,
-    mode: str = "auto",
+    scenario: D2DScenario, r_values, reps: int, root_seed: int, mode: str
 ) -> list[D2DSweepRow]:
     """Expected active clusters per collaboration distance r.
 
@@ -754,16 +743,11 @@ def sweep_r(
     the points are drawn once and each is scored on its own cluster grid.
     """
     points = [replace(scenario, r=float(r)) for r in r_values]
-    return _sweep(points, pop, reps, root_seed, mode)
+    return _sweep(points, reps, root_seed, mode)
 
 
 def sweep_gamma1(
-    scenario: D2DScenario,
-    gamma1_values,
-    r_values,
-    pop: PopularityModel,
-    reps: int,
-    root_seed: int,
+    scenario: D2DScenario, gamma1_values, r_values, reps: int, root_seed: int
 ) -> list[D2DSweepRow]:
     """Active-cluster curves over the caching exponent, one curve per r.
 
@@ -781,7 +765,7 @@ def sweep_gamma1(
         for r in r_values
         for g1 in gamma1_values
     ]
-    return _sweep(points, pop, reps, root_seed, "mc")
+    return _sweep(points, reps, root_seed, "mc")
 
 
 @dataclass(frozen=True)
@@ -797,13 +781,7 @@ class ScalingRow:
 
 
 def scaling_check(
-    gamma: float,
-    n_values=(250, 500, 1000, 2000),
-    M: int = 1,
-    scale: float = 50.0,
-    reps: int = 2000,
-    root_seed: int = 0,
-    mode: str = "analytic",
+    gamma: float, n_values, M: int, scale: float, reps: int, root_seed: int, mode: str
 ) -> list[ScalingRow]:
     """Per-user active clusters across cell sizes, with r re-optimized per n.
 
@@ -822,11 +800,10 @@ def scaling_check(
     for n in n_values:
         n = int(n)
         m = catalog_size(n, scale=scale)
-        pop = zipf_model(gamma, m)
         sc = D2DScenario(n=n, m=m, M=M, r=1.0, gamma=gamma)
         if mode == "mc":
             _check_users(n, reps)  # before the side search, which a refusal wastes
-        hits = _hit_table(sc, pop)
+        hits = _hit_table(sc, sc.popularity())
         means = [
             _expected_active(n, side * side, hits)
             for side in range(1, int(math.ceil(2.0 * math.sqrt(n))) + 1)
@@ -836,7 +813,7 @@ def scaling_check(
             stats = ClusterStats(means[side - 1], 0.0, side * side)
         else:
             rng = stream(root_seed, "scaling", n, side)
-            stats = simulate_active_clusters(replace(sc, r=1.0 / side), pop, rng, reps)
+            stats = simulate_active_clusters(replace(sc, r=1.0 / side), rng, reps=reps)
         rows.append(
             ScalingRow(
                 n=n,

@@ -52,7 +52,7 @@ from .popularity import (
 )
 from .rng import stream
 from .topology import (
-    DEFAULT_MACRO_MODEL,
+    MACRO_LINK,
     ConnectivityGraph,
     build_connectivity,
     check_cell_radius,
@@ -172,7 +172,7 @@ class MacroConfig:
         check_cell_radius(self.cell_radius_m)
         # The base-station rate falls with distance, and at the cell edge it
         # rounds to 0 past a radius of about 9.56e6 m.
-        if not link_rate(self.cell_radius_m, DEFAULT_MACRO_MODEL) > 0:
+        if not link_rate(self.cell_radius_m, MACRO_LINK) > 0:
             raise InvalidParameterError(
                 f"cell_radius={self.cell_radius_m!r} leaves users at the cell "
                 "edge a base-station rate of 0 bit/s"
@@ -248,13 +248,16 @@ def make_placement(
 def place_points(points, config: MacroConfig, policy: str, root_seed: int):
     """The popularity, the plan of each helper count, and the placement of
     each `(x, helper_count, capacity)` point, once the points pass the
-    placement-byte and user-helper caps."""
+    helper, placement-byte and user-helper caps."""
+    largest = max((count for _, count, _ in points), default=0)
+    if largest > MAX_HELPERS:
+        raise InvalidParameterError(
+            f"helpers={largest} exceeds the cap of {MAX_HELPERS}"
+        )
     check_placement_bytes(
         policy, config.catalog_size, sum(count for _, count, _ in points)
     )
-    check_user_helper_pairs(
-        config.n_users, max((count for _, count, _ in points), default=0)
-    )
+    check_user_helper_pairs(config.n_users, largest)
     pop = experiment_popularity(config, root_seed)
     plans = {}
     placements = []
@@ -359,7 +362,7 @@ def sweep_capacity(
     policy: str,
     reps: int,
     root_seed: int,
-    helper_count: int = 32,
+    helper_count: int,
 ) -> list[SweepPoint]:
     """Mean satisfied users per cache capacity at a fixed helper deployment."""
     if helper_count < 0:

@@ -86,7 +86,7 @@ class CSCMatrix:
 
 @dataclass(frozen=True, eq=False)
 class LPInstance:
-    """max c.x over {A x <= b, 0 <= x <= upper}; x = (rho columns, a columns).
+    """max c.x over {A x <= b, 0 <= x <= 1}; x = (rho columns, a columns).
 
     With m = file_units.size files and H = len(capacities) helpers, rho[f, h]
     (0-based f) occupies column f*H + h; the a variable of kept edge e, in
@@ -99,7 +99,6 @@ class LPInstance:
     c: np.ndarray
     A: CSCMatrix
     b: np.ndarray
-    upper: np.ndarray
     capacities: tuple[int, ...]
     file_units: np.ndarray  # per-file storage cost in file units
 
@@ -187,14 +186,7 @@ def build_lp(
 
     c = np.zeros(ncols)
     c[n_rho:] = (weight[:, None] * pmf).ravel()
-    return LPInstance(
-        c=c,
-        A=A,
-        b=b,
-        upper=np.ones(ncols),
-        capacities=specs.capacities,
-        file_units=units,
-    )
+    return LPInstance(c=c, A=A, b=b, capacities=specs.capacities, file_units=units)
 
 
 @dataclass(frozen=True)
@@ -359,7 +351,7 @@ def solve_lp_detailed(instance: LPInstance) -> tuple[Placement, SimplexResult]:
         placement = Placement(rho, instance.capacities)
         return placement, SimplexResult(x=np.zeros(0), objective=0.0, iterations=0)
     obj_scale = max(float(np.abs(c).max()), 1e-300)
-    result = simplex_solve(c / obj_scale, instance.A, instance.b, upper=instance.upper)
+    result = simplex_solve(c / obj_scale, instance.A, instance.b, upper=np.ones(c.size))
     x = result.x
     rho = x[: m * H].reshape(m, H).copy()
     rho = np.clip(rho, 0.0, 1.0)

@@ -105,14 +105,6 @@ class Placement:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "capacities", caps)
 
-    @property
-    def m(self) -> int:
-        return self.rho.shape[0]
-
-    @property
-    def n_helpers(self) -> int:
-        return self.rho.shape[1]
-
     @functools.cached_property
     def caches(self) -> tuple[frozenset[int], ...]:
         """One frozenset per helper of the ranks it stores (any fraction)."""
@@ -191,7 +183,7 @@ class _Runs:
         n_helpers = graph.n_helpers
         self.users_of = [graph.users_of(h) for h in range(n_helpers)]
         self.edge_inv = [
-            graph.inv_rates[self.users_of[h], h] for h in range(n_helpers)
+            1.0 / graph.rates[self.users_of[h], h] for h in range(n_helpers)
         ]
         # The helpers by user count, each a row of its users padded to the
         # largest count: one row sum over each count's block gives every
@@ -686,6 +678,8 @@ def brute_force_place(
     ]
 
     inv_bs_mat = np.repeat((1.0 / graph.bs_rate)[:, None], m, axis=1)
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / graph.rates  # seconds per bit; inf where out of range
     idx_lists = [
         [np.asarray(combo, dtype=np.int64) - 1 for combo in combos]
         for combos in per_helper
@@ -701,7 +695,7 @@ def brute_force_place(
                 best["delay"] = delay
                 best["choice"] = chosen
             return
-        col = graph.inv_rates[:, h][:, None]
+        col = inv[:, h][:, None]
         for combo, idx in zip(per_helper[h], idx_lists[h]):
             if combo:
                 nxt = acc.copy()

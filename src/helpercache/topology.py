@@ -1,6 +1,7 @@
-"""Helper and user positions in a disc cell, the link-rate models, the
-connectivity graph built from positions and one helper coverage radius, and
-the fastest-first fetch rule every delivery model shares."""
+"""Helper and user positions in a disc cell, the two fixed link-rate curves
+(helper and base station), the connectivity graph built from positions and
+one helper coverage radius, and the fastest-first fetch rule every delivery
+model shares."""
 
 from __future__ import annotations
 
@@ -14,54 +15,14 @@ import numpy as np
 from .errors import InvalidParameterError
 
 
-@dataclass(frozen=True)
-class LinkRateModel:
-    """Log-distance Shannon rate with a hard cap.
-
-    rate(d) = min(max_rate_bps,
-                  bandwidth_hz * log2(1 + reference_snr * (max(d, d0_m)/d0_m)**-alpha))
-
-    `reference_snr` is the linear SNR at the reference distance `d0_m`.
-    """
-
-    bandwidth_hz: float
-    reference_snr: float
-    d0_m: float
-    pathloss_exponent: float
-    max_rate_bps: float
-
-    def __post_init__(self):
-        for name in (
-            "bandwidth_hz",
-            "reference_snr",
-            "d0_m",
-            "pathloss_exponent",
-            "max_rate_bps",
-        ):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0:
-                raise InvalidParameterError(f"{name} must be finite and > 0")
-
-
-# Desk-scale calibration defaults.  The helper link stays at its cap out to the
-# 150 m default coverage radius; the base-station rate falls from the same cap
-# near the center to ~3 Mb/s at a 400 m cell edge, so an in-range helper is
-# never slower than the base station (required for non-negative delay-savings
-# weights).
-DEFAULT_HELPER_MODEL = LinkRateModel(
-    bandwidth_hz=20e6,
-    reference_snr=1e8,
-    d0_m=1.0,
-    pathloss_exponent=3.5,
-    max_rate_bps=30e6,
-)
-DEFAULT_MACRO_MODEL = LinkRateModel(
-    bandwidth_hz=10e6,
-    reference_snr=3e8,
-    d0_m=1.0,
-    pathloss_exponent=3.5,
-    max_rate_bps=30e6,
-)
+# Each link is a (bandwidth in Hz, linear SNR at 1 m) pair; `link_rate`
+# holds what both share.  Desk-scale calibration: the helper link stays at its
+# cap out to the 150 m default coverage radius; the base-station rate falls
+# from the same cap near the center to ~3 Mb/s at a 400 m cell edge, so an
+# in-range helper is never slower than the base station (required for
+# non-negative delay-savings weights).
+HELPER_LINK = (20e6, 1e8)
+MACRO_LINK = (10e6, 3e8)
 
 
 def check_cell_radius(cell_radius: float) -> None:
@@ -73,11 +34,14 @@ def check_cell_radius(cell_radius: float) -> None:
         )
 
 
-def link_rate(distance_m, model: LinkRateModel):
-    """Rate in bit/s at the given distance(s).  Accepts scalars or arrays."""
-    d = np.maximum(np.asarray(distance_m, dtype=float), model.d0_m)
-    snr = model.reference_snr * (d / model.d0_m) ** (-model.pathloss_exponent)
-    rate = np.minimum(model.max_rate_bps, model.bandwidth_hz * np.log2(1.0 + snr))
+def link_rate(distance_m, link: tuple[float, float]):
+    """Rate in bit/s at the given distance(s), scalar or array, over `link`:
+
+    rate(d) = min(30e6, bandwidth * log2(1 + snr_1m * max(d, 1)**-3.5)).
+    """
+    bandwidth, snr_1m = link
+    d = np.maximum(np.asarray(distance_m, dtype=float), 1.0)
+    rate = np.minimum(30e6, bandwidth * np.log2(1.0 + snr_1m * d**-3.5))
     if rate.ndim == 0:
         return float(rate)
     return rate
@@ -171,12 +135,6 @@ class ConnectivityGraph:
         return self.rates.shape[-1]
 
     @cached_property
-    def inv_rates(self) -> np.ndarray:
-        """Seconds per bit on each link; inf where the user is out of range."""
-        with np.errstate(divide="ignore"):
-            return np.where(self.rates > 0, 1.0 / self.rates, np.inf)
-
-    @cached_property
     def fastest_first(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`(order, seconds_per_bit, linked)`, each `(..., n_users, degree)`.
 
@@ -253,9 +211,9 @@ def build_connectivity(
     """Connect every user to the helpers within `helper_radius` metres.
 
     `helpers` is `(n_helpers, 2)` and `users` `(..., n_users, 2)`.  An edge
-    at exactly the radius is kept.  Helper links use `DEFAULT_HELPER_MODEL`;
-    base-station rates use `DEFAULT_MACRO_MODEL` and the distance to the base
-    station at the origin.  Stacked user draws give a stacked graph with the
+    at exactly the radius is kept.  Helper links use `HELPER_LINK`;
+    base-station rates use `MACRO_LINK` and the distance to the base station
+    at the origin.  Stacked user draws give a stacked graph with the
     same leading axes.
     """
     dx = users[..., :, None, 0] - helpers[:, 0]
@@ -285,7 +243,7 @@ def build_connectivity(
     dists = np.hypot(dx.ravel()[near], dy.ravel()[near])
     linked = dists <= helper_radius
     rates = np.zeros(dx.shape)
-    rates.ravel()[near[linked]] = link_rate(dists[linked], DEFAULT_HELPER_MODEL)
+    rates.ravel()[near[linked]] = link_rate(dists[linked], HELPER_LINK)
     d_bs = np.hypot(users[..., 0], users[..., 1])
-    bs = np.reshape(link_rate(d_bs, DEFAULT_MACRO_MODEL), users.shape[:-1])
+    bs = np.reshape(link_rate(d_bs, MACRO_LINK), users.shape[:-1])
     return ConnectivityGraph(rates=rates, bs_rate=bs)

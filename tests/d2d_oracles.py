@@ -278,7 +278,7 @@ def sweep_row(scenario, pop, reps, root_seed, mode):
         )[1]
         mode = "analytic" if analytic else "mc"
     if mode == "analytic":
-        stats = expected_active_analytic(scenario, pop)
+        stats = expected_active_analytic(scenario)
     else:
         stats = simulate_by_gid(scenario, pop, stream(root_seed, "d2d-mc"), reps)
     return D2DSweepRow(
@@ -338,11 +338,10 @@ def scaling_check_by_side(gamma, n_values, M=1, scale=50.0):
     rows = []
     for n in n_values:
         m = catalog_size(n, scale=scale)
-        pop = zipf_model(gamma, m)
         best = None
         for side in range(1, int(math.ceil(2.0 * math.sqrt(n))) + 1):
             sc = D2DScenario(n=n, m=m, M=M, r=1.0 / side, gamma=gamma)
-            stats = expected_active_analytic(sc, pop)
+            stats = expected_active_analytic(sc)
             if best is None or stats.expected_active > best[0].expected_active:
                 best = (stats, side)
         stats, side = best

@@ -26,7 +26,7 @@ def evaluate_delay(
     Each user requests independently from `pop` and downloads at the best rate
     among the base station and the in-range helpers caching the file.
     """
-    if placement.n_helpers != graph.n_helpers or placement.m != pop.m:
+    if placement.rho.shape != (pop.m, graph.n_helpers):
         raise InfeasiblePlacementError("placement shape does not match instance")
     if not math.isfinite(file_bits) or file_bits <= 0:
         raise InvalidParameterError("file_bits must be finite and > 0")
@@ -69,7 +69,7 @@ def evaluate_coded_delay(
     rate order, capped by the stored fractions, and fetches the remainder from
     the base station.
     """
-    if placement.n_helpers != graph.n_helpers or placement.m != pop.m:
+    if placement.rho.shape != (pop.m, graph.n_helpers):
         raise InfeasiblePlacementError("placement shape does not match instance")
     if not math.isfinite(file_bits) or file_bits <= 0:
         raise InvalidParameterError("file_bits must be finite and > 0")

@@ -11,8 +11,8 @@ must match them bit for bit.
 import numpy as np
 
 from helpercache.topology import (
-    DEFAULT_HELPER_MODEL,
-    DEFAULT_MACRO_MODEL,
+    HELPER_LINK,
+    MACRO_LINK,
     ConnectivityGraph,
     link_rate,
 )
@@ -21,9 +21,9 @@ from helpercache.topology import (
 def dense_connectivity(helpers, users, helper_radius) -> ConnectivityGraph:
     diff = users[..., :, None, :] - helpers
     dists = np.hypot(diff[..., 0], diff[..., 1])
-    rates = np.where(dists <= helper_radius, link_rate(dists, DEFAULT_HELPER_MODEL), 0.0)
+    rates = np.where(dists <= helper_radius, link_rate(dists, HELPER_LINK), 0.0)
     d_bs = np.hypot(users[..., 0], users[..., 1])
-    bs = np.reshape(link_rate(d_bs, DEFAULT_MACRO_MODEL), users.shape[:-1])
+    bs = np.reshape(link_rate(d_bs, MACRO_LINK), users.shape[:-1])
     return ConnectivityGraph(rates=rates, bs_rate=bs)
 
 

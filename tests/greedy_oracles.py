@@ -92,7 +92,7 @@ def class_greedy_steps(
     if graph.n_users == 0 or all(c == 0 for c in specs.capacities):
         return []
     users_of = [graph.users_of(h) for h in range(graph.n_helpers)]
-    edge_inv = [graph.inv_rates[users_of[h], h] for h in range(graph.n_helpers)]
+    edge_inv = [1.0 / graph.rates[users_of[h], h] for h in range(graph.n_helpers)]
     weights = (file_bits * pop.pmf).tolist()
     room = list(specs.capacities)
     is_open = np.array(room) > 0
@@ -167,7 +167,7 @@ def lazy_greedy_steps(graph, pop, specs, file_bits):
     if n == 0 or all(c == 0 for c in specs.capacities):
         return []
     users_of = [graph.users_of(h) for h in range(graph.n_helpers)]
-    edge_inv = [graph.inv_rates[users_of[h], h] for h in range(graph.n_helpers)]
+    edge_inv = [1.0 / graph.rates[users_of[h], h] for h in range(graph.n_helpers)]
     cur_inv = np.repeat((1.0 / graph.bs_rate)[:, None], m, axis=1)
 
     # With empty caches the gain of (f, h) factorizes as pmf[f] * base[h].

@@ -183,16 +183,15 @@ def test_cluster_model_analytic_vs_monte_carlo(gate):
     reps = 10_000
     worst_excess = -math.inf
     for gamma in (0.2, 0.6, 1.5):
-        pop = zipf_model(gamma, 1000)
         for n in (100, 500):
             # one draw per (gamma, n), scored on each r's cluster grid
             sc = D2DScenario(n=n, m=1000, M=1, r=1.0, gamma=gamma)
             r_values = (1 / 2, 1 / 5, 1 / 10)
             (runs,) = _monte_carlo(
-                sc, pop, stream(1006, "c6", int(gamma * 10), n), reps, r_values, [None]
+                sc, stream(1006, "c6", int(gamma * 10), n), reps, r_values, [None]
             )
             for r, mc in zip(r_values, runs):
-                exact = expected_active_analytic(replace(sc, r=r), pop).expected_active
+                exact = expected_active_analytic(replace(sc, r=r)).expected_active
                 if mc.stderr > 0:
                     allowance = 3.0 * mc.stderr
                 else:
@@ -212,11 +211,9 @@ def test_cluster_model_analytic_vs_monte_carlo(gate):
 
 def test_interior_optimum_of_collaboration_distance(gate):
     scenario = D2DScenario(n=500, m=1000, M=1, r=1.0, gamma=0.6)
-    pop = zipf_model(0.6, 1000)
     rows = sweep_r(
         scenario,
         [1.0, 1 / 2, 1 / 4, 1 / 5, 1 / 10, 1 / 20, 1 / 25, 1 / 50],
-        pop,
         reps=1000,
         root_seed=7,
         mode="mc",
@@ -235,10 +232,12 @@ def test_interior_optimum_of_collaboration_distance(gate):
 
 
 def test_per_user_activity_scaling(gate):
-    heavy = scaling_check(1.5)
+    cells = dict(n_values=(250, 500, 1000, 2000), M=1, scale=50.0)
+    defaults = dict(reps=2000, root_seed=0, mode="analytic")
+    heavy = scaling_check(1.5, **cells, **defaults)
     ratios = [row.ratio for row in heavy]
     spread = (max(ratios) - min(ratios)) / (sum(ratios) / len(ratios))
-    light = scaling_check(0.6)
+    light = scaling_check(0.6, **cells, **defaults)
     decreasing = all(
         b.ratio < a.ratio - 2.0 * math.hypot(a.stderr / a.n, b.stderr / b.n)
         for a, b in zip(light, light[1:])

@@ -321,15 +321,15 @@ class TestPlace:
         ),
         (
             ("place", "--helpers", "100000000000"),
-            f"error: helpers: must be at most {MAX_HELPERS}\n",
+            f"error: helpers=100000000000 exceeds the cap of {MAX_HELPERS}\n",
         ),
         (
             ("simulate-macro", "--helpers", "1000000", "--reps", "1", "--gamma", "0.8"),
-            f"error: helpers: must be at most {MAX_HELPERS}\n",
+            f"error: helpers=1000000 exceeds the cap of {MAX_HELPERS}\n",
         ),
         (
             ("sweep-helpers", "--counts", f"0,2,{MAX_HELPERS + 1}", "--reps", "1"),
-            f"error: counts: must be at most {MAX_HELPERS}\n",
+            f"error: helpers={MAX_HELPERS + 1} exceeds the cap of {MAX_HELPERS}\n",
         ),
         (
             ("place", "--policy", "most-popular", "--m", "10000000", "--helpers", "1000"),
@@ -659,6 +659,27 @@ def test_output_contract_of_an_unwritable_out(capsys, monkeypatch, tmp_path, arg
     assert (code, printed) == (2, "")
     assert err.startswith("error: out: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, taken",
+    [
+        (
+            ("simulate-d2d", "--r", "1/2", "--n", "20", "--m", "5", "--mode", "analytic"),
+            "res.plot.csv",
+        ),
+        (("fit", "--samples", "500", "--m", "20"), "res.csv.manifest.json"),
+    ],
+    ids=["plot", "manifest"],
+)
+def test_output_contract_of_a_directory_in_the_way(capsys, monkeypatch, tmp_path, argv, taken):
+    # A plot or manifest path that is a directory is refused like --out
+    # itself, before the run: nothing printed and no file written.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / taken).mkdir()
+    code, printed, err = run_cli(capsys, *argv, "--out", "res.csv")
+    assert (code, printed, err) == (2, "", f"error: out: {taken} is a directory\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / taken]
 
 
 class TestConfigLayering:

@@ -162,17 +162,16 @@ class TestAnalyticModel:
                         total += math.prod(pop.pmf[r - 1] for r in reqs)
         brute = total / K**n
         sc = D2DScenario(n=n, m=m, M=M, r=0.5, gamma=gamma)
-        stats = expected_active_analytic(sc, pop)
+        stats = expected_active_analytic(sc)
         assert stats.expected_active == pytest.approx(brute, abs=1e-12)
         assert stats.K == K
         assert stats.stderr == 0.0
 
     def test_degenerate_cases_are_zero(self):
-        pop = zipf_model(0.8, 10)
         lonely = D2DScenario(n=1, m=10, M=2, r=0.5, gamma=0.8)
-        assert expected_active_analytic(lonely, pop).expected_active == 0.0
+        assert expected_active_analytic(lonely).expected_active == 0.0
         empty = D2DScenario(n=50, m=10, M=0, r=0.5, gamma=0.8)
-        assert expected_active_analytic(empty, pop).expected_active == 0.0
+        assert expected_active_analytic(empty).expected_active == 0.0
 
     def test_single_file_catalog_closed_form(self):
         # m=M=1: only the cluster's first user holds the file, so a cluster
@@ -182,50 +181,41 @@ class TestAnalyticModel:
         p = 1.0 / K
         closed = K * (1 - (1 - p) ** n - n * p * (1 - p) ** (n - 1))
         sc = D2DScenario(n=n, m=1, M=1, r=0.5, gamma=0.7)
-        stats = expected_active_analytic(sc, zipf_model(0.7, 1))
+        stats = expected_active_analytic(sc)
         assert stats.expected_active == pytest.approx(closed, abs=1e-9)
 
     def test_certain_activity_when_one_cluster_covers_all(self):
         # r=1, two users, flat popularity over two files, one file each:
         # P(active) = 1 - P(both request their own file) - cross misses
         sc = D2DScenario(n=2, m=2, M=1, r=1.0, gamma=0.0)
-        stats = expected_active_analytic(sc, zipf_model(0.0, 2))
+        stats = expected_active_analytic(sc)
         assert stats.expected_active == pytest.approx(0.75, abs=1e-12)
 
     def test_monotone_in_cache_size(self):
-        pop = zipf_model(0.7, 40)
         base = D2DScenario(n=60, m=40, M=0, r=1.0 / 3.0, gamma=0.7)
         values = [
-            expected_active_analytic(replace(base, M=M), pop).expected_active
+            expected_active_analytic(replace(base, M=M)).expected_active
             for M in (0, 1, 2, 4, 8, 40)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] <= base.n
 
     def test_rejects_unsupported_inputs(self):
-        pop = zipf_model(0.8, 10)
         with pytest.raises(InvalidParameterError):
-            expected_active_analytic(
-                D2DScenario(n=10, m=10, M=1, r=0.3, gamma=0.8), pop
-            )
+            expected_active_analytic(D2DScenario(n=10, m=10, M=1, r=0.3, gamma=0.8))
         rz = D2DScenario(
             n=10, m=10, M=1, r=0.5, gamma=0.8, strategy="random-zipf", gamma1=0.5
         )
         with pytest.raises(InvalidParameterError):
-            expected_active_analytic(rz, pop)
-        with pytest.raises(InvalidParameterError):
-            expected_active_analytic(
-                D2DScenario(n=10, m=12, M=1, r=0.5, gamma=0.8), pop
-            )
+            expected_active_analytic(rz)
 
 
 class TestMonteCarlo:
     def test_matches_analytic_within_three_sigma(self):
         sc = D2DScenario(n=100, m=120, M=2, r=0.2, gamma=0.8)
-        pop = zipf_model(0.8, 120)
-        exact = expected_active_analytic(sc, pop)
+        exact = expected_active_analytic(sc)
         assert exact.expected_active == pytest.approx(15.753278718001665, rel=1e-12)
-        mc = simulate_active_clusters(sc, pop, stream(321, "oracle"), 20_000)
+        mc = simulate_active_clusters(sc, stream(321, "oracle"), 20_000)
         assert mc.K == exact.K == 25
         assert abs(mc.expected_active - exact.expected_active) <= 3 * mc.stderr
 
@@ -254,7 +244,7 @@ class TestMonteCarlo:
                 reqs = [int(requests[base + u]) for u in users]
                 active += cluster_active(caches, reqs)
             counts.append(active)
-        got = simulate_active_clusters(sc, pop, stream(9, "mirror"), reps)
+        got = simulate_active_clusters(sc, stream(9, "mirror"), reps)
         assert got.expected_active == np.mean(counts)
         assert got.stderr == pytest.approx(
             np.std(counts, ddof=1) / math.sqrt(reps), abs=1e-15
@@ -288,7 +278,7 @@ class TestMonteCarlo:
                 reqs = [int(requests[base + u]) for u in users]
                 active += cluster_active(caches, reqs)
             counts.append(active)
-        got = simulate_active_clusters(sc, pop, stream(13, "mirror"), reps)
+        got = simulate_active_clusters(sc, stream(13, "mirror"), reps)
         assert got.expected_active == np.mean(counts)
 
     def test_no_caches_means_no_active_clusters(self):
@@ -301,9 +291,7 @@ class TestMonteCarlo:
             )
             rng = stream(3, "z")
             state = rng.bit_generator.state
-            (stats,) = d2d._monte_carlo(
-                sc, zipf_model(0.8, 10), rng, 200, [0.25, 0.1], [gamma1]
-            )
+            (stats,) = d2d._monte_carlo(sc, rng, 200, [0.25, 0.1], [gamma1])
             assert [(st.expected_active, st.stderr) for st in stats] == [(0.0, 0.0)] * 2
             assert rng.bit_generator.state == state
             assert rng.bit_generator.seed_seq.n_children_spawned == 0
@@ -321,8 +309,8 @@ class TestMonteCarlo:
         monkeypatch.setattr(d2d, "_score_block", spy)
         sc = D2DScenario(n=4000, m=50, M=2, r=0.1, gamma=0.8)
         step = d2d._BLOCK_USERS // sc.n
-        simulate_active_clusters(sc, sc.popularity(), stream(2, "b"), step)
-        simulate_active_clusters(sc, sc.popularity(), stream(2, "b"), 2 * step + 1)
+        simulate_active_clusters(sc, stream(2, "b"), step)
+        simulate_active_clusters(sc, stream(2, "b"), 2 * step + 1)
         assert [counts.size for counts in scored] == [step, step, step, 1]
         assert scored[0].sum() > 0
         np.testing.assert_array_equal(scored[0], scored[1])
@@ -333,36 +321,30 @@ class TestMonteCarlo:
         sc = D2DScenario(
             n=60, m=5, M=5, r=0.25, gamma=0.9, strategy="random-zipf", gamma1=0.0
         )
-        pop = zipf_model(0.9, 5)
         K, p = 16, 1.0 / 16.0
         closed = K * (1 - (1 - p) ** 60 - 60 * p * (1 - p) ** 59)
-        a = simulate_active_clusters(sc, pop, stream(77, "full"), 4000)
-        b = simulate_active_clusters(
-            replace(sc, gamma1=2.0), pop, stream(77, "full"), 4000
-        )
+        a = simulate_active_clusters(sc, stream(77, "full"), 4000)
+        b = simulate_active_clusters(replace(sc, gamma1=2.0), stream(77, "full"), 4000)
         assert a == b
         assert abs(a.expected_active - closed) <= 3 * a.stderr
 
     def test_non_tiling_r_warns_and_coarsens(self, caplog):
         sc = D2DScenario(n=30, m=10, M=1, r=0.3, gamma=0.8)
         with caplog.at_level("WARNING", logger="helpercache.d2d"):
-            stats = simulate_active_clusters(sc, zipf_model(0.8, 10), stream(5, "w"), 50)
+            stats = simulate_active_clusters(sc, stream(5, "w"), 50)
         assert "does not tile" in caplog.text
         assert stats.K == 9
 
     def test_seeded_runs_reproduce(self):
         sc = D2DScenario(n=40, m=30, M=2, r=0.25, gamma=1.0)
-        pop = zipf_model(1.0, 30)
         assert simulate_active_clusters(
-            sc, pop, stream(8, "rep"), 300
-        ) == simulate_active_clusters(sc, pop, stream(8, "rep"), 300)
+            sc, stream(8, "rep"), 300
+        ) == simulate_active_clusters(sc, stream(8, "rep"), 300)
 
     def test_validation(self):
         sc = D2DScenario(n=10, m=10, M=1, r=0.5, gamma=0.8)
         with pytest.raises(InvalidParameterError):
-            simulate_active_clusters(sc, zipf_model(0.8, 10), stream(1, "v"), 0)
-        with pytest.raises(InvalidParameterError):
-            simulate_active_clusters(sc, zipf_model(0.8, 12), stream(1, "v"), 10)
+            simulate_active_clusters(sc, stream(1, "v"), 0)
 
     def test_score_cap_fires_before_any_draw(self):
         sc = D2DScenario(n=10, m=10, M=1, r=0.5, gamma=0.8)
@@ -370,7 +352,7 @@ class TestMonteCarlo:
         state = rng.bit_generator.state
         reps = d2d.MAX_SCORES // 2 + 1
         with pytest.raises(InvalidParameterError, match=f"reps={reps} over 2 "):
-            d2d._monte_carlo(sc, sc.popularity(), rng, reps, [0.5, 0.25], [None])
+            d2d._monte_carlo(sc, rng, reps, [0.5, 0.25], [None])
         assert rng.bit_generator.state == state
 
     def test_random_caches_bounded_over_the_whole_run(self):
@@ -382,7 +364,7 @@ class TestMonteCarlo:
         rng = stream(3, "run-bound")
         state = rng.bit_generator.state
         with pytest.raises(InvalidParameterError, match="reps=101"):
-            simulate_active_clusters(sc, sc.popularity(), rng, 101)
+            simulate_active_clusters(sc, rng, 101)
         assert rng.bit_generator.state == state
 
 
@@ -391,11 +373,9 @@ class TestSweeps:
         # too-small clusters rarely host a pair; too-large clusters waste
         # spatial reuse: the product peaks strictly inside the range
         sc = D2DScenario(n=100, m=300, M=1, r=1.0, gamma=0.6)
-        pop = zipf_model(0.6, 300)
         rows = sweep_r(
             sc,
             [1.0, 0.5, 0.25, 0.2, 0.1, 0.05, 0.02],
-            pop,
             reps=1,
             root_seed=0,
             mode="analytic",
@@ -408,35 +388,31 @@ class TestSweeps:
 
     def test_auto_mode_picks_analytic_only_for_tilings(self):
         sc = D2DScenario(n=20, m=10, M=1, r=1.0, gamma=0.8)
-        rows = sweep_r(
-            sc, [0.5, 0.3], zipf_model(0.8, 10), reps=40, root_seed=2, mode="auto"
-        )
+        rows = sweep_r(sc, [0.5, 0.3], reps=40, root_seed=2, mode="auto")
         assert [row.mode for row in rows] == ["analytic", "mc"]
         assert rows[1].K == 9
 
     def test_sweep_reruns_identically(self):
         sc = D2DScenario(n=30, m=20, M=1, r=1.0, gamma=0.7)
-        pop = zipf_model(0.7, 20)
-        first = sweep_r(sc, [0.5, 0.25], pop, reps=60, root_seed=4, mode="mc")
-        again = sweep_r(sc, [0.5, 0.25], pop, reps=60, root_seed=4, mode="mc")
+        first = sweep_r(sc, [0.5, 0.25], reps=60, root_seed=4, mode="mc")
+        again = sweep_r(sc, [0.5, 0.25], reps=60, root_seed=4, mode="mc")
         assert first == again
 
     def test_mode_validation(self):
         sc = D2DScenario(n=10, m=10, M=1, r=0.5, gamma=0.8)
         with pytest.raises(InvalidParameterError):
-            sweep_r(sc, [0.5], zipf_model(0.8, 10), reps=1, root_seed=0, mode="fast")
+            sweep_r(sc, [0.5], reps=1, root_seed=0, mode="fast")
 
     def test_gamma1_sweep_needs_the_random_strategy(self):
         sc = D2DScenario(n=10, m=10, M=1, r=0.5, gamma=0.8)
         with pytest.raises(InvalidParameterError):
-            sweep_gamma1(sc, [0.5], [0.5], zipf_model(0.8, 10), reps=1, root_seed=0)
+            sweep_gamma1(sc, [0.5], [0.5], reps=1, root_seed=0)
 
     def test_gamma1_sweep_is_flat_when_caches_are_full(self):
         sc = D2DScenario(
             n=40, m=4, M=4, r=0.5, gamma=0.8, strategy="random-zipf", gamma1=0.0
         )
-        pop = zipf_model(0.8, 4)
-        rows = sweep_gamma1(sc, [0.0, 1.0, 2.5], [0.5, 0.25], pop, 200, root_seed=6)
+        rows = sweep_gamma1(sc, [0.0, 1.0, 2.5], [0.5, 0.25], 200, root_seed=6)
         assert len(rows) == 6
         for r in (0.5, 0.25):
             group = [row for row in rows if row.r == r]
@@ -446,7 +422,9 @@ class TestSweeps:
 
 class TestScalingCheck:
     def test_single_cell_size_row(self):
-        rows = scaling_check(1.2, n_values=(250,), mode="analytic")
+        rows = scaling_check(
+            1.2, n_values=(250,), M=1, scale=50.0, reps=1, root_seed=0, mode="analytic"
+        )
         assert len(rows) == 1
         row = rows[0]
         assert row.n == 250
@@ -460,5 +438,7 @@ class TestScalingCheck:
 
     def test_mode_validation(self):
         with pytest.raises(InvalidParameterError):
-            scaling_check(0.6, n_values=(100,), mode="exact")
+            scaling_check(
+                0.6, n_values=(100,), M=1, scale=50.0, reps=1, root_seed=0, mode="exact"
+            )
 

@@ -95,7 +95,7 @@ def _scaling_cases(n_values, M, gamma=1.5):
 
 def _assert_same_expectation(cases):
     for scenario, pop in cases:
-        assert expected_active_analytic(scenario, pop) == expected_active_by_k(
+        assert expected_active_analytic(scenario) == expected_active_by_k(
             scenario, pop
         ), scenario
 
@@ -123,4 +123,4 @@ def test_analytic_blocks_equal_the_per_k_sum_at_edges():
         (D2DScenario(n=1, m=10, M=3, r=1.0, gamma=0.6), pop),
     ]
     _assert_same_expectation(cases)
-    assert expected_active_analytic(*cases[0]).expected_active == 0.0
+    assert expected_active_analytic(cases[0][0]).expected_active == 0.0

@@ -45,7 +45,7 @@ RAND = D2DScenario(
 
 def _assert_matches_oracle(sc, reps, r_values=R_VALUES, seed=3):
     pop = sc.popularity()
-    (got,) = d2d._monte_carlo(sc, pop, stream(seed, "s"), reps, r_values, [sc.gamma1])
+    (got,) = d2d._monte_carlo(sc, stream(seed, "s"), reps, r_values, [sc.gamma1])
     want = simulate_blocks(sc, pop, stream(seed, "s"), reps, r_values)
     assert got == want
     return got
@@ -170,7 +170,7 @@ def _assert_lattice_scores_alike(sc, monkeypatch):
     assert want.expected_active > 0
     sides = (4, 2**20, 2**31, 10**15)
     (got,) = d2d._monte_carlo(
-        sc, pop, stream(6, "lattice"), 20, [1 / side for side in sides], [sc.gamma1]
+        sc, stream(6, "lattice"), 20, [1 / side for side in sides], [sc.gamma1]
     )
     assert [st.K for st in got] == [side * side for side in sides]
     for st in got:
@@ -188,7 +188,7 @@ def test_deterministic_scoring_memory():
     sample_requests(pop, stream(1, "warm"), 1)  # the sampler's table stays untraced
     tracemalloc.start()
     try:
-        d2d._monte_carlo(sc, pop, stream(0, "memory"), 1000, [1.0, 0.1, 0.02], [None])
+        d2d._monte_carlo(sc, stream(0, "memory"), 1000, [1.0, 0.1, 0.02], [None])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -387,7 +387,7 @@ def test_random_fill_and_scoring_memory(M, m, fill_bound, score_bound):
         tracemalloc.stop()
     tracemalloc.start()
     try:
-        simulate_active_clusters(sc, pop, stream(0, "memory"), reps)
+        simulate_active_clusters(sc, stream(0, "memory"), reps)
         run_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -67,7 +67,7 @@ def _oracle_gamma1(scenario, gamma1_values, r_values, pop, reps, root_seed):
 def test_sweep_r_equals_the_point_loop(make, seed):
     sc = make()
     pop = sc.popularity()
-    got = sweep_r(sc, R_VALUES, pop, reps=150, root_seed=seed, mode="mc")
+    got = sweep_r(sc, R_VALUES, reps=150, root_seed=seed, mode="mc")
     assert got == _oracle_r(sc, R_VALUES, pop, 150, seed, "mc")
     assert {row.mode for row in got} == {"mc"}
 
@@ -78,7 +78,7 @@ def test_auto_mode_mixes_analytic_and_shared_draws(make, caplog):
     sc = make()
     pop = sc.popularity()
     with caplog.at_level(logging.WARNING, logger="helpercache.d2d"):
-        got = sweep_r(sc, r_values, pop, reps=90, root_seed=11, mode="auto")
+        got = sweep_r(sc, r_values, reps=90, root_seed=11, mode="auto")
     warned = [rec.getMessage() for rec in caplog.records if "does not tile" in rec.getMessage()]
     if sc.strategy == "deterministic":
         assert [row.mode for row in got] == ["analytic", "mc", "analytic", "mc", "analytic"]
@@ -93,7 +93,7 @@ def test_sweep_gamma1_equals_the_point_loop():
     sc = _rand()
     pop = sc.popularity()
     gamma1_values, r_values = [0.0, 0.6, 1.5], [0.2, 0.1]
-    got = sweep_gamma1(sc, gamma1_values, r_values, pop, reps=80, root_seed=17)
+    got = sweep_gamma1(sc, gamma1_values, r_values, reps=80, root_seed=17)
     assert got == _oracle_gamma1(sc, gamma1_values, r_values, pop, 80, 17)
     assert [(row.r, row.gamma1) for row in got] == [
         (r, g1) for r in r_values for g1 in gamma1_values
@@ -109,7 +109,7 @@ def test_multi_block_sweep_gamma1_equals_the_point_loop(M, monkeypatch):
     sc = _rand(M=M)
     pop = sc.popularity()
     gamma1_values, r_values = [0.0, 1.5, 2.0], [0.5, 0.2]
-    got = sweep_gamma1(sc, gamma1_values, r_values, pop, reps=25, root_seed=8)
+    got = sweep_gamma1(sc, gamma1_values, r_values, reps=25, root_seed=8)
     assert got == _oracle_gamma1(sc, gamma1_values, r_values, pop, 25, 8)
     if M == 0:
         assert all(row.mean_active == 0.0 for row in got)
@@ -121,7 +121,7 @@ def test_multi_chunk_runs(make, monkeypatch):
     sc = make()
     pop = sc.popularity()
     # 130 // n replications per block: several full blocks and a short one
-    got = sweep_r(sc, [0.5, 0.2, 1 / 9], pop, reps=37, root_seed=5, mode="mc")
+    got = sweep_r(sc, [0.5, 0.2, 1 / 9], reps=37, root_seed=5, mode="mc")
     assert got == _oracle_r(sc, [0.5, 0.2, 1 / 9], pop, 37, 5, "mc")
 
 
@@ -131,7 +131,7 @@ def test_multi_chunk_runs(make, monkeypatch):
 @pytest.mark.parametrize("reps", [1, 25])
 def test_empty_caches_and_single_replication(sc, reps):
     pop = sc.popularity()
-    got = sweep_r(sc, [0.5, 0.25], pop, reps=reps, root_seed=2, mode="mc")
+    got = sweep_r(sc, [0.5, 0.25], reps=reps, root_seed=2, mode="mc")
     assert got == _oracle_r(sc, [0.5, 0.25], pop, reps, 2, "mc")
     if sc.M == 0:
         assert all(row.mean_active == 0.0 for row in got)
@@ -157,7 +157,7 @@ def test_requests_are_drawn_once_per_group_and_chunk(monkeypatch):
     monkeypatch.setattr(d2d, "sample_requests", counting)
     reps, per_block = 25, 300 // sc.n
     blocks = -(-reps // per_block)
-    sweep_gamma1(sc, [0.3, 1.1], [0.5, 0.25, 0.2], pop, reps=reps, root_seed=1)
+    sweep_gamma1(sc, [0.3, 1.1], [0.5, 0.25, 0.2], reps=reps, root_seed=1)
     assert len(request_calls) == blocks
     assert sum(request_calls) == reps * sc.n
 
@@ -177,7 +177,7 @@ def test_gamma1_points_share_positions_and_requests(monkeypatch):
     monkeypatch.setattr(d2d, "_score_random", spy)
     sc = _rand(M=4)
     gamma1_values = [0.0, 0.75, 2.0]
-    sweep_gamma1(sc, gamma1_values, [0.2], sc.popularity(), reps=25, root_seed=3)
+    sweep_gamma1(sc, gamma1_values, [0.2], reps=25, root_seed=3)
     blocks, g = -(-25 // (300 // sc.n)), len(gamma1_values)
     assert len(scored) == blocks * g
     for b in range(blocks):
@@ -190,35 +190,34 @@ def test_gamma1_points_share_positions_and_requests(monkeypatch):
 
 def test_sweeps_reach_the_monte_carlo_once_per_group(monkeypatch):
     # Callers that wrap d2d._monte_carlo see the scenario first and reps
-    # fourth, once per group of points that share a draw: a whole gamma1
+    # third, once per group of points that share a draw: a whole gamma1
     # sweep is one group, with each distinct r and gamma1 once.
     seen = []
     real = d2d._monte_carlo
 
     def spy(*args):
-        seen.append((args[3], tuple(args[4]), tuple(args[5])))
+        seen.append((args[2], tuple(args[3]), tuple(args[4])))
         return real(*args)
 
     monkeypatch.setattr(d2d, "_monte_carlo", spy)
     sc = _rand()
-    sweep_gamma1(sc, [0.3, 1.1], [0.5, 0.25], sc.popularity(), reps=20, root_seed=1)
+    sweep_gamma1(sc, [0.3, 1.1], [0.5, 0.25], reps=20, root_seed=1)
     assert seen == [(20, (0.5, 0.25), (0.3, 1.1))]
     seen.clear()
-    sweep_r(sc, [0.5, 0.25, 0.5], sc.popularity(), reps=20, root_seed=1, mode="mc")
+    sweep_r(sc, [0.5, 0.25, 0.5], reps=20, root_seed=1, mode="mc")
     assert seen == [(20, (0.5, 0.25), (0.9,))]
 
 
 def test_r_values_score_one_draw_like_separate_calls():
     sc = _rand()
-    pop = sc.popularity()
     r_values = [0.5, 0.3, 0.125]
-    (grouped,) = d2d._monte_carlo(sc, pop, stream(4, "g"), 60, r_values, [sc.gamma1])
+    (grouped,) = d2d._monte_carlo(sc, stream(4, "g"), 60, r_values, [sc.gamma1])
     single = [
-        simulate_active_clusters(_rand(r=r), pop, stream(4, "g"), 60) for r in r_values
+        simulate_active_clusters(_rand(r=r), stream(4, "g"), 60) for r in r_values
     ]
     assert grouped == single
     with pytest.raises(InvalidParameterError):
-        d2d._monte_carlo(sc, pop, stream(4, "g"), 60, [0.5, 0.0], [sc.gamma1])
+        d2d._monte_carlo(sc, stream(4, "g"), 60, [0.5, 0.0], [sc.gamma1])
 
 
 def test_run_guard_fires_before_any_draw(monkeypatch):
@@ -229,9 +228,9 @@ def test_run_guard_fires_before_any_draw(monkeypatch):
         n=500, m=1000, M=2, r=0.1, gamma=0.6, strategy="random-zipf", gamma1=13.29
     )
     with pytest.raises(InvalidParameterError, match="reps=101"):
-        sweep_r(sc, [0.5, 0.1], sc.popularity(), reps=101, root_seed=0, mode="mc")
+        sweep_r(sc, [0.5, 0.1], reps=101, root_seed=0, mode="mc")
     with pytest.raises(InvalidParameterError, match="reps=101"):
-        sweep_gamma1(sc, [13.29, 0.5], [0.5, 0.1], sc.popularity(), reps=101, root_seed=0)
+        sweep_gamma1(sc, [13.29, 0.5], [0.5, 0.1], reps=101, root_seed=0)
     assert drawn == []
 
 
@@ -256,6 +255,6 @@ def test_wide_cell_keys_match_the_gid_sort(make):
     want = chunk_counts_by_gid(sc, pos, requests, caches, 3, side)
     np.testing.assert_array_equal(got, want)
     assert got.sum() > 0
-    assert simulate_active_clusters(sc, pop, stream(9, "wide"), 4) == simulate_by_gid(
+    assert simulate_active_clusters(sc, stream(9, "wide"), 4) == simulate_by_gid(
         sc, pop, stream(9, "wide"), 4
     )

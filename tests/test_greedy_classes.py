@@ -232,10 +232,9 @@ def test_one_greedy_at_32_helpers_stays_within_its_memory_bound():
     assert peak < 6e6
 
 
-def test_greedy_at_a_million_files_stays_within_its_time_and_memory(tmp_path):
-    # `place --m 10^6 --helpers 100 --capacity 10^4` commits 10^6 steps;
-    # measured at 0.69-0.94 s in `main` and a 172-173 MB peak in the child
-    # (2-core Xeon).  The bounds are about twice that, under a 4 GB limit.
+def place_in_a_child(tmp_path, *argv) -> tuple[float, int]:
+    """Seconds in `main` and peak RSS bytes of `place *argv` run in a child
+    process under a 4 GB address-space limit."""
     probe = (
         "import resource, sys, time; from helpercache.cli import main; "
         "t = time.perf_counter(); code = main(sys.argv[1:]); "
@@ -248,15 +247,33 @@ def test_greedy_at_a_million_files_stays_within_its_time_and_memory(tmp_path):
     )}
     limit = 4 << 30
     done = subprocess.run(
-        [sys.executable, "-c", probe, "place", "--m", "1000000", "--helpers", "100",
-         "--capacity", "10000", "--out", str(tmp_path / "place.json")],
+        [sys.executable, "-c", probe, "place", *argv, "--out", str(tmp_path / "place.json")],
         env=env, capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     code, seconds, peak_kib = done.stdout.split()
     assert (int(code), done.stderr) == (0, "")
-    assert float(seconds) < 1.6
-    assert int(peak_kib) * 1024 < 350e6
+    return float(seconds), int(peak_kib) * 1024
+
+
+def test_greedy_at_a_million_files_stays_within_its_time_and_memory(tmp_path):
+    # `place --m 10^6 --helpers 100 --capacity 10^4` commits 10^6 steps;
+    # measured at 0.69-0.94 s in `main` and a 172-173 MB peak in the child
+    # (2-core Xeon).  The bounds are about twice that, under a 4 GB limit.
+    seconds, peak = place_in_a_child(
+        tmp_path, "--m", "1000000", "--helpers", "100", "--capacity", "10000"
+    )
+    assert seconds < 1.6
+    assert peak < 350e6
+
+
+def test_greedy_at_the_helper_cap_stays_within_its_time_and_memory(tmp_path):
+    # `place --helpers 10^4 --n 1000`, the widest deployment the cap allows:
+    # measured at 3.5-3.7 s in `main` and a 359 MB peak in the child (2-core
+    # Xeon).  The bounds are about twice that, under a 4 GB limit.
+    seconds, peak = place_in_a_child(tmp_path, "--helpers", "10000", "--n", "1000")
+    assert seconds < 8.0
+    assert peak < 700e6
 
 
 def place_defaults(helpers, **overrides):
@@ -334,5 +351,5 @@ def test_coverage_weights_equal_the_sum_over_each_helpers_users():
     for c in (root, run.by_row[row]):
         for h in range(len(counts)):
             users = graph.users_of(h)
-            want = np.maximum(0.0, c.cur[users] - graph.inv_rates[users, h]).sum()
+            want = np.maximum(0.0, c.cur[users] - 1.0 / graph.rates[users, h]).sum()
             assert c.s[h] == (want if c.cand[h] else 0.0), (h, counts[h])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpercache.errors import InfeasiblePlacementError, InvalidParameterError
-from helpercache.macro_sim import MacroConfig
+from helpercache.macro_sim import MAX_HELPERS, MacroConfig, sweep_helper_count
 from helpercache.placement_coded import build_lp
 from helpercache.placement_uncoded import HelperSpecs, brute_force_place, greedy_place
 from helpercache.popularity import PopularityModel, catalog_size, sample_requests, zipf_model
@@ -102,6 +102,12 @@ CASES = {
     "config-capacity": (
         lambda: MacroConfig(capacity=-1),
         InvalidParameterError, "capacity must be >= 0",
+    ),
+    "sweep-helpers-cap": (
+        lambda: sweep_helper_count(
+            [MAX_HELPERS + 1], MacroConfig(catalog_size=10, capacity=1), "most-popular", 1, 0
+        ),
+        InvalidParameterError, f"helpers={MAX_HELPERS + 1} exceeds the cap of {MAX_HELPERS}",
     ),
     "config-trace-samples": (
         lambda: MacroConfig(trace_samples=1),

@@ -26,7 +26,7 @@ from helpercache.placement_uncoded import (
 from helpercache.popularity import fit_zipf, sample_requests, zipf_model
 from helpercache.rng import stream
 from helpercache.topology import (
-    DEFAULT_MACRO_MODEL,
+    MACRO_LINK,
     ConnectivityGraph,
     build_connectivity,
     link_rate,
@@ -310,7 +310,7 @@ class TestMacroConfig:
         assert linked.any()
         np.testing.assert_array_equal(
             graph.bs_rate,
-            link_rate(np.hypot(users[:, 0], users[:, 1]), DEFAULT_MACRO_MODEL),
+            link_rate(np.hypot(users[:, 0], users[:, 1]), MACRO_LINK),
         )
 
     def test_rejects_bad_fields(self):
@@ -460,7 +460,7 @@ class TestSweeps:
         with pytest.raises(InvalidParameterError):
             sweep_helper_count([-1], SMALL, "greedy", reps=1, root_seed=1)
         with pytest.raises(InvalidParameterError):
-            sweep_capacity([-2], SMALL, "greedy", reps=1, root_seed=1)
+            sweep_capacity([-2], SMALL, "greedy", reps=1, root_seed=1, helper_count=2)
         with pytest.raises(InvalidParameterError):
             sweep_capacity([1], SMALL, "greedy", reps=1, root_seed=1, helper_count=-1)
         with pytest.raises(InvalidParameterError):

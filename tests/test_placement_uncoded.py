@@ -54,7 +54,7 @@ def with_added(placement, helper, rank):
     """Copy of `placement` with one more file at `helper`."""
     caches = list(placement.caches)
     caches[helper] = caches[helper] | {rank}
-    return whole_files(caches, placement.capacities, placement.m)
+    return whole_files(caches, placement.capacities, placement.rho.shape[0])
 
 
 def loop_delay(caches, pop):

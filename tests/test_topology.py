@@ -7,10 +7,9 @@ import pytest
 from helpercache import rng as hrng
 from helpercache.errors import InvalidParameterError
 from helpercache.topology import (
-    DEFAULT_HELPER_MODEL,
-    DEFAULT_MACRO_MODEL,
+    HELPER_LINK,
+    MACRO_LINK,
     ConnectivityGraph,
-    LinkRateModel,
     build_connectivity,
     link_rate,
     place_helpers,
@@ -22,34 +21,36 @@ from helpercache.topology import (
 UNIFORM32_SHA256 = "ca1e9ae8b272a46a80c5b09883f174b2c5e00e5a7575719271f7bda8af464b2b"
 
 
+# Both links are capped at 30 Mb/s.
+RATE_CAP = 30e6
+
+
 def test_rate_is_capped_at_zero_distance():
-    assert link_rate(0.0, DEFAULT_HELPER_MODEL) == DEFAULT_HELPER_MODEL.max_rate_bps
+    assert link_rate(0.0, HELPER_LINK) == RATE_CAP
 
 
 def test_rate_at_reference_distance():
-    model = DEFAULT_MACRO_MODEL
-    expected = min(
-        model.max_rate_bps, model.bandwidth_hz * math.log2(1.0 + model.reference_snr)
-    )
-    assert link_rate(model.d0_m, model) == pytest.approx(expected, rel=1e-12)
+    bandwidth, snr_1m = MACRO_LINK
+    expected = min(RATE_CAP, bandwidth * math.log2(1.0 + snr_1m))
+    assert link_rate(1.0, MACRO_LINK) == pytest.approx(expected, rel=1e-12)
 
 
 def test_rate_formula_oracle():
-    model = LinkRateModel(
-        bandwidth_hz=5e6,
-        reference_snr=1e6,
-        d0_m=2.0,
-        pathloss_exponent=3.0,
-        max_rate_bps=1e9,
-    )
-    for d in (2.0, 10.0, 55.5, 400.0):
-        snr = 1e6 * (d / 2.0) ** -3.0
-        assert link_rate(d, model) == pytest.approx(5e6 * math.log2(1 + snr), rel=1e-12)
+    # The log-distance Shannon rate with exponent 3.5 from 1 m, capped at
+    # 30 Mb/s, in plain math on scalars; inside 1 m the rate is the 1 m one.
+    for link in (HELPER_LINK, MACRO_LINK):
+        bandwidth, snr_1m = link
+        for d in (0.0, 0.5, 1.0, 10.0, 55.5, 150.0, 400.0, 2000.0):
+            snr = snr_1m * max(d, 1.0) ** -3.5
+            expected = min(RATE_CAP, bandwidth * math.log2(1 + snr))
+            assert link_rate(d, link) == pytest.approx(expected, rel=1e-12)
+        d = np.array([0.5, 150.0, 400.0])
+        np.testing.assert_array_equal(link_rate(d, link), [link_rate(x, link) for x in d])
 
 
 def test_rate_monotone_non_increasing():
     d = np.linspace(0.0, 1000.0, 501)
-    rates = link_rate(d, DEFAULT_HELPER_MODEL)
+    rates = link_rate(d, HELPER_LINK)
     assert np.all(np.diff(rates) <= 0)
 
 
@@ -58,21 +59,10 @@ def test_helper_rate_dominates_bs_rate_in_range():
     # at its 30 Mb/s cap, while the BS rate never exceeds that cap; the coded
     # LP weights rely on this ordering.
     d = np.linspace(0.0, 150.0, 301)
-    helper = link_rate(d, DEFAULT_HELPER_MODEL)
-    np.testing.assert_allclose(helper, DEFAULT_HELPER_MODEL.max_rate_bps, rtol=0)
+    helper = link_rate(d, HELPER_LINK)
+    np.testing.assert_allclose(helper, RATE_CAP, rtol=0)
     d_bs = np.linspace(0.0, 400.0, 401)
-    assert np.all(link_rate(d_bs, DEFAULT_MACRO_MODEL) <= DEFAULT_HELPER_MODEL.max_rate_bps)
-
-
-def test_model_validation():
-    with pytest.raises(InvalidParameterError):
-        LinkRateModel(
-            bandwidth_hz=-1.0,
-            reference_snr=1e8,
-            d0_m=1.0,
-            pathloss_exponent=3.5,
-            max_rate_bps=30e6,
-        )
+    assert np.all(link_rate(d_bs, MACRO_LINK) <= RATE_CAP)
 
 
 def test_place_uniform_empty_and_deterministic():
@@ -157,7 +147,7 @@ def test_connectivity_colocated_and_boundary():
     helpers = [[0.0, 0.0], [200.0, 0.0]]
     users = [[0.0, 0.0], [60.0, 0.0], [260.0000001, 0.0]]
     graph = connect(helpers, users)
-    assert graph.rates[0, 0] == DEFAULT_HELPER_MODEL.max_rate_bps
+    assert graph.rates[0, 0] == RATE_CAP
     # exactly at the 60 m radius: edge kept
     assert graph.rates[1, 0] > 0
     # sixty metres plus epsilon from the second helper: no edge
