@@ -13,11 +13,11 @@ users (`plan_deployment`), place files (`make_placement`), then count the
 users served within the deadline over fresh draws.  `place_points` runs the
 planning steps; the `place` command and both sweeps call it.
 
-A sweep draws each replication once and scores all its points on it: the
-replications' graphs are stacked, one stack per helper deployment, and each
-point is scored on a whole stack by one fetch-kernel call.  The kernel
-adds each user's helper time in a fixed order, so a replication scores the
-same in a stack as alone.  Stacks hold at most `_CHUNK_ELEMENTS`
+A sweep draws each replication once and scores all its points on it: a
+chunk of replications has one flat graph per helper deployment over all
+their users, and each point is scored on a chunk by one fetch-kernel call.
+The kernel adds each user's helper time in a fixed order, so a replication
+scores the same in a chunk as alone.  Chunks hold at most `_CHUNK_ELEMENTS`
 user-helper pairs, so memory stays bounded for any `reps`.
 
 Seed handling: every random draw comes from a named substream of the root
@@ -66,7 +66,7 @@ PLACEMENT_POLICIES = ("greedy", "most-popular", "brute-force", "coded")
 
 # A user is helper-served once the collected fraction is within this of 1.
 WHOLE_FILE_TOL = 1e-9
-# User-helper pairs per chunk of stacked replicates; bounds a sweep's memory.
+# User-helper pairs per chunk of replicates; bounds a sweep's memory.
 _CHUNK_ELEMENTS = 1 << 18
 # Scored (point, replicate) pairs above which a sweep is refused.  Besides
 # its chunks a sweep holds 8 bytes per pair and a row's 8 bytes per replicate
@@ -88,9 +88,9 @@ MAX_PLACEMENT_BYTES = 2 * 10**9
 # which a command is refused: its positions and connectivity take tens of
 # bytes per pair (10^7 users at 32 helpers asked for a 4.77 GiB array).  At
 # the cap `simulate-macro --n 312500 --helpers 32 --reps 1 --gamma 0.8`
-# takes 0.9-1.1 s and 441 MB whole process with `--policy most-popular` and
-# 2.3-2.5 s and 776 MB with the greedy, and `place --helpers 10000 --n 1000`
-# 3.3-4.0 s and 342 MB (2-core Xeon).
+# takes 0.9-1.0 s and 411 MiB whole process with `--policy most-popular` and
+# 2.3-3.3 s and 726 MiB with the greedy, and `place --helpers 10000 --n 1000`
+# 3.5-5.5 s and 342 MiB (2-core Xeon, shared with other jobs).
 MAX_USER_HELPER_PAIRS = 10**7
 
 
@@ -118,21 +118,24 @@ def check_user_helper_pairs(users: int, helpers: int) -> None:
 
 def _deliver(
     graph: ConnectivityGraph, wanted: np.ndarray, file_bits: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Download times of one file per user, and which users helpers served.
+) -> np.ndarray:
+    """Download times of one file per user, shaped `wanted.shape[:-1]`.
 
     `wanted[..., u, h]` is the share of user u's file that helper h stores;
-    leading axes stack graphs, each with its own base-station share.
+    the graph lists the users of each leading index in turn, and each index
+    is a cell with its own base-station share.
     """
-    collected, helper = fetch_fastest_first(graph, wanted)
+    shape = wanted.shape[:-1]
+    flat = wanted.reshape(graph.n_users, graph.n_helpers)
+    collected, helper = (a.reshape(shape) for a in fetch_fastest_first(graph, flat))
     # All or nothing: a user with less than the whole file in range gets all
     # of it from the base station.
     served = collected >= 1.0 - WHOLE_FILE_TOL
-    n_bs = graph.n_users - served.sum(axis=-1, keepdims=True)
+    n_bs = shape[-1] - served.sum(axis=-1, keepdims=True)
     # Dividing first keeps file_bits * n_bs from passing the float range
     # where the time itself does not.
-    bs_time = file_bits * (n_bs / graph.bs_rate)
-    return np.where(served, file_bits * helper, bs_time), served
+    bs_time = file_bits * (n_bs / graph.bs_rate.reshape(shape))
+    return np.where(served, file_bits * helper, bs_time)
 
 
 @dataclass(frozen=True)
@@ -287,9 +290,10 @@ def _satisfied_counts(
     `MAX_SCORES` (point, replicate) pairs are scored.  Replicate k draws its
     users and requests once per sweep and is scored for every point.
     Replicates go in chunks of at most `_CHUNK_ELEMENTS` user-helper
-    pairs; each chunk builds one stacked graph per distinct helper count and
-    scores every point on that deployment against it.  Each replicate has its
-    own streams, so the chunk size changes no output.
+    pairs; each chunk builds one flat graph over its replicates' users per
+    distinct helper count and scores every point on that deployment against
+    it.  Each replicate has its own streams, so the chunk size changes no
+    output.
     """
     if reps < 1:
         raise InvalidParameterError("reps must be >= 1")
@@ -304,7 +308,7 @@ def _satisfied_counts(
     satisfied = np.empty((len(points), reps))
     for lo in range(0, reps, chunk):
         ks = range(lo, min(lo + chunk, reps))
-        users = np.stack(
+        users = np.concatenate(
             [place_uniform(n, radius, stream(root_seed, "eval-users", k)) for k in ks]
         )
         requests = np.stack(
@@ -314,7 +318,7 @@ def _satisfied_counts(
             graph = build_connectivity(helpers, users, config.helper_radius_m)
             for i in (i for i, point in enumerate(points) if point[1] == count):
                 wanted = placements[i].rho[requests - 1]
-                times, _ = _deliver(graph, wanted, config.file_bits)
+                times = _deliver(graph, wanted, config.file_bits)
                 satisfied[i, lo : ks.stop] = (times <= config.qos_s).sum(axis=-1)
     return satisfied
 

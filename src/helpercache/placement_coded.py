@@ -132,8 +132,8 @@ def build_lp(
     if units.shape != (m,) or not np.all(units / units.max() > 0):
         raise InvalidParameterError("file_units must be positive, one per file")
 
-    users, helpers = np.nonzero(graph.rates > 0)  # row-major (user, helper)
-    weight = 1.0 / graph.bs_rate[users] - 1.0 / graph.rates[users, helpers]
+    users, helpers = graph.user, graph.helper  # in (user, helper) order
+    weight = 1.0 / graph.bs_rate[users] - 1.0 / graph.rate
     slow = weight < 0
     if slow.any():
         logger.warning(

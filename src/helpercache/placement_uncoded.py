@@ -181,14 +181,15 @@ class _Runs:
 
     def __init__(self, graph, pop, specs, file_bits):
         n_helpers = graph.n_helpers
-        self.users_of = [graph.users_of(h) for h in range(n_helpers)]
-        self.edge_inv = [
-            1.0 / graph.rates[self.users_of[h], h] for h in range(n_helpers)
-        ]
+        # Each helper's users, ascending: a stable sort of the links by helper.
+        by = np.argsort(graph.helper, kind="stable")
+        sizes = np.bincount(graph.helper, minlength=n_helpers)
+        cut = np.cumsum(sizes)[:-1]
+        self.users_of = np.split(graph.user[by], cut)
+        self.edge_inv = np.split(1.0 / graph.rate[by], cut)
         # The helpers by user count, each a row of its users padded to the
         # largest count: one row sum over each count's block gives every
         # helper's `s` bit-equal to the numpy sum over its own users.
-        sizes = np.array([u.size for u in self.users_of], dtype=np.int64)
         self.order = np.argsort(sizes, kind="stable")
         self.pad_users = np.zeros((n_helpers, int(sizes.max(initial=0))), np.int64)
         self.pad_inv = np.full(self.pad_users.shape, np.inf)  # padding gains 0
@@ -678,8 +679,8 @@ def brute_force_place(
     ]
 
     inv_bs_mat = np.repeat((1.0 / graph.bs_rate)[:, None], m, axis=1)
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / graph.rates  # seconds per bit; inf where out of range
+    inv = np.full((graph.n_users, graph.n_helpers), np.inf)  # seconds per bit
+    inv[graph.user, graph.helper] = 1.0 / graph.rate
     idx_lists = [
         [np.asarray(combo, dtype=np.int64) - 1 for combo in combos]
         for combos in per_helper

@@ -1,7 +1,8 @@
 """Helper and user positions in a disc cell, the two fixed link-rate curves
-(helper and base station), the connectivity graph built from positions and
-one helper coverage radius, and the fastest-first fetch rule every delivery
-model shares."""
+(helper and base station), the cell graph as its list of user-helper links
+(one per pair within the helper coverage radius) with every user's
+base-station rate, and the fastest-first fetch rule every delivery model
+shares."""
 
 from __future__ import annotations
 
@@ -102,73 +103,65 @@ def place_helpers(count: int, cell_radius: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ConnectivityGraph:
-    """Bipartite user/helper link rates plus the per-user base-station rate.
+    """A cell's user/helper links plus every user's base-station rate.
 
-    rates[..., u, h] is the helper link rate in bit/s, or 0.0 when user u is
-    out of helper h's coverage.  bs_rate[..., u] is always positive.  Leading
-    axes, when present, stack independent user draws over the same helpers.
+    Link i joins user `user[i]` to helper `helper[i]` at `rate[i]` bit/s; the
+    links, one per in-range pair, are in (user, helper) order.  The graph
+    has `bs_rate.size` users, user u at base-station rate `bs_rate[u]`.
     """
 
-    rates: np.ndarray  # (..., n_users, n_helpers)
-    bs_rate: np.ndarray  # (..., n_users)
+    user: np.ndarray  # (n_links,)
+    helper: np.ndarray  # (n_links,)
+    rate: np.ndarray  # (n_links,)
+    bs_rate: np.ndarray  # (n_users,)
+    n_helpers: int
 
     def __post_init__(self):
-        rates = np.asarray(self.rates, dtype=float)
-        bs = np.asarray(self.bs_rate, dtype=float)
-        if rates.ndim < 2:
-            raise InvalidParameterError("rates must have at least 2 dimensions")
-        if bs.shape != rates.shape[:-1]:
-            raise InvalidParameterError("bs_rate length must match the user count")
-        if not np.all(np.isfinite(rates)) or np.any(rates < 0):
-            raise InvalidParameterError("link rates must be finite and >= 0")
-        if not np.all(np.isfinite(bs)) or np.any(bs <= 0):
-            raise InvalidParameterError("base-station rates must be finite and > 0")
-        object.__setattr__(self, "rates", rates)
+        user = np.asarray(self.user, dtype=np.intp)
+        helper = np.asarray(self.helper, dtype=np.intp)
+        rate, bs = np.asarray(self.rate, float), np.asarray(self.bs_rate, float)
+        if not (bs.ndim == user.ndim == 1 and user.shape == helper.shape == rate.shape):
+            raise InvalidParameterError("links and bs_rate must be 1-D, links alike")
+        for index, top in ((user, bs.size), (helper, self.n_helpers)):
+            if np.any((index < 0) | (index >= top)):
+                raise InvalidParameterError("a link's user or helper is out of range")
+        # The LP's rows and the greedy's sums follow the link order.
+        if np.any(np.diff(user * self.n_helpers + helper) <= 0):
+            raise InvalidParameterError("links must be distinct, by (user, helper)")
+        for name, a in (("link rates", rate), ("base-station rates", bs)):
+            if not np.all(np.isfinite(a) & (a > 0)):
+                raise InvalidParameterError(f"{name} must be finite and > 0")
+        for name, a in zip(("user", "helper", "rate"), (user, helper, rate)):
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "bs_rate", bs)
 
     @property
     def n_users(self) -> int:
-        return self.rates.shape[-2]
-
-    @property
-    def n_helpers(self) -> int:
-        return self.rates.shape[-1]
+        return self.bs_rate.size
 
     @cached_property
     def fastest_first(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`(order, seconds_per_bit, linked)`, each `(..., n_users, degree)`.
+        """`(order, seconds_per_bit, linked)`, each `(n_users, degree)`.
 
         Each user's helpers by decreasing rate (ties by index), cut to the
-        graph's degree (the most links any user of any stacked draw has),
-        with their seconds per bit; columns past a user's own links are
-        unlinked and cost 0.  An unlinked column's `order` entry is 0 and is
-        never read, for `fetch_fastest_first` masks it by `linked`.
+        graph's degree (the most links any user has), with their seconds per
+        bit; columns past a user's own links are unlinked and cost 0.  An
+        unlinked column's `order` entry is 0 and is never read, for
+        `fetch_fastest_first` masks it by `linked`.
         """
-        lead = self.rates.shape[:-1]
-        rows = math.prod(lead)
-        rates = self.rates.reshape(rows, self.n_helpers)
-        # nonzero lists the links user after user, each user's by helper
-        # index.  Sorting by (user, -rate) moves links only within a user's
+        # Sorting the links by (user, -rate) moves them only within a user's
         # run, and lexsort is stable, so equal rates keep helper-index order.
-        user, helper = np.nonzero(rates > 0)
-        rate = rates[user, helper]
-        by = np.lexsort((-rate, user))
-        helper, rate = helper[by], rate[by]
-        counts = np.bincount(user, minlength=rows)
+        by = np.lexsort((-self.rate, self.user))
+        counts = np.bincount(self.user, minlength=self.n_users)
         degree = int(counts.max(initial=0))
-        slot = np.arange(user.size) - (np.cumsum(counts) - counts)[user]
-        order = np.zeros((rows, degree), dtype=np.intp)
-        inv = np.zeros((rows, degree))
-        linked = np.zeros((rows, degree), dtype=bool)
-        order[user, slot] = helper
-        inv[user, slot] = 1.0 / rate
-        linked[user, slot] = True
-        shape = lead + (degree,)
-        return order.reshape(shape), inv.reshape(shape), linked.reshape(shape)
-
-    def users_of(self, helper: int) -> np.ndarray:
-        """Indices of users inside helper `helper`'s coverage (unstacked graph)."""
-        return np.flatnonzero(self.rates[:, helper] > 0)
+        slot = self.user, np.arange(by.size) - (np.cumsum(counts) - counts)[self.user]
+        order = np.zeros((self.n_users, degree), dtype=np.intp)
+        inv = np.zeros((self.n_users, degree))
+        linked = np.zeros((self.n_users, degree), dtype=bool)
+        order[slot] = self.helper[by]
+        inv[slot] = 1.0 / self.rate[by]
+        linked[slot] = True
+        return order, inv, linked
 
 
 def fetch_fastest_first(
@@ -176,11 +169,9 @@ def fetch_fastest_first(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Collect files from in-range helpers, fastest link first.
 
-    `fractions[..., u, ..., h]` is the share of a file wanted by user u that
-    helper h stores (one file per user, or one row per file); its leading
-    axes are the graph's.  Each user takes what its helpers hold in
-    decreasing rate order until the file is complete.  Returns
-    `(collected, seconds_per_bit)`, both shaped `fractions.shape[:-1]`: the
+    `fractions[u, h]` is the share of user u's file that helper h stores.
+    Each user takes what its helpers hold, fastest first, until the file is
+    complete.  Returns, per user, `(collected, seconds_per_bit)`: the
     fraction gathered from helpers, capped at 1, and the helper-side download
     time per file bit.  What the base station serves is the caller's rule.
 
@@ -189,20 +180,17 @@ def fetch_fastest_first(
     0.0, so a user's sum does not depend on the graph it is scored in.
     """
     order, inv, linked = graph.fastest_first
-    degree = order.shape[-1]
-    files = (1,) * (np.ndim(fractions) - graph.rates.ndim)
-    shape = graph.rates.shape[:-1] + files + (degree,)
-    order, inv, linked = (a.reshape(shape) for a in (order, inv, linked))
-    picked = np.take_along_axis(fractions, order, axis=-1)
+    degree = order.shape[1]
+    picked = np.take_along_axis(fractions, order, axis=1)
     # A leading zero column keeps users without any link in the same shape.
-    cum = np.zeros(picked.shape[:-1] + (degree + 1,))
-    cum[..., 1:] = np.where(linked, picked, 0.0)
-    cum = np.clip(np.cumsum(cum, axis=-1), 0.0, 1.0)
-    steps = np.diff(cum, axis=-1) * inv
-    helper = np.zeros(steps.shape[:-1])
+    cum = np.zeros((graph.n_users, degree + 1))
+    cum[:, 1:] = np.where(linked, picked, 0.0)
+    cum = np.clip(np.cumsum(cum, axis=1), 0.0, 1.0)
+    steps = np.diff(cum, axis=1) * inv
+    helper = np.zeros(graph.n_users)
     for k in range(degree):
-        helper += steps[..., k]
-    return cum[..., -1], helper
+        helper += steps[:, k]
+    return cum[:, -1], helper
 
 
 def build_connectivity(
@@ -210,16 +198,15 @@ def build_connectivity(
 ) -> ConnectivityGraph:
     """Connect every user to the helpers within `helper_radius` metres.
 
-    `helpers` is `(n_helpers, 2)` and `users` `(..., n_users, 2)`.  An edge
-    at exactly the radius is kept.  Helper links use `HELPER_LINK`;
+    `helpers` is `(n_helpers, 2)` and `users` `(n_users, 2)`.  An edge at
+    exactly the radius is kept.  Helper links use `HELPER_LINK`;
     base-station rates use `MACRO_LINK` and the distance to the base station
-    at the origin.  Stacked user draws give a stacked graph with the
-    same leading axes.
+    at the origin.
     """
-    dx = users[..., :, None, 0] - helpers[:, 0]
-    dy = users[..., :, None, 1] - helpers[:, 1]
+    dx = users[:, None, 0] - helpers[:, 0]
+    dy = users[:, None, 1] - helpers[:, 1]
     # Only the pairs that pass a squared-distance screen get the exact test
-    # and a rate; every other rate is 0.0.  The screen never drops an
+    # and a rate; every other pair is no link.  The screen never drops an
     # in-range pair.  Let u = 2**-53.  If fl(hypot(dx, dy)) <= R, hypot being
     # within an ulp, the exact distance d has d**2 <= R**2 (1 + 2u)**2, so
     # the screened fl(fl(dx*dx) + fl(dy*dy)) <= d**2 (1 + u)**2 <=
@@ -241,9 +228,9 @@ def build_connectivity(
     else:
         near = np.arange(dx.size)
     dists = np.hypot(dx.ravel()[near], dy.ravel()[near])
-    linked = dists <= helper_radius
-    rates = np.zeros(dx.shape)
-    rates.ravel()[near[linked]] = link_rate(dists[linked], HELPER_LINK)
-    d_bs = np.hypot(users[..., 0], users[..., 1])
-    bs = np.reshape(link_rate(d_bs, MACRO_LINK), users.shape[:-1])
-    return ConnectivityGraph(rates=rates, bs_rate=bs)
+    rate = np.where(dists <= helper_radius, link_rate(dists, HELPER_LINK), 0.0)
+    # The flat indices are row-major, so the links come in (user, helper)
+    # order; a rate that rounds to 0 (past about 7e6 m) is no link.
+    user, helper = np.divmod(near[rate > 0], len(helpers))
+    bs = link_rate(np.hypot(users[:, 0], users[:, 1]), MACRO_LINK)
+    return ConnectivityGraph(user, helper, rate[rate > 0], bs, len(helpers))

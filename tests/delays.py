@@ -15,6 +15,15 @@ from helpercache.popularity import PopularityModel
 from helpercache.topology import ConnectivityGraph, fetch_fastest_first
 
 
+def fetch_per_file(graph: ConnectivityGraph, rho: np.ndarray):
+    """`fetch_fastest_first` of every file of `rho` as every user's request,
+    one file at a time: `(collected, seconds_per_bit)`, each (users, files)."""
+    shape = (graph.n_users, graph.n_helpers)
+    per_file = [fetch_fastest_first(graph, np.broadcast_to(row, shape)) for row in rho]
+    collected, helper = (np.column_stack(a) for a in zip(*per_file))
+    return collected, helper
+
+
 def evaluate_delay(
     placement: Placement,
     graph: ConnectivityGraph,
@@ -30,10 +39,7 @@ def evaluate_delay(
         raise InfeasiblePlacementError("placement shape does not match instance")
     if not math.isfinite(file_bits) or file_bits <= 0:
         raise InvalidParameterError("file_bits must be finite and > 0")
-    rho = placement.rho
-    collected, helper = fetch_fastest_first(
-        graph, np.broadcast_to(rho, (graph.n_users,) + rho.shape)
-    )
+    collected, helper = fetch_per_file(graph, placement.rho)
     inv_bs = (1.0 / graph.bs_rate)[:, None]
     # A whole file comes from the fastest holder or the base station, whichever
     # is faster; a user with no holder in range gets it all from the station.
@@ -73,9 +79,6 @@ def evaluate_coded_delay(
         raise InfeasiblePlacementError("placement shape does not match instance")
     if not math.isfinite(file_bits) or file_bits <= 0:
         raise InvalidParameterError("file_bits must be finite and > 0")
-    rho = placement.rho
-    collected, helper = fetch_fastest_first(
-        graph, np.broadcast_to(rho, (graph.n_users,) + rho.shape)
-    )
+    collected, helper = fetch_per_file(graph, placement.rho)
     per_file = helper + (1.0 - collected) * (1.0 / graph.bs_rate)[:, None]
     return file_bits * float((per_file @ pop.pmf).sum())

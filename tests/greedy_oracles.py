@@ -16,11 +16,20 @@ import math
 import sys
 
 import numpy as np
+from graph_oracles import rates_of
 
 from helpercache.errors import InfeasiblePlacementError, InvalidParameterError
 from helpercache.placement_uncoded import HelperSpecs, _clear_winner, _greedy
 from helpercache.popularity import PopularityModel
 from helpercache.topology import ConnectivityGraph
+
+
+def helper_links(graph: ConnectivityGraph):
+    """Each helper's users, ascending, and their seconds per bit, read off
+    the dense rate matrix."""
+    rates = rates_of(graph)
+    users_of = [np.flatnonzero(rates[:, h] > 0) for h in range(graph.n_helpers)]
+    return users_of, [1.0 / rates[users_of[h], h] for h in range(graph.n_helpers)]
 
 
 def greedy_steps(
@@ -91,8 +100,7 @@ def class_greedy_steps(
         raise InvalidParameterError("file_bits must be finite and > 0")
     if graph.n_users == 0 or all(c == 0 for c in specs.capacities):
         return []
-    users_of = [graph.users_of(h) for h in range(graph.n_helpers)]
-    edge_inv = [1.0 / graph.rates[users_of[h], h] for h in range(graph.n_helpers)]
+    users_of, edge_inv = helper_links(graph)
     weights = (file_bits * pop.pmf).tolist()
     room = list(specs.capacities)
     is_open = np.array(room) > 0
@@ -166,8 +174,7 @@ def lazy_greedy_steps(graph, pop, specs, file_bits):
     n, m = graph.n_users, pop.m
     if n == 0 or all(c == 0 for c in specs.capacities):
         return []
-    users_of = [graph.users_of(h) for h in range(graph.n_helpers)]
-    edge_inv = [1.0 / graph.rates[users_of[h], h] for h in range(graph.n_helpers)]
+    users_of, edge_inv = helper_links(graph)
     cur_inv = np.repeat((1.0 / graph.bs_rate)[:, None], m, axis=1)
 
     # With empty caches the gain of (f, h) factorizes as pmf[f] * base[h].

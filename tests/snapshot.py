@@ -1,7 +1,8 @@
 """One macro-cell snapshot scored on a single graph, for tests.
 
 `simulate_snapshot` draws one request per user from its own stream and
-scores them through `macro_sim._deliver`, the scorer the sweeps use.  Tests
+scores them through `macro_sim._deliver`, the scorer the sweeps use; which
+users helpers served comes from the fetch kernel under the same rule.  Tests
 use it as the per-replicate oracle of the batched sweep and to probe the
 delivery rules on small hand-built graphs.
 """
@@ -12,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from helpercache.errors import InvalidParameterError
-from helpercache.macro_sim import _deliver
+from helpercache.macro_sim import WHOLE_FILE_TOL, _deliver
 from helpercache.placement_uncoded import Placement
 from helpercache.popularity import PopularityModel, sample_requests
-from helpercache.topology import ConnectivityGraph
+from helpercache.topology import ConnectivityGraph, fetch_fastest_first
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +52,9 @@ def simulate_snapshot(
     if rho.shape != (pop.m, graph.n_helpers):
         raise InvalidParameterError("placement does not match the graph")
     requests = sample_requests(pop, rng, n)
-    times, served = _deliver(graph, rho[requests - 1], file_bits)
+    wanted = rho[requests - 1]
+    times = _deliver(graph, wanted, file_bits)
+    served = fetch_fastest_first(graph, wanted)[0] >= 1.0 - WHOLE_FILE_TOL
     return SimOutcome(
         download_time=times,
         satisfied_count=int((times <= qos_s).sum()),

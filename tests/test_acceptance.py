@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from delays import baseline_delay, delay_savings, evaluate_delay
+from graph_oracles import graph_from_rates
 from lp_matrices import to_csc
 from test_simplex import enumerate_vertices, random_lp
 
@@ -34,7 +35,6 @@ from helpercache.placement_uncoded import (
 from helpercache.popularity import fit_zipf, sample_requests, zipf_model
 from helpercache.rng import stream
 from helpercache.topology import (
-    ConnectivityGraph,
     build_connectivity,
     place_helpers,
     place_uniform,
@@ -66,7 +66,7 @@ def test_greedy_half_approximation(gate):
         n_users = int(rng.integers(1, 7))
         rates = rng.uniform(1e6, 3e7, (n_users, n_helpers))
         rates *= rng.random((n_users, n_helpers)) < 0.7
-        graph = ConnectivityGraph(rates=rates, bs_rate=rng.uniform(1e5, 2e7, n_users))
+        graph = graph_from_rates(rates, rng.uniform(1e5, 2e7, n_users))
         pop = zipf_model(float(rng.uniform(0, 2)), m)
         specs = HelperSpecs.uniform(n_helpers, cap)
         greedy = delay_savings(
@@ -99,7 +99,7 @@ def test_single_coverage_matches_most_popular(gate):
         for u, h in enumerate(assignment):
             if h >= 0:
                 rates[u, h] = rng.uniform(5e6, 3e7)
-        graph = ConnectivityGraph(rates=rates, bs_rate=rng.uniform(1e5, 2e7, n_users))
+        graph = graph_from_rates(rates, rng.uniform(1e5, 2e7, n_users))
         pop = zipf_model(float(rng.uniform(0, 1.5)), m)
         specs = HelperSpecs.uniform(n_helpers, cap)
         d_greedy = evaluate_delay(

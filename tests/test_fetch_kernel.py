@@ -10,6 +10,7 @@ below or just above one.
 import numpy as np
 import pytest
 from delays import evaluate_coded_delay, evaluate_delay
+from graph_oracles import graph_from_rates, rates_of
 from placement_oracles import whole_files
 from snapshot import simulate_snapshot
 
@@ -17,7 +18,7 @@ from helpercache import rng as hrng
 from helpercache.macro_sim import WHOLE_FILE_TOL
 from helpercache.placement_uncoded import Placement
 from helpercache.popularity import sample_requests, zipf_model
-from helpercache.topology import ConnectivityGraph, fetch_fastest_first
+from helpercache.topology import fetch_fastest_first
 
 B = 2.4e8
 # Few distinct levels so that ties are common; 1e6 is below every BS rate.
@@ -32,7 +33,7 @@ def random_graph(rng):
         rng.random((n, H)) < 0.6, rng.choice(RATE_LEVELS, size=(n, H)), 0.0
     )
     rates[rng.random(n) < 0.25] = 0.0  # users without any helper
-    return ConnectivityGraph(rates=rates, bs_rate=rng.uniform(2e6, 2e7, n))
+    return graph_from_rates(rates, rng.uniform(2e6, 2e7, n))
 
 
 def random_fractions(rng, m, H):
@@ -57,30 +58,32 @@ def oracle_snapshot_uncoded(graph, placement, pop, requests):
         if cache:
             holds[h, list(cache)] = True
     times, served = np.zeros(n), np.zeros(n, dtype=bool)
+    rates = rates_of(graph)
     for u in range(n):
-        nbrs = np.flatnonzero(graph.rates[u] > 0)
+        nbrs = np.flatnonzero(rates[u] > 0)
         holders = nbrs[holds[nbrs, requests[u]]] if nbrs.size else nbrs
         if holders.size:
             served[u] = True
-            times[u] = B / graph.rates[u, holders].max()
+            times[u] = B / rates[u, holders].max()
     return served, times
 
 
 def oracle_snapshot_coded(graph, placement, pop, requests):
     n = graph.n_users
     times, served = np.zeros(n), np.zeros(n, dtype=bool)
+    rates = rates_of(graph)
     for u in range(n):
-        nbrs = np.flatnonzero(graph.rates[u] > 0)
+        nbrs = np.flatnonzero(rates[u] > 0)
         if nbrs.size == 0:
             continue
         fractions = placement.rho[requests[u] - 1, nbrs]
         if fractions.sum() < 1.0 - 1e-9:
             continue
         served[u] = True
-        order = np.argsort(-graph.rates[u, nbrs], kind="stable")
+        order = np.argsort(-rates[u, nbrs], kind="stable")
         cum = np.clip(np.cumsum(fractions[order]), 0.0, 1.0)
         take = np.diff(cum, prepend=0.0)
-        times[u] = B * float(take @ (1.0 / graph.rates[u, nbrs[order]]))
+        times[u] = B * float(take @ (1.0 / rates[u, nbrs[order]]))
     return served, times
 
 
@@ -92,8 +95,9 @@ def oracle_finish(graph, served, times):
 
 
 def oracle_delay_uncoded(graph, placement, pop):
+    rates = rates_of(graph)
     with np.errstate(divide="ignore"):
-        inv_edges = np.where(graph.rates > 0, 1.0 / graph.rates, np.inf)
+        inv_edges = np.where(rates > 0, 1.0 / rates, np.inf)
     best = np.repeat((1.0 / graph.bs_rate)[:, None], pop.m, axis=1)
     for h, cache in enumerate(placement.caches):
         if cache:
@@ -104,14 +108,15 @@ def oracle_delay_uncoded(graph, placement, pop):
 
 def oracle_delay_coded(graph, placement, pop):
     total = 0.0
+    rates = rates_of(graph)
     for u in range(graph.n_users):
         inv_bs = 1.0 / graph.bs_rate[u]
-        nbrs = np.flatnonzero(graph.rates[u] > 0)
+        nbrs = np.flatnonzero(rates[u] > 0)
         if nbrs.size == 0:
             total += inv_bs
             continue
-        order = nbrs[np.argsort(-graph.rates[u, nbrs], kind="stable")]
-        inv_rates = 1.0 / graph.rates[u, order]
+        order = nbrs[np.argsort(-rates[u, nbrs], kind="stable")]
+        inv_rates = 1.0 / rates[u, order]
         cum = np.clip(np.cumsum(placement.rho[:, order], axis=1), 0.0, 1.0)
         fracs = np.diff(cum, axis=1, prepend=0.0)
         per_file = fracs @ inv_rates + (1.0 - cum[:, -1]) * inv_bs
@@ -170,7 +175,7 @@ def test_remainder_rules_differ_on_slow_holders():
     # One user whose only helper holds the file but is slower than the base
     # station: the whole-file rule downloads from the station, the fractional
     # rule takes the helper's share as stored.
-    graph = ConnectivityGraph(rates=np.array([[1e6]]), bs_rate=np.array([4e6]))
+    graph = graph_from_rates(np.array([[1e6]]), np.array([4e6]))
     pop = zipf_model(0.0, 1)
     whole = whole_files(({1},), (1,), 1)
     assert evaluate_delay(whole, graph, pop, B) == pytest.approx(B / 4e6, rel=1e-15)
@@ -186,14 +191,17 @@ def test_remainder_rules_differ_on_slow_holders():
 
 def test_kernel_shapes_and_unlinked_users():
     rates = np.array([[3e7, 0.0, 1e7], [0.0, 0.0, 0.0]])
-    graph = ConnectivityGraph(rates=rates, bs_rate=np.array([2e6, 2e6]))
+    graph = graph_from_rates(rates, np.array([2e6, 2e6]))
     per_user = np.array([[0.5, 1.0, 0.75], [1.0, 1.0, 1.0]])
     collected, seconds = fetch_fastest_first(graph, per_user)
     np.testing.assert_array_equal(collected, [1.0, 0.0])
     assert seconds == pytest.approx([0.5 / 3e7 + 0.5 / 1e7, 0.0], rel=1e-15)
+    # A row per file, scored one file at a time as every user's request.
     rho = np.array([[0.2, 1.0, 0.3], [1.0, 0.0, 0.0]])
-    collected, seconds = fetch_fastest_first(graph, np.broadcast_to(rho, (2, 2, 3)))
-    assert collected.shape == seconds.shape == (2, 2)
+    per_file = [fetch_fastest_first(graph, np.broadcast_to(row, (2, 3))) for row in rho]
+    for collected, seconds in per_file:
+        assert collected.shape == seconds.shape == (2,)
+    collected = np.column_stack([c for c, _ in per_file])
     np.testing.assert_allclose(collected, [[0.5, 1.0], [0.0, 0.0]], rtol=1e-15)
 
 
@@ -223,7 +231,7 @@ def test_helper_seconds_add_left_to_right_whatever_the_padding():
     bs = np.full(n, 2e6)
     for extra in (0, 3):
         wide = np.hstack([rates, np.zeros((n, extra))])
-        graph = ConnectivityGraph(rates=wide, bs_rate=bs)
+        graph = graph_from_rates(wide, bs)
         padded = np.hstack([fractions, rng.uniform(0.0, 0.5, (n, extra))])
         _, seconds = fetch_fastest_first(graph, padded)
         assert seconds.tolist() == want

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from graph_oracles import graph_from_rates
 
 from helpercache.errors import InfeasiblePlacementError, InvalidParameterError
 from helpercache.macro_sim import MAX_HELPERS, MacroConfig, sweep_helper_count
@@ -13,7 +14,7 @@ from helpercache.popularity import PopularityModel, catalog_size, sample_request
 from helpercache.rng import stream
 from helpercache.topology import ConnectivityGraph, place_uniform
 
-GRAPH = ConnectivityGraph(rates=np.array([[2e7, 0.0], [1e7, 3e7]]), bs_rate=np.array([1e6, 1e6]))
+GRAPH = graph_from_rates(np.array([[2e7, 0.0], [1e7, 3e7]]), np.array([1e6, 1e6]))
 POP = zipf_model(0.8, 3)
 TWO = HelperSpecs.uniform(2, 1)
 THREE = HelperSpecs.uniform(3, 1)
@@ -40,19 +41,51 @@ CASES = {
         InvalidParameterError, "pmf must be non-increasing in rank",
     ),
     "graph-dimensions": (
-        lambda: ConnectivityGraph(rates=np.ones(2), bs_rate=np.ones(2)),
-        InvalidParameterError, "rates must have at least 2 dimensions",
+        lambda: ConnectivityGraph([[0]], [[0]], [[1.0]], np.ones(1), 1),
+        InvalidParameterError, "links and bs_rate must be 1-D, links alike",
+    ),
+    "graph-bs-dimensions": (
+        lambda: ConnectivityGraph([0], [0], [1.0], np.ones((1, 1)), 1),
+        InvalidParameterError, "links and bs_rate must be 1-D, links alike",
+    ),
+    "graph-link-lengths": (
+        lambda: ConnectivityGraph([0, 1], [0], [1.0], np.ones(2), 1),
+        InvalidParameterError, "links and bs_rate must be 1-D, links alike",
     ),
     "graph-bs-length": (
-        lambda: ConnectivityGraph(rates=np.ones((2, 1)), bs_rate=np.ones(3)),
-        InvalidParameterError, "bs_rate length must match the user count",
+        lambda: ConnectivityGraph([0, 2], [0, 0], [1.0, 1.0], np.ones(2), 1),
+        InvalidParameterError, "a link's user or helper is out of range",
+    ),
+    "graph-helper-range": (
+        lambda: ConnectivityGraph([0], [-1], [1.0], np.ones(1), 1),
+        InvalidParameterError, "a link's user or helper is out of range",
+    ),
+    "graph-link-repeat": (
+        lambda: ConnectivityGraph([0, 0], [1, 1], [1.0, 1.0], np.ones(1), 2),
+        InvalidParameterError, "links must be distinct, by (user, helper)",
+    ),
+    "graph-link-order": (
+        lambda: ConnectivityGraph([0, 0], [1, 0], [1.0, 1.0], np.ones(1), 2),
+        InvalidParameterError, "links must be distinct, by (user, helper)",
+    ),
+    "graph-user-order": (
+        lambda: ConnectivityGraph([1, 0], [0, 1], [1.0, 1.0], np.ones(2), 2),
+        InvalidParameterError, "links must be distinct, by (user, helper)",
     ),
     "graph-link-rates": (
-        lambda: ConnectivityGraph(rates=np.array([[-1.0]]), bs_rate=np.ones(1)),
-        InvalidParameterError, "link rates must be finite and >= 0",
+        lambda: ConnectivityGraph([0], [0], [-1.0], np.ones(1), 1),
+        InvalidParameterError, "link rates must be finite and > 0",
+    ),
+    "graph-link-rate-zero": (
+        lambda: ConnectivityGraph([0], [0], [0.0], np.ones(1), 1),
+        InvalidParameterError, "link rates must be finite and > 0",
+    ),
+    "graph-link-rate-nan": (
+        lambda: ConnectivityGraph([0], [0], [math.nan], np.ones(1), 1),
+        InvalidParameterError, "link rates must be finite and > 0",
     ),
     "graph-bs-rates": (
-        lambda: ConnectivityGraph(rates=np.ones((1, 1)), bs_rate=np.array([math.inf])),
+        lambda: ConnectivityGraph([0], [0], [1.0], np.array([math.inf]), 1),
         InvalidParameterError, "base-station rates must be finite and > 0",
     ),
     "specs-capacity": (

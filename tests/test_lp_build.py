@@ -15,6 +15,7 @@ import re
 
 import numpy as np
 import pytest
+from graph_oracles import graph_from_rates, rates_of
 from scipy.sparse import csc_array
 
 from helpercache import rng as hrng
@@ -22,7 +23,6 @@ from helpercache.placement_coded import build_lp, group_files
 from helpercache.placement_uncoded import HelperSpecs
 from helpercache.popularity import zipf_model
 from helpercache.topology import (
-    ConnectivityGraph,
     build_connectivity,
     place_helpers,
     place_uniform,
@@ -35,10 +35,11 @@ def loop_build(graph, pmf, specs, file_units):
     units = np.asarray(file_units, float)
     edges = []
     dropped = 0
+    rates = rates_of(graph)
     for u in range(graph.n_users):
         bs = graph.bs_rate[u]
-        for h in np.flatnonzero(graph.rates[u] > 0):
-            rate = graph.rates[u, h]
+        for h in np.flatnonzero(rates[u] > 0):
+            rate = rates[u, h]
             w = 1.0 / bs - 1.0 / rate
             if w < 0:
                 dropped += 1
@@ -125,7 +126,7 @@ def random_case(rng):
     )
     if n_users > 1 and rng.random() < 0.3:
         rates[int(rng.integers(n_users))] = 0.0  # a user with no link
-    graph = ConnectivityGraph(rates=rates, bs_rate=bs)
+    graph = graph_from_rates(rates, bs)
     pmf = zipf_model(float(rng.uniform(0.0, 1.8)), m).pmf
     specs = HelperSpecs(tuple(int(c) for c in rng.integers(0, m + 1, n_helpers)))
     units = rng.integers(1, 6, m) if rng.random() < 0.5 else np.ones(m)
@@ -151,7 +152,7 @@ def test_vectorized_build_matches_loop_build_on_grouped_cell(caplog, groups):
 
 
 def test_capacity_rows_are_prescaled():
-    graph = ConnectivityGraph(rates=np.array([[2e7, 0.0]]), bs_rate=np.array([1e6]))
+    graph = graph_from_rates(np.array([[2e7, 0.0]]), np.array([1e6]))
     instance = build_lp(graph, zipf_model(0.8, 3).pmf, HelperSpecs((4, 0)), [4, 2, 1])
     A = np.asarray(instance.A)
     np.testing.assert_array_equal(A[-2:, :6].max(axis=1), [1.0, 1.0])

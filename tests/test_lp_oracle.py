@@ -16,6 +16,7 @@ return different placements; only the optimum and feasibility are compared.
 
 import numpy as np
 import pytest
+from graph_oracles import graph_from_rates
 
 from helpercache import placement_coded
 from helpercache import rng as hrng
@@ -29,7 +30,6 @@ from helpercache.placement_coded import SimplexResult, build_lp, solve_lp_detail
 from helpercache.placement_uncoded import HelperSpecs
 from helpercache.popularity import zipf_model
 from helpercache.topology import (
-    ConnectivityGraph,
     build_connectivity,
     place_helpers,
     place_uniform,
@@ -207,7 +207,7 @@ def random_instance(rng, bucketed: bool):
         rng.uniform(5e5, 3e7, (n_users, n_helpers)),
         0.0,
     )
-    graph = ConnectivityGraph(rates=rates, bs_rate=rng.uniform(1e6, 4e6, n_users))
+    graph = graph_from_rates(rates, rng.uniform(1e6, 4e6, n_users))
     pop = zipf_model(float(rng.uniform(0.0, 1.8)), m)
     units = rng.integers(1, 6, m) if bucketed else np.ones(m)
     specs = HelperSpecs(tuple(int(c) for c in rng.integers(0, m + 1, n_helpers)))

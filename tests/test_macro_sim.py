@@ -5,11 +5,13 @@ import warnings
 import numpy as np
 import pytest
 from delays import delay_savings
+from graph_oracles import graph_from_rates, rates_of
 from placement_oracles import whole_files
 from snapshot import simulate_snapshot
 
 from helpercache.errors import InvalidParameterError
 from helpercache.macro_sim import (
+    WHOLE_FILE_TOL,
     MacroConfig,
     _deliver,
     experiment_popularity,
@@ -27,8 +29,8 @@ from helpercache.popularity import fit_zipf, sample_requests, zipf_model
 from helpercache.rng import stream
 from helpercache.topology import (
     MACRO_LINK,
-    ConnectivityGraph,
     build_connectivity,
+    fetch_fastest_first,
     link_rate,
     place_helpers,
     place_uniform,
@@ -103,7 +105,7 @@ class TestSnapshotBasics:
             stream(3, "reqs"),
         )
         assert out.helper_served_fraction == 0.5
-        assert out.download_time[0] == pytest.approx(B / graph.rates[0, 0])
+        assert out.download_time[0] == pytest.approx(B / rates_of(graph)[0, 0])
         # the far user is alone on the base station
         assert out.download_time[1] == pytest.approx(B / graph.bs_rate[1])
         assert out.satisfied_count == 2
@@ -113,7 +115,8 @@ class TestSnapshotBasics:
         users = [[0.0, 0.0]]
         helpers = [[200.0, 0.0], [10.0, 0.0]]
         graph = build_graph(helpers, users, helper_radius=300.0)
-        assert graph.rates[0, 0] < graph.rates[0, 1]
+        rates = rates_of(graph)
+        assert rates[0, 0] < rates[0, 1]
         placement = whole_files((frozenset({1}), frozenset({1})), (1, 1), 1)
         out = simulate_snapshot(
             graph,
@@ -123,7 +126,7 @@ class TestSnapshotBasics:
             QOS,
             stream(3, "reqs"),
         )
-        assert out.download_time[0] == pytest.approx(B / graph.rates[0, 1])
+        assert out.download_time[0] == pytest.approx(B / rates[0, 1])
 
     def test_uncached_request_falls_back_to_bs(self):
         # helper in range but holding the wrong file
@@ -181,7 +184,8 @@ class TestSnapshotCoded:
         graph = build_graph(
             [[10.0, 0.0], [200.0, 0.0]], [[0.0, 0.0]], helper_radius=300.0
         )
-        assert graph.rates[0, 0] > graph.rates[0, 1] > 0
+        rates = rates_of(graph)
+        assert rates[0, 0] > rates[0, 1] > 0
         return graph
 
     def test_fractions_summing_to_one_serve_fastest_first(self):
@@ -196,7 +200,8 @@ class TestSnapshotCoded:
             stream(5, "reqs"),
         )
         assert out.helper_served_fraction == 1.0
-        expected = B * (0.4 / graph.rates[0, 0] + 0.6 / graph.rates[0, 1])
+        rates = rates_of(graph)
+        expected = B * (0.4 / rates[0, 0] + 0.6 / rates[0, 1])
         assert out.download_time[0] == pytest.approx(expected)
 
     def test_surplus_fractions_drawn_from_fastest_helpers(self):
@@ -211,7 +216,8 @@ class TestSnapshotCoded:
             stream(5, "reqs"),
         )
         # 0.8 from the fast helper, only the missing 0.2 from the slow one
-        expected = B * (0.8 / graph.rates[0, 0] + 0.2 / graph.rates[0, 1])
+        rates = rates_of(graph)
+        expected = B * (0.8 / rates[0, 0] + 0.2 / rates[0, 1])
         assert out.download_time[0] == pytest.approx(expected)
 
     def test_incomplete_fractions_fall_back_to_bs_for_whole_file(self):
@@ -305,7 +311,7 @@ class TestMacroConfig:
         np.testing.assert_array_equal(helpers, place_helpers(16, 400.0))
         diff = users[:, None, :] - helpers[None, :, :]
         dists = np.hypot(diff[..., 0], diff[..., 1])
-        linked = graph.rates > 0
+        linked = rates_of(graph) > 0
         np.testing.assert_array_equal(linked, dists <= config.helper_radius_m)
         assert linked.any()
         np.testing.assert_array_equal(
@@ -476,9 +482,24 @@ def test_base_station_time_whose_product_overflows_stays_finite():
     rates[1, :2, 0] = 1e6
     bs_rate = np.array([[2.0, 4.0, 8.0], [2.0, 4.0, 8.0]])
     wanted = (rates > 0).astype(float)
+    # The two draws are one flat graph of six users, each draw its own cell.
+    graph = graph_from_rates(rates.reshape(6, 1), bs_rate.ravel())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        times, served = _deliver(ConnectivityGraph(rates, bs_rate), wanted, bits)
+        times = _deliver(graph, wanted, bits)
+    collected, _ = fetch_fastest_first(graph, wanted.reshape(6, 1))
+    served = (collected >= 1.0 - WHOLE_FILE_TOL).reshape(2, 3)
     assert served.tolist() == [[False, False, False], [True, True, False]]
     assert times[0].tolist() == [bits * (3 / rate) for rate in (2.0, 4.0, 8.0)]
     assert times[1].tolist() == [bits * (1.0 / 1e6)] * 2 + [bits * (1 / 8.0)]
+
+
+def test_the_graph_grows_with_its_links_not_its_pairs():
+    # The planning graph of `place --helpers 10000 --n 1000`: 10^7 pairs, of
+    # which about 1.19e6 are links.  A dense rate matrix over the pairs would
+    # take about 67 bytes per link.
+    config = MacroConfig(n_users=1000, catalog_size=100, gamma=0.8)
+    _, graph = plan_deployment(10000, config, 0)
+    held = sum(a.nbytes for a in (graph.user, graph.helper, graph.rate, graph.bs_rate))
+    assert graph.rate.size > 10**6
+    assert held <= 24 * graph.rate.size + 8 * graph.n_users

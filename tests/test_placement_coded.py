@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from delays import baseline_delay, delay_savings, evaluate_coded_delay, evaluate_delay
+from graph_oracles import graph_from_rates, rates_of
 
 from helpercache import rng as hrng
 from helpercache.errors import (
@@ -20,7 +21,6 @@ from helpercache.placement_coded import (
 )
 from helpercache.placement_uncoded import HelperSpecs, Placement, greedy_place
 from helpercache.popularity import zipf_model
-from helpercache.topology import ConnectivityGraph
 
 FILE_BITS = 2.4e8
 
@@ -44,7 +44,7 @@ def file_lp(graph, pop, specs):
 
 @pytest.fixture
 def fixture():
-    graph = ConnectivityGraph(rates=FIXTURE_RATES, bs_rate=FIXTURE_BS)
+    graph = graph_from_rates(FIXTURE_RATES, FIXTURE_BS)
     return graph, zipf_model(1.0, 4), HelperSpecs.uniform(2, 2)
 
 
@@ -87,9 +87,7 @@ def test_lp_beats_greedy_on_random_instances():
             rng.uniform(3e6, 3e7, (n_users, n_helpers)),
             0.0,
         )
-        graph = ConnectivityGraph(
-            rates=rates, bs_rate=rng.uniform(5e5, 2e6, n_users)
-        )
+        graph = graph_from_rates(rates, rng.uniform(5e5, 2e6, n_users))
         pop = zipf_model(float(rng.uniform(0.0, 1.8)), m)
         specs = HelperSpecs.uniform(n_helpers, int(rng.integers(1, 3)))
         greedy_savings = delay_savings(
@@ -104,7 +102,7 @@ def test_single_user_solution_is_integral():
     rng = hrng.stream(89, "integral")
     for _ in range(20):
         rates = rng.uniform(4e6, 3e7, (1, 2))
-        graph = ConnectivityGraph(rates=rates, bs_rate=np.array([1e6]))
+        graph = graph_from_rates(rates, np.array([1e6]))
         pop = zipf_model(float(rng.uniform(0.2, 1.5)), 4)
         specs = HelperSpecs((2, 1))
         placement, _ = solve_lp_detailed(file_lp(graph, pop, specs))
@@ -113,14 +111,14 @@ def test_single_user_solution_is_integral():
 
 
 def test_single_helper_caches_top_ranks():
-    graph = ConnectivityGraph(rates=np.array([[2e7]]), bs_rate=np.array([1e6]))
+    graph = graph_from_rates(np.array([[2e7]]), np.array([1e6]))
     pop = zipf_model(0.9, 4)
     placement, _ = solve_lp_detailed(file_lp(graph, pop, HelperSpecs((2,))))
     np.testing.assert_allclose(placement.rho[:, 0], [1.0, 1.0, 0.0, 0.0], atol=1e-9)
 
 
 def test_no_helpers_reduces_to_baseline():
-    graph = ConnectivityGraph(rates=np.zeros((3, 0)), bs_rate=np.array([1e6, 2e6, 5e5]))
+    graph = graph_from_rates(np.zeros((3, 0)), np.array([1e6, 2e6, 5e5]))
     pop = zipf_model(0.8, 4)
     instance = file_lp(graph, pop, HelperSpecs(()))
     assert instance.A.shape == (0, 0)
@@ -132,14 +130,14 @@ def test_no_helpers_reduces_to_baseline():
 
 
 def test_no_users_is_degenerate():
-    graph = ConnectivityGraph(rates=np.zeros((0, 2)), bs_rate=np.zeros(0))
+    graph = graph_from_rates(np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(DegenerateInstanceError):
         file_lp(graph, zipf_model(1.0, 3), HelperSpecs.uniform(2, 1))
 
 
 def test_slow_edges_dropped_with_warning(caplog):
     rates = np.array([[5e5, 2e7]])  # first helper is slower than the BS
-    graph = ConnectivityGraph(rates=rates, bs_rate=np.array([1e6]))
+    graph = graph_from_rates(rates, np.array([1e6]))
     pop = zipf_model(1.0, 2)
     with caplog.at_level(logging.WARNING, logger="helpercache.placement_coded"):
         instance = file_lp(graph, pop, HelperSpecs.uniform(2, 1))
@@ -150,7 +148,8 @@ def test_slow_edges_dropped_with_warning(caplog):
 def link_costs(graph, pop, n_rho, links):
     """The LP objective: 0 for the rho columns, then each link's savings
     weight times the pmf."""
-    weights = [1.0 / graph.bs_rate[u] - 1.0 / graph.rates[u, h] for u, h in links]
+    rates = rates_of(graph)
+    weights = [1.0 / graph.bs_rate[u] - 1.0 / rates[u, h] for u, h in links]
     return np.concatenate([np.zeros(n_rho), *(w * pop.pmf for w in weights)])
 
 
@@ -160,7 +159,7 @@ def test_evaluate_zero_and_full_fractions(fixture):
     assert evaluate_coded_delay(zero, graph, pop, FILE_BITS) == pytest.approx(
         baseline_delay(graph, FILE_BITS), rel=1e-12
     )
-    single = ConnectivityGraph(rates=np.array([[6e6]]), bs_rate=np.array([1e6]))
+    single = graph_from_rates(np.array([[6e6]]), np.array([1e6]))
     full = Placement(rho=np.ones((4, 1)), capacities=(4,))
     assert evaluate_coded_delay(full, single, pop, FILE_BITS) == pytest.approx(
         FILE_BITS / 6e6, rel=1e-12
@@ -169,7 +168,7 @@ def test_evaluate_zero_and_full_fractions(fixture):
 
 def test_partial_fractions_split_between_helpers():
     # 0.5 from a fast helper, 0.3 from a slow one, 0.2 from the BS
-    graph = ConnectivityGraph(rates=np.array([[2e7, 5e6]]), bs_rate=np.array([1e6]))
+    graph = graph_from_rates(np.array([[2e7, 5e6]]), np.array([1e6]))
     pop = zipf_model(0.0, 1)
     placement = Placement(rho=np.array([[0.5, 0.3]]), capacities=(1, 1))
     expected = FILE_BITS * (0.5 / 2e7 + 0.3 / 5e6 + 0.2 / 1e6)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from delays import baseline_delay, delay_savings, evaluate_delay
 from greedy_oracles import greedy_steps
+from graph_oracles import graph_from_rates
 from placement_oracles import whole_files
 
 from helpercache import rng as hrng
@@ -21,7 +22,6 @@ from helpercache.placement_uncoded import (
     most_popular_place,
 )
 from helpercache.popularity import zipf_model
-from helpercache.topology import ConnectivityGraph
 
 # Two-helper conflict fixture: four users, the third covered by both helpers
 # and stuck with a weak BS link, which is exactly the situation where splitting
@@ -46,7 +46,7 @@ FIXTURE_OPTIMAL_CACHES = ({1, 2}, {3, 4})
 
 @pytest.fixture
 def fixture_instance():
-    graph = ConnectivityGraph(rates=FIXTURE_RATES, bs_rate=FIXTURE_BS)
+    graph = graph_from_rates(FIXTURE_RATES, FIXTURE_BS)
     return graph, zipf_model(1.0, 4), HelperSpecs.uniform(2, 2)
 
 
@@ -179,7 +179,7 @@ def test_greedy_tie_breaks_toward_low_rank_and_helper():
     # one user covered by two identical helpers: the first pick must be
     # (file 1, helper 0), and the duplicate of file 1 on helper 1 is worthless
     rates = np.array([[5e6, 5e6]])
-    graph = ConnectivityGraph(rates=rates, bs_rate=np.array([1e6]))
+    graph = graph_from_rates(rates, np.array([1e6]))
     pop = zipf_model(1.0, 2)
     steps = greedy_steps(graph, pop, HelperSpecs.uniform(2, 1), 2.4e8)
     assert [(h, f) for h, f, _ in steps] == [(0, 1), (1, 2)]
@@ -195,7 +195,7 @@ def random_instance(rng, n_helpers_max=3, m_max=6, cap_max=2):
         0.0,
     )
     bs = rng.uniform(5e5, 1.9e6, n_users)
-    graph = ConnectivityGraph(rates=rates, bs_rate=bs)
+    graph = graph_from_rates(rates, bs)
     pop = zipf_model(float(rng.uniform(0.0, 2.0)), m)
     caps = tuple(int(rng.integers(0, cap_max + 1)) for _ in range(n_helpers))
     return graph, pop, HelperSpecs(caps)
@@ -279,7 +279,7 @@ def test_single_coverage_greedy_equals_most_popular():
         owner = rng.integers(0, n_helpers, n_users)
         rates = np.zeros((n_users, n_helpers))
         rates[np.arange(n_users), owner] = rng.uniform(4e6, 3e7, n_users)
-        graph = ConnectivityGraph(rates=rates, bs_rate=rng.uniform(5e5, 2e6, n_users))
+        graph = graph_from_rates(rates, rng.uniform(5e5, 2e6, n_users))
         pop = zipf_model(float(rng.uniform(0.2, 1.5)), m)
         specs = HelperSpecs.uniform(n_helpers, int(rng.integers(1, 3)))
         d_greedy = evaluate_delay(
@@ -293,7 +293,7 @@ def test_single_coverage_greedy_equals_most_popular():
 
 def test_single_helper_brute_is_most_popular():
     rates = np.array([[8e6], [7e6], [9e6]])
-    graph = ConnectivityGraph(rates=rates, bs_rate=np.array([1e6, 1.2e6, 9e5]))
+    graph = graph_from_rates(rates, np.array([1e6, 1.2e6, 9e5]))
     pop = zipf_model(0.9, 5)
     specs = HelperSpecs.uniform(1, 2)
     brute = brute_force_place(graph, pop, specs, FILE_BITS)
@@ -301,7 +301,7 @@ def test_single_helper_brute_is_most_popular():
 
 
 def test_brute_force_guard_message():
-    graph = ConnectivityGraph(rates=np.ones((1, 2)) * 5e6, bs_rate=np.array([1e6]))
+    graph = graph_from_rates(np.ones((1, 2)) * 5e6, np.array([1e6]))
     pop = zipf_model(0.8, 30)
     with pytest.raises(InstanceTooLargeError) as err:
         brute_force_place(graph, pop, HelperSpecs.uniform(2, 15), FILE_BITS)
@@ -309,7 +309,7 @@ def test_brute_force_guard_message():
 
 
 def test_brute_force_zero_users_returns_empty():
-    graph = ConnectivityGraph(rates=np.zeros((0, 2)), bs_rate=np.zeros(0))
+    graph = graph_from_rates(np.zeros((0, 2)), np.zeros(0))
     pop = zipf_model(1.0, 3)
     placement = brute_force_place(graph, pop, HelperSpecs.uniform(2, 1), FILE_BITS)
     assert placement.caches == (frozenset(), frozenset())

@@ -84,9 +84,11 @@ def helper_points(counts, capacity):
     return [(c, c, capacity) for c in counts]
 
 
-def degrees(graph):
-    """The most helpers any one user links to, per stacked draw."""
-    return (graph.rates > 0).sum(axis=-1).max(axis=-1)
+def degrees(graph, draws=1):
+    """The most helpers any one user links to, per draw of users, the draws'
+    users listed one draw after another."""
+    links = np.bincount(graph.user, minlength=graph.n_users)
+    return links.reshape(draws, -1).max(axis=1)
 
 
 @pytest.mark.parametrize("mode", ["grid", "uniform"])
@@ -111,7 +113,7 @@ def test_brute_force_matches_the_loop():
 def test_users_without_links_match_the_loop():
     config = replace(SMALL, helper_radius_m=40.0)
     _, plan = plan_deployment(8, config, 3)
-    assert not (plan.rates > 0).any(axis=1).all()
+    assert np.unique(plan.user).size < plan.n_users
     assert_same(helper_points([8, 16], 6), config, "greedy", 10, 3)
 
 
@@ -121,7 +123,7 @@ def test_coded_degree_of_eight_or_more_matches_the_loop():
     )
     helpers, _ = plan_deployment(32, config, 0)
     users = place_uniform(config.n_users, 400.0, stream(0, "eval-users", 0))
-    assert degrees(build_connectivity(helpers, users, config.helper_radius_m)) >= 8
+    assert degrees(build_connectivity(helpers, users, config.helper_radius_m))[0] >= 8
     assert_same(helper_points([32, 16], 50), config, "coded", 6, 0)
 
 
@@ -145,7 +147,8 @@ def test_draws_and_graphs_are_built_once_per_sweep(monkeypatch):
     reps = 5
     _satisfied_counts(helper_points([3, 0, 8, 3], 6), SMALL, "most-popular", reps, 1)
     # One request draw per replicate (the pinned gamma fits no trace); one
-    # planning graph and one stacked graph per distinct helper count.
+    # planning graph and one graph of the chunk's users per distinct helper
+    # count.
     assert calls == {"sample_requests": reps, "build_connectivity": 2 * 3}
 
 
@@ -156,7 +159,7 @@ def dense_fractions(m, n_helpers):
 
 
 def test_fractional_sums_match_the_loop_across_degrees(monkeypatch):
-    # Replicates with degree below and above 8 share one stacked graph here.
+    # Replicates with degree below and above 8 share one chunk's graph here.
     def place(policy, graph, pop, specs, config):
         rho = dense_fractions(pop.m, graph.n_helpers)
         capacities = tuple(int(c) + 1 for c in rho.sum(axis=0))
@@ -168,25 +171,25 @@ def test_fractional_sums_match_the_loop_across_degrees(monkeypatch):
 
 
 def test_stacked_scores_equal_each_replicate_alone():
-    # Replicates of degree 7 to 9 share one stack, padded to degree 9; a
-    # replicate's download times must not depend on that padding.
+    # Replicates of degree 7 to 9 share one flat graph of all their users,
+    # padded to degree 9; a replicate's download times and base-station share
+    # must not depend on the users or the padding of the others.
     config = replace(SMALL, n_users=24, helper_radius_m=200.0)
     pop = experiment_popularity(config, 4)
     helpers, _ = plan_deployment(32, config, 4)
     reps = 30
-    users = np.stack(
-        [place_uniform(24, 400.0, stream(4, "eval-users", k)) for k in range(reps)]
-    )
+    draws = [place_uniform(24, 400.0, stream(4, "eval-users", k)) for k in range(reps)]
     requests = np.stack(
         [sample_requests(pop, stream(4, "requests", k), 24) for k in range(reps)]
     )
     rho = dense_fractions(pop.m, 32)
-    stacked = build_connectivity(helpers, users, config.helper_radius_m)
-    assert degrees(stacked).min() < 8 <= degrees(stacked).max()
+    chunk = build_connectivity(helpers, np.concatenate(draws), config.helper_radius_m)
+    assert degrees(chunk, reps).min() < 8 <= degrees(chunk, reps).max()
 
     alone = np.empty((reps, 24))
     for k in range(reps):
-        graph = build_connectivity(helpers, users[k], config.helper_radius_m)
-        alone[k] = _deliver(graph, rho[requests[k] - 1], 1.0)[0]
-    together, _ = _deliver(stacked, rho[requests - 1], 1.0)
+        graph = build_connectivity(helpers, draws[k], config.helper_radius_m)
+        alone[k] = _deliver(graph, rho[requests[k] - 1], 1.0)
+    together = _deliver(chunk, rho[requests - 1], 1.0)
+    assert together.shape == (reps, 24)
     assert (together == alone).all()

@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from graph_oracles import graph_from_rates, rates_of
 
 from helpercache import rng as hrng
 from helpercache.errors import InvalidParameterError
 from helpercache.topology import (
     HELPER_LINK,
     MACRO_LINK,
-    ConnectivityGraph,
     build_connectivity,
     link_rate,
     place_helpers,
@@ -147,17 +147,18 @@ def test_connectivity_colocated_and_boundary():
     helpers = [[0.0, 0.0], [200.0, 0.0]]
     users = [[0.0, 0.0], [60.0, 0.0], [260.0000001, 0.0]]
     graph = connect(helpers, users)
-    assert graph.rates[0, 0] == RATE_CAP
+    rates = rates_of(graph)
+    assert rates[0, 0] == RATE_CAP
     # exactly at the 60 m radius: edge kept
-    assert graph.rates[1, 0] > 0
+    assert rates[1, 0] > 0
     # sixty metres plus epsilon from the second helper: no edge
-    assert graph.rates[2, 1] == 0.0
+    assert rates[2, 1] == 0.0
     assert np.all(graph.bs_rate > 0)
-    # No users, no helpers, or neither: empty float arrays of the right shape.
+    # No users, no helpers, or neither: no links, and the right counts.
     for h, u in (([], []), (helpers, []), ([], users)):
         empty = connect(h, u)
-        assert empty.rates.shape == (len(u), len(h))
-        assert empty.rates.dtype == float and not empty.rates.any()
+        assert (empty.n_users, empty.n_helpers) == (len(u), len(h))
+        assert empty.rate.dtype == float and empty.rate.size == 0
         np.testing.assert_array_equal(empty.bs_rate, graph.bs_rate[: len(u)])
 
 
@@ -167,22 +168,24 @@ def test_connectivity_conflict_fixture_adjacency():
         [[-50.0, 0.0], [50.0, 0.0]],
         [[-80.0, 0.0], [-45.0, 20.0], [0.0, 0.0], [80.0, 0.0]],
     )
-    adjacency = [set(np.flatnonzero(graph.rates[u] > 0).tolist()) for u in range(4)]
+    rates = rates_of(graph)
+    adjacency = [set(np.flatnonzero(rates[u] > 0).tolist()) for u in range(4)]
     assert adjacency == [{0}, {0}, {0, 1}, {1}]
-    assert set(graph.users_of(0).tolist()) == {0, 1, 2}
-    assert set(graph.users_of(1).tolist()) == {2, 3}
+    assert graph.user[graph.helper == 0].tolist() == [0, 1, 2]
+    assert graph.user[graph.helper == 1].tolist() == [2, 3]
 
 
 def test_boundary_perturbation_toggles_only_own_edges():
     helpers = [[0.0, 0.0]]
     g_in = connect(helpers, [[59.9, 0.0], [10.0, 10.0]])
     g_out = connect(helpers, [[60.1, 0.0], [10.0, 10.0]])
-    assert g_in.rates[0, 0] > 0 and g_out.rates[0, 0] == 0
-    assert g_in.rates[1, 0] == g_out.rates[1, 0]
+    r_in, r_out = rates_of(g_in), rates_of(g_out)
+    assert r_in[0, 0] > 0 and r_out[0, 0] == 0
+    assert r_in[1, 0] == r_out[1, 0]
 
 
 def test_graph_accessors_validate():
-    graph = ConnectivityGraph(rates=np.zeros((2, 1)), bs_rate=np.array([1e6, 2e6]))
+    graph = graph_from_rates(np.zeros((2, 1)), np.array([1e6, 2e6]))
     assert graph.n_users == 2 and graph.n_helpers == 1
     with pytest.raises(InvalidParameterError):
-        ConnectivityGraph(rates=np.zeros((2, 1)), bs_rate=np.array([1e6, 0.0]))
+        graph_from_rates(np.zeros((2, 1)), np.array([1e6, 0.0]))
