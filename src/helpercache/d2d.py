@@ -18,6 +18,7 @@ against this module's own Monte Carlo, not against published values.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import math
@@ -133,6 +134,69 @@ class ClusterStats:
     K: int
 
 
+class _Scratch:
+    """The temporaries of one Monte Carlo call, taken as a stack of arrays
+    that the call's blocks reuse when `keep`, and allocated anew otherwise.
+
+    Leaving a `frame` releases the arrays taken inside it.  Every block
+    takes its arrays in the same order and none larger than the first block
+    does, so a kept array is allocated once, at the first and largest use
+    of its depth in the stack, and is sliced after that: the blocks touch no
+    fresh memory, and the loop's speed does not depend on when the allocator
+    returns freed memory to the system or maps it anew.  The arrays of one
+    depth share memory, kept as bytes, so the fill's temporaries and the
+    scorers' take the same memory in turn.  Only blocks of many small
+    replications keep arrays: a block of one large replication allocates
+    each when it needs it, so that its peak stays the block's own.
+    """
+
+    def __init__(self, keep: bool = False):
+        self._kept: list[np.ndarray] | None = [] if keep else None
+        self._depth = 0
+        self._index = np.arange(0)
+
+    def __call__(self, count: int, dtype) -> np.ndarray:
+        """`count` entries of `dtype`, until the frame they were taken in ends."""
+        if self._kept is None:
+            return np.empty(count, dtype=dtype)
+        size = count * np.dtype(dtype).itemsize
+        depth, kept = self._depth, self._kept
+        if depth == len(kept):
+            kept.append(np.empty(size, dtype=np.uint8))
+        elif kept[depth].size < size:
+            kept[depth] = np.empty(size, dtype=np.uint8)  # the old one is released
+        self._depth += 1
+        return kept[depth][:size].view(dtype)
+
+    @contextlib.contextmanager
+    def frame(self):
+        """Release, on leaving, the arrays taken inside."""
+        depth = self._depth
+        try:
+            yield
+        finally:
+            self._depth = depth
+
+    def index(self, size: int) -> np.ndarray:
+        """0, 1, ..., size - 1 (intp), kept for the whole call when arrays are."""
+        if self._kept is None:
+            return np.arange(size)
+        if self._index.size < size:
+            self._index = np.arange(size)
+        return self._index[:size]
+
+    def work(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks' scratch of `sample_requests` for draws of up to `size`
+        ranks, in blocks of at most _BLOCK_USERS."""
+        block = max(1, min(size, _BLOCK_USERS))
+        return self(block, float), self(block, np.intp)
+
+
+# Allocates every array it is asked for: the scratch of a kernel called on
+# its own, outside a Monte Carlo call.
+_ALLOCATE = _Scratch()
+
+
 def grid_side(r: float, exact: bool) -> tuple[int, bool]:
     """Clusters per cell edge.  1/r must be an integer when `exact`.
 
@@ -190,7 +254,11 @@ def _cache_model(scenario: D2DScenario, reps: int) -> PopularityModel:
 
 
 def _random_caches(
-    count: int, M: int, model: PopularityModel, rng: np.random.Generator
+    count: int,
+    M: int,
+    model: PopularityModel,
+    rng: np.random.Generator,
+    scratch: _Scratch = _ALLOCATE,
 ) -> np.ndarray:
     """(count, M) matrix of distinct ranks per row, drawn from `model` with
     duplicate rejection.  Rows fill in lockstep rounds, one candidate per
@@ -210,7 +278,8 @@ def _random_caches(
     candidate overwrites it; slots past it still hold 0, which is no rank.
     A full catalog (M == m) is copied, not drawn.  Ranks are held in the
     narrowest unsigned dtype that holds m.  The caller bounds the expected
-    draws (`_cache_model`).
+    draws (`_cache_model`).  The rows are taken from `scratch`, in the
+    caller's frame.
     """
     m = model.m
     if M > m:
@@ -220,34 +289,86 @@ def _random_caches(
         return np.zeros((count, M), dtype=dtype)
     if M == m:
         return np.tile(np.arange(1, m + 1, dtype=dtype), (count, 1))
-    held = np.zeros((M, count), dtype=dtype)
-    flat = held.reshape(-1)
-    held[0] = sample_requests(model, rng, count)  # round 1 draws no duplicate
+    flat = scratch(M * count, dtype)
+    held = flat.reshape(M, count)
+    with scratch.frame():  # round 1 draws no duplicate
+        sample_requests(model, rng, count, held[0], scratch.work(count))
     if M == 1:
         return held.T
+    held[1:] = 0
     # Flat index of each row's next free slot: column j of row i is at
     # j * count + i, so a row is complete once its index reaches M * count.
-    slot = np.arange(count, 2 * count)
-    for t in range(1, M):
-        draws = sample_requests(model, rng, count)
-        fresh = held[0] != draws
-        for column in held[1:t]:
-            fresh &= column != draws
-        flat[slot] = draws
-        slot += fresh * count
-    rows = np.flatnonzero(slot < M * count)
-    slot = slot.take(rows)  # kept aligned with the incomplete rows
-    while rows.size:
-        draws = sample_requests(model, rng, rows.size)
-        fresh = held[0].take(rows) != draws
-        for column in held[1:]:
-            fresh &= column.take(rows) != draws
-        flat[slot] = draws
-        slot += fresh * count
-        open_rows = np.flatnonzero(slot < M * count)
-        rows = rows.take(open_rows)  # the old rows go before the slots are taken
-        slot = slot.take(open_rows)
+    with scratch.frame():
+        slot = np.add(scratch.index(count), count, out=scratch(count, np.intp))
+        _lockstep_rounds(held, slot, model, rng, scratch)
+        _later_rounds(held, slot, model, rng, scratch)
     return held.T
+
+
+def _lockstep_rounds(
+    held: np.ndarray,
+    slot: np.ndarray,
+    model: PopularityModel,
+    rng: np.random.Generator,
+    scratch: _Scratch,
+) -> None:
+    """Rounds 2..M of `_random_caches`, which draw for every row: each
+    writes its candidates into their rows' next free slots (`slot`) and
+    advances a slot where the candidate was fresh."""
+    M, count = held.shape
+    flat = held.reshape(-1)
+    with scratch.frame():  # the large arrays first, where the scorers' are
+        work = scratch.work(count)
+        advance = scratch(count, np.intp)
+        draws = scratch(count, held.dtype)
+        fresh = scratch(count, bool)
+        differs = scratch(count, bool)
+        for t in range(1, M):
+            sample_requests(model, rng, count, draws, work)
+            np.not_equal(held[0], draws, out=fresh)
+            for column in held[1:t]:
+                fresh &= np.not_equal(column, draws, out=differs)
+            flat[slot] = draws
+            slot += np.multiply(fresh, count, out=advance)
+
+
+def _later_rounds(
+    held: np.ndarray,
+    slot: np.ndarray,
+    model: PopularityModel,
+    rng: np.random.Generator,
+    scratch: _Scratch,
+) -> None:
+    """The rounds of `_random_caches` after round M, which draw for the
+    incomplete rows only: `rows` and their slots are kept in row order, in
+    place, as they shrink."""
+    M, count = held.shape
+    flat = held.reshape(-1)
+    rows = np.flatnonzero(slot < M * count)
+    k = rows.size
+    with scratch.frame():
+        slot[:k] = slot.take(rows, out=scratch(k, np.intp), mode="clip")
+    slot = slot[:k]
+    work = scratch.work(k)
+    while k:
+        with scratch.frame():  # the round's arrays, in the order of the first rounds'
+            advance = scratch(k, np.intp)
+            draws = sample_requests(model, rng, k, scratch(k, held.dtype), work)
+            taken, fresh = scratch(k, held.dtype), scratch(k, bool)
+            np.not_equal(held[0].take(rows, out=taken, mode="clip"), draws, out=fresh)
+            differs = scratch(k, bool)
+            for column in held[1:]:
+                column.take(rows, out=taken, mode="clip")
+                fresh &= np.not_equal(taken, draws, out=differs)
+            flat[slot] = draws
+            slot += np.multiply(fresh, count, out=advance)
+            del draws, fresh, taken  # before the next round's
+            open_rows = np.flatnonzero(np.less(slot, M * count, out=differs))
+            k = open_rows.size
+            for kept in (rows, slot):
+                kept[:k] = kept.take(open_rows, out=advance[:k], mode="clip")
+            del advance, differs, open_rows
+        rows, slot = rows[:k], slot[:k]
 
 
 @functools.cache
@@ -391,29 +512,42 @@ def expected_active_analytic(scenario: D2DScenario) -> ClusterStats:
 
 
 def _draw_block(
-    pop: PopularityModel, rng: np.random.Generator, users: int
+    pop: PopularityModel,
+    rng: np.random.Generator,
+    users: int,
+    scratch: _Scratch = _ALLOCATE,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The x and y positions of `users` users, as one (2, users) draw from
     `rng`, then one request per user, in the narrowest unsigned dtype that
     holds m.  None of the draws depends on r, gamma1 or the caches.
     """
-    x, y = rng.random((2, users))
-    return x, y, sample_requests(pop, rng, users)
+    xy = scratch(2 * users, float).reshape(2, users)
+    rng.random(out=xy)
+    requests = scratch(users, np.min_scalar_type(pop.m))
+    with scratch.frame():
+        sample_requests(pop, rng, users, requests, scratch.work(users))
+    return xy[0], xy[1], requests
 
 
-def _cells(x: np.ndarray, y: np.ndarray, side: int) -> tuple[np.ndarray, int]:
+def _cells(
+    x: np.ndarray, y: np.ndarray, side: int, scratch: _Scratch = _ALLOCATE
+) -> tuple[np.ndarray, int]:
     """Each user's cell on a side x side grid, and the number of cell labels.
 
     The label cx * side + cy is built in the narrowest unsigned dtype that
-    holds K - 1.  A grid of more than 2^64 cells fits no dtype; its occupied
-    cells are labelled 0, 1, ... instead, which groups users the same way.
+    holds K - 1, taken from `scratch`.  A grid of more than 2^64 cells fits
+    no dtype; its occupied cells are labelled 0, 1, ... instead, which
+    groups users the same way.
     """
     K = side * side
     if K <= 1 << 64:
         dtype = np.min_scalar_type(K - 1)
-        cell = np.minimum((x * side).astype(dtype), side - 1)
+        cell, cy = scratch(x.size, dtype), np.empty(y.size, dtype=dtype)
+        for axis, label in ((x, cell), (y, cy)):
+            np.multiply(axis, side, out=label, casting="unsafe")  # truncated
+            np.minimum(label, side - 1, out=label)
         cell *= side
-        cell += np.minimum((y * side).astype(dtype), side - 1)
+        cell += cy
         return cell, K
     xy = np.minimum(np.floor(np.column_stack((x, y)) * side), side - 1)
     labels, cell = np.unique(xy, axis=0, return_inverse=True)
@@ -467,6 +601,7 @@ def _score_random(
     reps: int,
     cell: np.ndarray,
     K: int,
+    scratch: _Scratch = _ALLOCATE,
 ) -> np.ndarray:
     """Active clusters per replication for random caches over m files, from
     each user's request, cache row, whether it holds its own request (`own`),
@@ -497,49 +632,59 @@ def _score_random(
     Where even int64 would overflow, the occupied (rep, cell) pairs are
     numbered 0, 1, ... and serve as the group ids.
     """
-    stride = m + 1
-    total, M = caches.shape
-    if 4 * reps * K * stride < 1 << 63:
-        groups, rep_of_group = reps * K, None
-    else:
-        pairs, gid = np.unique(
-            np.column_stack((rep, cell)), axis=0, return_inverse=True
-        )
-        groups, rep_of_group = len(pairs), pairs[:, 0].astype(np.intp)
-    dtype = np.int32 if 4 * groups * stride < 1 << 31 else np.int64
-    keys = np.empty(total * (M + 1), dtype=dtype)
-    asked = keys[total * M :]  # the request keys, built from the group ids
-    if rep_of_group is None:
-        np.multiply(rep, K, out=asked, dtype=dtype)
-        np.add(asked, cell, out=asked, dtype=dtype)  # cell < K fits dtype
-    else:
-        asked[:] = gid.ravel()
-        del pairs, gid  # freed before the keys' peak
-    asked *= stride
-    cached = keys[: total * M].reshape(M, total)
-    np.add(asked, caches.T, out=cached)
-    cached <<= 2
-    asked += requests
-    asked <<= 2
-    asked |= 2
-    asked |= own
-    # The keys are built in whole columns and then copied into one row per
-    # replication, which costs less than building them in strided views.
-    keys = keys.reshape(M + 1, reps, -1).swapaxes(0, 1).reshape(reps, -1)
-    keys.sort()
-    keys = keys.reshape(-1)
-    # The requests' sorted positions; the tag is read from each key's low
-    # byte, so the temporaries take a byte per key.
-    at = np.flatnonzero(np.bitwise_and(keys, 2, dtype=np.uint8, casting="unsafe") != 0)
-    key = keys[at]
-    at -= 1
-    at -= key & 1
-    key >>= 2
-    held = np.compress(keys[at] == key << 2, key)
-    held //= stride  # group ids of the active users, sorted
-    held = np.compress(np.diff(held, prepend=-1) != 0, held)
-    active_rep = held // K if rep_of_group is None else rep_of_group[held]
-    return np.bincount(active_rep, minlength=reps).astype(float)
+    with scratch.frame():  # releases the arrays taken here
+        stride = m + 1
+        total, M = caches.shape
+        if 4 * reps * K * stride < 1 << 63:
+            groups, rep_of_group = reps * K, None
+        else:
+            pairs, gid = np.unique(
+                np.column_stack((rep, cell)), axis=0, return_inverse=True
+            )
+            groups, rep_of_group = len(pairs), pairs[:, 0].astype(np.intp)
+        dtype = np.int32 if 4 * groups * stride < 1 << 31 else np.int64
+        keys = scratch(total * (M + 1), dtype)
+        asked = keys[total * M :]  # the request keys, built from the group ids
+        if rep_of_group is None:
+            np.multiply(rep, K, out=asked, dtype=dtype)
+            np.add(asked, cell, out=asked, dtype=dtype)  # cell < K fits dtype
+        else:
+            asked[:] = gid.ravel()
+            del pairs, gid  # freed before the keys' peak
+        asked *= stride
+        cached = keys[: total * M].reshape(M, total)
+        np.add(asked, caches.T, out=cached)
+        cached <<= 2
+        asked += requests
+        asked <<= 2
+        asked |= 2
+        asked |= own
+        # The keys are built in whole columns and then copied into one row per
+        # replication, which costs less than building them in strided views;
+        # the columns of one replication are its row already.
+        if reps > 1:
+            rows = scratch(keys.size, dtype)
+            rows.reshape(reps, M + 1, -1)[...] = keys.reshape(M + 1, reps, -1).swapaxes(0, 1)
+            keys = rows
+        keys.reshape(reps, -1).sort()
+        # The requests' sorted positions; the tag is read from each key's low
+        # byte, so the temporaries take a byte per key.
+        tag = np.bitwise_and(keys, 2, out=scratch(keys.size, np.uint8), casting="unsafe")
+        tag >>= 1
+        at = np.flatnonzero(tag.view(bool))  # nonzero finds bools fastest
+        key = keys.take(at, out=scratch(total, dtype), mode="clip")
+        at -= 1
+        before = np.bitwise_and(key, 1, out=scratch(total, dtype))
+        at -= before
+        key &= ~3  # the cache key of the request's rank in its group
+        keys.take(at, out=before, mode="wrap")  # at -1, the last key
+        held = np.compress(np.equal(before, key, out=tag[:total].view(bool)), key)
+        del tag, at, key, before  # freed before the last steps
+        held >>= 2
+        held //= stride  # group ids of the active users, sorted
+        held = np.compress(np.diff(held, prepend=-1) != 0, held)
+        active_rep = held // K if rep_of_group is None else rep_of_group[held]
+        return np.bincount(active_rep, minlength=reps).astype(float)
 
 
 def _check_users(n: int, reps: int) -> None:
@@ -592,6 +737,8 @@ def _monte_carlo(
     and the replication's block, not on r, the caching rule, gamma1 or M.  A
     full block draws the same whatever `reps` is, and each (gamma1, r) pair
     scores what a call with that pair alone on a fresh copy of `rng` does.
+    The blocks take their arrays from one `_Scratch`, which keeps them from
+    block to block when a block holds many replications (n <= _BLOCK_USERS).
 
     Every bound, MAX_SCORES (model, grid, replication) triples included,
     is checked for every gamma1 before the first draw.
@@ -628,27 +775,36 @@ def _monte_carlo(
             child = bits.seed_seq.spawn(1)[0]  # what rng.spawn(1)[0] is seeded by
             cache_rngs = [np.random.Generator(type(bits)(child)) for _ in models]
         step = max(1, _BLOCK_USERS // n)
+        scratch = _Scratch(keep=n <= _BLOCK_USERS)
+        # Users are rep-major, so a shorter last block's replications are a
+        # prefix of a full block's.
+        all_reps = np.repeat(np.arange(step, dtype=np.min_scalar_type(step - 1)), n)
         for lo in range(0, reps, step):
             take = min(step, reps - lo)
-            x, y, requests = _draw_block(pop, rng, take * n)
-            rep = np.repeat(np.arange(take, dtype=np.min_scalar_type(take - 1)), n)
-            cells = [_cells(x, y, side) for side in sides]
-            for model, cache_rng, rows in zip(models, cache_rngs, counts):
-                if model is None:  # deterministic caches, the call's only model
-                    requests -= 1
-                    requests //= min(scenario.M, scenario.m)
-                    requests += 1  # each request's cache block
-                    for row, (cell, _) in zip(rows, cells):
-                        row[lo : lo + take] = _score_block(requests, rep, take, cell, n)
-                else:
-                    caches = _random_caches(take * n, scenario.M, model, cache_rng)
-                    own = np.zeros(take * n, dtype=bool)  # users holding their request
-                    for column in caches.T:
-                        own |= column == requests
-                    for row, (cell, K) in zip(rows, cells):
-                        row[lo : lo + take] = _score_random(
-                            requests, caches, own, scenario.m, rep, take, cell, K
-                        )
+            users = take * n
+            rep = all_reps[:users]
+            with scratch.frame():  # the block's draws and cells
+                x, y, requests = _draw_block(pop, rng, users, scratch)
+                cells = [_cells(x, y, side, scratch) for side in sides]
+                for model, cache_rng, rows in zip(models, cache_rngs, counts):
+                    if model is None:  # deterministic caches, the call's only model
+                        requests -= 1
+                        requests //= min(scenario.M, scenario.m)
+                        requests += 1  # each request's cache block
+                        for row, (cell, _) in zip(rows, cells):
+                            row[lo : lo + take] = _score_block(requests, rep, take, cell, n)
+                        continue
+                    with scratch.frame():  # this gamma1's caches
+                        caches = _random_caches(users, scenario.M, model, cache_rng, scratch)
+                        own = scratch(users, bool)  # users holding their request
+                        own.fill(False)
+                        same = scratch(users, bool)
+                        for column in caches.T:
+                            own |= np.equal(column, requests, out=same)
+                        for row, (cell, K) in zip(rows, cells):
+                            row[lo : lo + take] = _score_random(
+                                requests, caches, own, scenario.m, rep, take, cell, K, scratch
+                            )
     return [
         [
             ClusterStats(

@@ -20,14 +20,15 @@ from .errors import InsufficientDataError, InvalidParameterError
 MAX_CATALOG = 10_000_000
 # Longest synthetic trace.  A fitting trace is counted a block at a time and
 # its ranks are never held, so the cap bounds time: at the cap `fit` took
-# 1.8-2.7 s and peaked at 39 MB whole process (2-core Xeon, 4000 files).
+# 1.1 s and peaked at 39 MB whole process (2-core Xeon, 4000 files).
 MAX_SAMPLES = 10**8
 # Guide-table buckets of the sampler; a power of two, so u * _GUIDE is exact.
 _GUIDE = 1 << 16
 # Uniforms drawn and mapped per block.  A block's working set (its uniforms,
-# buckets and ranks, and the guide table) is about 0.5 MB at 2^14 and about
-# 2 MB at 2^16, which spills a 2 MB L2 cache.  A D2D block draws at most 2^14
-# users' requests (for n <= 2^14), so each of its draws is one block.
+# buckets and ranks, the rank table and, for split buckets, the bounds) is
+# about 0.5 MB at 2^14 and about 2 MB at 2^16, which spills a 2 MB L2 cache.
+# A D2D block draws at most 2^14 users' requests (for n <= 2^14), so each of
+# its draws is one block.
 _SAMPLE_BLOCK = 1 << 14
 
 
@@ -62,25 +63,54 @@ class PopularityModel:
         object.__setattr__(self, "cdf", cdf)
 
     @functools.cached_property
+    def _bounds(self) -> np.ndarray:
+        """The count of cdf <= b / _GUIDE for b = 0.._GUIDE, that is of
+        ceil(cdf * _GUIDE) <= b (the scaling is exact); built on first use.
+
+        The uniforms of bucket b, b / _GUIDE <= u < (b + 1) / _GUIDE, have
+        ranks from _bounds[b] + 1 to _bounds[b + 1] + 1.
+        """
+        return _counts_at_or_below(np.ceil(self.cdf * _GUIDE), self.m)
+
+    @functools.cached_property
     def _guide(self) -> np.ndarray:
         """Rank of every u in each bucket b / _GUIDE <= u < (b + 1) / _GUIDE,
         or 0 where the bucket holds more than one rank; built on first use.
 
         The rank of u is searchsorted(cdf, u, "right") + 1.  At the bucket's
-        lower end that count is the number of cdf <= b / _GUIDE, that is of
-        ceil(cdf * _GUIDE) <= b, and just below its upper end the number of
-        cdf < (b + 1) / _GUIDE, that is of floor(cdf * _GUIDE) <= b; the
-        scaling is exact.  Where the two counts agree the bucket has one rank.
+        lower end that count is `_bounds[b]`, and just below its upper end
+        it is the number of cdf < (b + 1) / _GUIDE, that is of
+        floor(cdf * _GUIDE) <= b.  Where the two counts agree the bucket has
+        one rank.
         """
-        scaled = self.cdf * _GUIDE
-        dtype = np.min_scalar_type(self.m)
-        lo = np.bincount(np.ceil(scaled).astype(np.intp), minlength=_GUIDE)
-        hi = np.bincount(scaled.astype(np.intp), minlength=_GUIDE)
-        lo = np.cumsum(lo[:_GUIDE], dtype=dtype)
-        hi = np.cumsum(hi[:_GUIDE], dtype=dtype)
+        lo = self._bounds[:_GUIDE]
+        hi = _counts_at_or_below(np.floor(self.cdf * _GUIDE), self.m)[:_GUIDE]
         rank = lo + 1  # at most m, as cdf[-1] == 1.0 exceeds every b / _GUIDE
         rank[lo != hi] = 0
         return rank
+
+    @functools.cached_property
+    def _first_step(self) -> int:
+        """The highest power of two <= the most cdf entries in one bucket's
+        range b / _GUIDE < cdf <= (b + 1) / _GUIDE: the first step of the
+        split buckets' bisection (`_search_split`)."""
+        widest = int(np.diff(self._bounds).max())  # >= 1, as _bounds[-1] == m
+        return 1 << (widest.bit_length() - 1)
+
+
+def _counts_at_or_below(edges: np.ndarray, m: int) -> np.ndarray:
+    """For b = 0.._GUIDE, how many of the m bucket `edges` (floats holding
+    integers, non-decreasing up to the entries past _GUIDE) are <= b, in
+    the narrowest unsigned dtype that holds m.
+
+    The count is k on the run of buckets from the k-th smallest edge up to
+    the next one, so it is the ranks 0..m repeated by their run lengths.  A
+    cdf can pass 1.0 before its last rank, which is 1.0; clipping the edges
+    at _GUIDE makes them non-decreasing and changes no count up to _GUIDE.
+    """
+    np.minimum(edges, _GUIDE, out=edges)
+    runs = np.diff(edges.astype(np.intp), prepend=0, append=_GUIDE + 1)
+    return np.repeat(np.arange(m + 1, dtype=np.min_scalar_type(m)), runs)
 
 
 def zipf_model(gamma: float, m: int) -> PopularityModel:
@@ -115,27 +145,85 @@ def check_samples(name: str, samples: int) -> None:
         )
 
 
-def _block_ranks(model: PopularityModel, u: np.ndarray) -> np.ndarray:
-    """Request ranks (1-based) of the uniforms `u`, in the guide's dtype.
+def _block_ranks(
+    model: PopularityModel,
+    rng: np.random.Generator,
+    ranks: np.ndarray,
+    u: np.ndarray,
+    bucket: np.ndarray,
+) -> None:
+    """Draw len(ranks) uniforms from `rng` and write their request ranks
+    (1-based) into `ranks`, in the guide's dtype, with `u` (float) and
+    `bucket` (intp), at least as long, as scratch.
 
     The rank of a uniform u is searchsorted(cdf, u, "right") + 1, read from
     an exact guide table: the count is monotone in u, so a bucket whose ends
     give the same count holds one rank, which the table stores.  The table
-    stores 0 for the other buckets, and only the draws in them are searched.
+    stores 0 for the other buckets, and only the draws in them are searched,
+    between their bucket's bounds (`_search_split`).
     """
-    ranks = model._guide[(u * _GUIDE).astype(np.intp)]
-    ambiguous = np.flatnonzero(ranks == 0)
-    ranks[ambiguous] = np.searchsorted(model.cdf, u[ambiguous], side="right") + 1
-    return ranks
+    u, bucket = u[: ranks.size], bucket[: ranks.size]
+    rng.random(out=u)
+    np.multiply(u, _GUIDE, out=bucket, casting="unsafe")  # truncated: u >= 0
+    model._guide.take(bucket, out=ranks, mode="clip")  # 'clip' is not buffered
+    split = np.flatnonzero(ranks == 0)
+    if split.size:
+        ranks[split] = _search_split(model, u[split], bucket[split])
+
+
+def _search_split(
+    model: PopularityModel, u: np.ndarray, bucket: np.ndarray
+) -> np.ndarray:
+    """searchsorted(cdf, u, "right") + 1 for uniforms u in `bucket`s that
+    hold several ranks.
+
+    Every cdf entry before `_bounds[b]` is <= u, and every one past the
+    bucket's range b / _GUIDE < cdf <= (b + 1) / _GUIDE is > u (the entries
+    that pass 1.0 and the last, 1.0, too).  So the count is `_bounds[b]`
+    plus at most the entries of the widest range, and a bisection adds the
+    bits of that excess from `_first_step` down, one numpy pass per bit: a
+    bit is set where the entry it would step past is <= u.  Where no range
+    holds two entries, that is one comparison per draw.  A pass costs about
+    what a binary search of 32 draws over the whole cdf does (2-core Xeon,
+    1000 to 65536 files), so fewer draws are searched that way instead.
+    """
+    cdf, step = model.cdf, model._first_step
+    if u.size <= 32 * step.bit_length():
+        return np.searchsorted(cdf, u, side="right") + 1
+    count = model._bounds[bucket].astype(np.intp)
+    while step > 1:
+        probe = count + (step - 1)  # read at m - 1 past the end: cdf[-1] == 1.0 > u
+        count += (cdf.take(probe, mode="clip") <= u) * step
+        step >>= 1
+    count += cdf[count] <= u  # count < m, as cdf[-1] == 1.0 > u
+    count += 1
+    return count
+
+
+def _buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uniforms (float64) and buckets (intp) of one block of a draw of
+    `size` ranks."""
+    block = max(1, min(_SAMPLE_BLOCK, size))
+    return np.empty(block), np.empty(block, dtype=np.intp)
 
 
 def sample_requests(
-    model: PopularityModel, rng: np.random.Generator, size: int
+    model: PopularityModel,
+    rng: np.random.Generator,
+    size: int,
+    out: np.ndarray | None = None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Draw `size` i.i.d. request ranks (1-based) by inverse-CDF lookup.
+    """Draw `size` i.i.d. request ranks (1-based) by inverse-CDF lookup,
+    into `out` when it is given (`size` entries of the guide's dtype).
 
-    The uniforms are drawn and mapped in blocks of _SAMPLE_BLOCK, which
-    consume the stream exactly as one rng.random(size) does.  The ranks are
+    `work` is the blocks' scratch: a pair of float64 and intp arrays of one
+    length, which sets the block size.  Without it a block's arrays are
+    allocated, _SAMPLE_BLOCK entries at most; a caller that draws many
+    times can pass the same arrays to every call instead.
+
+    The uniforms are drawn and mapped in blocks, which consume the stream
+    exactly as one rng.random(size) does.  The ranks are
     in the guide's dtype, the narrowest unsigned one that holds m: 1 byte
     each up to 255 files, 2 up to 65535 and 4 past that, so at most 0.4 GB
     at MAX_SAMPLES.  A caller that needs only how often each rank is drawn
@@ -144,10 +232,14 @@ def sample_requests(
     """
     if size < 0:
         raise InvalidParameterError("size must be >= 0")
-    out = np.empty(size, dtype=np.min_scalar_type(model.m))
-    for start in range(0, size, _SAMPLE_BLOCK):
-        u = rng.random(min(_SAMPLE_BLOCK, size - start))
-        out[start : start + u.size] = _block_ranks(model, u)
+    dtype = np.min_scalar_type(model.m)
+    if out is None:
+        out = np.empty(size, dtype=dtype)
+    elif out.shape != (size,) or out.dtype != dtype:
+        raise InvalidParameterError(f"out must hold {size} ranks of dtype {dtype}")
+    u, bucket = _buffers(size) if work is None else work
+    for start in range(0, size, u.size):
+        _block_ranks(model, rng, out[start : start + u.size], u, bucket)
     return out
 
 
@@ -165,9 +257,12 @@ def request_counts(
     if size < 0:
         raise InvalidParameterError("size must be >= 0")
     counts = np.zeros(model.m + 1, dtype=np.intp)
+    u, bucket = _buffers(size)
+    ranks = np.empty(u.size, dtype=np.min_scalar_type(model.m))
     for start in range(0, size, _SAMPLE_BLOCK):
-        u = rng.random(min(_SAMPLE_BLOCK, size - start))
-        np.add.at(counts, _block_ranks(model, u), 1)
+        block = ranks[: min(_SAMPLE_BLOCK, size - start)]
+        _block_ranks(model, rng, block, u, bucket)
+        np.add.at(counts, block, 1)
     return counts
 
 

@@ -14,8 +14,12 @@ to groups in which two or three users ask for one rank.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import d2d_oracles
 import numpy as np
@@ -393,3 +397,40 @@ def test_random_fill_and_scoring_memory(M, m, fill_bound, score_bound):
         tracemalloc.stop()
     assert fill_peak < fill_bound
     assert run_peak - tables < score_bound
+
+
+_FAULTS_PROBE = """
+import resource, sys
+from helpercache.cli import main
+argv = ["sweep-gamma1", "--M", "4", "--reps", "250", "--out", sys.argv[1]]
+main(argv)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+main(argv)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.parametrize(
+    "malloc_env,bound",
+    [({}, 500), ({"MALLOC_MMAP_THRESHOLD_": "131072"}, 2000)],
+    ids=["default", "fixed-128k-mmap-threshold"],
+)
+def test_block_loop_touches_little_fresh_memory(tmp_path, malloc_env, bound):
+    # The benchmark's gamma1 sweep, after one warm-up call, in a child
+    # process.  The blocks reuse their arrays, so the call's minor page
+    # faults barely depend on when glibc maps or trims memory.  Measured
+    # on a 2-core Xeon: 205 faults by default and 900 with the mmap
+    # threshold fixed at glibc's initial 128 KiB (the first touch of the
+    # call's buffers, which are mapped anew for each call); the loop that
+    # allocated every block's arrays took 2109 and 49788.  The bounds are
+    # about twice the measured counts.
+    src = str(Path(d2d.__file__).resolve().parents[1])
+    env = {**os.environ, **malloc_env, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PROBE, str(tmp_path / "sweep.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.split()[-1]) < bound

@@ -149,10 +149,10 @@ def test_requests_are_drawn_once_per_group_and_chunk(monkeypatch):
     request_calls = []
     real = d2d.sample_requests
 
-    def counting(model, rng, size):
+    def counting(model, rng, size, out=None, work=None):
         if model is pop:
             request_calls.append(size)
-        return real(model, rng, size)
+        return real(model, rng, size, out, work)
 
     monkeypatch.setattr(d2d, "sample_requests", counting)
     reps, per_block = 25, 300 // sc.n
@@ -170,9 +170,10 @@ def test_gamma1_points_share_positions_and_requests(monkeypatch):
     scored = []
     real = d2d._score_random
 
-    def spy(requests, caches, own, m, rep, reps, cell, K):
-        scored.append((requests, caches, rep, cell))
-        return real(requests, caches, own, m, rep, reps, cell, K)
+    def spy(requests, caches, own, m, rep, reps, cell, K, scratch):
+        # The caches are copied: every gamma1 fills the same kept buffer.
+        scored.append((requests, caches.copy(), rep, cell))
+        return real(requests, caches, own, m, rep, reps, cell, K, scratch)
 
     monkeypatch.setattr(d2d, "_score_random", spy)
     sc = _rand(M=4)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from popularity_oracles import sample_two_tables, sorted_fit, trace_from_samples
+from popularity_oracles import (
+    guide_bounds,
+    sample_two_tables,
+    sorted_fit,
+    trace_from_samples,
+)
 from scipy.stats import chisquare
 
 from helpercache import rng as hrng
@@ -120,10 +125,14 @@ class _FixedUniforms:
         self.u = np.asarray(u, dtype=float)
         self.used = 0
 
-    def random(self, size):
-        out = self.u[self.used : self.used + size].copy()
-        assert out.size == size
+    def random(self, size=None, out=None):
+        size = out.size if size is None else size
+        given = self.u[self.used : self.used + size]
+        assert given.size == size
         self.used += size
+        if out is None:
+            return given.copy()
+        out[...] = given
         return out
 
 
@@ -132,7 +141,9 @@ class _FixedUniforms:
 GUIDE_MODELS = [(0.0, 1024), (0.0, 1), (0.7, 1), (3.0, 50), (0.6, 1000), (3.0, 100_000)]
 
 
-@pytest.mark.parametrize("gamma,m", GUIDE_MODELS)
+# At 10^6 files a bucket holds up to about 100 ranks, so the split draws
+# take the bisection's passes, not one comparison.
+@pytest.mark.parametrize("gamma,m", GUIDE_MODELS + [(0.8, 10**6)])
 def test_sampler_equals_binary_search_on_edge_uniforms(gamma, m):
     model = zipf_model(gamma, m)
     points = np.concatenate([np.arange(_GUIDE) / _GUIDE, model.cdf[model.cdf < 1.0]])
@@ -160,6 +171,22 @@ def test_guide_bounds_are_the_counts_at_bucket_ends(gamma, m):
     assert np.array_equal(guide[one], lo[one] + 1)
     assert np.array_equal(guide[one], hi[one] + 1)
     assert guide.dtype == np.min_scalar_type(m)
+
+
+@pytest.mark.parametrize(
+    "gamma,m",
+    GUIDE_MODELS
+    + [(gamma, m) for m in (255, 256, 65535, 65536) for gamma in (0.0, 1.0)]
+    + [(0.8, 10**6)],
+)
+def test_guide_tables_equal_the_bincount_oracle(gamma, m):
+    # The rank table and the bounds, built from runs of bucket edges, are
+    # the tables of the two cumulative bincounts, dtype included.
+    model = zipf_model(gamma, m)
+    lo, hi = guide_bounds(model)
+    assert model._bounds.dtype == model._guide.dtype == lo.dtype
+    assert np.array_equal(model._bounds, np.append(lo, np.array(m, dtype=lo.dtype)))
+    assert np.array_equal(model._guide, np.where(lo == hi, lo + 1, 0).astype(lo.dtype))
 
 
 def test_steep_catalog_passes_one_before_its_last_rank():
