@@ -18,7 +18,6 @@ against this module's own Monte Carlo, not against published values.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import logging
 import math
@@ -27,7 +26,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError
-from .popularity import PopularityModel, catalog_size, sample_requests, zipf_model
+from .popularity import (
+    PopularityModel,
+    catalog_size,
+    sample_block,
+    sample_requests,
+    zipf_model,
+)
 from .rng import stream
 
 logger = logging.getLogger(__name__)
@@ -138,11 +143,13 @@ class _Scratch:
     """The temporaries of one Monte Carlo call, taken as a stack of arrays
     that the call's blocks reuse when `keep`, and allocated anew otherwise.
 
-    Leaving a `frame` releases the arrays taken inside it.  Every block
-    takes its arrays in the same order and none larger than the first block
-    does, so a kept array is allocated once, at the first and largest use
-    of its depth in the stack, and is sliced after that: the blocks touch no
-    fresh memory, and the loop's speed does not depend on when the allocator
+    Each `with scratch:` block is a frame: leaving it releases the arrays
+    taken inside it.  Every block takes its arrays in the same order, so the
+    memory kept at each depth of the stack is sliced for the arrays of later
+    blocks and is allocated anew only when a later use of its depth is
+    larger than every earlier one (the random-cache fill's later rounds draw
+    for a random number of rows).  After the first block the loop touches
+    little fresh memory, so its speed does not depend on when the allocator
     returns freed memory to the system or maps it anew.  The arrays of one
     depth share memory, kept as bytes, so the fill's temporaries and the
     scorers' take the same memory in turn.  Only blocks of many small
@@ -153,6 +160,7 @@ class _Scratch:
     def __init__(self, keep: bool = False):
         self._kept: list[np.ndarray] | None = [] if keep else None
         self._depth = 0
+        self._frames: list[int] = []  # the depth at which each open frame began
         self._index = np.arange(0)
 
     def __call__(self, count: int, dtype) -> np.ndarray:
@@ -168,14 +176,11 @@ class _Scratch:
         self._depth += 1
         return kept[depth][:size].view(dtype)
 
-    @contextlib.contextmanager
-    def frame(self):
-        """Release, on leaving, the arrays taken inside."""
-        depth = self._depth
-        try:
-            yield
-        finally:
-            self._depth = depth
+    def __enter__(self):
+        self._frames.append(self._depth)
+
+    def __exit__(self, *exc):
+        self._depth = self._frames.pop()  # releases the frame's arrays
 
     def index(self, size: int) -> np.ndarray:
         """0, 1, ..., size - 1 (intp), kept for the whole call when arrays are."""
@@ -187,8 +192,8 @@ class _Scratch:
 
     def work(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """The blocks' scratch of `sample_requests` for draws of up to `size`
-        ranks, in blocks of at most _BLOCK_USERS."""
-        block = max(1, min(size, _BLOCK_USERS))
+        ranks, in the sampler's blocks (`sample_block`)."""
+        block = sample_block(size)
         return self(block, float), self(block, np.intp)
 
 
@@ -291,14 +296,14 @@ def _random_caches(
         return np.tile(np.arange(1, m + 1, dtype=dtype), (count, 1))
     flat = scratch(M * count, dtype)
     held = flat.reshape(M, count)
-    with scratch.frame():  # round 1 draws no duplicate
+    with scratch:  # round 1 draws no duplicate
         sample_requests(model, rng, count, held[0], scratch.work(count))
     if M == 1:
         return held.T
     held[1:] = 0
     # Flat index of each row's next free slot: column j of row i is at
     # j * count + i, so a row is complete once its index reaches M * count.
-    with scratch.frame():
+    with scratch:
         slot = np.add(scratch.index(count), count, out=scratch(count, np.intp))
         _lockstep_rounds(held, slot, model, rng, scratch)
         _later_rounds(held, slot, model, rng, scratch)
@@ -317,7 +322,7 @@ def _lockstep_rounds(
     advances a slot where the candidate was fresh."""
     M, count = held.shape
     flat = held.reshape(-1)
-    with scratch.frame():  # the large arrays first, where the scorers' are
+    with scratch:  # the large arrays first, where the scorers' are
         work = scratch.work(count)
         advance = scratch(count, np.intp)
         draws = scratch(count, held.dtype)
@@ -346,12 +351,12 @@ def _later_rounds(
     flat = held.reshape(-1)
     rows = np.flatnonzero(slot < M * count)
     k = rows.size
-    with scratch.frame():
+    with scratch:
         slot[:k] = slot.take(rows, out=scratch(k, np.intp), mode="clip")
     slot = slot[:k]
     work = scratch.work(k)
     while k:
-        with scratch.frame():  # the round's arrays, in the order of the first rounds'
+        with scratch:  # the round's arrays, in the order of the first rounds'
             advance = scratch(k, np.intp)
             draws = sample_requests(model, rng, k, scratch(k, held.dtype), work)
             taken, fresh = scratch(k, held.dtype), scratch(k, bool)
@@ -524,7 +529,7 @@ def _draw_block(
     xy = scratch(2 * users, float).reshape(2, users)
     rng.random(out=xy)
     requests = scratch(users, np.min_scalar_type(pop.m))
-    with scratch.frame():
+    with scratch:
         sample_requests(pop, rng, users, requests, scratch.work(users))
     return xy[0], xy[1], requests
 
@@ -542,12 +547,14 @@ def _cells(
     K = side * side
     if K <= 1 << 64:
         dtype = np.min_scalar_type(K - 1)
-        cell, cy = scratch(x.size, dtype), np.empty(y.size, dtype=dtype)
-        for axis, label in ((x, cell), (y, cy)):
-            np.multiply(axis, side, out=label, casting="unsafe")  # truncated
-            np.minimum(label, side - 1, out=label)
-        cell *= side
-        cell += cy
+        cell = scratch(x.size, dtype)
+        with scratch:  # cy is released before the caller's next array
+            cy = scratch(y.size, dtype)
+            for axis, label in ((x, cell), (y, cy)):
+                np.multiply(axis, side, out=label, casting="unsafe")  # truncated
+                np.minimum(label, side - 1, out=label)
+            cell *= side
+            cell += cy
         return cell, K
     xy = np.minimum(np.floor(np.column_stack((x, y)) * side), side - 1)
     labels, cell = np.unique(xy, axis=0, return_inverse=True)
@@ -632,7 +639,7 @@ def _score_random(
     Where even int64 would overflow, the occupied (rep, cell) pairs are
     numbered 0, 1, ... and serve as the group ids.
     """
-    with scratch.frame():  # releases the arrays taken here
+    with scratch:  # releases the arrays taken here
         stride = m + 1
         total, M = caches.shape
         if 4 * reps * K * stride < 1 << 63:
@@ -783,7 +790,7 @@ def _monte_carlo(
             take = min(step, reps - lo)
             users = take * n
             rep = all_reps[:users]
-            with scratch.frame():  # the block's draws and cells
+            with scratch:  # the block's draws and cells
                 x, y, requests = _draw_block(pop, rng, users, scratch)
                 cells = [_cells(x, y, side, scratch) for side in sides]
                 for model, cache_rng, rows in zip(models, cache_rngs, counts):
@@ -794,7 +801,7 @@ def _monte_carlo(
                         for row, (cell, _) in zip(rows, cells):
                             row[lo : lo + take] = _score_block(requests, rep, take, cell, n)
                         continue
-                    with scratch.frame():  # this gamma1's caches
+                    with scratch:  # this gamma1's caches
                         caches = _random_caches(users, scenario.M, model, cache_rng, scratch)
                         own = scratch(users, bool)  # users holding their request
                         own.fill(False)

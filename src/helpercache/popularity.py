@@ -183,13 +183,9 @@ def _search_split(
     plus at most the entries of the widest range, and a bisection adds the
     bits of that excess from `_first_step` down, one numpy pass per bit: a
     bit is set where the entry it would step past is <= u.  Where no range
-    holds two entries, that is one comparison per draw.  A pass costs about
-    what a binary search of 32 draws over the whole cdf does (2-core Xeon,
-    1000 to 65536 files), so fewer draws are searched that way instead.
+    holds two entries, that is one comparison per draw.
     """
     cdf, step = model.cdf, model._first_step
-    if u.size <= 32 * step.bit_length():
-        return np.searchsorted(cdf, u, side="right") + 1
     count = model._bounds[bucket].astype(np.intp)
     while step > 1:
         probe = count + (step - 1)  # read at m - 1 past the end: cdf[-1] == 1.0 > u
@@ -200,10 +196,16 @@ def _search_split(
     return count
 
 
+def sample_block(size: int) -> int:
+    """Ranks drawn and mapped per block by a draw of `size` ranks: the
+    length of the scratch arrays that `sample_requests` takes as `work`."""
+    return max(1, min(_SAMPLE_BLOCK, size))
+
+
 def _buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
     """The uniforms (float64) and buckets (intp) of one block of a draw of
     `size` ranks."""
-    block = max(1, min(_SAMPLE_BLOCK, size))
+    block = sample_block(size)
     return np.empty(block), np.empty(block, dtype=np.intp)
 
 
@@ -219,7 +221,7 @@ def sample_requests(
 
     `work` is the blocks' scratch: a pair of float64 and intp arrays of one
     length, which sets the block size.  Without it a block's arrays are
-    allocated, _SAMPLE_BLOCK entries at most; a caller that draws many
+    allocated, `sample_block(size)` entries; a caller that draws many
     times can pass the same arrays to every call instead.
 
     The uniforms are drawn and mapped in blocks, which consume the stream

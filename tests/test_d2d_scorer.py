@@ -419,11 +419,11 @@ def test_block_loop_touches_little_fresh_memory(tmp_path, malloc_env, bound):
     # The benchmark's gamma1 sweep, after one warm-up call, in a child
     # process.  The blocks reuse their arrays, so the call's minor page
     # faults barely depend on when glibc maps or trims memory.  Measured
-    # on a 2-core Xeon: 205 faults by default and 900 with the mmap
+    # on a 2-core Xeon: 206 faults by default and 1160 with the mmap
     # threshold fixed at glibc's initial 128 KiB (the first touch of the
     # call's buffers, which are mapped anew for each call); the loop that
     # allocated every block's arrays took 2109 and 49788.  The bounds are
-    # about twice the measured counts.
+    # about 2.4 and 1.7 times the measured counts.
     src = str(Path(d2d.__file__).resolve().parents[1])
     env = {**os.environ, **malloc_env, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
